@@ -49,9 +49,9 @@ type FamilyRun struct {
 	Cells         int     `json:"cells"`
 	// Comparison columns, filled when a committed pointer baseline for
 	// the family exists.
-	BaselineTotalNanos    int64   `json:"baseline_total_ns,omitempty"`
-	BaselinePeakHeapBytes uint64  `json:"baseline_peak_heap_bytes,omitempty"`
-	SpeedupVsPointer      float64 `json:"speedup_vs_pointer,omitempty"`
+	BaselineTotalNanos     int64   `json:"baseline_total_ns,omitempty"`
+	BaselinePeakHeapBytes  uint64  `json:"baseline_peak_heap_bytes,omitempty"`
+	SpeedupVsPointer       float64 `json:"speedup_vs_pointer,omitempty"`
 	HeapReductionVsPointer float64 `json:"heap_reduction_vs_pointer,omitempty"`
 }
 

@@ -24,10 +24,10 @@ const exitTimeout = 3
 
 func main() {
 	var (
-		k        = flag.Int("k", 4, "LUT input count")
-		mode     = flag.String("mode", "depth", "objective: depth (FlowMap) or area (priority cuts)")
-		slack    = flag.Int("slack", 0, "area mode: allowed depth above optimal")
-		output   = flag.String("o", "", "write the LUT netlist as BLIF to this file")
+		k         = flag.Int("k", 4, "LUT input count")
+		mode      = flag.String("mode", "depth", "objective: depth (FlowMap) or area (priority cuts)")
+		slack     = flag.Int("slack", 0, "area mode: allowed depth above optimal")
+		output    = flag.String("o", "", "write the LUT netlist as BLIF to this file")
 		doVerify  = flag.Bool("verify", false, "verify the mapping against the input by simulation")
 		timeout   = flag.Duration("timeout", 0, "abort mapping after this duration (0 = no limit)")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of the mapping pipeline to this file")

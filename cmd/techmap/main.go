@@ -33,12 +33,12 @@ import (
 const exitTimeout = 3
 
 type config struct {
-	path     string
-	libName  string
-	mode     string
-	class    string
-	delay    string
-	output   string
+	path      string
+	libName   string
+	mode      string
+	class     string
+	delay     string
+	output    string
 	doVerify  bool
 	recover   bool
 	critPath  bool

@@ -250,17 +250,17 @@ func FormatJSON(spec TableSpec, rows []Row) (string, error) {
 		VerifyMillis    float64 `json:"verify_ms"`
 	}
 	type rowJSON struct {
-		Circuit        string     `json:"circuit"`
-		SubjectNodes   int        `json:"subject_nodes"`
-		TreeDelay      float64    `json:"tree_delay"`
-		DAGDelay       float64    `json:"dag_delay"`
-		TreeArea       float64    `json:"tree_area"`
-		DAGArea        float64    `json:"dag_area"`
-		TreeCPUMillis  float64    `json:"tree_cpu_ms"`
-		DAGCPUMillis   float64    `json:"dag_cpu_ms"`
-		DAGCPUParMs    float64    `json:"dag_cpu_par_ms,omitempty"`
-		Duplicated     int        `json:"duplicated"`
-		Phases         phasesJSON `json:"phases"`
+		Circuit       string     `json:"circuit"`
+		SubjectNodes  int        `json:"subject_nodes"`
+		TreeDelay     float64    `json:"tree_delay"`
+		DAGDelay      float64    `json:"dag_delay"`
+		TreeArea      float64    `json:"tree_area"`
+		DAGArea       float64    `json:"dag_area"`
+		TreeCPUMillis float64    `json:"tree_cpu_ms"`
+		DAGCPUMillis  float64    `json:"dag_cpu_ms"`
+		DAGCPUParMs   float64    `json:"dag_cpu_par_ms,omitempty"`
+		Duplicated    int        `json:"duplicated"`
+		Phases        phasesJSON `json:"phases"`
 	}
 	doc := struct {
 		Table      string    `json:"table"`

@@ -93,13 +93,16 @@ type Matcher struct {
 
 	// memo, when non-nil and memoOn, caches complete enumerations by
 	// canonical cone key (see memo.go); shared across clones and — via
-	// a compiled library — across requests. memoDepth is the cone depth
-	// keys are computed at: the maximum compiled pattern depth, floored
+	// a compiled library — across requests. Keys are computed at the
+	// depth of the deepest pattern the walk can try at the root, floored
 	// at the signature depth (2) so a key also determines the plans the
-	// signature index would try.
+	// signature index would try: keyDepth[sig] over the root's
+	// signature bucket when the index is on (shared by clones,
+	// immutable), memoDepth over the whole library when it is off.
 	memo      *Memo
 	memoOn    bool
 	memoDepth int
+	keyDepth  []int
 	cone      *subject.ConeEncoder
 	// memoHits/memoMisses count this matcher's table consultations
 	// since construction, Clone, or Reset (the table keeps its own
@@ -114,6 +117,7 @@ type Matcher struct {
 	curPatIdx int
 
 	// scratch (reused across calls; a Matcher is single-goroutine)
+	out     Match // the *Match every Enumerate yields
 	binding []subject.Node
 	stepSub []subject.Node
 	stepOrd []uint8
@@ -211,6 +215,13 @@ func NewMatcher(patterns []*subject.Pattern, opts ...Option) *Matcher {
 			}
 		}
 		m.bucketTried = make([]uint32, subject.NumSignatures)
+		m.keyDepth = make([]int, subject.NumSignatures)
+		for sig, bucket := range m.sigIndex {
+			m.keyDepth[sig] = 2
+			for _, k := range bucket {
+				m.keyDepth[sig] = max(m.keyDepth[sig], patterns[k].Depth)
+			}
+		}
 	}
 	return m
 }
@@ -230,6 +241,7 @@ func (m *Matcher) Clone() *Matcher {
 		memo:      m.memo, // shared: clones warm one table
 		memoOn:    m.memoOn,
 		memoDepth: m.memoDepth,
+		keyDepth:  m.keyDepth,
 		binding:   make([]subject.Node, len(m.binding)),
 		stepSub:   make([]subject.Node, len(m.stepSub)),
 		stepOrd:   make([]uint8, len(m.stepOrd)),
@@ -294,9 +306,10 @@ func (m *Matcher) MemoMisses() int { return m.memoMisses }
 // memoActive reports whether the next Enumerate takes the memo path.
 // Choice-aware matching bypasses the memo for the same reason it
 // bypasses the signature index: descent may leave the structural cone,
-// so the cone key no longer determines the match set.
+// so the cone key no longer determines the match set. Roots whose key
+// depth exceeds maxMemoDepth still walk uncached (see enumerateMemo).
 func (m *Matcher) memoActive() bool {
-	return m.memo != nil && m.memoOn && m.choices == nil && m.memoDepth <= maxMemoDepth
+	return m.memo != nil && m.memoOn && m.choices == nil
 }
 
 // Reset clears the matcher's mutable scratch and counters without
@@ -338,6 +351,7 @@ func (m *Matcher) Reset() {
 	m.curRoot = subject.None
 	m.curOut = nil
 	m.curYield = nil
+	m.out = Match{Root: subject.None, Leaves: m.out.Leaves[:0], Covered: m.out.Covered[:0]}
 	// The memo table itself survives Reset by design — it holds cone
 	// indices, never node references, so it pins no graphs and stays
 	// warm for the next request. The per-run counters and the encoder's
@@ -423,31 +437,38 @@ func mix(h, v uint64) uint64 {
 
 // Enumerate calls yield for every match of every pattern rooted at
 // root (a node of subject graph g) under the given class. The *Match
-// passed to yield is reused; copy it (and its slices) if retained.
+// passed to yield is the matcher's own, reused across yields and
+// calls; copy it (and its slices) if retained.
 // Enumeration stops early when yield returns false.
 func (m *Matcher) Enumerate(g *subject.Graph, root subject.Node, class Class, yield func(*Match) bool) {
 	if g.KindOf(root) == subject.PI {
 		return
 	}
 	m.g = g
-	out := &Match{Root: root}
+	out := &m.out
+	out.Root = root
 	if m.memoActive() {
 		m.enumerateMemo(root, class, out, yield)
 		return
 	}
-	m.enumerateWalk(root, class, out, yield)
-}
-
-// enumerateWalk is the uncached enumeration. It reports whether the
-// enumeration ran to completion (false when yield stopped it early) —
-// the recording path must not insert a truncated recipe list.
-func (m *Matcher) enumerateWalk(root subject.Node, class Class, out *Match, yield func(*Match) bool) bool {
 	// The signature index is sound only for purely structural descent:
 	// with choices, a child position may bind a class member whose
 	// local shape differs from the child's, so fall back to the full
 	// root-kind scan.
+	sig := -1
 	if m.index && m.choices == nil {
-		sig := subject.Signature(m.g, root)
+		sig = subject.Signature(g, root)
+	}
+	m.enumerateWalk(sig, root, class, out, yield)
+}
+
+// enumerateWalk is the uncached enumeration: the plans of signature
+// bucket sig, or every pattern of the root's kind when sig < 0. It
+// reports whether the enumeration ran to completion (false when yield
+// stopped it early) — the recording path must not insert a truncated
+// recipe list.
+func (m *Matcher) enumerateWalk(sig int, root subject.Node, class Class, out *Match, yield func(*Match) bool) bool {
+	if sig >= 0 {
 		for _, k := range m.sigIndex[sig] {
 			m.tried++
 			m.bucketTried[sig]++
@@ -484,16 +505,24 @@ func memoKeyTag(class Class, index bool) byte {
 
 // enumerateMemo is the memoized enumeration: compute the root's cone
 // key, replay the recorded recipes on a hit, or run and record the
-// ordinary walk on a miss.
+// ordinary walk on a miss. With the signature index on, the key reaches
+// only as deep as the deepest pattern in the root's bucket — the walk
+// tries no other — and a root whose bucket is deeper than maxMemoDepth
+// walks uncached while shallower roots keep the memo.
 func (m *Matcher) enumerateMemo(root subject.Node, class Class, out *Match, yield func(*Match) bool) {
-	key, nodes := m.cone.Encode(m.g, root, m.memoDepth, class == Exact, memoKeyTag(class, m.index))
+	sig, depth := m.memoKeyDepth(m.g, root)
+	if depth > maxMemoDepth {
+		m.enumerateWalk(sig, root, class, out, yield)
+		return
+	}
+	key, nodes := m.cone.Encode(m.g, root, depth, class == Exact, memoKeyTag(class, m.index))
 	if stream, tried, ok := m.memo.lookup(key); ok {
 		m.memoHits++
 		m.tried += tried
-		if m.index && m.bucketTried != nil {
+		if sig >= 0 {
 			// Attribute the skipped plans to the root's signature bucket
 			// exactly as the walk would have.
-			m.bucketTried[subject.Signature(m.g, root)] += uint32(tried)
+			m.bucketTried[sig] += uint32(tried)
 		}
 		m.replay(stream, nodes, out, yield)
 		return
@@ -503,11 +532,21 @@ func (m *Matcher) enumerateMemo(root subject.Node, class Class, out *Match, yiel
 	m.recOK = true
 	m.recording = true
 	tried0 := m.tried
-	completed := m.enumerateWalk(root, class, out, yield)
+	completed := m.enumerateWalk(sig, root, class, out, yield)
 	m.recording = false
 	if completed && m.recOK {
 		m.memo.insert(key, m.recStream, m.tried-tried0)
 	}
+}
+
+// memoKeyDepth returns root's signature bucket (-1 with the index off)
+// and the depth the memo computes root's cone key at.
+func (m *Matcher) memoKeyDepth(g *subject.Graph, root subject.Node) (sig, depth int) {
+	if !m.index {
+		return -1, m.memoDepth
+	}
+	sig = subject.Signature(g, root)
+	return sig, m.keyDepth[sig]
 }
 
 // replay resolves a recorded recipe stream against the current cone's

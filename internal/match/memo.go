@@ -8,15 +8,24 @@ import (
 // Structural match memoization. The matcher's per-node work — running
 // every candidate pattern plan's backtracking walk — depends only on
 // the local structure of the subject graph around the root, captured
-// exactly by subject.ConeEncoder's canonical cone key (depth = the
-// matcher's maximum pattern depth). A Memo maps cone keys to the full
-// ordered match list recorded as a *recipe stream*: pattern indices
-// plus leaf/covered bindings encoded as cone indices rather than node
-// pointers. A hit replays the stream against the current root's cone
-// nodes and skips matchStep entirely; a miss runs the ordinary walk
-// and records it. Because recipes hold no node pointers, entries are
-// valid across subject graphs — a table attached to a compiled
-// library is warmed by every circuit mapped against it.
+// exactly by subject.ConeEncoder's canonical cone key. The key reaches
+// as deep as the deepest pattern the walk can try at the root: the
+// deepest pattern in the root's signature bucket (floored at the
+// signature depth 2), or the deepest in the library with the signature
+// index off. No pattern reads below its own depth, so the bucket's
+// depth bounds everything the walk reads; on alumesh21x21 × 44-3 a key
+// covers 37.0 cone nodes per root instead of the library-wide 100.9.
+//
+// A Memo maps cone keys to the full ordered match list recorded as a
+// *recipe stream*: pattern indices plus leaf/covered bindings encoded
+// as cone indices rather than node pointers. A hit replays the stream
+// against the current root's cone nodes and skips matchStep entirely;
+// a miss runs the ordinary walk and records it. A hit allocates
+// nothing: the key lives in the encoder's buffer, the map probe does
+// not copy it, and the replay fills the matcher's one reused Match.
+// Because recipes hold no node pointers, entries are valid across
+// subject graphs — a table attached to a compiled library is warmed by
+// every circuit mapped against it.
 //
 // Replay fidelity: the recorded stream is the complete yield sequence
 // of a fresh enumeration, in order, and equal keys guarantee (see
@@ -43,9 +52,10 @@ const DefaultMemoEntries = 1 << 16
 // pick its approximate-LRU victim.
 const memoEvictSample = 8
 
-// maxMemoDepth disables memoization for pathologically deep pattern
-// libraries, where cone keys would grow exponentially with sharing
-// and hit rates collapse.
+// maxMemoDepth bounds the key depth: a root whose key would be deeper
+// (its signature bucket holds a pathologically deep pattern) walks
+// uncached, since such keys grow exponentially with sharing and hit
+// rates collapse. Roots of shallower buckets keep the memo.
 const maxMemoDepth = 32
 
 // memoEntry is one cone key's recorded enumeration. stream and tried

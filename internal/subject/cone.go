@@ -10,10 +10,14 @@ import "encoding/binary"
 // requested, same fanout counts on the interior nodes. The structural
 // matcher reads exactly these properties of the subject graph (kinds,
 // Fanin slots, node identity for the one-to-one check, fanout counts
-// for the Exact class), and it reads nothing below depth d when d is
-// the maximum compiled pattern depth, so equal keys guarantee the
-// matcher enumerates structurally identical match sequences at the two
-// roots — the invariant the match-memoization layer is built on.
+// for the Exact class), and a pattern reads nothing below its own
+// depth. The matcher keys a root at the depth of the deepest pattern
+// it will try there — the deepest in the root's signature bucket, at
+// least 2 so the key also fixes the signature, and so the bucket —
+// and the key carries that depth, so equal keys guarantee the matcher
+// tries the same patterns and enumerates structurally identical match
+// sequences at the two roots — the invariant the match-memoization
+// layer is built on.
 //
 // Fanin order is deliberately NOT re-canonicalized commutatively here:
 // match enumeration descends subject Fanin slots in stored order (the

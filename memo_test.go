@@ -2,6 +2,8 @@ package dagcover
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dagcover/internal/bench"
@@ -65,6 +67,80 @@ func TestMemoOutputByteIdentical(t *testing.T) {
 		}
 		if st := mapper.dagMatcher.Memo().Stats(); st.Hits == 0 {
 			t.Errorf("%s: suite produced no memo hits — the equality check never exercised replay", s.lib.Name)
+		}
+	}
+}
+
+// deepChainLibrary returns 44-1 plus one two-input gate whose NAND2
+// decomposition is levels deep, and a network holding exactly that
+// chain: !(b*!(a*!(b*...))) over inputs a and b.
+func deepChainLibrary(t *testing.T, levels int) (*Library, *Network) {
+	t.Helper()
+	expr := "a"
+	var blif strings.Builder
+	blif.WriteString(".model deepchain\n.inputs a b\n.outputs o\n")
+	prev := "a"
+	for i := 0; i < levels; i++ {
+		v := "ab"[i%2 : i%2+1]
+		expr = "!(" + v + "*" + expr + ")"
+		out := fmt.Sprintf("n%d", i)
+		if i == levels-1 {
+			out = "o"
+		}
+		fmt.Fprintf(&blif, ".names %s %s %s\n0- 1\n-0 1\n", v, prev, out)
+		prev = out
+	}
+	blif.WriteString(".end\n")
+	deep, err := LoadLibrary("deep", strings.NewReader(
+		"GATE deepchain 40 O="+expr+";\nPIN * UNKNOWN 1 999 1 0 1 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := Lib441()
+	if err := lib.Add(deep.Gates[0]); err != nil {
+		t.Fatal(err)
+	}
+	nw, err := ParseBLIF(strings.NewReader(blif.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib, nw
+}
+
+// A pattern too deep to key (deeper than the memo's depth guard) turns
+// the memo off only at roots of its signature buckets: the rest of the
+// library still hits, and netlists stay byte-identical with the memo on
+// or off — including the deep gate's own chain, which it covers.
+func TestMemoDeepPatternNetlists(t *testing.T) {
+	lib, chain := deepChainLibrary(t, 40)
+	mapper, err := NewMapper(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []bench.Circuit{
+		{Name: "deepchain", Network: chain},
+		{Name: "C432", Network: bench.C432()},
+		{Name: "C6288", Network: bench.C6288()},
+	} {
+		ref := renderBLIF(t, mapper, c.Network, &MapOptions{Delay: UnitDelay, Memo: MemoOff})
+		if c.Name == "deepchain" && !bytes.Contains(ref, []byte("deepchain")) {
+			t.Fatalf("the deep gate does not cover its own chain:\n%s", ref)
+		}
+		for _, par := range []int{1, 4} {
+			res, err := mapper.MapDAG(c.Network, &MapOptions{Delay: UnitDelay, Memo: MemoOn, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := res.Netlist.WriteBLIF(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ref, got.Bytes()) {
+				t.Errorf("%s: memo-on netlist at parallelism %d differs from memo-off", c.Name, par)
+			}
+			if c.Name == "C6288" && res.MemoHits == 0 {
+				t.Errorf("%s: no memo hits; the deep pattern turned the memo off library-wide", c.Name)
+			}
 		}
 	}
 }
