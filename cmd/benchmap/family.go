@@ -41,7 +41,13 @@ type FamilyRun struct {
 	// one per subject node.
 	IngestAllocs uint64 `json:"ingest_allocs"`
 	MapNanos     int64  `json:"map_ns"`
-	TotalNanos   int64  `json:"total_ns"`
+	// EmitNanos is the mapping run's emission phase (part of MapNanos);
+	// RenderNanos is WriteBLIF of the mapped netlist, timed after the
+	// heap sampler stops and outside TotalNanos (ingest plus map), so
+	// both stay comparable with the pointer baselines.
+	EmitNanos   int64 `json:"emit_ns"`
+	RenderNanos int64 `json:"render_ns"`
+	TotalNanos  int64 `json:"total_ns"`
 	// PeakHeapBytes is the maximum live heap observed by a 20ms
 	// ReadMemStats sampler across ingest and mapping.
 	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
@@ -168,6 +174,11 @@ func measureFamily(name string, parallel int, baselineDir string) (*FamilyRun, e
 	}
 	mapped := time.Since(t1)
 	peak := sampler.stop()
+	t2 := time.Now()
+	if err := res.Netlist.WriteBLIF(io.Discard); err != nil {
+		return nil, fmt.Errorf("render %s: %w", name, err)
+	}
+	render := time.Since(t2)
 
 	run := &FamilyRun{
 		Family:        name,
@@ -179,6 +190,8 @@ func measureFamily(name string, parallel int, baselineDir string) (*FamilyRun, e
 		IngestNanos:   ingest.Nanoseconds(),
 		IngestAllocs:  afterIngest.Mallocs - before.Mallocs,
 		MapNanos:      mapped.Nanoseconds(),
+		EmitNanos:     int64(res.Phases.EmitMillis * 1e6),
+		RenderNanos:   render.Nanoseconds(),
 		TotalNanos:    ingest.Nanoseconds() + mapped.Nanoseconds(),
 		PeakHeapBytes: peak,
 		Delay:         res.Delay,
@@ -217,10 +230,11 @@ func attachBaseline(run *FamilyRun, dir string) {
 
 // printFamily renders one family measurement line.
 func printFamily(fr *FamilyRun) {
-	fmt.Printf("%-14s | %7.1f MB blif | %8d gates | ingest %6.2fs (%5.1f MB/s, %d allocs) | map %7.2fs | peak heap %6.1f MB",
+	fmt.Printf("%-14s | %7.1f MB blif | %8d gates | ingest %6.2fs (%5.1f MB/s, %d allocs) | map %7.2fs (emit %5.2fs) | render %5.2fs | peak heap %6.1f MB",
 		fr.Family, float64(fr.BlifBytes)/1e6, fr.SubjectGates,
 		float64(fr.IngestNanos)/1e9, fr.IngestMBps, fr.IngestAllocs,
-		float64(fr.MapNanos)/1e9, float64(fr.PeakHeapBytes)/1e6)
+		float64(fr.MapNanos)/1e9, float64(fr.EmitNanos)/1e9, float64(fr.RenderNanos)/1e9,
+		float64(fr.PeakHeapBytes)/1e6)
 	if fr.SpeedupVsPointer > 0 {
 		fmt.Printf(" | vs pointer: %.2fx faster, %.2fx less heap", fr.SpeedupVsPointer, fr.HeapReductionVsPointer)
 	}

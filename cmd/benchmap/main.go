@@ -51,10 +51,14 @@ type Run struct {
 	Parallelism int    `json:"parallelism"`
 	Memo        bool   `json:"memo"`
 	// LabelWallNanos is the labeling phase's wall clock — the phase the
-	// memo accelerates. CoverNanos and TotalNanos cover backward
-	// construction and the whole run.
+	// memo accelerates. CoverNanos is match re-selection, EmitNanos
+	// netlist emission and re-timing, RenderNanos WriteBLIF of the
+	// mapped netlist, and TotalNanos the whole mapping run (without the
+	// render).
 	LabelWallNanos int64 `json:"label_wall_ns"`
 	CoverNanos     int64 `json:"cover_ns"`
+	EmitNanos      int64 `json:"emit_ns"`
+	RenderNanos    int64 `json:"render_ns"`
 	TotalNanos     int64 `json:"total_ns"`
 	PatternsTried  int   `json:"patterns_tried"`
 	MemoHits       int   `json:"memo_hits"`
@@ -271,9 +275,11 @@ func mapOnce(mapper *dagcover.Mapper, c bench.Circuit, libName string, delay dag
 	}
 	total := time.Since(start)
 	var blif bytes.Buffer
+	start = time.Now()
 	if err := res.Netlist.WriteBLIF(&blif); err != nil {
 		return nil, nil, fmt.Errorf("%s x %s: render BLIF: %w", c.Name, libName, err)
 	}
+	render := time.Since(start)
 	run := &Run{
 		Circuit:        c.Name,
 		Library:        libName,
@@ -281,6 +287,8 @@ func mapOnce(mapper *dagcover.Mapper, c bench.Circuit, libName string, delay dag
 		Memo:           memo,
 		LabelWallNanos: int64(res.Phases.LabelWallMillis * 1e6),
 		CoverNanos:     int64(res.Phases.CoverMillis * 1e6),
+		EmitNanos:      int64(res.Phases.EmitMillis * 1e6),
+		RenderNanos:    render.Nanoseconds(),
 		TotalNanos:     total.Nanoseconds(),
 		PatternsTried:  res.PatternsTried,
 		MemoHits:       res.MemoHits,
@@ -305,8 +313,9 @@ func printPair(off, on *Run, same bool) {
 	if !same {
 		verdict = "MISMATCH"
 	}
-	fmt.Printf("%-6s x %-4s | label %8.1fms -> %8.1fms (%4.1fx) | hit rate %5.1f%% | %s\n",
+	fmt.Printf("%-6s x %-4s | label %8.1fms -> %8.1fms (%4.1fx) | hit rate %5.1f%% | emit %6.2fms render %6.2fms | %s\n",
 		off.Circuit, off.Library,
 		float64(off.LabelWallNanos)/1e6, float64(on.LabelWallNanos)/1e6,
-		speedup, 100*on.MemoHitRate, verdict)
+		speedup, 100*on.MemoHitRate,
+		float64(on.EmitNanos)/1e6, float64(on.RenderNanos)/1e6, verdict)
 }

@@ -45,6 +45,9 @@ import (
 // well under a millisecond while keeping the poll off the hot path.
 const cancelCheckStride = 64
 
+// noNet marks a subject node whose net has not been built.
+const noNet mapping.Net = -1
+
 // gcAfterLabelNodes is the subject-graph size above which Map forces a
 // collection between the labeling and construction phases.
 const gcAfterLabelNodes = 1 << 20
@@ -168,7 +171,8 @@ type Phases struct {
 	Area time.Duration
 	// Cover is match re-selection and required-time propagation.
 	Cover time.Duration
-	// Emit is netlist emission through the builder.
+	// Emit is netlist emission through the builder, including the
+	// re-timing that yields Result.Delay.
 	Emit time.Duration
 }
 
@@ -268,12 +272,13 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	// the node has no alternatives). Labels merge across a class once
 	// its last member is labeled; construction orders demands by this
 	// key so a match rooted at any member resolves before its leaves.
-	classMax := make([]int, nn)
-	for i := range classMax {
-		classMax[i] = i
-	}
+	// Without choices it would be the identity; it stays nil, and every
+	// use is guarded by opt.Choices.
+	var classMax []int
 	if opt.Choices != nil {
+		classMax = make([]int, nn)
 		for i := 0; i < nn; i++ {
+			classMax[i] = i
 			members := opt.Choices.Members(subject.Node(i))
 			if members == nil {
 				continue
@@ -337,19 +342,10 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	}
 	if g.NumNodes() >= gcAfterLabelNodes {
 		// Same reasoning as the post-labeling collection: construction
-		// just dropped its per-node arrays and the re-timing below
-		// builds a nets-sized arrival map; collect so the humps don't
-		// stack.
+		// just dropped its per-node arrays, and the caller is about to
+		// render the netlist; collect so the humps don't stack.
 		runtime.GC()
 	}
-	// Report the constructed netlist's delay. It equals the optimal
-	// label delay except under a relaxed RequiredTime, where it may
-	// sit anywhere between the optimum and the target.
-	tm, err := res.Netlist.Delay(opt.Delay, opt.Arrivals)
-	if err != nil {
-		return nil, err
-	}
-	res.Delay = tm.Delay
 	if mm := m.Memo(); mm != nil {
 		res.Stats.MemoEntries = mm.Stats().Entries
 	}
@@ -603,14 +599,12 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 		required[i] = math.Inf(1)
 	}
 	// Global optimal delay = worst labeled output arrival.
-	delay := math.Inf(-1)
+	target := math.Inf(-1)
 	for _, o := range g.Outputs {
-		if a := res.Labels[o.Node].Arrival; a > delay {
-			delay = a
+		if a := res.Labels[o.Node].Arrival; a > target {
+			target = a
 		}
 	}
-	res.Delay = delay
-	target := delay
 	if opt.AreaRecovery && opt.RequiredTime > target {
 		target = opt.RequiredTime
 	}
@@ -628,18 +622,22 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 
 	// Choose matches in reverse topological order of classMax: every
 	// match leaf lies strictly below its root's class maximum, so all
-	// demands on a node are known by the time it is visited.
-	order := make([]int32, nn)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if classMax[a] != classMax[b] {
-			return classMax[a] < classMax[b]
+	// demands on a node are known by the time it is visited. Without
+	// choices the order is the node IDs themselves and stays nil.
+	var order []int32
+	if opt.Choices != nil {
+		order = make([]int32, nn)
+		for i := range order {
+			order[i] = int32(i)
 		}
-		return a < b
-	})
+		sort.Slice(order, func(i, j int) bool {
+			a, b := order[i], order[j]
+			if classMax[a] != classMax[b] {
+				return classMax[a] < classMax[b]
+			}
+			return a < b
+		})
+	}
 	var areaEst []float64
 	if opt.AreaRecovery {
 		est, err := areaEstimates(g, m, opt, &res.Stats)
@@ -664,13 +662,19 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 	if opt.AreaRecovery {
 		chosen = make([]Label, nn)
 	}
-	for oi := len(order) - 1; oi >= 0; oi-- {
+	// Demanded non-PI nodes and their leaves: the cells and input pins
+	// emission will add.
+	cells, pins := 0, 0
+	for oi := nn - 1; oi >= 0; oi-- {
 		if oi%cancelCheckStride == 0 {
 			if err := opt.Ctx.Err(); err != nil {
 				return fmt.Errorf("core: construction interrupted: %w", err)
 			}
 		}
-		id := order[oi]
+		id := int32(oi)
+		if order != nil {
+			id = order[oi]
+		}
 		n := subject.Node(id)
 		if math.IsInf(required[id], 1) || g.KindOf(n) == subject.PI {
 			continue
@@ -697,8 +701,10 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 				Leaves:  arena.save(scratch.leaves),
 				Covered: arena.save(scratch.covered),
 			}
+			chosen[id] = mt
 		}
-		chosen[id] = mt
+		cells++
+		pins += len(mt.Leaves)
 		for pin, leaf := range mt.Leaves {
 			r := required[id] - opt.Delay.PinDelay(mt.Pat.Gate, pin)
 			if r < required[leaf] {
@@ -711,34 +717,52 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 
 	// Emit cells bottom-up (ascending ID keeps the builder happy) and
 	// count duplicated nodes: cell roots that some other emitted match
-	// covers internally.
+	// covers internally. The builder works in net IDs: netOf maps each
+	// built subject node to its net, so no net is named or hashed here.
 	emitStart := time.Now()
 	emitSpan := opt.Trace.Start("core.emit")
 	b := mapping.NewBuilder(g.Name)
+	netOf := make([]mapping.Net, nn)
+	for i := range netOf {
+		netOf[i] = noNet
+	}
+	// arrival re-times the cover as it is emitted, node by node. A
+	// cell's arrival is its worst pin, starting from 0 — the same float
+	// operations in the same order as Netlist.Delay over the finished
+	// netlist, so Result.Delay is bit-identical to it.
+	arrival := make([]float64, nn)
 	for _, pi := range g.PIs {
-		if err := b.AddInput(g.NameOf(pi)); err != nil {
+		name := g.NameOf(pi)
+		net, err := b.AddInputNet(name)
+		if err != nil {
 			return err
 		}
+		netOf[pi] = net
+		arrival[pi] = opt.Arrivals[name]
 	}
 	// Reserve port names after the inputs: a port that sits directly
 	// on a PI shares the PI's net and needs no reservation of its own.
+	// Outputs keep their port name when they own it: the first port on
+	// a node names its net. Keyed by node rather than a dense nn-sized
+	// array — ports are few.
+	preferred := make(map[subject.Node]mapping.Net, len(g.Outputs))
 	for _, o := range g.Outputs {
-		if g.KindOf(o.Node) != subject.PI {
-			b.Reserve(o.Name)
+		if g.KindOf(o.Node) == subject.PI {
+			continue
 		}
-	}
-	// Preferred names: outputs keep their port name when they own it.
-	// Keyed by node rather than a dense nn-sized string array — ports
-	// are few and the dense array is measurable at million-node scale.
-	preferred := make(map[subject.Node]string, len(g.Outputs))
-	for _, o := range g.Outputs {
+		net := b.Reserve(o.Name)
 		if _, ok := preferred[o.Node]; !ok {
-			preferred[o.Node] = o.Name
+			preferred[o.Node] = net
 		}
 	}
-	nets := make([]string, nn)
+	b.Grow(cells, pins)
 	coverUses := make([]int32, nn)
-	for _, id := range order {
+	var inputs []mapping.Net
+	for oi := 0; oi < nn; oi++ {
+		id := int32(oi)
+		if order != nil {
+			id = order[oi]
+		}
 		// Demand filter: with chosen aliasing res.Labels, undemanded
 		// nodes still carry their labels and must be skipped here.
 		if math.IsInf(required[id], 1) {
@@ -748,25 +772,25 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 		if mt.Pat == nil {
 			continue
 		}
-		inputs := make([]string, len(mt.Leaves))
+		gate := mt.Pat.Gate
+		inputs = inputs[:0]
+		worst := 0.0
 		for pin, leaf := range mt.Leaves {
-			if nets[leaf] == "" {
-				if g.KindOf(leaf) == subject.PI {
-					nets[leaf] = g.NameOf(leaf)
-				} else {
-					return fmt.Errorf("core: internal error: leaf %v demanded but not built", leaf)
-				}
+			if netOf[leaf] == noNet {
+				return fmt.Errorf("core: internal error: leaf %v demanded but not built", leaf)
 			}
-			inputs[pin] = nets[leaf]
+			inputs = append(inputs, netOf[leaf])
+			if v := arrival[leaf] + opt.Delay.PinDelay(gate, pin); v > worst {
+				worst = v
+			}
 		}
-		var net string
-		if p, ok := preferred[subject.Node(id)]; ok {
-			net = p
-		} else {
-			net = b.FreshNet()
+		net, ok := preferred[subject.Node(id)]
+		if !ok {
+			net = b.NewNet()
 		}
-		b.AddCell(mt.Pat.Gate, inputs, net)
-		nets[id] = net
+		b.AddCellNets(gate, inputs, net)
+		netOf[id] = net
+		arrival[id] = worst
 		res.Stats.CellsEmitted++
 		for _, c := range mt.Covered {
 			coverUses[c]++
@@ -779,21 +803,26 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 			res.Stats.DuplicatedNodes++
 		}
 	}
+	// The reported delay is the worst output arrival. It equals the
+	// optimal label delay except under a relaxed RequiredTime, where it
+	// may sit anywhere between the optimum and the target.
+	delay, first := 0.0, true
 	for _, o := range g.Outputs {
-		net := nets[o.Node]
-		if net == "" {
-			if g.KindOf(o.Node) != subject.PI {
-				return fmt.Errorf("core: internal error: output %q not built", o.Name)
-			}
-			net = g.NameOf(o.Node)
+		net := netOf[o.Node]
+		if net == noNet {
+			return fmt.Errorf("core: internal error: output %q not built", o.Name)
 		}
-		b.MarkOutput(o.Name, net)
+		b.MarkOutputNet(o.Name, net)
+		if a := arrival[o.Node]; first || a > delay {
+			delay, first = a, false
+		}
 	}
 	nl, err := b.Netlist()
 	if err != nil {
 		return err
 	}
 	res.Netlist = nl
+	res.Delay = delay
 	res.Stats.Phases.Emit += time.Since(emitStart)
 	emitSpan.
 		Arg("cells", res.Stats.CellsEmitted).

@@ -8,8 +8,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"dagcover/internal/genlib"
 	"dagcover/internal/logic"
@@ -222,30 +223,80 @@ func (n *Netlist) ToNetwork() (*network.Network, error) {
 }
 
 // WriteBLIF emits the netlist using .gate constructs (mapped BLIF).
+// The output is assembled with plain string and byte writes; a netlist
+// of a hundred thousand cells renders without formatting a single net.
 func (n *Netlist) WriteBLIF(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, ".model %s\n", n.Name)
-	fmt.Fprintf(bw, ".inputs %s\n", strings.Join(n.Inputs, " "))
-	ports := make([]string, len(n.Outputs))
-	for i, p := range n.Outputs {
-		ports[i] = p.Name
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		// An in-memory destination (bytes.Buffer, strings.Builder) is
+		// sized once instead of doubling through the render.
+		g.Grow(n.blifSize())
 	}
-	fmt.Fprintf(bw, ".outputs %s\n", strings.Join(ports, " "))
-	for _, c := range n.Cells {
-		fmt.Fprintf(bw, ".gate %s", c.Gate.Name)
-		for pin, in := range c.Inputs {
-			fmt.Fprintf(bw, " %s=%s", c.Gate.Pins[pin].Name, in)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString(".model ")
+	bw.WriteString(n.Name)
+	bw.WriteString("\n.inputs ")
+	for i, in := range n.Inputs {
+		if i > 0 {
+			bw.WriteByte(' ')
 		}
-		fmt.Fprintf(bw, " %s=%s\n", c.Gate.Output, c.Output)
+		bw.WriteString(in)
+	}
+	bw.WriteString("\n.outputs ")
+	for i, p := range n.Outputs {
+		if i > 0 {
+			bw.WriteByte(' ')
+		}
+		bw.WriteString(p.Name)
+	}
+	bw.WriteByte('\n')
+	for _, c := range n.Cells {
+		bw.WriteString(".gate ")
+		bw.WriteString(c.Gate.Name)
+		for pin, in := range c.Inputs {
+			bw.WriteByte(' ')
+			bw.WriteString(c.Gate.Pins[pin].Name)
+			bw.WriteByte('=')
+			bw.WriteString(in)
+		}
+		bw.WriteByte(' ')
+		bw.WriteString(c.Gate.Output)
+		bw.WriteByte('=')
+		bw.WriteString(c.Output)
+		bw.WriteByte('\n')
 	}
 	for _, p := range n.Outputs {
 		if p.Name != p.Net {
 			// Identity via .names so no buffer gate is required.
-			fmt.Fprintf(bw, ".names %s %s\n1 1\n", p.Net, p.Name)
+			bw.WriteString(".names ")
+			bw.WriteString(p.Net)
+			bw.WriteByte(' ')
+			bw.WriteString(p.Name)
+			bw.WriteString("\n1 1\n")
 		}
 	}
-	fmt.Fprintln(bw, ".end")
+	bw.WriteString(".end\n")
 	return bw.Flush()
+}
+
+// blifSize returns the exact length of WriteBLIF's output.
+func (n *Netlist) blifSize() int {
+	size := len(".model \n.inputs \n.outputs \n.end\n") + len(n.Name)
+	for i, in := range n.Inputs {
+		size += len(in) + min(i, 1)
+	}
+	for i, p := range n.Outputs {
+		size += len(p.Name) + min(i, 1)
+		if p.Name != p.Net {
+			size += len(".names  \n1 1\n") + len(p.Net) + len(p.Name)
+		}
+	}
+	for _, c := range n.Cells {
+		size += len(".gate  =\n") + len(c.Gate.Name) + len(c.Gate.Output) + len(c.Output)
+		for pin, in := range c.Inputs {
+			size += len(" =") + len(c.Gate.Pins[pin].Name) + len(in)
+		}
+	}
+	return size
 }
 
 // Summary is a one-line report of the netlist.
@@ -258,119 +309,295 @@ func (n *Netlist) Summary(dm genlib.DelayModel) string {
 		n.Name, n.NumCells(), n.Area(), t.Delay, dm.Name())
 }
 
+// Net identifies one net of a Builder: a dense index, assigned in
+// creation order, that callers holding per-node arrays can store and
+// pass back instead of the net's name.
+type Net int32
+
 // Builder incrementally constructs a valid netlist.
 //
-// Net-name bookkeeping is deliberately O(explicit names), not O(nets):
-// the used map records only names the caller chose (inputs, reserved
-// ports, NameNet claims), while FreshNet's generated "w<k>" names are
-// covered by the monotone counter — isGenerated tells whether a name
+// Nets are dense IDs. Each ID has exactly one name and each name at
+// most one ID, so a netlist built by ID is the same netlist a caller
+// would get naming every net itself. The string methods (AddInput,
+// FreshNet, NameNet, AddCell, MarkOutput) are thin wrappers that
+// resolve names to IDs.
+//
+// Per-net state lives in slices indexed by ID. The ids map holds only
+// names the caller chose (inputs, reserved ports, NameNet claims, nets
+// referenced by name); generated "w<k>" names never enter it — the
+// monotone counter covers them, and isGenerated tells whether a name
 // collides with an already-issued one. A million-cell netlist thus
 // costs the builder a few hundred map entries instead of millions.
+//
+// Validation is incremental: AddCellNets checks each cell against the
+// nets driven so far, which is exactly what Netlist.Check verifies of
+// a netlist whose cells arrive in topological order. Anything else — a
+// cell read before its driver, a bad pin count, a second driver — only
+// marks the build dirty, and Netlist then runs the full Check and the
+// topological sort, so a faulty or out-of-order build gets exactly the
+// verdict and error that Check gives after the sort.
 type Builder struct {
-	n    *Netlist
-	used map[string]bool
-	ctr  int
+	n *Netlist
+
+	names   []string // per net: its name
+	claimed []bool   // per net: the name is taken (input, reservation, claim or cell output)
+	driven  []bool   // per net: driven by an input or an earlier cell
+	ports   []Net    // per output port: its net
+
+	ids map[string]Net // explicit (non-generated) names
+	// wNets holds explicit nets whose names have the canonical "w<k>"
+	// form of a name the counter has not reached yet, keyed by k:
+	// NewNet skips a claimed one and adopts an unclaimed one, so no
+	// name ever gets two IDs.
+	wNets  map[int]Net
+	genNet []Net // counter value k -> its net (-1 when skipped)
+	ctr    int
+	dirty  bool // some cell broke the in-order invariants; see Netlist
+
+	wNames, cellNames numberedNames
+	cellSlab          []Cell
+	pinSlab           []string
+	inputs            []Net // AddCell's resolved inputs, reused
 }
+
+// cellChunk and pinChunk are the slab sizes used beyond what Grow
+// reserved.
+const (
+	cellChunk = 256
+	pinChunk  = 1024
+)
 
 // NewBuilder starts a netlist with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{n: &Netlist{Name: name}, used: map[string]bool{}}
+	return &Builder{
+		n:         &Netlist{Name: name},
+		ids:       map[string]Net{},
+		wNames:    numberedNames{prefix: 'w'},
+		cellNames: numberedNames{prefix: 'U'},
+	}
+}
+
+// Grow reserves room for cells more cells, each driving a new net, and
+// pins more input pins, so the cell list, the per-net tables and the
+// slabs cells and pins are carved from are each allocated once.
+func (b *Builder) Grow(cells, pins int) {
+	if cells > 0 {
+		b.n.Cells = slices.Grow(b.n.Cells, cells)
+		b.names = slices.Grow(b.names, cells)
+		b.claimed = slices.Grow(b.claimed, cells)
+		b.driven = slices.Grow(b.driven, cells)
+		b.genNet = slices.Grow(b.genNet, cells)
+		if cap(b.cellSlab)-len(b.cellSlab) < cells {
+			b.cellSlab = make([]Cell, 0, cells)
+		}
+	}
+	if pins > 0 && cap(b.pinSlab)-len(b.pinSlab) < pins {
+		b.pinSlab = make([]string, 0, pins)
+	}
 }
 
 // isGenerated reports whether name matches a "w<k>" net FreshNet has
 // already handed out (k < ctr, canonical decimal form).
 func (b *Builder) isGenerated(name string) bool {
-	if len(name) < 2 || name[0] != 'w' || b.ctr == 0 {
-		return false
+	k, ok := wIndex(name)
+	return ok && k < b.ctr
+}
+
+// wIndex parses a canonical "w<k>" name (no leading zeros) into k.
+func wIndex(name string) (int, bool) {
+	if len(name) < 2 || len(name) > 10 || name[0] != 'w' {
+		return 0, false
+	}
+	if name[1] == '0' && len(name) > 2 {
+		return 0, false // "w007" is not a canonical counter name
 	}
 	k := 0
 	for i := 1; i < len(name); i++ {
 		d := name[i]
 		if d < '0' || d > '9' {
-			return false
-		}
-		if i == 1 && d == '0' && len(name) > 2 {
-			return false // "w007" is not a canonical counter name
+			return 0, false
 		}
 		k = k*10 + int(d-'0')
-		if k >= b.ctr {
-			return false
-		}
 	}
-	return true
+	return k, true
 }
 
 // taken reports whether name is already claimed by any party.
-func (b *Builder) taken(name string) bool { return b.used[name] || b.isGenerated(name) }
+func (b *Builder) taken(name string) bool {
+	if id, ok := b.ids[name]; ok && b.claimed[id] {
+		return true
+	}
+	return b.isGenerated(name)
+}
+
+// newNet appends a net with the given name.
+func (b *Builder) newNet(name string) Net {
+	id := Net(len(b.names))
+	b.names = append(b.names, name)
+	b.claimed = append(b.claimed, false)
+	b.driven = append(b.driven, false)
+	return id
+}
+
+// net resolves a name to its net, creating an unclaimed one for a
+// name seen for the first time.
+func (b *Builder) net(name string) Net {
+	if id, ok := b.ids[name]; ok {
+		return id
+	}
+	k, isW := wIndex(name)
+	if isW && k < b.ctr {
+		return b.genNet[k]
+	}
+	id := b.newNet(name)
+	b.ids[name] = id
+	if isW {
+		if b.wNets == nil {
+			b.wNets = map[int]Net{}
+		}
+		b.wNets[k] = id
+	}
+	return id
+}
+
+// AddInputNet declares a primary-input net and returns it.
+func (b *Builder) AddInputNet(name string) (Net, error) {
+	if b.taken(name) {
+		return 0, fmt.Errorf("mapping: net %q already exists", name)
+	}
+	// Not taken means not driven either: a cell claims its output.
+	id := b.net(name)
+	b.claimed[id] = true
+	b.driven[id] = true
+	b.n.Inputs = append(b.n.Inputs, name)
+	return id, nil
+}
 
 // AddInput declares a primary-input net.
 func (b *Builder) AddInput(name string) error {
-	if b.taken(name) {
-		return fmt.Errorf("mapping: net %q already exists", name)
-	}
-	b.used[name] = true
-	b.n.Inputs = append(b.n.Inputs, name)
-	return nil
+	_, err := b.AddInputNet(name)
+	return err
 }
 
 // Reserve marks a name as taken (e.g. future port names) so FreshNet
-// will not collide with it.
-func (b *Builder) Reserve(name string) { b.used[name] = true }
+// will not collide with it, and returns its net.
+func (b *Builder) Reserve(name string) Net {
+	id := b.net(name)
+	b.claimed[id] = true
+	return id
+}
 
-// FreshNet returns a new unique net name.
-func (b *Builder) FreshNet() string {
+// NewNet returns a new net with a unique generated "w<k>" name.
+func (b *Builder) NewNet() Net {
 	for {
-		name := fmt.Sprintf("w%d", b.ctr)
+		k := b.ctr
 		b.ctr++
-		if !b.used[name] {
-			return name
+		if id, ok := b.wNets[k]; ok {
+			delete(b.wNets, k)
+			if b.claimed[id] {
+				b.genNet = append(b.genNet, -1)
+				continue
+			}
+			// Referenced by name before the counter got here: it is
+			// that same net.
+			b.genNet = append(b.genNet, id)
+			return id
 		}
+		id := b.newNet(b.wNames.name(k))
+		b.genNet = append(b.genNet, id)
+		return id
 	}
 }
+
+// FreshNet returns a new unique net name.
+func (b *Builder) FreshNet() string { return b.names[b.NewNet()] }
 
 // NameNet returns name if it is still free (and claims it), otherwise
 // a fresh net.
 func (b *Builder) NameNet(name string) string {
 	if name != "" && !b.taken(name) {
-		b.used[name] = true
+		b.claimed[b.net(name)] = true
 		return name
 	}
 	return b.FreshNet()
+}
+
+// AddCellNets appends a gate instance reading the input nets in pin
+// order and driving output, and checks it against the nets driven so
+// far. The inputs slice is copied; the caller may reuse it.
+func (b *Builder) AddCellNets(g *genlib.Gate, inputs []Net, output Net) *Cell {
+	if len(b.cellSlab) == cap(b.cellSlab) {
+		b.cellSlab = make([]Cell, 0, cellChunk)
+	}
+	b.cellSlab = b.cellSlab[:len(b.cellSlab)+1]
+	c := &b.cellSlab[len(b.cellSlab)-1]
+	c.Name = b.cellNames.name(len(b.n.Cells))
+	c.Gate = g
+	c.Inputs = b.pins(len(inputs))
+	c.Output = b.names[output]
+	ok := len(inputs) == g.NumInputs() && !b.driven[output]
+	for pin, in := range inputs {
+		c.Inputs[pin] = b.names[in]
+		ok = ok && b.driven[in]
+	}
+	if !ok {
+		b.dirty = true
+	}
+	b.driven[output] = true
+	b.claimed[output] = true
+	b.n.Cells = append(b.n.Cells, c)
+	return c
+}
+
+// pins carves an n-element input slice out of the pin slab.
+func (b *Builder) pins(n int) []string {
+	if n == 0 {
+		return nil
+	}
+	if cap(b.pinSlab)-len(b.pinSlab) < n {
+		sz := pinChunk
+		if n > sz {
+			sz = n
+		}
+		b.pinSlab = make([]string, 0, sz)
+	}
+	lo := len(b.pinSlab)
+	b.pinSlab = b.pinSlab[:lo+n]
+	return b.pinSlab[lo : lo+n : lo+n]
 }
 
 // AddCell appends a gate instance driving the given output net. The
 // output net must have been obtained from FreshNet/NameNet or be
 // otherwise unused.
 func (b *Builder) AddCell(g *genlib.Gate, inputs []string, output string) *Cell {
-	c := &Cell{
-		Name:   fmt.Sprintf("U%d", len(b.n.Cells)),
-		Gate:   g,
-		Inputs: append([]string(nil), inputs...),
-		Output: output,
+	b.inputs = b.inputs[:0]
+	for _, in := range inputs {
+		b.inputs = append(b.inputs, b.net(in))
 	}
-	if !b.isGenerated(output) {
-		b.used[output] = true
-	}
-	b.n.Cells = append(b.n.Cells, c)
-	return c
+	return b.AddCellNets(g, b.inputs, b.net(output))
+}
+
+// MarkOutputNet exposes net under the port name.
+func (b *Builder) MarkOutputNet(port string, net Net) {
+	b.n.Outputs = append(b.n.Outputs, OutputPort{Name: port, Net: b.names[net]})
+	b.ports = append(b.ports, net)
 }
 
 // MarkOutput exposes net under the port name.
-func (b *Builder) MarkOutput(port, net string) {
-	b.n.Outputs = append(b.n.Outputs, OutputPort{Name: port, Net: net})
-}
+func (b *Builder) MarkOutput(port, net string) { b.MarkOutputNet(port, b.net(net)) }
 
 // Netlist validates and returns the built netlist. Cells are sorted
 // topologically if they were not added in order.
 func (b *Builder) Netlist() (*Netlist, error) {
-	// Fast path: cells added driver-before-user (the mapper's emit
-	// order) pass Check directly — it verifies exactly that plus
-	// driver uniqueness in one map instead of the three the sort
-	// needs. Only an out-of-order build pays for the full sort.
+	// Fast path: every cell was checked as it was added, in order, so
+	// only the ports remain — together that is Netlist.Check.
+	if !b.dirty && b.portsDriven() {
+		return b.n, nil
+	}
 	if err := b.n.Check(); err == nil {
 		return b.n, nil
 	}
-	if err := b.topoSortCells(); err != nil {
+	if err := b.n.topoSortCells(); err != nil {
 		return nil, err
 	}
 	if err := b.n.Check(); err != nil {
@@ -379,10 +606,20 @@ func (b *Builder) Netlist() (*Netlist, error) {
 	return b.n, nil
 }
 
+// portsDriven reports whether every output port sits on a driven net.
+func (b *Builder) portsDriven() bool {
+	for _, p := range b.ports {
+		if !b.driven[p] {
+			return false
+		}
+	}
+	return true
+}
+
 // topoSortCells reorders cells so drivers precede users.
-func (b *Builder) topoSortCells() error {
+func (n *Netlist) topoSortCells() error {
 	driver := map[string]*Cell{}
-	for _, c := range b.n.Cells {
+	for _, c := range n.Cells {
 		if prev, dup := driver[c.Output]; dup {
 			return fmt.Errorf("mapping: net %q driven by %q and %q", c.Output, prev.Name, c.Name)
 		}
@@ -410,13 +647,66 @@ func (b *Builder) topoSortCells() error {
 		order = append(order, c)
 		return nil
 	}
-	for _, c := range b.n.Cells {
+	for _, c := range n.Cells {
 		if err := visit(c); err != nil {
 			return err
 		}
 	}
-	b.n.Cells = order
+	n.Cells = order
 	return nil
+}
+
+// numberedNames hands out the names prefix+"0", prefix+"1", ... cut
+// from one shared string per batch, so naming a million nets or cells
+// costs a few thousand allocations instead of a million.
+type numberedNames struct {
+	prefix byte
+	lo     int     // number of the batch's first name
+	s      string  // the batch's names, concatenated
+	ends   []int32 // ends[i] is where name lo+i ends in s
+	buf    []byte
+}
+
+// numberedBatch is how many names one batch string holds.
+const numberedBatch = 512
+
+// name returns prefix followed by k in decimal.
+func (nn *numberedNames) name(k int) string {
+	i := k - nn.lo
+	if i < 0 || i >= len(nn.ends) {
+		nn.fill(k)
+		i = 0
+	}
+	start := int32(0)
+	if i > 0 {
+		start = nn.ends[i-1]
+	}
+	return nn.s[start:nn.ends[i]]
+}
+
+// fill makes k the first name of a new batch. Consecutive numbers
+// are produced by incrementing the previous one's decimal digits.
+func (nn *numberedNames) fill(k int) {
+	nn.lo = k
+	nn.buf = nn.buf[:0]
+	nn.ends = nn.ends[:0]
+	digits := strconv.AppendInt(make([]byte, 0, 20), int64(k), 10)
+	for j := 0; j < numberedBatch; j++ {
+		nn.buf = append(nn.buf, nn.prefix)
+		nn.buf = append(nn.buf, digits...)
+		nn.ends = append(nn.ends, int32(len(nn.buf)))
+		i := len(digits) - 1
+		for i >= 0 && digits[i] == '9' {
+			digits[i] = '0'
+			i--
+		}
+		if i < 0 {
+			digits = append([]byte{'1'}, digits...)
+		} else {
+			digits[i]++
+		}
+	}
+	nn.s = string(nn.buf)
 }
 
 // SortedNets returns every net name, sorted (diagnostics).

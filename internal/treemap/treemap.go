@@ -29,6 +29,9 @@ import (
 // ctx.Err() polls; see internal/core for the rationale.
 const cancelCheckStride = 64
 
+// noNet marks a subject node whose net has not been built.
+const noNet mapping.Net = -1
+
 // Objective selects the DP cost.
 type Objective int
 
@@ -190,73 +193,81 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	emitStart := time.Now()
 	emitSpan := opt.Trace.Start("treemap.emit")
 	b := mapping.NewBuilder(g.Name)
+	netOf := make([]mapping.Net, nn)
+	for i := range netOf {
+		netOf[i] = noNet
+	}
+	// at re-times the cover as it is emitted, with the float operations
+	// of Netlist.Delay, so Delay is bit-identical to it.
+	at := make([]float64, nn)
 	for _, pi := range g.PIs {
-		if err := b.AddInput(g.NameOf(pi)); err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range g.Outputs {
-		if g.KindOf(o.Node) != subject.PI {
-			b.Reserve(o.Name)
-		}
-	}
-	preferred := make([]string, nn)
-	for _, o := range g.Outputs {
-		if preferred[o.Node] == "" {
-			preferred[o.Node] = o.Name
-		}
-	}
-	nets := make([]string, nn)
-	var emit func(n subject.Node) (string, error)
-	emit = func(n subject.Node) (string, error) {
-		if nets[n] != "" {
-			return nets[n], nil
-		}
-		if g.KindOf(n) == subject.PI {
-			nets[n] = g.NameOf(n)
-			return nets[n], nil
-		}
-		mt := chosen[n]
-		inputs := make([]string, len(mt.leaves))
-		for pin, leaf := range mt.leaves {
-			net, err := emit(leaf)
-			if err != nil {
-				return "", err
-			}
-			inputs[pin] = net
-		}
-		net := preferred[n]
-		if net == "" {
-			net = b.FreshNet()
-		}
-		b.AddCell(mt.pat.Gate, inputs, net)
-		nets[n] = net
-		return net, nil
-	}
-	for _, o := range g.Outputs {
-		net, err := emit(o.Node)
+		name := g.NameOf(pi)
+		net, err := b.AddInputNet(name)
 		if err != nil {
 			return nil, err
 		}
-		b.MarkOutput(o.Name, net)
+		netOf[pi] = net
+		at[pi] = opt.Arrivals[name]
+	}
+	preferred := make(map[subject.Node]mapping.Net, len(g.Outputs))
+	for _, o := range g.Outputs {
+		if g.KindOf(o.Node) == subject.PI {
+			continue
+		}
+		net := b.Reserve(o.Name)
+		if _, ok := preferred[o.Node]; !ok {
+			preferred[o.Node] = net
+		}
+	}
+	var emit func(n subject.Node) error
+	emit = func(n subject.Node) error {
+		if netOf[n] != noNet {
+			return nil
+		}
+		mt := chosen[n]
+		inputs := make([]mapping.Net, len(mt.leaves))
+		worst := 0.0
+		for pin, leaf := range mt.leaves {
+			if err := emit(leaf); err != nil {
+				return err
+			}
+			inputs[pin] = netOf[leaf]
+			if v := at[leaf] + opt.Delay.PinDelay(mt.pat.Gate, pin); v > worst {
+				worst = v
+			}
+		}
+		net, ok := preferred[n]
+		if !ok {
+			net = b.NewNet()
+		}
+		b.AddCellNets(mt.pat.Gate, inputs, net)
+		netOf[n] = net
+		at[n] = worst
+		return nil
+	}
+	delay, first := 0.0, true
+	for _, o := range g.Outputs {
+		if err := emit(o.Node); err != nil {
+			return nil, err
+		}
+		b.MarkOutputNet(o.Name, netOf[o.Node])
+		if a := at[o.Node]; first || a > delay {
+			delay, first = a, false
+		}
 	}
 	nl, err := b.Netlist()
 	if err != nil {
 		return nil, err
 	}
 	emitSpan.Arg("cells", nl.NumCells()).End()
-	tm, err := nl.Delay(opt.Delay, opt.Arrivals)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
-		Netlist: nl, Delay: tm.Delay, Trees: trees,
+		Netlist: nl, Delay: delay, Trees: trees,
 		Cover: coverTime, Emit: time.Since(emitStart),
 	}
 	if opt.Objective == MinArea {
 		res.Cost = nl.Area()
 	} else {
-		res.Cost = tm.Delay
+		res.Cost = delay
 	}
 	return res, nil
 }
