@@ -568,6 +568,30 @@ func TestArenaBuildAllocs(t *testing.T) {
 	t.Logf("arena build: %d nodes, %.5f allocs/node", g.NumNodes(), perNode)
 }
 
+// TestIngestStreamAllocs bounds the streaming reader's heap
+// allocations per declared signal (input or .names output) on a
+// generated mult64. A .names declaration goes from bytes to subject
+// nodes through reused buffers; what remains is one name string per
+// signal, the signal table's growth and the arena's doublings.
+func TestIngestStreamAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := bench.StreamMult(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	signals := bytes.Count(data, []byte("\n.names ")) + 2*64
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := (&blif.Reader{}).StreamSubject(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perSignal := allocs / float64(signals)
+	if perSignal > 1.25 {
+		t.Fatalf("streaming ingest makes %.0f allocations for %d signals (%.2f per signal), want <= 1.25", allocs, signals, perSignal)
+	}
+	t.Logf("streaming ingest: %d signals, %.0f allocs, %.2f allocs/signal", signals, allocs, perSignal)
+}
+
 // BenchmarkVerify times the 64-way simulation equivalence check used
 // to validate every mapping.
 func BenchmarkVerify(b *testing.B) {

@@ -37,8 +37,8 @@ type FamilyRun struct {
 	IngestNanos  int64   `json:"ingest_ns"`
 	IngestMBps   float64 `json:"ingest_mbps"`
 	// IngestAllocs counts heap allocations (runtime mallocs) during
-	// ingest — the arena path should stay orders of magnitude below
-	// one per subject node.
+	// ingest: about one per declared signal (its name), a small
+	// fraction of one per subject node.
 	IngestAllocs uint64 `json:"ingest_allocs"`
 	MapNanos     int64  `json:"map_ns"`
 	// EmitNanos is the mapping run's emission phase (part of MapNanos);

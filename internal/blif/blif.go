@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -450,18 +451,18 @@ func (l line) errorf(format string, args ...any) error {
 	return fmt.Errorf("blif: line %d: %s", l.num, clipErr(fmt.Sprintf(format, args...)))
 }
 
-// logicalLines collects the streaming line scanner's output; the AST
+// logicalLines collects the line scanner's output as strings; the AST
 // parser needs random access for cover-row lookahead, the streaming
 // subject reader (stream.go) consumes the scanner directly.
 func logicalLines(r io.Reader) ([]line, error) {
 	ls := newLineScanner(r)
 	var out []line
 	for {
-		ln, ok := ls.next()
+		text, num, ok := ls.next()
 		if !ok {
 			break
 		}
-		out = append(out, ln)
+		out = append(out, line{num: num, text: string(text)})
 	}
 	if err := ls.Err(); err != nil {
 		return nil, err
@@ -470,54 +471,33 @@ func logicalLines(r io.Reader) ([]line, error) {
 }
 
 // coverToExpr converts a single-output PLA cover to an expression.
-func coverToExpr(inputs []string, cover []string) (*logic.Expr, error) {
-	if len(inputs) == 0 {
-		// Constant node: "1" means const 1; empty or "0" means const 0.
-		for _, row := range cover {
-			if strings.TrimSpace(row) == "1" {
-				return logic.Constant(true), nil
-			}
-		}
-		return logic.Constant(false), nil
+func coverToExpr(inputs []string, rows []string) (*logic.Expr, error) {
+	var c cover
+	c.reset(len(inputs))
+	for _, row := range rows {
+		c.add([]byte(row))
 	}
-	onPhase := true
-	var cubes []*logic.Expr
-	for ri, row := range cover {
-		fields := strings.Fields(row)
-		var in, out string
-		switch len(fields) {
-		case 2:
-			in, out = fields[0], fields[1]
-		case 1:
-			return nil, fmt.Errorf("cover row %d (%q) missing output column", ri, row)
-		default:
-			return nil, fmt.Errorf("cover row %d (%q) malformed", ri, row)
-		}
-		if len(in) != len(inputs) {
-			return nil, fmt.Errorf("cover row %d has %d input columns, want %d", ri, len(in), len(inputs))
-		}
-		phase := out == "1"
-		if ri == 0 {
-			onPhase = phase
-		} else if phase != onPhase {
-			return nil, fmt.Errorf("cover mixes output phases")
-		}
+	if c.err != nil {
+		return nil, c.err
+	}
+	if len(inputs) == 0 {
+		return logic.Constant(c.one), nil
+	}
+	cubes := make([]*logic.Expr, 0, c.rows)
+	for r := 0; r < c.rows; r++ {
 		var lits []*logic.Expr
-		for ci, c := range in {
-			switch c {
+		for ci, ch := range c.row(r) {
+			switch ch {
 			case '1':
 				lits = append(lits, logic.Variable(inputs[ci]))
 			case '0':
 				lits = append(lits, logic.Not(logic.Variable(inputs[ci])))
-			case '-':
-			default:
-				return nil, fmt.Errorf("cover row %d has invalid column %q", ri, string(c))
 			}
 		}
 		cubes = append(cubes, logic.And(lits...))
 	}
 	fn := logic.Or(cubes...)
-	if !onPhase {
+	if !c.on {
 		fn = logic.Not(fn)
 	}
 	return fn, nil
@@ -549,11 +529,17 @@ func Write(w io.Writer, nw *network.Network) error {
 	if err != nil {
 		return fmt.Errorf("blif: %v", err)
 	}
+	cw := &coverWriter{w: bw, nw: nw, fresh: map[string]bool{}}
 	for _, n := range topo {
 		if n.Func == nil {
 			continue
 		}
-		if err := writeNames(bw, n); err != nil {
+		names := make([]string, len(n.Fanins))
+		for i, fi := range n.Fanins {
+			names[i] = fi.Name
+		}
+		cw.base, cw.seq = n.Name, 0
+		if err := cw.names(n.Name, n.Func, names); err != nil {
 			return err
 		}
 	}
@@ -561,30 +547,113 @@ func Write(w io.Writer, nw *network.Network) error {
 	return bw.Flush()
 }
 
-func writeNames(w io.Writer, n *network.Node) error {
-	names := make([]string, len(n.Fanins))
-	for i, fi := range n.Fanins {
-		names[i] = fi.Name
+// coverWriter renders node functions as .names covers. A function
+// that neither phase can expand within the cube limit (a wide XOR, say)
+// is split into fresh intermediate nodes, written ahead of the node
+// that reads them; a function that expands is always one cover.
+type coverWriter struct {
+	w     io.Writer
+	nw    *network.Network
+	fresh map[string]bool // intermediate names handed out so far
+	base  string          // the network node being written
+	seq   int             // its last intermediate suffix
+}
+
+func (cw *coverWriter) names(name string, fn *logic.Expr, fanins []string) error {
+	cubes, onPhase, ok := exprCover(fn, fanins)
+	if !ok {
+		return cw.split(name, fn, fanins)
 	}
-	cubes, onPhase, err := exprCover(n.Func, names)
-	if err != nil {
-		return fmt.Errorf("blif: node %q: %v", n.Name, err)
-	}
-	fmt.Fprintf(w, ".names %s %s\n", strings.Join(names, " "), n.Name)
+	fmt.Fprintf(cw.w, ".names %s %s\n", strings.Join(fanins, " "), name)
 	outCol := "1"
 	if !onPhase {
 		outCol = "0"
 	}
 	for _, c := range cubes {
-		fmt.Fprintf(w, "%s %s\n", c, outCol)
+		fmt.Fprintf(cw.w, "%s %s\n", c, outCol)
 	}
 	return nil
 }
 
+// split writes fn's top operator over its two operand halves: each
+// half that is not a literal becomes a fresh intermediate node (split
+// again if it is still too wide), and name is written over those.
+func (cw *coverWriter) split(name string, fn *logic.Expr, fanins []string) error {
+	top := fn
+	if top.Op == logic.OpNot {
+		top = top.Kids[0]
+	}
+	if len(top.Kids) < 2 {
+		return fmt.Errorf("blif: node %q: function too complex to expand into a cover", cw.base)
+	}
+	mid := len(top.Kids) / 2
+	var kids []*logic.Expr
+	for _, half := range [][]*logic.Expr{top.Kids[:mid], top.Kids[mid:]} {
+		e := half[0]
+		if len(half) > 1 {
+			e = &logic.Expr{Op: top.Op, Kids: half}
+		}
+		if isLiteral(e) {
+			kids = append(kids, e)
+			continue
+		}
+		sub := usedFanins(e, fanins)
+		fresh := cw.freshName()
+		if err := cw.names(fresh, e, sub); err != nil {
+			return err
+		}
+		kids = append(kids, logic.Variable(fresh))
+	}
+	root := &logic.Expr{Op: top.Op, Kids: kids}
+	if top != fn {
+		root = logic.Not(root)
+	}
+	rootFanins := usedFanins(root, fanins)
+	for _, k := range kids {
+		if k.Op == logic.OpVar && cw.fresh[k.Var] {
+			rootFanins = append(rootFanins, k.Var)
+		}
+	}
+	return cw.names(name, root, rootFanins)
+}
+
+// freshName returns an unused intermediate name derived from the node
+// being written: base$1, base$2, ..., skipping names the network uses.
+func (cw *coverWriter) freshName() string {
+	for {
+		cw.seq++
+		name := cw.base + "$" + strconv.Itoa(cw.seq)
+		if cw.nw.Node(name) == nil && !cw.fresh[name] {
+			cw.fresh[name] = true
+			return name
+		}
+	}
+}
+
+func isLiteral(e *logic.Expr) bool {
+	return e.Op == logic.OpVar || e.Op == logic.OpNot && e.Kids[0].Op == logic.OpVar
+}
+
+// usedFanins returns the fanins e reads, in fanin order.
+func usedFanins(e *logic.Expr, fanins []string) []string {
+	vars := map[string]bool{}
+	for _, v := range e.Vars() {
+		vars[v] = true
+	}
+	var out []string
+	for _, f := range fanins {
+		if vars[f] {
+			out = append(out, f)
+			delete(vars, f)
+		}
+	}
+	return out
+}
+
 // exprCover returns a single-phase cube cover of fn over the ordered
-// fanin list. It first tries a DNF expansion of the expression; if that
-// is degenerate (constant) it falls back to explicit handling.
-func exprCover(fn *logic.Expr, inputs []string) (cubes []string, onPhase bool, err error) {
+// fanin list, or ok=false when neither phase expands within the cube
+// limit.
+func exprCover(fn *logic.Expr, inputs []string) (cubes []string, onPhase, ok bool) {
 	idx := map[string]int{}
 	for i, in := range inputs {
 		idx[in] = i
@@ -592,15 +661,14 @@ func exprCover(fn *logic.Expr, inputs []string) (cubes []string, onPhase bool, e
 	dnf, ok := toDNF(fn, 4096)
 	if !ok {
 		// Fall back to the complement: useful for wide XOR-like
-		// functions whose off-set is smaller, and otherwise a last
-		// resort truth-table expansion.
+		// functions whose off-set is smaller.
 		dnf, ok = toDNF(logic.Not(fn), 4096)
 		if !ok {
-			return nil, false, fmt.Errorf("function too complex to expand into a cover")
+			return nil, false, false
 		}
-		return cubeStrings(dnf, idx, len(inputs)), false, nil
+		return cubeStrings(dnf, idx, len(inputs)), false, true
 	}
-	return cubeStrings(dnf, idx, len(inputs)), true, nil
+	return cubeStrings(dnf, idx, len(inputs)), true, true
 }
 
 // cube maps variable name -> required phase.

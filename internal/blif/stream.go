@@ -16,12 +16,10 @@
 package blif
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"dagcover/internal/logic"
 	"dagcover/internal/subject"
@@ -32,81 +30,37 @@ import (
 // references) and must go through the full AST parser.
 var ErrNeedsAST = errors.New("blif: model needs the AST reader")
 
-// maxLogicalLine bounds one logical line (after continuation
-// joining). Continuations concatenate physical lines into one buffer;
-// without a bound, adversarial input ending every line in '\' makes
-// the reader buffer the entire file.
-const maxLogicalLine = 1 << 24
-
-// lineScanner produces logical lines one at a time: comments are
-// stripped, '\' continuations are joined into a bounded buffer, and a
-// continuation that runs into end of file is a position-accurate
-// error instead of a silently accepted line.
-type lineScanner struct {
-	sc      *bufio.Scanner
-	num     int // physical line number of the last line read
-	buf     strings.Builder
-	err     error
-	started bool
+// signal is what a name stands for while streaming: a subject node, or
+// a constant folded away before decomposition.
+type signal struct {
+	node  subject.Node
+	konst bool // node is None and the signal is the constant val
+	val   bool
 }
 
-func newLineScanner(r io.Reader) *lineScanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	return &lineScanner{sc: sc}
-}
+func constSignal(v bool) signal { return signal{node: subject.None, konst: true, val: v} }
 
-// next returns the next logical line. ok is false at end of input or
-// on error; check Err afterwards.
-func (ls *lineScanner) next() (ln line, ok bool) {
-	if ls.err != nil {
-		return line{}, false
-	}
-	ls.buf.Reset()
-	startNum := 0
-	pending := false // inside a continuation run
-	for ls.sc.Scan() {
-		ls.num++
-		txt := ls.sc.Text()
-		if idx := strings.IndexByte(txt, '#'); idx >= 0 {
-			txt = txt[:idx]
-		}
-		cont := strings.HasSuffix(txt, "\\")
-		if cont {
-			txt = txt[:len(txt)-1]
-		}
-		if !pending {
-			startNum = ls.num
-		}
-		if ls.buf.Len()+len(txt) > maxLogicalLine {
-			ls.err = fmt.Errorf("blif: line %d: logical line exceeds %d bytes", startNum, maxLogicalLine)
-			return line{}, false
-		}
-		ls.buf.WriteString(txt)
-		if cont {
-			ls.buf.WriteByte(' ')
-			pending = true
-			continue
-		}
-		return line{num: startNum, text: ls.buf.String()}, true
-	}
-	if err := ls.sc.Err(); err != nil {
-		ls.err = fmt.Errorf("blif: %v", err)
-		return line{}, false
-	}
-	if pending {
-		ls.err = fmt.Errorf("blif: line %d: line continuation ('\\') at end of file", ls.num)
-		return line{}, false
-	}
-	if ls.buf.Len() > 0 {
-		// Final line without a newline.
-		return line{num: startNum, text: ls.buf.String()}, true
-	}
-	return line{}, false
-}
+// streamer is the state of one StreamSubject call. A .names
+// declaration is pending while its cover rows stream in: its fanins
+// are resolved when the .names line is read, its rows are validated
+// into cov, and the node is built when the next directive flushes it.
+type streamer struct {
+	g       *subject.Graph
+	sigs    map[string]signal
+	outputs []string
+	fields  [][]byte
 
-// Err returns the first scan error, if any.
-func (ls *lineScanner) Err() error { return ls.err }
+	pending bool
+	out     string   // the pending declaration's output
+	num     int      // its line number
+	fanins  []signal // its resolved fanins
+	undef   string   // its first fanin not defined yet
+	cov     cover
+	lits    []subject.Lit
+	ends    []int
+
+	env map[string]subject.Node // .gate decomposition
+}
 
 // StreamSubject reads one flat BLIF model from r and technology-
 // decomposes it into a subject graph on the fly, one declaration at a
@@ -115,140 +69,95 @@ func (ls *lineScanner) Err() error { return ls.err }
 // same output bindings); only the internal node numbering may differ,
 // because the AST path renumbers through a topological sort.
 //
+// A .names declaration goes from input bytes to subject nodes without
+// an expression tree: its rows are validated into a reused column
+// buffer, constant fanins are folded in the cube domain, and
+// subject.BuildSOP decomposes the rest exactly as Build would
+// decompose the cover's expression.
+//
 // Models outside the streaming subset return ErrNeedsAST (wrapped);
 // use ReadSubjectFile for transparent fallback.
 func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 	ls := newLineScanner(r)
-	g := subject.NewGraph("top", true)
-	sigOf := map[string]subject.Node{}
-	constOf := map[string]*logic.Expr{}
-	env := map[string]subject.Node{}
-	var outputs []string
+	s := &streamer{g: subject.NewGraph("top", true), sigs: map[string]signal{}}
 	sawModel, sawContent, ended := false, false, false
-
-	// One .names declaration is pending while its cover rows stream in.
-	var pend *nodeDecl
-	var pendCover []string
-
-	buildDecl := func(nd *nodeDecl) error {
-		if _, dup := sigOf[nd.output]; dup {
-			return nd.ln.errorf("signal %q driven twice or collides with an input", nd.output)
-		}
-		if _, dup := constOf[nd.output]; dup {
-			return nd.ln.errorf("signal %q driven twice or collides with an input", nd.output)
-		}
-		// Mirror subject.FromNetwork: substitute constant fanins in
-		// fanin order, then simplify through the folding constructors.
-		fn := nd.fn
-		for _, in := range nd.inputs {
-			if c, isConst := constOf[in]; isConst {
-				fn = substituteVar(fn, in, c)
-			}
-		}
-		fn = foldExpr(fn)
-		if fn.Op == logic.OpConst {
-			constOf[nd.output] = fn
-			return nil
-		}
-		clear(env)
-		for _, in := range nd.inputs {
-			if sn, ok := sigOf[in]; ok {
-				env[in] = sn
-			} else if _, isConst := constOf[in]; !isConst {
-				// Used before defined: the streaming pass cannot
-				// decompose out of order.
-				return fmt.Errorf("%w: line %d: signal %q used before its definition", ErrNeedsAST, nd.ln.num, in)
-			}
-		}
-		sn, err := g.Build(fn, env)
-		if err != nil {
-			return nd.ln.errorf("%v", err)
-		}
-		sigOf[nd.output] = sn
-		return nil
-	}
-	flushPending := func() error {
-		if pend == nil {
-			return nil
-		}
-		nd, cover := pend, pendCover
-		pend, pendCover = nil, nil
-		fn, err := coverToExpr(nd.inputs, cover)
-		if err != nil {
-			return nd.ln.errorf("%v", err)
-		}
-		nd.fn = fn
-		return buildDecl(nd)
-	}
-
 	for {
-		ln, ok := ls.next()
+		text, num, ok := ls.next()
 		if !ok {
 			break
 		}
-		fields := strings.Fields(ln.text)
-		if len(fields) == 0 {
+		ln := line{num: num}
+		start, end := nextField(text, 0)
+		if start == end {
 			continue
 		}
-		if !strings.HasPrefix(fields[0], ".") {
+		if text[start] != '.' {
 			// A cover row of the pending .names.
-			if pend == nil {
-				return nil, ln.errorf("unexpected token %q", fields[0])
+			if !s.pending {
+				return nil, ln.errorf("unexpected token %q", text[start:end])
 			}
-			pendCover = append(pendCover, strings.TrimSpace(ln.text))
+			s.cov.add(text)
 			continue
 		}
-		if err := flushPending(); err != nil {
+		if err := s.flush(); err != nil {
 			return nil, err
 		}
-		if ended && fields[0] != ".end" {
-			return nil, fmt.Errorf("%w: line %d: content after .end", ErrNeedsAST, ln.num)
+		fields := appendFields(s.fields[:0], text)
+		s.fields = fields
+		directive := fields[0]
+		if ended && string(directive) != ".end" {
+			return nil, fmt.Errorf("%w: line %d: content after .end", ErrNeedsAST, num)
 		}
-		switch fields[0] {
+		switch string(directive) {
 		case ".model":
 			if sawModel || sawContent {
-				return nil, fmt.Errorf("%w: line %d: multiple models", ErrNeedsAST, ln.num)
+				return nil, fmt.Errorf("%w: line %d: multiple models", ErrNeedsAST, num)
 			}
 			sawModel = true
 			if len(fields) > 1 {
-				g.Name = fields[1]
+				s.g.Name = string(fields[1])
 			}
 			continue
 		case ".inputs":
-			for _, name := range fields[1:] {
-				pi, err := g.AddPI(name)
+			for _, f := range fields[1:] {
+				name := string(f)
+				if _, defined := s.sigs[name]; defined && s.g.PI(name) == subject.None {
+					return nil, ln.errorf("signal %q driven twice or collides with an input", name)
+				}
+				pi, err := s.g.AddPI(name)
 				if err != nil {
 					return nil, ln.errorf("%v", err)
 				}
-				sigOf[name] = pi
+				s.sigs[name] = signal{node: pi}
 			}
 		case ".outputs":
-			outputs = append(outputs, fields[1:]...)
+			for _, f := range fields[1:] {
+				s.outputs = append(s.outputs, string(f))
+			}
 		case ".names":
 			if len(fields) < 2 {
 				return nil, ln.errorf(".names needs at least an output")
 			}
-			pend = &nodeDecl{
-				inputs: fields[1 : len(fields)-1],
-				output: fields[len(fields)-1],
-				ln:     ln,
-			}
-			pendCover = pendCover[:0]
+			s.begin(fields[1:len(fields)-1], fields[len(fields)-1], num)
 		case ".gate":
 			if rd.Gates == nil {
 				return nil, ln.errorf(".gate requires a gate resolver (library)")
 			}
-			nd, err := rd.gateDecl(fields[1:], ln)
+			strs := make([]string, len(fields)-1)
+			for i, f := range fields[1:] {
+				strs[i] = string(f)
+			}
+			nd, err := rd.gateDecl(strs, ln)
 			if err != nil {
 				return nil, err
 			}
-			if err := buildDecl(&nd); err != nil {
+			if err := s.buildGate(&nd); err != nil {
 				return nil, err
 			}
 		case ".end":
 			ended = true
 		case ".latch", ".subckt", ".exdc":
-			return nil, fmt.Errorf("%w: line %d: %s", ErrNeedsAST, ln.num, fields[0])
+			return nil, fmt.Errorf("%w: line %d: %s", ErrNeedsAST, num, directive)
 		default:
 			// Unsupported directives (timing etc.) are skipped, as in
 			// the AST parser.
@@ -258,26 +167,165 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 	if err := ls.Err(); err != nil {
 		return nil, err
 	}
-	if err := flushPending(); err != nil {
+	if err := s.flush(); err != nil {
 		return nil, err
 	}
 	if !sawModel && !sawContent {
 		return nil, fmt.Errorf("blif: no model found")
 	}
-	if len(outputs) == 0 {
-		return nil, fmt.Errorf("blif: model %q declares no outputs and no latches", g.Name)
+	if len(s.outputs) == 0 {
+		return nil, fmt.Errorf("blif: model %q declares no outputs and no latches", s.g.Name)
 	}
-	for _, name := range outputs {
-		sn, ok := sigOf[name]
+	marked := make(map[string]bool, len(s.outputs))
+	for _, name := range s.outputs {
+		if marked[name] {
+			continue // as network.MarkOutput: a repeated output is one output
+		}
+		marked[name] = true
+		sig, ok := s.sigs[name]
 		if !ok {
-			if _, isConst := constOf[name]; isConst {
-				return nil, fmt.Errorf("blif: primary output %q is constant; constant outputs cannot be mapped", name)
-			}
 			return nil, fmt.Errorf("blif: output %q is never defined", name)
 		}
-		g.MarkOutput(name, sn)
+		if sig.konst {
+			return nil, fmt.Errorf("blif: primary output %q is constant; constant outputs cannot be mapped", name)
+		}
+		s.g.MarkOutput(name, sig.node)
 	}
-	return g, nil
+	return s.g, nil
+}
+
+// begin opens a .names declaration: the output name is copied (the
+// line buffer is reused) and the fanins are resolved now, while their
+// names are at hand.
+func (s *streamer) begin(ins [][]byte, out []byte, num int) {
+	s.pending = true
+	s.out, s.num, s.undef = string(out), num, ""
+	s.fanins = s.fanins[:0]
+	for _, in := range ins {
+		sig, ok := s.sigs[string(in)]
+		if !ok && s.undef == "" {
+			s.undef = string(in)
+		}
+		s.fanins = append(s.fanins, sig)
+	}
+	s.cov.reset(len(ins))
+}
+
+// flush builds the pending .names declaration, if any.
+func (s *streamer) flush() error {
+	if !s.pending {
+		return nil
+	}
+	s.pending = false
+	ln := line{num: s.num}
+	if s.cov.err != nil {
+		return ln.errorf("%v", s.cov.err)
+	}
+	if err := s.define(s.out, ln, s.undef); err != nil {
+		return err
+	}
+	s.sigs[s.out] = s.foldCover()
+	return nil
+}
+
+// define checks that output may be defined by the declaration on ln
+// whose first undefined fanin is undef ("" when all are defined).
+func (s *streamer) define(output string, ln line, undef string) error {
+	if _, dup := s.sigs[output]; dup {
+		return ln.errorf("signal %q driven twice or collides with an input", output)
+	}
+	if undef != "" {
+		// Used before defined: the streaming pass cannot decompose
+		// out of order (even a constant: the AST reader resolves the
+		// reference or reports it).
+		return fmt.Errorf("%w: line %d: signal %q used before its definition", ErrNeedsAST, ln.num, undef)
+	}
+	return nil
+}
+
+// foldCover turns the pending cover, validated in cov over the
+// resolved fanins, into a signal, mirroring subject.FromNetwork's
+// constant propagation through the folding constructors of package
+// logic: a literal that evaluates true is dropped and one that
+// evaluates false removes its cube; a cube left without literals makes
+// the cover 1, and a cover left without cubes is 0 (complemented for
+// an off-phase cover). What remains is decomposed by BuildSOP.
+func (s *streamer) foldCover() signal {
+	c := &s.cov
+	if c.width == 0 {
+		return constSignal(c.one)
+	}
+	s.lits, s.ends = s.lits[:0], s.ends[:0]
+	for r := 0; r < c.rows; r++ {
+		start := len(s.lits)
+		dead := false
+		for j, ch := range c.row(r) {
+			if ch == '-' {
+				continue
+			}
+			f, want := s.fanins[j], ch == '1'
+			if !f.konst {
+				s.lits = append(s.lits, subject.Lit{Node: f.node, Neg: !want})
+			} else if f.val != want {
+				dead = true
+				break
+			}
+		}
+		if dead {
+			s.lits = s.lits[:start]
+			continue
+		}
+		if len(s.lits) == start {
+			return constSignal(c.on)
+		}
+		s.ends = append(s.ends, len(s.lits))
+	}
+	if len(s.ends) == 0 {
+		return constSignal(!c.on)
+	}
+	return signal{node: s.g.BuildSOP(s.lits, s.ends, c.on)}
+}
+
+// buildGate decomposes a .gate declaration through its expression.
+func (s *streamer) buildGate(nd *nodeDecl) error {
+	undef := ""
+	for _, in := range nd.inputs {
+		if _, ok := s.sigs[in]; !ok {
+			undef = in
+			break
+		}
+	}
+	if err := s.define(nd.output, nd.ln, undef); err != nil {
+		return err
+	}
+	// Mirror subject.FromNetwork: substitute constant fanins in fanin
+	// order, then simplify through the folding constructors.
+	fn := nd.fn
+	for _, in := range nd.inputs {
+		if sig := s.sigs[in]; sig.konst {
+			fn = substituteVar(fn, in, logic.Constant(sig.val))
+		}
+	}
+	fn = foldExpr(fn)
+	if fn.Op == logic.OpConst {
+		s.sigs[nd.output] = constSignal(fn.Const)
+		return nil
+	}
+	if s.env == nil {
+		s.env = map[string]subject.Node{}
+	}
+	clear(s.env)
+	for _, in := range nd.inputs {
+		if sig := s.sigs[in]; !sig.konst {
+			s.env[in] = sig.node
+		}
+	}
+	sn, err := s.g.Build(fn, s.env)
+	if err != nil {
+		return nd.ln.errorf("%v", err)
+	}
+	s.sigs[nd.output] = signal{node: sn}
+	return nil
 }
 
 // ReadSubjectFile reads the BLIF file at path into a subject graph.
@@ -290,7 +338,7 @@ func (rd *Reader) ReadSubjectFile(path string) (*subject.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	g, serr := rd.StreamSubject(bufio.NewReaderSize(f, 1<<20))
+	g, serr := rd.StreamSubject(f)
 	if serr == nil {
 		return g, nil
 	}
@@ -300,7 +348,7 @@ func (rd *Reader) ReadSubjectFile(path string) (*subject.Graph, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("blif: rewind for AST fallback: %v", err)
 	}
-	nw, err := rd.Parse(bufio.NewReaderSize(f, 1<<20))
+	nw, err := rd.Parse(f)
 	if err != nil {
 		return nil, err
 	}

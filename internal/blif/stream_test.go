@@ -3,6 +3,8 @@ package blif_test
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -79,44 +81,37 @@ func compareSubjects(t *testing.T, name string, sg, ag *subject.Graph) {
 // the streaming reader must produce the same subject graph (counts,
 // strash hits, PO bindings, functions) as the AST reader.
 func TestStreamMatchesASTOnSuite(t *testing.T) {
-	for _, c := range bench.FullSuite() {
-		var buf bytes.Buffer
-		if err := blif.Write(&buf, c.Network); err != nil {
-			// Some circuits hold functions blif.Write cannot expand
-			// into a cover (wide XOR trees); the property needs a BLIF
-			// rendering, so those are out of scope here.
-			if strings.Contains(err.Error(), "too complex") {
-				continue
-			}
-			t.Fatalf("%s: render: %v", c.Name, err)
+	for _, c := range renderSuite() {
+		if c.err != nil {
+			t.Fatalf("%s: render: %v", c.name, c.err)
 		}
-		sg, err := (&blif.Reader{}).StreamSubject(bytes.NewReader(buf.Bytes()))
+		sg, err := (&blif.Reader{}).StreamSubject(bytes.NewReader(c.text))
 		if errors.Is(err, blif.ErrNeedsAST) {
 			// Sequential circuits (latches) legitimately fall back;
 			// exercise the file-level fallback instead.
-			path := filepath.Join(t.TempDir(), c.Name+".blif")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			path := filepath.Join(t.TempDir(), c.name+".blif")
+			if err := os.WriteFile(path, c.text, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			fg, ferr := (&blif.Reader{}).ReadSubjectFile(path)
 			if ferr != nil {
-				t.Fatalf("%s: fallback: %v", c.Name, ferr)
+				t.Fatalf("%s: fallback: %v", c.name, ferr)
 			}
-			ag, aerr := astSubject(t, buf.Bytes())
+			ag, aerr := astSubject(t, c.text)
 			if aerr != nil {
-				t.Fatalf("%s: ast: %v", c.Name, aerr)
+				t.Fatalf("%s: ast: %v", c.name, aerr)
 			}
-			compareSubjects(t, c.Name+"(fallback)", fg, ag)
+			compareSubjects(t, c.name+"(fallback)", fg, ag)
 			continue
 		}
 		if err != nil {
-			t.Fatalf("%s: stream: %v", c.Name, err)
+			t.Fatalf("%s: stream: %v", c.name, err)
 		}
-		ag, err := astSubject(t, buf.Bytes())
+		ag, err := astSubject(t, c.text)
 		if err != nil {
-			t.Fatalf("%s: ast: %v", c.Name, err)
+			t.Fatalf("%s: ast: %v", c.name, err)
 		}
-		compareSubjects(t, c.Name, sg, ag)
+		compareSubjects(t, c.name, sg, ag)
 	}
 }
 
@@ -203,18 +198,19 @@ func TestContinuationAtEOF(t *testing.T) {
 	}
 }
 
+var streamErrorCases = []struct{ name, text, want string }{
+	{"empty", "", "no model"},
+	{"no outputs", ".model m\n.inputs a\n.end\n", "no outputs"},
+	{"undefined output", ".model m\n.inputs a\n.outputs o\n.end\n", "never defined"},
+	{"double drive", ".model m\n.inputs a\n.outputs o\n.names a o\n1 1\n.names a o\n0 1\n.end\n", "twice"},
+	{"drives input", ".model m\n.inputs a\n.outputs a\n.names a\n1\n.end\n", "twice"},
+	{"constant output", ".model m\n.inputs a\n.outputs o\n.names o\n1\n.end\n", "constant"},
+	{"stray token", ".model m\n.inputs a\n.outputs o\ngarbage row\n.end\n", "unexpected token"},
+	{"bad cover", ".model m\n.inputs a b\n.outputs o\n.names a b o\n1 1\n.end\n", "columns"},
+}
+
 func TestStreamErrors(t *testing.T) {
-	cases := []struct{ name, text, want string }{
-		{"empty", "", "no model"},
-		{"no outputs", ".model m\n.inputs a\n.end\n", "no outputs"},
-		{"undefined output", ".model m\n.inputs a\n.outputs o\n.end\n", "never defined"},
-		{"double drive", ".model m\n.inputs a\n.outputs o\n.names a o\n1 1\n.names a o\n0 1\n.end\n", "twice"},
-		{"drives input", ".model m\n.inputs a\n.outputs a\n.names a\n1\n.end\n", "twice"},
-		{"constant output", ".model m\n.inputs a\n.outputs o\n.names o\n1\n.end\n", "constant"},
-		{"stray token", ".model m\n.inputs a\n.outputs o\ngarbage row\n.end\n", "unexpected token"},
-		{"bad cover", ".model m\n.inputs a b\n.outputs o\n.names a b o\n1 1\n.end\n", "columns"},
-	}
-	for _, tc := range cases {
+	for _, tc := range streamErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := (&blif.Reader{}).StreamSubject(strings.NewReader(tc.text))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -264,19 +260,143 @@ func FuzzStreamVsAST(f *testing.F) {
 		if len(text) > 1<<16 {
 			return
 		}
-		sg, serr := (&blif.Reader{}).StreamSubject(strings.NewReader(text))
-		if serr != nil {
-			return // rejections (including ErrNeedsAST) need no cross-check
-		}
-		ag, aerr := astSubject(t, []byte(text))
-		if aerr != nil {
-			t.Fatalf("stream accepted what AST rejects: %v\ninput: %q", aerr, text)
-		}
-		if sg.Stats() != ag.Stats() {
-			t.Fatalf("stats diverge: stream %v, ast %v\ninput: %q", sg.Stats(), ag.Stats(), text)
-		}
-		if sg.StrashHits() != ag.StrashHits() {
-			t.Fatalf("strash hits diverge: %d vs %d\ninput: %q", sg.StrashHits(), ag.StrashHits(), text)
-		}
+		checkStreamSubject(t, text)
 	})
+}
+
+// checkStreamSubject is the streaming reader's contract on arbitrary
+// input: it returns ErrNeedsAST, or it fails exactly when Parse +
+// FromNetwork fails, or it returns a graph equivalent to theirs. It
+// never panics.
+func checkStreamSubject(t *testing.T, text string) {
+	t.Helper()
+	sg, serr := (&blif.Reader{}).StreamSubject(strings.NewReader(text))
+	if errors.Is(serr, blif.ErrNeedsAST) {
+		return
+	}
+	ag, aerr := astSubject(t, []byte(text))
+	switch {
+	case serr != nil && aerr == nil:
+		t.Fatalf("stream rejects what AST accepts: %v\ninput: %.400q", serr, text)
+	case serr == nil && aerr != nil:
+		t.Fatalf("stream accepts what AST rejects: %v\ninput: %.400q", aerr, text)
+	case serr == nil:
+		compareSubjects(t, "fuzz", sg, ag)
+	}
+}
+
+// FuzzStreamSubject checks checkStreamSubject's contract from a
+// committed corpus (testdata/fuzz/FuzzStreamSubject): every suite
+// circuit as blif.Write renders it, the small streamed families, and
+// the inputs of TestStreamErrors. Regenerate it with
+//
+//	go test ./internal/blif -run TestFuzzCorpus -write-corpus
+func FuzzStreamSubject(f *testing.F) {
+	// Inputs on which the streaming reader once disagreed with the AST
+	// reader: an input redeclaring a defined signal, a repeated output,
+	// and a constant node over a signal that is never defined.
+	f.Add(".model m\n.inputs a\n.outputs o\n.names c\n1\n.inputs c\n.names a c o\n11 1\n.end\n")
+	f.Add(".model m\n.inputs a b\n.outputs o o\n.names a b o\n11 1\n.end\n")
+	f.Add(".model m\n.inputs a\n.outputs o\n.names a o\n1 1\n.names zz y\n- 1\n.end\n")
+	// Separators strings.Fields knows beyond ASCII, and CRLF ends.
+	f.Add(".model m\n.inputs a\u00a0b\n.outputs o\n.names a b\u0085o\n11\u2003 1\n.end\n")
+	f.Add(".model m\r\n.inputs a b\r\n.outputs o\r\n.names a b o\r\n11 1\r\n.end\r\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		if len(text) > 1<<17 {
+			return
+		}
+		checkStreamSubject(t, text)
+	})
+}
+
+var writeCorpus = flag.Bool("write-corpus", false, "rewrite the FuzzStreamSubject seed corpus")
+
+// corpusSeeds returns the FuzzStreamSubject seeds by file name.
+func corpusSeeds(t *testing.T) map[string][]byte {
+	seeds := map[string][]byte{}
+	for _, c := range renderSuite() {
+		if c.err != nil {
+			t.Fatalf("%s: %v", c.name, c.err)
+		}
+		seeds["suite-"+strings.ToLower(c.name)] = c.text
+	}
+	for _, fam := range []string{"mult1", "mult2", "mult3", "alumesh1x1", "alumesh2x1"} {
+		gen, ok := bench.StreamFamily(fam)
+		if !ok {
+			t.Fatalf("family %s not resolved", fam)
+		}
+		var buf bytes.Buffer
+		if err := gen(&buf); err != nil {
+			t.Fatal(err)
+		}
+		seeds["family-"+fam] = buf.Bytes()
+	}
+	for _, tc := range streamErrorCases {
+		seeds["error-"+strings.ReplaceAll(tc.name, " ", "-")] = []byte(tc.text)
+	}
+	return seeds
+}
+
+// TestFuzzCorpus keeps the committed corpus in step with its sources:
+// every seed file must hold exactly what corpusSeeds renders today.
+func TestFuzzCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzStreamSubject")
+	for name, text := range corpusSeeds(t) {
+		file := []byte(fmt.Sprintf("go test fuzz v1\nstring(%q)\n", text))
+		path := filepath.Join(dir, name)
+		if *writeCorpus {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (rerun with -write-corpus)", err)
+		}
+		if !bytes.Equal(got, file) {
+			t.Errorf("%s is stale (rerun with -write-corpus)", path)
+		}
+	}
+}
+
+// TestLongLines pins the single line bound of both readers: a line of
+// several megabytes is accepted whether or not it is split by a '\'
+// continuation, and a line past the bound is a numbered error rather
+// than a scanner failure.
+func TestLongLines(t *testing.T) {
+	var ins strings.Builder
+	for i := 0; ins.Len() < 5_500_000; i++ {
+		fmt.Fprintf(&ins, " in%d", i)
+	}
+	inputs := ins.String()
+	half := strings.IndexByte(inputs[len(inputs)/2:], ' ') + len(inputs)/2
+	body := "\n.outputs o\n.names in0 in1 o\n11 1\n.end\n"
+	for name, text := range map[string]string{
+		"one line":     ".model wide\n.inputs" + inputs + body,
+		"continuation": ".model wide\n.inputs" + inputs[:half] + " \\\n" + inputs[half:] + body,
+	} {
+		sg, err := (&blif.Reader{}).StreamSubject(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: stream: %v", name, err)
+		}
+		nw, err := blif.ParseString(text)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		if len(sg.PIs) != len(nw.Inputs()) || len(sg.PIs) < 500_000 {
+			t.Fatalf("%s: stream read %d inputs, parse %d", name, len(sg.PIs), len(nw.Inputs()))
+		}
+	}
+	tooLong := ".model wide\n.inputs a\n.outputs " + strings.Repeat("o", 1<<24) + body
+	_, serr := (&blif.Reader{}).StreamSubject(strings.NewReader(tooLong))
+	_, perr := blif.ParseString(tooLong)
+	for reader, err := range map[string]error{"stream": serr, "parse": perr} {
+		if err == nil || !strings.HasPrefix(err.Error(), "blif: line 3: ") || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: err = %v, want a line-3 bound error", reader, err)
+		}
+	}
 }

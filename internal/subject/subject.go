@@ -435,6 +435,70 @@ func (g *Graph) buildXor(kids []*logic.Expr, neg bool, env map[string]Node) (Nod
 	return n, nil
 }
 
+// Lit is one literal of a sum-of-products cover: Node, complemented
+// when Neg is set.
+type Lit struct {
+	Node Node
+	Neg  bool
+}
+
+// BuildSOP decomposes a sum of products straight into the graph,
+// without an expression tree. Cube k is the conjunction of
+// lits[ends[k-1]:ends[k]] (lits[:ends[0]] for the first); the result
+// is the disjunction of the cubes, complemented when on is false (an
+// off-phase BLIF cover). Every cube needs at least one literal and
+// there must be at least one cube: constants are folded by the caller.
+//
+// BuildSOP issues exactly the Nand and Not calls, in the same order,
+// that Build issues for the folded expression of the cover —
+// Or(And(lits of cube 1), ...), wrapped in Not when !on — so node IDs
+// and strash hits match that path. Like Build, it splits n-ary
+// operators at splitPoint and realizes the disjunction by De Morgan
+// as the complement of an AND over the complemented cubes.
+func (g *Graph) BuildSOP(lits []Lit, ends []int, on bool) Node {
+	return g.andNotCubes(lits, ends, 0, len(ends), on)
+}
+
+// andNotCubes builds the AND of the complemented cubes lo..hi-1,
+// complemented when neg (buildAnd over Or's negated kids).
+func (g *Graph) andNotCubes(lits []Lit, ends []int, lo, hi int, neg bool) Node {
+	if hi-lo == 1 {
+		start := 0
+		if lo > 0 {
+			start = ends[lo-1]
+		}
+		return g.andLits(lits[start:ends[lo]], !neg)
+	}
+	mid := lo + g.splitPoint(hi-lo)
+	l := g.andNotCubes(lits, ends, lo, mid, false)
+	r := g.andNotCubes(lits, ends, mid, hi, false)
+	n := g.Nand(l, r)
+	if !neg {
+		n = g.Not(n)
+	}
+	return n
+}
+
+// andLits builds the AND of one cube's literals, complemented when
+// neg (buildAnd over the cube's literal expressions).
+func (g *Graph) andLits(lits []Lit, neg bool) Node {
+	if len(lits) == 1 {
+		n := lits[0].Node
+		if lits[0].Neg != neg {
+			n = g.Not(n)
+		}
+		return n
+	}
+	mid := g.splitPoint(len(lits))
+	l := g.andLits(lits[:mid], false)
+	r := g.andLits(lits[mid:], false)
+	n := g.Nand(l, r)
+	if !neg {
+		n = g.Not(n)
+	}
+	return n
+}
+
 // Check validates fanin/fanout symmetry and topological node order.
 func (g *Graph) Check() error {
 	nn := g.NumNodes()
