@@ -9,6 +9,7 @@ package dagcover
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -220,10 +221,7 @@ func BenchmarkFlowMap(b *testing.B) {
 // BenchmarkSequential times the §4 flow (map + retime) on pipelined
 // circuits.
 func BenchmarkSequential(b *testing.B) {
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		b.Fatal(err)
-	}
+	opt := MapOptions{Library: compile(b, Lib2())}
 	for _, cfg := range []struct {
 		name string
 		nw   *Network
@@ -235,7 +233,7 @@ func BenchmarkSequential(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var before, after float64
 			for i := 0; i < b.N; i++ {
-				res, err := mapper.MapSequential(cfg.nw, nil)
+				res, err := MapSequential(context.Background(), cfg.nw, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -596,14 +594,7 @@ func TestIngestStreamAllocs(t *testing.T) {
 // to validate every mapping.
 func BenchmarkVerify(b *testing.B) {
 	nw := bench.ALU(8)
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := mapper.MapDAG(nw, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := mapNet(b, nw, MapOptions{Library: compile(b, Lib2())})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Verify(nw, res.Netlist); err != nil {
@@ -640,14 +631,7 @@ func BenchmarkLUTTradeoff(b *testing.B) {
 // E3) on a DAG-covered netlist.
 func BenchmarkBuffering(b *testing.B) {
 	lib := libgen.Lib2()
-	mapper, err := NewMapper(lib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := mapper.MapDAG(bench.C5315(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := mapNet(b, bench.C5315(), MapOptions{Library: compile(b, lib)})
 	buffer := lib.Buffer()
 	b.ResetTimer()
 	var loaded float64
@@ -669,26 +653,12 @@ func BenchmarkBuffering(b *testing.B) {
 // plain DAG covering on the multiplier.
 func BenchmarkChoices(b *testing.B) {
 	nw := bench.ArrayMultiplier(8)
-	mapper, err := NewMapper(Lib441())
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := &MapOptions{Delay: UnitDelay}
-	for _, mode := range []string{"plain", "choices"} {
-		b.Run(mode, func(b *testing.B) {
+	cl := compile(b, Lib441())
+	for _, mode := range []Mode{ModeDAG, ModeChoices} {
+		b.Run(mode.String(), func(b *testing.B) {
 			var delay float64
 			for i := 0; i < b.N; i++ {
-				var res *MapResult
-				var err error
-				if mode == "plain" {
-					res, err = mapper.MapDAG(nw, opt)
-				} else {
-					res, err = mapper.MapDAGWithChoices(nw, opt)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				delay = res.Delay
+				delay = mapNet(b, nw, MapOptions{Mode: mode, Library: cl, Delay: UnitDelay}).Delay
 			}
 			b.ReportMetric(delay, "delay")
 		})
@@ -710,14 +680,11 @@ func BenchmarkSeqMap(b *testing.B) {
 		}
 		b.ReportMetric(float64(period), "period")
 	})
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		b.Fatal(err)
-	}
+	opt := MapOptions{Library: compile(b, Lib2())}
 	b.Run("threestep", func(b *testing.B) {
 		var period float64
 		for i := 0; i < b.N; i++ {
-			res, err := mapper.MapSequential(nw, nil)
+			res, err := MapSequential(context.Background(), nw, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,6 +9,7 @@ package main
 // in testdata/baseline_pointer_<family>.json.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -146,7 +147,7 @@ func measureFamily(name string, parallel int, baselineDir string) (*FamilyRun, e
 	}
 
 	lc := libs()[0] // lib2 with intrinsic delay, like the baselines
-	mapper, err := dagcover.NewMapper(lc.lib)
+	cl, err := dagcover.CompileLibrary(lc.lib)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: %w", lc.name, err)
 	}
@@ -167,7 +168,8 @@ func measureFamily(name string, parallel int, baselineDir string) (*FamilyRun, e
 	runtime.ReadMemStats(&afterIngest)
 
 	t1 := time.Now()
-	res, err := mapper.MapSubjectDAG(g, &dagcover.MapOptions{Delay: lc.delay, Parallelism: parallel})
+	res, err := dagcover.Map(context.Background(), dagcover.Input{Subject: g},
+		dagcover.MapOptions{Library: cl, Delay: lc.delay, Parallelism: parallel})
 	if err != nil {
 		sampler.stop()
 		return nil, fmt.Errorf("map %s: %w", name, err)

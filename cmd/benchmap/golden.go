@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -37,7 +38,7 @@ func runGolden(path string) (int, error) {
 	mismatches := 0
 	checked := 0
 	for _, lc := range libs() {
-		mapper, err := dagcover.NewMapper(lc.lib)
+		cl, err := dagcover.CompileLibrary(lc.lib)
 		if err != nil {
 			return 0, fmt.Errorf("compile %s: %w", lc.name, err)
 		}
@@ -48,11 +49,8 @@ func runGolden(path string) (int, error) {
 			}
 			for _, p := range goldenParallelisms {
 				for _, memo := range []bool{false, true} {
-					opt := &dagcover.MapOptions{Delay: lc.delay, Parallelism: p}
-					if !memo {
-						opt.Memo = dagcover.MemoOff
-					}
-					res, err := mapper.MapDAG(c.Network, opt)
+					res, err := dagcover.Map(context.Background(), dagcover.Input{Network: c.Network},
+						dagcover.MapOptions{Library: cl, Delay: lc.delay, Parallelism: p, NoMemo: !memo})
 					if err != nil {
 						return 0, fmt.Errorf("%s x %s (p=%d memo=%v): %w", c.Name, lc.name, p, memo, err)
 					}

@@ -32,6 +32,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -208,20 +209,20 @@ func measure(suiteName string, circuits []bench.Circuit, parallel, iters int) (*
 		Identical:   true,
 	}
 	for _, lc := range libs() {
-		mapper, err := dagcover.NewMapper(lc.lib)
+		cl, err := dagcover.CompileLibrary(lc.lib)
 		if err != nil {
 			return nil, fmt.Errorf("compile %s: %w", lc.name, err)
 		}
 		for _, c := range circuits {
 			// Memo off first: the baseline walk, untouched by table state.
-			// Then memo on against the same mapper — its table warms
+			// Then memo on against the same library — its table warms
 			// across the suite's circuits exactly as a served library's
 			// table warms across requests.
-			offRun, offBLIF, err := mapBest(mapper, c, lc.name, lc.delay, parallel, false, iters)
+			offRun, offBLIF, err := mapBest(cl, c, lc.name, lc.delay, parallel, false, iters)
 			if err != nil {
 				return nil, err
 			}
-			onRun, onBLIF, err := mapBest(mapper, c, lc.name, lc.delay, parallel, true, iters)
+			onRun, onBLIF, err := mapBest(cl, c, lc.name, lc.delay, parallel, true, iters)
 			if err != nil {
 				return nil, err
 			}
@@ -241,11 +242,11 @@ func measure(suiteName string, circuits []bench.Circuit, parallel, iters int) (*
 // runs at millisecond scale are noise-dominated). Every iteration's
 // BLIF must be byte-identical — the measurement loop doubles as a
 // determinism check within each mode.
-func mapBest(mapper *dagcover.Mapper, c bench.Circuit, libName string, delay dagcover.DelayModel, parallel int, memo bool, iters int) (*Run, []byte, error) {
+func mapBest(cl *dagcover.CompiledLibrary, c bench.Circuit, libName string, delay dagcover.DelayModel, parallel int, memo bool, iters int) (*Run, []byte, error) {
 	var best *Run
 	var blif []byte
 	for i := 0; i < iters; i++ {
-		run, b, err := mapOnce(mapper, c, libName, delay, parallel, memo)
+		run, b, err := mapOnce(cl, c, libName, delay, parallel, memo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -263,13 +264,10 @@ func mapBest(mapper *dagcover.Mapper, c bench.Circuit, libName string, delay dag
 }
 
 // mapOnce runs one measured mapping and renders the netlist to BLIF.
-func mapOnce(mapper *dagcover.Mapper, c bench.Circuit, libName string, delay dagcover.DelayModel, parallel int, memo bool) (*Run, []byte, error) {
-	opt := &dagcover.MapOptions{Delay: delay, Parallelism: parallel}
-	if !memo {
-		opt.Memo = dagcover.MemoOff
-	}
+func mapOnce(cl *dagcover.CompiledLibrary, c bench.Circuit, libName string, delay dagcover.DelayModel, parallel int, memo bool) (*Run, []byte, error) {
+	opt := dagcover.MapOptions{Library: cl, Delay: delay, Parallelism: parallel, NoMemo: !memo}
 	start := time.Now()
-	res, err := mapper.MapDAG(c.Network, opt)
+	res, err := dagcover.Map(context.Background(), dagcover.Input{Network: c.Network}, opt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s x %s (memo=%v): %w", c.Name, libName, memo, err)
 	}

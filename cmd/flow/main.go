@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -48,14 +49,9 @@ func run(path, libName, delayName string, useChoices, useBalance, useSizing bool
 	if err != nil {
 		return err
 	}
-	var dm dagcover.DelayModel
-	switch delayName {
-	case "intrinsic":
-		dm = dagcover.IntrinsicDelay
-	case "unit":
-		dm = dagcover.UnitDelay
-	default:
-		return fmt.Errorf("unknown delay model %q", delayName)
+	dm, err := dagcover.ParseDelayModel(delayName)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -72,15 +68,17 @@ func run(path, libName, delayName string, useChoices, useBalance, useSizing bool
 	}
 	fmt.Printf("[1] read %s: %v\n", nw.Name, st)
 
-	mapper, err := dagcover.NewMapper(lib)
+	cl, err := dagcover.CompileLibrary(lib)
 	if err != nil {
 		return err
 	}
+	opt := dagcover.MapOptions{Library: cl, Delay: dm, AreaRecovery: true}
+	ctx := context.Background()
 	if len(nw.Latches()) > 0 {
 		// Sequential circuit: map the combinational portion and retime
 		// (the post-mapping passes below operate on combinational
 		// netlists).
-		res, err := mapper.MapSequential(nw, &dagcover.MapOptions{Delay: dm, AreaRecovery: true})
+		res, err := dagcover.MapSequential(ctx, nw, opt)
 		if err != nil {
 			return err
 		}
@@ -101,11 +99,10 @@ func run(path, libName, delayName string, useChoices, useBalance, useSizing bool
 		}
 		return nil
 	}
-	opt := &dagcover.MapOptions{Delay: dm, AreaRecovery: true}
-
 	var res *dagcover.MapResult
 	if useChoices {
-		res, err = mapper.MapDAGWithChoices(nw, opt)
+		opt.Mode = dagcover.ModeChoices
+		res, err = dagcover.Map(ctx, dagcover.Input{Network: nw}, opt)
 		if err != nil {
 			return err
 		}
@@ -123,7 +120,7 @@ func run(path, libName, delayName string, useChoices, useBalance, useSizing bool
 			}
 			fmt.Printf("[3] balanced: %d nodes\n", g.NumNodes())
 		}
-		res, err = mapper.MapSubjectDAG(g, opt)
+		res, err = dagcover.Map(ctx, dagcover.Input{Subject: g}, opt)
 		if err != nil {
 			return err
 		}

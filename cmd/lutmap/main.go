@@ -68,31 +68,28 @@ func run(ctx context.Context, path string, k int, mode string, slack int, output
 	if tracePath != "" {
 		tr = dagcover.NewTrace()
 	}
-	var lutNet *dagcover.Network
-	var depth, luts int
+	opt := dagcover.MapOptions{Mode: dagcover.ModeLUT, K: k, Slack: slack, Trace: tr}
 	switch mode {
 	case "depth":
-		res, err := dagcover.MapLUTTraced(ctx, nw, k, tr)
-		if err != nil {
-			return err
-		}
-		lutNet, depth, luts = res.Network, res.Depth, res.LUTs
-		fmt.Printf("%s: FlowMap with k=%d\n", nw.Name, k)
 	case "area":
-		res, err := dagcover.MapLUTAreaTraced(ctx, nw, k, slack, tr)
-		if err != nil {
-			return err
-		}
-		lutNet, depth, luts = res.Network, res.Depth, res.LUTs
-		fmt.Printf("%s: priority cuts, area mode, k=%d slack=%d (optimal depth %d)\n",
-			nw.Name, k, slack, res.OptimalDepth)
+		opt.Mode = dagcover.ModeLUTArea
 	default:
 		return fmt.Errorf("unknown mode %q", mode)
 	}
-	fmt.Printf("  depth: %d\n", depth)
-	fmt.Printf("  LUTs:  %d\n", luts)
+	res, err := dagcover.Map(ctx, dagcover.Input{Network: nw}, opt)
+	if err != nil {
+		return err
+	}
+	if opt.Mode == dagcover.ModeLUT {
+		fmt.Printf("%s: FlowMap with k=%d\n", nw.Name, k)
+	} else {
+		fmt.Printf("%s: priority cuts, area mode, k=%d slack=%d (optimal depth %d)\n",
+			nw.Name, k, slack, res.OptimalDepth)
+	}
+	fmt.Printf("  depth: %d\n", res.Depth)
+	fmt.Printf("  LUTs:  %d\n", res.LUTs)
 	if doVerify {
-		if err := dagcover.VerifyNetworks(nw, lutNet); err != nil {
+		if err := dagcover.VerifyNetworks(nw, res.Network); err != nil {
 			return fmt.Errorf("verification FAILED: %v", err)
 		}
 		fmt.Println("  verification: equivalent")
@@ -103,7 +100,7 @@ func run(ctx context.Context, path string, k int, mode string, slack int, output
 			return err
 		}
 		defer out.Close()
-		if err := dagcover.WriteBLIF(out, lutNet); err != nil {
+		if err := dagcover.WriteBLIF(out, res.Network); err != nil {
 			return err
 		}
 		fmt.Printf("  wrote: %s\n", output)

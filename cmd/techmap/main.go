@@ -165,40 +165,35 @@ func run(ctx context.Context, cfg *config) error {
 	if err != nil {
 		return err
 	}
-	var dm dagcover.DelayModel
-	switch cfg.delay {
-	case "intrinsic":
-		dm = dagcover.IntrinsicDelay
-	case "unit":
-		dm = dagcover.UnitDelay
-	default:
-		return fmt.Errorf("unknown delay model %q", cfg.delay)
-	}
-	mapper, err := dagcover.NewMapper(lib)
+	dm, err := dagcover.ParseDelayModel(cfg.delay)
 	if err != nil {
 		return err
 	}
-	opt := &dagcover.MapOptions{Delay: dm, AreaRecovery: cfg.recover, Parallelism: cfg.parallel, Ctx: ctx, Trace: tr}
-	if !cfg.memo {
-		opt.Memo = dagcover.MemoOff
+	class, err := dagcover.ParseMatchClass(cfg.class)
+	if err != nil {
+		return err
 	}
-	switch cfg.class {
-	case "standard":
-		opt.Class = dagcover.MatchStandard
-	case "extended":
-		opt.Class = dagcover.MatchExtended
-	default:
-		return fmt.Errorf("unknown match class %q", cfg.class)
+	mode, err := dagcover.ParseMode(cfg.mode)
+	if err == nil && mode != dagcover.ModeDAG && mode != dagcover.ModeTree {
+		err = fmt.Errorf("unknown mode %q", cfg.mode)
 	}
-	var res *dagcover.MapResult
-	switch cfg.mode {
-	case "dag":
-		res, err = mapper.MapDAG(nw, opt)
-	case "tree":
-		res, err = mapper.MapTree(nw, opt)
-	default:
-		return fmt.Errorf("unknown mode %q", cfg.mode)
+	if err != nil {
+		return err
 	}
+	cl, err := dagcover.CompileLibrary(lib)
+	if err != nil {
+		return err
+	}
+	res, err := dagcover.Map(ctx, dagcover.Input{Network: nw}, dagcover.MapOptions{
+		Mode:         mode,
+		Library:      cl,
+		Class:        class,
+		Delay:        dm,
+		AreaRecovery: cfg.recover,
+		Parallelism:  cfg.parallel,
+		Trace:        tr,
+		NoMemo:       !cfg.memo,
+	})
 	if err != nil {
 		return err
 	}

@@ -8,11 +8,16 @@
 //
 // Quick start:
 //
-//	lib := dagcover.Lib2()
-//	mapper, _ := dagcover.NewMapper(lib)
+//	cl, _ := dagcover.CompileLibrary(dagcover.Lib2())
 //	nw, _ := dagcover.ParseBLIF(file)
-//	res, _ := mapper.MapDAG(nw, nil)
+//	res, _ := dagcover.Map(ctx, dagcover.Input{Network: nw}, dagcover.MapOptions{Library: cl})
 //	fmt.Println(res.Delay, res.Area)
+//
+// Map is the one entry point for combinational mapping: MapOptions.Mode
+// picks DAG covering (the paper), choice-aware DAG covering, tree
+// covering (min delay or min area) or k-LUT mapping (FlowMap or
+// priority cuts). MapSequential and MapSequentialLUT map latched
+// networks.
 //
 // See the examples/ directory for runnable programs and DESIGN.md for
 // the system inventory.
@@ -63,8 +68,6 @@ type (
 	SubjectGraph = subject.Graph
 	// MatchClass selects the matching semantics (Definitions 1-3).
 	MatchClass = match.Class
-	// LUTResult is a FlowMap mapping.
-	LUTResult = flowmap.Result
 	// Trace records named spans across a mapping pipeline and exports
 	// them as Chrome trace_event JSON (chrome://tracing, Perfetto).
 	// A nil *Trace is valid everywhere and records nothing.
@@ -72,8 +75,8 @@ type (
 )
 
 // NewTrace returns an enabled trace collector. Pass it via
-// MapOptions.Trace (or the traced Map* variants), then export with
-// Trace.WriteFile or Trace.WriteChromeTrace.
+// MapOptions.Trace, then export with Trace.WriteFile or
+// Trace.WriteChromeTrace.
 func NewTrace() *Trace { return obs.New() }
 
 // Match classes (paper Definitions 1-3).
@@ -144,22 +147,117 @@ func BuildSubject(nw *Network) (*SubjectGraph, error) { return subject.FromNetwo
 // BalanceSubject re-associates single-fanout conjunction chains into
 // level-balanced trees (AIG-style balancing), reducing subject depth
 // — and therefore the mapped-delay bound — without changing the
-// function. Run it before MapSubjectDAG/MapSubjectTree for a
+// function. Map the balanced graph (Input.Subject) for a
 // technology-independent head start.
 func BalanceSubject(g *SubjectGraph) (*SubjectGraph, error) { return resynth.Balance(g) }
 
-// MapOptions tunes a mapping run. The zero value is the paper's
-// default configuration: standard matches, intrinsic delay model.
+// Mode selects the mapping algorithm behind Map.
+type Mode int
+
+const (
+	// ModeDAG is delay-optimal DAG covering, the paper's algorithm.
+	ModeDAG Mode = iota
+	// ModeChoices is DAG covering over a choice-encoded subject graph:
+	// every network node is decomposed both balanced and as a chain into
+	// one shared graph (a light version of Lehman et al.'s mapping
+	// graphs, §4), and matching may realize either alternative. Never
+	// slower than ModeDAG on either single decomposition; costs roughly
+	// twice the subject size. It decomposes the network itself, so it
+	// needs Input.Network.
+	ModeChoices
+	// ModeTree is conventional tree covering for minimum delay, the
+	// baseline of Tables 1-3.
+	ModeTree
+	// ModeTreeArea is tree covering with Keutzer's minimum-area
+	// objective.
+	ModeTreeArea
+	// ModeLUT maps onto K-input LUTs with FlowMap (§2), depth-optimal.
+	ModeLUT
+	// ModeLUTArea maps onto K-input LUTs by priority-cut enumeration,
+	// minimizing LUT count under a depth bound of optimal depth plus
+	// Slack (Cong & Ding [3]).
+	ModeLUTArea
+)
+
+var modeNames = [...]string{"dag", "choices", "tree", "tree-area", "lut", "lut-area"}
+
+func (m Mode) String() string {
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
+	}
+	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// lut reports whether the mode maps onto LUTs rather than library gates.
+func (m Mode) lut() bool { return m == ModeLUT || m == ModeLUTArea }
+
+// ParseMode reads a mode name as Mode.String prints it; "" is ModeDAG.
+func ParseMode(s string) (Mode, error) {
+	if s == "" {
+		return ModeDAG, nil
+	}
+	for i, name := range modeNames {
+		if s == name {
+			return Mode(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
+}
+
+// ParseDelayModel reads a delay model name ("intrinsic" or "unit", as
+// DelayModel.Name prints it); "" is IntrinsicDelay.
+func ParseDelayModel(s string) (DelayModel, error) {
+	for _, dm := range []DelayModel{IntrinsicDelay, UnitDelay} {
+		if s == dm.Name() || s == "" {
+			return dm, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown delay model %q", s)
+}
+
+// ParseMatchClass reads a DAG-covering match class ("standard" or
+// "extended"); "" is MatchStandard. Exact matches are tree covering's
+// semantics and are selected by ModeTree, not by name.
+func ParseMatchClass(s string) (MatchClass, error) {
+	for _, c := range []MatchClass{MatchStandard, MatchExtended} {
+		if s == c.String() || s == "" {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown match class %q", s)
+}
+
+// Input is what Map covers: a technology-independent network or a
+// subject graph already built from one (BuildSubject,
+// StreamSubjectBLIF, BalanceSubject). Set exactly one field.
+type Input struct {
+	Network *Network
+	Subject *SubjectGraph
+}
+
+// MapOptions configures Map. The zero value plus a Library is the
+// paper's default configuration: DAG covering, standard matches,
+// intrinsic delay model.
 type MapOptions struct {
-	// Class is the match class; defaults to MatchStandard for MapDAG
-	// (footnote 3) and is ignored by MapTree (always exact).
+	// Mode is the mapping algorithm (default ModeDAG).
+	Mode Mode
+	// Library is the compiled gate library. Gate modes (dag, choices,
+	// tree, tree-area) require it; LUT modes reject it.
+	Library *CompiledLibrary
+	// K is the LUT input count for the LUT modes.
+	K int
+	// Slack is the depth the lut-area mode may spend above optimal.
+	Slack int
+	// Class is the match class for dag and choices; the zero value
+	// means MatchStandard (footnote 3). Tree modes always match exactly.
 	Class MatchClass
-	// Delay is the delay model; defaults to IntrinsicDelay.
+	// Delay is the delay model of the gate modes; defaults to
+	// IntrinsicDelay.
 	Delay DelayModel
 	// Arrivals optionally gives primary-input arrival times.
 	Arrivals map[string]float64
 	// AreaRecovery relaxes off-critical nodes to smaller gates
-	// without giving up the delay target.
+	// without giving up the delay target (dag and choices).
 	AreaRecovery bool
 	// RequiredTime relaxes the AreaRecovery delay target above the
 	// optimum (0 or below-optimal values mean delay-optimal); the
@@ -171,43 +269,20 @@ type MapOptions struct {
 	// result is bit-identical for every value, so any setting is safe;
 	// runtime.NumCPU() is the natural choice on multicore hosts.
 	Parallelism int
-	// Ctx, when non-nil, cancels an in-flight mapping run: labeling
-	// and construction poll the context at wave/node boundaries and
-	// the Map* call returns an error wrapping ctx.Err() (check with
-	// errors.Is against context.Canceled / context.DeadlineExceeded).
-	// A nil Ctx never cancels, and an uncancelled run's result is
-	// identical with or without a context.
-	Ctx context.Context
 	// Trace, when non-nil, records the mapping phases (labeling, area
 	// estimation, covering, emission, per-wave chunks) as spans.
 	// Tracing never changes the mapped result.
 	Trace *Trace
-	// Memo selects whether the run consults the library's structural
-	// match memo (canonical cone keys → replayable match recipes; see
-	// DESIGN.md). The zero value MemoDefault means ON: memoization
-	// replays exactly the enumeration it recorded, so the mapped
-	// netlist is byte-identical either way and the memo is purely a
-	// speed knob. Set MemoOff to bypass the table (escape hatch,
-	// baseline measurement).
-	Memo MemoSetting
+	// NoMemo bypasses the library's structural match memo (canonical
+	// cone keys → replayable match recipes; see DESIGN.md) for this
+	// run. The memo replays exactly the enumeration it recorded, so the
+	// netlist is byte-identical either way: this is an escape hatch and
+	// a baseline for measurement.
+	NoMemo bool
 }
 
-// MemoSetting is the three-valued match-memoization switch; the zero
-// value picks the default (on) so a zero MapOptions stays the fast
-// configuration.
-type MemoSetting int
-
-const (
-	// MemoDefault applies the default policy: memoization on.
-	MemoDefault MemoSetting = iota
-	// MemoOn forces memoization on (same as the default).
-	MemoOn
-	// MemoOff disables memo lookups and recording for this run. The
-	// shared table keeps its entries for later runs.
-	MemoOff
-)
-
-// MapResult reports a completed technology mapping.
+// MapResult reports a completed mapping. Gate modes fill Netlist and
+// the gate fields; LUT modes fill Network, Depth, OptimalDepth and LUTs.
 type MapResult struct {
 	Netlist *Netlist
 	// Delay is the worst primary-output arrival time.
@@ -234,7 +309,16 @@ type MapResult struct {
 	// MemoEntries is the library's shared memo-table size when the run
 	// finished (a gauge: the table persists across runs and requests).
 	MemoEntries int
-	// CPU is the wall-clock mapping time.
+
+	// Network is the LUT netlist: every internal node is one LUT.
+	Network *Network
+	// Depth is the mapped LUT depth and OptimalDepth its lower bound
+	// from the labels (equal for FlowMap).
+	Depth, OptimalDepth int
+	// LUTs is the number of LUTs.
+	LUTs int
+
+	// CPU is the wall-clock mapping time, subject construction excluded.
 	CPU time.Duration
 	// SubjectNodes is the size of the subject graph.
 	SubjectNodes int
@@ -243,27 +327,35 @@ type MapResult struct {
 	// for the same library and options, which is what makes whole-result
 	// caching sound.
 	SubjectSHA string
-	// Phases breaks the run down by pipeline phase. Tree covering
-	// reports only Cover and Emit; DAG covering fills every field.
+	// Phases breaks the run down by pipeline phase. DAG covering fills
+	// every field, tree covering only Cover and Emit, LUT mapping none.
 	Phases PhaseBreakdown
 }
 
-// Mapper holds a library compiled into pattern graphs. Construction
-// is relatively expensive (every gate is decomposed twice: shared
-// DAG patterns for DAG covering, tree patterns for tree covering);
-// reuse one Mapper across circuits. A Mapper is not safe for
-// concurrent use; Clone one per goroutine.
-type Mapper struct {
-	lib         *Library
-	dagMatcher  *match.Matcher
-	treeMatcher *match.Matcher
-	// SkippedGates lists library gates with no pattern (buffers,
-	// constants).
-	SkippedGates []string
+// CompiledLibrary is a gate library compiled into pattern graphs:
+// every gate is decomposed twice, into shared DAG patterns for DAG
+// covering and tree patterns for tree covering. Compilation is
+// relatively expensive, so compile once and pass the result to any
+// number of Map calls. The compiled plans, root-signature index and
+// structural-match memo tables are immutable or internally locked and
+// shared; each run borrows private matcher scratch from a pool. A
+// CompiledLibrary is safe for concurrent use, and it is the unit the
+// mapping service caches, one per distinct library content.
+type CompiledLibrary struct {
+	lib *Library
+	// dag and tree own the compiled plans and the two memo tables; runs
+	// use pooled clones of them, never these two directly.
+	dag, tree *match.Matcher
+	skipped   []string
+	pool      sync.Pool // of *matchers
 }
 
-// NewMapper compiles the library.
-func NewMapper(lib *Library) (*Mapper, error) {
+// matchers is one run's pair of matcher clones: shared plans and memo
+// tables, private scratch.
+type matchers struct{ dag, tree *match.Matcher }
+
+// CompileLibrary compiles lib once for concurrent reuse.
+func CompileLibrary(lib *Library) (*CompiledLibrary, error) {
 	shared, skipped, err := subject.CompileLibrary(lib, subject.CompileOptions{Share: true})
 	if err != nil {
 		return nil, err
@@ -273,79 +365,38 @@ func NewMapper(lib *Library) (*Mapper, error) {
 		return nil, err
 	}
 	// Each matcher gets its own structural-match memo (the pattern sets
-	// differ, so recipes don't transfer). Clones share the tables, so a
-	// CompiledLibrary's pooled mappers — and therefore every request for
-	// the same library — warm each other.
-	return &Mapper{
-		lib:          lib,
-		dagMatcher:   match.NewMatcher(shared, match.WithMemo(match.NewMemo(0))),
-		treeMatcher:  match.NewMatcher(trees, match.WithMemo(match.NewMemo(0))),
-		SkippedGates: skipped,
-	}, nil
-}
-
-// Library returns the mapper's library.
-func (m *Mapper) Library() *Library { return m.lib }
-
-// Clone returns an independent mapper sharing the compiled patterns.
-func (m *Mapper) Clone() *Mapper {
-	return &Mapper{
-		lib:          m.lib,
-		dagMatcher:   m.dagMatcher.Clone(),
-		treeMatcher:  m.treeMatcher.Clone(),
-		SkippedGates: m.SkippedGates,
+	// differ, so recipes don't transfer). Clones share the tables, so
+	// every run and request for the same library warms them.
+	cl := &CompiledLibrary{
+		lib:     lib,
+		dag:     match.NewMatcher(shared, match.WithMemo(match.NewMemo(0))),
+		tree:    match.NewMatcher(trees, match.WithMemo(match.NewMemo(0))),
+		skipped: skipped,
 	}
-}
-
-// CompiledLibrary is a library compiled once and shared by any number
-// of concurrent mapping runs: the expensive products of NewMapper
-// (parsed genlib, pattern plans, root-signature index) are immutable
-// and shared, while the mutable matcher scratch lives in a sync.Pool
-// of per-request Mapper clones. It is the unit the mapping service
-// caches — one CompiledLibrary per distinct library content — and is
-// equally usable programmatically:
-//
-//	cl, _ := dagcover.CompileLibrary(lib)
-//	res, _ := cl.MapCompiled(ctx, nw, nil) // any number of goroutines
-//
-// A CompiledLibrary is safe for concurrent use.
-type CompiledLibrary struct {
-	base *Mapper
-	pool sync.Pool
-}
-
-// CompileLibrary compiles lib once for concurrent reuse.
-func CompileLibrary(lib *Library) (*CompiledLibrary, error) {
-	base, err := NewMapper(lib)
-	if err != nil {
-		return nil, err
-	}
-	cl := &CompiledLibrary{base: base}
-	cl.pool.New = func() any { return base.Clone() }
+	cl.pool.New = func() any { return &matchers{dag: cl.dag.Clone(), tree: cl.tree.Clone()} }
 	return cl, nil
 }
 
 // Library returns the compiled library.
-func (cl *CompiledLibrary) Library() *Library { return cl.base.lib }
+func (cl *CompiledLibrary) Library() *Library { return cl.lib }
 
 // NumGates returns the number of gates in the compiled library.
-func (cl *CompiledLibrary) NumGates() int { return len(cl.base.lib.Gates) }
+func (cl *CompiledLibrary) NumGates() int { return len(cl.lib.Gates) }
 
 // NumPatterns returns the number of compiled DAG pattern graphs —
 // the library-richness figure the match index works against. A
 // supergate-expanded library shows up here as a multiplied count.
-func (cl *CompiledLibrary) NumPatterns() int { return len(cl.base.dagMatcher.Patterns) }
+func (cl *CompiledLibrary) NumPatterns() int { return len(cl.dag.Patterns) }
 
 // SkippedGates lists library gates with no pattern (buffers,
 // constants).
-func (cl *CompiledLibrary) SkippedGates() []string { return cl.base.SkippedGates }
+func (cl *CompiledLibrary) SkippedGates() []string { return cl.skipped }
 
 // MemoStats reports the cumulative structural-match memo state of the
-// compiled library: the DAG- and tree-matcher tables summed. All
-// pooled mappers (and their clones) share these two tables, so the
-// counters aggregate every run and request made through this
-// CompiledLibrary. Hits, Misses and Evictions are monotone; Entries is
-// a bounded gauge.
+// compiled library: the DAG- and tree-matcher tables summed. Every run
+// made through this CompiledLibrary shares these two tables, so the
+// counters aggregate all of them. Hits, Misses and Evictions are
+// monotone; Entries is a bounded gauge.
 type MemoStats struct {
 	Entries   int
 	Hits      uint64
@@ -356,7 +407,7 @@ type MemoStats struct {
 // MemoStats snapshots the shared memo tables.
 func (cl *CompiledLibrary) MemoStats() MemoStats {
 	var out MemoStats
-	for _, mm := range []*match.Memo{cl.base.dagMatcher.Memo(), cl.base.treeMatcher.Memo()} {
+	for _, mm := range []*match.Memo{cl.dag.Memo(), cl.tree.Memo()} {
 		if mm == nil {
 			continue
 		}
@@ -369,74 +420,162 @@ func (cl *CompiledLibrary) MemoStats() MemoStats {
 	return out
 }
 
-// Acquire borrows a Mapper from the pool. The mapper shares the
-// compiled pattern plans but owns its scratch, so each borrowed mapper
-// may run on its own goroutine. Return it with Release; a mapper must
-// not be used after Release.
-func (cl *CompiledLibrary) Acquire() *Mapper { return cl.pool.Get().(*Mapper) }
-
-// Release resets the mapper's scratch and stats (match.Matcher.Reset)
-// and returns it to the pool, so the next Acquire gets a mapper
-// indistinguishable from a fresh clone without recompiling anything.
-func (cl *CompiledLibrary) Release(m *Mapper) {
-	m.dagMatcher.Reset()
-	m.treeMatcher.Reset()
-	cl.pool.Put(m)
-}
-
-// MapCompiled maps the network by DAG covering with a pooled mapper:
-// the concurrent-service counterpart of Mapper.MapDAG. ctx cancels the
-// run (it overrides opt.Ctx); opt may be nil for defaults.
-func (cl *CompiledLibrary) MapCompiled(ctx context.Context, nw *Network, opt *MapOptions) (*MapResult, error) {
-	m := cl.Acquire()
-	defer cl.Release(m)
-	var o MapOptions
-	if opt != nil {
-		o = *opt
-	}
-	o.Ctx = ctx
-	return m.MapDAG(nw, &o)
-}
-
-// MapTreeCompiled maps the network by tree covering with a pooled
-// mapper: the concurrent-service counterpart of Mapper.MapTree.
-func (cl *CompiledLibrary) MapTreeCompiled(ctx context.Context, nw *Network, opt *MapOptions) (*MapResult, error) {
-	m := cl.Acquire()
-	defer cl.Release(m)
-	var o MapOptions
-	if opt != nil {
-		o = *opt
-	}
-	o.Ctx = ctx
-	return m.MapTree(nw, &o)
-}
-
-// MapSubjectCompiled maps an already-built subject graph by DAG
-// covering with a pooled mapper. Building the subject once (see
-// BuildSubject) and mapping it here is byte-identical to MapCompiled,
-// which decomposes internally — the service uses this split to digest
-// the subject for the result cache before committing to an engine run.
+// MapSubjectCompiled is Map in dag mode on a subject graph with this
+// library; opt may be nil, and its Mode and Library are overridden.
 func (cl *CompiledLibrary) MapSubjectCompiled(ctx context.Context, g *SubjectGraph, opt *MapOptions) (*MapResult, error) {
-	m := cl.Acquire()
-	defer cl.Release(m)
 	var o MapOptions
 	if opt != nil {
 		o = *opt
 	}
-	o.Ctx = ctx
-	return m.MapSubjectDAG(g, &o)
+	o.Mode, o.Library = ModeDAG, cl
+	return Map(ctx, Input{Subject: g}, o)
 }
 
-// MapSubjectTreeCompiled is MapSubjectCompiled's tree-covering twin.
-func (cl *CompiledLibrary) MapSubjectTreeCompiled(ctx context.Context, g *SubjectGraph, opt *MapOptions) (*MapResult, error) {
-	m := cl.Acquire()
-	defer cl.Release(m)
-	var o MapOptions
-	if opt != nil {
-		o = *opt
+// Map technology-maps the input with the algorithm opt.Mode selects.
+// ctx cancels an in-flight run: labeling and construction poll it at
+// wave/node boundaries and Map returns an error wrapping ctx.Err()
+// (check with errors.Is against context.Canceled /
+// context.DeadlineExceeded). An uncancelled run's result does not
+// depend on the context.
+func Map(ctx context.Context, in Input, opt MapOptions) (*MapResult, error) {
+	if err := opt.check(in); err != nil {
+		return nil, err
 	}
-	o.Ctx = ctx
-	return m.MapSubjectTree(g, &o)
+	if opt.Delay == nil {
+		opt.Delay = IntrinsicDelay
+	}
+	if opt.Class == MatchExact {
+		opt.Class = MatchStandard
+	}
+	var (
+		g       = in.Subject
+		choices *subject.Choices
+		err     error
+	)
+	switch {
+	case g != nil:
+	case opt.Mode == ModeChoices:
+		g, choices, err = subject.FromNetworkWithChoices(in.Network)
+	default:
+		g, err = subject.FromNetwork(in.Network)
+	}
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	var res *MapResult
+	if opt.Mode.lut() {
+		res, err = mapLUT(ctx, g, opt)
+	} else {
+		res, err = opt.Library.mapGates(ctx, g, choices, opt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.CPU = time.Since(start)
+	res.SubjectNodes = g.NumNodes()
+	res.SubjectSHA = g.Digest()
+	return res, nil
+}
+
+// check rejects the input/option combinations Map cannot run.
+func (o *MapOptions) check(in Input) error {
+	switch {
+	case o.Mode < ModeDAG || o.Mode > ModeLUTArea:
+		return fmt.Errorf("dagcover: unknown mode %v", o.Mode)
+	case (in.Network == nil) == (in.Subject == nil):
+		return fmt.Errorf("dagcover: Map needs exactly one of Input.Network and Input.Subject")
+	case o.Mode == ModeChoices && in.Network == nil:
+		return fmt.Errorf("dagcover: choices mode decomposes the network itself and needs Input.Network")
+	case o.Mode.lut() && o.Library != nil:
+		return fmt.Errorf("dagcover: %v mode maps onto LUTs and takes no Library", o.Mode)
+	case !o.Mode.lut() && o.Library == nil:
+		return fmt.Errorf("dagcover: %v mode needs a compiled Library", o.Mode)
+	}
+	return nil
+}
+
+// mapGates runs a gate mode on pooled matchers.
+func (cl *CompiledLibrary) mapGates(ctx context.Context, g *SubjectGraph, choices *subject.Choices, opt MapOptions) (*MapResult, error) {
+	m := cl.pool.Get().(*matchers)
+	defer func() {
+		// Reset drops the run's scratch, counters and choices, so the
+		// next borrower gets a matcher indistinguishable from a fresh
+		// clone without recompiling anything.
+		m.dag.Reset()
+		m.tree.Reset()
+		cl.pool.Put(m)
+	}()
+	out := &MapResult{}
+	matcher := m.dag
+	if opt.Mode == ModeTree || opt.Mode == ModeTreeArea {
+		matcher = m.tree
+		objective := treemap.MinDelay
+		if opt.Mode == ModeTreeArea {
+			objective = treemap.MinArea
+		}
+		matcher.SetMemoEnabled(!opt.NoMemo)
+		res, err := treemap.Map(g, matcher, treemap.Options{
+			Objective: objective,
+			Delay:     opt.Delay,
+			Arrivals:  opt.Arrivals,
+			Ctx:       ctx,
+			Trace:     opt.Trace,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out.Netlist, out.Delay = res.Netlist, res.Delay
+		// The matcher is fresh from the pool, so its counters are this run's.
+		out.MemoHits, out.MemoMisses = matcher.MemoHits(), matcher.MemoMisses()
+		out.Phases = treePhaseBreakdown(res.Cover, res.Emit)
+	} else {
+		matcher.SetMemoEnabled(!opt.NoMemo)
+		matcher.SetChoices(choices)
+		res, err := core.Map(g, matcher, core.Options{
+			Class:        opt.Class,
+			Delay:        opt.Delay,
+			Arrivals:     opt.Arrivals,
+			AreaRecovery: opt.AreaRecovery,
+			RequiredTime: opt.RequiredTime,
+			Choices:      choices,
+			Parallelism:  opt.Parallelism,
+			Ctx:          ctx,
+			Trace:        opt.Trace,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out.Netlist, out.Delay = res.Netlist, res.Delay
+		out.DuplicatedNodes = res.Stats.DuplicatedNodes
+		out.MatchesEnumerated = res.Stats.MatchesEnumerated
+		out.PatternsTried = res.Stats.PatternsTried
+		// Parallel labeling runs on worker clones, so the counters come
+		// from the engine's stats rather than this matcher.
+		out.MemoHits, out.MemoMisses = res.Stats.MemoHits, res.Stats.MemoMisses
+		out.Phases = phaseBreakdown(res.Stats.Phases)
+	}
+	out.Area, out.Cells = out.Netlist.Area(), out.Netlist.NumCells()
+	if mm := matcher.Memo(); mm != nil {
+		out.MemoEntries = mm.Stats().Entries
+	}
+	return out, nil
+}
+
+// mapLUT runs a LUT mode.
+func mapLUT(ctx context.Context, g *SubjectGraph, opt MapOptions) (*MapResult, error) {
+	if opt.Mode == ModeLUT {
+		res, err := flowmap.MapTraced(ctx, g, opt.K, opt.Trace)
+		if err != nil {
+			return nil, err
+		}
+		return &MapResult{Network: res.Network, Depth: res.Depth, OptimalDepth: res.Depth, LUTs: res.LUTs}, nil
+	}
+	res, err := cutmap.Map(g, cutmap.Options{K: opt.K, Mode: cutmap.ModeArea, Slack: opt.Slack, Ctx: ctx, Trace: opt.Trace})
+	if err != nil {
+		return nil, err
+	}
+	return &MapResult{Network: res.Network, Depth: res.Depth, OptimalDepth: res.OptimalDepth, LUTs: res.LUTs}, nil
 }
 
 // SupergateOptions bounds supergate generation: composition depth,
@@ -454,7 +593,7 @@ type SupergateStats = supergate.Stats
 // richness) and returns a new library holding the base gates plus one
 // synthetic gate per surviving equivalence class, with composed
 // pin-to-output delays and summed areas. The result flows through
-// NewMapper / CompileLibrary unchanged. Generation is deterministic
+// CompileLibrary unchanged. Generation is deterministic
 // at any Parallelism.
 func ExpandSupergates(lib *Library, opt SupergateOptions) (*Library, SupergateStats, error) {
 	res, err := supergate.Generate(lib, opt)
@@ -510,203 +649,6 @@ func ExpandSupergatesStored(st *ArtifactStore, lib *Library, opt SupergateOption
 	return supergate.GenerateStored(st, lib, opt)
 }
 
-func (o *MapOptions) normalize(defaultClass MatchClass) MapOptions {
-	out := MapOptions{Class: defaultClass, Delay: IntrinsicDelay}
-	if o != nil {
-		if o.Class != 0 || defaultClass == MatchExact {
-			out.Class = o.Class
-		}
-		if o.Delay != nil {
-			out.Delay = o.Delay
-		}
-		out.Arrivals = o.Arrivals
-		out.AreaRecovery = o.AreaRecovery
-		out.RequiredTime = o.RequiredTime
-		out.Parallelism = o.Parallelism
-		out.Ctx = o.Ctx
-		out.Trace = o.Trace
-		out.Memo = o.Memo
-	}
-	return out
-}
-
-// MapDAG maps the network by delay-optimal DAG covering (the paper's
-// algorithm). opt may be nil for defaults.
-func (m *Mapper) MapDAG(nw *Network, opt *MapOptions) (*MapResult, error) {
-	g, err := subject.FromNetwork(nw)
-	if err != nil {
-		return nil, err
-	}
-	return m.MapSubjectDAG(g, opt)
-}
-
-// MapSubjectDAG maps an already-built subject graph by DAG covering.
-func (m *Mapper) MapSubjectDAG(g *SubjectGraph, opt *MapOptions) (*MapResult, error) {
-	o := opt.normalize(MatchStandard)
-	if o.Class == MatchExact {
-		return nil, fmt.Errorf("dagcover: MapDAG with exact matches is tree mapping; use MapTree")
-	}
-	m.dagMatcher.SetMemoEnabled(o.Memo != MemoOff)
-	start := time.Now()
-	res, err := core.Map(g, m.dagMatcher, core.Options{
-		Class:        o.Class,
-		Delay:        o.Delay,
-		Arrivals:     o.Arrivals,
-		AreaRecovery: o.AreaRecovery,
-		RequiredTime: o.RequiredTime,
-		Parallelism:  o.Parallelism,
-		Ctx:          o.Ctx,
-		Trace:        o.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &MapResult{
-		Netlist:           res.Netlist,
-		Delay:             res.Delay,
-		Area:              res.Netlist.Area(),
-		Cells:             res.Netlist.NumCells(),
-		DuplicatedNodes:   res.Stats.DuplicatedNodes,
-		MatchesEnumerated: res.Stats.MatchesEnumerated,
-		PatternsTried:     res.Stats.PatternsTried,
-		MemoHits:          res.Stats.MemoHits,
-		MemoMisses:        res.Stats.MemoMisses,
-		MemoEntries:       res.Stats.MemoEntries,
-		CPU:               time.Since(start),
-		SubjectNodes:      g.NumNodes(),
-		SubjectSHA:        g.Digest(),
-		Phases:            phaseBreakdown(res.Stats.Phases),
-	}, nil
-}
-
-// MapDAGWithChoices maps the network by DAG covering over a
-// choice-encoded subject graph: every node is decomposed both
-// balanced and as a chain into one shared graph (a light version of
-// Lehman et al.'s mapping graphs, §4), and matching may realize
-// either alternative. Never slower than MapDAG on either single
-// decomposition; costs roughly twice the subject size.
-func (m *Mapper) MapDAGWithChoices(nw *Network, opt *MapOptions) (*MapResult, error) {
-	g, choices, err := subject.FromNetworkWithChoices(nw)
-	if err != nil {
-		return nil, err
-	}
-	o := opt.normalize(MatchStandard)
-	matcher := m.dagMatcher.Clone()
-	matcher.SetChoices(choices)
-	start := time.Now()
-	res, err := core.Map(g, matcher, core.Options{
-		Class:        o.Class,
-		Delay:        o.Delay,
-		Arrivals:     o.Arrivals,
-		AreaRecovery: o.AreaRecovery,
-		RequiredTime: o.RequiredTime,
-		Choices:      choices,
-		Parallelism:  o.Parallelism,
-		Ctx:          o.Ctx,
-		Trace:        o.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &MapResult{
-		Netlist:           res.Netlist,
-		Delay:             res.Delay,
-		Area:              res.Netlist.Area(),
-		Cells:             res.Netlist.NumCells(),
-		DuplicatedNodes:   res.Stats.DuplicatedNodes,
-		MatchesEnumerated: res.Stats.MatchesEnumerated,
-		PatternsTried:     res.Stats.PatternsTried,
-		CPU:               time.Since(start),
-		SubjectNodes:      g.NumNodes(),
-		SubjectSHA:        g.Digest(),
-		Phases:            phaseBreakdown(res.Stats.Phases),
-	}, nil
-}
-
-// MapTree maps the network by conventional tree covering (the
-// baseline of Tables 1-3). opt.Class is ignored.
-func (m *Mapper) MapTree(nw *Network, opt *MapOptions) (*MapResult, error) {
-	g, err := subject.FromNetwork(nw)
-	if err != nil {
-		return nil, err
-	}
-	return m.MapSubjectTree(g, opt)
-}
-
-// MapSubjectTree maps an already-built subject graph by tree covering.
-func (m *Mapper) MapSubjectTree(g *SubjectGraph, opt *MapOptions) (*MapResult, error) {
-	o := opt.normalize(MatchExact)
-	m.treeMatcher.SetMemoEnabled(o.Memo != MemoOff)
-	start := time.Now()
-	hits0, misses0 := m.treeMatcher.MemoHits(), m.treeMatcher.MemoMisses()
-	res, err := treemap.Map(g, m.treeMatcher, treemap.Options{
-		Objective: treemap.MinDelay,
-		Delay:     o.Delay,
-		Arrivals:  o.Arrivals,
-		Ctx:       o.Ctx,
-		Trace:     o.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &MapResult{
-		Netlist:      res.Netlist,
-		Delay:        res.Delay,
-		Area:         res.Netlist.Area(),
-		Cells:        res.Netlist.NumCells(),
-		MemoHits:     m.treeMatcher.MemoHits() - hits0,
-		MemoMisses:   m.treeMatcher.MemoMisses() - misses0,
-		MemoEntries:  memoEntries(m.treeMatcher),
-		CPU:          time.Since(start),
-		SubjectNodes: g.NumNodes(),
-		SubjectSHA:   g.Digest(),
-		Phases:       treePhaseBreakdown(res.Cover, res.Emit),
-	}, nil
-}
-
-// memoEntries snapshots a matcher's memo-table size (0 without one).
-func memoEntries(m *match.Matcher) int {
-	if mm := m.Memo(); mm != nil {
-		return mm.Stats().Entries
-	}
-	return 0
-}
-
-// MapTreeMinArea maps by tree covering with Keutzer's minimum-area
-// objective instead of delay.
-func (m *Mapper) MapTreeMinArea(nw *Network, opt *MapOptions) (*MapResult, error) {
-	g, err := subject.FromNetwork(nw)
-	if err != nil {
-		return nil, err
-	}
-	o := opt.normalize(MatchExact)
-	m.treeMatcher.SetMemoEnabled(o.Memo != MemoOff)
-	start := time.Now()
-	hits0, misses0 := m.treeMatcher.MemoHits(), m.treeMatcher.MemoMisses()
-	res, err := treemap.Map(g, m.treeMatcher, treemap.Options{
-		Objective: treemap.MinArea,
-		Delay:     o.Delay,
-		Arrivals:  o.Arrivals,
-		Ctx:       o.Ctx,
-		Trace:     o.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &MapResult{
-		Netlist:      res.Netlist,
-		Delay:        res.Delay,
-		Area:         res.Netlist.Area(),
-		Cells:        res.Netlist.NumCells(),
-		MemoHits:     m.treeMatcher.MemoHits() - hits0,
-		MemoMisses:   m.treeMatcher.MemoMisses() - misses0,
-		MemoEntries:  memoEntries(m.treeMatcher),
-		CPU:          time.Since(start),
-		SubjectNodes: g.NumNodes(),
-		Phases:       treePhaseBreakdown(res.Cover, res.Emit),
-	}, nil
-}
-
 // TimingReport is a full slack analysis (see AnalyzeTiming).
 type TimingReport = sta.Report
 
@@ -746,53 +688,6 @@ func InsertBuffers(nl *Netlist, lib *Library, maxFanout int) (*Netlist, error) {
 		return nil, fmt.Errorf("dagcover: library %q has no buffer gate", lib.Name)
 	}
 	return nl.InsertBuffers(buf, maxFanout)
-}
-
-// MapLUT maps the network onto k-input LUTs with FlowMap (§2).
-func MapLUT(nw *Network, k int) (*LUTResult, error) {
-	return MapLUTContext(context.Background(), nw, k)
-}
-
-// MapLUTContext is MapLUT with cancellation: the labeling loop polls
-// ctx and the call returns an error wrapping ctx.Err() when cancelled.
-func MapLUTContext(ctx context.Context, nw *Network, k int) (*LUTResult, error) {
-	return MapLUTTraced(ctx, nw, k, nil)
-}
-
-// MapLUTTraced is MapLUTContext with span recording: the FlowMap
-// labeling and construction phases land on tr (nil records nothing).
-func MapLUTTraced(ctx context.Context, nw *Network, k int, tr *Trace) (*LUTResult, error) {
-	g, err := subject.FromNetwork(nw)
-	if err != nil {
-		return nil, err
-	}
-	return flowmap.MapTraced(ctx, g, k, tr)
-}
-
-// LUTAreaResult is a cut-based LUT mapping (see MapLUTArea).
-type LUTAreaResult = cutmap.Result
-
-// MapLUTArea maps the network onto k-input LUTs by priority-cut
-// enumeration, minimizing LUT count under a depth bound of (optimal
-// depth + slack) — the area/depth trade-off the paper's conclusion
-// points to (Cong & Ding [3]).
-func MapLUTArea(nw *Network, k, slack int) (*LUTAreaResult, error) {
-	return MapLUTAreaContext(context.Background(), nw, k, slack)
-}
-
-// MapLUTAreaContext is MapLUTArea with cancellation.
-func MapLUTAreaContext(ctx context.Context, nw *Network, k, slack int) (*LUTAreaResult, error) {
-	return MapLUTAreaTraced(ctx, nw, k, slack, nil)
-}
-
-// MapLUTAreaTraced is MapLUTAreaContext with span recording: the cut
-// enumeration, covering and emission phases land on tr.
-func MapLUTAreaTraced(ctx context.Context, nw *Network, k, slack int, tr *Trace) (*LUTAreaResult, error) {
-	g, err := subject.FromNetwork(nw)
-	if err != nil {
-		return nil, err
-	}
-	return cutmap.Map(g, cutmap.Options{K: k, Mode: cutmap.ModeArea, Slack: slack, Ctx: ctx, Trace: tr})
 }
 
 // Verify checks a mapped netlist against the original network by
@@ -864,15 +759,20 @@ type SeqResult struct {
 // portion with DAG covering (latch boundaries fixed), reattach the
 // latches, then retime the mapped circuit to its minimum period. Gate
 // delays for retiming are each cell's worst pin delay under the
-// mapping delay model.
-func (m *Mapper) MapSequential(nw *Network, opt *MapOptions) (*SeqResult, error) {
+// mapping delay model. opt is as for Map in dag mode.
+func MapSequential(ctx context.Context, nw *Network, opt MapOptions) (*SeqResult, error) {
 	if len(nw.Latches()) == 0 {
-		return nil, fmt.Errorf("dagcover: MapSequential needs a sequential circuit; use MapDAG")
+		return nil, fmt.Errorf("dagcover: MapSequential needs a sequential circuit; use Map")
 	}
-	o := opt.normalize(MatchStandard)
-	comb, err := m.MapDAG(nw, &o)
+	if opt.Mode != ModeDAG {
+		return nil, fmt.Errorf("dagcover: MapSequential maps in dag mode, not %v", opt.Mode)
+	}
+	comb, err := Map(ctx, Input{Network: nw}, opt)
 	if err != nil {
 		return nil, err
+	}
+	if opt.Delay == nil {
+		opt.Delay = IntrinsicDelay
 	}
 	mappedNet, err := comb.Netlist.ToNetwork()
 	if err != nil {
@@ -887,7 +787,7 @@ func (m *Mapper) MapSequential(nw *Network, opt *MapOptions) (*SeqResult, error)
 	for _, c := range comb.Netlist.Cells {
 		worst := 0.0
 		for pin := range c.Inputs {
-			if d := o.Delay.PinDelay(c.Gate, pin); d > worst {
+			if d := opt.Delay.PinDelay(c.Gate, pin); d > worst {
 				worst = d
 			}
 		}

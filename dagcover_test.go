@@ -2,11 +2,43 @@ package dagcover
 
 import (
 	"bytes"
+	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"dagcover/internal/bench"
 )
+
+// compile compiles lib or fails the test.
+func compile(t testing.TB, lib *Library) *CompiledLibrary {
+	t.Helper()
+	cl, err := CompileLibrary(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// mapNet maps a network with Map or fails the test.
+func mapNet(t testing.TB, nw *Network, opt MapOptions) *MapResult {
+	t.Helper()
+	res, err := Map(context.Background(), Input{Network: nw}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mapSubject maps a subject graph with Map or fails the test.
+func mapSubject(t testing.TB, g *SubjectGraph, opt MapOptions) *MapResult {
+	t.Helper()
+	res, err := Map(context.Background(), Input{Subject: g}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestFacadeQuickstart(t *testing.T) {
 	nw, err := ParseBLIF(strings.NewReader(`
@@ -27,18 +59,9 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dag, err := mapper.MapDAG(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := mapper.MapTree(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := compile(t, Lib2())
+	dag := mapNet(t, nw, MapOptions{Library: cl})
+	tree := mapNet(t, nw, MapOptions{Mode: ModeTree, Library: cl})
 	if dag.Delay > tree.Delay+1e-9 {
 		t.Errorf("DAG delay %v exceeds tree delay %v", dag.Delay, tree.Delay)
 	}
@@ -73,10 +96,7 @@ func TestFacadeLibraries(t *testing.T) {
 
 func TestFacadeMapLUT(t *testing.T) {
 	nw := bench.RippleAdder(8)
-	res, err := MapLUT(nw, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mapNet(t, nw, MapOptions{Mode: ModeLUT, K: 4})
 	if res.Depth <= 0 || res.LUTs <= 0 {
 		t.Errorf("LUT result degenerate: %+v", res)
 	}
@@ -87,47 +107,28 @@ func TestFacadeMapLUT(t *testing.T) {
 
 func TestFacadeMapOptions(t *testing.T) {
 	nw := bench.RippleAdder(6)
-	mapper, err := NewMapper(Lib441())
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit, err := mapper.MapDAG(nw, &MapOptions{Delay: UnitDelay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := mapper.MapDAG(nw, &MapOptions{Delay: UnitDelay, Class: MatchExtended})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := compile(t, Lib441())
+	unit := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay})
+	ext := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Class: MatchExtended})
 	if ext.Delay > unit.Delay+1e-9 {
 		t.Errorf("extended (%v) worse than standard (%v)", ext.Delay, unit.Delay)
 	}
-	rec, err := mapper.MapDAG(nw, &MapOptions{Delay: UnitDelay, AreaRecovery: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, AreaRecovery: true})
 	if rec.Delay != unit.Delay {
 		t.Errorf("area recovery changed delay: %v vs %v", rec.Delay, unit.Delay)
 	}
-	if _, err := mapper.MapDAG(nw, &MapOptions{Class: MatchExact}); err == nil {
-		t.Log("exact class on MapDAG silently treated as default (documented zero-value behaviour)")
+	// MatchExact is the zero value, so it selects the default class.
+	exact := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Class: MatchExact})
+	if exact.Delay != unit.Delay || exact.Cells != unit.Cells {
+		t.Errorf("zero Class mapped differently from MatchStandard: %+v vs %+v", exact, unit)
 	}
 }
 
 func TestFacadeMinAreaTree(t *testing.T) {
 	nw := bench.ALU(4)
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	minDelay, err := mapper.MapTree(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minArea, err := mapper.MapTreeMinArea(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := compile(t, Lib2())
+	minDelay := mapNet(t, nw, MapOptions{Mode: ModeTree, Library: cl})
+	minArea := mapNet(t, nw, MapOptions{Mode: ModeTreeArea, Library: cl})
 	if minArea.Area > minDelay.Area+1e-9 {
 		t.Errorf("min-area (%v) larger than min-delay (%v)", minArea.Area, minDelay.Area)
 	}
@@ -138,11 +139,8 @@ func TestFacadeMinAreaTree(t *testing.T) {
 
 func TestFacadeSequential(t *testing.T) {
 	nw := bench.PipelinedALU(4, 2)
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapper.MapSequential(nw, nil)
+	opt := MapOptions{Library: compile(t, Lib2())}
+	res, err := MapSequential(context.Background(), nw, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +154,7 @@ func TestFacadeSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Combinational circuits are rejected.
-	if _, err := mapper.MapSequential(bench.RippleAdder(4), nil); err == nil {
+	if _, err := MapSequential(context.Background(), bench.RippleAdder(4), opt); err == nil {
 		t.Error("combinational circuit accepted by MapSequential")
 	}
 }
@@ -179,25 +177,29 @@ func TestFacadeRetime(t *testing.T) {
 	}
 }
 
+// TestFacadeCloneMapper checks that runs on the library's pooled
+// matcher clones, sequential and concurrent, map identically.
 func TestFacadeCloneMapper(t *testing.T) {
-	mapper, err := NewMapper(Lib441())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := mapper.Clone()
+	cl := compile(t, Lib441())
 	nw := bench.ParityTree(8)
-	a, err := mapper.MapDAG(nw, &MapOptions{Delay: UnitDelay})
-	if err != nil {
-		t.Fatal(err)
+	opt := MapOptions{Library: cl, Delay: UnitDelay}
+	a := mapNet(t, nw, opt)
+	results := make([]*MapResult, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], _ = Map(context.Background(), Input{Network: nw}, opt)
+		}(i)
 	}
-	b, err := c.MapDAG(nw, &MapOptions{Delay: UnitDelay})
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	for _, b := range results {
+		if b == nil || a.Delay != b.Delay || a.Cells != b.Cells {
+			t.Errorf("pooled clone mapped differently: %+v vs %+v", a, b)
+		}
 	}
-	if a.Delay != b.Delay || a.Cells != b.Cells {
-		t.Errorf("clone mapped differently: %+v vs %+v", a, b)
-	}
-	if mapper.Library() != Lib441() && mapper.Library().Name != "44-1" {
+	if cl.Library().Name != "44-1" {
 		t.Errorf("library accessor wrong")
 	}
 }
@@ -208,18 +210,9 @@ func TestFacadeSubjectReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dag, err := mapper.MapSubjectDAG(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := mapper.MapSubjectTree(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := compile(t, Lib2())
+	dag := mapSubject(t, g, MapOptions{Library: cl})
+	tree := mapSubject(t, g, MapOptions{Mode: ModeTree, Library: cl})
 	// Both used the same subject graph, as in the paper's setup.
 	if dag.SubjectNodes != tree.SubjectNodes {
 		t.Errorf("subject sizes differ: %d vs %d", dag.SubjectNodes, tree.SubjectNodes)
@@ -232,14 +225,7 @@ func TestFacadeSubjectReuse(t *testing.T) {
 func TestFacadeMappedBLIFRoundTrip(t *testing.T) {
 	nw := bench.RippleAdder(4)
 	lib := Lib2()
-	mapper, err := NewMapper(lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapper.MapDAG(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mapNet(t, nw, MapOptions{Library: compile(t, lib)})
 	var buf bytes.Buffer
 	if err := res.Netlist.WriteBLIF(&buf); err != nil {
 		t.Fatal(err)
@@ -263,14 +249,7 @@ func TestFacadeBalanceSubject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapper, err := NewMapper(Lib441())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapper.MapSubjectDAG(bg, &MapOptions{Delay: UnitDelay})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mapSubject(t, bg, MapOptions{Library: compile(t, Lib441()), Delay: UnitDelay})
 	if err := Verify(nw, res.Netlist); err != nil {
 		t.Fatal(err)
 	}
@@ -278,19 +257,10 @@ func TestFacadeBalanceSubject(t *testing.T) {
 
 func TestFacadeMapDAGWithChoices(t *testing.T) {
 	nw := bench.ArrayMultiplier(6)
-	mapper, err := NewMapper(Lib441())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := &MapOptions{Delay: UnitDelay}
-	plain, err := mapper.MapDAG(nw, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	choices, err := mapper.MapDAGWithChoices(nw, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := MapOptions{Library: compile(t, Lib441()), Delay: UnitDelay}
+	plain := mapNet(t, nw, opt)
+	opt.Mode = ModeChoices
+	choices := mapNet(t, nw, opt)
 	if choices.Delay > plain.Delay+1e-9 {
 		t.Errorf("choices (%v) worse than plain DAG covering (%v)", choices.Delay, plain.Delay)
 	}
@@ -323,14 +293,7 @@ func TestFacadeMapSequentialLUT(t *testing.T) {
 func TestFacadeTimingAndBuffering(t *testing.T) {
 	nw := bench.ALU(4)
 	lib := Lib2()
-	mapper, err := NewMapper(lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapper.MapDAG(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mapNet(t, nw, MapOptions{Library: compile(t, lib)})
 	// Slack analysis.
 	rep, err := AnalyzeTiming(res.Netlist, IntrinsicDelay, 0)
 	if err != nil {
@@ -369,21 +332,13 @@ func TestFacadeTimingAndBuffering(t *testing.T) {
 
 func TestFacadeRequiredTimeTradeoff(t *testing.T) {
 	nw := bench.ArrayMultiplier(6)
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt0, err := mapper.MapDAG(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relaxed, err := mapper.MapDAG(nw, &MapOptions{
+	cl := compile(t, Lib2())
+	opt0 := mapNet(t, nw, MapOptions{Library: cl})
+	relaxed := mapNet(t, nw, MapOptions{
+		Library:      cl,
 		AreaRecovery: true,
 		RequiredTime: opt0.Delay * 1.2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if relaxed.Delay > opt0.Delay*1.2+1e-6 {
 		t.Errorf("relaxed delay %v exceeds target %v", relaxed.Delay, opt0.Delay*1.2)
 	}

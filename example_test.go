@@ -1,6 +1,7 @@
 package dagcover_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -21,18 +22,18 @@ const halfAdder = `
 .end
 `
 
-// ExampleMapper_MapDAG maps a circuit with the paper's DAG-covering
-// algorithm and verifies the result.
-func ExampleMapper_MapDAG() {
+// ExampleMap maps a circuit with the paper's DAG-covering algorithm
+// and verifies the result.
+func ExampleMap() {
 	nw, err := dagcover.ParseBLIF(strings.NewReader(halfAdder))
 	if err != nil {
 		panic(err)
 	}
-	mapper, err := dagcover.NewMapper(dagcover.Lib2())
+	cl, err := dagcover.CompileLibrary(dagcover.Lib2())
 	if err != nil {
 		panic(err)
 	}
-	res, err := mapper.MapDAG(nw, nil)
+	res, err := dagcover.Map(context.Background(), dagcover.Input{Network: nw}, dagcover.MapOptions{Library: cl})
 	if err != nil {
 		panic(err)
 	}
@@ -43,20 +44,25 @@ func ExampleMapper_MapDAG() {
 	// Output: delay 1.4, 2 cells, verified
 }
 
-// ExampleMapper_MapTree compares the tree-covering baseline against
-// DAG covering on the same subject graph.
-func ExampleMapper_MapTree() {
-	nw := bench.RippleAdder(8)
-	mapper, err := dagcover.NewMapper(dagcover.Lib441())
+// ExampleMap_tree compares the tree-covering baseline against DAG
+// covering on the same subject graph.
+func ExampleMap_tree() {
+	g, err := dagcover.BuildSubject(bench.RippleAdder(8))
 	if err != nil {
 		panic(err)
 	}
-	opt := &dagcover.MapOptions{Delay: dagcover.UnitDelay}
-	tree, err := mapper.MapTree(nw, opt)
+	cl, err := dagcover.CompileLibrary(dagcover.Lib441())
 	if err != nil {
 		panic(err)
 	}
-	dag, err := mapper.MapDAG(nw, opt)
+	in := dagcover.Input{Subject: g}
+	opt := dagcover.MapOptions{Mode: dagcover.ModeTree, Library: cl, Delay: dagcover.UnitDelay}
+	tree, err := dagcover.Map(context.Background(), in, opt)
+	if err != nil {
+		panic(err)
+	}
+	opt.Mode = dagcover.ModeDAG
+	dag, err := dagcover.Map(context.Background(), in, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -64,11 +70,12 @@ func ExampleMapper_MapTree() {
 	// Output: DAG never slower: true
 }
 
-// ExampleMapLUT runs FlowMap on a parity tree: 16 inputs fold into a
+// ExampleMap_lut runs FlowMap on a parity tree: 16 inputs fold into a
 // depth-2, five-LUT mapping at k = 4.
-func ExampleMapLUT() {
+func ExampleMap_lut() {
 	nw := bench.ParityTree(16)
-	res, err := dagcover.MapLUT(nw, 4)
+	res, err := dagcover.Map(context.Background(), dagcover.Input{Network: nw},
+		dagcover.MapOptions{Mode: dagcover.ModeLUT, K: 4})
 	if err != nil {
 		panic(err)
 	}
@@ -92,20 +99,21 @@ func ExampleRetime() {
 	// Output: minimum period 2 (committed 2)
 }
 
-// ExampleMapper_MapDAGWithChoices maps over a choice-encoded subject
-// graph (several decompositions in one graph, §4 / mapping graphs).
-func ExampleMapper_MapDAGWithChoices() {
-	nw := bench.ArrayMultiplier(6)
-	mapper, err := dagcover.NewMapper(dagcover.Lib441())
+// ExampleMap_choices maps over a choice-encoded subject graph (several
+// decompositions in one graph, §4 / mapping graphs).
+func ExampleMap_choices() {
+	in := dagcover.Input{Network: bench.ArrayMultiplier(6)}
+	cl, err := dagcover.CompileLibrary(dagcover.Lib441())
 	if err != nil {
 		panic(err)
 	}
-	opt := &dagcover.MapOptions{Delay: dagcover.UnitDelay}
-	plain, err := mapper.MapDAG(nw, opt)
+	opt := dagcover.MapOptions{Library: cl, Delay: dagcover.UnitDelay}
+	plain, err := dagcover.Map(context.Background(), in, opt)
 	if err != nil {
 		panic(err)
 	}
-	choices, err := mapper.MapDAGWithChoices(nw, opt)
+	opt.Mode = dagcover.ModeChoices
+	choices, err := dagcover.Map(context.Background(), in, opt)
 	if err != nil {
 		panic(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,11 +17,12 @@ import (
 
 func main() {
 	nw := bench.ArrayMultiplier(8)
-	mapper, err := dagcover.NewMapper(dagcover.Lib441())
+	cl, err := dagcover.CompileLibrary(dagcover.Lib441())
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := &dagcover.MapOptions{Delay: dagcover.UnitDelay}
+	ctx := context.Background()
+	opt := dagcover.MapOptions{Library: cl, Delay: dagcover.UnitDelay}
 
 	// Two fixed decompositions of the same network.
 	for _, cfg := range []struct {
@@ -31,7 +33,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := mapper.MapSubjectDAG(g, opt)
+		res, err := dagcover.Map(ctx, dagcover.Input{Subject: g}, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +42,8 @@ func main() {
 	}
 
 	// The union with choices.
-	res, err := mapper.MapDAGWithChoices(nw, opt)
+	opt.Mode = dagcover.ModeChoices
+	res, err := dagcover.Map(ctx, dagcover.Input{Network: nw}, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,8 @@ func main() {
 	fmt.Printf("16-bit ripple adder: subject graph %v\n\n", g.Stats())
 	fmt.Printf("%-4s | %6s | %5s\n", "k", "depth", "LUTs")
 	for _, k := range []int{2, 3, 4, 5, 6} {
-		res, err := dagcover.MapLUT(nw, k)
+		res, err := dagcover.Map(context.Background(), dagcover.Input{Subject: g},
+			dagcover.MapOptions{Mode: dagcover.ModeLUT, K: k})
 		if err != nil {
 			log.Fatal(err)
 		}

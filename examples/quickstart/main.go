@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -32,17 +33,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lib := dagcover.Lib2()
-	mapper, err := dagcover.NewMapper(lib)
+	cl, err := dagcover.CompileLibrary(dagcover.Lib2())
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	dag, err := mapper.MapDAG(nw, nil)
+	ctx, in := context.Background(), dagcover.Input{Network: nw}
+	dag, err := dagcover.Map(ctx, in, dagcover.MapOptions{Library: cl})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := mapper.MapTree(nw, nil)
+	tree, err := dagcover.Map(ctx, in, dagcover.MapOptions{Mode: dagcover.ModeTree, Library: cl})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,16 +22,17 @@ func main() {
 		dagcover.Lib441(),
 		dagcover.Lib443(),
 	} {
-		mapper, err := dagcover.NewMapper(lib)
+		cl, err := dagcover.CompileLibrary(lib)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt := &dagcover.MapOptions{Delay: dagcover.UnitDelay}
-		tree, err := mapper.MapTree(nw, opt)
+		opt := dagcover.MapOptions{Mode: dagcover.ModeTree, Library: cl, Delay: dagcover.UnitDelay}
+		tree, err := dagcover.Map(context.Background(), dagcover.Input{Network: nw}, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dag, err := mapper.MapDAG(nw, opt)
+		opt.Mode = dagcover.ModeDAG
+		dag, err := dagcover.Map(context.Background(), dagcover.Input{Network: nw}, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

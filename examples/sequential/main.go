@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,11 +19,12 @@ func main() {
 	nw := bench.Correlator(16)
 	fmt.Printf("correlator(16): %d latches, %d gates\n", len(nw.Latches()), nw.NumGates())
 
-	mapper, err := dagcover.NewMapper(dagcover.Lib2())
+	cl, err := dagcover.CompileLibrary(dagcover.Lib2())
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := mapper.MapSequential(nw, nil)
+	opt := dagcover.MapOptions{Library: cl}
+	res, err := dagcover.MapSequential(context.Background(), nw, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 	// The same flow on a pipelined ALU, where the input registers can
 	// spread into the carry chain.
 	palu := bench.PipelinedALU(8, 3)
-	res2, err := mapper.MapSequential(palu, nil)
+	res2, err := dagcover.MapSequential(context.Background(), palu, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

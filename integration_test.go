@@ -1,6 +1,7 @@
 package dagcover
 
 import (
+	"context"
 	"testing"
 
 	"dagcover/internal/bench"
@@ -43,14 +44,14 @@ func TestIntegrationLUTMappers(t *testing.T) {
 		t.Skip("LUT integration test skipped in -short mode")
 	}
 	for _, c := range bench.FullSuite() {
-		fm, err := MapLUT(c.Network, 4)
+		fm, err := Map(context.Background(), Input{Network: c.Network}, MapOptions{Mode: ModeLUT, K: 4})
 		if err != nil {
 			t.Fatalf("%s: flowmap: %v", c.Name, err)
 		}
 		if err := VerifyNetworks(c.Network, fm.Network); err != nil {
 			t.Fatalf("%s: flowmap: %v", c.Name, err)
 		}
-		cm, err := MapLUTArea(c.Network, 4, 0)
+		cm, err := Map(context.Background(), Input{Network: c.Network}, MapOptions{Mode: ModeLUTArea, K: 4})
 		if err != nil {
 			t.Fatalf("%s: cutmap: %v", c.Name, err)
 		}
@@ -72,10 +73,7 @@ func TestIntegrationSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sequential integration test skipped in -short mode")
 	}
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := MapOptions{Library: compile(t, Lib2())}
 	for _, cfg := range []struct {
 		name string
 		nw   *Network
@@ -85,7 +83,7 @@ func TestIntegrationSequential(t *testing.T) {
 		{"palu4x1", bench.PipelinedALU(4, 1)},
 		{"palu8x3", bench.PipelinedALU(8, 3)},
 	} {
-		res, err := mapper.MapSequential(cfg.nw, nil)
+		res, err := MapSequential(context.Background(), cfg.nw, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}

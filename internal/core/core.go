@@ -396,7 +396,7 @@ func labelSerial(g *subject.Graph, m *match.Matcher, opt Options, res *Result, c
 			res.Labels[i] = Label{Arrival: opt.Arrivals[g.NameOf(n)]}
 			continue
 		}
-		if err := bestMatch(g, m, n, opt, res.Labels, math.Inf(1), nil, &scratch, &res.Stats); err != nil {
+		if err := bestMatch(g, m, n, nil, opt, res.Labels, math.Inf(1), nil, &scratch, &res.Stats); err != nil {
 			return err
 		}
 		res.Labels[i] = Label{
@@ -505,11 +505,13 @@ const matchEps = 1e-9
 
 // bestMatch enumerates matches at n and selects the minimum-arrival
 // one (ties broken toward smaller gate area), staging the winner in
-// scratch. Matches slower than limit are discarded. When areaCost is
-// non-nil the selection instead minimizes the match's area cost among
-// matches meeting the limit — the area-recovery mode. Enumeration work
-// is accumulated into st.
-func bestMatch(g *subject.Graph, m *match.Matcher, n subject.Node, opt Options, labels []Label, limit float64, areaCost func(*match.Match) float64, scratch *matchScratch, st *Stats) error {
+// scratch. When members is non-nil (n's choice class, n included) the
+// candidates are the matches rooted at every member, in member order:
+// the same set labeling merged n's label from. Matches slower than limit
+// are discarded. When areaCost is non-nil the selection instead
+// minimizes the match's area cost among matches meeting the limit — the
+// area-recovery mode. Enumeration work is accumulated into st.
+func bestMatch(g *subject.Graph, m *match.Matcher, n subject.Node, members []subject.Node, opt Options, labels []Label, limit float64, areaCost func(*match.Match) float64, scratch *matchScratch, st *Stats) error {
 	scratch.pat = nil
 	scratch.delay = opt.Delay
 	scratch.labels = labels
@@ -522,11 +524,22 @@ func bestMatch(g *subject.Graph, m *match.Matcher, n subject.Node, opt Options, 
 	}
 	tried0 := m.PatternsTried()
 	hits0, misses0 := m.MemoHits(), m.MemoMisses()
-	m.Enumerate(g, n, opt.Class, scratch.cb)
+	if members == nil {
+		m.Enumerate(g, n, opt.Class, scratch.cb)
+	}
+	for _, mm := range members {
+		m.Enumerate(g, mm, opt.Class, scratch.cb)
+	}
 	st.PatternsTried += m.PatternsTried() - tried0
 	st.MemoHits += m.MemoHits() - hits0
 	st.MemoMisses += m.MemoMisses() - misses0
-	if scratch.pat == nil {
+	switch {
+	case scratch.pat != nil:
+	case !math.IsInf(limit, 1):
+		// Labeling found a match here, so only the limit rejected them.
+		return fmt.Errorf("core: no %v match at node %v of %q meets its required time %g",
+			opt.Class, n, g.Name, limit)
+	default:
 		return fmt.Errorf(
 			"core: no %v match at node %v of %q; the library must at least contain a 2-input NAND and an inverter",
 			opt.Class, n, g.Name)
@@ -692,7 +705,9 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 				}
 				return c
 			}
-			err := bestMatch(g, m, n, opt, res.Labels, required[id], cost, &scratch, &res.Stats)
+			// With choices the label may come from another class member,
+			// so the candidates are every member's matches.
+			err := bestMatch(g, m, n, opt.Choices.Members(n), opt, res.Labels, required[id], cost, &scratch, &res.Stats)
 			if err != nil {
 				return err // cannot happen: the labeled match meets any required >= label
 			}

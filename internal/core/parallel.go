@@ -94,7 +94,7 @@ func (w *labelWorker) labelChunk(g *subject.Graph, opt Options, labels []Label, 
 				return
 			}
 		}
-		if err := bestMatch(g, w.m, n, opt, labels, math.Inf(1), nil, &w.scratch, &w.stats); err != nil {
+		if err := bestMatch(g, w.m, n, nil, opt, labels, math.Inf(1), nil, &w.scratch, &w.stats); err != nil {
 			w.err = err
 			return
 		}

@@ -348,26 +348,16 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 	// One admission slot, one library resolution for the whole batch:
 	// repeated genlib uploads or supergate expansions amortize across
 	// every item (and across batches, via the content-addressed cache).
-	mode := req.Mode
-	if mode == "" {
-		mode = "dag"
-	}
-	var cl *dagcover.CompiledLibrary
-	var hit bool
-	var sg *dagcover.SupergateStoreInfo
-	if mode != "lut" {
-		base := req.itemRequest("")
-		t0 := time.Now()
-		var err error
-		cl, hit, sg, err = s.resolveLibrary(&base)
-		var cph reqPhases
-		cph.compile = time.Since(t0)
-		s.metrics.phases.add(&cph)
-		if err != nil {
-			job.FailAll(http.StatusBadRequest, fmt.Sprintf("library compile: %v", err), time.Now())
-			s.finishJob(job)
-			return
-		}
+	base := req.itemRequest("")
+	t0 := time.Now()
+	lib, err := s.resolveLibrary(&base)
+	var cph reqPhases
+	cph.compile = time.Since(t0)
+	s.metrics.phases.add(&cph)
+	if err != nil {
+		job.FailAll(http.StatusBadRequest, fmt.Sprintf("library compile: %v", err), time.Now())
+		s.finishJob(job)
+		return
 	}
 
 	for i := range items {
@@ -375,7 +365,7 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 			break
 		}
 		job.BeginItem(i)
-		job.FinishItem(i, s.runJobItem(ctx, job.ID, req, &items[i], i, mode, cl, hit, sg))
+		job.FinishItem(i, s.runJobItem(ctx, job.ID, req, &items[i], i, lib))
 	}
 	if ctx.Err() != nil {
 		job.CancelRemaining(time.Now())
@@ -389,7 +379,7 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 // way the synchronous handler does (200/400/499/504/500). jobID — a
 // trace id — attributes the item's NDJSON record, access-log line, and
 // wide event to its parent job.
-func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, item *JobItemRequest, idx int, mode string, cl *dagcover.CompiledLibrary, hit bool, sg *dagcover.SupergateStoreInfo) jobs.Item {
+func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, item *JobItemRequest, idx int, lib library) jobs.Item {
 	mreq := req.itemRequest(item.BLIF)
 	timeout := s.requestTimeout(&mreq)
 	ictx, cancel := context.WithTimeout(ctx, timeout)
@@ -400,7 +390,7 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		ph.trace = dagcover.NewTrace()
 	}
 	start := time.Now()
-	resp, _, err := s.serveItem(ictx, &mreq, mode, cl, hit, sg, &ph)
+	resp, _, err := s.serveItem(ictx, &mreq, lib, &ph)
 	elapsed := time.Since(start)
 	s.metrics.phases.add(&ph)
 
@@ -453,30 +443,24 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 }
 
 // serveItem is the per-item body of a batch run: parse, then map with
-// the batch's shared compiled library (or FlowMap for lut mode). It
-// mirrors serve minus library resolution.
-func (s *Server) serveItem(ctx context.Context, req *MapRequest, mode string, cl *dagcover.CompiledLibrary, hit bool, sg *dagcover.SupergateStoreInfo, ph *reqPhases) (*MapResponse, int, error) {
-	ph.mode = mode
+// the batch's shared library. It mirrors serve minus library
+// resolution.
+func (s *Server) serveItem(ctx context.Context, req *MapRequest, lib library, ph *reqPhases) (*MapResponse, int, error) {
+	ph.mode = req.modeName()
 	t0 := time.Now()
 	nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
 	ph.parse = time.Since(t0)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if mode == "lut" {
-		if req.Supergates != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("supergates apply to gate-library modes (dag, tree), not lut")
-		}
-		return s.serveLUT(ctx, req, nw, ph)
-	}
 	// Batch items share the result cache with /map (same keys, same
 	// tiers) but never join a coalescing flight: the batch already
 	// holds the admission slot a /map leader would need, so waiting on
 	// one could deadlock the pool.
-	if s.resultCache != nil {
-		return s.mapItemCached(ctx, req, nw, mode, cl, hit, sg, ph)
+	if s.resultCache != nil && resultCacheable(req) {
+		return s.mapItemCached(ctx, req, nw, lib, ph)
 	}
-	return s.mapWith(ctx, req, nw, nil, mode, cl, hit, sg, ph)
+	return s.mapWith(ctx, req, nw, nil, lib, ph)
 }
 
 // itemPhaseMillis renders one item's phase breakdown: the service

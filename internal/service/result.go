@@ -255,10 +255,7 @@ func (s *Server) serveMapCached(w http.ResponseWriter, r *http.Request, req *Map
 		s.failure(w, st, format, args...)
 		return st
 	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "dag"
-	}
+	mode := req.modeName()
 	ph.mode = mode
 
 	libKey, err := libraryCacheKey(req)
@@ -388,13 +385,13 @@ func (s *Server) runResultLeader(ctx context.Context, w http.ResponseWriter, req
 	defer s.adm.release()
 
 	t0 := time.Now()
-	cl, hit, sg, err := s.resolveLibrary(req)
+	lib, err := s.resolveLibrary(req)
 	ph.compile = time.Since(t0)
 	if err != nil {
 		settle(http.StatusBadRequest, err.Error(), false)
 		return fail(http.StatusBadRequest, "%v", err)
 	}
-	resp, st, err := s.mapWith(ctx, req, nw, g, mode, cl, hit, sg, ph)
+	resp, st, err := s.mapWith(ctx, req, nw, g, lib, ph)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -491,7 +488,8 @@ func (s *Server) respondCached(w http.ResponseWriter, traceID string, v rcView, 
 // batch's admission slot, and joining a /map flight from under it
 // could deadlock the pool (the leader it waits for needs the slot the
 // item is holding).
-func (s *Server) mapItemCached(ctx context.Context, req *MapRequest, nw *dagcover.Network, mode string, cl *dagcover.CompiledLibrary, hit bool, sg *dagcover.SupergateStoreInfo, ph *reqPhases) (*MapResponse, int, error) {
+func (s *Server) mapItemCached(ctx context.Context, req *MapRequest, nw *dagcover.Network, lib library, ph *reqPhases) (*MapResponse, int, error) {
+	mode := req.modeName()
 	libKey, err := libraryCacheKey(req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -548,7 +546,7 @@ func (s *Server) mapItemCached(ctx context.Context, req *MapRequest, nw *dagcove
 		}
 	}
 
-	resp, st, err := s.mapWith(ctx, req, nw, g, mode, cl, hit, sg, ph)
+	resp, st, err := s.mapWith(ctx, req, nw, g, lib, ph)
 	if err != nil {
 		return resp, st, err
 	}

@@ -417,10 +417,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// lutLibraryLabel keys LUT-mode requests in the per-library stats,
-// which otherwise track gate libraries.
-func lutLibraryLabel(k int) string { return fmt.Sprintf("lut-k%d", k) }
-
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -651,87 +647,88 @@ const statusClientClosedRequest = 499
 // ph's phases as it goes. The returned status is used only for
 // non-context errors.
 func (s *Server) serve(ctx context.Context, req *MapRequest, ph *reqPhases) (*MapResponse, int, error) {
-	mode := req.Mode
-	if mode == "" {
-		mode = "dag"
-	}
-	ph.mode = mode
+	ph.mode = req.modeName()
 	t0 := time.Now()
 	nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
 	ph.parse = time.Since(t0)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if mode == "lut" {
-		if req.Supergates != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("supergates apply to gate-library modes (dag, tree), not lut")
-		}
-		return s.serveLUT(ctx, req, nw, ph)
-	}
-
 	t0 = time.Now()
-	cl, hit, sg, err := s.resolveLibrary(req)
+	lib, err := s.resolveLibrary(req)
 	ph.compile = time.Since(t0)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	return s.mapWith(ctx, req, nw, nil, mode, cl, hit, sg, ph)
+	return s.mapWith(ctx, req, nw, nil, lib, ph)
 }
 
-// mapWith runs one gate-library mapping against an already-compiled
-// library. It is the shared tail of the synchronous /map path and the
-// batch job runner (which resolves the library once per batch), so a
-// batch item's netlist is byte-identical to what /map would return for
-// the same input. When the caller already built (and digested) the
-// subject graph for cache keying, it passes g and the engine maps that
-// graph directly instead of rebuilding it from nw.
-func (s *Server) mapWith(ctx context.Context, req *MapRequest, nw *dagcover.Network, g *dagcover.SubjectGraph, mode string, cl *dagcover.CompiledLibrary, hit bool, sg *dagcover.SupergateStoreInfo, ph *reqPhases) (*MapResponse, int, error) {
-	ph.library, ph.cacheHit = cl.Library().Name, hit
-	opt := &dagcover.MapOptions{
+// modeName is the request's mode with the default filled in.
+func (r *MapRequest) modeName() string {
+	if r.Mode == "" {
+		return "dag"
+	}
+	return r.Mode
+}
+
+// lutK is a lut-mode request's LUT input count (default 4).
+func (r *MapRequest) lutK() int {
+	if r.K == 0 {
+		return 4
+	}
+	return r.K
+}
+
+// mapOptions translates a request into Map options. Its errors are the
+// 400 bodies clients see.
+func (s *Server) mapOptions(req *MapRequest, lib library) (dagcover.MapOptions, error) {
+	opt := dagcover.MapOptions{
+		Library:      lib.cl,
 		AreaRecovery: req.AreaRecovery,
 		RequiredTime: req.RequiredTime,
 		Parallelism:  s.cfg.Parallelism,
-		Trace:        ph.trace,
+		NoMemo:       req.Memo != nil && !*req.Memo,
 	}
-	if req.Memo != nil && !*req.Memo {
-		opt.Memo = dagcover.MemoOff
+	if req.Mode == "lut" {
+		if req.Supergates != nil {
+			return opt, fmt.Errorf("supergates apply to gate-library modes (dag, tree), not lut")
+		}
+		opt.Mode, opt.K = dagcover.ModeLUT, req.lutK()
+		return opt, nil
 	}
-	switch req.Delay {
-	case "", "intrinsic":
-		opt.Delay = dagcover.IntrinsicDelay
-	case "unit":
-		opt.Delay = dagcover.UnitDelay
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown delay model %q", req.Delay)
-	}
-	switch req.Class {
-	case "", "standard":
-		opt.Class = dagcover.MatchStandard
-	case "extended":
-		opt.Class = dagcover.MatchExtended
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown match class %q", req.Class)
-	}
-
-	var res *dagcover.MapResult
 	var err error
-	t0 := time.Now()
-	switch mode {
-	case "dag":
-		if g != nil {
-			res, err = cl.MapSubjectCompiled(ctx, g, opt)
-		} else {
-			res, err = cl.MapCompiled(ctx, nw, opt)
-		}
-	case "tree":
-		if g != nil {
-			res, err = cl.MapSubjectTreeCompiled(ctx, g, opt)
-		} else {
-			res, err = cl.MapTreeCompiled(ctx, nw, opt)
-		}
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want dag, tree, or lut)", mode)
+	if opt.Delay, err = dagcover.ParseDelayModel(req.Delay); err != nil {
+		return opt, err
 	}
+	if opt.Class, err = dagcover.ParseMatchClass(req.Class); err != nil {
+		return opt, err
+	}
+	if opt.Mode, err = dagcover.ParseMode(req.Mode); err != nil || (opt.Mode != dagcover.ModeDAG && opt.Mode != dagcover.ModeTree) {
+		return opt, fmt.Errorf("unknown mode %q (want dag, tree, or lut)", req.Mode)
+	}
+	return opt, nil
+}
+
+// mapWith runs one request against its resolved library. It is the
+// shared tail of the synchronous /map path and the batch job runner
+// (which resolves the library once per batch), so a batch item's
+// netlist is byte-identical to what /map would return for the same
+// input. When the caller already built (and digested) the subject graph
+// for cache keying, it passes g and the engine maps that graph directly
+// instead of rebuilding it from nw.
+func (s *Server) mapWith(ctx context.Context, req *MapRequest, nw *dagcover.Network, g *dagcover.SubjectGraph, lib library, ph *reqPhases) (*MapResponse, int, error) {
+	ph.library, ph.cacheHit = lib.name, lib.hit
+	opt, err := s.mapOptions(req, lib)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	opt.Trace = ph.trace
+	in := dagcover.Input{Network: nw}
+	if g != nil {
+		in = dagcover.Input{Subject: g}
+	}
+	t0 := time.Now()
+	res, err := dagcover.Map(ctx, in, opt)
 	ph.mapRun = time.Since(t0)
 	if err != nil {
 		// Context errors are classified by the caller; anything else
@@ -739,26 +736,31 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, nw *dagcover.Netw
 		// NAND2/INV basis).
 		return nil, http.StatusBadRequest, err
 	}
-	ph.core = res.Phases
-	ph.memoHits, ph.memoMisses = res.MemoHits, res.MemoMisses
-	ph.subjectSHA = res.SubjectSHA
+	lut := opt.Mode == dagcover.ModeLUT
 	resp := &MapResponse{
 		Circuit:           nw.Name,
-		Library:           cl.Library().Name,
-		Mode:              mode,
+		Library:           lib.name,
+		Mode:              opt.Mode.String(),
 		Delay:             res.Delay,
 		Area:              res.Area,
 		Cells:             res.Cells,
+		Depth:             res.Depth,
+		LUTs:              res.LUTs,
 		DuplicatedNodes:   res.DuplicatedNodes,
-		SubjectNodes:      res.SubjectNodes,
 		PatternsTried:     res.PatternsTried,
 		MatchesEnumerated: res.MatchesEnumerated,
 		MemoHits:          res.MemoHits,
 		MemoMisses:        res.MemoMisses,
-		CacheHit:          hit,
-		SubjectSHA:        res.SubjectSHA,
+		CacheHit:          lib.hit,
 	}
-	if sg != nil {
+	ph.core = res.Phases
+	ph.memoHits, ph.memoMisses = res.MemoHits, res.MemoMisses
+	if !lut {
+		// LUT responses carry no subject digest: they are not result-cached.
+		resp.SubjectNodes, resp.SubjectSHA = res.SubjectNodes, res.SubjectSHA
+		ph.subjectSHA = res.SubjectSHA
+	}
+	if sg := lib.sg; sg != nil {
 		h := sg.Hit
 		resp.SGStoreHit = &h
 		resp.SGArtifactSHA = sg.ArtifactSHA
@@ -767,71 +769,58 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, nw *dagcover.Netw
 	t0 = time.Now()
 	defer func() { ph.respond = time.Since(t0) }()
 	if req.Verify {
-		if err := dagcover.Verify(nw, res.Netlist); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("mapped netlist failed verification: %v", err)
+		kind, err := "mapped netlist", error(nil)
+		if lut {
+			kind, err = "LUT netlist", dagcover.VerifyNetworks(nw, res.Network)
+		} else {
+			err = dagcover.Verify(nw, res.Netlist)
+		}
+		if err != nil {
+			return nil, http.StatusInternalServerError, fmt.Errorf("%s failed verification: %v", kind, err)
 		}
 		resp.Verified = true
 	}
 	var buf bytes.Buffer
-	if err := res.Netlist.WriteBLIF(&buf); err != nil {
-		return nil, http.StatusInternalServerError, err
+	if lut {
+		err = dagcover.WriteBLIF(&buf, res.Network)
+	} else {
+		err = res.Netlist.WriteBLIF(&buf)
 	}
-	resp.Netlist = buf.String()
-	return resp, http.StatusOK, nil
-}
-
-// serveLUT handles mode "lut" (FlowMap); no gate library is involved.
-func (s *Server) serveLUT(ctx context.Context, req *MapRequest, nw *dagcover.Network, ph *reqPhases) (*MapResponse, int, error) {
-	k := req.K
-	if k == 0 {
-		k = 4
-	}
-	ph.library, ph.cacheHit = lutLibraryLabel(k), true
-	t0 := time.Now()
-	res, err := dagcover.MapLUTTraced(ctx, nw, k, ph.trace)
-	ph.mapRun = time.Since(t0)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	resp := &MapResponse{
-		Circuit: nw.Name,
-		Library: lutLibraryLabel(k),
-		Mode:    "lut",
-		Depth:   res.Depth,
-		LUTs:    res.LUTs,
-		// LUT mapping needs no library compile; report a hit so cache
-		// dashboards don't count these as misses.
-		CacheHit: true,
-	}
-	t0 = time.Now()
-	defer func() { ph.respond = time.Since(t0) }()
-	if req.Verify {
-		if err := dagcover.VerifyNetworks(nw, res.Network); err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("LUT netlist failed verification: %v", err)
-		}
-		resp.Verified = true
-	}
-	var buf bytes.Buffer
-	if err := dagcover.WriteBLIF(&buf, res.Network); err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
 	resp.Netlist = buf.String()
 	return resp, http.StatusOK, nil
 }
 
-// resolveLibrary returns the compiled library for the request, either
-// a built-in by name or uploaded genlib text by content hash. A
+// library is a request's resolved library: the compiled gate library
+// (nil in lut mode), its name in responses and per-library stats,
+// whether the compiled cache already held it, and — for supergate
+// requests on a server with an artifact store — the artifact identity.
+type library struct {
+	cl   *dagcover.CompiledLibrary
+	name string
+	hit  bool
+	sg   *dagcover.SupergateStoreInfo
+}
+
+// resolveLibrary returns the library for the request, either a
+// built-in by name or uploaded genlib text by content hash. A
 // supergate request compiles (and caches) the expanded library under
 // the base key plus the normalized bounds; when the server has an
-// artifact store, the expansion goes through it and the returned
-// SupergateStoreInfo (nil otherwise) carries the artifact identity.
-func (s *Server) resolveLibrary(req *MapRequest) (*dagcover.CompiledLibrary, bool, *dagcover.SupergateStoreInfo, error) {
+// artifact store, the expansion goes through it. LUT mapping needs no
+// library compile: it is labeled by its LUT size and reported as a
+// cache hit, so cache dashboards don't count it as a miss.
+func (s *Server) resolveLibrary(req *MapRequest) (library, error) {
+	if req.Mode == "lut" {
+		return library{name: fmt.Sprintf("lut-k%d", req.lutK()), hit: true}, nil
+	}
 	// libraryCacheKey is the single source of truth for compiled-cache
 	// keys — the result cache keys off the same string, so the two
 	// caches can never disagree about which compilation a request uses.
 	cacheKey, err := libraryCacheKey(req)
 	if err != nil {
-		return nil, false, nil, err
+		return library{}, err
 	}
 	var load func() (*dagcover.Library, error)
 	if req.Genlib != "" {
@@ -866,7 +855,10 @@ func (s *Server) resolveLibrary(req *MapRequest) (*dagcover.CompiledLibrary, boo
 			}
 			return dagcover.CompileLibrary(lib)
 		})
-		return cl, hit, nil, err
+		if err != nil {
+			return library{}, err
+		}
+		return library{cl: cl, name: cl.Library().Name, hit: hit}, nil
 	}
 	sg := req.Supergates.normalize()
 	cl, hit, err := s.cache.Get(cacheKey, func() (*dagcover.CompiledLibrary, error) {
@@ -893,12 +885,12 @@ func (s *Server) resolveLibrary(req *MapRequest) (*dagcover.CompiledLibrary, boo
 		return dagcover.CompileLibrary(expanded)
 	})
 	if err != nil {
-		return nil, hit, nil, err
+		return library{}, err
 	}
-	var info *dagcover.SupergateStoreInfo
+	lib := library{cl: cl, name: cl.Library().Name, hit: hit}
 	if v, ok := s.sgInfo.Load(cacheKey); ok {
 		i := v.(dagcover.SupergateStoreInfo)
-		info = &i
+		lib.sg = &i
 	}
-	return cl, hit, info, nil
+	return lib, nil
 }

@@ -372,13 +372,13 @@ func TestOverloadSheds429(t *testing.T) {
 func TestContextErrorClassification(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	mapper, err := dagcover.CompileLibrary(dagcover.Lib441())
+	cl, err := dagcover.CompileLibrary(dagcover.Lib441())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = mapper.MapCompiled(ctx, bench.Comparator(6), nil)
+	_, err = dagcover.Map(ctx, dagcover.Input{Network: bench.Comparator(6)}, dagcover.MapOptions{Library: cl})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("MapCompiled on cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("Map on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 

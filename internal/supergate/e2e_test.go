@@ -1,6 +1,7 @@
 package supergate_test
 
 import (
+	"context"
 	"testing"
 
 	"dagcover"
@@ -9,6 +10,19 @@ import (
 	"dagcover/internal/supergate"
 	"dagcover/internal/verify"
 )
+
+// unitDAG compiles lib and returns unit-delay DAG covering over it.
+func unitDAG(t testing.TB, lib *dagcover.Library) func(*dagcover.Network) (*dagcover.MapResult, error) {
+	t.Helper()
+	cl, err := dagcover.CompileLibrary(lib)
+	if err != nil {
+		t.Fatalf("compiling %s: %v", lib.Name, err)
+	}
+	return func(nw *dagcover.Network) (*dagcover.MapResult, error) {
+		return dagcover.Map(context.Background(), dagcover.Input{Network: nw},
+			dagcover.MapOptions{Library: cl, Delay: dagcover.UnitDelay})
+	}
+}
 
 // TestEndToEndGapClosure reproduces the paper's richness trend with
 // manufactured richness: 44-1 enriched with supergates must close at
@@ -24,31 +38,21 @@ func TestEndToEndGapClosure(t *testing.T) {
 	}
 	t.Logf("generated %d supergates: %+v", res.Stats.Emitted, res.Stats)
 
-	base, err := dagcover.NewMapper(libgen.Lib441())
-	if err != nil {
-		t.Fatal(err)
-	}
-	super, err := dagcover.NewMapper(res.Library)
-	if err != nil {
-		t.Fatalf("compiling supergate library: %v", err)
-	}
-	rich, err := dagcover.NewMapper(libgen.Lib443())
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := unitDAG(t, libgen.Lib441())
+	super := unitDAG(t, res.Library)
+	rich := unitDAG(t, libgen.Lib443())
 
-	opt := &dagcover.MapOptions{Delay: dagcover.UnitDelay}
 	closed := 0
 	for _, c := range bench.Suite() {
-		rb, err := base.MapDAG(c.Network, opt)
+		rb, err := base(c.Network)
 		if err != nil {
 			t.Fatalf("%s 44-1: %v", c.Name, err)
 		}
-		rs, err := super.MapDAG(c.Network, opt)
+		rs, err := super(c.Network)
 		if err != nil {
 			t.Fatalf("%s 44-1+sg: %v", c.Name, err)
 		}
-		rr, err := rich.MapDAG(c.Network, opt)
+		rr, err := rich(c.Network)
 		if err != nil {
 			t.Fatalf("%s 44-3: %v", c.Name, err)
 		}
@@ -77,21 +81,14 @@ func TestSupergateCISmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	base, err := dagcover.NewMapper(libgen.Lib441())
-	if err != nil {
-		t.Fatal(err)
-	}
-	super, err := dagcover.NewMapper(res.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := unitDAG(t, libgen.Lib441())
+	super := unitDAG(t, res.Library)
 	c := bench.Suite()[0] // C2670
-	opt := &dagcover.MapOptions{Delay: dagcover.UnitDelay}
-	rb, err := base.MapDAG(c.Network, opt)
+	rb, err := base(c.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := super.MapDAG(c.Network, opt)
+	rs, err := super(c.Network)
 	if err != nil {
 		t.Fatal(err)
 	}

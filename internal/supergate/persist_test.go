@@ -99,15 +99,8 @@ func TestGenerateStoredRoundTripFidelity(t *testing.T) {
 		t.Fatal("genlib serialization is not a fixpoint for the expanded library")
 	}
 
-	mGen, err := dagcover.NewMapper(res.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mStored, err := dagcover.NewMapper(stored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := &dagcover.MapOptions{Delay: dagcover.UnitDelay}
+	mGen := unitDAG(t, res.Library)
+	mStored := unitDAG(t, stored)
 	for _, c := range []struct {
 		name string
 		nw   func() *dagcover.Network
@@ -116,11 +109,11 @@ func TestGenerateStoredRoundTripFidelity(t *testing.T) {
 		{"parity16", func() *dagcover.Network { return bench.ParityTree(16) }},
 		{"c432", bench.C432},
 	} {
-		a, err := mGen.MapDAG(c.nw(), opt)
+		a, err := mGen(c.nw())
 		if err != nil {
 			t.Fatalf("%s generated: %v", c.name, err)
 		}
-		b, err := mStored.MapDAG(c.nw(), opt)
+		b, err := mStored(c.nw())
 		if err != nil {
 			t.Fatalf("%s stored: %v", c.name, err)
 		}

@@ -1,0 +1,180 @@
+package dagcover
+
+import (
+	"context"
+	"errors"
+	"math"
+	"testing"
+
+	"dagcover/internal/bench"
+	"dagcover/internal/subject"
+)
+
+var allModes = []Mode{ModeDAG, ModeChoices, ModeTree, ModeTreeArea, ModeLUT, ModeLUTArea}
+
+// modeOptions returns valid options for mode: a library for the gate
+// modes, a LUT size for the LUT modes.
+func modeOptions(mode Mode, cl *CompiledLibrary) MapOptions {
+	if mode.lut() {
+		return MapOptions{Mode: mode, K: 4}
+	}
+	return MapOptions{Mode: mode, Library: cl}
+}
+
+// TestMapModes runs every mode on every input kind it accepts and
+// checks the contract Map gives all of them: a cancelled context
+// surfaces as context.Canceled, a trace records spans, and the shared
+// result fields describe the subject graph that was mapped.
+func TestMapModes(t *testing.T) {
+	nw := bench.RippleAdder(8)
+	g, err := BuildSubject(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	choiceGraph, _, err := subject.FromNetworkWithChoices(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := compile(t, Lib2())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	inputs := []struct {
+		name string
+		in   Input
+	}{
+		{"network", Input{Network: nw}},
+		{"subject", Input{Subject: g}},
+	}
+	for _, mode := range allModes {
+		for _, input := range inputs {
+			if mode == ModeChoices && input.in.Network == nil {
+				continue // an invalid combination, checked below
+			}
+			t.Run(mode.String()+"/"+input.name, func(t *testing.T) {
+				opt := modeOptions(mode, cl)
+				if _, err := Map(cancelled, input.in, opt); !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled context: err = %v, want context.Canceled", err)
+				}
+				opt.Trace = NewTrace()
+				res, err := Map(context.Background(), input.in, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spans := 0
+				for _, e := range opt.Trace.Events() {
+					if e.Phase == 'X' {
+						spans++
+					}
+				}
+				if spans == 0 {
+					t.Error("trace recorded no spans")
+				}
+				want := g
+				if mode == ModeChoices {
+					want = choiceGraph
+				}
+				if res.SubjectSHA != want.Digest() || res.SubjectNodes != want.NumNodes() {
+					t.Errorf("subject fields %q/%d, want %q/%d",
+						res.SubjectSHA, res.SubjectNodes, want.Digest(), want.NumNodes())
+				}
+				if mode.lut() {
+					err = VerifyNetworks(nw, res.Network)
+				} else {
+					err = Verify(nw, res.Netlist)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestMapRejectsInvalidCombinations covers the option/input pairs Map
+// refuses rather than guessing at.
+func TestMapRejectsInvalidCombinations(t *testing.T) {
+	nw := bench.RippleAdder(4)
+	g, err := BuildSubject(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := compile(t, Lib2())
+	for _, c := range []struct {
+		name string
+		in   Input
+		opt  MapOptions
+	}{
+		{"lut with library", Input{Network: nw}, MapOptions{Mode: ModeLUT, K: 4, Library: cl}},
+		{"lut-area with library", Input{Network: nw}, MapOptions{Mode: ModeLUTArea, K: 4, Library: cl}},
+		{"dag without library", Input{Network: nw}, MapOptions{}},
+		{"tree without library", Input{Subject: g}, MapOptions{Mode: ModeTree}},
+		{"choices on a subject graph", Input{Subject: g}, MapOptions{Mode: ModeChoices, Library: cl}},
+		{"no input", Input{}, MapOptions{Library: cl}},
+		{"both inputs", Input{Network: nw, Subject: g}, MapOptions{Library: cl}},
+		{"unknown mode", Input{Network: nw}, MapOptions{Mode: ModeLUTArea + 1, Library: cl}},
+	} {
+		if _, err := Map(context.Background(), c.in, c.opt); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestParseOptionNames round-trips every mode, delay model and match
+// class name and rejects unknown ones.
+func TestParseOptionNames(t *testing.T) {
+	for _, mode := range allModes {
+		if got, err := ParseMode(mode.String()); err != nil || got != mode {
+			t.Errorf("ParseMode(%q) = %v, %v", mode, got, err)
+		}
+	}
+	if got, err := ParseMode(""); err != nil || got != ModeDAG {
+		t.Errorf(`ParseMode("") = %v, %v; want dag`, got, err)
+	}
+	for name, want := range map[string]DelayModel{"": IntrinsicDelay, "intrinsic": IntrinsicDelay, "unit": UnitDelay} {
+		if got, err := ParseDelayModel(name); err != nil || got != want {
+			t.Errorf("ParseDelayModel(%q) = %v, %v", name, got, err)
+		}
+	}
+	for name, want := range map[string]MatchClass{"": MatchStandard, "standard": MatchStandard, "extended": MatchExtended} {
+		if got, err := ParseMatchClass(name); err != nil || got != want {
+			t.Errorf("ParseMatchClass(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ParseMode("seq"); err == nil || err.Error() != `unknown mode "seq"` {
+		t.Errorf("ParseMode(seq) error = %v", err)
+	}
+	if _, err := ParseDelayModel("load"); err == nil || err.Error() != `unknown delay model "load"` {
+		t.Errorf("ParseDelayModel(load) error = %v", err)
+	}
+	if _, err := ParseMatchClass("exact"); err == nil || err.Error() != `unknown match class "exact"` {
+		t.Errorf("ParseMatchClass(exact) error = %v", err)
+	}
+}
+
+// Area recovery over a choice-encoded graph must keep the optimal
+// delay. On C432 a node's class label came from another member that
+// its own matches cannot reach in time, so recovery has to choose among
+// the whole class's matches, as labeling did.
+func TestChoicesAreaRecoveryC432(t *testing.T) {
+	nw := bench.C432()
+	for _, lib := range []*Library{Lib2(), Lib441(), Lib443()} {
+		cl := compile(t, lib)
+		for _, dm := range []DelayModel{IntrinsicDelay, UnitDelay} {
+			opt := MapOptions{Mode: ModeChoices, Library: cl, Delay: dm}
+			plain := mapNet(t, nw, opt)
+			opt.AreaRecovery = true
+			rec, err := Map(context.Background(), Input{Network: nw}, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", lib.Name, dm.Name(), err)
+			}
+			// Equal up to float rounding: a recovered path may sum the
+			// same pin delays in another order.
+			if math.Abs(rec.Delay-plain.Delay) > 1e-9 {
+				t.Errorf("%s/%s: recovery delay %v, want the recovery-off %v", lib.Name, dm.Name(), rec.Delay, plain.Delay)
+			}
+			if err := Verify(nw, rec.Netlist); err != nil {
+				t.Fatalf("%s/%s: %v", lib.Name, dm.Name(), err)
+			}
+		}
+	}
+}

@@ -10,12 +10,9 @@ import (
 )
 
 // renderBLIF maps nw with the given options and renders the netlist.
-func renderBLIF(t *testing.T, m *Mapper, nw *Network, opt *MapOptions) []byte {
+func renderBLIF(t *testing.T, nw *Network, opt MapOptions) []byte {
 	t.Helper()
-	res, err := m.MapDAG(nw, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mapNet(t, nw, opt)
 	var buf bytes.Buffer
 	if err := res.Netlist.WriteBLIF(&buf); err != nil {
 		t.Fatal(err)
@@ -25,7 +22,7 @@ func renderBLIF(t *testing.T, m *Mapper, nw *Network, opt *MapOptions) []byte {
 
 // The memo acceptance bar: for every ISCAS circuit, the mapped netlist
 // with the memo on is byte-identical to the memo-off netlist at every
-// labeling parallelism. One mapper per library is reused across the
+// labeling parallelism. One compiled library is reused across the
 // whole suite, so later circuits run against a table warmed by earlier
 // ones — the cross-request sharing mode — and must still be identical.
 func TestMemoOutputByteIdentical(t *testing.T) {
@@ -47,17 +44,14 @@ func TestMemoOutputByteIdentical(t *testing.T) {
 		}
 	}
 	for _, s := range suites {
-		mapper, err := NewMapper(s.lib)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := compile(t, s.lib)
 		for _, c := range s.circuits {
-			ref := renderBLIF(t, mapper, c.Network, &MapOptions{
-				Delay: s.delay, Memo: MemoOff,
+			ref := renderBLIF(t, c.Network, MapOptions{
+				Library: cl, Delay: s.delay, NoMemo: true,
 			})
 			for _, par := range []int{1, 4, 8} {
-				got := renderBLIF(t, mapper, c.Network, &MapOptions{
-					Delay: s.delay, Memo: MemoOn, Parallelism: par,
+				got := renderBLIF(t, c.Network, MapOptions{
+					Library: cl, Delay: s.delay, Parallelism: par,
 				})
 				if !bytes.Equal(ref, got) {
 					t.Errorf("%s x %s: memo-on netlist at parallelism %d differs from memo-off",
@@ -65,7 +59,7 @@ func TestMemoOutputByteIdentical(t *testing.T) {
 				}
 			}
 		}
-		if st := mapper.dagMatcher.Memo().Stats(); st.Hits == 0 {
+		if st := cl.dag.Memo().Stats(); st.Hits == 0 {
 			t.Errorf("%s: suite produced no memo hits — the equality check never exercised replay", s.lib.Name)
 		}
 	}
@@ -113,24 +107,18 @@ func deepChainLibrary(t *testing.T, levels int) (*Library, *Network) {
 // or off — including the deep gate's own chain, which it covers.
 func TestMemoDeepPatternNetlists(t *testing.T) {
 	lib, chain := deepChainLibrary(t, 40)
-	mapper, err := NewMapper(lib)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := compile(t, lib)
 	for _, c := range []bench.Circuit{
 		{Name: "deepchain", Network: chain},
 		{Name: "C432", Network: bench.C432()},
 		{Name: "C6288", Network: bench.C6288()},
 	} {
-		ref := renderBLIF(t, mapper, c.Network, &MapOptions{Delay: UnitDelay, Memo: MemoOff})
+		ref := renderBLIF(t, c.Network, MapOptions{Library: cl, Delay: UnitDelay, NoMemo: true})
 		if c.Name == "deepchain" && !bytes.Contains(ref, []byte("deepchain")) {
 			t.Fatalf("the deep gate does not cover its own chain:\n%s", ref)
 		}
 		for _, par := range []int{1, 4} {
-			res, err := mapper.MapDAG(c.Network, &MapOptions{Delay: UnitDelay, Memo: MemoOn, Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mapNet(t, c.Network, MapOptions{Library: cl, Delay: UnitDelay, Parallelism: par})
 			var got bytes.Buffer
 			if err := res.Netlist.WriteBLIF(&got); err != nil {
 				t.Fatal(err)
@@ -149,46 +137,29 @@ func TestMemoDeepPatternNetlists(t *testing.T) {
 // a warm rerun, a populated table gauge, and an untouched table when
 // the run opts out.
 func TestMemoCountersInMapResult(t *testing.T) {
-	mapper, err := NewMapper(Lib441())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := compile(t, Lib441())
 	nw := bench.C432()
-	cold, err := mapper.MapDAG(nw, nil) // Memo defaults on
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := mapNet(t, nw, MapOptions{Library: cl}) // the memo defaults on
 	if cold.MemoMisses == 0 {
 		t.Error("cold run reported no memo misses")
 	}
 	if cold.MemoEntries == 0 {
 		t.Error("cold run left an empty table")
 	}
-	warm, err := mapper.MapDAG(nw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := mapNet(t, nw, MapOptions{Library: cl})
 	if warm.MemoHits == 0 {
 		t.Error("warm rerun reported no memo hits")
 	}
 	if warm.MemoMisses != 0 {
 		t.Errorf("warm rerun of the identical circuit missed %d times", warm.MemoMisses)
 	}
-	off, err := mapper.MapDAG(nw, &MapOptions{Memo: MemoOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := mapNet(t, nw, MapOptions{Library: cl, NoMemo: true})
 	if off.MemoHits != 0 || off.MemoMisses != 0 {
 		t.Errorf("memo-off run consulted the table: %d hits, %d misses", off.MemoHits, off.MemoMisses)
 	}
-	cl, err := CompileLibrary(Lib441())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.MapCompiled(nil, nw, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := cl.MemoStats(); st.Entries == 0 || st.Misses == 0 {
+	fresh := compile(t, Lib441())
+	mapNet(t, nw, MapOptions{Library: fresh})
+	if st := fresh.MemoStats(); st.Entries == 0 || st.Misses == 0 {
 		t.Errorf("library MemoStats empty after a mapped request: %+v", st)
 	}
 }

@@ -2,7 +2,6 @@ package dagcover
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -13,25 +12,16 @@ import (
 )
 
 // TestTraceExportValidChromeTrace drives the -trace pipeline the CLIs
-// use — NewTrace through MapDAG/MapTree/MapLUTTraced, exported with
+// use — NewTrace through Map in dag, tree and lut modes, exported with
 // WriteChromeTrace — and validates the JSON against the trace_event
 // schema (what chrome://tracing and Perfetto accept).
 func TestTraceExportValidChromeTrace(t *testing.T) {
 	nw := bench.RippleAdder(16)
-	mapper, err := NewMapper(Lib443())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := compile(t, Lib443())
 	tr := NewTrace()
-	if _, err := mapper.MapDAG(nw, &MapOptions{Delay: UnitDelay, Trace: tr, Parallelism: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mapper.MapTree(nw, &MapOptions{Delay: UnitDelay, Trace: tr}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MapLUTTraced(context.Background(), nw, 4, tr); err != nil {
-		t.Fatal(err)
-	}
+	mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Trace: tr, Parallelism: 4})
+	mapNet(t, nw, MapOptions{Mode: ModeTree, Library: cl, Delay: UnitDelay, Trace: tr})
+	mapNet(t, nw, MapOptions{Mode: ModeLUT, K: 4, Trace: tr})
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -53,14 +43,7 @@ func TestTraceExportValidChromeTrace(t *testing.T) {
 // JSON unchanged.
 func TestMapReportTextAndJSONAgree(t *testing.T) {
 	nw := bench.RippleAdder(16)
-	mapper, err := NewMapper(Lib443())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapper.MapDAG(nw, &MapOptions{Delay: UnitDelay})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mapNet(t, nw, MapOptions{Library: compile(t, Lib443()), Delay: UnitDelay})
 	report := NewMapReport(nw.Name, "dag", "unit", Lib443(), res)
 	report.SetVerified(true)
 
@@ -106,14 +89,7 @@ func TestMapReportTextAndJSONAgree(t *testing.T) {
 // TestTreePhaseBreakdown checks tree covering reports its DP/emission
 // split through the same PhaseBreakdown shape.
 func TestTreePhaseBreakdown(t *testing.T) {
-	mapper, err := NewMapper(Lib2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapper.MapTree(bench.RippleAdder(16), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mapNet(t, bench.RippleAdder(16), MapOptions{Mode: ModeTree, Library: compile(t, Lib2())})
 	if res.Phases.CoverMillis <= 0 || res.Phases.TotalMillis <= 0 {
 		t.Errorf("tree phases not filled: %+v", res.Phases)
 	}
