@@ -128,14 +128,24 @@ func WriteBLIF(w io.Writer, nw *Network) error { return blifpkg.Write(w, nw) }
 // decomposes it into a subject graph on the fly, without building the
 // intermediate Network. Models outside the streaming subset
 // (hierarchy, latches, forward references) fail with
-// blif.ErrNeedsAST; use ReadSubjectBLIFFile for transparent fallback.
+// blif.ErrNeedsAST; use ReadSubjectBLIF for transparent fallback.
 func StreamSubjectBLIF(r io.Reader) (*SubjectGraph, error) {
 	return (&blifpkg.Reader{}).StreamSubject(r)
 }
 
+// ReadSubjectBLIF reads one BLIF model into exactly the subject graph
+// BuildSubject(ParseBLIF(r)) returns — same nodes, same numbering,
+// same digest — or into exactly its error. It streams the model when
+// streaming provably yields that graph and re-reads r through the AST
+// parser otherwise, so a flat model in topological order never builds
+// the intermediate Network.
+func ReadSubjectBLIF(r io.ReadSeeker) (*SubjectGraph, error) {
+	return (&blifpkg.Reader{ASTOrder: true}).ReadSubject(r)
+}
+
 // ReadSubjectBLIFFile reads the BLIF file at path into a subject
 // graph, streaming flat models and falling back to the AST parser for
-// hierarchical or out-of-order ones.
+// the rest. Streamed graphs keep declaration-order node numbering.
 func ReadSubjectBLIFFile(path string) (*SubjectGraph, error) {
 	return (&blifpkg.Reader{}).ReadSubjectFile(path)
 }

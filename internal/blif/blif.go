@@ -32,6 +32,12 @@ type GateResolver interface {
 type Reader struct {
 	// Gates resolves .gate constructs; if nil, .gate is an error.
 	Gates GateResolver
+	// ASTOrder makes ReadSubject return exactly the graph Parse +
+	// subject.FromNetwork builds, node numbering included. Streaming
+	// numbers nodes in declaration order, the AST reader in
+	// network.TopoSort's order; the two agree on topologically ordered
+	// BLIF as Write emits it, and ReadSubject re-reads the rest.
+	ASTOrder bool
 }
 
 // Parse reads one BLIF model from r.

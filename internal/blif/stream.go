@@ -11,7 +11,7 @@
 // continuations) with declarations in topological order. Anything
 // outside that subset — .subckt hierarchies, .latch, multiple models,
 // forward references — makes StreamSubject return ErrNeedsAST, and
-// ReadSubjectFile transparently re-reads the file through the full
+// ReadSubject transparently re-reads the input through the full
 // parser.
 package blif
 
@@ -36,7 +36,21 @@ type signal struct {
 	node  subject.Node
 	konst bool // node is None and the signal is the constant val
 	val   bool
+	rank  uint64 // position in the AST reader's visit order (see rankOf)
 }
+
+// Signal ranks encode where subject.FromNetwork visits a signal when
+// the AST reader builds the same model: network.TopoSort is Kahn's
+// algorithm over PIs, then declarations, so the primary inputs come
+// first, then the fanin-free declarations (constants), and every other
+// declaration is queued when its last fanin is visited, ties broken by
+// declaration order. A rank is the class in the high word and the
+// ordinal within the class in the low word.
+const (
+	rankPI = iota << 32
+	rankConst
+	rankDecl
+)
 
 func constSignal(v bool) signal { return signal{node: subject.None, konst: true, val: v} }
 
@@ -60,6 +74,14 @@ type streamer struct {
 	ends    []int
 
 	env map[string]subject.Node // .gate decomposition
+
+	// AST-order bookkeeping (see rankOf): per-class ordinals, the
+	// visiting fanin rank of the last declaration, and whether the
+	// declarations so far build nodes in the AST reader's order.
+	npi, nconst, ndecl uint64
+	lastVisit          uint64
+	sawDecl            bool
+	astOrder           bool
 }
 
 // StreamSubject reads one flat BLIF model from r and technology-
@@ -76,10 +98,22 @@ type streamer struct {
 // decompose the cover's expression.
 //
 // Models outside the streaming subset return ErrNeedsAST (wrapped);
-// use ReadSubjectFile for transparent fallback.
+// use ReadSubject for transparent fallback.
 func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
+	g, _, err := rd.stream(r)
+	return g, err
+}
+
+// stream is StreamSubject that also reports whether the graph's node
+// numbering is the AST reader's: true when the model declares its
+// primary inputs before any logic and every declaration's last-visited
+// fanin comes no earlier, in the AST reader's visit order, than the
+// previous declaration's. Then Kahn's order over the declarations is
+// their file order, both readers decompose the same expressions in the
+// same order, and the graphs are equal node for node (and digest equal).
+func (rd *Reader) stream(r io.Reader) (*subject.Graph, bool, error) {
 	ls := newLineScanner(r)
-	s := &streamer{g: subject.NewGraph("top", true), sigs: map[string]signal{}}
+	s := &streamer{g: subject.NewGraph("top", true), sigs: map[string]signal{}, astOrder: true}
 	sawModel, sawContent, ended := false, false, false
 	for {
 		text, num, ok := ls.next()
@@ -94,24 +128,24 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 		if text[start] != '.' {
 			// A cover row of the pending .names.
 			if !s.pending {
-				return nil, ln.errorf("unexpected token %q", text[start:end])
+				return nil, false, ln.errorf("unexpected token %q", text[start:end])
 			}
 			s.cov.add(text)
 			continue
 		}
 		if err := s.flush(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		fields := appendFields(s.fields[:0], text)
 		s.fields = fields
 		directive := fields[0]
 		if ended && string(directive) != ".end" {
-			return nil, fmt.Errorf("%w: line %d: content after .end", ErrNeedsAST, num)
+			return nil, false, fmt.Errorf("%w: line %d: content after .end", ErrNeedsAST, num)
 		}
 		switch string(directive) {
 		case ".model":
 			if sawModel || sawContent {
-				return nil, fmt.Errorf("%w: line %d: multiple models", ErrNeedsAST, num)
+				return nil, false, fmt.Errorf("%w: line %d: multiple models", ErrNeedsAST, num)
 			}
 			sawModel = true
 			if len(fields) > 1 {
@@ -122,13 +156,16 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 			for _, f := range fields[1:] {
 				name := string(f)
 				if _, defined := s.sigs[name]; defined && s.g.PI(name) == subject.None {
-					return nil, ln.errorf("signal %q driven twice or collides with an input", name)
+					return nil, false, ln.errorf("signal %q driven twice or collides with an input", name)
 				}
 				pi, err := s.g.AddPI(name)
 				if err != nil {
-					return nil, ln.errorf("%v", err)
+					return nil, false, ln.errorf("%v", err)
 				}
-				s.sigs[name] = signal{node: pi}
+				// The AST reader decomposes every input before any logic.
+				s.astOrder = s.astOrder && !s.sawDecl
+				s.sigs[name] = signal{node: pi, rank: rankPI | s.npi}
+				s.npi++
 			}
 		case ".outputs":
 			for _, f := range fields[1:] {
@@ -136,12 +173,12 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 			}
 		case ".names":
 			if len(fields) < 2 {
-				return nil, ln.errorf(".names needs at least an output")
+				return nil, false, ln.errorf(".names needs at least an output")
 			}
 			s.begin(fields[1:len(fields)-1], fields[len(fields)-1], num)
 		case ".gate":
 			if rd.Gates == nil {
-				return nil, ln.errorf(".gate requires a gate resolver (library)")
+				return nil, false, ln.errorf(".gate requires a gate resolver (library)")
 			}
 			strs := make([]string, len(fields)-1)
 			for i, f := range fields[1:] {
@@ -149,15 +186,15 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 			}
 			nd, err := rd.gateDecl(strs, ln)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if err := s.buildGate(&nd); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		case ".end":
 			ended = true
 		case ".latch", ".subckt", ".exdc":
-			return nil, fmt.Errorf("%w: line %d: %s", ErrNeedsAST, num, directive)
+			return nil, false, fmt.Errorf("%w: line %d: %s", ErrNeedsAST, num, directive)
 		default:
 			// Unsupported directives (timing etc.) are skipped, as in
 			// the AST parser.
@@ -165,16 +202,16 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 		sawContent = true
 	}
 	if err := ls.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := s.flush(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if !sawModel && !sawContent {
-		return nil, fmt.Errorf("blif: no model found")
+		return nil, false, fmt.Errorf("blif: no model found")
 	}
 	if len(s.outputs) == 0 {
-		return nil, fmt.Errorf("blif: model %q declares no outputs and no latches", s.g.Name)
+		return nil, false, fmt.Errorf("blif: model %q declares no outputs and no latches", s.g.Name)
 	}
 	marked := make(map[string]bool, len(s.outputs))
 	for _, name := range s.outputs {
@@ -184,14 +221,14 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 		marked[name] = true
 		sig, ok := s.sigs[name]
 		if !ok {
-			return nil, fmt.Errorf("blif: output %q is never defined", name)
+			return nil, false, fmt.Errorf("blif: output %q is never defined", name)
 		}
 		if sig.konst {
-			return nil, fmt.Errorf("blif: primary output %q is constant; constant outputs cannot be mapped", name)
+			return nil, false, fmt.Errorf("blif: primary output %q is constant; constant outputs cannot be mapped", name)
 		}
 		s.g.MarkOutput(name, sig.node)
 	}
-	return s.g, nil
+	return s.g, s.astOrder, nil
 }
 
 // begin opens a .names declaration: the output name is copied (the
@@ -211,6 +248,25 @@ func (s *streamer) begin(ins [][]byte, out []byte, num int) {
 	s.cov.reset(len(ins))
 }
 
+// rankOf ranks the declaration being read, given its resolved fanins,
+// and keeps astOrder: a declaration whose last-visited fanin precedes
+// the previous declaration's would be visited earlier by the AST
+// reader, which then numbers its nodes differently.
+func (s *streamer) rankOf(fanins []signal) uint64 {
+	if len(fanins) == 0 {
+		s.nconst++
+		return rankConst | (s.nconst - 1)
+	}
+	visit := uint64(0)
+	for _, f := range fanins {
+		visit = max(visit, f.rank)
+	}
+	s.astOrder = s.astOrder && visit >= s.lastVisit
+	s.lastVisit, s.sawDecl = visit, true
+	s.ndecl++
+	return rankDecl | (s.ndecl - 1)
+}
+
 // flush builds the pending .names declaration, if any.
 func (s *streamer) flush() error {
 	if !s.pending {
@@ -224,7 +280,10 @@ func (s *streamer) flush() error {
 	if err := s.define(s.out, ln, s.undef); err != nil {
 		return err
 	}
-	s.sigs[s.out] = s.foldCover()
+	rank := s.rankOf(s.fanins)
+	sig := s.foldCover()
+	sig.rank = rank
+	s.sigs[s.out] = sig
 	return nil
 }
 
@@ -298,6 +357,11 @@ func (s *streamer) buildGate(nd *nodeDecl) error {
 	if err := s.define(nd.output, nd.ln, undef); err != nil {
 		return err
 	}
+	s.fanins = s.fanins[:0]
+	for _, in := range nd.inputs {
+		s.fanins = append(s.fanins, s.sigs[in])
+	}
+	rank := s.rankOf(s.fanins)
 	// Mirror subject.FromNetwork: substitute constant fanins in fanin
 	// order, then simplify through the folding constructors.
 	fn := nd.fn
@@ -308,7 +372,9 @@ func (s *streamer) buildGate(nd *nodeDecl) error {
 	}
 	fn = foldExpr(fn)
 	if fn.Op == logic.OpConst {
-		s.sigs[nd.output] = constSignal(fn.Const)
+		sig := constSignal(fn.Const)
+		sig.rank = rank
+		s.sigs[nd.output] = sig
 		return nil
 	}
 	if s.env == nil {
@@ -324,31 +390,42 @@ func (s *streamer) buildGate(nd *nodeDecl) error {
 	if err != nil {
 		return nd.ln.errorf("%v", err)
 	}
-	s.sigs[nd.output] = signal{node: sn}
+	s.sigs[nd.output] = signal{node: sn, rank: rank}
 	return nil
 }
 
-// ReadSubjectFile reads the BLIF file at path into a subject graph.
-// Flat models take the streaming path; hierarchical or out-of-order
-// models are transparently re-read through the AST parser and
-// subject.FromNetwork.
+// ReadSubjectFile reads the BLIF file at path into a subject graph
+// with ReadSubject.
 func (rd *Reader) ReadSubjectFile(path string) (*subject.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	g, serr := rd.StreamSubject(f)
-	if serr == nil {
+	return rd.ReadSubject(f)
+}
+
+// ReadSubject reads one BLIF model from r into a subject graph. It
+// streams the model (StreamSubject); if streaming fails for any reason
+// — a construct outside the streaming subset or malformed input — it
+// rewinds r and re-reads it through Parse and subject.FromNetwork,
+// whose graph or error is then the result. So ReadSubject accepts and
+// rejects exactly what the AST reader does, with the AST reader's
+// error text.
+//
+// With ASTOrder set, a streamed graph is also kept only if its node
+// numbering is the AST reader's (see stream); otherwise the model is
+// re-read the same way, so the result equals Parse + FromNetwork node
+// for node, digest included.
+func (rd *Reader) ReadSubject(r io.ReadSeeker) (*subject.Graph, error) {
+	g, astOrder, err := rd.stream(r)
+	if err == nil && (astOrder || !rd.ASTOrder) {
 		return g, nil
 	}
-	if !errors.Is(serr, ErrNeedsAST) {
-		return nil, serr
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("blif: rewind for AST fallback: %v", err)
 	}
-	nw, err := rd.Parse(f)
+	nw, err := rd.Parse(r)
 	if err != nil {
 		return nil, err
 	}

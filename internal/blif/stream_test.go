@@ -267,14 +267,24 @@ func FuzzStreamVsAST(f *testing.F) {
 // checkStreamSubject is the streaming reader's contract on arbitrary
 // input: it returns ErrNeedsAST, or it fails exactly when Parse +
 // FromNetwork fails, or it returns a graph equivalent to theirs. It
-// never panics.
+// never panics. ReadSubject with ASTOrder returns their graph node for
+// node (equal digests) or their error text.
 func checkStreamSubject(t *testing.T, text string) {
 	t.Helper()
+	ag, aerr := astSubject(t, []byte(text))
+	rg, rerr := (&blif.Reader{ASTOrder: true}).ReadSubject(strings.NewReader(text))
+	switch {
+	case (rerr == nil) != (aerr == nil):
+		t.Fatalf("ReadSubject error %v, AST error %v\ninput: %.400q", rerr, aerr, text)
+	case rerr != nil && rerr.Error() != aerr.Error():
+		t.Fatalf("ReadSubject error %q, AST error %q\ninput: %.400q", rerr, aerr, text)
+	case rerr == nil && rg.Digest() != ag.Digest():
+		t.Fatalf("ReadSubject digest differs from the AST reader's\ninput: %.400q", text)
+	}
 	sg, serr := (&blif.Reader{}).StreamSubject(strings.NewReader(text))
 	if errors.Is(serr, blif.ErrNeedsAST) {
 		return
 	}
-	ag, aerr := astSubject(t, []byte(text))
 	switch {
 	case serr != nil && aerr == nil:
 		t.Fatalf("stream rejects what AST accepts: %v\ninput: %.400q", serr, text)

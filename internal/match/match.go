@@ -692,8 +692,10 @@ func (m *Matcher) matchStep(pi int) bool {
 				continue
 			}
 			// Definition 2: internally covered nodes keep their
-			// fanout count (the root, parent < 0, is exempt).
-			if m.curClass == Exact && st.parent >= 0 && g.FanoutCount(cand) != st.patFanouts {
+			// fanout count and drive no output (the root, parent < 0,
+			// is exempt): an output's node is built for its port, so
+			// covering it inside a consumer's match builds it twice.
+			if m.curClass == Exact && st.parent >= 0 && (g.FanoutCount(cand) != st.patFanouts || g.DrivesOutput(cand)) {
 				continue
 			}
 		}

@@ -442,25 +442,22 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 	return out
 }
 
-// serveItem is the per-item body of a batch run: parse, then map with
+// serveItem is the per-item body of a batch run: ingest, then map with
 // the batch's shared library. It mirrors serve minus library
-// resolution.
+// resolution. Batch items share the result cache with /map (same keys,
+// same tiers) but never join a coalescing flight: the batch already
+// holds the admission slot a /map leader would need, so waiting on one
+// could deadlock the pool.
 func (s *Server) serveItem(ctx context.Context, req *MapRequest, lib library, ph *reqPhases) (*MapResponse, int, error) {
 	ph.mode = req.modeName()
-	t0 := time.Now()
-	nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
-	ph.parse = time.Since(t0)
+	if s.resultCache != nil && resultCacheable(req) {
+		return s.mapItemCached(ctx, req, lib, ph)
+	}
+	g, err := ingest(req, ph)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// Batch items share the result cache with /map (same keys, same
-	// tiers) but never join a coalescing flight: the batch already
-	// holds the admission slot a /map leader would need, so waiting on
-	// one could deadlock the pool.
-	if s.resultCache != nil && resultCacheable(req) {
-		return s.mapItemCached(ctx, req, nw, lib, ph)
-	}
-	return s.mapWith(ctx, req, nw, nil, lib, ph)
+	return s.mapWith(ctx, req, g, lib, ph)
 }
 
 // itemPhaseMillis renders one item's phase breakdown: the service

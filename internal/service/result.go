@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"dagcover"
@@ -42,8 +41,9 @@ const (
 )
 
 // resultCacheable reports whether a request's mode goes through the
-// result cache. LUT mode has no subject graph (and no library key);
-// unknown modes fall through to the legacy path for its 400.
+// result cache. LUT responses carry no subject digest (and LUT mode no
+// library key); unknown modes fall through to the legacy path for its
+// 400.
 func resultCacheable(req *MapRequest) bool {
 	switch req.Mode {
 	case "", "dag", "tree":
@@ -274,14 +274,7 @@ func (s *Server) serveMapCached(w http.ResponseWriter, r *http.Request, req *Map
 		return s.respondCached(w, traceID, v, resultHitMem, start, ph, fail)
 	}
 
-	t0 := time.Now()
-	nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
-	if err != nil {
-		ph.parse = time.Since(t0)
-		return fail(http.StatusBadRequest, "%v", err)
-	}
-	g, err := dagcover.BuildSubject(nw)
-	ph.parse = time.Since(t0)
+	g, err := ingest(req, ph)
 	if err != nil {
 		return fail(http.StatusBadRequest, "%v", err)
 	}
@@ -311,7 +304,7 @@ func (s *Server) serveMapCached(w http.ResponseWriter, r *http.Request, req *Map
 	for {
 		c, leader := s.flights.join(key)
 		if leader {
-			return s.runResultLeader(ctx, w, req, nw, g, mode, key, rawKey, c, traceID, timeout, start, ph, fail)
+			return s.runResultLeader(ctx, w, req, g, mode, key, rawKey, c, traceID, timeout, start, ph, fail)
 		}
 		// Follower: wait on the leader's run without holding an
 		// admission slot; the wait is queue time.
@@ -355,7 +348,7 @@ func (s *Server) serveMapCached(w http.ResponseWriter, r *http.Request, req *Map
 // in-memory cache, the artifact store, and the flight's followers.
 // Every return path settles the flight — followers must never wait on
 // a leader that has already responded.
-func (s *Server) runResultLeader(ctx context.Context, w http.ResponseWriter, req *MapRequest, nw *dagcover.Network, g *dagcover.SubjectGraph, mode string, key, rawKey store.Key, c *flightCall, traceID string, timeout time.Duration, start time.Time, ph *reqPhases, fail func(int, string, ...any) int) int {
+func (s *Server) runResultLeader(ctx context.Context, w http.ResponseWriter, req *MapRequest, g *dagcover.SubjectGraph, mode string, key, rawKey store.Key, c *flightCall, traceID string, timeout time.Duration, start time.Time, ph *reqPhases, fail func(int, string, ...any) int) int {
 	settle := func(st int, errMsg string, ctxErr bool) {
 		c.status, c.errMsg, c.ctxErr = st, errMsg, ctxErr
 		s.flights.leaderDone(key, c)
@@ -391,7 +384,7 @@ func (s *Server) runResultLeader(ctx context.Context, w http.ResponseWriter, req
 		settle(http.StatusBadRequest, err.Error(), false)
 		return fail(http.StatusBadRequest, "%v", err)
 	}
-	resp, st, err := s.mapWith(ctx, req, nw, g, lib, ph)
+	resp, st, err := s.mapWith(ctx, req, g, lib, ph)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -488,7 +481,7 @@ func (s *Server) respondCached(w http.ResponseWriter, traceID string, v rcView, 
 // batch's admission slot, and joining a /map flight from under it
 // could deadlock the pool (the leader it waits for needs the slot the
 // item is holding).
-func (s *Server) mapItemCached(ctx context.Context, req *MapRequest, nw *dagcover.Network, lib library, ph *reqPhases) (*MapResponse, int, error) {
+func (s *Server) mapItemCached(ctx context.Context, req *MapRequest, lib library, ph *reqPhases) (*MapResponse, int, error) {
 	mode := req.modeName()
 	libKey, err := libraryCacheKey(req)
 	if err != nil {
@@ -514,16 +507,14 @@ func (s *Server) mapItemCached(ctx context.Context, req *MapRequest, nw *dagcove
 		}
 		return resp, http.StatusOK, nil
 	}
-	// The raw lookaside skips the subject-graph build for repeated
-	// items (the item's BLIF was already parsed by the job intake).
+	// As on /map, the raw lookaside recognizes a repeated item before
+	// any parsing.
 	if v, ok := s.resultCache.getRaw(rawKey); ok {
 		s.metrics.rcMemHits.Add(1)
 		return serveHit(v, resultHitMem)
 	}
 
-	t0 := time.Now()
-	g, err := dagcover.BuildSubject(nw)
-	ph.parse += time.Since(t0)
+	g, err := ingest(req, ph)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -546,7 +537,7 @@ func (s *Server) mapItemCached(ctx context.Context, req *MapRequest, nw *dagcove
 		}
 	}
 
-	resp, st, err := s.mapWith(ctx, req, nw, g, lib, ph)
+	resp, st, err := s.mapWith(ctx, req, g, lib, ph)
 	if err != nil {
 		return resp, st, err
 	}

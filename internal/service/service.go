@@ -648,19 +648,29 @@ const statusClientClosedRequest = 499
 // non-context errors.
 func (s *Server) serve(ctx context.Context, req *MapRequest, ph *reqPhases) (*MapResponse, int, error) {
 	ph.mode = req.modeName()
-	t0 := time.Now()
-	nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
-	ph.parse = time.Since(t0)
+	g, err := ingest(req, ph)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	t0 = time.Now()
+	t0 := time.Now()
 	lib, err := s.resolveLibrary(req)
 	ph.compile = time.Since(t0)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	return s.mapWith(ctx, req, nw, nil, lib, ph)
+	return s.mapWith(ctx, req, g, lib, ph)
+}
+
+// ingest reads a request's BLIF into its subject graph, charging the
+// parse phase. It is every mapping request's one ingest path: streamed
+// when that yields the AST reader's graph, re-read through the AST
+// reader otherwise (dagcover.ReadSubjectBLIF), so graph, digest and
+// error text are always the AST reader's.
+func ingest(req *MapRequest, ph *reqPhases) (*dagcover.SubjectGraph, error) {
+	t0 := time.Now()
+	g, err := dagcover.ReadSubjectBLIF(strings.NewReader(req.BLIF))
+	ph.parse += time.Since(t0)
+	return g, err
 }
 
 // modeName is the request's mode with the default filled in.
@@ -709,26 +719,20 @@ func (s *Server) mapOptions(req *MapRequest, lib library) (dagcover.MapOptions, 
 	return opt, nil
 }
 
-// mapWith runs one request against its resolved library. It is the
-// shared tail of the synchronous /map path and the batch job runner
-// (which resolves the library once per batch), so a batch item's
-// netlist is byte-identical to what /map would return for the same
-// input. When the caller already built (and digested) the subject graph
-// for cache keying, it passes g and the engine maps that graph directly
-// instead of rebuilding it from nw.
-func (s *Server) mapWith(ctx context.Context, req *MapRequest, nw *dagcover.Network, g *dagcover.SubjectGraph, lib library, ph *reqPhases) (*MapResponse, int, error) {
+// mapWith maps one request's subject graph against its resolved
+// library. It is the shared tail of the synchronous /map path and the
+// batch job runner (which resolves the library once per batch), so a
+// batch item's netlist is byte-identical to what /map would return for
+// the same input.
+func (s *Server) mapWith(ctx context.Context, req *MapRequest, g *dagcover.SubjectGraph, lib library, ph *reqPhases) (*MapResponse, int, error) {
 	ph.library, ph.cacheHit = lib.name, lib.hit
 	opt, err := s.mapOptions(req, lib)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	opt.Trace = ph.trace
-	in := dagcover.Input{Network: nw}
-	if g != nil {
-		in = dagcover.Input{Subject: g}
-	}
 	t0 := time.Now()
-	res, err := dagcover.Map(ctx, in, opt)
+	res, err := dagcover.Map(ctx, dagcover.Input{Subject: g}, opt)
 	ph.mapRun = time.Since(t0)
 	if err != nil {
 		// Context errors are classified by the caller; anything else
@@ -738,7 +742,7 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, nw *dagcover.Netw
 	}
 	lut := opt.Mode == dagcover.ModeLUT
 	resp := &MapResponse{
-		Circuit:           nw.Name,
+		Circuit:           g.Name,
 		Library:           lib.name,
 		Mode:              opt.Mode.String(),
 		Delay:             res.Delay,
@@ -769,10 +773,17 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, nw *dagcover.Netw
 	t0 = time.Now()
 	defer func() { ph.respond = time.Since(t0) }()
 	if req.Verify {
-		kind, err := "mapped netlist", error(nil)
-		if lut {
+		// Verification simulates against the source network, the AST's
+		// one use here; that parse is BLIF reading, charged to parse.
+		nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
+		parsed := time.Since(t0)
+		ph.parse, t0 = ph.parse+parsed, t0.Add(parsed)
+		kind := "mapped netlist"
+		switch {
+		case err != nil:
+		case lut:
 			kind, err = "LUT netlist", dagcover.VerifyNetworks(nw, res.Network)
-		} else {
+		default:
 			err = dagcover.Verify(nw, res.Netlist)
 		}
 		if err != nil {

@@ -125,7 +125,6 @@ func TestMapEndpointCachesLibrary(t *testing.T) {
 }
 
 func TestMapEndpointRejectsMalformedInput(t *testing.T) {
-	s := New(Config{Concurrency: 2})
 	huge := strings.Repeat("z", 50_000)
 	cases := []struct {
 		name string
@@ -135,24 +134,49 @@ func TestMapEndpointRejectsMalformedInput(t *testing.T) {
 		{"garbage blif", MapRequest{BLIF: "this is not blif\n"}},
 		{"undefined signal", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n.names a ghost o\n11 1\n.end\n"}},
 		{"huge token", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n.names a " + huge + " o\n11 1\n.end\n"}},
+		{"constant output", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n.names o\n1\n.end\n"}},
+		{"double drive", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n.names a o\n1 1\n.names a o\n0 1\n.end\n"}},
+		{"bad cover", MapRequest{BLIF: ".model m\n.inputs a b\n.outputs o\n.names a b o\n1 1\n.end\n"}},
+		{"stray row", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n11 1\n.names a o\n1 1\n.end\n"}},
+		{"mapped gate", MapRequest{BLIF: ".model m\n.inputs a b\n.outputs o\n.gate nand2 a=a b=b O=o\n.end\n"}},
+		{"cycle", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n.names a p o\n11 1\n.names o p\n1 1\n.end\n"}},
+		{"lut garbage", MapRequest{BLIF: "this is not blif\n", Mode: "lut"}},
 		{"bad library", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n.names a o\n1 1\n.end\n", Library: "nope"}},
 		{"bad genlib", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n.names a o\n1 1\n.end\n", Genlib: "GATE broken"}},
 		{"bad mode", MapRequest{BLIF: ".model m\n.inputs a\n.outputs o\n.names a o\n1 1\n.end\n", Mode: "quantum"}},
 	}
+	servers := []*Server{New(Config{Concurrency: 2}), New(Config{Concurrency: 2, ResultCacheBytes: -1})}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _, body := post(t, s.Handler(), nil, tc.req)
-			if code != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400: %s", code, body)
-			}
-			if len(body) > 1024 {
-				t.Fatalf("400 body is %d bytes; errors echoed to clients must stay bounded", len(body))
-			}
-			var er errorResponse
-			if err := json.Unmarshal([]byte(body), &er); err != nil || er.Error == "" {
-				t.Fatalf("400 body is not a JSON error: %s", body)
+			for _, s := range servers {
+				code, _, body := post(t, s.Handler(), nil, tc.req)
+				if code != http.StatusBadRequest {
+					t.Fatalf("cache=%v: status = %d, want 400: %s", s.resultCache != nil, code, body)
+				}
+				if len(body) > 1024 {
+					t.Fatalf("400 body is %d bytes; errors echoed to clients must stay bounded", len(body))
+				}
+				var er errorResponse
+				if err := json.Unmarshal([]byte(body), &er); err != nil || er.Error == "" {
+					t.Fatalf("400 body is not a JSON error: %s", body)
+				}
+				// A BLIF the AST reader rejects is reported in its words,
+				// whichever reader found the fault first.
+				if tc.req.BLIF == "" {
+					continue
+				}
+				nw, err := dagcover.ParseBLIF(strings.NewReader(tc.req.BLIF))
+				if err == nil {
+					_, err = dagcover.BuildSubject(nw)
+				}
+				if err != nil && er.Error != err.Error() {
+					t.Fatalf("cache=%v: 400 error %q, want the AST reader's %q", s.resultCache != nil, er.Error, err.Error())
+				}
 			}
 		})
+	}
+	for _, s := range servers {
+		s.Close()
 	}
 }
 

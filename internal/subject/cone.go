@@ -81,11 +81,11 @@ func NewConeEncoder() *ConeEncoder { return &ConeEncoder{root: None} }
 // Encode computes the cone key of root for the given depth. The tag
 // byte is prepended verbatim (callers use it to separate key spaces —
 // e.g. match classes — within one table). withFanouts additionally
-// encodes interior fanout counts (needed only when the consumer checks
-// them, i.e. exact-class matching). It returns the key and the cone's
-// nodes in first-visit order; both are valid only until the next
-// Encode or Reset call (the key aliases an internal buffer — copy it
-// to retain it).
+// encodes interior fanout counts and output bindings (needed only when
+// the consumer checks them, i.e. exact-class matching). It returns the
+// key and the cone's nodes in first-visit order; both are valid only
+// until the next Encode or Reset call (the key aliases an internal
+// buffer — copy it to retain it).
 func (e *ConeEncoder) Encode(g *Graph, root Node, depth int, withFanouts bool, tag byte) (key []byte, nodes []Node) {
 	e.epoch += 2
 	if e.epoch == 0 {
@@ -159,9 +159,14 @@ func (e *ConeEncoder) emit(n Node) {
 	}
 	e.key = append(e.key, tag)
 	if e.withFanouts && kind != PI && n != e.root {
-		// Interior fanout counts gate Exact-class matches; the root is
-		// exempt from that check and so excluded from the key.
-		e.key = binary.AppendUvarint(e.key, uint64(e.g.FanoutCount(n)))
+		// Interior fanout counts and output bindings gate Exact-class
+		// matches; the root is exempt from that check and so excluded
+		// from the key.
+		fo := uint64(e.g.FanoutCount(n)) << 1
+		if e.g.DrivesOutput(n) {
+			fo |= 1
+		}
+		e.key = binary.AppendUvarint(e.key, fo)
 	}
 	if expand {
 		fis, k := e.g.Fanins(n)

@@ -110,10 +110,10 @@ func TestConeKeySharing(t *testing.T) {
 	}
 }
 
-// TestConeKeyFanouts: interior fanout counts are part of the key only
-// when requested, and the root's own fanout never is.
+// TestConeKeyFanouts: interior fanout counts and output bindings are
+// part of the key only when requested, and the root's own never are.
 func TestConeKeyFanouts(t *testing.T) {
-	build := func(extraInteriorFanout, extraRootFanout bool) (*Graph, Node) {
+	build := func(extraInteriorFanout, interiorOutput, extraRootFanout bool) (*Graph, Node) {
 		g := NewGraph("t", true)
 		a, _ := g.AddPI("a")
 		b, _ := g.AddPI("b")
@@ -123,29 +123,39 @@ func TestConeKeyFanouts(t *testing.T) {
 		if extraInteriorFanout {
 			g.MarkOutput("x", g.Not(mid)) // mid gains a fanout outside the cone
 		}
+		if interiorOutput {
+			g.MarkOutput("m", mid) // mid drives an output, its fanouts unchanged
+		}
 		if extraRootFanout {
 			g.MarkOutput("y", g.Not(root))
+			g.MarkOutput("r", root)
 		}
 		return g, root
 	}
 	e := NewConeEncoder()
-	gPlain, plain := build(false, false)
-	gInterior, interior := build(true, false)
-	gRootFO, rootFO := build(false, true)
+	gPlain, plain := build(false, false, false)
+	gInterior, interior := build(true, false, false)
+	gOutput, output := build(false, true, false)
+	gRootFO, rootFO := build(false, false, true)
 	kPlain := encodeCopy(e, gPlain, plain, 3, true, 0)
 	kInterior := encodeCopy(e, gInterior, interior, 3, true, 0)
+	kOutput := encodeCopy(e, gOutput, output, 3, true, 0)
 	kRootFO := encodeCopy(e, gRootFO, rootFO, 3, true, 0)
 	if bytes.Equal(kPlain, kInterior) {
 		t.Fatal("withFanouts key blind to an interior fanout difference")
 	}
-	if !bytes.Equal(kPlain, kRootFO) {
-		t.Fatal("withFanouts key depends on the root's own fanout")
+	if bytes.Equal(kPlain, kOutput) || bytes.Equal(kInterior, kOutput) {
+		t.Fatal("withFanouts key blind to an interior output binding")
 	}
-	// Without fanouts, the interior difference must disappear.
+	if !bytes.Equal(kPlain, kRootFO) {
+		t.Fatal("withFanouts key depends on the root's own fanouts or outputs")
+	}
+	// Without fanouts, the interior differences must disappear.
 	k1 := encodeCopy(e, gPlain, plain, 3, false, 0)
 	k2 := encodeCopy(e, gInterior, interior, 3, false, 0)
-	if !bytes.Equal(k1, k2) {
-		t.Fatal("fanout-free key still sees interior fanouts")
+	k3 := encodeCopy(e, gOutput, output, 3, false, 0)
+	if !bytes.Equal(k1, k2) || !bytes.Equal(k1, k3) {
+		t.Fatal("fanout-free key still sees interior fanouts or outputs")
 	}
 }
 

@@ -82,11 +82,11 @@ type Graph struct {
 	Outputs []Output
 
 	// Parallel per-node arrays, indexed by Node. kind doubles as the
-	// packed per-node flag byte (the two low bits hold the Kind; the
-	// upper bits are reserved). fanin1 is None for Inv, both fanins
-	// are None for PI. nfo counts fanouts incrementally; tied NAND
-	// inputs count twice, matching the two fanin slots (Check relies
-	// on this symmetry).
+	// packed per-node flag byte (the two low bits hold the Kind, bit 2
+	// is drivesOutput; the upper bits are reserved). fanin1 is None for
+	// Inv, both fanins are None for PI. nfo counts fanouts
+	// incrementally; tied NAND inputs count twice, matching the two
+	// fanin slots (Check relies on this symmetry).
 	kind   []Kind
 	fanin0 []Node
 	fanin1 []Node
@@ -157,6 +157,15 @@ func (g *Graph) NumNodes() int { return len(g.kind) }
 
 // KindOf returns the kind of n.
 func (g *Graph) KindOf(n Node) Kind { return g.kind[n] & 3 }
+
+// drivesOutput is the kind-byte flag MarkOutput sets on output nodes.
+const drivesOutput Kind = 4
+
+// DrivesOutput reports whether n is bound to an output. Output
+// references are not fanouts (FanoutCount ignores them), but an
+// output's node must exist in the mapped circuit, so exact matches
+// never cover one internally.
+func (g *Graph) DrivesOutput(n Node) bool { return g.kind[n]&drivesOutput != 0 }
 
 // Fanin0 returns the first fanin of n (None for a PI).
 func (g *Graph) Fanin0(n Node) Node { return g.fanin0[n] }
@@ -344,6 +353,7 @@ func (g *Graph) StrashHits() int64 { return g.strashHits }
 // MarkOutput registers node as a required output with the given name.
 func (g *Graph) MarkOutput(name string, n Node) {
 	g.Outputs = append(g.Outputs, Output{Name: name, Node: n})
+	g.kind[n] |= drivesOutput
 }
 
 // Build decomposes expression e (over the named sources in env) into
