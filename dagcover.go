@@ -145,7 +145,12 @@ func ReadSubjectBLIF(r io.ReadSeeker) (*SubjectGraph, error) {
 
 // ReadSubjectBLIFFile reads the BLIF file at path into a subject
 // graph, streaming flat models and falling back to the AST parser for
-// the rest. Streamed graphs keep declaration-order node numbering.
+// the rest. Streamed graphs keep declaration-order node numbering, so
+// for a model the AST reader numbers differently its graph is
+// structurally equal to ReadSubjectBLIF's but its digest may differ.
+// That keeps million-gate files off the AST reader: every generated
+// mult<N> and alumesh<WxH> family declares its logic out of the AST
+// reader's order.
 func ReadSubjectBLIFFile(path string) (*SubjectGraph, error) {
 	return (&blifpkg.Reader{}).ReadSubjectFile(path)
 }

@@ -35,8 +35,10 @@ type Reader struct {
 	// ASTOrder makes ReadSubject return exactly the graph Parse +
 	// subject.FromNetwork builds, node numbering included. Streaming
 	// numbers nodes in declaration order, the AST reader in
-	// network.TopoSort's order; the two agree on topologically ordered
-	// BLIF as Write emits it, and ReadSubject re-reads the rest.
+	// network.TopoSort's order; the two agree on most BLIF as Write
+	// emits it. With ASTOrder set, StreamSubject fails with ErrNeedsAST
+	// at the first declaration where they would disagree, and
+	// ReadSubject re-reads the model through the AST reader.
 	ASTOrder bool
 }
 

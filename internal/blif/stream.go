@@ -76,12 +76,13 @@ type streamer struct {
 	env map[string]subject.Node // .gate decomposition
 
 	// AST-order bookkeeping (see rankOf): per-class ordinals, the
-	// visiting fanin rank of the last declaration, and whether the
-	// declarations so far build nodes in the AST reader's order.
+	// visiting fanin rank of the last declaration, and the line of the
+	// first declaration that builds nodes out of the AST reader's
+	// order (0 while none has).
 	npi, nconst, ndecl uint64
 	lastVisit          uint64
 	sawDecl            bool
-	astOrder           bool
+	misorder           int
 }
 
 // StreamSubject reads one flat BLIF model from r and technology-
@@ -98,22 +99,26 @@ type streamer struct {
 // decompose the cover's expression.
 //
 // Models outside the streaming subset return ErrNeedsAST (wrapped);
-// use ReadSubject for transparent fallback.
+// use ReadSubject for transparent fallback. With ASTOrder set, so does
+// a model whose node numbering would differ from the AST reader's, at
+// the first declaration that shows it: the streamed numbering equals
+// the AST reader's when the model declares its primary inputs before
+// any logic and every declaration's last-visited fanin comes no
+// earlier, in the AST reader's visit order, than the previous
+// declaration's. Then Kahn's order over the declarations is their file
+// order, both readers decompose the same expressions in the same
+// order, and the graphs are equal node for node (and digest equal).
 func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
-	g, _, err := rd.stream(r)
-	return g, err
-}
-
-// stream is StreamSubject that also reports whether the graph's node
-// numbering is the AST reader's: true when the model declares its
-// primary inputs before any logic and every declaration's last-visited
-// fanin comes no earlier, in the AST reader's visit order, than the
-// previous declaration's. Then Kahn's order over the declarations is
-// their file order, both readers decompose the same expressions in the
-// same order, and the graphs are equal node for node (and digest equal).
-func (rd *Reader) stream(r io.Reader) (*subject.Graph, bool, error) {
 	ls := newLineScanner(r)
-	s := &streamer{g: subject.NewGraph("top", true), sigs: map[string]signal{}, astOrder: true}
+	s := &streamer{g: subject.NewGraph("top", true), sigs: map[string]signal{}}
+	// misordered reports, with ASTOrder set, that the declarations so
+	// far already number nodes differently from the AST reader.
+	misordered := func() error {
+		if !rd.ASTOrder || s.misorder == 0 {
+			return nil
+		}
+		return fmt.Errorf("%w: line %d: declaration order differs from the AST reader's", ErrNeedsAST, s.misorder)
+	}
 	sawModel, sawContent, ended := false, false, false
 	for {
 		text, num, ok := ls.next()
@@ -128,24 +133,24 @@ func (rd *Reader) stream(r io.Reader) (*subject.Graph, bool, error) {
 		if text[start] != '.' {
 			// A cover row of the pending .names.
 			if !s.pending {
-				return nil, false, ln.errorf("unexpected token %q", text[start:end])
+				return nil, ln.errorf("unexpected token %q", text[start:end])
 			}
 			s.cov.add(text)
 			continue
 		}
 		if err := s.flush(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		fields := appendFields(s.fields[:0], text)
 		s.fields = fields
 		directive := fields[0]
 		if ended && string(directive) != ".end" {
-			return nil, false, fmt.Errorf("%w: line %d: content after .end", ErrNeedsAST, num)
+			return nil, fmt.Errorf("%w: line %d: content after .end", ErrNeedsAST, num)
 		}
 		switch string(directive) {
 		case ".model":
 			if sawModel || sawContent {
-				return nil, false, fmt.Errorf("%w: line %d: multiple models", ErrNeedsAST, num)
+				return nil, fmt.Errorf("%w: line %d: multiple models", ErrNeedsAST, num)
 			}
 			sawModel = true
 			if len(fields) > 1 {
@@ -156,14 +161,16 @@ func (rd *Reader) stream(r io.Reader) (*subject.Graph, bool, error) {
 			for _, f := range fields[1:] {
 				name := string(f)
 				if _, defined := s.sigs[name]; defined && s.g.PI(name) == subject.None {
-					return nil, false, ln.errorf("signal %q driven twice or collides with an input", name)
+					return nil, ln.errorf("signal %q driven twice or collides with an input", name)
 				}
 				pi, err := s.g.AddPI(name)
 				if err != nil {
-					return nil, false, ln.errorf("%v", err)
+					return nil, ln.errorf("%v", err)
 				}
 				// The AST reader decomposes every input before any logic.
-				s.astOrder = s.astOrder && !s.sawDecl
+				if s.sawDecl && s.misorder == 0 {
+					s.misorder = num
+				}
 				s.sigs[name] = signal{node: pi, rank: rankPI | s.npi}
 				s.npi++
 			}
@@ -173,12 +180,12 @@ func (rd *Reader) stream(r io.Reader) (*subject.Graph, bool, error) {
 			}
 		case ".names":
 			if len(fields) < 2 {
-				return nil, false, ln.errorf(".names needs at least an output")
+				return nil, ln.errorf(".names needs at least an output")
 			}
 			s.begin(fields[1:len(fields)-1], fields[len(fields)-1], num)
 		case ".gate":
 			if rd.Gates == nil {
-				return nil, false, ln.errorf(".gate requires a gate resolver (library)")
+				return nil, ln.errorf(".gate requires a gate resolver (library)")
 			}
 			strs := make([]string, len(fields)-1)
 			for i, f := range fields[1:] {
@@ -186,32 +193,38 @@ func (rd *Reader) stream(r io.Reader) (*subject.Graph, bool, error) {
 			}
 			nd, err := rd.gateDecl(strs, ln)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if err := s.buildGate(&nd); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		case ".end":
 			ended = true
 		case ".latch", ".subckt", ".exdc":
-			return nil, false, fmt.Errorf("%w: line %d: %s", ErrNeedsAST, num, directive)
+			return nil, fmt.Errorf("%w: line %d: %s", ErrNeedsAST, num, directive)
 		default:
 			// Unsupported directives (timing etc.) are skipped, as in
 			// the AST parser.
 		}
+		if err := misordered(); err != nil {
+			return nil, err
+		}
 		sawContent = true
 	}
 	if err := ls.Err(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if err := s.flush(); err != nil {
-		return nil, false, err
+		return nil, err
+	}
+	if err := misordered(); err != nil {
+		return nil, err
 	}
 	if !sawModel && !sawContent {
-		return nil, false, fmt.Errorf("blif: no model found")
+		return nil, fmt.Errorf("blif: no model found")
 	}
 	if len(s.outputs) == 0 {
-		return nil, false, fmt.Errorf("blif: model %q declares no outputs and no latches", s.g.Name)
+		return nil, fmt.Errorf("blif: model %q declares no outputs and no latches", s.g.Name)
 	}
 	marked := make(map[string]bool, len(s.outputs))
 	for _, name := range s.outputs {
@@ -221,14 +234,14 @@ func (rd *Reader) stream(r io.Reader) (*subject.Graph, bool, error) {
 		marked[name] = true
 		sig, ok := s.sigs[name]
 		if !ok {
-			return nil, false, fmt.Errorf("blif: output %q is never defined", name)
+			return nil, fmt.Errorf("blif: output %q is never defined", name)
 		}
 		if sig.konst {
-			return nil, false, fmt.Errorf("blif: primary output %q is constant; constant outputs cannot be mapped", name)
+			return nil, fmt.Errorf("blif: primary output %q is constant; constant outputs cannot be mapped", name)
 		}
 		s.g.MarkOutput(name, sig.node)
 	}
-	return s.g, s.astOrder, nil
+	return s.g, nil
 }
 
 // begin opens a .names declaration: the output name is copied (the
@@ -248,11 +261,11 @@ func (s *streamer) begin(ins [][]byte, out []byte, num int) {
 	s.cov.reset(len(ins))
 }
 
-// rankOf ranks the declaration being read, given its resolved fanins,
-// and keeps astOrder: a declaration whose last-visited fanin precedes
-// the previous declaration's would be visited earlier by the AST
-// reader, which then numbers its nodes differently.
-func (s *streamer) rankOf(fanins []signal) uint64 {
+// rankOf ranks the declaration on line num, given its resolved
+// fanins, and keeps misorder: a declaration whose last-visited fanin
+// precedes the previous declaration's would be visited earlier by the
+// AST reader, which then numbers its nodes differently.
+func (s *streamer) rankOf(fanins []signal, num int) uint64 {
 	if len(fanins) == 0 {
 		s.nconst++
 		return rankConst | (s.nconst - 1)
@@ -261,7 +274,9 @@ func (s *streamer) rankOf(fanins []signal) uint64 {
 	for _, f := range fanins {
 		visit = max(visit, f.rank)
 	}
-	s.astOrder = s.astOrder && visit >= s.lastVisit
+	if visit < s.lastVisit && s.misorder == 0 {
+		s.misorder = num
+	}
 	s.lastVisit, s.sawDecl = visit, true
 	s.ndecl++
 	return rankDecl | (s.ndecl - 1)
@@ -280,7 +295,7 @@ func (s *streamer) flush() error {
 	if err := s.define(s.out, ln, s.undef); err != nil {
 		return err
 	}
-	rank := s.rankOf(s.fanins)
+	rank := s.rankOf(s.fanins, s.num)
 	sig := s.foldCover()
 	sig.rank = rank
 	s.sigs[s.out] = sig
@@ -361,7 +376,7 @@ func (s *streamer) buildGate(nd *nodeDecl) error {
 	for _, in := range nd.inputs {
 		s.fanins = append(s.fanins, s.sigs[in])
 	}
-	rank := s.rankOf(s.fanins)
+	rank := s.rankOf(s.fanins, nd.ln.num)
 	// Mirror subject.FromNetwork: substitute constant fanins in fanin
 	// order, then simplify through the folding constructors.
 	fn := nd.fn
@@ -407,19 +422,16 @@ func (rd *Reader) ReadSubjectFile(path string) (*subject.Graph, error) {
 
 // ReadSubject reads one BLIF model from r into a subject graph. It
 // streams the model (StreamSubject); if streaming fails for any reason
-// — a construct outside the streaming subset or malformed input — it
+// — a construct outside the streaming subset, malformed input or, with
+// ASTOrder set, a numbering the AST reader would not produce — it
 // rewinds r and re-reads it through Parse and subject.FromNetwork,
 // whose graph or error is then the result. So ReadSubject accepts and
 // rejects exactly what the AST reader does, with the AST reader's
-// error text.
-//
-// With ASTOrder set, a streamed graph is also kept only if its node
-// numbering is the AST reader's (see stream); otherwise the model is
-// re-read the same way, so the result equals Parse + FromNetwork node
-// for node, digest included.
+// error text, and with ASTOrder set its graph equals Parse +
+// FromNetwork's node for node, digest included.
 func (rd *Reader) ReadSubject(r io.ReadSeeker) (*subject.Graph, error) {
-	g, astOrder, err := rd.stream(r)
-	if err == nil && (astOrder || !rd.ASTOrder) {
+	g, err := rd.StreamSubject(r)
+	if err == nil {
 		return g, nil
 	}
 	if _, err := r.Seek(0, io.SeekStart); err != nil {

@@ -169,6 +169,37 @@ func TestStreamFallsBackOutsideSubset(t *testing.T) {
 	}
 }
 
+// TestASTOrderStopsAtFirstMisorder checks that with ASTOrder set the
+// streamer gives up at the first declaration the AST reader would
+// number differently, not at the end of the model, and that
+// ReadSubject's fallback then returns the AST reader's graph.
+func TestASTOrderStopsAtFirstMisorder(t *testing.T) {
+	text := ".model m\n.inputs a b c\n.outputs y z w\n" +
+		".names b c z\n11 1\n" + // line 4: last-visited fanin c
+		".names a b y\n01 1\n" + // line 6: last-visited fanin b, visited before c
+		".names y z w\n11 1\n.end\n"
+	// A malformed row after the misorder is never reached.
+	bad := strings.Replace(text, ".end", ".names y q\n2 1\n.end", 1)
+	_, err := (&blif.Reader{ASTOrder: true}).StreamSubject(strings.NewReader(bad))
+	if !errors.Is(err, blif.ErrNeedsAST) || !strings.Contains(err.Error(), "line 6:") {
+		t.Fatalf("ASTOrder stream err = %v, want ErrNeedsAST at line 6", err)
+	}
+	if _, err := (&blif.Reader{}).StreamSubject(strings.NewReader(text)); err != nil {
+		t.Fatalf("declaration-order stream: %v", err)
+	}
+	ag, err := astSubject(t, []byte(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := (&blif.Reader{ASTOrder: true}).ReadSubject(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Digest() != ag.Digest() {
+		t.Error("ReadSubject's graph differs from the AST reader's")
+	}
+}
+
 func TestStreamFlatFileSkipsFallback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flat.blif")
 	text := ".model flat\n.inputs a b\n.outputs o\n.names a b o\n11 1\n.end\n"

@@ -26,11 +26,12 @@ import (
 // engine run.
 
 // resultKind is the artifact-store object kind and key-format version
-// for cached mapping results. Bumping it (mapres2, ...) rotates every
+// for cached mapping results. Bumping it (mapres3, ...) rotates every
 // key, which is how a change to response serialization or mapping
 // semantics invalidates old entries: they are orphaned for the GC,
-// never misread.
-const resultKind = "mapres1"
+// never misread. mapres2: exact matches stopped covering
+// output-driving nodes, which changed some tree-mode netlists.
+const resultKind = "mapres2"
 
 // result_cache tiers reported in responses and wide events.
 const (

@@ -525,3 +525,59 @@ func TestJobItemsUseResultCache(t *testing.T) {
 		t.Fatalf("result cache stats = %+v, want >= 2 mem hits", snap.ResultCache)
 	}
 }
+
+// TestResultKindRotatesStaleResults checks that a store filled by an
+// older key format is never served. RandomDAG(5, 20, 7) is a network
+// whose tree-mode lib2 netlist changed when exact matches stopped
+// covering output-driving nodes (its tree cover's area was 31088
+// before, 28768 after), so an entry left under the mapres1 key would
+// be a stale cover; it must miss and recompute. A store filled
+// under the current key serves the current netlist from disk.
+func TestResultKindRotatesStaleResults(t *testing.T) {
+	req := MapRequest{BLIF: blifOf(t, bench.RandomDAG(5, 20, 7)), Library: "lib2", Mode: "tree"}
+	off := New(Config{Concurrency: 1, ResultCacheBytes: -1})
+	code, want, body := post(t, off.Handler(), nil, req)
+	if code != http.StatusOK {
+		t.Fatalf("cache-off request = %d: %s", code, body)
+	}
+
+	// A store written under the old key: the same request's entry,
+	// with the pre-fix area and a netlist that is not the current one.
+	oldDir := t.TempDir()
+	st := openStore(t, oldDir)
+	libKey, err := libraryCacheKey(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldKey := store.KeyOf(append([]string{"mapres1", want.SubjectSHA, libKey}, optionParts(&req, "tree")...)...)
+	stale := want
+	stale.Area, stale.Netlist = 31088, "# stale tree cover\n"
+	payload, _, err := encodeResultPayload(&stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("mapres1", oldKey, payload, 1, map[string]string{"library": want.Library}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Concurrency: 1, Store: st})
+	code, got, body := post(t, s.Handler(), nil, req)
+	if code != http.StatusOK {
+		t.Fatalf("request against the old-key store = %d: %s", code, body)
+	}
+	if got.ResultCache != resultMiss || got.Netlist != want.Netlist || got.Area != want.Area {
+		t.Fatalf("old-key store served %s (area %g), want a miss recomputing area %g", got.ResultCache, got.Area, want.Area)
+	}
+
+	// A store written under the current key serves it back from disk.
+	newDir := t.TempDir()
+	if code, r, body := post(t, New(Config{Concurrency: 1, Store: openStore(t, newDir)}).Handler(), nil, req); code != http.StatusOK || r.ResultCache != resultMiss {
+		t.Fatalf("cold request = %d %q: %s", code, r.ResultCache, body)
+	}
+	code, got, body = post(t, New(Config{Concurrency: 1, Store: openStore(t, newDir)}).Handler(), nil, req)
+	if code != http.StatusOK || got.ResultCache != resultHitDisk {
+		t.Fatalf("restart request = %d %q, want 200 %s: %s", code, got.ResultCache, resultHitDisk, body)
+	}
+	if got.Netlist != want.Netlist || got.Area != want.Area {
+		t.Errorf("disk hit serves area %g, want %g", got.Area, want.Area)
+	}
+}
