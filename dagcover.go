@@ -136,9 +136,11 @@ func StreamSubjectBLIF(r io.Reader) (*SubjectGraph, error) {
 // ReadSubjectBLIF reads one BLIF model into exactly the subject graph
 // BuildSubject(ParseBLIF(r)) returns — same nodes, same numbering,
 // same digest — or into exactly its error. It streams the model when
-// streaming provably yields that graph and re-reads r through the AST
-// parser otherwise, so a flat model in topological order never builds
-// the intermediate Network.
+// streaming provably yields that graph, streams it again with its
+// declarations in the AST reader's order when only the order was
+// wrong, and re-reads r through the AST parser otherwise, so a flat
+// model whose names are declared before use never builds the
+// intermediate Network.
 func ReadSubjectBLIF(r io.ReadSeeker) (*SubjectGraph, error) {
 	return (&blifpkg.Reader{ASTOrder: true}).ReadSubject(r)
 }

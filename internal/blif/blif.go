@@ -38,7 +38,8 @@ type Reader struct {
 	// network.TopoSort's order; the two agree on most BLIF as Write
 	// emits it. With ASTOrder set, StreamSubject fails with ErrNeedsAST
 	// at the first declaration where they would disagree, and
-	// ReadSubject re-reads the model through the AST reader.
+	// ReadSubject streams the model again with its declarations in the
+	// AST reader's order.
 	ASTOrder bool
 }
 
@@ -150,12 +151,19 @@ func (rd *Reader) Parse(r io.Reader) (*network.Network, error) {
 			for _, out := range child.outputs {
 				formals[out] = true
 			}
+			// Bindings are checked in pin-name order, so the error for
+			// several bad pins names the same one on every run.
+			pins := make([]string, 0, len(sc.bind))
+			for formal := range sc.bind {
+				pins = append(pins, formal)
+			}
+			sort.Strings(pins)
 			childBind := map[string]string{}
-			for formal, actual := range sc.bind {
+			for _, formal := range pins {
 				if !formals[formal] {
 					return sc.ln.errorf(".subckt %s: %q is not an interface pin", sc.model, formal)
 				}
-				childBind[formal] = resolve(actual)
+				childBind[formal] = resolve(sc.bind[formal])
 			}
 			for _, in := range child.inputs {
 				if _, ok := childBind[in]; !ok {

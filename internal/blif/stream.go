@@ -16,6 +16,7 @@
 package blif
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -29,6 +30,10 @@ import (
 // streaming subset (hierarchy, latches, several models, or forward
 // references) and must go through the full AST parser.
 var ErrNeedsAST = errors.New("blif: model needs the AST reader")
+
+// errMisordered is the part of StreamSubject's ASTOrder failure that
+// ReadSubject can repair by reordering the declarations.
+var errMisordered = errors.New("declaration order differs from the AST reader's")
 
 // signal is what a name stands for while streaming: a subject node, or
 // a constant folded away before decomposition.
@@ -117,7 +122,7 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 		if !rd.ASTOrder || s.misorder == 0 {
 			return nil
 		}
-		return fmt.Errorf("%w: line %d: declaration order differs from the AST reader's", ErrNeedsAST, s.misorder)
+		return fmt.Errorf("%w: line %d: %w", ErrNeedsAST, s.misorder, errMisordered)
 	}
 	sawModel, sawContent, ended := false, false, false
 	for {
@@ -428,20 +433,204 @@ func (rd *Reader) ReadSubjectFile(path string) (*subject.Graph, error) {
 // whose graph or error is then the result. So ReadSubject accepts and
 // rejects exactly what the AST reader does, with the AST reader's
 // error text, and with ASTOrder set its graph equals Parse +
-// FromNetwork's node for node, digest included.
+// FromNetwork's node for node, digest included. A model that failed
+// only the order check is first streamed once more with its
+// declarations in the AST reader's order (see topoOrdered).
 func (rd *Reader) ReadSubject(r io.ReadSeeker) (*subject.Graph, error) {
 	g, err := rd.StreamSubject(r)
 	if err == nil {
 		return g, nil
 	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("blif: rewind for AST fallback: %v", err)
+	if err := rewind(r); err != nil {
+		return nil, err
+	}
+	if errors.Is(err, errMisordered) {
+		if text, ok := topoOrdered(r); ok {
+			if g, err := rd.StreamSubject(bytes.NewReader(text)); err == nil {
+				return g, nil
+			}
+		}
+		if err := rewind(r); err != nil {
+			return nil, err
+		}
 	}
 	nw, err := rd.Parse(r)
 	if err != nil {
 		return nil, err
 	}
 	return subject.FromNetwork(nw)
+}
+
+// rewind returns r to its start for ReadSubject's second read.
+func rewind(r io.Seeker) error {
+	if _, err := r.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("blif: rewind to re-read: %v", err)
+	}
+	return nil
+}
+
+// topoOrdered rewrites a flat model with its declarations in the order
+// network.TopoSort visits them when the AST reader builds the model:
+// Kahn's algorithm with a FIFO queue over the inputs, then the
+// fanin-free declarations, each later declaration queued when its last
+// fanin is visited and ties kept in file order. Every other directive
+// goes ahead of the declarations and .end last. The declarations keep
+// their text, so the model is the same network, and TopoSort visits
+// it in the new file order; streamed, its nodes are numbered as the
+// AST reader numbers the original. StreamSubject's order check only
+// confirms that the new order is the rewritten model's own visit
+// order, so this must replay TopoSort exactly: a different tie order
+// would pass the check with other numbers. ok is false for a model
+// this cannot rewrite into the same network: several models, .gate,
+// .latch or hierarchy, a name used before its declaration (the AST
+// reader then orders declarations differently), a name defined twice,
+// or a stray cover row.
+func topoOrdered(r io.Reader) ([]byte, bool) {
+	ls := newLineScanner(r)
+	var head, blocks []byte
+	var fields [][]byte
+	// Declaration j's text is blocks[starts[j]:starts[j+1]] and its
+	// fanins are fanins[fanEnd[j-1]:fanEnd[j]], as ids: input i is ^i,
+	// declaration j is j.
+	var starts []int
+	var fanins, fanEnd []int32
+	ids := map[string]int32{}
+	npi := int32(0)
+	inDecl, sawModel, sawContent, ended := false, false, false, false
+	for {
+		text, _, ok := ls.next()
+		if !ok {
+			break
+		}
+		start, end := nextField(text, 0)
+		if start == end {
+			continue
+		}
+		if text[start] != '.' {
+			if !inDecl {
+				return nil, false
+			}
+			blocks = append(append(blocks, text...), '\n')
+			continue
+		}
+		inDecl = false
+		fields = appendFields(fields[:0], text)
+		directive := string(fields[0])
+		if ended && directive != ".end" {
+			return nil, false
+		}
+		switch directive {
+		case ".model":
+			if sawModel || sawContent {
+				return nil, false
+			}
+			sawModel = true
+			head = append(append(head, text...), '\n')
+			continue
+		case ".inputs":
+			for _, f := range fields[1:] {
+				if _, dup := ids[string(f)]; dup {
+					return nil, false
+				}
+				ids[string(f)] = ^npi
+				npi++
+			}
+			head = append(append(head, text...), '\n')
+		case ".names":
+			if len(fields) < 2 {
+				return nil, false
+			}
+			ins, out := fields[1:len(fields)-1], fields[len(fields)-1]
+			for i, f := range ins {
+				id, ok := ids[string(f)]
+				if !ok {
+					return nil, false
+				}
+				for _, g := range ins[:i] {
+					if bytes.Equal(f, g) {
+						return nil, false
+					}
+				}
+				fanins = append(fanins, id)
+			}
+			if _, dup := ids[string(out)]; dup {
+				return nil, false
+			}
+			ids[string(out)] = int32(len(fanEnd))
+			fanEnd = append(fanEnd, int32(len(fanins)))
+			starts = append(starts, len(blocks))
+			blocks = append(append(blocks, text...), '\n')
+			inDecl = true
+		case ".end":
+			ended = true
+		case ".gate", ".latch", ".subckt", ".exdc":
+			return nil, false
+		default:
+			head = append(append(head, text...), '\n')
+		}
+		sawContent = true
+	}
+	if ls.Err() != nil {
+		return nil, false
+	}
+	starts = append(starts, len(blocks))
+
+	// Kahn's algorithm over nodes 0..npi-1 (inputs) and npi+j
+	// (declarations), with fanout lists in declaration order, as
+	// network.TopoSort runs it on the AST reader's network.
+	n := int(npi) + len(fanEnd)
+	node := func(id int32) int32 {
+		if id < 0 {
+			return ^id
+		}
+		return npi + id
+	}
+	foStart := make([]int32, n+1)
+	for _, id := range fanins {
+		foStart[node(id)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		foStart[i] += foStart[i-1]
+	}
+	foList := make([]int32, len(fanins))
+	fill := append([]int32(nil), foStart[:n]...)
+	indeg := make([]int32, n)
+	lo := int32(0)
+	for j, hi := range fanEnd {
+		indeg[int(npi)+j] = hi - lo
+		for _, id := range fanins[lo:hi] {
+			foList[fill[node(id)]] = npi + int32(j)
+			fill[node(id)]++
+		}
+		lo = hi
+	}
+	queue := make([]int32, 0, n)
+	for v := int32(0); v < int32(n); v++ {
+		if indeg[v] == 0 {
+			queue = append(queue, v)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, fo := range foList[foStart[v]:foStart[v+1]] {
+			if indeg[fo]--; indeg[fo] == 0 {
+				queue = append(queue, fo)
+			}
+		}
+	}
+	if len(queue) != n {
+		return nil, false
+	}
+	out := make([]byte, 0, len(head)+len(blocks)+len(".end\n"))
+	out = append(out, head...)
+	for _, v := range queue[npi:] {
+		j := v - npi
+		out = append(out, blocks[starts[j]:starts[j+1]]...)
+	}
+	if ended {
+		out = append(out, ".end\n"...)
+	}
+	return out, true
 }
 
 // substituteVar replaces variable v with expression rep in e,

@@ -200,6 +200,110 @@ func TestASTOrderStopsAtFirstMisorder(t *testing.T) {
 	}
 }
 
+// TestTopoOrderedMatchesAST checks the reordering that spares models
+// failing only the order check from the AST reader: the ten suite
+// circuits as Write emits them (C499, C1355 and C1908 fail the check)
+// and in DFS post-order from the outputs (all fail it), random DAGs in
+// DFS order, and a model with inputs declared after logic. Each must
+// stream, once reordered, into the AST reader's graph digest for
+// digest, and ReadSubject must return that graph.
+func TestTopoOrderedMatchesAST(t *testing.T) {
+	var texts []suiteRender
+	for _, c := range renderSuite() {
+		texts = append(texts, c, suiteRender{name: c.name + "/dfs", text: dfsOrdered(c.text)})
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		var buf bytes.Buffer
+		if err := blif.Write(&buf, bench.RandomDAG(16, 200, seed)); err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, suiteRender{name: fmt.Sprintf("RandomDAG(16,200,%d)/dfs", seed), text: dfsOrdered(buf.Bytes())})
+	}
+	texts = append(texts, suiteRender{name: "late inputs", text: []byte(".model late\n.inputs a\n.outputs y\n" +
+		".names k\n1\n.names a k m\n11 1\n.inputs b\n.names m b y\n10 1\n.end\n")})
+	misordered := 0
+	for _, c := range texts {
+		ag, err := astSubject(t, c.text)
+		if err != nil {
+			t.Fatalf("%s: ast: %v", c.name, err)
+		}
+		g, err := (&blif.Reader{ASTOrder: true}).ReadSubject(bytes.NewReader(c.text))
+		if err != nil || g.Digest() != ag.Digest() {
+			t.Fatalf("%s: ReadSubject = %v, or its digest differs from the AST reader's", c.name, err)
+		}
+		_, err = (&blif.Reader{ASTOrder: true}).StreamSubject(bytes.NewReader(c.text))
+		if err == nil {
+			continue
+		}
+		if !strings.Contains(err.Error(), "declaration order differs") {
+			t.Fatalf("%s: stream: %v", c.name, err)
+		}
+		misordered++
+		text, ok := blif.TopoOrdered(bytes.NewReader(c.text))
+		if !ok {
+			t.Fatalf("%s: not reordered", c.name)
+		}
+		sg, err := (&blif.Reader{ASTOrder: true}).StreamSubject(bytes.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: reordered model does not stream: %v", c.name, err)
+		}
+		if sg.Digest() != ag.Digest() {
+			t.Fatalf("%s: reordered graph differs from the AST reader's", c.name)
+		}
+	}
+	if misordered < 30 {
+		t.Errorf("only %d of %d models failed the order check", misordered, len(texts))
+	}
+}
+
+// dfsOrdered re-emits a model written by Write with its .names blocks
+// in DFS post-order from the outputs, as many tools write BLIF, and
+// logic no output reads after them.
+func dfsOrdered(text []byte) []byte {
+	var head, tail []string
+	blocks := map[string][]string{}
+	fanins := map[string][]string{}
+	var outs, names []string
+	cur := ""
+	for _, l := range strings.Split(strings.TrimSuffix(string(text), "\n"), "\n") {
+		f := strings.Fields(l)
+		switch {
+		case len(f) > 0 && f[0] == ".names":
+			cur = f[len(f)-1]
+			blocks[cur], fanins[cur] = []string{l}, f[1:len(f)-1]
+			names = append(names, cur)
+		case len(f) > 0 && f[0] == ".end":
+			cur, tail = "", append(tail, l)
+		case len(f) > 0 && strings.HasPrefix(f[0], "."):
+			if f[0] == ".outputs" {
+				outs = append(outs, f[1:]...)
+			}
+			cur, head = "", append(head, l)
+		case cur != "":
+			blocks[cur] = append(blocks[cur], l)
+		default:
+			head = append(head, l)
+		}
+	}
+	done := map[string]bool{}
+	var body []string
+	var visit func(n string)
+	visit = func(n string) {
+		if done[n] || blocks[n] == nil {
+			return
+		}
+		done[n] = true
+		for _, f := range fanins[n] {
+			visit(f)
+		}
+		body = append(body, blocks[n]...)
+	}
+	for _, n := range append(outs, names...) { // dangling logic last
+		visit(n)
+	}
+	return []byte(strings.Join(append(append(head, body...), tail...), "\n") + "\n")
+}
+
 func TestStreamFlatFileSkipsFallback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flat.blif")
 	text := ".model flat\n.inputs a b\n.outputs o\n.names a b o\n11 1\n.end\n"

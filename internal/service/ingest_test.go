@@ -85,10 +85,16 @@ var (
 	forwardRefBLIF = ".model fwd\n.inputs a b c\n.outputs o\n.names t c o\n11 1\n.names a b t\n10 1\n.end\n"
 )
 
+// dfsBLIF declares t before u although the AST reader visits u first,
+// as a DFS-ordered writer would; ingest reorders it and streams it.
+const dfsBLIF = ".model dfs\n.inputs a b c d\n.outputs y z\n.names c d t\n11 1\n.names a b u\n01 1\n" +
+	".names t u y\n1- 1\n-1 1\n.names a t z\n11 1\n.end\n"
+
 // ingestCases is the equivalence table: the ten ISCAS circuits (C499,
 // C1355 and C1908 are written in an order the streaming reader would
 // number differently from the AST reader), RandomDAG at 300 and 3000 gates
-// with and without a leading comment, and the three AST-only inputs.
+// with and without a leading comment, a DFS-ordered model, and the
+// three AST-only inputs.
 func ingestCases(t *testing.T) []ingestCase {
 	t.Helper()
 	var cases []ingestCase
@@ -102,6 +108,7 @@ func ingestCases(t *testing.T) []ingestCase {
 			ingestCase{fmt.Sprintf("rnd%d-comment", n), "# resubmitted\n" + text})
 	}
 	return append(cases,
+		ingestCase{"dfs", dfsBLIF},
 		ingestCase{"latch", latchBLIF},
 		ingestCase{"gate", gateBLIF},
 		ingestCase{"forward-ref", forwardRefBLIF})
