@@ -495,6 +495,9 @@ func topoOrdered(r io.Reader) ([]byte, bool) {
 	var starts []int
 	var fanins, fanEnd []int32
 	ids := map[string]int32{}
+	// 1 + the last declaration that listed each input or declaration
+	// as a fanin, to reject a fanin listed twice in linear time.
+	var lastPI, lastDecl []int32
 	npi := int32(0)
 	inDecl, sawModel, sawContent, ended := false, false, false, false
 	for {
@@ -533,6 +536,7 @@ func topoOrdered(r io.Reader) ([]byte, bool) {
 					return nil, false
 				}
 				ids[string(f)] = ^npi
+				lastPI = append(lastPI, 0)
 				npi++
 			}
 			head = append(append(head, text...), '\n')
@@ -540,23 +544,28 @@ func topoOrdered(r io.Reader) ([]byte, bool) {
 			if len(fields) < 2 {
 				return nil, false
 			}
-			ins, out := fields[1:len(fields)-1], fields[len(fields)-1]
-			for i, f := range ins {
+			tag := int32(len(fanEnd)) + 1
+			for _, f := range fields[1 : len(fields)-1] {
 				id, ok := ids[string(f)]
 				if !ok {
 					return nil, false
 				}
-				for _, g := range ins[:i] {
-					if bytes.Equal(f, g) {
-						return nil, false
-					}
+				last, k := lastDecl, id
+				if id < 0 {
+					last, k = lastPI, ^id
 				}
+				if last[k] == tag {
+					return nil, false
+				}
+				last[k] = tag
 				fanins = append(fanins, id)
 			}
+			out := fields[len(fields)-1]
 			if _, dup := ids[string(out)]; dup {
 				return nil, false
 			}
 			ids[string(out)] = int32(len(fanEnd))
+			lastDecl = append(lastDecl, 0)
 			fanEnd = append(fanEnd, int32(len(fanins)))
 			starts = append(starts, len(blocks))
 			blocks = append(append(blocks, text...), '\n')

@@ -256,6 +256,36 @@ func TestTopoOrderedMatchesAST(t *testing.T) {
 	}
 }
 
+// TestTopoOrderedDeclines checks that the reordering refuses what it
+// cannot rewrite into the same network, each misordered before the
+// construct, and that ReadSubject then returns the AST reader's result.
+func TestTopoOrderedDeclines(t *testing.T) {
+	const pre = ".model m\n.inputs a b c\n.outputs y\n.names b c t\n11 1\n.names a b u\n01 1\n"
+	for name, tail := range map[string]string{
+		"use before declaration": ".names v y\n1 1\n.names t u v\n11 1\n.end\n",
+		"fanin listed twice":     ".names t t y\n11 1\n.end\n",
+		"defined twice":          ".names t u y\n11 1\n.names a y\n1 1\n.end\n",
+		"latch":                  ".latch t q 0\n.names q u y\n11 1\n.end\n",
+		"gate":                   ".gate nand2 a=t b=u O=y\n.end\n",
+		"second model":           ".names t u y\n11 1\n.end\n.model n\n.inputs x\n.outputs z\n.names x z\n1 1\n.end\n",
+		"content after end":      ".names t u y\n11 1\n.end\n.names a z\n1 1\n",
+		"stray row":              ".outputs t\n11 1\n.names t u y\n11 1\n.end\n",
+	} {
+		text := pre + tail
+		if _, ok := blif.TopoOrdered(strings.NewReader(text)); ok {
+			t.Errorf("%s: reordered", name)
+		}
+		ag, aerr := astSubject(t, []byte(text))
+		g, err := (&blif.Reader{ASTOrder: true}).ReadSubject(strings.NewReader(text))
+		switch {
+		case (err == nil) != (aerr == nil) || err != nil && err.Error() != aerr.Error():
+			t.Errorf("%s: ReadSubject error %v, AST error %v", name, err, aerr)
+		case err == nil && g.Digest() != ag.Digest():
+			t.Errorf("%s: ReadSubject's graph differs from the AST reader's", name)
+		}
+	}
+}
+
 // dfsOrdered re-emits a model written by Write with its .names blocks
 // in DFS post-order from the outputs, as many tools write BLIF, and
 // logic no output reads after them.
