@@ -92,8 +92,8 @@ func compareFoldTrial(t *testing.T, rng *rand.Rand, chain bool, seen map[string]
 		}
 		env := map[string]subject.Node{}
 		for _, in := range fanins {
-			if s := sigs[in]; s.konst {
-				fn = substituteVar(fn, in, logic.Constant(s.val))
+			if s := sigs[in]; s.konst() {
+				fn = substituteVar(fn, in, logic.Constant(s.val()))
 			} else {
 				env[in] = s.node
 			}
@@ -102,7 +102,7 @@ func compareFoldTrial(t *testing.T, rng *rand.Rand, chain bool, seen map[string]
 		desc := fmt.Sprintf("chain=%v fanins=%v rows=%q", chain, fanins, rows)
 		if fn.Op == logic.OpConst {
 			seen["folds to constant"]++
-			if !sig.konst || sig.val != fn.Const {
+			if !sig.konst() || sig.val() != fn.Const {
 				t.Fatalf("%s: reference folds to %v, cube path gives %+v", desc, fn.Const, sig)
 			}
 		} else {
@@ -110,7 +110,7 @@ func compareFoldTrial(t *testing.T, rng *rand.Rand, chain bool, seen map[string]
 			if err != nil {
 				t.Fatalf("%s: %v", desc, err)
 			}
-			if sig.konst || sig.node != want {
+			if sig.konst() || sig.node != want {
 				t.Fatalf("%s: reference builds node %d, cube path gives %+v", desc, want, sig)
 			}
 		}
@@ -168,9 +168,9 @@ func noteCases(seen map[string]int, fanins []string, resolved []signal, rows []s
 		}
 		names[in] = true
 		switch {
-		case resolved[j].konst && resolved[j].val:
+		case resolved[j].konst() && resolved[j].val():
 			seen["constant-1 fanin"]++
-		case resolved[j].konst:
+		case resolved[j].konst():
 			seen["constant-0 fanin"]++
 		}
 	}

@@ -36,28 +36,41 @@ var ErrNeedsAST = errors.New("blif: model needs the AST reader")
 var errMisordered = errors.New("declaration order differs from the AST reader's")
 
 // signal is what a name stands for while streaming: a subject node, or
-// a constant folded away before decomposition.
+// a constant folded away before decomposition. It is kept to 8 bytes:
+// the signal table holds one per name of a million-gate model.
 type signal struct {
-	node  subject.Node
-	konst bool // node is None and the signal is the constant val
-	val   bool
-	rank  uint64 // position in the AST reader's visit order (see rankOf)
+	node subject.Node // or constFalse / constTrue
+	rank uint32       // position in the AST reader's visit order (see rankOf)
 }
+
+const (
+	constFalse = subject.None - 1 - iota
+	constTrue
+)
+
+func constSignal(v bool) signal {
+	if v {
+		return signal{node: constTrue}
+	}
+	return signal{node: constFalse}
+}
+
+// konst reports whether the signal is a constant, and val its value.
+func (sig signal) konst() bool { return sig.node < subject.None }
+func (sig signal) val() bool   { return sig.node == constTrue }
 
 // Signal ranks encode where subject.FromNetwork visits a signal when
 // the AST reader builds the same model: network.TopoSort is Kahn's
 // algorithm over PIs, then declarations, so the primary inputs come
 // first, then the fanin-free declarations (constants), and every other
 // declaration is queued when its last fanin is visited, ties broken by
-// declaration order. A rank is the class in the high word and the
-// ordinal within the class in the low word.
+// declaration order. A rank is the class in the top two bits and the
+// ordinal within the class in the low 30 (see ordinal).
 const (
-	rankPI = iota << 32
+	rankPI = iota << 30
 	rankConst
 	rankDecl
 )
-
-func constSignal(v bool) signal { return signal{node: subject.None, konst: true, val: v} }
 
 // streamer is the state of one StreamSubject call. A .names
 // declaration is pending while its cover rows stream in: its fanins
@@ -84,8 +97,8 @@ type streamer struct {
 	// visiting fanin rank of the last declaration, and the line of the
 	// first declaration that builds nodes out of the AST reader's
 	// order (0 while none has).
-	npi, nconst, ndecl uint64
-	lastVisit          uint64
+	npi, nconst, ndecl uint32
+	lastVisit          uint32
 	sawDecl            bool
 	misorder           int
 }
@@ -176,8 +189,7 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 				if s.sawDecl && s.misorder == 0 {
 					s.misorder = num
 				}
-				s.sigs[name] = signal{node: pi, rank: rankPI | s.npi}
-				s.npi++
+				s.sigs[name] = signal{node: pi, rank: rankPI | s.ordinal(&s.npi, num)}
 			}
 		case ".outputs":
 			for _, f := range fields[1:] {
@@ -241,7 +253,7 @@ func (rd *Reader) StreamSubject(r io.Reader) (*subject.Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("blif: output %q is never defined", name)
 		}
-		if sig.konst {
+		if sig.konst() {
 			return nil, fmt.Errorf("blif: primary output %q is constant; constant outputs cannot be mapped", name)
 		}
 		s.g.MarkOutput(name, sig.node)
@@ -270,12 +282,11 @@ func (s *streamer) begin(ins [][]byte, out []byte, num int) {
 // fanins, and keeps misorder: a declaration whose last-visited fanin
 // precedes the previous declaration's would be visited earlier by the
 // AST reader, which then numbers its nodes differently.
-func (s *streamer) rankOf(fanins []signal, num int) uint64 {
+func (s *streamer) rankOf(fanins []signal, num int) uint32 {
 	if len(fanins) == 0 {
-		s.nconst++
-		return rankConst | (s.nconst - 1)
+		return rankConst | s.ordinal(&s.nconst, num)
 	}
-	visit := uint64(0)
+	visit := uint32(0)
 	for _, f := range fanins {
 		visit = max(visit, f.rank)
 	}
@@ -283,8 +294,18 @@ func (s *streamer) rankOf(fanins []signal, num int) uint64 {
 		s.misorder = num
 	}
 	s.lastVisit, s.sawDecl = visit, true
-	s.ndecl++
-	return rankDecl | (s.ndecl - 1)
+	return rankDecl | s.ordinal(&s.ndecl, num)
+}
+
+// ordinal returns the next ordinal of a rank class, counted in *n, for
+// the name declared on line num. Past 30 bits ordinals would alias, so
+// such a model counts as misordered.
+func (s *streamer) ordinal(n *uint32, num int) uint32 {
+	if *n == 1<<30-1 && s.misorder == 0 {
+		s.misorder = num
+	}
+	*n = min(*n+1, 1<<30-1)
+	return *n - 1
 }
 
 // flush builds the pending .names declaration, if any.
@@ -343,9 +364,9 @@ func (s *streamer) foldCover() signal {
 				continue
 			}
 			f, want := s.fanins[j], ch == '1'
-			if !f.konst {
+			if !f.konst() {
 				s.lits = append(s.lits, subject.Lit{Node: f.node, Neg: !want})
-			} else if f.val != want {
+			} else if f.val() != want {
 				dead = true
 				break
 			}
@@ -386,8 +407,8 @@ func (s *streamer) buildGate(nd *nodeDecl) error {
 	// order, then simplify through the folding constructors.
 	fn := nd.fn
 	for _, in := range nd.inputs {
-		if sig := s.sigs[in]; sig.konst {
-			fn = substituteVar(fn, in, logic.Constant(sig.val))
+		if sig := s.sigs[in]; sig.konst() {
+			fn = substituteVar(fn, in, logic.Constant(sig.val()))
 		}
 	}
 	fn = foldExpr(fn)
@@ -402,7 +423,7 @@ func (s *streamer) buildGate(nd *nodeDecl) error {
 	}
 	clear(s.env)
 	for _, in := range nd.inputs {
-		if sig := s.sigs[in]; !sig.konst {
+		if sig := s.sigs[in]; !sig.konst() {
 			s.env[in] = sig.node
 		}
 	}
@@ -518,11 +539,11 @@ func topoOrdered(r io.Reader) ([]byte, bool) {
 		}
 		inDecl = false
 		fields = appendFields(fields[:0], text)
-		directive := string(fields[0])
-		if ended && directive != ".end" {
+		directive := fields[0]
+		if ended && string(directive) != ".end" {
 			return nil, false
 		}
-		switch directive {
+		switch string(directive) {
 		case ".model":
 			if sawModel || sawContent {
 				return nil, false

@@ -662,10 +662,10 @@ func (s *Server) serve(ctx context.Context, req *MapRequest, ph *reqPhases) (*Ma
 }
 
 // ingest reads a request's BLIF into its subject graph, charging the
-// parse phase. It is every mapping request's one ingest path: streamed
-// when that yields the AST reader's graph, re-read through the AST
-// reader otherwise (dagcover.ReadSubjectBLIF), so graph, digest and
-// error text are always the AST reader's.
+// parse phase. It is every mapping request's one ingest path: streamed,
+// in the AST reader's declaration order if the file's differs, or
+// re-read through the AST reader (dagcover.ReadSubjectBLIF), so graph,
+// digest and error text are always the AST reader's.
 func ingest(req *MapRequest, ph *reqPhases) (*dagcover.SubjectGraph, error) {
 	t0 := time.Now()
 	g, err := dagcover.ReadSubjectBLIF(strings.NewReader(req.BLIF))
