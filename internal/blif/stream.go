@@ -12,7 +12,8 @@
 // outside that subset — .subckt hierarchies, .latch, multiple models,
 // forward references — makes StreamSubject return ErrNeedsAST, and
 // ReadSubject transparently re-reads the input through the full
-// parser.
+// parser. With Reader.ASTOrder, a model that is only declared out of
+// the full parser's order is streamed again in that order instead.
 package blif
 
 import (
