@@ -309,23 +309,43 @@ func (j *Job) RequestCancel() bool {
 // settle all at once), waiting for items 0..N-1 in order streams every
 // record as soon as it exists.
 func (j *Job) WaitItem(ctx context.Context, i int) (Item, error) {
+	if i < 0 || i >= j.Len() {
+		return Item{}, context.Canceled
+	}
+	var it Item
+	err := j.waitUntil(ctx, func() bool {
+		if !j.items[i].State.Terminal() {
+			return false
+		}
+		it = j.items[i]
+		it.PhaseMillis = clonePhases(it.PhaseMillis)
+		return true
+	})
+	return it, err
+}
+
+// WaitTerminal blocks until the job has reached a terminal state, or
+// returns ctx.Err() when the caller's context fires first. The last
+// item settles before the job does, so a result stream waits on this
+// before it ends: a poll after the stream then sees the job finished.
+func (j *Job) WaitTerminal(ctx context.Context) error {
+	return j.waitUntil(ctx, func() bool { return j.state.Terminal() })
+}
+
+// waitUntil blocks until cond, evaluated under mu after every
+// mutation, holds.
+func (j *Job) waitUntil(ctx context.Context, cond func() bool) error {
 	for {
 		j.mu.Lock()
-		if i < 0 || i >= len(j.items) {
+		if cond() {
 			j.mu.Unlock()
-			return Item{}, context.Canceled
-		}
-		if j.items[i].State.Terminal() {
-			it := j.items[i]
-			it.PhaseMillis = clonePhases(it.PhaseMillis)
-			j.mu.Unlock()
-			return it, nil
+			return nil
 		}
 		ch := j.wait
 		j.mu.Unlock()
 		select {
 		case <-ctx.Done():
-			return Item{}, ctx.Err()
+			return ctx.Err()
 		case <-ch:
 		}
 	}

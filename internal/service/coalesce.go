@@ -14,10 +14,10 @@ import (
 //
 // A leader that fails with its *own* context error (client gone,
 // per-request deadline) must not poison its followers — their budgets
-// are independent and probably intact. Followers observe ctxErr and
-// loop: re-check the cache (the dying leader may still have published)
-// and re-join the flight group, where one of them becomes the new
-// leader. Non-context failures (bad library, mapper rejection) are
+// are independent and probably intact. Followers observe the context
+// error and loop: re-check the cache (the dying leader may still have
+// published) and re-join the flight group, where one of them becomes
+// the new leader. Non-context failures (bad library, mapper rejection) are
 // deterministic for identical inputs, so followers adopt them as their
 // own outcome instead of re-running a mapping that must fail the same
 // way.
@@ -27,15 +27,13 @@ import (
 type flightCall struct {
 	done chan struct{} // closed when the leader settles
 
-	// Outcome, valid after done. Exactly one of view/err-shape is
-	// meaningful: on success view carries the canonical result and its
-	// sidecar metadata; on failure status/errMsg mirror what the leader
-	// responded, and ctxErr marks a leader-context failure followers
-	// should retry past.
+	// Outcome, valid after done: on success (err nil) view carries the
+	// canonical result and its sidecar metadata; on failure status and
+	// err are what the leader responded with, and a context err marks a
+	// leader-context failure followers should retry past.
 	view   rcView
 	status int
-	errMsg string
-	ctxErr bool
+	err    error
 }
 
 // flightGroup indexes in-flight calls by result key.

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"dagcover"
 	"dagcover/internal/bench"
@@ -188,20 +187,135 @@ func TestIngestMatchesASTPath(t *testing.T) {
 	}
 }
 
+// pipelineFault is one single-fault request of the pipeline table:
+// how it spoils a valid request, and the 400 text /map answers with in
+// a gate-library mode. Library faults fail a whole batch, whose records
+// carry the text behind "library compile: ". LUT mode ignores the
+// library and its options, so those requests still map there.
+type pipelineFault struct {
+	name     string
+	spoil    func(*MapRequest)
+	err      string
+	library  bool // a library fault
+	lutMaps  bool // lut ignores it
+	lutOnly  bool // a fault only in lut mode
+	modeless bool // the fault is the mode itself
+}
+
+var pipelineFaults = []pipelineFault{
+	{name: "valid", spoil: func(*MapRequest) {}, lutMaps: true},
+	{name: "unknown-library", spoil: func(r *MapRequest) { r.Library = "bogus" },
+		err: `unknown library "bogus" (built-ins: lib2, 44-1, 44-3; or upload genlib text)`, library: true, lutMaps: true},
+	{name: "bad-genlib", spoil: func(r *MapRequest) { r.Genlib = "GATE broken" },
+		err: "library compile: genlib: truncated GATE record", library: true, lutMaps: true},
+	{name: "bad-class", spoil: func(r *MapRequest) { r.Class = "bogus" },
+		err: `unknown match class "bogus"`, lutMaps: true},
+	{name: "bad-delay", spoil: func(r *MapRequest) { r.Delay = "bogus" },
+		err: `unknown delay model "bogus"`, lutMaps: true},
+	{name: "unknown-mode", spoil: func(r *MapRequest) { r.Mode = "bogus" },
+		err: `unknown mode "bogus" (want dag, tree, or lut)`, modeless: true},
+	{name: "lut-supergates", spoil: func(r *MapRequest) { r.Supergates = &SupergateConfig{} },
+		err: "supergates apply to gate-library modes (dag, tree), not lut", lutOnly: true},
+	{name: "bad-blif", spoil: func(r *MapRequest) { r.BLIF = ".model bad\n.inputs a\n.outputs o\n.names a ghost o\n11 1\n.end\n" },
+		err: `blif: line 4: signal "ghost" is never defined`},
+}
+
+// TestPipelineEquivalence is the one-pipeline contract: on a server
+// with the result cache on, off, and on with an artifact store, in dag,
+// tree, lut and an unknown mode, /map and a /jobs item answer a valid
+// request with the AST path's netlist and subject digest, and every
+// single-fault request with the status and error text the service gave
+// before its paths were merged. Among them, a LUT request naming a
+// library that does not exist still maps. Responses carry
+// result_cache exactly when the cache stages ran: cache on, dag or tree.
+func TestPipelineEquivalence(t *testing.T) {
+	valid := blifOf(t, bench.Comparator(4))
+	ref := map[string]astResult{}
+	for _, mode := range []string{"dag", "tree", "lut"} {
+		ref[mode] = astPath(valid, mode)
+	}
+	servers := []struct {
+		name string
+		cfg  Config
+	}{
+		{"cache-on", Config{Concurrency: 2}},
+		{"cache-off", Config{Concurrency: 2, ResultCacheBytes: -1}},
+		{"cache-store", Config{Concurrency: 2, Store: openStore(t, t.TempDir())}},
+	}
+	for _, sv := range servers {
+		s := New(sv.cfg)
+		for _, mode := range []string{"dag", "tree", "lut"} {
+			for _, f := range pipelineFaults {
+				if f.lutOnly && mode != "lut" || f.modeless && mode != "dag" {
+					continue
+				}
+				req := MapRequest{BLIF: valid, Mode: mode}
+				f.spoil(&req)
+				want := astResult{err: f.err}
+				if f.err == "" || mode == "lut" && f.lutMaps {
+					want = ref[mode]
+				}
+				cached := sv.name != "cache-off" && req.Mode != "lut" && !f.modeless
+				where := fmt.Sprintf("%s mode=%s %s", sv.name, req.Mode, f.name)
+
+				code, resp, body := post(t, s.Handler(), nil, req)
+				var er errorResponse
+				_ = json.Unmarshal([]byte(body), &er)
+				checkAgainstAST(t, "/map "+where, code, er.Error, &resp, want, false)
+				if code == http.StatusOK && (resp.ResultCache != "") != cached {
+					t.Errorf("/map %s: result_cache %q, want it present: %v", where, resp.ResultCache, cached)
+				}
+
+				if f.library && want.err != "" {
+					want.err = "library compile: " + want.err
+				}
+				rec := runJob(t, s, JobRequest{Items: []JobItemRequest{{BLIF: req.BLIF}}, Mode: req.Mode,
+					Library: req.Library, Genlib: req.Genlib, Class: req.Class, Delay: req.Delay, Supergates: req.Supergates})[0]
+				checkAgainstAST(t, "/jobs "+where, rec.Status, rec.Error, rec.Response, want, false)
+				if rec.Status == http.StatusOK && (rec.Response.ResultCache != "") != cached {
+					t.Errorf("/jobs %s: result_cache %q, want it present: %v", where, rec.Response.ResultCache, cached)
+				}
+			}
+		}
+		s.Close()
+	}
+}
+
 // runJob submits a batch, waits for it and returns its NDJSON records.
 func runJob(t *testing.T, s *Server, req JobRequest) []JobItemRecord {
 	t.Helper()
-	code, acc, body := postJob(t, s.Handler(), req)
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body, recs := postJobBody(t, s, raw)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /jobs = %d: %s", code, body)
 	}
-	if _, ok := waitJobTerminal(t, s.Handler(), acc.JobID, 5*time.Minute); !ok {
-		t.Fatalf("job %s vanished", acc.JobID)
+	if len(recs) != len(req.Items) {
+		t.Fatalf("job returned %d records for %d items", len(recs), len(req.Items))
 	}
+	return recs
+}
+
+// postJobBody posts a raw /jobs body. When the job is accepted it
+// reads the result stream, which ends once the job has settled, and
+// returns its NDJSON records.
+func postJobBody(t *testing.T, s *Server, raw []byte) (int, string, []JobItemRecord) {
+	t.Helper()
 	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/jobs/"+acc.JobID+"/result", nil))
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(raw)))
+	if w.Code != http.StatusAccepted {
+		return w.Code, w.Body.String(), nil
+	}
+	var acc JobAccepted
+	if err := json.Unmarshal(w.Body.Bytes(), &acc); err != nil {
+		t.Fatalf("bad 202 body: %v", err)
+	}
+	rw := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/jobs/"+acc.JobID+"/result", nil))
 	var recs []JobItemRecord
-	sc := bufio.NewScanner(bytes.NewReader(w.Body.Bytes()))
+	sc := bufio.NewScanner(bytes.NewReader(rw.Body.Bytes()))
 	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
 	for sc.Scan() {
 		var rec JobItemRecord
@@ -210,10 +324,10 @@ func runJob(t *testing.T, s *Server, req JobRequest) []JobItemRecord {
 		}
 		recs = append(recs, rec)
 	}
-	if len(recs) != len(req.Items) {
-		t.Fatalf("job returned %d records for %d items", len(recs), len(req.Items))
+	if len(recs) != acc.Items {
+		t.Fatalf("job streamed %d records for %d items", len(recs), acc.Items)
 	}
-	return recs
+	return w.Code, w.Body.String(), recs
 }
 
 // TestServiceIngestAllocs bounds the service's ingest of a 3000-gate
@@ -239,19 +353,24 @@ func TestServiceIngestAllocs(t *testing.T) {
 // fuzzModes are the request modes FuzzMapRequest draws from.
 var fuzzModes = [...]string{"dag", "tree", "lut"}
 
-// FuzzMapRequest posts arbitrary BLIF inside a JSON /map body on lib2.
-// The low two bits of ctl pick the mode, bit 2 gzip-encodes the body
-// and bit 3 disables the result cache. The service answers 200 or a
-// 4xx, never a panic or a 5xx; a 4xx body stays under 1 KiB and, for
-// a non-empty BLIF, carries the AST path's error; a 200 carries the
-// AST path's netlist. This is the service-level differential between
-// the streaming and the AST reader.
+// FuzzMapRequest posts arbitrary BLIF inside a JSON /map body on lib2,
+// then the same BLIF as a one-item /jobs batch. The low two bits of ctl
+// pick the mode, bit 2 gzip-encodes the /map body and bit 3 disables
+// the result cache. The service answers 200 or a 4xx, never a panic or
+// a 5xx; a 4xx body stays under 1 KiB and, for a non-empty BLIF,
+// carries the AST path's error; a 200 carries the AST path's netlist.
+// This is the service-level differential between the streaming and the
+// AST reader. The job item's record matches the /map outcome: status,
+// error text and, on 200, netlist, subject_sha and result_sha.
+//
+// Bit 5 instead posts the input verbatim as a /jobs body (fuzzJobBody).
 //
 // Seeds: the FuzzStreamSubject corpus of internal/blif (suite
 // circuits, small stream families, reader error cases), read at run
-// time, plus the committed testdata/fuzz/FuzzMapRequest inputs that
-// streaming hands to the AST reader (.latch, .gate, a forward
-// reference).
+// time, plus the committed testdata/fuzz/FuzzMapRequest inputs: the
+// ones streaming hands to the AST reader (.latch, .gate, a forward
+// reference) and /jobs bodies (a valid batch, items plus top-level
+// blif, a blank item, one item over the batch limit).
 func FuzzMapRequest(f *testing.F) {
 	dir := filepath.Join("..", "blif", "testdata", "fuzz", "FuzzStreamSubject")
 	entries, err := os.ReadDir(dir)
@@ -275,8 +394,8 @@ func FuzzMapRequest(f *testing.F) {
 		f.Add(text, ctl)
 	}
 	servers := [2]*Server{
-		New(Config{Concurrency: 2, ResultCacheBytes: 4 << 20}),
-		New(Config{Concurrency: 2, ResultCacheBytes: -1}),
+		New(Config{Concurrency: 2, ResultCacheBytes: 4 << 20, MaxBatchItems: 4}),
+		New(Config{Concurrency: 2, ResultCacheBytes: -1, MaxBatchItems: 4}),
 	}
 	f.Cleanup(func() {
 		servers[0].Close()
@@ -284,6 +403,11 @@ func FuzzMapRequest(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, blif string, ctl byte) {
 		if len(blif) > 1<<17 {
+			return
+		}
+		s := servers[ctl>>3&1]
+		if ctl&32 != 0 {
+			fuzzJobBody(t, s, blif)
 			return
 		}
 		mode := fuzzModes[int(ctl&3)%len(fuzzModes)]
@@ -308,17 +432,12 @@ func FuzzMapRequest(f *testing.F) {
 			r.Header.Set("Content-Encoding", "gzip")
 		}
 		w := httptest.NewRecorder()
-		servers[ctl>>3&1].Handler().ServeHTTP(w, r)
+		s.Handler().ServeHTTP(w, r)
 		if w.Code >= 500 || (w.Code != http.StatusOK && w.Code < 400) {
 			t.Fatalf("status %d: %s\ninput: %.400q", w.Code, w.Body.String(), sent.BLIF)
 		}
-		if w.Code != http.StatusOK {
-			if w.Body.Len() > 1024 {
-				t.Fatalf("%d body is %d bytes", w.Code, w.Body.Len())
-			}
-			if strings.TrimSpace(sent.BLIF) == "" {
-				return
-			}
+		if w.Code != http.StatusOK && w.Body.Len() > 1024 {
+			t.Fatalf("%d body is %d bytes", w.Code, w.Body.Len())
 		}
 		var resp MapResponse
 		var er errorResponse
@@ -329,6 +448,30 @@ func FuzzMapRequest(f *testing.F) {
 		} else if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
 			t.Fatal(err)
 		}
+
+		jobRaw, err := json.Marshal(JobRequest{Items: []JobItemRequest{{BLIF: sent.BLIF}}, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body, recs := postJobBody(t, s, jobRaw)
+		if strings.TrimSpace(sent.BLIF) == "" {
+			if code != http.StatusBadRequest {
+				t.Fatalf("blank /jobs item = %d: %s", code, body)
+			}
+			return
+		}
+		if code != http.StatusAccepted {
+			t.Fatalf("POST /jobs = %d: %s\ninput: %.400q", code, body, sent.BLIF)
+		}
+		rec := recs[0]
+		if rec.Status != w.Code || rec.Error != er.Error {
+			t.Fatalf("/jobs item %d %q, /map %d %q\ninput: %.400q", rec.Status, rec.Error, w.Code, er.Error, sent.BLIF)
+		}
+		if w.Code == http.StatusOK && (rec.Response.Netlist != resp.Netlist ||
+			rec.Response.SubjectSHA != resp.SubjectSHA || rec.Response.ResultSHA != resp.ResultSHA) {
+			t.Fatalf("/jobs item response differs from /map's\ninput: %.400q", sent.BLIF)
+		}
+
 		want := astPath(sent.BLIF, mode)
 		switch {
 		case want.err != "" && (w.Code == http.StatusOK || er.Error != want.err):
@@ -339,4 +482,27 @@ func FuzzMapRequest(f *testing.F) {
 			t.Fatalf("service netlist differs from the AST path's\ninput: %.400q", sent.BLIF)
 		}
 	})
+}
+
+// fuzzJobBody posts a fuzz input verbatim as a /jobs body. The server
+// answers 202 or a 4xx under 1 KiB, and settles every item of an
+// accepted job as 200, 400 or, past a requested timeout, 504. Bodies
+// whose jobs would keep the engine busy for seconds (supergates, LUT
+// mode) are skipped; the fuzz servers cap a batch at four items.
+func fuzzJobBody(t *testing.T, s *Server, body string) {
+	var jr JobRequest
+	if json.Unmarshal([]byte(body), &jr) == nil && (jr.Supergates != nil || jr.Mode == "lut") {
+		return
+	}
+	code, resp, recs := postJobBody(t, s, []byte(body))
+	if code != http.StatusAccepted && (code < 400 || code >= 500 || len(resp) > 1024) {
+		t.Fatalf("POST /jobs = %d (%d bytes): %.400s\nbody: %.400q", code, len(resp), resp, body)
+	}
+	for _, rec := range recs {
+		switch rec.Status {
+		case http.StatusOK, http.StatusBadRequest, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("job item %d settled %d %q\nbody: %.400q", rec.Index, rec.Status, rec.Error, body)
+		}
+	}
 }

@@ -143,15 +143,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if isBodyTooLarge(err) {
-			s.failure(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit (after decompression, if gzip)", s.cfg.MaxRequestBytes)
-			return
-		}
-		s.failure(w, http.StatusBadRequest, "bad request body: %v", err)
+	if st, msg := s.decodeBody(r, &req); st != 0 {
+		s.failure(w, st, "%s", msg)
 		return
 	}
 	items := req.Items
@@ -292,7 +285,8 @@ func jobStatus(job *jobs.Job) JobStatusResponse {
 }
 
 // streamJobResult serves GET /jobs/{id}/result: chunked NDJSON, one
-// record per item, written (and flushed) the moment each item settles.
+// record per item, written (and flushed) the moment each item settles;
+// the stream ends once the job is terminal.
 // Items settle in submission order, so a client reading the stream
 // while the job runs sees results incrementally; records for items
 // cancelled by DELETE carry status 499.
@@ -320,6 +314,10 @@ func (s *Server) streamJobResult(w http.ResponseWriter, r *http.Request, job *jo
 			flusher.Flush()
 		}
 	}
+	// The runner settles the job just after its last item: end the
+	// stream only then, so a poll that follows it sees the job finished
+	// (and, past the TTL, sweepable).
+	_ = job.WaitTerminal(r.Context())
 }
 
 // runJob executes one accepted batch: wait for a worker-pool slot
@@ -375,23 +373,23 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 	s.finishJob(job)
 }
 
-// runJobItem maps one batch item and classifies the outcome the same
-// way the synchronous handler does (200/400/499/504/500). jobID — a
-// trace id — attributes the item's NDJSON record, access-log line, and
-// wide event to its parent job.
+// runJobItem maps one batch item through the request pipeline with the
+// batch's library and classifies the outcome as 200, 400, 499 (job
+// cancelled) or 504 (item deadline). jobID — a trace id — attributes
+// the item's NDJSON record, access-log line, and wide event to its
+// parent job.
 func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, item *JobItemRequest, idx int, lib library) jobs.Item {
 	mreq := req.itemRequest(item.BLIF)
-	timeout := s.requestTimeout(&mreq)
-	ictx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	var ph reqPhases
+	ph := reqPhases{start: time.Now()}
 	if s.diag != nil {
 		ph.trace = dagcover.NewTrace()
 	}
-	start := time.Now()
-	resp, _, err := s.serveItem(ictx, &mreq, lib, &ph)
-	elapsed := time.Since(start)
+	res := s.mapRequest(ctx, &mreq, &lib, &ph)
+	resp, err := res.resp, res.err
+	if err == nil && resp == nil {
+		resp, err = cachedResponse(res, &ph)
+	}
+	elapsed := ph.elapsed()
 	s.metrics.phases.add(&ph)
 
 	out := jobs.Item{
@@ -399,8 +397,7 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		PhaseMillis:   itemPhaseMillis(&ph),
 	}
 	rec := JobItemRecord{Index: idx, Name: item.Name, TraceID: jobID}
-	switch {
-	case err == nil:
+	if err == nil {
 		resp.ElapsedMillis = millis(elapsed)
 		resp.TraceID = jobID
 		out.State, out.Status = jobs.ItemDone, http.StatusOK
@@ -413,20 +410,20 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		// not inflate the synchronous serving stats. Result-cache hits
 		// carry the recorded run's counters but did no work here, so
 		// they are excluded too.
-		if ph.resultCache == "" || ph.resultCache == resultMiss {
+		if res.resp != nil {
 			s.metrics.recordJobItemWork(resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
 		}
-	case ctx.Err() != nil:
-		// The job-level context fired: DELETE (or shutdown), not a
-		// per-item deadline.
-		out.State, out.Status, out.Err = jobs.ItemCancelled, jobs.StatusClientClosedRequest, "job cancelled"
-		rec.Status, rec.Error = out.Status, out.Err
-	case errors.Is(err, context.DeadlineExceeded):
-		out.State, out.Status = jobs.ItemFailed, http.StatusGatewayTimeout
-		out.Err = fmt.Sprintf("item timed out after %v", timeout)
-		rec.Status, rec.Error = out.Status, out.Err
-	default:
-		out.State, out.Status, out.Err = jobs.ItemFailed, http.StatusBadRequest, err.Error()
+	} else {
+		if ctx.Err() != nil {
+			// The job-level context fired: DELETE (or shutdown), not a
+			// per-item deadline.
+			err = ctx.Err()
+		}
+		out.Status, out.Err = s.classify(err, res.status, s.requestTimeout(&mreq), true)
+		out.State = jobs.ItemFailed
+		if out.Status == jobs.StatusClientClosedRequest {
+			out.State = jobs.ItemCancelled
+		}
 		rec.Status, rec.Error = out.Status, out.Err
 	}
 	ph.errMsg = out.Err
@@ -442,40 +439,12 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 	return out
 }
 
-// serveItem is the per-item body of a batch run: ingest, then map with
-// the batch's shared library. It mirrors serve minus library
-// resolution. Batch items share the result cache with /map (same keys,
-// same tiers) but never join a coalescing flight: the batch already
-// holds the admission slot a /map leader would need, so waiting on one
-// could deadlock the pool.
-func (s *Server) serveItem(ctx context.Context, req *MapRequest, lib library, ph *reqPhases) (*MapResponse, int, error) {
-	ph.mode = req.modeName()
-	if s.resultCache != nil && resultCacheable(req) {
-		return s.mapItemCached(ctx, req, lib, ph)
-	}
-	g, err := ingest(req, ph)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	return s.mapWith(ctx, req, g, lib, ph)
-}
-
-// itemPhaseMillis renders one item's phase breakdown: the service
-// phases plus, when the engine ran, its internal/obs label/cover/emit
-// wall times.
+// itemPhaseMillis renders one item's phase breakdown: a request's, less
+// the queue and compile phases, which a batch pays once for all items.
 func itemPhaseMillis(ph *reqPhases) map[string]float64 {
-	m := map[string]float64{
-		"parse":   millis(ph.parse),
-		"map":     millis(ph.mapRun),
-		"respond": millis(ph.respond),
-	}
-	if ph.core != (dagcover.PhaseBreakdown{}) {
-		m["label"] = ph.core.LabelMillis
-		m["label_wall"] = ph.core.LabelWallMillis
-		m["area"] = ph.core.AreaMillis
-		m["cover"] = ph.core.CoverMillis
-		m["emit"] = ph.core.EmitMillis
-	}
+	m := eventPhaseMillis(ph)
+	delete(m, "queue")
+	delete(m, "compile")
 	return m
 }
 

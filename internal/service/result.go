@@ -16,14 +16,13 @@ import (
 	"dagcover/internal/store"
 )
 
-// The whole-result cache path. The mapper is deterministic — the same
-// (subject graph, compiled library, options) triple always emits a
-// byte-identical netlist — so a mapping *response* is a pure function
-// of content-addressable inputs and can be cached whole. /map requests
-// in cacheable modes take this path: parse and digest the subject
-// graph before admission, serve memory and disk hits without consuming
-// a run slot, and single-flight concurrent identical misses onto one
-// engine run.
+// The request pipeline and its whole-result cache stages. The mapper
+// is deterministic — the same (subject graph, compiled library,
+// options) triple always emits a byte-identical netlist — so a mapping
+// *response* is a pure function of content-addressable inputs and can
+// be cached whole: ingest and digest come before admission, memory and
+// disk hits are served without a run slot, and concurrent identical
+// misses single-flight onto one engine run.
 
 // resultKind is the artifact-store object kind and key-format version
 // for cached mapping results. Bumping it (mapres3, ...) rotates every
@@ -41,16 +40,26 @@ const (
 	resultCoalesced = "coalesced"
 )
 
-// resultCacheable reports whether a request's mode goes through the
-// result cache. LUT responses carry no subject digest (and LUT mode no
-// library key); unknown modes fall through to the legacy path for its
-// 400.
-func resultCacheable(req *MapRequest) bool {
+// cachesResult is the one predicate for the pipeline's cache stages:
+// the server caches results and the request's mode is dag or tree. LUT
+// responses carry no subject digest (and LUT mode no library key);
+// unknown modes fail in mapWith with their 400.
+func (s *Server) cachesResult(req *MapRequest) bool {
+	if s.resultCache == nil {
+		return false
+	}
 	switch req.Mode {
 	case "", "dag", "tree":
 		return true
 	}
 	return false
+}
+
+// builtinLibraries are the libraries a request may name.
+var builtinLibraries = map[string]func() *dagcover.Library{
+	"lib2": dagcover.Lib2,
+	"44-1": dagcover.Lib441,
+	"44-3": dagcover.Lib443,
 }
 
 // libraryCacheKey computes the compiled-library cache key for a
@@ -63,13 +72,8 @@ func libraryCacheKey(req *MapRequest) (string, error) {
 	if req.Genlib != "" {
 		key = HashGenlib(req.Genlib)
 	} else {
-		name := req.Library
-		if name == "" {
-			name = "lib2"
-		}
-		switch name {
-		case "lib2", "44-1", "44-3":
-		default:
+		name := req.libraryName()
+		if builtinLibraries[name] == nil {
 			return "", fmt.Errorf("unknown library %q (built-ins: lib2, 44-1, 44-3; or upload genlib text)", name)
 		}
 		key = BuiltinKey(name)
@@ -245,67 +249,93 @@ func (s *Server) requestTimeout(req *MapRequest) time.Duration {
 	return timeout
 }
 
-// serveMapCached is the /map body for cacheable requests when result
-// caching is on. It returns the response status (the caller's deferred
-// access-log/flight-recorder hooks use it); every path has already
-// written the response. Parse and digest happen before admission so
-// hits never consume a run slot.
-func (s *Server) serveMapCached(w http.ResponseWriter, r *http.Request, req *MapRequest, traceID string, ph *reqPhases) int {
-	fail := func(st int, format string, args ...any) int {
-		ph.errMsg = fmt.Sprintf(format, args...)
-		s.failure(w, st, format, args...)
-		return st
-	}
+// outcome is what the pipeline hands back to its endpoint: a computed
+// response, or a cached payload and the tier that served it, or an
+// error and the status the failing stage chose (see classify).
+type outcome struct {
+	resp   *MapResponse
+	view   rcView
+	tier   string
+	status int
+	err    error
+}
+
+// failed is the outcome of a stage that rejected the request.
+func failed(status int, err error) outcome { return outcome{status: status, err: err} }
+
+// mapRequest is the request pipeline: every /map request and every
+// /jobs item, in every mode and cache setting, reaches mapWith through
+// it, in five stages:
+//
+//  1. raw lookaside: a repeated request is recognized by hashing its
+//     bytes, before any parsing;
+//  2. ingest, then the subject-graph digest;
+//  3. the memory tier, then the disk tier;
+//  4. compute: a coalescing flight, admission, library resolution and
+//     mapWith;
+//  5. publish to both tiers and the flight's followers.
+//
+// The cache stages (1, 3, 5, the digest and the flight) take part only
+// when cachesResult says so; otherwise they pass through. The library
+// key is checked first on every path that uses a library (all but
+// lut), so every path reports faults in one order: library key, BLIF,
+// then library compile and options. A batch item passes its batch's
+// library: it already holds the batch's admission slot, so it skips
+// admission and never joins a flight, since waiting on a /map leader
+// that needs the slot the batch holds could deadlock the pool. ctx is
+// the client's (or the job's) context; the request's timeout is applied
+// here.
+func (s *Server) mapRequest(ctx context.Context, req *MapRequest, batch *library, ph *reqPhases) outcome {
 	mode := req.modeName()
 	ph.mode = mode
-
-	libKey, err := libraryCacheKey(req)
-	if err != nil {
-		return fail(http.StatusBadRequest, "%v", err)
+	var libKey string
+	if req.Mode != "lut" {
+		var err error
+		if libKey, err = libraryCacheKey(req); err != nil {
+			return failed(http.StatusBadRequest, err)
+		}
 	}
-	// Fastest path first: the raw-request lookaside recognizes a
-	// repeated request by hashing its bytes, before any parsing — on a
-	// large netlist the parse alone costs orders of magnitude more than
-	// this lookup.
-	blifSum := sha256.Sum256([]byte(req.BLIF))
-	rawKey := rawRequestKey(hex.EncodeToString(blifSum[:]), libKey, mode, req)
-	start := time.Now()
-	if v, ok := s.resultCache.getRaw(rawKey); ok {
-		s.metrics.rcMemHits.Add(1)
-		return s.respondCached(w, traceID, v, resultHitMem, start, ph, fail)
+	cached := s.cachesResult(req)
+	var rawKey store.Key
+	if cached {
+		blifSum := sha256.Sum256([]byte(req.BLIF))
+		rawKey = rawRequestKey(hex.EncodeToString(blifSum[:]), libKey, mode, req)
+		if v, ok := s.resultCache.getRaw(rawKey); ok {
+			s.metrics.rcMemHits.Add(1)
+			return servedFrom(v, resultHitMem, ph)
+		}
 	}
 
 	g, err := ingest(req, ph)
 	if err != nil {
-		return fail(http.StatusBadRequest, "%v", err)
+		return failed(http.StatusBadRequest, err)
 	}
-	digest := g.Digest()
-	ph.subjectSHA = digest
-	key := resultKey(digest, libKey, mode, req)
-	start = time.Now()
-
-	if v, ok := s.resultCache.get(key); ok {
-		s.metrics.rcMemHits.Add(1)
-		s.resultCache.link(rawKey, key)
-		return s.respondCached(w, traceID, v, resultHitMem, start, ph, fail)
-	}
-	if s.store != nil {
-		if e, ok := s.store.Get(resultKind, key); ok {
-			v := rcViewOfEntry(e, digest)
-			s.resultCache.put(key, v)
-			s.resultCache.link(rawKey, key)
-			s.metrics.rcDiskHits.Add(1)
-			return s.respondCached(w, traceID, v, resultHitDisk, start, ph, fail)
+	var key store.Key
+	if cached {
+		digest := g.Digest()
+		ph.subjectSHA = digest
+		key = resultKey(digest, libKey, mode, req)
+		if out, ok := s.lookup(key, rawKey, digest, ph); ok {
+			return out
 		}
 	}
-
-	timeout := s.requestTimeout(req)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	// Compute runs under the request's deadline, which also bounds the
+	// wait for a run slot or a leader. Hits never arm its timer.
+	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req))
 	defer cancel()
+	if !cached {
+		return s.compute(ctx, req, g, batch, ph)
+	}
+	if batch != nil {
+		return s.publish(s.compute(ctx, req, g, batch, ph), key, rawKey, ph)
+	}
 	for {
 		c, leader := s.flights.join(key)
 		if leader {
-			return s.runResultLeader(ctx, w, req, g, mode, key, rawKey, c, traceID, timeout, start, ph, fail)
+			out := s.publish(s.compute(ctx, req, g, nil, ph), key, rawKey, ph)
+			c.view, c.status, c.err = out.view, out.status, out.err
+			s.flights.leaderDone(key, c)
+			return out
 		}
 		// Follower: wait on the leader's run without holding an
 		// admission slot; the wait is queue time.
@@ -313,249 +343,157 @@ func (s *Server) serveMapCached(w http.ResponseWriter, r *http.Request, req *Map
 		select {
 		case <-c.done:
 			ph.queue += time.Since(wait0)
-			if c.view.payload != nil {
-				s.metrics.rcCoalesced.Add(1)
-				s.resultCache.link(rawKey, key)
-				return s.respondCached(w, traceID, c.view, resultCoalesced, start, ph, fail)
-			}
-			if c.ctxErr {
-				// The leader died of its own cancellation or deadline; our
-				// budget is intact. Re-check the cache (the leader may have
-				// published before dying) and elect a new leader.
-				if v, ok := s.resultCache.get(key); ok {
-					s.metrics.rcMemHits.Add(1)
-					return s.respondCached(w, traceID, v, resultHitMem, start, ph, fail)
-				}
-				continue
-			}
-			// A non-context failure is deterministic for identical input:
-			// adopt the leader's outcome instead of re-failing the engine.
-			return fail(c.status, "%s", c.errMsg)
 		case <-ctx.Done():
 			ph.queue += time.Since(wait0)
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return fail(http.StatusGatewayTimeout, "mapping timed out after %v", timeout)
-			}
-			s.metrics.canceled.Add(1)
-			ph.errMsg = "request cancelled"
-			writeJSON(w, statusClientClosedRequest, errorResponse{Error: "request cancelled"})
-			return statusClientClosedRequest
+			return failed(0, ctx.Err())
 		}
-	}
-}
-
-// runResultLeader runs the mapping for a flight it leads: admission,
-// library resolution, the engine run, then publication to the
-// in-memory cache, the artifact store, and the flight's followers.
-// Every return path settles the flight — followers must never wait on
-// a leader that has already responded.
-func (s *Server) runResultLeader(ctx context.Context, w http.ResponseWriter, req *MapRequest, g *dagcover.SubjectGraph, mode string, key, rawKey store.Key, c *flightCall, traceID string, timeout time.Duration, start time.Time, ph *reqPhases, fail func(int, string, ...any) int) int {
-	settle := func(st int, errMsg string, ctxErr bool) {
-		c.status, c.errMsg, c.ctxErr = st, errMsg, ctxErr
-		s.flights.leaderDone(key, c)
-	}
-
-	queueStart := time.Now()
-	if err := s.adm.acquire(ctx); err != nil {
-		ph.queue += time.Since(queueStart)
-		if errors.Is(err, errOverloaded) {
-			// Followers adopt the shed: they would hit the same full
-			// queue, and waiting them out would hide the overload.
-			msg := fmt.Sprintf("overloaded: %d mappings running and %d queued; retry later",
-				s.cfg.Concurrency, s.cfg.QueueDepth)
-			settle(http.StatusTooManyRequests, msg, false)
-			return fail(http.StatusTooManyRequests, "%s", msg)
-		}
-		settle(0, "", true)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return fail(http.StatusGatewayTimeout, "mapping timed out after %v", timeout)
-		}
-		s.metrics.canceled.Add(1)
-		ph.errMsg = "request cancelled while queued"
-		writeJSON(w, statusClientClosedRequest, errorResponse{Error: "request cancelled while queued"})
-		return statusClientClosedRequest
-	}
-	ph.queue += time.Since(queueStart)
-	defer s.adm.release()
-
-	t0 := time.Now()
-	lib, err := s.resolveLibrary(req)
-	ph.compile = time.Since(t0)
-	if err != nil {
-		settle(http.StatusBadRequest, err.Error(), false)
-		return fail(http.StatusBadRequest, "%v", err)
-	}
-	resp, st, err := s.mapWith(ctx, req, g, lib, ph)
-	if err != nil {
 		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			settle(0, "", true)
-			return fail(http.StatusGatewayTimeout, "mapping timed out after %v", timeout)
-		case errors.Is(err, context.Canceled):
-			settle(0, "", true)
-			s.metrics.canceled.Add(1)
-			ph.errMsg = "request cancelled"
-			writeJSON(w, statusClientClosedRequest, errorResponse{Error: "request cancelled"})
-			return statusClientClosedRequest
-		default:
-			settle(st, err.Error(), false)
-			return fail(st, "%v", err)
-		}
-	}
-
-	payload, sha, err := encodeResultPayload(resp)
-	if err != nil {
-		settle(http.StatusInternalServerError, err.Error(), false)
-		return fail(http.StatusInternalServerError, "%v", err)
-	}
-	s.metrics.rcMisses.Add(1)
-	view := rcView{payload: payload, sha: sha, genMillis: millis(ph.mapRun),
-		library: resp.Library, subjectSHA: resp.SubjectSHA}
-	s.resultCache.put(key, view)
-	s.resultCache.link(rawKey, key)
-	s.storeResult(key, view, resp.Circuit, mode)
-	c.view = view
-	s.flights.leaderDone(key, c)
-
-	elapsed := time.Since(start)
-	resp.ElapsedMillis = millis(elapsed)
-	resp.TraceID = traceID
-	resp.ResultCache = resultMiss
-	resp.ResultSHA = sha
-	ph.resultCache = resultMiss
-	s.metrics.recordServed(resp.Library, elapsed, resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK
-}
-
-// respondCached serves one /map request from a cached payload, filling
-// the per-request volatile fields. Hits and coalesced responses
-// contribute zero engine work to the counters — patterns_tried staying
-// flat across a warm replay is how tests prove no label-phase work
-// ran. When the payload matches the canonical shape and the view
-// carries its sidecar metadata, the response is byte-spliced without a
-// JSON round trip; otherwise it decodes and re-encodes.
-func (s *Server) respondCached(w http.ResponseWriter, traceID string, v rcView, tier string, start time.Time, ph *reqPhases, fail func(int, string, ...any) int) int {
-	t0 := time.Now()
-	elapsed := time.Since(start)
-	if v.library != "" {
-		if body, ok := spliceCachedResponse(v.payload, millis(elapsed), traceID, tier, v.sha); ok {
-			ph.library, ph.cacheHit = v.library, true
-			ph.resultCache = tier
-			if ph.subjectSHA == "" {
-				// Raw-lookaside hits never parsed the input; the entry knows
-				// which subject graph it answers for.
-				ph.subjectSHA = v.subjectSHA
+		case c.err == nil:
+			s.metrics.rcCoalesced.Add(1)
+			s.resultCache.link(rawKey, key)
+			return servedFrom(c.view, resultCoalesced, ph)
+		case errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded):
+			// The leader died of its own cancellation or deadline; our
+			// budget is intact. Re-check the cache (the leader may have
+			// published before dying) and elect a new leader.
+			if v, ok := s.resultCache.get(key); ok {
+				s.metrics.rcMemHits.Add(1)
+				return servedFrom(v, resultHitMem, ph)
 			}
-			s.metrics.recordServed(v.library, elapsed, 0, 0, 0)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(body)
-			ph.respond = time.Since(t0)
-			return http.StatusOK
+		default:
+			// A non-context failure (a shed included) is deterministic
+			// for identical input: adopt the leader's outcome instead of
+			// re-running the engine.
+			return failed(c.status, c.err)
 		}
 	}
-	resp, err := decodeResultPayload(v.payload)
-	if err != nil {
-		// Disk payloads are SHA-verified by the store and memory payloads
-		// are our own bytes, so this is a code bug, not data corruption.
-		return fail(http.StatusInternalServerError, "%v", err)
-	}
-	resp.ElapsedMillis = millis(elapsed)
-	resp.TraceID = traceID
-	resp.ResultCache = tier
-	resp.ResultSHA = v.sha
-	refreshServingMetadata(resp)
-	ph.library, ph.cacheHit = resp.Library, true
-	ph.resultCache = tier
-	if ph.subjectSHA == "" {
-		ph.subjectSHA = resp.SubjectSHA
-	}
-	s.metrics.recordServed(resp.Library, elapsed, 0, 0, 0)
-	writeJSON(w, http.StatusOK, resp)
-	ph.respond = time.Since(t0)
-	return http.StatusOK
 }
 
-// mapItemCached is the batch-item counterpart of serveMapCached: same
-// key, same tiers, but no flight group — a job item already holds its
-// batch's admission slot, and joining a /map flight from under it
-// could deadlock the pool (the leader it waits for needs the slot the
-// item is holding).
-func (s *Server) mapItemCached(ctx context.Context, req *MapRequest, lib library, ph *reqPhases) (*MapResponse, int, error) {
-	mode := req.modeName()
-	libKey, err := libraryCacheKey(req)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	blifSum := sha256.Sum256([]byte(req.BLIF))
-	rawKey := rawRequestKey(hex.EncodeToString(blifSum[:]), libKey, mode, req)
-
-	serveHit := func(v rcView, tier string) (*MapResponse, int, error) {
-		// Job items embed the decoded response in their NDJSON record, so
-		// the byte-splice shortcut does not apply here.
-		resp, err := decodeResultPayload(v.payload)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		resp.ResultCache = tier
-		resp.ResultSHA = v.sha
-		refreshServingMetadata(resp)
-		ph.library, ph.cacheHit = resp.Library, true
-		ph.resultCache = tier
-		if ph.subjectSHA == "" {
-			ph.subjectSHA = resp.SubjectSHA
-		}
-		return resp, http.StatusOK, nil
-	}
-	// As on /map, the raw lookaside recognizes a repeated item before
-	// any parsing.
-	if v, ok := s.resultCache.getRaw(rawKey); ok {
-		s.metrics.rcMemHits.Add(1)
-		return serveHit(v, resultHitMem)
-	}
-
-	g, err := ingest(req, ph)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	digest := g.Digest()
-	ph.subjectSHA = digest
-	key := resultKey(digest, libKey, mode, req)
-
+// lookup is stage 3: the memory tier, then the disk tier. A disk hit
+// warms the memory tier; both link the raw key to the entry.
+func (s *Server) lookup(key, rawKey store.Key, digest string, ph *reqPhases) (outcome, bool) {
 	if v, ok := s.resultCache.get(key); ok {
 		s.metrics.rcMemHits.Add(1)
 		s.resultCache.link(rawKey, key)
-		return serveHit(v, resultHitMem)
+		return servedFrom(v, resultHitMem, ph), true
 	}
-	if s.store != nil {
-		if e, ok := s.store.Get(resultKind, key); ok {
-			v := rcViewOfEntry(e, digest)
-			s.resultCache.put(key, v)
-			s.resultCache.link(rawKey, key)
-			s.metrics.rcDiskHits.Add(1)
-			return serveHit(v, resultHitDisk)
-		}
+	if s.store == nil {
+		return outcome{}, false
 	}
+	e, ok := s.store.Get(resultKind, key)
+	if !ok {
+		return outcome{}, false
+	}
+	v := rcViewOfEntry(e, digest)
+	s.resultCache.put(key, v)
+	s.resultCache.link(rawKey, key)
+	s.metrics.rcDiskHits.Add(1)
+	return servedFrom(v, resultHitDisk, ph), true
+}
 
-	resp, st, err := s.mapWith(ctx, req, g, lib, ph)
-	if err != nil {
-		return resp, st, err
+// servedFrom is the outcome of a cache-served request. It attributes
+// the request to the entry; a raw-lookaside hit never parsed the input,
+// so the entry says which subject graph it answers for.
+func servedFrom(v rcView, tier string, ph *reqPhases) outcome {
+	ph.library, ph.cacheHit, ph.resultCache = v.library, true, tier
+	if ph.subjectSHA == "" {
+		ph.subjectSHA = v.subjectSHA
 	}
+	return outcome{view: v, tier: tier}
+}
+
+// errQueued marks a context error that ended a wait for a run slot.
+var errQueued = errors.New("while queued")
+
+// compute is stage 4 past the flight: admission (under the request's
+// deadline), library resolution and the engine run. A batch item
+// brings its batch's library and slot. The slot is released once the
+// response is rendered; publishing and encoding need none.
+func (s *Server) compute(ctx context.Context, req *MapRequest, g *dagcover.SubjectGraph, lib *library, ph *reqPhases) outcome {
+	if lib == nil {
+		queueStart := time.Now()
+		err := s.adm.acquire(ctx)
+		ph.queue += time.Since(queueStart)
+		if err != nil {
+			return failed(0, fmt.Errorf("%w %w", err, errQueued))
+		}
+		defer s.adm.release()
+		t0 := time.Now()
+		resolved, err := s.resolveLibrary(req)
+		ph.compile = time.Since(t0)
+		if err != nil {
+			return failed(http.StatusBadRequest, err)
+		}
+		lib = &resolved
+	}
+	resp, status, err := s.mapWith(ctx, req, g, *lib, ph)
+	return outcome{resp: resp, status: status, err: err}
+}
+
+// publish is stage 5: a computed result enters the memory tier and the
+// artifact store, and its canonical form becomes the outcome's view,
+// which a flight leader hands to its followers.
+func (s *Server) publish(out outcome, key, rawKey store.Key, ph *reqPhases) outcome {
+	if out.err != nil {
+		return out
+	}
+	resp := out.resp
 	payload, sha, err := encodeResultPayload(resp)
 	if err != nil {
-		return nil, http.StatusInternalServerError, err
+		return failed(http.StatusInternalServerError, err)
 	}
 	s.metrics.rcMisses.Add(1)
-	view := rcView{payload: payload, sha: sha, genMillis: millis(ph.mapRun),
+	out.view = rcView{payload: payload, sha: sha, genMillis: millis(ph.mapRun),
 		library: resp.Library, subjectSHA: resp.SubjectSHA}
-	s.resultCache.put(key, view)
+	s.resultCache.put(key, out.view)
 	s.resultCache.link(rawKey, key)
-	s.storeResult(key, view, resp.Circuit, mode)
-	resp.ResultCache = resultMiss
-	resp.ResultSHA = sha
+	s.storeResult(key, out.view, resp.Circuit, ph.mode)
+	resp.ResultCache, resp.ResultSHA = resultMiss, sha
 	ph.resultCache = resultMiss
-	return resp, http.StatusOK, nil
+	return out
+}
+
+// classify is the one map from a pipeline error to its status and
+// message: overload → 429, deadline → 504, cancellation → 499, and any
+// other error the status its stage chose. A job item (item true) names
+// itself in its timeout, reports a cancellation as the job's, and
+// records every other failure as 400, a verification failure included.
+func (s *Server) classify(err error, status int, timeout time.Duration, item bool) (int, string) {
+	switch {
+	case errors.Is(err, errOverloaded):
+		return http.StatusTooManyRequests, fmt.Sprintf("overloaded: %d mappings running and %d queued; retry later",
+			s.cfg.Concurrency, s.cfg.QueueDepth)
+	case errors.Is(err, context.DeadlineExceeded) && item:
+		return http.StatusGatewayTimeout, fmt.Sprintf("item timed out after %v", timeout)
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, fmt.Sprintf("mapping timed out after %v", timeout)
+	case errors.Is(err, context.Canceled) && item:
+		return statusClientClosedRequest, "job cancelled"
+	case errors.Is(err, context.Canceled) && errors.Is(err, errQueued):
+		return statusClientClosedRequest, "request cancelled while queued"
+	case errors.Is(err, context.Canceled):
+		return statusClientClosedRequest, "request cancelled"
+	case item:
+		return http.StatusBadRequest, err.Error()
+	}
+	return status, err.Error()
+}
+
+// cachedResponse decodes a cache-served outcome into the response the
+// byte-splice would have produced, less the per-serving elapsed time
+// and trace id.
+func cachedResponse(out outcome, ph *reqPhases) (*MapResponse, error) {
+	resp, err := decodeResultPayload(out.view.payload)
+	if err != nil {
+		// Disk payloads are SHA-verified by the store and memory payloads
+		// are our own bytes, so this is a code bug, not data corruption.
+		return nil, err
+	}
+	resp.ResultCache = out.tier
+	resp.ResultSHA = out.view.sha
+	refreshServingMetadata(resp)
+	ph.library = resp.Library
+	return resp, nil
 }
 
 // storeResult publishes a freshly computed result to the artifact

@@ -11,11 +11,23 @@
 //     concurrent mappings and the wait queue; excess load is rejected
 //     with 429 instead of accumulating goroutines and memory.
 //   - Cancellation. Every request runs under a context carrying the
-//     client connection and a per-request deadline, which the core
-//     labeling/construction loops poll — a disconnect or timeout
-//     stops the mapping within a wave, not after it.
+//     client connection and a per-request deadline, which bounds its
+//     wait for a run slot and which the core labeling/construction
+//     loops poll — a disconnect or timeout stops the mapping within a
+//     wave, not after it.
 //
-// Endpoints: POST /map, GET /healthz, GET /stats.
+// Every /map request and every /jobs item maps through one pipeline
+// (mapRequest): raw lookaside; ingest and digest; the memory, then the
+// disk tier of the whole-result cache; compute (a coalescing flight,
+// admission, library resolution, mapWith); publish. The cache stages
+// take part only when result caching is on and the mode is dag or tree
+// (cachesResult); otherwise they pass through. A job item holds its
+// batch's run slot and library, so it skips the flight and admission.
+//
+// Endpoints: POST /map; POST /jobs, GET /jobs/{id}, GET
+// /jobs/{id}/result and DELETE /jobs/{id} (batch jobs, see jobs_api.go);
+// GET /healthz; GET /stats and GET /metrics (the same counters as JSON
+// and as Prometheus text); GET /debug/events (the wide-event ring).
 package service
 
 import (
@@ -24,7 +36,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -194,6 +205,10 @@ type Server struct {
 	runtime *obs.RuntimeSampler
 	burn    *obs.BurnTracker
 	diag    *obs.DiagRecorder
+
+	// mapStartHook, when a test sets it before serving, runs on a
+	// request's goroutine just before the engine starts.
+	mapStartHook func(*MapRequest)
 }
 
 // New builds a Server.
@@ -435,10 +450,30 @@ func (s *Server) failure(w http.ResponseWriter, status int, format string, args 
 		s.metrics.overloaded.Add(1)
 	case http.StatusGatewayTimeout:
 		s.metrics.timeout.Add(1)
+	case statusClientClosedRequest:
+		s.metrics.canceled.Add(1)
 	default:
 		s.metrics.internal.Add(1)
 	}
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// decodeBody strictly decodes a JSON request body. The transport
+// middleware has already bounded it (and, for Content-Encoding: gzip,
+// transparently decompressed it). On failure it returns the status and
+// message to respond with; on success status 0.
+func (s *Server) decodeBody(r *http.Request, v any) (int, string) {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	switch {
+	case err == nil:
+		return 0, ""
+	case isBodyTooLarge(err):
+		return http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the %d-byte limit (after decompression, if gzip)", s.cfg.MaxRequestBytes)
+	}
+	return http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -460,6 +495,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // counters (mapd_phase_seconds_total) when the request finishes.
 type reqPhases struct {
 	queue, parse, compile, mapRun, respond time.Duration
+
+	// start is when serving began: the end of body decode on /map, the
+	// item's start in a batch. elapsed measures from it.
+	start time.Time
 
 	library  string
 	mode     string
@@ -496,6 +535,11 @@ func newTraceID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
+
+// elapsed is a response's elapsed_ms: serving time from the end of
+// body decode, less the time spent waiting for a run slot or on a
+// coalesced leader. It also feeds the per-library latency histograms.
+func (ph *reqPhases) elapsed() time.Duration { return time.Since(ph.start) - ph.queue }
 
 // add folds one request's phase breakdown into the running totals.
 func (p *phaseTimes) add(ph *reqPhases) {
@@ -562,79 +606,51 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusMethodNotAllowed, "POST a JSON mapping request to /map")
 		return
 	}
-	// The transport middleware has already bounded (and, for
-	// Content-Encoding: gzip, transparently decompressed) the body.
 	var req MapRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if isBodyTooLarge(err) {
-			fail(http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit (after decompression, if gzip)", s.cfg.MaxRequestBytes)
-			return
-		}
-		fail(http.StatusBadRequest, "bad request body: %v", err)
+	if st, msg := s.decodeBody(r, &req); st != 0 {
+		fail(st, "%s", msg)
 		return
 	}
 	if strings.TrimSpace(req.BLIF) == "" {
 		fail(http.StatusBadRequest, `bad request: "blif" is required`)
 		return
 	}
-
-	// Cacheable modes go through the result cache: parse and digest
-	// before admission, serve hits without a run slot, single-flight
-	// identical misses. LUT and unknown modes keep the legacy path.
-	if s.resultCache != nil && resultCacheable(&req) {
-		status = s.serveMapCached(w, r, &req, traceID, &ph)
+	ph.start = time.Now()
+	out := s.mapRequest(r.Context(), &req, nil, &ph)
+	if out.err != nil {
+		st, msg := s.classify(out.err, out.status, s.requestTimeout(&req), false)
+		fail(st, "%s", msg)
 		return
 	}
-
-	// Admission: hold a run slot for everything downstream — library
-	// compilation and BLIF parsing are also work an overload must not
-	// multiply.
-	queueStart := time.Now()
-	if err := s.adm.acquire(r.Context()); err != nil {
-		ph.queue = time.Since(queueStart)
-		if errors.Is(err, errOverloaded) {
-			fail(http.StatusTooManyRequests,
-				"overloaded: %d mappings running and %d queued; retry later",
-				s.cfg.Concurrency, s.cfg.QueueDepth)
+	elapsed := ph.elapsed()
+	resp := out.resp
+	if resp == nil {
+		// Served from the cache: byte-splice the canonical payload when
+		// it has the canonical shape and the view carries its metadata;
+		// otherwise decode and re-encode it. A cached serving did no
+		// engine work, so it adds none to the work counters.
+		t0 := time.Now()
+		defer func() { ph.respond = time.Since(t0) }()
+		if out.view.library != "" {
+			if body, ok := spliceCachedResponse(out.view.payload, millis(elapsed), traceID, out.tier, out.view.sha); ok {
+				s.metrics.recordServed(out.view.library, elapsed, 0, 0, 0)
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusOK)
+				_, _ = w.Write(body)
+				return
+			}
+		}
+		var err error
+		if resp, err = cachedResponse(out, &ph); err != nil {
+			fail(http.StatusInternalServerError, "%v", err)
 			return
 		}
-		// Client went away while queued.
-		s.metrics.canceled.Add(1)
-		status = statusClientClosedRequest
-		ph.errMsg = "request cancelled while queued"
-		writeJSON(w, statusClientClosedRequest, errorResponse{Error: "request cancelled while queued"})
-		return
+		s.metrics.recordServed(resp.Library, elapsed, 0, 0, 0)
+	} else {
+		s.metrics.recordServed(resp.Library, elapsed, resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
 	}
-	ph.queue = time.Since(queueStart)
-	defer s.adm.release()
-
-	timeout := s.requestTimeout(&req)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	start := time.Now()
-	resp, st, err := s.serve(ctx, &req, &ph)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusGatewayTimeout, "mapping timed out after %v", timeout)
-		case errors.Is(err, context.Canceled):
-			s.metrics.canceled.Add(1)
-			status = statusClientClosedRequest
-			ph.errMsg = "request cancelled"
-			writeJSON(w, statusClientClosedRequest, errorResponse{Error: "request cancelled"})
-		default:
-			fail(st, "%v", err)
-		}
-		return
-	}
-	elapsed := time.Since(start)
-	resp.ElapsedMillis = float64(elapsed) / float64(time.Millisecond)
+	resp.ElapsedMillis = millis(elapsed)
 	resp.TraceID = traceID
-	s.metrics.recordServed(resp.Library, elapsed, resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -642,24 +658,6 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // client disconnected before the response; nobody reads the body, but
 // the access log keeps an honest status.
 const statusClientClosedRequest = 499
-
-// serve runs one admitted mapping request, attributing wall time to
-// ph's phases as it goes. The returned status is used only for
-// non-context errors.
-func (s *Server) serve(ctx context.Context, req *MapRequest, ph *reqPhases) (*MapResponse, int, error) {
-	ph.mode = req.modeName()
-	g, err := ingest(req, ph)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	t0 := time.Now()
-	lib, err := s.resolveLibrary(req)
-	ph.compile = time.Since(t0)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	return s.mapWith(ctx, req, g, lib, ph)
-}
 
 // ingest reads a request's BLIF into its subject graph, charging the
 // parse phase. It is every mapping request's one ingest path: streamed,
@@ -671,6 +669,15 @@ func ingest(req *MapRequest, ph *reqPhases) (*dagcover.SubjectGraph, error) {
 	g, err := dagcover.ReadSubjectBLIF(strings.NewReader(req.BLIF))
 	ph.parse += time.Since(t0)
 	return g, err
+}
+
+// libraryName is the built-in library the request names, with the
+// default filled in.
+func (r *MapRequest) libraryName() string {
+	if r.Library == "" {
+		return "lib2"
+	}
+	return r.Library
 }
 
 // modeName is the request's mode with the default filled in.
@@ -731,6 +738,9 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, g *dagcover.Subje
 		return nil, http.StatusBadRequest, err
 	}
 	opt.Trace = ph.trace
+	if s.mapStartHook != nil {
+		s.mapStartHook(req)
+	}
 	t0 := time.Now()
 	res, err := dagcover.Map(ctx, dagcover.Input{Subject: g}, opt)
 	ph.mapRun = time.Since(t0)
@@ -833,55 +843,24 @@ func (s *Server) resolveLibrary(req *MapRequest) (library, error) {
 	if err != nil {
 		return library{}, err
 	}
-	var load func() (*dagcover.Library, error)
-	if req.Genlib != "" {
-		// Name uploads by content-hash prefix so per-library stats
-		// distinguish different uploads without trusting client names.
-		name := "upload-" + strings.TrimPrefix(HashGenlib(req.Genlib), "sha256:")[:8]
-		load = func() (*dagcover.Library, error) {
-			return dagcover.LoadLibrary(name, strings.NewReader(req.Genlib))
-		}
-	} else {
-		name := req.Library
-		if name == "" {
-			name = "lib2"
-		}
-		var builtin func() *dagcover.Library
-		switch name {
-		case "lib2":
-			builtin = dagcover.Lib2
-		case "44-1":
-			builtin = dagcover.Lib441
-		case "44-3":
-			builtin = dagcover.Lib443
-		}
-		// libraryCacheKey already rejected unknown names.
-		load = func() (*dagcover.Library, error) { return builtin(), nil }
-	}
-	if req.Supergates == nil {
-		cl, hit, err := s.cache.Get(cacheKey, func() (*dagcover.CompiledLibrary, error) {
-			lib, err := load()
-			if err != nil {
+	cl, hit, err := s.cache.Get(cacheKey, func() (*dagcover.CompiledLibrary, error) {
+		var lib *dagcover.Library
+		if req.Genlib == "" {
+			lib = builtinLibraries[req.libraryName()]()
+		} else {
+			// Name uploads by content-hash prefix so per-library stats
+			// distinguish different uploads without trusting client names.
+			name := "upload-" + strings.TrimPrefix(HashGenlib(req.Genlib), "sha256:")[:8]
+			var err error
+			if lib, err = dagcover.LoadLibrary(name, strings.NewReader(req.Genlib)); err != nil {
 				return nil, err
 			}
+		}
+		if req.Supergates == nil {
 			return dagcover.CompileLibrary(lib)
-		})
-		if err != nil {
-			return library{}, err
 		}
-		return library{cl: cl, name: cl.Library().Name, hit: hit}, nil
-	}
-	sg := req.Supergates.normalize()
-	cl, hit, err := s.cache.Get(cacheKey, func() (*dagcover.CompiledLibrary, error) {
-		lib, err := load()
-		if err != nil {
-			return nil, err
-		}
-		opt := dagcover.SupergateOptions{
-			MaxInputs: sg.MaxInputs,
-			MaxDepth:  sg.MaxDepth,
-			MaxGates:  sg.MaxGates,
-		}
+		sg := req.Supergates.normalize()
+		opt := dagcover.SupergateOptions{MaxInputs: sg.MaxInputs, MaxDepth: sg.MaxDepth, MaxGates: sg.MaxGates}
 		if s.store == nil {
 			return dagcover.CompileLibraryWithSupergates(lib, opt)
 		}
@@ -898,10 +877,10 @@ func (s *Server) resolveLibrary(req *MapRequest) (library, error) {
 	if err != nil {
 		return library{}, err
 	}
-	lib := library{cl: cl, name: cl.Library().Name, hit: hit}
+	out := library{cl: cl, name: cl.Library().Name, hit: hit}
 	if v, ok := s.sgInfo.Load(cacheKey); ok {
 		i := v.(dagcover.SupergateStoreInfo)
-		lib.sg = &i
+		out.sg = &i
 	}
-	return lib, nil
+	return out, nil
 }

@@ -273,11 +273,27 @@ func TestConcurrentMixedRequests(t *testing.T) {
 			req:    MapRequest{Memo: memoOff},
 			cancel: true, wantErr: statusClientClosedRequest},
 	}
+	var cancelBLIF string
 	for i := range jobs {
 		if jobs[i].orig != nil && jobs[i].req.BLIF == "" {
 			jobs[i].req.BLIF = blifOf(t, jobs[i].orig)
 		}
 		jobs[i].req.Verify = jobs[i].wantErr == 0
+		if jobs[i].cancel {
+			cancelBLIF = jobs[i].req.BLIF
+		}
+	}
+
+	// The cancelled request is cancelled while it runs by construction,
+	// not by a sleep racing the engine: the hook fires on its goroutine
+	// once it holds a run slot and its library, just before the engine
+	// starts, and the engine's first context poll stops it.
+	cancelCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.mapStartHook = func(req *MapRequest) {
+		if req.BLIF == cancelBLIF {
+			cancel()
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -288,12 +304,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 			defer wg.Done()
 			ctx := context.Background()
 			if j.cancel {
-				c, cancel := context.WithCancel(ctx)
-				ctx = c
-				go func() {
-					time.Sleep(25 * time.Millisecond)
-					cancel()
-				}()
+				ctx = cancelCtx
 			}
 			body, err := json.Marshal(j.req)
 			if err != nil {
