@@ -13,7 +13,7 @@
 //	DELETE /jobs/{id}         cancel a job; unfinished items settle as 499
 //	GET    /healthz           liveness probe
 //	GET    /stats             request, job, cache, queue and per-library latency counters
-//	GET    /metrics           Prometheus text exposition of the same counters
+//	GET    /metrics           the same snapshot as /stats, as Prometheus text
 //	GET    /debug/events      recent requests as wide events, newest first (?result=, ?kind=, ?limit=)
 //
 // With -debug-addr, a second listener serves net/http/pprof under
@@ -84,7 +84,6 @@ func main() {
 		diagInterval = flag.Duration("diag-min-interval", 10*time.Second, "minimum spacing between diagnostics captures; breaches inside it are counted as dropped (0 = unlimited)")
 		sloP99Millis = flag.Int("slo-p99-ms", 0, "latency SLO target in milliseconds; served requests over it burn error budget and trigger capture (0 = disabled)")
 		sloGoal      = flag.Float64("slo-goal", 0.99, "availability goal behind the burn-rate windows (fraction of good requests)")
-		runtimeEvery = flag.Duration("runtime-sample", 10*time.Second, "runtime telemetry (mapd_go_*) polling interval")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -120,24 +119,23 @@ func main() {
 		resultBytes = -1
 	}
 	svc := service.New(service.Config{
-		Concurrency:        *concurrency,
-		QueueDepth:         *queue,
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTimeout,
-		Parallelism:        *parallel,
-		MaxRequestBytes:    *maxBytes,
-		CacheEntries:       *cacheSize,
-		MaxJobs:            *jobsMax,
-		JobTTL:             *jobTTL,
-		MaxBatchItems:      *batchMax,
-		Logger:             logger,
-		SlowRequest:        time.Duration(*slowMillis) * time.Millisecond,
-		Store:              st,
-		Diag:               diag,
-		SLOLatency:         time.Duration(*sloP99Millis) * time.Millisecond,
-		SLOGoal:            *sloGoal,
-		RuntimeSampleEvery: *runtimeEvery,
-		ResultCacheBytes:   resultBytes,
+		Concurrency:      *concurrency,
+		QueueDepth:       *queue,
+		DefaultTimeout:   *timeout,
+		MaxTimeout:       *maxTimeout,
+		Parallelism:      *parallel,
+		MaxRequestBytes:  *maxBytes,
+		CacheEntries:     *cacheSize,
+		MaxJobs:          *jobsMax,
+		JobTTL:           *jobTTL,
+		MaxBatchItems:    *batchMax,
+		Logger:           logger,
+		SlowRequest:      time.Duration(*slowMillis) * time.Millisecond,
+		Store:            st,
+		Diag:             diag,
+		SLOLatency:       time.Duration(*sloP99Millis) * time.Millisecond,
+		SLOGoal:          *sloGoal,
+		ResultCacheBytes: resultBytes,
 	})
 	defer svc.Close()
 	srv := &http.Server{

@@ -47,24 +47,6 @@ func TestReadRuntimeSample(t *testing.T) {
 	}
 }
 
-func TestRuntimeSamplerRefreshAndStop(t *testing.T) {
-	s := NewRuntimeSampler(time.Hour) // ticker won't fire during the test
-	defer s.Stop()
-	first := s.Latest()
-	if first.Time.IsZero() {
-		t.Fatal("no initial sample")
-	}
-	fresh := s.Refresh()
-	if fresh.Time.Before(first.Time) {
-		t.Errorf("refresh time %v before initial %v", fresh.Time, first.Time)
-	}
-	if got := s.Latest(); !got.Time.Equal(fresh.Time) {
-		t.Errorf("Latest after Refresh = %v, want %v", got.Time, fresh.Time)
-	}
-	s.Stop()
-	s.Stop() // idempotent
-}
-
 // --- wide-event ring ---
 
 func TestEventRingBoundedNewestFirst(t *testing.T) {

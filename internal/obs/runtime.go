@@ -3,18 +3,17 @@ package obs
 import (
 	"runtime"
 	"runtime/metrics"
-	"sync"
 	"time"
 )
 
 // Runtime telemetry: a point-in-time sample of the Go runtime's own
 // metrics (heap footprint, GC pause distribution, goroutine count,
-// scheduler latency) read from runtime/metrics, plus a sampler that
-// refreshes the sample on a ticker so serving paths never pay the
-// read themselves. The service exports the latest sample as the
-// mapd_go_* Prometheus families and the /stats "runtime" block, and
-// every diagnostics bundle embeds a fresh one — a slow request's
-// evidence includes what the runtime was doing at capture time.
+// scheduler latency) read from runtime/metrics. One read costs a few
+// microseconds, so the service reads a fresh sample for every /stats
+// or /metrics snapshot (the /stats "runtime" block and the mapd_go_*
+// Prometheus families), and every diagnostics bundle embeds one — a
+// slow request's evidence includes what the runtime was doing at
+// capture time.
 
 // RuntimeSample is one reading of the runtime metrics the mapping
 // service cares about. Quantiles come from the runtime's own
@@ -160,65 +159,4 @@ func finiteEdge(buckets []float64, i int) float64 {
 		return 0
 	}
 	return v
-}
-
-// RuntimeSampler holds the latest RuntimeSample and refreshes it on a
-// ticker. Create with NewRuntimeSampler, stop the ticker goroutine
-// with Stop (idempotent). All methods are safe for concurrent use.
-type RuntimeSampler struct {
-	mu     sync.Mutex
-	latest RuntimeSample
-	stop   chan struct{}
-	once   sync.Once
-}
-
-// NewRuntimeSampler takes an immediate sample and, when interval is
-// positive, starts a goroutine resampling every interval.
-func NewRuntimeSampler(interval time.Duration) *RuntimeSampler {
-	s := &RuntimeSampler{stop: make(chan struct{})}
-	s.latest = ReadRuntimeSample()
-	if interval > 0 {
-		go s.loop(interval)
-	}
-	return s
-}
-
-func (s *RuntimeSampler) loop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			sample := ReadRuntimeSample()
-			s.mu.Lock()
-			s.latest = sample
-			s.mu.Unlock()
-		}
-	}
-}
-
-// Latest returns the most recent sample (possibly up to one interval
-// old; its Time says exactly how old).
-func (s *RuntimeSampler) Latest() RuntimeSample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest
-}
-
-// Refresh samples now, stores the result, and returns it — used by
-// diagnostics capture, which wants the runtime state at breach time,
-// not the last ticker edge.
-func (s *RuntimeSampler) Refresh() RuntimeSample {
-	sample := ReadRuntimeSample()
-	s.mu.Lock()
-	s.latest = sample
-	s.mu.Unlock()
-	return sample
-}
-
-// Stop ends the ticker goroutine. Safe to call more than once.
-func (s *RuntimeSampler) Stop() {
-	s.once.Do(func() { close(s.stop) })
 }

@@ -26,37 +26,13 @@ var burnWindows = []obs.WindowSpec{
 	{Name: "1h", Dur: time.Hour},
 }
 
-// resultLabel maps an HTTP-style status to the result label the
-// metrics families and wide events share.
-func resultLabel(status int) string {
-	switch status {
-	case http.StatusOK:
-		return "ok"
-	case http.StatusRequestEntityTooLarge:
-		return "too_large"
-	case http.StatusTooManyRequests:
-		return "overloaded"
-	case http.StatusGatewayTimeout:
-		return "timeout"
-	case statusClientClosedRequest:
-		return "canceled"
-	case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed:
-		return "bad_request"
-	default:
-		return "internal"
-	}
-}
-
 // eventPhaseMillis renders one request's full phase breakdown —
 // service phases plus the engine's internal/obs wall times when the
 // mapper ran — for wide events and access logs.
 func eventPhaseMillis(ph *reqPhases) map[string]float64 {
-	m := map[string]float64{
-		"queue":   millis(ph.queue),
-		"parse":   millis(ph.parse),
-		"compile": millis(ph.compile),
-		"map":     millis(ph.mapRun),
-		"respond": millis(ph.respond),
+	m := make(map[string]float64, numPhases+5)
+	for p, name := range phaseNames {
+		m[name] = millis(ph.dur[p])
 	}
 	if ph.core != (dagcover.PhaseBreakdown{}) {
 		m["label"] = ph.core.LabelMillis
@@ -69,10 +45,12 @@ func eventPhaseMillis(ph *reqPhases) map[string]float64 {
 }
 
 // recordFlight folds one finished request (kind "map") or job item
-// (kind "job_item") into the flight recorder: wide-event ring, burn
-// tracker, and — past the slow/SLO thresholds — a diagnostics
-// bundle. itemIndex/itemName only apply to job items.
+// (kind "job_item") into the phase totals, the access log and the
+// flight recorder: wide-event ring, burn tracker, and — past the
+// slow/SLO thresholds — a diagnostics bundle. itemIndex/itemName only
+// apply to job items.
 func (s *Server) recordFlight(traceID, kind string, itemIndex int, itemName string, status int, total time.Duration, ph *reqPhases) {
+	s.metrics.phases.add(ph)
 	now := time.Now()
 	slow := s.cfg.SlowRequest > 0 && total >= s.cfg.SlowRequest
 	// A latency-SLO violation: a served request over the target, or a
@@ -89,7 +67,7 @@ func (s *Server) recordFlight(traceID, kind string, itemIndex int, itemName stri
 		ItemName:       itemName,
 		Library:        ph.library,
 		Mode:           ph.mode,
-		Result:         resultLabel(status),
+		Result:         resultLabel(status).String(),
 		Status:         status,
 		Error:          ph.errMsg,
 		DurationMillis: millis(total),
@@ -102,6 +80,7 @@ func (s *Server) recordFlight(traceID, kind string, itemIndex int, itemName stri
 		ResultCache:    ph.resultCache,
 		Slow:           slow || violation,
 	}
+	s.logEvent(&ev, slow)
 	s.events.Add(ev)
 	s.burn.Record(now, violation || shed)
 
@@ -116,7 +95,7 @@ func (s *Server) recordFlight(traceID, kind string, itemIndex int, itemName stri
 		TraceID:       traceID,
 		Reason:        reason,
 		Event:         ev,
-		Runtime:       s.runtime.Refresh(),
+		Runtime:       obs.ReadRuntimeSample(),
 		GoroutineDump: obs.GoroutineDump(),
 	}
 	if ph.trace != nil {
@@ -134,31 +113,12 @@ func (s *Server) recordFlight(traceID, kind string, itemIndex int, itemName stri
 // /map path (job submissions) against the error budget.
 func (s *Server) recordShedBurn() { s.burn.Record(time.Now(), true) }
 
-// fillFlightStats adds the flight recorder's blocks — build identity,
-// runtime telemetry, SLO burn rates, event-ring occupancy, capture
-// counters — to a metrics snapshot.
-func (s *Server) fillFlightStats(snap *StatsSnapshot) {
-	snap.Build = buildInfo()
-	snap.Runtime = s.runtime.Latest()
-	snap.SLO.Goal = s.burn.Goal()
-	snap.SLO.LatencyTargetMS = millis(s.cfg.SLOLatency)
-	snap.SLO.Windows = s.burn.Rates(time.Now())
-	snap.Events.Recorded = s.events.Total()
-	snap.Events.Capacity = s.events.Cap()
-	if s.diag != nil {
-		d := &DiagSnapshot{Dir: s.diag.Dir(), MaxBytes: s.diag.MaxBytes()}
-		d.Captures, d.Dropped, d.Evictions = s.diag.Counters()
-		d.Bundles, d.Bytes = s.diag.Usage()
-		snap.Diag = d
-	}
-}
-
 // handleDebugEvents serves GET /debug/events: the wide-event ring as
 // JSON, newest first. ?result= filters by outcome label, ?kind= by
 // map/job_item, ?limit= bounds the response (default 100).
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.failure(w, http.StatusMethodNotAllowed, "GET /debug/events")
+		writeError(w, http.StatusMethodNotAllowed, "GET /debug/events")
 		return
 	}
 	q := r.URL.Query()
@@ -166,7 +126,7 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			s.failure(w, http.StatusBadRequest, "bad limit %q", v)
+			writeError(w, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
 		limit = n
@@ -187,31 +147,29 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	}{s.events.Total(), s.events.Cap(), len(events), events})
 }
 
-// logItem writes one access-log record per settled batch item,
-// carrying the parent job's trace id so a single grep follows a batch
-// end to end, exactly like the sync /map path. Slow items are
-// promoted to Warn like slow requests.
-func (s *Server) logItem(traceID string, index int, name string, status int, total time.Duration, ph *reqPhases) {
+// logEvent writes one access-log record per /map request or batch
+// item. An item's record carries its parent job's trace id, so a single
+// grep follows a batch end to end. Slow records are promoted to Warn.
+func (s *Server) logEvent(ev *obs.WideEvent, slow bool) {
 	lg := s.cfg.Logger
 	if lg == nil {
 		return
 	}
-	attrs := []any{
-		"trace_id", traceID,
-		"item_index", index,
-		"item_name", name,
-		"status", status,
-		"library", ph.library,
-		"mode", ph.mode,
-		"cache_hit", ph.cacheHit,
-		"total_ms", millis(total),
-		"parse_ms", millis(ph.parse),
-		"map_ms", millis(ph.mapRun),
-		"respond_ms", millis(ph.respond),
+	msg := "mapping request"
+	attrs := make([]any, 0, 2*(8+numPhases))
+	attrs = append(attrs, "trace_id", ev.TraceID)
+	if ev.Kind == "job_item" {
+		msg = "job item"
+		attrs = append(attrs, "item_index", ev.ItemIndex, "item_name", ev.ItemName)
 	}
-	if s.cfg.SlowRequest > 0 && total >= s.cfg.SlowRequest {
-		lg.Warn("slow job item", attrs...)
+	attrs = append(attrs, "status", ev.Status, "library", ev.Library, "mode", ev.Mode,
+		"cache_hit", ev.CacheHit, "total_ms", ev.DurationMillis)
+	for _, name := range phaseNames {
+		attrs = append(attrs, name+"_ms", ev.PhaseMillis[name])
+	}
+	if slow {
+		lg.Warn("slow "+msg, attrs...)
 		return
 	}
-	lg.Info("job item", attrs...)
+	lg.Info(msg, attrs...)
 }

@@ -15,8 +15,7 @@ import (
 )
 
 // newDiagServer builds a server with slow-request capture into a temp
-// dir and returns both. The runtime sampler ticker is disabled — tests
-// refresh via capture, never via background polling.
+// dir and returns both.
 func newDiagServer(t *testing.T, cfg Config) (*Server, *obs.DiagRecorder) {
 	t.Helper()
 	diag, err := obs.NewDiagRecorder(t.TempDir(), obs.DiagOptions{})
@@ -24,7 +23,6 @@ func newDiagServer(t *testing.T, cfg Config) (*Server, *obs.DiagRecorder) {
 		t.Fatal(err)
 	}
 	cfg.Diag = diag
-	cfg.RuntimeSampleEvery = -1
 	s := New(cfg)
 	t.Cleanup(s.Close)
 	return s, diag
@@ -143,7 +141,7 @@ func TestCaptureStormRateLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Concurrency: 2, SlowRequest: time.Nanosecond, Diag: diag, RuntimeSampleEvery: -1})
+	s := New(Config{Concurrency: 2, SlowRequest: time.Nanosecond, Diag: diag})
 	t.Cleanup(s.Close)
 
 	const attempts = 6
@@ -188,7 +186,7 @@ type eventsResponse struct {
 }
 
 func TestDebugEventsEndpoint(t *testing.T) {
-	s := New(Config{Concurrency: 2, RuntimeSampleEvery: -1, EventBuffer: 8})
+	s := New(Config{Concurrency: 2, EventBuffer: 8})
 	t.Cleanup(s.Close)
 	blif := blifOf(t, bench.Comparator(6))
 	code, okResp, body := post(t, s.Handler(), nil, MapRequest{BLIF: blif})
@@ -241,7 +239,7 @@ func TestDebugEventsEndpoint(t *testing.T) {
 }
 
 func TestJobItemsCarryJobTraceID(t *testing.T) {
-	s := New(Config{Concurrency: 2, RuntimeSampleEvery: -1})
+	s := New(Config{Concurrency: 2})
 	t.Cleanup(s.Close)
 	blif := blifOf(t, bench.Comparator(4))
 	body, _ := json.Marshal(map[string]any{
@@ -309,7 +307,7 @@ func TestJobItemsCarryJobTraceID(t *testing.T) {
 }
 
 func TestBuildInfoSurfaces(t *testing.T) {
-	s := New(Config{Concurrency: 1, RuntimeSampleEvery: -1})
+	s := New(Config{Concurrency: 1})
 	t.Cleanup(s.Close)
 	var hz struct {
 		GoVersion string `json:"go_version"`
@@ -324,22 +322,23 @@ func TestBuildInfoSurfaces(t *testing.T) {
 	if snap := s.Stats(); snap.Build.GoVersion != hz.GoVersion {
 		t.Fatalf("stats build %+v != healthz %+v", snap.Build, hz)
 	}
+	st := s.Stats()
 	var b strings.Builder
-	s.writeMetrics(&b)
+	writeMetrics(&b, &st)
 	if !strings.Contains(b.String(), `mapd_build_info{go_version="`+hz.GoVersion+`"`) {
 		t.Fatal("exposition has no mapd_build_info sample")
 	}
 }
 
 func TestRuntimeTelemetryInStatsAndMetrics(t *testing.T) {
-	s := New(Config{Concurrency: 1, RuntimeSampleEvery: -1})
+	s := New(Config{Concurrency: 1})
 	t.Cleanup(s.Close)
 	snap := s.Stats()
 	if snap.Runtime.Goroutines <= 0 || snap.Runtime.TotalBytes == 0 {
 		t.Fatalf("stats runtime block = %+v", snap.Runtime)
 	}
 	var b strings.Builder
-	s.writeMetrics(&b)
+	writeMetrics(&b, &snap)
 	out := b.String()
 	for _, fam := range []string{
 		"mapd_go_goroutines", "mapd_go_heap_inuse_bytes", "mapd_go_total_bytes",
@@ -361,8 +360,9 @@ func TestExpositionLints(t *testing.T) {
 		t.Fatalf("map = %d: %s", code, body)
 	}
 	post(t, s.Handler(), nil, MapRequest{BLIF: "garbage"})
+	st := s.Stats()
 	var b strings.Builder
-	s.writeMetrics(&b)
+	writeMetrics(&b, &st)
 	if err := obs.ValidateExposition([]byte(b.String())); err != nil {
 		t.Fatalf("exposition failed lint: %v", err)
 	}

@@ -179,8 +179,9 @@ func TestRequestBodyLimits(t *testing.T) {
 	if got := s.Stats().Requests.TooLarge; got != 4 {
 		t.Errorf("too_large counter = %d, want 4", got)
 	}
+	st := s.Stats()
 	var b strings.Builder
-	s.writeMetrics(&b)
+	writeMetrics(&b, &st)
 	if !strings.Contains(b.String(), `mapd_requests_total{result="too_large"} 4`) {
 		t.Error("exposition missing too_large sample")
 	}

@@ -213,21 +213,21 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
 	id, sub, _ := strings.Cut(rest, "/")
 	if id == "" {
-		s.failure(w, http.StatusNotFound, "no job id in path")
+		writeError(w, http.StatusNotFound, "no job id in path")
 		return
 	}
 	switch {
 	case sub == "" && r.Method == http.MethodGet:
 		job, ok := s.jobs.Get(id)
 		if !ok {
-			s.failure(w, http.StatusNotFound, "no job %q (expired or never existed)", id)
+			writeError(w, http.StatusNotFound, "no job %q (expired or never existed)", id)
 			return
 		}
 		writeJSON(w, http.StatusOK, jobStatus(job))
 	case sub == "" && r.Method == http.MethodDelete:
 		job, ok := s.jobs.Get(id)
 		if !ok {
-			s.failure(w, http.StatusNotFound, "no job %q (expired or never existed)", id)
+			writeError(w, http.StatusNotFound, "no job %q (expired or never existed)", id)
 			return
 		}
 		fired := job.RequestCancel()
@@ -239,12 +239,12 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	case sub == "result" && r.Method == http.MethodGet:
 		job, ok := s.jobs.Get(id)
 		if !ok {
-			s.failure(w, http.StatusNotFound, "no job %q (expired or never existed)", id)
+			writeError(w, http.StatusNotFound, "no job %q (expired or never existed)", id)
 			return
 		}
 		s.streamJobResult(w, r, job)
 	default:
-		s.failure(w, http.StatusMethodNotAllowed, "use GET /jobs/{id}, GET /jobs/{id}/result, or DELETE /jobs/{id}")
+		writeError(w, http.StatusMethodNotAllowed, "use GET /jobs/{id}, GET /jobs/{id}/result, or DELETE /jobs/{id}")
 	}
 }
 
@@ -334,9 +334,7 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 		return
 	}
 	defer s.adm.release()
-	var qph reqPhases
-	qph.queue = time.Since(queueStart)
-	s.metrics.phases.add(&qph)
+	s.metrics.phases[phaseQueue].Add(int64(time.Since(queueStart)))
 
 	if !job.Start(time.Now()) {
 		s.finishJob(job)
@@ -349,9 +347,7 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 	base := req.itemRequest("")
 	t0 := time.Now()
 	lib, err := s.resolveLibrary(&base)
-	var cph reqPhases
-	cph.compile = time.Since(t0)
-	s.metrics.phases.add(&cph)
+	s.metrics.phases[phaseCompile].Add(int64(time.Since(t0)))
 	if err != nil {
 		job.FailAll(http.StatusBadRequest, fmt.Sprintf("library compile: %v", err), time.Now())
 		s.finishJob(job)
@@ -390,7 +386,6 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		resp, err = cachedResponse(res, &ph)
 	}
 	elapsed := ph.elapsed()
-	s.metrics.phases.add(&ph)
 
 	out := jobs.Item{
 		ElapsedMillis: millis(elapsed),
@@ -427,7 +422,6 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		rec.Status, rec.Error = out.Status, out.Err
 	}
 	ph.errMsg = out.Err
-	s.logItem(jobID, idx, item.Name, out.Status, elapsed, &ph)
 	s.recordFlight(jobID, "job_item", idx, item.Name, out.Status, elapsed, &ph)
 
 	var buf bytes.Buffer
@@ -443,8 +437,8 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 // the queue and compile phases, which a batch pays once for all items.
 func itemPhaseMillis(ph *reqPhases) map[string]float64 {
 	m := eventPhaseMillis(ph)
-	delete(m, "queue")
-	delete(m, "compile")
+	delete(m, phaseNames[phaseQueue])
+	delete(m, phaseNames[phaseCompile])
 	return m
 }
 
@@ -462,20 +456,18 @@ func (s *Server) finishJob(job *jobs.Job) {
 		jm.cancelled.Add(1)
 	}
 	for _, it := range snap.Items {
-		switch it.Status {
-		case http.StatusOK:
+		switch resultLabel(it.Status) {
+		case resultOK:
 			jm.itemsOK.Add(1)
-		case jobs.StatusClientClosedRequest:
-			jm.itemsCancelled.Add(1)
-		case http.StatusGatewayTimeout:
-			jm.itemsTimeout.Add(1)
-		default:
-			jm.itemsFailed.Add(1)
-		}
-		if it.Status == http.StatusOK {
 			jm.mu.Lock()
 			jm.itemLatency.observe(it.ElapsedMillis / 1e3)
 			jm.mu.Unlock()
+		case resultCanceled:
+			jm.itemsCancelled.Add(1)
+		case resultTimeout:
+			jm.itemsTimeout.Add(1)
+		default:
+			jm.itemsFailed.Add(1)
 		}
 	}
 }

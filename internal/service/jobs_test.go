@@ -552,9 +552,9 @@ func TestJobLifecycleUnderRace(t *testing.T) {
 		}
 	}
 	// Exercise the stats/metrics readers against whatever state remains.
-	_ = s.Stats()
+	st := s.Stats()
 	var b strings.Builder
-	s.writeMetrics(&b)
+	writeMetrics(&b, &st)
 	if !strings.Contains(b.String(), "mapd_jobs_submitted_total") {
 		t.Error("metrics exposition missing job families")
 	}

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -119,5 +122,134 @@ func TestMetricsStructureGolden(t *testing.T) {
 				t.Fatalf("exposition structure differs from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
 			}
 		}
+	}
+}
+
+// TestStatsAndMetricsAgree renders one snapshot both ways and checks
+// that every counter present in both encodings reads the same value.
+func TestStatsAndMetricsAgree(t *testing.T) {
+	s := driveEveryFamily(t)
+	st := s.Stats()
+	blob, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	writeMetrics(&b, &st)
+	samples := parseExposition(t, b.String())
+
+	// jsonAt reads a dotted path of the /stats document.
+	jsonAt := func(path string) float64 {
+		var v any = doc
+		for _, key := range strings.Split(path, ".") {
+			m, ok := v.(map[string]any)
+			if !ok {
+				t.Fatalf("/stats has no %s", path)
+			}
+			v = m[key]
+		}
+		f, ok := v.(float64)
+		if !ok {
+			t.Fatalf("/stats %s = %v, want a number", path, v)
+		}
+		return f
+	}
+	pairs := map[string]string{
+		"requests.total":                "mapd_requests_received_total",
+		"patterns_tried":                "mapd_patterns_tried_total",
+		"memo.hits":                     "mapd_memo_hits_total",
+		"memo.misses":                   "mapd_memo_misses_total",
+		"memo.table_entries":            "mapd_memo_table_entries",
+		"memo.evictions":                "mapd_memo_evictions_total",
+		"cache.libraries":               "mapd_cache_libraries",
+		"cache.hits":                    "mapd_cache_hits_total",
+		"cache.misses":                  "mapd_cache_misses_total",
+		"cache.compiles":                "mapd_cache_compiles_total",
+		"queue.running":                 "mapd_queue_running",
+		"queue.queued":                  "mapd_queue_queued",
+		"queue.concurrency":             "mapd_queue_concurrency",
+		"queue.queue_capacity":          "mapd_queue_capacity",
+		"jobs.submitted":                "mapd_jobs_submitted_total",
+		"jobs.done":                     `mapd_jobs_completed_total{state="done"}`,
+		"jobs.failed":                   `mapd_jobs_completed_total{state="failed"}`,
+		"jobs.cancelled":                `mapd_jobs_completed_total{state="cancelled"}`,
+		"jobs.evicted":                  "mapd_jobs_evicted_total",
+		"jobs.items_ok":                 `mapd_job_items_total{result="ok"}`,
+		"jobs.items_failed":             `mapd_job_items_total{result="failed"}`,
+		"jobs.items_timeout":            `mapd_job_items_total{result="timeout"}`,
+		"jobs.items_cancelled":          `mapd_job_items_total{result="cancelled"}`,
+		"jobs.by_state.done":            `mapd_jobs_current{state="done"}`,
+		"result_cache.mem_hits":         `mapd_result_cache_hits_total{tier="mem"}`,
+		"result_cache.disk_hits":        `mapd_result_cache_hits_total{tier="disk"}`,
+		"result_cache.misses":           "mapd_result_cache_misses_total",
+		"result_cache.coalesced":        "mapd_result_cache_coalesced_total",
+		"result_cache.stores":           "mapd_result_cache_stores_total",
+		"result_cache.store_errors":     "mapd_result_cache_store_errors_total",
+		"result_cache.entries":          "mapd_result_cache_entries",
+		"result_cache.bytes":            "mapd_result_cache_bytes",
+		"result_cache.max_bytes":        "mapd_result_cache_max_bytes",
+		"store.hits":                    "mapd_store_hits_total",
+		"store.writes":                  "mapd_store_writes_total",
+		"store.objects":                 "mapd_store_objects",
+		"events.recorded":               "mapd_events_recorded_total",
+		"diag.captures":                 "mapd_diag_captures_total",
+		"diag.dropped":                  "mapd_diag_dropped_total",
+		"libraries.44-1.requests":       `mapd_requests_by_library_total{library="44-1"}`,
+		"libraries.44-1.patterns_tried": `mapd_patterns_tried_by_library_total{library="44-1"}`,
+		"runtime.gomaxprocs":            "mapd_go_gomaxprocs",
+	}
+	for _, name := range resultNames {
+		pairs["requests."+name] = fmt.Sprintf(`mapd_requests_total{result=%q}`, name)
+	}
+	for path, series := range pairs {
+		v, ok := samples[series]
+		if !ok {
+			t.Errorf("exposition has no %s", series)
+			continue
+		}
+		if got := jsonAt(path); got != v {
+			t.Errorf("/stats %s = %v, /metrics %s = %v", path, got, series, v)
+		}
+	}
+	if jsonAt("requests.ok") != 2 || jsonAt("jobs.items_ok") != 2 || jsonAt("result_cache.mem_hits") != 1 {
+		t.Errorf("driven counters: ok %v, items_ok %v, mem_hits %v; want 2, 2, 1",
+			jsonAt("requests.ok"), jsonAt("jobs.items_ok"), jsonAt("result_cache.mem_hits"))
+	}
+	for _, name := range phaseNames {
+		ms := jsonAt("phase_ms." + name)
+		sec := samples[fmt.Sprintf(`mapd_phase_seconds_total{phase=%q}`, name)]
+		if math.Abs(ms-1000*sec) > 1e-9*math.Max(1, ms) {
+			t.Errorf("phase %s: phase_ms %v != 1000 x %v seconds", name, ms, sec)
+		}
+	}
+}
+
+// TestLookupErrorsAreNotMappingRequests checks that job lookups and
+// /debug/events errors leave the mapping request counters alone: they
+// are neither received nor finished mapping requests.
+func TestLookupErrorsAreNotMappingRequests(t *testing.T) {
+	s := New(Config{Concurrency: 1})
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/jobs/nope", http.StatusNotFound},
+		{http.MethodDelete, "/jobs/nope", http.StatusNotFound},
+		{http.MethodGet, "/jobs/x/bogus", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/debug/events?limit=zero", http.StatusBadRequest},
+		{http.MethodPost, "/debug/events", http.StatusMethodNotAllowed},
+	} {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(c.method, c.path, nil))
+		if w.Code != c.want {
+			t.Errorf("%s %s = %d, want %d", c.method, c.path, w.Code, c.want)
+		}
+	}
+	if got := s.Stats().Requests; got != (StatsSnapshot{}).Requests {
+		t.Errorf("request counters after lookups = %+v, want all zero", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"dagcover/internal/jobs"
 )
@@ -21,181 +20,101 @@ import (
 // handleMetrics serves GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	st := s.Stats()
 	var b strings.Builder
-	s.writeMetrics(&b)
+	writeMetrics(&b, &st)
 	_, _ = w.Write([]byte(b.String()))
 }
 
-// writeMetrics renders the full exposition.
-func (s *Server) writeMetrics(b *strings.Builder) {
-	m := s.metrics
+// writeMetrics renders a snapshot as the full exposition.
+func writeMetrics(b *strings.Builder, st *StatsSnapshot) {
+	metric(b, "mapd_uptime_seconds", "gauge", "Seconds since the server started.", float64(st.UptimeMillis)/1e3)
 
-	family(b, "mapd_uptime_seconds", "gauge", "Seconds since the server started.")
-	sample(b, "mapd_uptime_seconds", nil, time.Since(m.start).Seconds())
-
-	bi := buildInfo()
 	family(b, "mapd_build_info", "gauge", "Build identity of the running binary; value is always 1.")
-	sample(b, "mapd_build_info", labels{{"go_version", bi.GoVersion}, {"version", bi.Version}}, 1)
+	sample(b, "mapd_build_info", labels{{"go_version", st.Build.GoVersion}, {"version", st.Build.Version}}, 1)
 
-	family(b, "mapd_requests_received_total", "counter", "Mapping requests received, before admission or parsing.")
-	sample(b, "mapd_requests_received_total", nil, float64(m.total.Load()))
-
+	metric(b, "mapd_requests_received_total", "counter", "Mapping requests received, before admission or parsing.", float64(st.Requests.Total))
 	family(b, "mapd_requests_total", "counter", "Mapping requests finished, by result.")
-	for _, rc := range []struct {
-		result string
-		v      uint64
-	}{
-		{"ok", m.ok.Load()},
-		{"bad_request", m.badRequest.Load()},
-		{"too_large", m.tooLarge.Load()},
-		{"overloaded", m.overloaded.Load()},
-		{"timeout", m.timeout.Load()},
-		{"canceled", m.canceled.Load()},
-		{"internal", m.internal.Load()},
-	} {
-		sample(b, "mapd_requests_total", labels{{"result", rc.result}}, float64(rc.v))
+	for r, n := range st.requestsByResult() {
+		sample(b, "mapd_requests_total", labels{{"result", result(r).String()}}, float64(*n))
 	}
 
-	family(b, "mapd_patterns_tried_total", "counter", "Pattern plans attempted by the matcher across all served mappings.")
-	sample(b, "mapd_patterns_tried_total", nil, float64(m.patternsTried.Load()))
+	metric(b, "mapd_patterns_tried_total", "counter", "Pattern plans attempted by the matcher across all served mappings.", float64(st.PatternsTried))
+	metric(b, "mapd_memo_hits_total", "counter", "Structural match-memo hits attributed to served mappings.", float64(st.Memo.Hits))
+	metric(b, "mapd_memo_misses_total", "counter", "Structural match-memo misses attributed to served mappings.", float64(st.Memo.Misses))
+	metric(b, "mapd_memo_table_entries", "gauge", "Recipes held across all cached libraries' memo tables.", float64(st.Memo.TableEntries))
+	metric(b, "mapd_memo_evictions_total", "counter", "Memo recipes evicted across all cached libraries' tables.", float64(st.Memo.Evictions))
 
-	family(b, "mapd_memo_hits_total", "counter", "Structural match-memo hits attributed to served mappings.")
-	sample(b, "mapd_memo_hits_total", nil, float64(m.memoHits.Load()))
-	family(b, "mapd_memo_misses_total", "counter", "Structural match-memo misses attributed to served mappings.")
-	sample(b, "mapd_memo_misses_total", nil, float64(m.memoMisses.Load()))
-	memo := s.cache.MemoStats()
-	family(b, "mapd_memo_table_entries", "gauge", "Recipes held across all cached libraries' memo tables.")
-	sample(b, "mapd_memo_table_entries", nil, float64(memo.Entries))
-	family(b, "mapd_memo_evictions_total", "counter", "Memo recipes evicted across all cached libraries' tables.")
-	sample(b, "mapd_memo_evictions_total", nil, float64(memo.Evictions))
+	metric(b, "mapd_cache_hits_total", "counter", "Compiled-library cache hits.", float64(st.Cache.Hits))
+	metric(b, "mapd_cache_misses_total", "counter", "Compiled-library cache misses.", float64(st.Cache.Misses))
+	metric(b, "mapd_cache_compiles_total", "counter", "Library compilations performed (misses that completed).", float64(st.Cache.Compiles))
+	metric(b, "mapd_cache_libraries", "gauge", "Compiled libraries currently cached.", float64(st.Cache.Libraries))
 
-	hits, misses, compiles := s.cache.Counters()
-	family(b, "mapd_cache_hits_total", "counter", "Compiled-library cache hits.")
-	sample(b, "mapd_cache_hits_total", nil, float64(hits))
-	family(b, "mapd_cache_misses_total", "counter", "Compiled-library cache misses.")
-	sample(b, "mapd_cache_misses_total", nil, float64(misses))
-	family(b, "mapd_cache_compiles_total", "counter", "Library compilations performed (misses that completed).")
-	sample(b, "mapd_cache_compiles_total", nil, float64(compiles))
-	family(b, "mapd_cache_libraries", "gauge", "Compiled libraries currently cached.")
-	sample(b, "mapd_cache_libraries", nil, float64(s.cache.Len()))
+	metric(b, "mapd_queue_running", "gauge", "Mapping runs currently executing.", float64(st.Queue.Running))
+	metric(b, "mapd_queue_queued", "gauge", "Requests waiting for a run slot.", float64(st.Queue.Queued))
+	metric(b, "mapd_queue_concurrency", "gauge", "Admission concurrency limit.", float64(st.Queue.Concurrency))
+	metric(b, "mapd_queue_capacity", "gauge", "Admission queue capacity.", float64(st.Queue.QueueCapacity))
 
-	running, queued := s.adm.depth()
-	concurrency, capacity := s.adm.capacities()
-	family(b, "mapd_queue_running", "gauge", "Mapping runs currently executing.")
-	sample(b, "mapd_queue_running", nil, float64(running))
-	family(b, "mapd_queue_queued", "gauge", "Requests waiting for a run slot.")
-	sample(b, "mapd_queue_queued", nil, float64(queued))
-	family(b, "mapd_queue_concurrency", "gauge", "Admission concurrency limit.")
-	sample(b, "mapd_queue_concurrency", nil, float64(concurrency))
-	family(b, "mapd_queue_capacity", "gauge", "Admission queue capacity.")
-	sample(b, "mapd_queue_capacity", nil, float64(capacity))
-
-	if s.store != nil {
-		ss := s.store.Stats()
-		family(b, "mapd_store_hits_total", "counter", "Artifact store hits (expensive generations skipped).")
-		sample(b, "mapd_store_hits_total", nil, float64(ss.Hits))
-		family(b, "mapd_store_misses_total", "counter", "Artifact store misses (artifact generated).")
-		sample(b, "mapd_store_misses_total", nil, float64(ss.Misses))
-		family(b, "mapd_store_writes_total", "counter", "Artifacts published to the store.")
-		sample(b, "mapd_store_writes_total", nil, float64(ss.Writes))
-		family(b, "mapd_store_write_errors_total", "counter", "Artifact publications that failed (generation still served).")
-		sample(b, "mapd_store_write_errors_total", nil, float64(ss.WriteErrors))
-		family(b, "mapd_store_evictions_total", "counter", "Artifacts evicted by the size-budgeted LRU GC.")
-		sample(b, "mapd_store_evictions_total", nil, float64(ss.Evictions))
-		family(b, "mapd_store_quarantined_total", "counter", "Corrupt artifacts quarantined (and transparently regenerated).")
-		sample(b, "mapd_store_quarantined_total", nil, float64(ss.Quarantined))
-		family(b, "mapd_store_objects", "gauge", "Artifacts currently on disk.")
-		sample(b, "mapd_store_objects", nil, float64(ss.Objects))
-		family(b, "mapd_store_bytes", "gauge", "Bytes of artifacts currently on disk.")
-		sample(b, "mapd_store_bytes", nil, float64(ss.Bytes))
-		family(b, "mapd_store_max_bytes", "gauge", "Artifact store GC budget in bytes.")
-		sample(b, "mapd_store_max_bytes", nil, float64(ss.MaxBytes))
-		family(b, "mapd_store_generation_seconds_total", "counter", "Wall time spent generating artifacts on store misses.")
-		sample(b, "mapd_store_generation_seconds_total", nil, ss.GenSeconds)
-		family(b, "mapd_store_generation_seconds_saved_total", "counter", "Recorded generation time of artifacts served as store hits.")
-		sample(b, "mapd_store_generation_seconds_saved_total", nil, ss.SavedSeconds)
+	if ss := st.Store; ss != nil {
+		metric(b, "mapd_store_hits_total", "counter", "Artifact store hits (expensive generations skipped).", float64(ss.Hits))
+		metric(b, "mapd_store_misses_total", "counter", "Artifact store misses (artifact generated).", float64(ss.Misses))
+		metric(b, "mapd_store_writes_total", "counter", "Artifacts published to the store.", float64(ss.Writes))
+		metric(b, "mapd_store_write_errors_total", "counter", "Artifact publications that failed (generation still served).", float64(ss.WriteErrors))
+		metric(b, "mapd_store_evictions_total", "counter", "Artifacts evicted by the size-budgeted LRU GC.", float64(ss.Evictions))
+		metric(b, "mapd_store_quarantined_total", "counter", "Corrupt artifacts quarantined (and transparently regenerated).", float64(ss.Quarantined))
+		metric(b, "mapd_store_objects", "gauge", "Artifacts currently on disk.", float64(ss.Objects))
+		metric(b, "mapd_store_bytes", "gauge", "Bytes of artifacts currently on disk.", float64(ss.Bytes))
+		metric(b, "mapd_store_max_bytes", "gauge", "Artifact store GC budget in bytes.", float64(ss.MaxBytes))
+		metric(b, "mapd_store_generation_seconds_total", "counter", "Wall time spent generating artifacts on store misses.", ss.GenSeconds)
+		metric(b, "mapd_store_generation_seconds_saved_total", "counter", "Recorded generation time of artifacts served as store hits.", ss.SavedSeconds)
 	}
 
-	if s.resultCache != nil {
-		rc := s.resultCache.stats()
+	if rc := st.ResultCache; rc != nil {
 		family(b, "mapd_result_cache_hits_total", "counter", "Whole-result cache hits, by tier (mem = in-process SLRU, disk = artifact store).")
-		sample(b, "mapd_result_cache_hits_total", labels{{"tier", "mem"}}, float64(m.rcMemHits.Load()))
-		sample(b, "mapd_result_cache_hits_total", labels{{"tier", "disk"}}, float64(m.rcDiskHits.Load()))
-		family(b, "mapd_result_cache_misses_total", "counter", "Whole-result cache misses (engine runs that published a result).")
-		sample(b, "mapd_result_cache_misses_total", nil, float64(m.rcMisses.Load()))
-		family(b, "mapd_result_cache_coalesced_total", "counter", "Requests served by waiting on an identical concurrent request's run.")
-		sample(b, "mapd_result_cache_coalesced_total", nil, float64(m.rcCoalesced.Load()))
-		family(b, "mapd_result_cache_stores_total", "counter", "Mapping results published to the artifact store.")
-		sample(b, "mapd_result_cache_stores_total", nil, float64(m.rcStores.Load()))
-		family(b, "mapd_result_cache_store_errors_total", "counter", "Result publications that failed (the response was still served).")
-		sample(b, "mapd_result_cache_store_errors_total", nil, float64(m.rcStoreErrors.Load()))
-		family(b, "mapd_result_cache_entries", "gauge", "Results held by the in-memory cache.")
-		sample(b, "mapd_result_cache_entries", nil, float64(rc.entries))
-		family(b, "mapd_result_cache_bytes", "gauge", "Bytes of serialized results held by the in-memory cache.")
-		sample(b, "mapd_result_cache_bytes", nil, float64(rc.bytes))
-		family(b, "mapd_result_cache_max_bytes", "gauge", "In-memory result cache budget in bytes.")
-		sample(b, "mapd_result_cache_max_bytes", nil, float64(rc.maxBytes))
+		sample(b, "mapd_result_cache_hits_total", labels{{"tier", "mem"}}, float64(rc.MemHits))
+		sample(b, "mapd_result_cache_hits_total", labels{{"tier", "disk"}}, float64(rc.DiskHits))
+		metric(b, "mapd_result_cache_misses_total", "counter", "Whole-result cache misses (engine runs that published a result).", float64(rc.Misses))
+		metric(b, "mapd_result_cache_coalesced_total", "counter", "Requests served by waiting on an identical concurrent request's run.", float64(rc.Coalesced))
+		metric(b, "mapd_result_cache_stores_total", "counter", "Mapping results published to the artifact store.", float64(rc.Stores))
+		metric(b, "mapd_result_cache_store_errors_total", "counter", "Result publications that failed (the response was still served).", float64(rc.StoreErrors))
+		metric(b, "mapd_result_cache_entries", "gauge", "Results held by the in-memory cache.", float64(rc.Entries))
+		metric(b, "mapd_result_cache_bytes", "gauge", "Bytes of serialized results held by the in-memory cache.", float64(rc.Bytes))
+		metric(b, "mapd_result_cache_max_bytes", "gauge", "In-memory result cache budget in bytes.", float64(rc.MaxBytes))
 	}
 
-	family(b, "mapd_jobs_submitted_total", "counter", "Batch jobs accepted by POST /jobs.")
-	sample(b, "mapd_jobs_submitted_total", nil, float64(m.jobs.submitted.Load()))
+	js := &st.Jobs
+	metric(b, "mapd_jobs_submitted_total", "counter", "Batch jobs accepted by POST /jobs.", float64(js.Submitted))
 	family(b, "mapd_jobs_completed_total", "counter", "Batch jobs finished, by terminal state.")
-	for _, jc := range []struct {
-		state string
-		v     uint64
-	}{
-		{"done", m.jobs.done.Load()},
-		{"failed", m.jobs.failed.Load()},
-		{"cancelled", m.jobs.cancelled.Load()},
-	} {
-		sample(b, "mapd_jobs_completed_total", labels{{"state", jc.state}}, float64(jc.v))
-	}
-	family(b, "mapd_jobs_evicted_total", "counter", "Jobs dropped from the store by TTL sweep or capacity eviction.")
-	sample(b, "mapd_jobs_evicted_total", nil, float64(s.jobs.Evictions()))
+	sample(b, "mapd_jobs_completed_total", labels{{"state", "done"}}, float64(js.Done))
+	sample(b, "mapd_jobs_completed_total", labels{{"state", "failed"}}, float64(js.Failed))
+	sample(b, "mapd_jobs_completed_total", labels{{"state", "cancelled"}}, float64(js.Cancelled))
+	metric(b, "mapd_jobs_evicted_total", "counter", "Jobs dropped from the store by TTL sweep or capacity eviction.", float64(js.Evicted))
 	family(b, "mapd_jobs_current", "gauge", "Resident jobs in the store, by state.")
-	counts := s.jobs.CountsByState()
 	for _, state := range jobs.States() {
-		sample(b, "mapd_jobs_current", labels{{"state", state.String()}}, float64(counts[state]))
+		sample(b, "mapd_jobs_current", labels{{"state", state.String()}}, float64(js.ByState[state.String()]))
 	}
 	family(b, "mapd_job_items_total", "counter", "Batch job items settled, by result.")
-	for _, ic := range []struct {
-		result string
-		v      uint64
-	}{
-		{"ok", m.jobs.itemsOK.Load()},
-		{"failed", m.jobs.itemsFailed.Load()},
-		{"timeout", m.jobs.itemsTimeout.Load()},
-		{"cancelled", m.jobs.itemsCancelled.Load()},
-	} {
-		sample(b, "mapd_job_items_total", labels{{"result", ic.result}}, float64(ic.v))
-	}
-	m.jobs.mu.Lock()
-	itemLat := m.jobs.itemLatency.clone()
-	m.jobs.mu.Unlock()
+	sample(b, "mapd_job_items_total", labels{{"result", "ok"}}, float64(js.ItemsOK))
+	sample(b, "mapd_job_items_total", labels{{"result", "failed"}}, float64(js.ItemsFailed))
+	sample(b, "mapd_job_items_total", labels{{"result", "timeout"}}, float64(js.ItemsTimeout))
+	sample(b, "mapd_job_items_total", labels{{"result", "cancelled"}}, float64(js.ItemsCancelled))
 	family(b, "mapd_job_item_duration_seconds", "histogram", "Mapping latency per batch job item (mapped items only).")
-	writeHistogramLabeled(b, "mapd_job_item_duration_seconds", nil, &itemLat)
+	writeHistogram(b, "mapd_job_item_duration_seconds", nil, &js.itemLatency)
 
 	family(b, "mapd_phase_seconds_total", "counter", "Request wall time by phase, summed across requests.")
-	phases := m.phases.phaseSeconds()
-	for _, phase := range []string{"queue", "parse", "compile", "map", "respond"} {
-		sample(b, "mapd_phase_seconds_total", labels{{"phase", phase}}, phases[phase])
+	for _, name := range phaseNames {
+		sample(b, "mapd_phase_seconds_total", labels{{"phase", name}}, st.PhaseMillis[name]/1e3)
 	}
 
 	// Flight recorder: runtime telemetry, burn rates, event ring, and
 	// (when enabled) slow-request capture counters.
-	rt := s.runtime.Latest()
-	family(b, "mapd_go_goroutines", "gauge", "Live goroutines (runtime/metrics).")
-	sample(b, "mapd_go_goroutines", nil, float64(rt.Goroutines))
-	family(b, "mapd_go_gomaxprocs", "gauge", "Scheduler processor limit.")
-	sample(b, "mapd_go_gomaxprocs", nil, float64(rt.GOMAXPROCS))
-	family(b, "mapd_go_heap_inuse_bytes", "gauge", "Bytes occupied by live heap objects plus unswept spans.")
-	sample(b, "mapd_go_heap_inuse_bytes", nil, float64(rt.HeapInuseBytes))
-	family(b, "mapd_go_total_bytes", "gauge", "All memory mapped by the Go runtime.")
-	sample(b, "mapd_go_total_bytes", nil, float64(rt.TotalBytes))
-	family(b, "mapd_go_heap_allocs_bytes_total", "counter", "Cumulative bytes allocated on the heap.")
-	sample(b, "mapd_go_heap_allocs_bytes_total", nil, float64(rt.HeapAllocsBytes))
-	family(b, "mapd_go_gc_cycles_total", "counter", "Completed GC cycles.")
-	sample(b, "mapd_go_gc_cycles_total", nil, float64(rt.GCCycles))
+	rt := &st.Runtime
+	metric(b, "mapd_go_goroutines", "gauge", "Live goroutines (runtime/metrics).", float64(rt.Goroutines))
+	metric(b, "mapd_go_gomaxprocs", "gauge", "Scheduler processor limit.", float64(rt.GOMAXPROCS))
+	metric(b, "mapd_go_heap_inuse_bytes", "gauge", "Bytes occupied by live heap objects plus unswept spans.", float64(rt.HeapInuseBytes))
+	metric(b, "mapd_go_total_bytes", "gauge", "All memory mapped by the Go runtime.", float64(rt.TotalBytes))
+	metric(b, "mapd_go_heap_allocs_bytes_total", "counter", "Cumulative bytes allocated on the heap.", float64(rt.HeapAllocsBytes))
+	metric(b, "mapd_go_gc_cycles_total", "counter", "Completed GC cycles.", float64(rt.GCCycles))
 	family(b, "mapd_go_gc_pause_seconds", "gauge", "GC stop-the-world pause quantiles from the runtime histogram.")
 	sample(b, "mapd_go_gc_pause_seconds", labels{{"quantile", "0.5"}}, rt.GCPauseP50)
 	sample(b, "mapd_go_gc_pause_seconds", labels{{"quantile", "0.99"}}, rt.GCPauseP99)
@@ -206,67 +125,43 @@ func (s *Server) writeMetrics(b *strings.Builder) {
 	sample(b, "mapd_go_sched_latency_seconds", labels{{"quantile", "1"}}, rt.SchedLatencyMax)
 
 	family(b, "mapd_slo_burn_rate", "gauge", "Error-budget burn rate per rolling window (1 = exactly exhausting the budget).")
-	for _, r := range s.burn.Rates(time.Now()) {
+	for _, r := range st.SLO.Windows {
 		sample(b, "mapd_slo_burn_rate", labels{{"window", r.Window}}, r.Rate)
 	}
-	family(b, "mapd_slo_goal", "gauge", "Availability goal behind the burn rates (fraction of good requests).")
-	sample(b, "mapd_slo_goal", nil, s.burn.Goal())
+	metric(b, "mapd_slo_goal", "gauge", "Availability goal behind the burn rates (fraction of good requests).", st.SLO.Goal)
 
-	family(b, "mapd_events_recorded_total", "counter", "Wide events recorded into the /debug/events ring.")
-	sample(b, "mapd_events_recorded_total", nil, float64(s.events.Total()))
+	metric(b, "mapd_events_recorded_total", "counter", "Wide events recorded into the /debug/events ring.", float64(st.Events.Recorded))
 
-	if s.diag != nil {
-		captures, dropped, evictions := s.diag.Counters()
-		diagFiles, diagBytes := s.diag.Usage()
-		family(b, "mapd_diag_captures_total", "counter", "Diagnostics bundles published for slow or SLO-violating requests.")
-		sample(b, "mapd_diag_captures_total", nil, float64(captures))
-		family(b, "mapd_diag_dropped_total", "counter", "Diagnostics captures dropped by the rate limiter or write errors.")
-		sample(b, "mapd_diag_dropped_total", nil, float64(dropped))
-		family(b, "mapd_diag_evictions_total", "counter", "Diagnostics bundles evicted by the size-budgeted GC.")
-		sample(b, "mapd_diag_evictions_total", nil, float64(evictions))
-		family(b, "mapd_diag_bundles", "gauge", "Diagnostics bundles currently on disk.")
-		sample(b, "mapd_diag_bundles", nil, float64(diagFiles))
-		family(b, "mapd_diag_bytes", "gauge", "Bytes of diagnostics bundles currently on disk.")
-		sample(b, "mapd_diag_bytes", nil, float64(diagBytes))
+	if d := st.Diag; d != nil {
+		metric(b, "mapd_diag_captures_total", "counter", "Diagnostics bundles published for slow or SLO-violating requests.", float64(d.Captures))
+		metric(b, "mapd_diag_dropped_total", "counter", "Diagnostics captures dropped by the rate limiter or write errors.", float64(d.Dropped))
+		metric(b, "mapd_diag_evictions_total", "counter", "Diagnostics bundles evicted by the size-budgeted GC.", float64(d.Evictions))
+		metric(b, "mapd_diag_bundles", "gauge", "Diagnostics bundles currently on disk.", float64(d.Bundles))
+		metric(b, "mapd_diag_bytes", "gauge", "Bytes of diagnostics bundles currently on disk.", float64(d.Bytes))
 	}
 
-	names := m.libNames()
+	names := make([]string, 0, len(st.Libraries))
+	for name := range st.Libraries {
+		names = append(names, name)
+	}
 	sort.Strings(names)
 	family(b, "mapd_requests_by_library_total", "counter", "Served mappings per library.")
-	type libSnap struct {
-		name     string
-		requests uint64
-		patterns uint64
-		latency  histogram
-		perReq   histogram
-	}
-	snaps := make([]libSnap, 0, len(names))
 	for _, name := range names {
-		lm := m.lib(name)
-		lm.mu.Lock()
-		snaps = append(snaps, libSnap{
-			name:     name,
-			requests: lm.requests,
-			patterns: lm.patternsTried,
-			latency:  lm.latency.clone(),
-			perReq:   lm.patterns.clone(),
-		})
-		lm.mu.Unlock()
-	}
-	for _, ls := range snaps {
-		sample(b, "mapd_requests_by_library_total", labels{{"library", ls.name}}, float64(ls.requests))
+		sample(b, "mapd_requests_by_library_total", labels{{"library", name}}, float64(st.Libraries[name].Requests))
 	}
 	family(b, "mapd_patterns_tried_by_library_total", "counter", "Pattern plans attempted per library.")
-	for _, ls := range snaps {
-		sample(b, "mapd_patterns_tried_by_library_total", labels{{"library", ls.name}}, float64(ls.patterns))
+	for _, name := range names {
+		sample(b, "mapd_patterns_tried_by_library_total", labels{{"library", name}}, float64(st.Libraries[name].PatternsTried))
 	}
 	family(b, "mapd_request_duration_seconds", "histogram", "Served mapping latency per library.")
-	for _, ls := range snaps {
-		writeHistogram(b, "mapd_request_duration_seconds", ls.name, &ls.latency)
+	for _, name := range names {
+		ls := st.Libraries[name]
+		writeHistogram(b, "mapd_request_duration_seconds", labels{{"library", name}}, &ls.latency)
 	}
 	family(b, "mapd_patterns_tried_per_request", "histogram", "Pattern plans attempted per served mapping, per library.")
-	for _, ls := range snaps {
-		writeHistogram(b, "mapd_patterns_tried_per_request", ls.name, &ls.perReq)
+	for _, name := range names {
+		ls := st.Libraries[name]
+		writeHistogram(b, "mapd_patterns_tried_per_request", labels{{"library", name}}, &ls.patterns)
 	}
 }
 
@@ -276,6 +171,12 @@ type labels [][2]string
 func family(b *strings.Builder, name, typ, help string) {
 	fmt.Fprintf(b, "# HELP %s %s\n", name, help)
 	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
+}
+
+// metric writes a family with its one unlabeled sample.
+func metric(b *strings.Builder, name, typ, help string, v float64) {
+	family(b, name, typ, help)
+	sample(b, name, nil, v)
 }
 
 func sample(b *strings.Builder, name string, ls labels, v float64) {
@@ -318,14 +219,8 @@ func formatValue(v float64) string {
 }
 
 // writeHistogram emits the cumulative bucket series, sum and count of
-// one library's histogram.
-func writeHistogram(b *strings.Builder, name, lib string, h *histogram) {
-	writeHistogramLabeled(b, name, labels{{"library", lib}}, h)
-}
-
-// writeHistogramLabeled is writeHistogram generalized over the base
-// label set (empty for the unlabeled job-item histogram).
-func writeHistogramLabeled(b *strings.Builder, name string, base labels, h *histogram) {
+// one histogram under the base label set (empty for an unlabeled one).
+func writeHistogram(b *strings.Builder, name string, base labels, h *histogram) {
 	cum := uint64(0)
 	for i, bound := range h.bounds {
 		cum += h.counts[i]

@@ -265,4 +265,38 @@ func TestTraceIDAndAccessLog(t *testing.T) {
 	if rec.TotalMS <= 0 || rec.MapMS <= 0 || rec.MapMS > rec.TotalMS {
 		t.Errorf("log millis total=%v map=%v, want 0 < map <= total", rec.TotalMS, rec.MapMS)
 	}
+
+	// A batch item logs one record carrying its index, name and the
+	// parent job's id as its trace id. Its circuit differs from the
+	// /map request's, so the engine runs rather than the result cache.
+	logBuf.Reset()
+	code, acc, jbody := postJob(t, s.Handler(), JobRequest{Library: "44-3",
+		Items: []JobItemRequest{{Name: "cmp", BLIF: blifOf(t, bench.Comparator(4))}}})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /jobs = %d: %s", code, jbody)
+	}
+	if st, ok := waitJobTerminal(t, s.Handler(), acc.JobID, 30*time.Second); !ok || st.State != "done" {
+		t.Fatalf("job settled as %+v", st)
+	}
+	var item struct {
+		Level     string  `json:"level"`
+		Msg       string  `json:"msg"`
+		TraceID   string  `json:"trace_id"`
+		ItemIndex *int    `json:"item_index"`
+		ItemName  string  `json:"item_name"`
+		Status    int     `json:"status"`
+		MapMS     float64 `json:"map_ms"`
+	}
+	if err := json.Unmarshal(logBuf.Bytes(), &item); err != nil {
+		t.Fatalf("item access log is not one JSON record: %v\n%s", err, logBuf.String())
+	}
+	if item.Level != "WARN" || item.Msg != "slow job item" {
+		t.Errorf("item log level/msg = %s/%q, want WARN slow job item", item.Level, item.Msg)
+	}
+	if item.TraceID != acc.JobID || item.ItemIndex == nil || *item.ItemIndex != 0 || item.ItemName != "cmp" {
+		t.Errorf("item log trace_id/index/name = %q/%v/%q, want %q/0/cmp", item.TraceID, item.ItemIndex, item.ItemName, acc.JobID)
+	}
+	if item.Status != http.StatusOK || item.MapMS <= 0 {
+		t.Errorf("item log status/map_ms = %d/%v", item.Status, item.MapMS)
+	}
 }

@@ -342,9 +342,9 @@ func (s *Server) mapRequest(ctx context.Context, req *MapRequest, batch *library
 		wait0 := time.Now()
 		select {
 		case <-c.done:
-			ph.queue += time.Since(wait0)
+			ph.dur[phaseQueue] += time.Since(wait0)
 		case <-ctx.Done():
-			ph.queue += time.Since(wait0)
+			ph.dur[phaseQueue] += time.Since(wait0)
 			return failed(0, ctx.Err())
 		}
 		switch {
@@ -413,14 +413,14 @@ func (s *Server) compute(ctx context.Context, req *MapRequest, g *dagcover.Subje
 	if lib == nil {
 		queueStart := time.Now()
 		err := s.adm.acquire(ctx)
-		ph.queue += time.Since(queueStart)
+		ph.dur[phaseQueue] += time.Since(queueStart)
 		if err != nil {
 			return failed(0, fmt.Errorf("%w %w", err, errQueued))
 		}
 		defer s.adm.release()
 		t0 := time.Now()
 		resolved, err := s.resolveLibrary(req)
-		ph.compile = time.Since(t0)
+		ph.dur[phaseCompile] = time.Since(t0)
 		if err != nil {
 			return failed(http.StatusBadRequest, err)
 		}
@@ -443,7 +443,7 @@ func (s *Server) publish(out outcome, key, rawKey store.Key, ph *reqPhases) outc
 		return failed(http.StatusInternalServerError, err)
 	}
 	s.metrics.rcMisses.Add(1)
-	out.view = rcView{payload: payload, sha: sha, genMillis: millis(ph.mapRun),
+	out.view = rcView{payload: payload, sha: sha, genMillis: millis(ph.dur[phaseMap]),
 		library: resp.Library, subjectSHA: resp.SubjectSHA}
 	s.resultCache.put(key, out.view)
 	s.resultCache.link(rawKey, key)

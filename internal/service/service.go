@@ -26,8 +26,9 @@
 //
 // Endpoints: POST /map; POST /jobs, GET /jobs/{id}, GET
 // /jobs/{id}/result and DELETE /jobs/{id} (batch jobs, see jobs_api.go);
-// GET /healthz; GET /stats and GET /metrics (the same counters as JSON
-// and as Prometheus text); GET /debug/events (the wide-event ring).
+// GET /healthz; GET /stats and GET /metrics (one snapshot, Server.Stats,
+// encoded as JSON and as Prometheus text); GET /debug/events (the
+// wide-event ring).
 package service
 
 import (
@@ -88,8 +89,8 @@ type Config struct {
 	// byte-identical with or without it.
 	Store *dagcover.ArtifactStore
 	// Logger, when non-nil, receives one structured access-log record
-	// per /map request (trace id, result, per-phase millis). nil keeps
-	// the server quiet.
+	// per /map request and batch item (trace id, result, per-phase
+	// millis). nil keeps the server quiet.
 	Logger *slog.Logger
 	// SlowRequest, when positive, logs requests slower than this at
 	// Warn level with their full phase breakdown (requires Logger) and
@@ -111,10 +112,6 @@ type Config struct {
 	// EventBuffer bounds the in-memory wide-event ring served at
 	// /debug/events (default 1024).
 	EventBuffer int
-	// RuntimeSampleEvery is the runtime-telemetry polling interval
-	// (default 10s; negative disables the background sampler — the
-	// latest sample is then only refreshed by diagnostics captures).
-	RuntimeSampleEvery time.Duration
 	// ResultCacheBytes bounds the in-memory mapping result cache: whole
 	// serialized responses keyed by (subject-graph digest, library key,
 	// normalized options), so repeated identical requests skip the
@@ -161,11 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = 1024
 	}
-	if c.RuntimeSampleEvery == 0 {
-		c.RuntimeSampleEvery = 10 * time.Second
-	} else if c.RuntimeSampleEvery < 0 {
-		c.RuntimeSampleEvery = 0
-	}
 	if c.ResultCacheBytes == 0 {
 		c.ResultCacheBytes = 64 << 20
 	} else if c.ResultCacheBytes < 0 {
@@ -199,12 +191,11 @@ type Server struct {
 	flights     *flightGroup
 
 	// Flight recorder: the wide-event ring behind /debug/events, the
-	// runtime-telemetry sampler behind mapd_go_*, the SLO burn-rate
-	// tracker, and the (optional) slow-request diagnostics recorder.
-	events  *obs.EventRing
-	runtime *obs.RuntimeSampler
-	burn    *obs.BurnTracker
-	diag    *obs.DiagRecorder
+	// SLO burn-rate tracker, and the (optional) slow-request
+	// diagnostics recorder.
+	events *obs.EventRing
+	burn   *obs.BurnTracker
+	diag   *obs.DiagRecorder
 
 	// mapStartHook, when a test sets it before serving, runs on a
 	// request's goroutine just before the engine starts.
@@ -223,7 +214,6 @@ func New(cfg Config) *Server {
 		store:   cfg.Store,
 		mux:     http.NewServeMux(),
 		events:  obs.NewEventRing(cfg.EventBuffer),
-		runtime: obs.NewRuntimeSampler(cfg.RuntimeSampleEvery),
 		burn:    obs.NewBurnTracker(cfg.SLOGoal, burnWindows...),
 		diag:    cfg.Diag,
 	}
@@ -242,9 +232,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close stops the server's background work (the runtime sampler).
+// Close is a no-op for callers that close their servers: the server
+// runs no background work (runtime telemetry is read per snapshot).
 // In-flight requests are unaffected; safe to call more than once.
-func (s *Server) Close() { s.runtime.Stop() }
+func (s *Server) Close() {}
 
 // Handler returns the service's HTTP handler: the endpoint mux behind
 // the wire transport (request body bounds, gzip negotiation).
@@ -255,29 +246,6 @@ func (s *Server) Cache() *Cache { return s.cache }
 
 // Jobs exposes the async job store (tests, operators).
 func (s *Server) Jobs() *jobs.Store { return s.jobs }
-
-// Stats returns the current observability snapshot.
-func (s *Server) Stats() StatsSnapshot {
-	snap := s.metrics.snapshot(s.cache, s.adm, s.jobs, s.store)
-	if s.resultCache != nil {
-		rc := s.resultCache.stats()
-		snap.ResultCache = &ResultCacheSnapshot{
-			MemHits:          s.metrics.rcMemHits.Load(),
-			DiskHits:         s.metrics.rcDiskHits.Load(),
-			Misses:           s.metrics.rcMisses.Load(),
-			Coalesced:        s.metrics.rcCoalesced.Load(),
-			Stores:           s.metrics.rcStores.Load(),
-			StoreErrors:      s.metrics.rcStoreErrors.Load(),
-			Entries:          rc.entries,
-			Bytes:            rc.bytes,
-			MaxBytes:         rc.maxBytes,
-			ProtectedEntries: rc.protectedEntries,
-			ProtectedBytes:   rc.protectedBytes,
-		}
-	}
-	s.fillFlightStats(&snap)
-	return snap
-}
 
 // Store exposes the artifact store (tests, operators); nil when the
 // server runs without one.
@@ -440,21 +408,16 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = enc.Encode(body)
 }
 
+// failure counts a /map or /jobs-submission error by result and writes
+// its body.
 func (s *Server) failure(w http.ResponseWriter, status int, format string, args ...any) {
-	switch status {
-	case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed:
-		s.metrics.badRequest.Add(1)
-	case http.StatusRequestEntityTooLarge:
-		s.metrics.tooLarge.Add(1)
-	case http.StatusTooManyRequests:
-		s.metrics.overloaded.Add(1)
-	case http.StatusGatewayTimeout:
-		s.metrics.timeout.Add(1)
-	case statusClientClosedRequest:
-		s.metrics.canceled.Add(1)
-	default:
-		s.metrics.internal.Add(1)
-	}
+	s.metrics.requests[resultLabel(status)].Add(1)
+	writeError(w, status, format, args...)
+}
+
+// writeError writes an error body without counting it: job lookups and
+// /debug/events are not mapping requests.
+func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
@@ -494,7 +457,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // fields the access log wants. Phases are accumulated into the global
 // counters (mapd_phase_seconds_total) when the request finishes.
 type reqPhases struct {
-	queue, parse, compile, mapRun, respond time.Duration
+	dur [numPhases]time.Duration // indexed by phase
 
 	// start is when serving began: the end of body decode on /map, the
 	// item's start in a batch. elapsed measures from it.
@@ -539,45 +502,9 @@ func newTraceID() string {
 // elapsed is a response's elapsed_ms: serving time from the end of
 // body decode, less the time spent waiting for a run slot or on a
 // coalesced leader. It also feeds the per-library latency histograms.
-func (ph *reqPhases) elapsed() time.Duration { return time.Since(ph.start) - ph.queue }
-
-// add folds one request's phase breakdown into the running totals.
-func (p *phaseTimes) add(ph *reqPhases) {
-	p.queue.Add(int64(ph.queue))
-	p.parse.Add(int64(ph.parse))
-	p.compile.Add(int64(ph.compile))
-	p.mapRun.Add(int64(ph.mapRun))
-	p.respond.Add(int64(ph.respond))
-}
+func (ph *reqPhases) elapsed() time.Duration { return time.Since(ph.start) - ph.dur[phaseQueue] }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// logRequest writes the structured access-log record; requests slower
-// than Config.SlowRequest are promoted to Warn.
-func (s *Server) logRequest(traceID string, status int, total time.Duration, ph *reqPhases) {
-	lg := s.cfg.Logger
-	if lg == nil {
-		return
-	}
-	attrs := []any{
-		"trace_id", traceID,
-		"status", status,
-		"library", ph.library,
-		"mode", ph.mode,
-		"cache_hit", ph.cacheHit,
-		"total_ms", millis(total),
-		"queue_ms", millis(ph.queue),
-		"parse_ms", millis(ph.parse),
-		"compile_ms", millis(ph.compile),
-		"map_ms", millis(ph.mapRun),
-		"respond_ms", millis(ph.respond),
-	}
-	if s.cfg.SlowRequest > 0 && total >= s.cfg.SlowRequest {
-		lg.Warn("slow mapping request", attrs...)
-		return
-	}
-	lg.Info("mapping request", attrs...)
-}
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	s.metrics.total.Add(1)
@@ -592,10 +519,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	status := http.StatusOK
 	defer func() {
-		total := time.Since(reqStart)
-		s.metrics.phases.add(&ph)
-		s.logRequest(traceID, status, total, &ph)
-		s.recordFlight(traceID, "map", 0, "", status, total, &ph)
+		s.recordFlight(traceID, "map", 0, "", status, time.Since(reqStart), &ph)
 	}()
 	fail := func(st int, format string, args ...any) {
 		status = st
@@ -630,7 +554,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		// otherwise decode and re-encode it. A cached serving did no
 		// engine work, so it adds none to the work counters.
 		t0 := time.Now()
-		defer func() { ph.respond = time.Since(t0) }()
+		defer func() { ph.dur[phaseRespond] = time.Since(t0) }()
 		if out.view.library != "" {
 			if body, ok := spliceCachedResponse(out.view.payload, millis(elapsed), traceID, out.tier, out.view.sha); ok {
 				s.metrics.recordServed(out.view.library, elapsed, 0, 0, 0)
@@ -667,7 +591,7 @@ const statusClientClosedRequest = 499
 func ingest(req *MapRequest, ph *reqPhases) (*dagcover.SubjectGraph, error) {
 	t0 := time.Now()
 	g, err := dagcover.ReadSubjectBLIF(strings.NewReader(req.BLIF))
-	ph.parse += time.Since(t0)
+	ph.dur[phaseParse] += time.Since(t0)
 	return g, err
 }
 
@@ -743,7 +667,7 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, g *dagcover.Subje
 	}
 	t0 := time.Now()
 	res, err := dagcover.Map(ctx, dagcover.Input{Subject: g}, opt)
-	ph.mapRun = time.Since(t0)
+	ph.dur[phaseMap] = time.Since(t0)
 	if err != nil {
 		// Context errors are classified by the caller; anything else
 		// is an input the mapper rejected (e.g. a library without a
@@ -781,13 +705,13 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, g *dagcover.Subje
 		ph.sgStoreHit = &h
 	}
 	t0 = time.Now()
-	defer func() { ph.respond = time.Since(t0) }()
+	defer func() { ph.dur[phaseRespond] = time.Since(t0) }()
 	if req.Verify {
 		// Verification simulates against the source network, the AST's
 		// one use here; that parse is BLIF reading, charged to parse.
 		nw, err := dagcover.ParseBLIF(strings.NewReader(req.BLIF))
 		parsed := time.Since(t0)
-		ph.parse, t0 = ph.parse+parsed, t0.Add(parsed)
+		ph.dur[phaseParse], t0 = ph.dur[phaseParse]+parsed, t0.Add(parsed)
 		kind := "mapped netlist"
 		switch {
 		case err != nil:

@@ -2,12 +2,12 @@ package service
 
 import (
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dagcover"
-	"dagcover/internal/jobs"
 	"dagcover/internal/obs"
 )
 
@@ -88,37 +88,88 @@ func (h *histogram) quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
+// phase indexes a request's wall-time phases, in report order.
+type phase int
+
+const (
+	phaseQueue phase = iota
+	phaseParse
+	phaseCompile
+	phaseMap
+	phaseRespond
+	numPhases
+)
+
+// phaseNames are the phases' report names: the /stats phase_ms keys,
+// the mapd_phase_seconds_total labels, the wide-event and job-item
+// phase_ms keys, and the access log's <name>_ms attributes.
+var phaseNames = [numPhases]string{"queue", "parse", "compile", "map", "respond"}
+
 // phaseTimes accumulates request-phase wall time (nanoseconds) across
-// all requests; exported as mapd_phase_seconds_total{phase=...} and
-// used by the slow-request log.
-type phaseTimes struct {
-	queue   atomic.Int64
-	parse   atomic.Int64
-	compile atomic.Int64
-	mapRun  atomic.Int64
-	respond atomic.Int64
+// all requests, indexed by phase.
+type phaseTimes [numPhases]atomic.Int64
+
+// add folds one request's phase breakdown into the running totals.
+func (p *phaseTimes) add(ph *reqPhases) {
+	for i := range p {
+		p[i].Add(int64(ph.dur[i]))
+	}
 }
 
-// metrics aggregates the server's observable state. Counters are
-// atomics bumped on the request path; per-library histograms take a
-// short mutex only when recording or snapshotting.
+// result classifies a finished mapping request.
+type result int
+
+const (
+	resultOK result = iota
+	resultBadRequest
+	resultTooLarge
+	resultOverloaded
+	resultTimeout
+	resultCanceled
+	resultInternal
+	numResults
+)
+
+// resultNames are the result labels the metrics families and wide
+// events share, in exposition order.
+var resultNames = [numResults]string{"ok", "bad_request", "too_large", "overloaded", "timeout", "canceled", "internal"}
+
+func (r result) String() string { return resultNames[r] }
+
+// resultLabel maps an HTTP-style status to its result.
+func resultLabel(status int) result {
+	switch status {
+	case http.StatusOK:
+		return resultOK
+	case http.StatusRequestEntityTooLarge:
+		return resultTooLarge
+	case http.StatusTooManyRequests:
+		return resultOverloaded
+	case http.StatusGatewayTimeout:
+		return resultTimeout
+	case statusClientClosedRequest:
+		return resultCanceled
+	case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed:
+		return resultBadRequest
+	default:
+		return resultInternal
+	}
+}
+
+// metrics aggregates the server's counters. Counters are atomics
+// bumped on the request path; per-library histograms take a short
+// mutex only when recording or snapshotting.
 type metrics struct {
 	start time.Time
 
-	total      atomic.Uint64 // every /map request received
-	ok         atomic.Uint64 // 200s
-	badRequest atomic.Uint64 // 400s (malformed BLIF/genlib/JSON)
-	tooLarge   atomic.Uint64 // 413s (body over MaxRequestBytes)
-	overloaded atomic.Uint64 // 429s
-	timeout    atomic.Uint64 // 504s (per-request deadline hit)
-	canceled   atomic.Uint64 // client disconnected mid-flight
-	internal   atomic.Uint64 // 500s
+	total    atomic.Uint64             // every /map request received
+	requests [numResults]atomic.Uint64 // mapping requests finished, by result
 
 	patternsTried atomic.Uint64
 	// memoHits/memoMisses sum the structural match-memo consultations
 	// attributed to served requests (request-scoped, so they line up
-	// with MapResponse fields; the tables' own cumulative counters are
-	// summed separately from the cache in snapshot/writeMetrics).
+	// with MapResponse fields; the tables' own cumulative counters come
+	// from the cache).
 	memoHits   atomic.Uint64
 	memoMisses atomic.Uint64
 
@@ -199,20 +250,9 @@ func (m *metrics) lib(name string) *libMetrics {
 	return lm
 }
 
-// libNames returns the known library labels (unsorted).
-func (m *metrics) libNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.perLib))
-	for name := range m.perLib {
-		names = append(names, name)
-	}
-	return names
-}
-
 // recordServed logs one successful mapping against its library.
 func (m *metrics) recordServed(lib string, latency time.Duration, patternsTried, memoHits, memoMisses int) {
-	m.ok.Add(1)
+	m.requests[resultOK].Add(1)
 	m.patternsTried.Add(uint64(patternsTried))
 	m.memoHits.Add(uint64(memoHits))
 	m.memoMisses.Add(uint64(memoMisses))
@@ -232,12 +272,20 @@ type LibrarySnapshot struct {
 	PatternsTried uint64  `json:"patterns_tried"`
 	P50Millis     float64 `json:"p50_ms"`
 	P99Millis     float64 `json:"p99_ms"`
+
+	// The histograms behind the quantiles, for /metrics.
+	latency, patterns histogram
 }
 
-// StatsSnapshot is the /stats response body.
+// StatsSnapshot is the server's observable state at one instant. /stats
+// encodes it as JSON and /metrics as Prometheus text; the unexported
+// fields carry what only /metrics renders.
 type StatsSnapshot struct {
 	UptimeMillis int64 `json:"uptime_ms"`
-	Requests     struct {
+	// Requests counts every /map request received (Total) and the
+	// mapping requests finished, by result: every /map response, plus
+	// /jobs submissions rejected before a job was created.
+	Requests struct {
 		Total      uint64 `json:"total"`
 		OK         uint64 `json:"ok"`
 		BadRequest uint64 `json:"bad_request"`
@@ -264,6 +312,8 @@ type StatsSnapshot struct {
 		ItemsCancelled uint64         `json:"items_cancelled"`
 		ItemP50Millis  float64        `json:"item_p50_ms"`
 		ItemP99Millis  float64        `json:"item_p99_ms"`
+
+		itemLatency histogram
 	} `json:"jobs"`
 	Cache struct {
 		Libraries int    `json:"libraries"`
@@ -307,9 +357,8 @@ type StatsSnapshot struct {
 	// Build identifies the running binary (also /healthz and the
 	// mapd_build_info gauge).
 	Build BuildInfo `json:"build"`
-	// Runtime is the latest Go-runtime telemetry sample (heap, GC
-	// pauses, goroutines, scheduler latency), at most one sampling
-	// interval old.
+	// Runtime is the Go-runtime telemetry (heap, GC pauses, goroutines,
+	// scheduler latency), read when the snapshot was taken.
 	Runtime obs.RuntimeSample `json:"runtime"`
 	// SLO is the availability goal and the current multi-window burn
 	// rates over latency violations and sheds.
@@ -326,6 +375,12 @@ type StatsSnapshot struct {
 	// Diag is the slow-request capture state. Absent when capture is
 	// disabled (no -diag-dir).
 	Diag *DiagSnapshot `json:"diag,omitempty"`
+}
+
+// requestsByResult binds each result to its Requests field.
+func (st *StatsSnapshot) requestsByResult() [numResults]*uint64 {
+	r := &st.Requests
+	return [numResults]*uint64{&r.OK, &r.BadRequest, &r.TooLarge, &r.Overloaded, &r.Timeout, &r.Canceled, &r.Internal}
 }
 
 // DiagSnapshot is the /stats view of the diagnostics recorder.
@@ -357,124 +412,107 @@ type ResultCacheSnapshot struct {
 }
 
 // StoreSnapshot is the /stats view of the artifact store.
-type StoreSnapshot struct {
-	Dir          string  `json:"dir"`
-	Hits         uint64  `json:"hits"`
-	Misses       uint64  `json:"misses"`
-	Writes       uint64  `json:"writes"`
-	WriteErrors  uint64  `json:"write_errors"`
-	Evictions    uint64  `json:"evictions"`
-	Quarantined  uint64  `json:"quarantined"`
-	Objects      int     `json:"objects"`
-	Bytes        int64   `json:"bytes"`
-	MaxBytes     int64   `json:"max_bytes"`
-	GenSeconds   float64 `json:"generation_seconds"`
-	SavedSeconds float64 `json:"generation_seconds_saved"`
-}
+type StoreSnapshot = dagcover.ArtifactStoreStats
 
-// phaseMillis renders the accumulated phase nanos as milliseconds.
-func (p *phaseTimes) phaseMillis() map[string]float64 {
-	ms := func(n int64) float64 { return float64(n) / float64(time.Millisecond) }
-	return map[string]float64{
-		"queue":   ms(p.queue.Load()),
-		"parse":   ms(p.parse.Load()),
-		"compile": ms(p.compile.Load()),
-		"map":     ms(p.mapRun.Load()),
-		"respond": ms(p.respond.Load()),
+// Stats takes the snapshot behind /stats and /metrics. It is the one
+// reader of server state for both: each library's counters and
+// histograms are copied under one lock, and the runtime telemetry is
+// read now.
+func (s *Server) Stats() StatsSnapshot {
+	m := s.metrics
+	var st StatsSnapshot
+	st.UptimeMillis = time.Since(m.start).Milliseconds()
+	st.Requests.Total = m.total.Load()
+	for r, field := range st.requestsByResult() {
+		*field = m.requests[r].Load()
 	}
-}
 
-// phaseSeconds renders the accumulated phase nanos as seconds, keyed
-// by the /metrics phase label.
-func (p *phaseTimes) phaseSeconds() map[string]float64 {
-	sec := func(n int64) float64 { return float64(n) / float64(time.Second) }
-	return map[string]float64{
-		"queue":   sec(p.queue.Load()),
-		"parse":   sec(p.parse.Load()),
-		"compile": sec(p.compile.Load()),
-		"map":     sec(p.mapRun.Load()),
-		"respond": sec(p.respond.Load()),
+	j := &st.Jobs
+	j.Submitted = m.jobs.submitted.Load()
+	j.Done = m.jobs.done.Load()
+	j.Failed = m.jobs.failed.Load()
+	j.Cancelled = m.jobs.cancelled.Load()
+	j.Evicted = s.jobs.Evictions()
+	j.Resident = s.jobs.Len()
+	j.Capacity, _ = s.jobs.Capacity()
+	j.ByState = make(map[string]int)
+	for state, n := range s.jobs.CountsByState() {
+		j.ByState[state.String()] = n
 	}
-}
-
-// snapshot assembles the full /stats view. Each per-library bucket is
-// locked exactly once: counters and histograms are snapshotted in the
-// same critical section (the earlier version re-locked for quantiles,
-// so counters and percentiles could straddle a concurrent record).
-func (m *metrics) snapshot(c *Cache, a *admitter, js *jobs.Store, st *dagcover.ArtifactStore) StatsSnapshot {
-	var s StatsSnapshot
-	s.UptimeMillis = time.Since(m.start).Milliseconds()
-	s.Requests.Total = m.total.Load()
-	s.Requests.OK = m.ok.Load()
-	s.Requests.BadRequest = m.badRequest.Load()
-	s.Requests.TooLarge = m.tooLarge.Load()
-	s.Requests.Overloaded = m.overloaded.Load()
-	s.Requests.Timeout = m.timeout.Load()
-	s.Requests.Canceled = m.canceled.Load()
-	s.Requests.Internal = m.internal.Load()
-	s.Jobs.Submitted = m.jobs.submitted.Load()
-	s.Jobs.Done = m.jobs.done.Load()
-	s.Jobs.Failed = m.jobs.failed.Load()
-	s.Jobs.Cancelled = m.jobs.cancelled.Load()
-	s.Jobs.Evicted = js.Evictions()
-	s.Jobs.Resident = js.Len()
-	s.Jobs.Capacity, _ = js.Capacity()
-	s.Jobs.ByState = make(map[string]int)
-	for state, n := range js.CountsByState() {
-		s.Jobs.ByState[state.String()] = n
-	}
-	s.Jobs.ItemsOK = m.jobs.itemsOK.Load()
-	s.Jobs.ItemsFailed = m.jobs.itemsFailed.Load()
-	s.Jobs.ItemsTimeout = m.jobs.itemsTimeout.Load()
-	s.Jobs.ItemsCancelled = m.jobs.itemsCancelled.Load()
+	j.ItemsOK = m.jobs.itemsOK.Load()
+	j.ItemsFailed = m.jobs.itemsFailed.Load()
+	j.ItemsTimeout = m.jobs.itemsTimeout.Load()
+	j.ItemsCancelled = m.jobs.itemsCancelled.Load()
 	m.jobs.mu.Lock()
-	itemLat := m.jobs.itemLatency.clone()
+	j.itemLatency = m.jobs.itemLatency.clone()
 	m.jobs.mu.Unlock()
-	if itemLat.n > 0 {
-		s.Jobs.ItemP50Millis = roundMillis(itemLat.quantile(0.50) * 1e3)
-		s.Jobs.ItemP99Millis = roundMillis(itemLat.quantile(0.99) * 1e3)
+	if j.itemLatency.n > 0 {
+		j.ItemP50Millis = roundMillis(j.itemLatency.quantile(0.50) * 1e3)
+		j.ItemP99Millis = roundMillis(j.itemLatency.quantile(0.99) * 1e3)
 	}
-	s.Cache.Libraries = c.Len()
-	s.Cache.Hits, s.Cache.Misses, s.Cache.Compiles = c.Counters()
-	s.Cache.Entries = c.Entries()
-	s.Queue.Running, s.Queue.Queued = a.depth()
-	s.Queue.Concurrency, s.Queue.QueueCapacity = a.capacities()
-	s.PatternsTried = m.patternsTried.Load()
-	s.Memo.Hits = m.memoHits.Load()
-	s.Memo.Misses = m.memoMisses.Load()
-	ms := c.MemoStats()
-	s.Memo.TableEntries = ms.Entries
-	s.Memo.Evictions = ms.Evictions
-	if st != nil {
-		ss := st.Stats()
-		s.Store = &StoreSnapshot{
-			Dir:          ss.Dir,
-			Hits:         ss.Hits,
-			Misses:       ss.Misses,
-			Writes:       ss.Writes,
-			WriteErrors:  ss.WriteErrors,
-			Evictions:    ss.Evictions,
-			Quarantined:  ss.Quarantined,
-			Objects:      ss.Objects,
-			Bytes:        ss.Bytes,
-			MaxBytes:     ss.MaxBytes,
-			GenSeconds:   ss.GenSeconds,
-			SavedSeconds: ss.SavedSeconds,
+
+	st.Cache.Libraries = s.cache.Len()
+	st.Cache.Hits, st.Cache.Misses, st.Cache.Compiles = s.cache.Counters()
+	st.Cache.Entries = s.cache.Entries()
+	st.Queue.Running, st.Queue.Queued = s.adm.depth()
+	st.Queue.Concurrency, st.Queue.QueueCapacity = s.adm.capacities()
+	st.PatternsTried = m.patternsTried.Load()
+	st.Memo.Hits = m.memoHits.Load()
+	st.Memo.Misses = m.memoMisses.Load()
+	memo := s.cache.MemoStats()
+	st.Memo.TableEntries, st.Memo.Evictions = memo.Entries, memo.Evictions
+	if s.store != nil {
+		ss := s.store.Stats()
+		st.Store = &ss
+	}
+	if s.resultCache != nil {
+		rc := s.resultCache.stats()
+		st.ResultCache = &ResultCacheSnapshot{
+			MemHits:          m.rcMemHits.Load(),
+			DiskHits:         m.rcDiskHits.Load(),
+			Misses:           m.rcMisses.Load(),
+			Coalesced:        m.rcCoalesced.Load(),
+			Stores:           m.rcStores.Load(),
+			StoreErrors:      m.rcStoreErrors.Load(),
+			Entries:          rc.entries,
+			Bytes:            rc.bytes,
+			MaxBytes:         rc.maxBytes,
+			ProtectedEntries: rc.protectedEntries,
+			ProtectedBytes:   rc.protectedBytes,
 		}
 	}
-	s.PhaseMillis = m.phases.phaseMillis()
-	s.Libraries = make(map[string]LibrarySnapshot)
-	for _, name := range m.libNames() {
-		lm := m.lib(name)
-		lm.mu.Lock()
-		snap := LibrarySnapshot{Requests: lm.requests, PatternsTried: lm.patternsTried}
-		lat := lm.latency.clone()
-		lm.mu.Unlock()
-		snap.P50Millis = roundMillis(lat.quantile(0.50) * 1e3)
-		snap.P99Millis = roundMillis(lat.quantile(0.99) * 1e3)
-		s.Libraries[name] = snap
+
+	st.PhaseMillis = make(map[string]float64, numPhases)
+	for p, name := range phaseNames {
+		st.PhaseMillis[name] = millis(time.Duration(m.phases[p].Load()))
 	}
-	return s
+	st.Libraries = make(map[string]LibrarySnapshot)
+	m.mu.Lock()
+	for name, lm := range m.perLib {
+		lm.mu.Lock()
+		ls := LibrarySnapshot{Requests: lm.requests, PatternsTried: lm.patternsTried,
+			latency: lm.latency.clone(), patterns: lm.patterns.clone()}
+		lm.mu.Unlock()
+		ls.P50Millis = roundMillis(ls.latency.quantile(0.50) * 1e3)
+		ls.P99Millis = roundMillis(ls.latency.quantile(0.99) * 1e3)
+		st.Libraries[name] = ls
+	}
+	m.mu.Unlock()
+
+	st.Build = buildInfo()
+	st.Runtime = obs.ReadRuntimeSample()
+	st.SLO.Goal = s.burn.Goal()
+	st.SLO.LatencyTargetMS = millis(s.cfg.SLOLatency)
+	st.SLO.Windows = s.burn.Rates(time.Now())
+	st.Events.Recorded = s.events.Total()
+	st.Events.Capacity = s.events.Cap()
+	if s.diag != nil {
+		d := &DiagSnapshot{Dir: s.diag.Dir(), MaxBytes: s.diag.MaxBytes()}
+		d.Captures, d.Dropped, d.Evictions = s.diag.Counters()
+		d.Bundles, d.Bytes = s.diag.Usage()
+		st.Diag = d
+	}
+	return st
 }
 
 // roundMillis trims interpolation noise to microsecond precision.
