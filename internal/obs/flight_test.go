@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// --- runtime sampler ---
+// --- runtime telemetry ---
 
 func TestReadRuntimeSample(t *testing.T) {
 	// The memory-class metrics flush at most once per GC cycle, so a

@@ -406,7 +406,7 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		// carry the recorded run's counters but did no work here, so
 		// they are excluded too.
 		if res.resp != nil {
-			s.metrics.recordJobItemWork(resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
+			s.metrics.recordWork(resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
 		}
 	} else {
 		if ctx.Err() != nil {

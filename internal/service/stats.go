@@ -208,11 +208,10 @@ type jobMetrics struct {
 	itemLatency histogram // seconds per mapped item
 }
 
-// recordJobItemWork folds one mapped batch item's pattern-matching and
-// memo work into the global work counters (shared with /map, since the
-// underlying engine work is the same) without touching the request
-// classification counters.
-func (m *metrics) recordJobItemWork(patternsTried, memoHits, memoMisses int) {
+// recordWork folds one mapping's pattern-matching and memo work into
+// the global work counters, which /map requests and batch items share
+// since the engine work is the same. It touches no request counter.
+func (m *metrics) recordWork(patternsTried, memoHits, memoMisses int) {
 	m.patternsTried.Add(uint64(patternsTried))
 	m.memoHits.Add(uint64(memoHits))
 	m.memoMisses.Add(uint64(memoMisses))
@@ -253,9 +252,7 @@ func (m *metrics) lib(name string) *libMetrics {
 // recordServed logs one successful mapping against its library.
 func (m *metrics) recordServed(lib string, latency time.Duration, patternsTried, memoHits, memoMisses int) {
 	m.requests[resultOK].Add(1)
-	m.patternsTried.Add(uint64(patternsTried))
-	m.memoHits.Add(uint64(memoHits))
-	m.memoMisses.Add(uint64(memoMisses))
+	m.recordWork(patternsTried, memoHits, memoMisses)
 	lm := m.lib(lib)
 	lm.mu.Lock()
 	lm.requests++
