@@ -101,7 +101,7 @@ func TestSignatureIndexDisabledUnderChoices(t *testing.T) {
 
 // Clone aliasing contract: two clones enumerating concurrently on the
 // same graph yield exactly the parent's match sets. Run with -race to
-// catch any shared scratch state (binding, usedBy stamps, epochs).
+// catch any shared scratch state (step bindings, one-to-one stamps, epochs, completion buffers).
 func TestCloneConcurrentEnumeration(t *testing.T) {
 	pats := compile(t, libgen.Lib443(), true)
 	parent := NewMatcher(pats)
@@ -154,7 +154,8 @@ func TestClonePatternsTriedIndependent(t *testing.T) {
 // keeps tie-breaking identical to the full scan.
 func TestSignatureIndexBucketOrder(t *testing.T) {
 	m := NewMatcher(compile(t, libgen.Lib443(), true))
-	for sig, bucket := range m.sigIndex {
+	for sig := range m.sigTries {
+		bucket := m.sigTries[sig].pats
 		if !sort.SliceIsSorted(bucket, func(i, j int) bool { return bucket[i] < bucket[j] }) {
 			t.Errorf("signature %d: bucket not in ascending pattern order", sig)
 		}

@@ -14,11 +14,18 @@
 // that when the two pattern children are isomorphic (identical shape
 // hash, which includes pin delay classes) only one order is tried —
 // the skipped order can only produce cost-equivalent matches.
+//
+// The patterns that can embed at a root are matched together: their
+// plans are merged into a decision trie (plan.go), walked once per
+// root, so a step shared by several patterns is matched once. Matches
+// are still yielded pattern by pattern in library order.
 package match
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"dagcover/internal/subject"
 )
@@ -65,9 +72,6 @@ type Match struct {
 // shared).
 type Matcher struct {
 	Patterns []*subject.Pattern
-	// shapes[k] is the shape table of pattern k, indexed by pattern
-	// node handle.
-	shapes [][]uint64
 	// prune enables symmetric-sibling pruning (default true).
 	prune bool
 	// index enables the root-signature index (default true).
@@ -78,11 +82,15 @@ type Matcher struct {
 
 	// plans holds each pattern's precompiled matching program.
 	plans []plan
-	// sigIndex buckets pattern indices by the subject root signatures
-	// they can embed into (subject.Signature); each bucket preserves
-	// library order, so enumeration through the index yields matches
-	// in exactly the full-scan order. Shared by clones (immutable).
-	sigIndex [][]int32
+	// sigTries holds one decision trie per subject root signature
+	// (subject.Signature), over the patterns that can embed at such a
+	// root; kindTries holds one per root kind, over every pattern of
+	// that kind (the index-off and choices paths). Each trie's pattern
+	// list is in library order, so enumeration through the index yields
+	// matches in exactly the full-scan order. Shared by clones
+	// (immutable).
+	sigTries  []trie
+	kindTries [subject.Nand2 + 1]trie
 	// tried counts pattern plans attempted by Enumerate since
 	// construction (or Clone). Read it through PatternsTried.
 	tried int
@@ -90,6 +98,10 @@ type Matcher struct {
 	// (index path only; allocated when the index is on). Read it
 	// through SigBucketsTried.
 	bucketTried []uint32
+	// stepVisits counts trie steps the walk has entered since
+	// construction, Clone, or Reset: the matcher's unit of work, read by
+	// the work-counter tests.
+	stepVisits int
 
 	// memo, when non-nil and memoOn, caches complete enumerations by
 	// canonical cone key (see memo.go); shared across clones and — via
@@ -114,26 +126,30 @@ type Matcher struct {
 	recStream []int32
 	recOK     bool
 	recording bool
-	curPatIdx int
 
 	// scratch (reused across calls; a Matcher is single-goroutine)
-	out     Match // the *Match every Enumerate yields
-	binding []subject.Node
+	out Match // the *Match every Enumerate yields
+	// stepSub[i] is the subject node bound by first-visit step i of the
+	// walk's current path, stepOrd[i] its child order (1 = swapped).
 	stepSub []subject.Node
 	stepOrd []uint8
-	// registers of the in-flight enumeration
+	// found buffers the walk's completions until they are yielded in
+	// library order: per completion [next, len(covered), leaves...,
+	// covered...], chained per trie pattern position from head (tail
+	// is the last link; -1 ends a chain).
+	found []int32
+	head  []int32
+	tail  []int32
+	// registers of the in-flight walk
 	g            *subject.Graph
-	curPattern   *subject.Pattern
-	curPlan      *plan
+	curTrie      *trie
 	curClass     Class
 	curInjective bool
 	curRoot      subject.Node
-	curOut       *Match
-	curYield     func(*Match) bool
-	// usedBy implements the one-to-one check without a map: it is
-	// indexed by subject node handle and an entry is valid only when
-	// its stamp equals the current epoch, so no clearing is needed.
-	usedBy    []subject.Node
+	// usedStamp implements the one-to-one check without a map: it is
+	// indexed by subject node handle, and a node is bound in the current
+	// walk only while its stamp equals the current epoch, so no clearing
+	// is needed between walks.
 	usedStamp []uint32
 	epoch     uint32
 }
@@ -183,68 +199,92 @@ func NewMatcher(patterns []*subject.Pattern, opts ...Option) *Matcher {
 	for _, o := range opts {
 		o(m)
 	}
-	m.shapes = make([][]uint64, len(patterns))
 	m.plans = make([]plan, len(patterns))
-	maxNodes, maxSteps := 0, 0
 	m.memoDepth = 2 // floor: a key must determine the depth-2 signature
+	var byKind [subject.Nand2 + 1][]int32
 	for i, p := range patterns {
-		m.shapes[i] = patternShapes(p)
-		m.plans[i] = compilePlan(p, m.shapes[i], m.prune)
-		if p.Graph.NumNodes() > maxNodes {
-			maxNodes = p.Graph.NumNodes()
-		}
-		if len(m.plans[i].steps) > maxSteps {
-			maxSteps = len(m.plans[i].steps)
-		}
+		m.plans[i] = compilePlan(p, patternShapes(p), m.prune)
 		if p.Depth > m.memoDepth {
 			m.memoDepth = p.Depth
 		}
+		kind := p.Graph.KindOf(p.Root)
+		byKind[kind] = append(byKind[kind], int32(i))
+	}
+	tb := &trieBuilder{plans: m.plans}
+	for kind, pats := range byKind {
+		m.kindTries[kind] = tb.build(pats)
 	}
 	if m.memo != nil {
 		m.memoOn = true
 		m.cone = subject.NewConeEncoder()
 	}
-	m.binding = make([]subject.Node, maxNodes)
-	m.stepSub = make([]subject.Node, maxSteps)
-	m.stepOrd = make([]uint8, maxSteps)
 	if m.index {
-		m.sigIndex = make([][]int32, subject.NumSignatures)
+		buckets := make([][]int32, subject.NumSignatures)
 		for i, p := range patterns {
 			for _, sig := range subject.PatternSignatures(p.Graph, p.Root) {
-				m.sigIndex[sig] = append(m.sigIndex[sig], int32(i))
+				buckets[sig] = append(buckets[sig], int32(i))
 			}
 		}
-		m.bucketTried = make([]uint32, subject.NumSignatures)
+		m.sigTries = make([]trie, subject.NumSignatures)
 		m.keyDepth = make([]int, subject.NumSignatures)
-		for sig, bucket := range m.sigIndex {
+		// Buckets with equal pattern lists share one trie.
+		built := map[string]int{}
+		var key []byte
+		for sig, bucket := range buckets {
+			key = key[:0]
+			for _, k := range bucket {
+				key = binary.LittleEndian.AppendUint32(key, uint32(k))
+			}
+			if first, ok := built[string(key)]; ok {
+				m.sigTries[sig] = m.sigTries[first]
+			} else {
+				built[string(key)] = sig
+				m.sigTries[sig] = tb.build(bucket)
+			}
 			m.keyDepth[sig] = 2
 			for _, k := range bucket {
 				m.keyDepth[sig] = max(m.keyDepth[sig], patterns[k].Depth)
 			}
 		}
+		m.bucketTried = make([]uint32, subject.NumSignatures)
 	}
+	m.allocScratch()
 	return m
 }
 
+// allocScratch sizes the walk's per-step and per-pattern scratch for
+// the longest plan and the largest trie (a root kind's: every
+// signature bucket is a subset of one).
+func (m *Matcher) allocScratch() {
+	maxSteps, maxPats := 0, 0
+	for i := range m.plans {
+		maxSteps = max(maxSteps, len(m.plans[i].steps))
+	}
+	for i := range m.kindTries {
+		maxPats = max(maxPats, len(m.kindTries[i].pats))
+	}
+	m.stepSub = make([]subject.Node, maxSteps)
+	m.stepOrd = make([]uint8, maxSteps)
+	m.head = make([]int32, maxPats)
+	m.tail = make([]int32, maxPats)
+}
+
 // Clone returns an independent matcher sharing the immutable pattern
-// data (patterns, plans, signature index); use for concurrent
-// enumeration. The clone's PatternsTried counter starts at zero.
+// data (patterns, plans, tries); use for concurrent enumeration. The
+// clone's PatternsTried counter starts at zero.
 func (m *Matcher) Clone() *Matcher {
 	c := &Matcher{
 		Patterns:  m.Patterns,
-		shapes:    m.shapes,
 		plans:     m.plans,
 		prune:     m.prune,
 		index:     m.index,
-		sigIndex:  m.sigIndex,
+		sigTries:  m.sigTries,
+		kindTries: m.kindTries,
 		choices:   m.choices,
 		memo:      m.memo, // shared: clones warm one table
 		memoOn:    m.memoOn,
 		memoDepth: m.memoDepth,
 		keyDepth:  m.keyDepth,
-		binding:   make([]subject.Node, len(m.binding)),
-		stepSub:   make([]subject.Node, len(m.stepSub)),
-		stepOrd:   make([]uint8, len(m.stepOrd)),
 	}
 	if m.index {
 		c.bucketTried = make([]uint32, subject.NumSignatures)
@@ -252,6 +292,7 @@ func (m *Matcher) Clone() *Matcher {
 	if c.memo != nil {
 		c.cone = subject.NewConeEncoder()
 	}
+	c.allocScratch()
 	return c
 }
 
@@ -316,41 +357,29 @@ func (m *Matcher) memoActive() bool {
 // recompiling pattern plans, making it behave exactly like a fresh
 // NewMatcher/Clone: PatternsTried restarts at zero and no subject-graph
 // references from earlier enumerations are retained (so pooled matchers
-// don't pin finished requests' graphs in memory). The compiled plans,
-// shapes and signature index are untouched. Choices set with
-// SetChoices are cleared; re-set them after Reset if needed.
+// don't pin finished requests' graphs in memory). The compiled plans
+// and tries are untouched. Choices set with SetChoices are cleared;
+// re-set them after Reset if needed.
 func (m *Matcher) Reset() {
 	m.tried = 0
-	for i := range m.bucketTried {
-		m.bucketTried[i] = 0
-	}
+	clear(m.bucketTried)
+	m.stepVisits = 0
 	m.choices = nil
-	for i := range m.binding {
-		m.binding[i] = subject.None
-	}
 	for i := range m.stepSub {
 		m.stepSub[i] = subject.None
 	}
-	for i := range m.stepOrd {
-		m.stepOrd[i] = 0
-	}
+	clear(m.stepOrd)
+	m.found = m.found[:0]
 	// Drop the one-to-one table entirely: truncate so a zero epoch can
 	// never alias a stale stamp.
-	for i := range m.usedStamp {
-		m.usedBy[i] = subject.None
-		m.usedStamp[i] = 0
-	}
-	m.usedBy = m.usedBy[:0]
+	clear(m.usedStamp)
 	m.usedStamp = m.usedStamp[:0]
 	m.epoch = 0
 	m.g = nil
-	m.curPattern = nil
-	m.curPlan = nil
+	m.curTrie = nil
 	m.curClass = 0
 	m.curInjective = false
 	m.curRoot = subject.None
-	m.curOut = nil
-	m.curYield = nil
 	m.out = Match{Root: subject.None, Leaves: m.out.Leaves[:0], Covered: m.out.Covered[:0]}
 	// The memo table itself survives Reset by design — it holds cone
 	// indices, never node references, so it pins no graphs and stays
@@ -361,7 +390,6 @@ func (m *Matcher) Reset() {
 	m.recStream = m.recStream[:0]
 	m.recOK = false
 	m.recording = false
-	m.curPatIdx = 0
 	if m.cone != nil {
 		m.cone.Reset()
 	}
@@ -370,29 +398,12 @@ func (m *Matcher) Reset() {
 	}
 }
 
-// used reports the pattern node currently bound to sn, if any.
-func (m *Matcher) used(sn subject.Node) (subject.Node, bool) {
-	if int(sn) >= len(m.usedBy) || m.usedStamp[sn] != m.epoch {
-		return subject.None, false
-	}
-	return m.usedBy[sn], true
-}
+// used reports whether sn is bound in the current walk.
+func (m *Matcher) used(sn subject.Node) bool { return m.usedStamp[sn] == m.epoch }
 
-func (m *Matcher) setUsed(sn, pn subject.Node) {
-	if int(sn) >= len(m.usedBy) {
-		grow := int(sn) + 1 - len(m.usedBy)
-		m.usedBy = append(m.usedBy, make([]subject.Node, grow)...)
-		m.usedStamp = append(m.usedStamp, make([]uint32, grow)...)
-	}
-	m.usedBy[sn] = pn
-	m.usedStamp[sn] = m.epoch
-}
+func (m *Matcher) setUsed(sn subject.Node) { m.usedStamp[sn] = m.epoch }
 
-func (m *Matcher) clearUsed(sn subject.Node) {
-	if int(sn) < len(m.usedStamp) {
-		m.usedStamp[sn] = 0
-	}
-}
+func (m *Matcher) clearUsed(sn subject.Node) { m.usedStamp[sn] = 0 }
 
 // patternShapes computes a structural hash per pattern node. Leaf
 // shapes incorporate the pin's intrinsic delay so that two leaves are
@@ -462,33 +473,22 @@ func (m *Matcher) Enumerate(g *subject.Graph, root subject.Node, class Class, yi
 	m.enumerateWalk(sig, root, class, out, yield)
 }
 
-// enumerateWalk is the uncached enumeration: the plans of signature
-// bucket sig, or every pattern of the root's kind when sig < 0. It
+// enumerateWalk is the uncached enumeration: the trie of signature
+// bucket sig, or of every pattern of the root's kind when sig < 0. It
 // reports whether the enumeration ran to completion (false when yield
 // stopped it early) — the recording path must not insert a truncated
 // recipe list.
 func (m *Matcher) enumerateWalk(sig int, root subject.Node, class Class, out *Match, yield func(*Match) bool) bool {
+	var t *trie
 	if sig >= 0 {
-		for _, k := range m.sigIndex[sig] {
-			m.tried++
-			m.bucketTried[sig]++
-			if !m.tryPattern(int(k), root, class, out, yield) {
-				return false
-			}
-		}
-		return true
+		t = &m.sigTries[sig]
+		m.bucketTried[sig] += uint32(len(t.pats))
+	} else {
+		t = &m.kindTries[m.g.KindOf(root)]
 	}
-	rootKind := m.g.KindOf(root)
-	for k, p := range m.Patterns {
-		if p.Graph.KindOf(p.Root) != rootKind {
-			continue
-		}
-		m.tried++
-		if !m.tryPattern(k, root, class, out, yield) {
-			return false
-		}
-	}
-	return true
+	m.tried += len(t.pats)
+	m.walk(t, root, class)
+	return m.yieldFound(t, out, yield)
 }
 
 // memoKeyTag separates key spaces that enumerate differently over the
@@ -574,15 +574,16 @@ func (m *Matcher) replay(stream []int32, nodes []subject.Node, out *Match, yield
 	}
 }
 
-// record appends the just-completed match to the in-flight recipe
-// stream as cone indices. A binding outside the encoded cone (which
-// the soundness argument in subject/cone.go rules out, but a defensive
-// check is cheap) poisons the recording instead of a wrong entry.
-func (m *Matcher) record(out *Match) {
+// record appends the just-yielded match of pattern k to the in-flight
+// recipe stream as cone indices. A binding outside the encoded cone
+// (which the soundness argument in subject/cone.go rules out, but a
+// defensive check is cheap) poisons the recording instead of a wrong
+// entry.
+func (m *Matcher) record(k int32, out *Match) {
 	if !m.recOK {
 		return
 	}
-	m.recStream = append(m.recStream, int32(m.curPatIdx), int32(len(out.Covered)))
+	m.recStream = append(m.recStream, k, int32(len(out.Covered)))
 	for _, n := range out.Leaves {
 		idx := m.cone.ConeIndex(n)
 		if idx < 0 {
@@ -617,19 +618,22 @@ func (m *Matcher) AllMatches(g *subject.Graph, root subject.Node, class Class) [
 	return out
 }
 
-// tryPattern enumerates embeddings of pattern k at subject node s by
-// running the pattern's precompiled plan with allocation-free
-// recursive backtracking. Returns false if yield requested a stop.
-func (m *Matcher) tryPattern(k int, s subject.Node, class Class, out *Match, yield func(*Match) bool) bool {
-	p := m.Patterns[k]
-	m.curPattern = p
-	m.curPatIdx = k
-	m.curPlan = &m.plans[k]
+// walk enumerates every embedding of t's patterns at subject node
+// root by one allocation-free backtracking walk over the trie, so a
+// step shared by several plans is matched once for all of them. The
+// completions are buffered per pattern (see yieldFound).
+func (m *Matcher) walk(t *trie, root subject.Node, class Class) {
+	m.curTrie = t
 	m.curClass = class
 	m.curInjective = class != Extended
-	m.curRoot = s
-	m.curOut = out
-	m.curYield = yield
+	m.curRoot = root
+	m.found = m.found[:0]
+	for i := range t.pats {
+		m.head[i] = -1
+	}
+	if n := m.g.NumNodes(); len(m.usedStamp) < n {
+		m.usedStamp = append(m.usedStamp, make([]uint32, n-len(m.usedStamp))...)
+	}
 	m.epoch++
 	if m.epoch == 0 {
 		// Stamp wrap: everything stamped in the previous 2^32-1 epochs
@@ -637,30 +641,30 @@ func (m *Matcher) tryPattern(k int, s subject.Node, class Class, out *Match, yie
 		clear(m.usedStamp)
 		m.epoch = 1
 	}
-	return m.matchStep(0)
+	for _, c := range t.kids[:t.roots] {
+		m.visit(c)
+	}
 }
 
-// matchStep executes plan step pi; returns false to stop all
-// enumeration (yield asked to), true to continue exploring.
-func (m *Matcher) matchStep(pi int) bool {
-	steps := m.curPlan.steps
-	if pi == len(steps) {
-		return m.complete()
-	}
-	st := &steps[pi]
+// visit executes trie node ni's step against the current path's
+// bindings, then for each way it binds finishes the patterns that end
+// there and visits its children.
+func (m *Matcher) visit(ni int32) {
+	m.stepVisits++
+	t := m.curTrie
+	nd := &t.nodes[ni]
+	st := &nd.step
 	g := m.g
-	pg := m.curPattern.Graph
 	var base subject.Node
 	rootStep := st.parent < 0
 	if rootStep {
 		base = m.curRoot
 	} else {
-		ps := m.stepSub[st.parent]
 		slot := st.slot
 		if m.stepOrd[st.parent] == 1 {
 			slot ^= 1
 		}
-		base = g.Fanin(ps, slot)
+		base = g.Fanin(m.stepSub[st.parent], int(slot))
 	}
 	// Choice alternatives apply to descents only: the root binds the
 	// node it was asked about (alternatives are realized through the
@@ -673,92 +677,111 @@ func (m *Matcher) matchStep(pi int) bool {
 	if cands == nil {
 		cands = single[:]
 	}
-	pn := st.pn
-	pnKind := pg.KindOf(pn)
 	for _, cand := range cands {
-		if !st.first {
+		if st.agree >= 0 {
 			// Shared DAG pattern node: must agree with the earlier
 			// binding; no descent (its subtree was matched then).
-			if m.binding[pn] != cand {
-				continue
-			}
-			if !m.matchStep(pi + 1) {
-				return false
+			if m.stepSub[st.agree] == cand {
+				m.descend(nd)
 			}
 			continue
 		}
-		if pnKind != subject.PI {
-			if pnKind != g.KindOf(cand) {
+		if st.kind != subject.PI {
+			if st.kind != g.KindOf(cand) {
 				continue
 			}
 			// Definition 2: internally covered nodes keep their
-			// fanout count and drive no output (the root, parent < 0,
-			// is exempt): an output's node is built for its port, so
-			// covering it inside a consumer's match builds it twice.
-			if m.curClass == Exact && st.parent >= 0 && (g.FanoutCount(cand) != st.patFanouts || g.DrivesOutput(cand)) {
+			// fanout count and drive no output (the root is exempt):
+			// an output's node is built for its port, so covering it
+			// inside a consumer's match builds it twice.
+			if m.curClass == Exact && !rootStep && (int32(g.FanoutCount(cand)) != st.patFanouts || g.DrivesOutput(cand)) {
 				continue
 			}
 		}
 		if m.curInjective {
-			if prev, used := m.used(cand); used && prev != pn {
+			if m.used(cand) {
 				continue
 			}
-			m.setUsed(cand, pn)
+			m.setUsed(cand)
 		}
-		m.binding[pn] = cand
-		m.stepSub[pi] = cand
+		m.stepSub[nd.depth] = cand
 		orders := 1
-		if pnKind == subject.Nand2 && st.swap && g.Fanin0(cand) != g.Fanin1(cand) {
+		if st.swap && g.Fanin0(cand) != g.Fanin1(cand) {
 			orders = 2
 		}
-		ok := true
-		for o := 0; o < orders && ok; o++ {
-			m.stepOrd[pi] = uint8(o)
-			ok = m.matchStep(pi + 1)
+		for o := 0; o < orders; o++ {
+			m.stepOrd[nd.depth] = uint8(o)
+			m.descend(nd)
 		}
-		m.binding[pn] = subject.None
 		if m.curInjective {
 			m.clearUsed(cand)
 		}
-		if !ok {
-			return false
+	}
+}
+
+// descend finishes the patterns whose plan ends at nd and continues
+// into nd's children, under the current path's bindings.
+func (m *Matcher) descend(nd *trieNode) {
+	t := m.curTrie
+	for _, pos := range t.ends[nd.endLo:nd.endHi] {
+		m.complete(pos)
+	}
+	for _, c := range t.kids[nd.kidLo:nd.kidHi] {
+		m.visit(c)
+	}
+}
+
+// complete buffers the current path's bindings as a match of the
+// trie's pattern at position pos, appended to that pattern's chain so
+// each pattern keeps its own DFS order.
+func (m *Matcher) complete(pos int32) {
+	pl := &m.plans[m.curTrie.pats[pos]]
+	rec := int32(len(m.found))
+	m.found = append(m.found, -1, 0)
+	for _, s := range pl.pinStep { // pin order
+		m.found = append(m.found, m.stepSub[s])
+	}
+	cov := len(m.found)
+	for _, s := range pl.coverStep {
+		b := m.stepSub[s]
+		// Distinct steps bind distinct nodes unless extended matching
+		// lets two internal pattern nodes share one.
+		if !m.curInjective && slices.Contains(m.found[cov:], b) {
+			continue
+		}
+		m.found = append(m.found, b)
+	}
+	m.found[rec+1] = int32(len(m.found) - cov)
+	if m.head[pos] < 0 {
+		m.head[pos] = rec
+	} else {
+		m.found[m.tail[pos]] = rec
+	}
+	m.tail[pos] = rec
+}
+
+// yieldFound yields the buffered completions of t's patterns, pattern
+// by pattern in library order, each pattern's in its own DFS order:
+// exactly the sequence of walking the patterns one at a time. It
+// reports whether yield accepted every match.
+func (m *Matcher) yieldFound(t *trie, out *Match, yield func(*Match) bool) bool {
+	for pos, k := range t.pats {
+		p := m.Patterns[k]
+		nPins := int32(len(p.PinLeaf))
+		for r := m.head[pos]; r >= 0; r = m.found[r] {
+			lo := r + 2
+			out.Pattern = p
+			out.Leaves = append(out.Leaves[:0], m.found[lo:lo+nPins]...)
+			out.Covered = append(out.Covered[:0], m.found[lo+nPins:lo+nPins+m.found[r+1]]...)
+			if m.recording {
+				m.record(k, out)
+			}
+			if !yield(out) {
+				return false
+			}
 		}
 	}
 	return true
-}
-
-// complete assembles the current binding into a Match and yields it.
-func (m *Matcher) complete() bool {
-	p := m.curPattern
-	pg := p.Graph
-	out := m.curOut
-	out.Pattern = p
-	out.Leaves = out.Leaves[:0]
-	out.Covered = out.Covered[:0]
-	for _, leaf := range p.PinLeaf { // pin order
-		out.Leaves = append(out.Leaves, m.binding[leaf])
-	}
-	for i := 0; i < pg.NumNodes(); i++ {
-		n := subject.Node(i)
-		if pg.KindOf(n) == subject.PI {
-			continue
-		}
-		b := m.binding[n]
-		dup := false
-		for _, c := range out.Covered {
-			if c == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out.Covered = append(out.Covered, b)
-		}
-	}
-	if m.recording {
-		m.record(out)
-	}
-	return m.curYield(out)
 }
 
 // Verify checks that mt is a sound embedding: pattern edges map to

@@ -19,7 +19,7 @@ import (
 // A Memo maps cone keys to the full ordered match list recorded as a
 // *recipe stream*: pattern indices plus leaf/covered bindings encoded
 // as cone indices rather than node pointers. A hit replays the stream
-// against the current root's cone nodes and skips matchStep entirely;
+// against the current root's cone nodes and skips the trie walk entirely;
 // a miss runs the ordinary walk and records it. A hit allocates
 // nothing: the key lives in the encoder's buffer, the map probe does
 // not copy it, and the replay fills the matcher's one reused Match.

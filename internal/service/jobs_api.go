@@ -136,8 +136,11 @@ type JobItemRecord struct {
 	Response      *MapResponse `json:"response,omitempty"`
 }
 
-// handleJobs serves POST /jobs.
+// handleJobs serves POST /jobs. Every request counts as received, as
+// at /map: a rejection then finishes it by result, an accepted one as
+// a submitted job.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
+	s.metrics.total.Add(1)
 	if r.Method != http.MethodPost {
 		s.failure(w, http.StatusMethodNotAllowed, "POST a JSON batch job to /jobs")
 		return

@@ -253,3 +253,57 @@ func TestLookupErrorsAreNotMappingRequests(t *testing.T) {
 		t.Errorf("request counters after lookups = %+v, want all zero", got)
 	}
 }
+
+// TestRequestsReceivedAccountsForEveryRequest checks the received
+// counter against the finished ones once the server is quiet: every
+// /map or /jobs request is received once and then either finishes by
+// result or becomes a submitted job, so received = Σ results +
+// submitted, with rejections at /jobs included.
+func TestRequestsReceivedAccountsForEveryRequest(t *testing.T) {
+	s := New(Config{Concurrency: 2, MaxRequestBytes: 64 << 10})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	small := blifOf(t, bench.Comparator(4))
+	if code, _, body := post(t, h, nil, MapRequest{BLIF: small}); code != http.StatusOK {
+		t.Fatalf("map = %d: %s", code, body)
+	}
+	if code, _, _ := post(t, h, nil, MapRequest{BLIF: "garbage"}); code != http.StatusBadRequest {
+		t.Fatalf("garbage map = %d, want 400", code)
+	}
+	code, acc, body := postJob(t, h, JobRequest{Items: []JobItemRequest{{Name: "a", BLIF: small}}})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /jobs = %d: %s", code, body)
+	}
+	if st, ok := waitJobTerminal(t, h, acc.JobID, 30*time.Second); !ok || st.State != "done" {
+		t.Fatalf("job settled as %+v", st)
+	}
+	if code, _, _ := postJob(t, h, JobRequest{}); code != http.StatusBadRequest {
+		t.Fatalf("empty job = %d, want 400", code)
+	}
+	huge := `{"blif":"` + strings.Repeat("a", 128<<10) + `"}`
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodGet, "/map", "", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/jobs", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/map", huge, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/jobs", huge, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/jobs", "{", http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if w.Code != c.want {
+			t.Fatalf("%s %s = %d, want %d", c.method, c.path, w.Code, c.want)
+		}
+	}
+	st := s.Stats()
+	r := st.Requests
+	finished := r.OK + r.BadRequest + r.TooLarge + r.Overloaded + r.Timeout + r.Canceled + r.Internal
+	if r.Total != finished+st.Jobs.Submitted {
+		t.Errorf("received %d, want finished %d + jobs submitted %d (%+v)", r.Total, finished, st.Jobs.Submitted, r)
+	}
+	if r.Total != 9 {
+		t.Errorf("received %d requests, want 9", r.Total)
+	}
+}

@@ -162,7 +162,7 @@ func resultLabel(status int) result {
 type metrics struct {
 	start time.Time
 
-	total    atomic.Uint64             // every /map request received
+	total    atomic.Uint64             // every /map and /jobs request received
 	requests [numResults]atomic.Uint64 // mapping requests finished, by result
 
 	patternsTried atomic.Uint64
@@ -279,9 +279,11 @@ type LibrarySnapshot struct {
 // fields carry what only /metrics renders.
 type StatsSnapshot struct {
 	UptimeMillis int64 `json:"uptime_ms"`
-	// Requests counts every /map request received (Total) and the
-	// mapping requests finished, by result: every /map response, plus
-	// /jobs submissions rejected before a job was created.
+	// Requests counts every /map and /jobs request received (Total)
+	// and the mapping requests finished, by result: every /map
+	// response, plus /jobs submissions rejected before a job was
+	// created. Once no request is in flight, Total equals the sum of
+	// the result counters plus Jobs.Submitted.
 	Requests struct {
 		Total      uint64 `json:"total"`
 		OK         uint64 `json:"ok"`
