@@ -92,7 +92,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "run only C432 and C6288 (CI smoke)")
 		full      = flag.Bool("full", false, "use the extended 10-circuit suite")
 		parallel  = flag.Int("parallel", 1, "labeling workers per mapping run")
-		iters     = flag.Int("iters", 3, "mapping runs per configuration; the fastest is reported (memo-on runs after the first measure the warm table)")
+		iters     = flag.Int("iters", 3, "mapping runs per configuration; the fastest is reported (every run starts with empty memo tables)")
 		golden    = flag.String("golden", "", "golden hash file; verify the full ISCAS suite against it and exit")
 		family    = flag.String("family", "", "comma-separated streaming families to measure (mult<N>, alumesh<WxH>)")
 		baselines = flag.String("baselines", "cmd/benchmap/testdata", "directory with baseline_pointer_<family>.json files for comparison")
@@ -214,10 +214,9 @@ func measure(suiteName string, circuits []bench.Circuit, parallel, iters int) (*
 			return nil, fmt.Errorf("compile %s: %w", lc.name, err)
 		}
 		for _, c := range circuits {
-			// Memo off first: the baseline walk, untouched by table state.
-			// Then memo on against the same library — its table warms
-			// across the suite's circuits exactly as a served library's
-			// table warms across requests.
+			// Memo off first: the baseline walk. Then memo on against the
+			// same library; every run records into its own empty tables,
+			// as a served request does.
 			offRun, offBLIF, err := mapBest(cl, c, lc.name, lc.delay, parallel, false, iters)
 			if err != nil {
 				return nil, err

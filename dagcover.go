@@ -290,11 +290,11 @@ type MapOptions struct {
 	// estimation, covering, emission, per-wave chunks) as spans.
 	// Tracing never changes the mapped result.
 	Trace *Trace
-	// NoMemo bypasses the library's structural match memo (canonical
-	// cone keys → replayable match recipes; see DESIGN.md) for this
-	// run. The memo replays exactly the enumeration it recorded, so the
-	// netlist is byte-identical either way: this is an escape hatch and
-	// a baseline for measurement.
+	// NoMemo turns off this run's structural match memo (canonical
+	// cone keys → replayable match recipes, recorded and replayed
+	// within the run; see DESIGN.md). The memo replays exactly the
+	// enumeration it recorded, so the netlist is byte-identical either
+	// way: this is an escape hatch and a baseline for measurement.
 	NoMemo bool
 }
 
@@ -320,11 +320,14 @@ type MapResult struct {
 	PatternsTried int
 	// MemoHits/MemoMisses count structural-memo consultations during
 	// the run (both zero when the memo is off). A hit skips the
-	// backtracking walk for the whole node.
+	// backtracking walk for the whole node. Every run starts with empty
+	// tables, so at Parallelism 1 both are a function of the circuit,
+	// library and options; parallel labeling workers record into their
+	// own tables, so the split moves with Parallelism.
 	MemoHits   int
 	MemoMisses int
-	// MemoEntries is the library's shared memo-table size when the run
-	// finished (a gauge: the table persists across runs and requests).
+	// MemoEntries is how many recipes the run's memo tables held when
+	// it finished. The tables are dropped with the run.
 	MemoEntries int
 
 	// Network is the LUT netlist: every internal node is one LUT.
@@ -353,22 +356,24 @@ type MapResult struct {
 // every gate is decomposed twice, into shared DAG patterns for DAG
 // covering and tree patterns for tree covering. Compilation is
 // relatively expensive, so compile once and pass the result to any
-// number of Map calls. The compiled plans, root-signature index and
-// structural-match memo tables are immutable or internally locked and
-// shared; each run borrows private matcher scratch from a pool. A
-// CompiledLibrary is safe for concurrent use, and it is the unit the
-// mapping service caches, one per distinct library content.
+// number of Map calls. The compiled plans and root-signature index are
+// immutable and shared; each run borrows private matcher scratch and
+// an empty structural-match memo from a pool, so no run sees another's
+// recordings. A CompiledLibrary is safe for concurrent use, and it is
+// the unit the mapping service caches, one per distinct library
+// content.
 type CompiledLibrary struct {
 	lib *Library
-	// dag and tree own the compiled plans and the two memo tables; runs
-	// use pooled clones of them, never these two directly.
+	// dag and tree own the compiled plans; runs use pooled clones of
+	// them, never these two directly.
 	dag, tree *match.Matcher
 	skipped   []string
 	pool      sync.Pool // of *matchers
 }
 
-// matchers is one run's pair of matcher clones: shared plans and memo
-// tables, private scratch.
+// matchers is one run's pair of matcher clones: shared plans, private
+// scratch and memo tables, all cleared by Reset when the run returns
+// them to the pool.
 type matchers struct{ dag, tree *match.Matcher }
 
 // CompileLibrary compiles lib once for concurrent reuse.
@@ -381,13 +386,10 @@ func CompileLibrary(lib *Library) (*CompiledLibrary, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each matcher gets its own structural-match memo (the pattern sets
-	// differ, so recipes don't transfer). Clones share the tables, so
-	// every run and request for the same library warms them.
 	cl := &CompiledLibrary{
 		lib:     lib,
-		dag:     match.NewMatcher(shared, match.WithMemo(match.NewMemo(0))),
-		tree:    match.NewMatcher(trees, match.WithMemo(match.NewMemo(0))),
+		dag:     match.NewMatcher(shared),
+		tree:    match.NewMatcher(trees),
 		skipped: skipped,
 	}
 	cl.pool.New = func() any { return &matchers{dag: cl.dag.Clone(), tree: cl.tree.Clone()} }
@@ -409,33 +411,13 @@ func (cl *CompiledLibrary) NumPatterns() int { return len(cl.dag.Patterns) }
 // constants).
 func (cl *CompiledLibrary) SkippedGates() []string { return cl.skipped }
 
-// MemoStats reports the cumulative structural-match memo state of the
-// compiled library: the DAG- and tree-matcher tables summed. Every run
-// made through this CompiledLibrary shares these two tables, so the
-// counters aggregate all of them. Hits, Misses and Evictions are
-// monotone; Entries is a bounded gauge.
-type MemoStats struct {
-	Entries   int
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
+// MemoStats exists only for perfbench, which still reads it: a
+// compiled library holds no memo table (each Map call records into its
+// own), so Entries is always zero. MapResult.MemoEntries is the size.
+type MemoStats struct{ Entries int }
 
-// MemoStats snapshots the shared memo tables.
-func (cl *CompiledLibrary) MemoStats() MemoStats {
-	var out MemoStats
-	for _, mm := range []*match.Memo{cl.dag.Memo(), cl.tree.Memo()} {
-		if mm == nil {
-			continue
-		}
-		s := mm.Stats()
-		out.Entries += s.Entries
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Evictions += s.Evictions
-	}
-	return out
-}
+// MemoStats returns the zero MemoStats; it exists only for perfbench.
+func (cl *CompiledLibrary) MemoStats() MemoStats { return MemoStats{} }
 
 // MapSubjectCompiled is Map in dag mode on a subject graph with this
 // library; opt may be nil, and its Mode and Library are overridden.
@@ -545,6 +527,7 @@ func (cl *CompiledLibrary) mapGates(ctx context.Context, g *SubjectGraph, choice
 		out.Netlist, out.Delay = res.Netlist, res.Delay
 		// The matcher is fresh from the pool, so its counters are this run's.
 		out.MemoHits, out.MemoMisses = matcher.MemoHits(), matcher.MemoMisses()
+		out.MemoEntries = matcher.MemoEntries()
 		out.Phases = treePhaseBreakdown(res.Cover, res.Emit)
 	} else {
 		matcher.SetMemoEnabled(!opt.NoMemo)
@@ -570,12 +553,10 @@ func (cl *CompiledLibrary) mapGates(ctx context.Context, g *SubjectGraph, choice
 		// Parallel labeling runs on worker clones, so the counters come
 		// from the engine's stats rather than this matcher.
 		out.MemoHits, out.MemoMisses = res.Stats.MemoHits, res.Stats.MemoMisses
+		out.MemoEntries = res.Stats.MemoEntries
 		out.Phases = phaseBreakdown(res.Stats.Phases)
 	}
 	out.Area, out.Cells = out.Netlist.Area(), out.Netlist.NumCells()
-	if mm := matcher.Memo(); mm != nil {
-		out.MemoEntries = mm.Stats().Entries
-	}
 	return out, nil
 }
 

@@ -134,13 +134,13 @@ type Counters struct {
 	// themselves — the duplication of §3.5.
 	DuplicatedNodes int
 	// MemoHits/MemoMisses count match-memo consultations (zero when
-	// the matcher has no memo table or it is disabled). Their SUM is
-	// deterministic — one consultation per memoizable enumeration —
-	// but the hit/miss split depends on the shared table's prior
-	// warmth and on which parallel worker reaches a cone first, so
-	// cross-run Counters equality checks must zero these two fields
-	// (the other counters keep the byte-identical guarantee above;
-	// memoization replays the exact enumeration it recorded).
+	// the memo is off). Their SUM is deterministic — one consultation
+	// per memoizable enumeration — but the hit/miss split depends on
+	// the labeling parallelism, since every worker records into its own
+	// table, and on what the matcher recorded before this run if it was
+	// not Reset; cross-run Counters equality checks must zero these two
+	// fields (the other counters keep the byte-identical guarantee
+	// above; memoization replays the exact enumeration it recorded).
 	MemoHits   int
 	MemoMisses int
 }
@@ -198,9 +198,10 @@ func (p Phases) Total() time.Duration {
 type Stats struct {
 	Counters
 	Phases Phases
-	// MemoEntries is the shared memo table's entry count when the run
-	// finished — a gauge snapshot, not an additive counter, so merge
-	// leaves it alone and Map sets it once at the end.
+	// MemoEntries is how many recipes the run's memo tables hold when
+	// it finishes: the matcher's own plus, under parallel labeling,
+	// every worker's. A size, not an additive counter, so merge leaves
+	// it alone and Map sets it once at the end.
 	MemoEntries int
 }
 
@@ -346,9 +347,7 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 		// render the netlist; collect so the humps don't stack.
 		runtime.GC()
 	}
-	if mm := m.Memo(); mm != nil {
-		res.Stats.MemoEntries = mm.Stats().Entries
-	}
+	res.Stats.MemoEntries += m.MemoEntries()
 	return res, nil
 }
 

@@ -130,7 +130,8 @@ func BenchmarkEmitRender(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := match.NewMatcher(shared, match.WithMemo(match.NewMemo(0)))
+	m := match.NewMatcher(shared)
+	m.SetMemoEnabled(true)
 	for _, tc := range []struct {
 		name  string
 		graph func() *subject.Graph

@@ -201,6 +201,9 @@ func labelParallel(g *subject.Graph, m *match.Matcher, opt Options, res *Result,
 	if err := drainWorkers(res, workers); err != nil {
 		return err
 	}
+	for _, wk := range workers {
+		res.Stats.MemoEntries += wk.m.MemoEntries()
+	}
 	// Worker matchers are fresh clones, so their cumulative bucket
 	// counts are exactly this run's labeling probes.
 	if opt.Trace.Enabled() {

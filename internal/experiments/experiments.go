@@ -95,9 +95,10 @@ type Options struct {
 	// that many wavefront-labeling workers (Row.DAGCPUPar) and checks
 	// the parallel run reproduces the serial mapping bit-for-bit.
 	Parallelism int
-	// Memo attaches a structural match memo to the table's matchers
-	// (canonical cone keys → replayable recipes). Mapped results are
-	// identical either way; the memo only changes run time.
+	// Memo turns on the matchers' structural match memo (canonical
+	// cone keys → replayable recipes), emptied before each circuit.
+	// Mapped results are identical either way; the memo only changes
+	// run time.
 	Memo bool
 	// Trace, when non-nil, records every mapping run's phase spans.
 	Trace *obs.Trace
@@ -120,13 +121,10 @@ func Run(spec TableSpec, opt Options) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dagOpts, treeOpts []match.Option
-	if opt.Memo {
-		dagOpts = append(dagOpts, match.WithMemo(match.NewMemo(0)))
-		treeOpts = append(treeOpts, match.WithMemo(match.NewMemo(0)))
-	}
-	dagM := match.NewMatcher(shared, dagOpts...)
-	treeM := match.NewMatcher(trees, treeOpts...)
+	dagM := match.NewMatcher(shared)
+	treeM := match.NewMatcher(trees)
+	dagM.SetMemoEnabled(opt.Memo)
+	treeM.SetMemoEnabled(opt.Memo)
 
 	var rows []Row
 	for _, c := range circuits {
@@ -135,6 +133,9 @@ func Run(spec TableSpec, opt Options) ([]Row, error) {
 			return nil, fmt.Errorf("%s: %v", c.Name, err)
 		}
 		row := Row{Circuit: c.Name, SubjectNodes: g.NumNodes()}
+		// Each circuit starts with empty memo tables, as a Map call does.
+		dagM.Reset()
+		treeM.Reset()
 
 		start := time.Now()
 		tres, err := treemap.Map(g, treeM, treemap.Options{Delay: spec.Delay, Trace: opt.Trace})

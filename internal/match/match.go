@@ -103,22 +103,22 @@ type Matcher struct {
 	// the work-counter tests.
 	stepVisits int
 
-	// memo, when non-nil and memoOn, caches complete enumerations by
-	// canonical cone key (see memo.go); shared across clones and — via
-	// a compiled library — across requests. Keys are computed at the
-	// depth of the deepest pattern the walk can try at the root, floored
-	// at the signature depth (2) so a key also determines the plans the
+	// memo, when memoOn, caches complete enumerations by canonical
+	// cone key (see memo.go). It is this matcher's own: Clone starts
+	// empty and Reset drops it. Keys are computed at the depth of the
+	// deepest pattern the walk can try at the root, floored at the
+	// signature depth (2) so a key also determines the plans the
 	// signature index would try: keyDepth[sig] over the root's
 	// signature bucket when the index is on (shared by clones,
 	// immutable), memoDepth over the whole library when it is off.
-	memo      *Memo
+	memo      map[string]memoEntry
 	memoOn    bool
 	memoDepth int
 	keyDepth  []int
 	cone      *subject.ConeEncoder
 	// memoHits/memoMisses count this matcher's table consultations
-	// since construction, Clone, or Reset (the table keeps its own
-	// cumulative totals). Read through MemoHits/MemoMisses.
+	// since construction, Clone, or Reset. Read through
+	// MemoHits/MemoMisses.
 	memoHits   int
 	memoMisses int
 	// recording state of an in-flight miss: the recipe stream under
@@ -185,10 +185,6 @@ func WithoutSymmetryPruning() Option { return func(m *Matcher) { m.prune = false
 // implementation did; used to validate the index.
 func WithoutSignatureIndex() Option { return func(m *Matcher) { m.index = false } }
 
-// WithMemo attaches a structural match memo table (see NewMemo).
-// Matchers constructed or cloned with the same table warm each other.
-func WithMemo(memo *Memo) Option { return func(m *Matcher) { m.memo = memo } }
-
 // NewMatcher builds a matcher over the compiled pattern set.
 func NewMatcher(patterns []*subject.Pattern, opts ...Option) *Matcher {
 	m := &Matcher{
@@ -213,10 +209,6 @@ func NewMatcher(patterns []*subject.Pattern, opts ...Option) *Matcher {
 	tb := &trieBuilder{plans: m.plans}
 	for kind, pats := range byKind {
 		m.kindTries[kind] = tb.build(pats)
-	}
-	if m.memo != nil {
-		m.memoOn = true
-		m.cone = subject.NewConeEncoder()
 	}
 	if m.index {
 		buckets := make([][]int32, subject.NumSignatures)
@@ -271,7 +263,8 @@ func (m *Matcher) allocScratch() {
 
 // Clone returns an independent matcher sharing the immutable pattern
 // data (patterns, plans, tries); use for concurrent enumeration. The
-// clone's PatternsTried counter starts at zero.
+// clone keeps the memo setting, but its counters start at zero and its
+// memo table starts empty.
 func (m *Matcher) Clone() *Matcher {
 	c := &Matcher{
 		Patterns:  m.Patterns,
@@ -281,7 +274,6 @@ func (m *Matcher) Clone() *Matcher {
 		sigTries:  m.sigTries,
 		kindTries: m.kindTries,
 		choices:   m.choices,
-		memo:      m.memo, // shared: clones warm one table
 		memoOn:    m.memoOn,
 		memoDepth: m.memoDepth,
 		keyDepth:  m.keyDepth,
@@ -289,7 +281,7 @@ func (m *Matcher) Clone() *Matcher {
 	if m.index {
 		c.bucketTried = make([]uint32, subject.NumSignatures)
 	}
-	if c.memo != nil {
+	if c.memoOn {
 		c.cone = subject.NewConeEncoder()
 	}
 	c.allocScratch()
@@ -315,26 +307,22 @@ func (m *Matcher) SigBucketsTried() []uint32 {
 	return append([]uint32(nil), m.bucketTried...)
 }
 
-// Memo returns the attached memo table (nil when none).
-func (m *Matcher) Memo() *Memo { return m.memo }
-
-// SetMemo attaches (or, with nil, detaches) a memo table and enables
-// memoization when one is attached.
-func (m *Matcher) SetMemo(memo *Memo) {
-	m.memo = memo
-	m.memoOn = memo != nil
-	if memo != nil && m.cone == nil {
+// SetMemoEnabled turns structural match memoization on or off (off
+// after NewMatcher). Turning it off keeps the table's entries; Reset
+// drops them either way.
+func (m *Matcher) SetMemoEnabled(on bool) {
+	m.memoOn = on
+	if on && m.cone == nil {
 		m.cone = subject.NewConeEncoder()
 	}
 }
 
-// SetMemoEnabled toggles memoization without detaching the table, so
-// a single run can opt out while the shared table keeps its entries.
-// No effect when no table is attached.
-func (m *Matcher) SetMemoEnabled(on bool) { m.memoOn = on && m.memo != nil }
-
-// MemoEnabled reports whether enumerations will consult a memo table.
+// MemoEnabled reports whether enumerations will consult the memo.
 func (m *Matcher) MemoEnabled() bool { return m.memoActive() }
+
+// MemoEntries reports how many recipes the matcher's table holds:
+// those recorded since construction, Clone, or Reset.
+func (m *Matcher) MemoEntries() int { return len(m.memo) }
 
 // MemoHits reports this matcher's memo-table hits since construction,
 // Clone, or Reset.
@@ -350,16 +338,17 @@ func (m *Matcher) MemoMisses() int { return m.memoMisses }
 // so the cone key no longer determines the match set. Roots whose key
 // depth exceeds maxMemoDepth still walk uncached (see enumerateMemo).
 func (m *Matcher) memoActive() bool {
-	return m.memo != nil && m.memoOn && m.choices == nil
+	return m.memoOn && m.choices == nil
 }
 
 // Reset clears the matcher's mutable scratch and counters without
 // recompiling pattern plans, making it behave exactly like a fresh
 // NewMatcher/Clone: PatternsTried restarts at zero and no subject-graph
 // references from earlier enumerations are retained (so pooled matchers
-// don't pin finished requests' graphs in memory). The compiled plans
-// and tries are untouched. Choices set with SetChoices are cleared;
-// re-set them after Reset if needed.
+// don't pin finished requests' graphs in memory) and the memo table is
+// empty. The compiled plans and tries and the memo setting are
+// untouched. Choices set with SetChoices are cleared; re-set them after
+// Reset if needed.
 func (m *Matcher) Reset() {
 	m.tried = 0
 	clear(m.bucketTried)
@@ -381,10 +370,7 @@ func (m *Matcher) Reset() {
 	m.curInjective = false
 	m.curRoot = subject.None
 	m.out = Match{Root: subject.None, Leaves: m.out.Leaves[:0], Covered: m.out.Covered[:0]}
-	// The memo table itself survives Reset by design — it holds cone
-	// indices, never node references, so it pins no graphs and stays
-	// warm for the next request. The per-run counters and the encoder's
-	// graph-bearing scratch do not.
+	m.memo = nil
 	m.memoHits = 0
 	m.memoMisses = 0
 	m.recStream = m.recStream[:0]
@@ -392,9 +378,6 @@ func (m *Matcher) Reset() {
 	m.recording = false
 	if m.cone != nil {
 		m.cone.Reset()
-	}
-	if m.memo != nil {
-		m.memoOn = true
 	}
 }
 
@@ -505,7 +488,8 @@ func memoKeyTag(class Class, index bool) byte {
 
 // enumerateMemo is the memoized enumeration: compute the root's cone
 // key, replay the recorded recipes on a hit, or run and record the
-// ordinary walk on a miss. With the signature index on, the key reaches
+// ordinary walk on a miss (once the table holds maxMemoEntries recipes,
+// a miss only walks). With the signature index on, the key reaches
 // only as deep as the deepest pattern in the root's bucket — the walk
 // tries no other — and a root whose bucket is deeper than maxMemoDepth
 // walks uncached while shallower roots keep the memo.
@@ -516,18 +500,22 @@ func (m *Matcher) enumerateMemo(root subject.Node, class Class, out *Match, yiel
 		return
 	}
 	key, nodes := m.cone.Encode(m.g, root, depth, class == Exact, memoKeyTag(class, m.index))
-	if stream, tried, ok := m.memo.lookup(key); ok {
+	if e, ok := m.memo[string(key)]; ok { // alloc-free map probe
 		m.memoHits++
-		m.tried += tried
+		m.tried += e.tried
 		if sig >= 0 {
 			// Attribute the skipped plans to the root's signature bucket
 			// exactly as the walk would have.
-			m.bucketTried[sig] += uint32(tried)
+			m.bucketTried[sig] += uint32(e.tried)
 		}
-		m.replay(stream, nodes, out, yield)
+		m.replay(e.stream, nodes, out, yield)
 		return
 	}
 	m.memoMisses++
+	if len(m.memo) >= maxMemoEntries {
+		m.enumerateWalk(sig, root, class, out, yield)
+		return
+	}
 	m.recStream = m.recStream[:0]
 	m.recOK = true
 	m.recording = true
@@ -535,7 +523,10 @@ func (m *Matcher) enumerateMemo(root subject.Node, class Class, out *Match, yiel
 	completed := m.enumerateWalk(sig, root, class, out, yield)
 	m.recording = false
 	if completed && m.recOK {
-		m.memo.insert(key, m.recStream, m.tried-tried0)
+		if m.memo == nil {
+			m.memo = make(map[string]memoEntry)
+		}
+		m.memo[string(key)] = memoEntry{stream: append([]int32(nil), m.recStream...), tried: m.tried - tried0}
 	}
 }
 

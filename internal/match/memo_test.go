@@ -13,13 +13,16 @@ import (
 	"dagcover/internal/supergate"
 )
 
-// memoMatcher builds a matcher with a fresh memo table over lib's
-// shared patterns.
-func memoMatcher(t *testing.T, pats []*subject.Pattern, maxEntries int) *Matcher {
+// memoMatcher builds a memo-on matcher over lib's shared patterns.
+func memoMatcher(t *testing.T, pats []*subject.Pattern, opts ...Option) *Matcher {
 	t.Helper()
-	m := NewMatcher(pats, WithMemo(NewMemo(maxEntries)))
-	if m.Memo() == nil || !m.MemoEnabled() {
-		t.Fatal("memo not active on construction")
+	m := NewMatcher(pats, opts...)
+	if m.MemoEnabled() || m.MemoEntries() != 0 {
+		t.Fatal("NewMatcher built a memo-on matcher")
+	}
+	m.SetMemoEnabled(true)
+	if !m.MemoEnabled() {
+		t.Fatal("SetMemoEnabled(true) did not enable the memo")
 	}
 	return m
 }
@@ -38,7 +41,7 @@ func TestMemoReplayEquivalence(t *testing.T) {
 	} {
 		t.Run(lib.name, func(t *testing.T) {
 			plain := NewMatcher(lib.pats)
-			memo := memoMatcher(t, lib.pats, 0)
+			memo := memoMatcher(t, lib.pats)
 			rng := rand.New(rand.NewSource(23))
 			for trial := 0; trial < 6; trial++ {
 				g, _ := randomSubject(rng, 4+rng.Intn(4), 30+rng.Intn(50))
@@ -205,13 +208,11 @@ func TestMemoKeyDepthPerBucket(t *testing.T) {
 	}
 }
 
-// memoKeyDepths returns the depth byte of every key in the table.
-func memoKeyDepths(memo *Memo) map[int]int {
+// memoKeyDepths returns the depth byte of every key in m's table.
+func memoKeyDepths(m *Matcher) map[int]int {
 	depths := make(map[int]int)
-	for i := range memo.shards {
-		for k := range memo.shards[i].m {
-			depths[int(k[1])]++
-		}
+	for k := range m.memo {
+		depths[int(k[1])]++
 	}
 	return depths
 }
@@ -224,9 +225,9 @@ func TestMemoKeyDepthIndexOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g, _ := randomSubject(rng, 6, 200)
 
-	off := NewMatcher(pats, WithoutSignatureIndex(), WithMemo(NewMemo(0)))
+	off := memoMatcher(t, pats, WithoutSignatureIndex())
 	matchSet(off, g, Standard)
-	depths := memoKeyDepths(off.Memo())
+	depths := memoKeyDepths(off)
 	if len(depths) != 1 || depths[off.memoDepth] == 0 {
 		t.Fatalf("index off: key depths %v, want all %d", depths, off.memoDepth)
 	}
@@ -240,10 +241,10 @@ func TestMemoKeyDepthIndexOff(t *testing.T) {
 		}
 	}
 
-	on := NewMatcher(pats, WithMemo(NewMemo(0)))
+	on := memoMatcher(t, pats)
 	matchSet(on, g, Standard)
 	shallow := 0
-	for d, n := range memoKeyDepths(on.Memo()) {
+	for d, n := range memoKeyDepths(on) {
 		if d > on.memoDepth {
 			t.Errorf("index on: %d keys at depth %d, deeper than the library (%d)", n, d, on.memoDepth)
 		}
@@ -287,7 +288,7 @@ func TestMemoDepthGuardPerRoot(t *testing.T) {
 	}
 	pats := compile(t, lib, true)
 	plain := NewMatcher(pats)
-	m := memoMatcher(t, pats, 0)
+	m := memoMatcher(t, pats)
 	if m.memoDepth <= maxMemoDepth {
 		t.Fatalf("library depth %d does not exceed the guard %d", m.memoDepth, maxMemoDepth)
 	}
@@ -347,7 +348,7 @@ func TestMemoDepthGuardPerRoot(t *testing.T) {
 // matcher's one reused Match.
 func TestMemoHitAllocs(t *testing.T) {
 	pats := compile(t, libgen.Lib443(), true)
-	m := memoMatcher(t, pats, 0)
+	m := memoMatcher(t, pats)
 	rng := rand.New(rand.NewSource(8))
 	g, _ := randomSubject(rng, 6, 200)
 	var roots []subject.Node
@@ -383,18 +384,26 @@ func TestMemoHitAllocs(t *testing.T) {
 	}
 }
 
-// Clones share the parent's table: a clone enumerating the nodes the
-// parent already recorded hits on every one and reproduces the lists.
-func TestMemoCloneSharesTable(t *testing.T) {
+// A clone owns its own table: it keeps the memo setting but starts
+// empty, so it records exactly what a fresh memo-on matcher records,
+// and its recordings never reach the parent's table.
+func TestMemoCloneOwnsTable(t *testing.T) {
 	pats := compile(t, libgen.Lib441(), true)
-	parent := memoMatcher(t, pats, 0)
+	parent := memoMatcher(t, pats)
 	rng := rand.New(rand.NewSource(9))
 	g, _ := randomSubject(rng, 5, 60)
 	want := matchSet(parent, g, Standard)
+	coldHits, coldMisses, entries := parent.MemoHits(), parent.MemoMisses(), parent.MemoEntries()
+	if entries == 0 {
+		t.Fatal("parent recorded nothing")
+	}
 
 	clone := parent.Clone()
-	if clone.Memo() != parent.Memo() {
-		t.Fatal("clone did not share the memo table")
+	if !clone.MemoEnabled() {
+		t.Fatal("clone lost the memo setting")
+	}
+	if clone.MemoEntries() != 0 {
+		t.Fatalf("clone started with %d entries, want an empty table", clone.MemoEntries())
 	}
 	if clone.MemoHits() != 0 || clone.MemoMisses() != 0 {
 		t.Fatal("clone inherited per-matcher memo counters")
@@ -403,48 +412,69 @@ func TestMemoCloneSharesTable(t *testing.T) {
 	if !equalSets(want, got) {
 		t.Fatal("clone's memoized enumeration differs from parent's")
 	}
-	if clone.MemoMisses() != 0 {
-		t.Errorf("clone missed %d times on a table the parent warmed", clone.MemoMisses())
+	if clone.MemoHits() != coldHits || clone.MemoMisses() != coldMisses || clone.MemoEntries() != entries {
+		t.Errorf("clone counted %d hits, %d misses, %d entries; the parent's cold pass %d, %d, %d",
+			clone.MemoHits(), clone.MemoMisses(), clone.MemoEntries(), coldHits, coldMisses, entries)
 	}
-	if clone.MemoHits() == 0 {
-		t.Error("clone reported no hits")
+	if parent.MemoEntries() != entries || parent.MemoHits() != coldHits {
+		t.Error("the clone's enumeration touched the parent's table")
 	}
 }
 
-// The table respects its bound: a tiny table under a big graph evicts
-// instead of growing, and enumeration stays correct throughout.
-func TestMemoEvictionBound(t *testing.T) {
+// fillMemo fills m's table to the cap with keys no cone encodes (a real
+// key starts with a class/index tag below 0xff), so no root can hit them.
+func fillMemo(m *Matcher) {
+	m.memo = make(map[string]memoEntry, maxMemoEntries)
+	for i := 0; i < maxMemoEntries; i++ {
+		m.memo[fmt.Sprintf("\xff%d", i)] = memoEntry{}
+	}
+}
+
+// A full table stops recording: misses still walk and count, nothing is
+// evicted or added, and the enumeration stays identical to the plain
+// walk. Reset empties the table, and recording resumes.
+func TestMemoCapStopsRecording(t *testing.T) {
 	pats := compile(t, libgen.Lib443(), true)
-	const bound = memoShards // one entry per shard
-	m := memoMatcher(t, pats, bound)
 	plain := NewMatcher(pats)
 	rng := rand.New(rand.NewSource(77))
 	g, _ := randomSubject(rng, 8, 400)
 	want := matchSet(plain, g, Standard)
+
+	m := memoMatcher(t, pats)
+	fillMemo(m)
 	got := matchSet(m, g, Standard)
 	if !equalSets(want, got) {
-		t.Fatal("enumeration under eviction pressure differs")
+		t.Fatal("enumeration with a full table differs from the plain walk")
 	}
-	st := m.Memo().Stats()
-	if st.Entries > bound {
-		t.Errorf("table holds %d entries, bound %d", st.Entries, bound)
+	if m.MemoEntries() != maxMemoEntries {
+		t.Errorf("full table holds %d entries, want the cap %d", m.MemoEntries(), maxMemoEntries)
 	}
-	if st.Evictions == 0 {
-		t.Error("expected evictions under a one-entry-per-shard bound")
+	if m.MemoHits() != 0 || m.MemoMisses() == 0 {
+		t.Errorf("full table: %d hits, %d misses; want only misses", m.MemoHits(), m.MemoMisses())
+	}
+	if m.PatternsTried() != plain.PatternsTried() {
+		t.Errorf("plans tried: plain %d, full-table memo %d", plain.PatternsTried(), m.PatternsTried())
+	}
+
+	m.Reset()
+	if !equalSets(want, matchSet(m, g, Standard)) {
+		t.Fatal("enumeration after Reset differs from the plain walk")
+	}
+	if n := m.MemoEntries(); n == 0 || n >= maxMemoEntries {
+		t.Errorf("after Reset the table holds %d entries, want a fresh recording", n)
 	}
 }
 
-// Reset clears the matcher's run state but keeps the shared table —
-// the pooled-mapper contract: a request's matcher goes back to the
-// pool holding no graph references, while the library's table stays
-// warm for the next request.
-func TestMemoResetKeepsTable(t *testing.T) {
+// Reset empties the table: the pooled-mapper contract that scopes the
+// memo to one Map call. A reset matcher keeps the memo on and repeats
+// a cold run's counts exactly instead of hitting the earlier recording.
+func TestMemoResetClearsTable(t *testing.T) {
 	pats := compile(t, libgen.Lib441(), true)
-	m := memoMatcher(t, pats, 0)
+	m := memoMatcher(t, pats)
 	rng := rand.New(rand.NewSource(13))
 	g, _ := randomSubject(rng, 4, 40)
-	matchSet(m, g, Standard)
-	entries := m.Memo().Stats().Entries
+	want := matchSet(m, g, Standard)
+	hits, misses, entries := m.MemoHits(), m.MemoMisses(), m.MemoEntries()
 	if entries == 0 {
 		t.Fatal("nothing recorded before Reset")
 	}
@@ -455,29 +485,26 @@ func TestMemoResetKeepsTable(t *testing.T) {
 	if m.MemoHits() != 0 || m.MemoMisses() != 0 {
 		t.Fatal("Reset kept per-run memo counters")
 	}
-	if got := m.Memo().Stats().Entries; got != entries {
-		t.Fatalf("Reset changed the table: %d entries, want %d", got, entries)
+	if got := m.MemoEntries(); got != 0 {
+		t.Fatalf("Reset kept %d table entries", got)
 	}
-	// A fresh identical graph must now hit without recording anything new.
-	rng2 := rand.New(rand.NewSource(13))
-	g2, _ := randomSubject(rng2, 4, 40)
-	matchSet(m, g2, Standard)
-	if m.MemoMisses() != 0 {
-		t.Errorf("identical rebuilt graph missed %d times", m.MemoMisses())
+	if got := matchSet(m, g, Standard); !equalSets(want, got) {
+		t.Fatal("enumeration after Reset differs")
 	}
-	if got := m.Memo().Stats().Entries; got != entries {
-		t.Errorf("rebuilt graph grew the table: %d entries, want %d", got, entries)
+	if m.MemoHits() != hits || m.MemoMisses() != misses || m.MemoEntries() != entries {
+		t.Errorf("rerun after Reset counted %d hits, %d misses, %d entries; cold run %d, %d, %d",
+			m.MemoHits(), m.MemoMisses(), m.MemoEntries(), hits, misses, entries)
 	}
 }
 
 // SetMemoEnabled(false) bypasses the table without clearing it.
 func TestMemoDisable(t *testing.T) {
 	pats := compile(t, libgen.Lib441(), true)
-	m := memoMatcher(t, pats, 0)
+	m := memoMatcher(t, pats)
 	rng := rand.New(rand.NewSource(5))
 	g, _ := randomSubject(rng, 4, 30)
 	want := matchSet(m, g, Standard)
-	entries := m.Memo().Stats().Entries
+	entries := m.MemoEntries()
 	hits, misses := m.MemoHits(), m.MemoMisses()
 
 	m.SetMemoEnabled(false)
@@ -491,7 +518,7 @@ func TestMemoDisable(t *testing.T) {
 	if m.MemoHits() != hits || m.MemoMisses() != misses {
 		t.Error("disabled memo still counted consultations")
 	}
-	if m.Memo().Stats().Entries != entries {
+	if m.MemoEntries() != entries {
 		t.Error("disabled memo changed the table")
 	}
 	m.SetMemoEnabled(true)
@@ -504,7 +531,7 @@ func TestMemoDisable(t *testing.T) {
 // recorded: the table may only hold complete sequences.
 func TestMemoPartialEnumerationNotRecorded(t *testing.T) {
 	pats := compile(t, libgen.Lib441(), true)
-	m := memoMatcher(t, pats, 0)
+	m := memoMatcher(t, pats)
 	g := subject.NewGraph("t", true)
 	a, _ := g.AddPI("a")
 	b, _ := g.AddPI("b")
@@ -523,14 +550,14 @@ func TestMemoPartialEnumerationNotRecorded(t *testing.T) {
 	if stopped != 1 {
 		t.Fatalf("early stop yielded %d matches", stopped)
 	}
-	if got := m.Memo().Stats().Entries; got != 0 {
+	if got := m.MemoEntries(); got != 0 {
 		t.Fatalf("partial enumeration was recorded (%d entries)", got)
 	}
 	// The next full enumeration must record and still be complete.
 	if got := len(m.AllMatches(g, root, Standard)); got != full {
 		t.Fatalf("post-stop enumeration found %d matches, want %d", got, full)
 	}
-	if got := m.Memo().Stats().Entries; got == 0 {
+	if got := m.MemoEntries(); got == 0 {
 		t.Fatal("complete enumeration was not recorded")
 	}
 }

@@ -126,11 +126,6 @@ type EntryInfo struct {
 	Library  string `json:"library"`
 	Gates    int    `json:"gates"`
 	Patterns int    `json:"patterns"`
-	// MemoEntries/MemoHits expose the entry's shared match-memo tables:
-	// a hot library shows a warm table and a hit count that grows with
-	// every same-library request.
-	MemoEntries int    `json:"memo_entries"`
-	MemoHits    uint64 `json:"memo_hits"`
 }
 
 // Entries snapshots the cache's compiled entries, sorted by key.
@@ -151,43 +146,14 @@ func (c *Cache) Entries() []EntryInfo {
 		if !p.e.done.Load() {
 			continue
 		}
-		ms := p.e.cl.MemoStats()
 		out = append(out, EntryInfo{
-			Key:         p.key,
-			Library:     p.e.cl.Library().Name,
-			Gates:       p.e.cl.NumGates(),
-			Patterns:    p.e.cl.NumPatterns(),
-			MemoEntries: ms.Entries,
-			MemoHits:    ms.Hits,
+			Key:      p.key,
+			Library:  p.e.cl.Library().Name,
+			Gates:    p.e.cl.NumGates(),
+			Patterns: p.e.cl.NumPatterns(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// MemoStats sums the match-memo tables of every cached compiled
-// library. The cache never removes successful entries, so the Hits,
-// Misses and Evictions sums are monotone between scrapes; Entries is a
-// bounded gauge. Libraries compiled uncached (cache full) are not
-// represented.
-func (c *Cache) MemoStats() dagcover.MemoStats {
-	c.mu.RLock()
-	all := make([]*cacheEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		all = append(all, e)
-	}
-	c.mu.RUnlock()
-	var out dagcover.MemoStats
-	for _, e := range all {
-		if !e.done.Load() {
-			continue
-		}
-		ms := e.cl.MemoStats()
-		out.Entries += ms.Entries
-		out.Hits += ms.Hits
-		out.Misses += ms.Misses
-		out.Evictions += ms.Evictions
-	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -22,23 +23,23 @@ func scrapeOnly(t *testing.T, s *Server) map[string]float64 {
 	return parseExposition(t, w.Body.String())
 }
 
-// Concurrent same-library requests share one memo table: later
-// requests hit recipes recorded by earlier ones, every response's
-// netlist is identical (memoized or not), and the /metrics memo
-// counters are nonzero and monotone across scrapes. Run under -race
-// in CI, this is also the table's data-race gate at the service layer.
-func TestConcurrentRequestsShareMemoTable(t *testing.T) {
-	s := New(Config{Concurrency: 4})
+// Concurrent same-library requests each map with their own memo
+// tables: every response carries the cold run's netlist and exactly its
+// memo counts, however the requests interleave, and the /metrics and
+// /stats memo counters are their sums. Run under -race in CI, this is
+// also the data-race gate for pooled matchers at the service layer.
+func TestConcurrentRequestsMemoDeterministic(t *testing.T) {
+	// Result caching off, so every request runs the engine.
+	s := New(Config{Concurrency: 4, ResultCacheBytes: -1})
 	nw := bench.Comparator(10)
 	req := MapRequest{BLIF: blifOf(t, nw), Library: "44-1"}
 
-	// Cold request: compiles the library and records the recipes.
 	code, cold, body := post(t, s.Handler(), nil, req)
 	if code != http.StatusOK {
 		t.Fatalf("cold map = %d: %s", code, body)
 	}
-	if cold.MemoMisses == 0 {
-		t.Fatal("cold request reported no memo misses")
+	if cold.MemoMisses == 0 || cold.MemoHits == 0 {
+		t.Fatalf("cold request reported %d hits, %d misses; want both nonzero", cold.MemoHits, cold.MemoMisses)
 	}
 
 	// A memo-off request must produce the identical netlist.
@@ -52,21 +53,10 @@ func TestConcurrentRequestsShareMemoTable(t *testing.T) {
 		t.Fatal("memo-off netlist differs from the memoized one")
 	}
 	if off.MemoHits != 0 || off.MemoMisses != 0 {
-		t.Errorf("memo-off request consulted the table: %d hits, %d misses", off.MemoHits, off.MemoMisses)
+		t.Errorf("memo-off request consulted a table: %d hits, %d misses", off.MemoHits, off.MemoMisses)
 	}
 
-	first := scrapeOnly(t, s)
-	if first["mapd_memo_misses_total"] == 0 {
-		t.Error("mapd_memo_misses_total is zero after a cold request")
-	}
-	if first["mapd_memo_table_entries"] == 0 {
-		t.Error("mapd_memo_table_entries is zero after a cold request")
-	}
-
-	// Warm fan-out: every worker's responses must match the cold one
-	// and collectively they must hit the shared table.
 	const workers, perWorker = 6, 3
-	hits := make([]int, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -80,46 +70,120 @@ func TestConcurrentRequestsShareMemoTable(t *testing.T) {
 				}
 				if resp.Netlist != cold.Netlist {
 					t.Errorf("worker %d: netlist differs from cold run", i)
-					return
 				}
-				hits[i] += resp.MemoHits
+				if resp.MemoHits != cold.MemoHits || resp.MemoMisses != cold.MemoMisses {
+					t.Errorf("worker %d: %d hits, %d misses; the cold run %d, %d",
+						i, resp.MemoHits, resp.MemoMisses, cold.MemoHits, cold.MemoMisses)
+				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	total := 0
-	for _, h := range hits {
-		total += h
+
+	runs := float64(1 + workers*perWorker)
+	scraped := scrapeOnly(t, s)
+	if got, want := scraped["mapd_memo_hits_total"], runs*float64(cold.MemoHits); got != want {
+		t.Errorf("mapd_memo_hits_total = %v, want %v", got, want)
 	}
-	if total == 0 {
-		t.Error("no warm request hit the shared memo table")
+	if got, want := scraped["mapd_memo_misses_total"], runs*float64(cold.MemoMisses); got != want {
+		t.Errorf("mapd_memo_misses_total = %v, want %v", got, want)
 	}
 
-	second := scrapeOnly(t, s)
-	if second["mapd_memo_hits_total"] == 0 {
-		t.Error("mapd_memo_hits_total is zero after warm requests")
-	}
-	for _, series := range []string{
-		"mapd_memo_hits_total", "mapd_memo_misses_total",
-		"mapd_memo_table_entries", "mapd_memo_evictions_total",
-	} {
-		if second[series] < first[series] {
-			t.Errorf("%s went backwards: %v -> %v", series, first[series], second[series])
-		}
-	}
-
-	// The request-attributed counters also surface in /stats.
+	// /stats reports the same sums and no table-wide fields.
 	r := httptest.NewRequest(http.MethodGet, "/stats", nil)
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, r)
 	if w.Code != http.StatusOK {
 		t.Fatalf("/stats = %d", w.Code)
 	}
-	var snap StatsSnapshot
-	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+	var doc struct {
+		Memo  map[string]float64 `json:"memo"`
+		Cache struct {
+			Entries []map[string]any `json:"entries"`
+		} `json:"cache"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("bad /stats JSON: %v", err)
 	}
-	if snap.Memo.Hits == 0 || snap.Memo.TableEntries == 0 {
-		t.Errorf("/stats memo block empty: %+v", snap.Memo)
+	want := map[string]float64{"hits": runs * float64(cold.MemoHits), "misses": runs * float64(cold.MemoMisses)}
+	if len(doc.Memo) != len(want) || doc.Memo["hits"] != want["hits"] || doc.Memo["misses"] != want["misses"] {
+		t.Errorf("/stats memo = %v, want %v", doc.Memo, want)
+	}
+	for _, e := range doc.Cache.Entries {
+		if _, ok := e["memo_entries"]; ok {
+			t.Errorf("/stats cache entry still reports memo_entries: %v", e)
+		}
+	}
+}
+
+// result_sha is a pure function of the request. Server A maps another
+// circuit first, B maps only the request, and C maps it with four
+// labeling workers; all three must publish the same canonical payload,
+// in the response's result_sha and in the disk object. The serving
+// that ran the engine reports its memo counts; a cached serving of the
+// same result omits them.
+func TestResultSHAIndependentOfServerHistory(t *testing.T) {
+	warmup := MapRequest{BLIF: blifOf(t, bench.RandomDAG(32, 800, 1)), Library: "44-3"}
+	req := MapRequest{BLIF: blifOf(t, bench.RandomDAG(32, 800, 2)), Library: "44-3"}
+	libKey, err := libraryCacheKey(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := []struct {
+		name   string
+		warm   bool
+		par    int
+		sha    string
+		object []byte
+	}{
+		{name: "A (warmed by another circuit)", warm: true},
+		{name: "B (fresh)"},
+		{name: "C (fresh, parallelism 4)", par: 4},
+	}
+	for i := range servers {
+		sv := &servers[i]
+		st := openStore(t, t.TempDir())
+		s := New(Config{Concurrency: 1, Parallelism: sv.par, Store: st})
+		if sv.warm {
+			if code, _, body := post(t, s.Handler(), nil, warmup); code != http.StatusOK {
+				t.Fatalf("%s: warm-up map = %d: %s", sv.name, code, body)
+			}
+		}
+		code, resp, body := post(t, s.Handler(), nil, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: map = %d: %s", sv.name, code, body)
+		}
+		if resp.ResultCache != resultMiss || resp.MemoHits+resp.MemoMisses == 0 {
+			t.Fatalf("%s: result_cache %q with %d memo hits, %d misses; want a miss that reports its memo counts",
+				sv.name, resp.ResultCache, resp.MemoHits, resp.MemoMisses)
+		}
+		e, ok := st.Get(resultKind, resultKey(resp.SubjectSHA, libKey, req.modeName(), &req))
+		if !ok {
+			t.Fatalf("%s: no disk object for the result", sv.name)
+		}
+		if e.SHA != resp.ResultSHA {
+			t.Errorf("%s: disk object SHA %s, response result_sha %s", sv.name, e.SHA, resp.ResultSHA)
+		}
+		sv.sha, sv.object = resp.ResultSHA, e.Data
+
+		code, hit, body := post(t, s.Handler(), nil, req)
+		if code != http.StatusOK || hit.ResultCache != resultHitMem {
+			t.Fatalf("%s: repeat = %d %q: %s", sv.name, code, hit.ResultCache, body)
+		}
+		if hit.ResultSHA != resp.ResultSHA || hit.Netlist != resp.Netlist {
+			t.Errorf("%s: cached serving differs from the computed one", sv.name)
+		}
+		if hit.MemoHits != 0 || hit.MemoMisses != 0 {
+			t.Errorf("%s: cached serving reports %d memo hits, %d misses; want them omitted",
+				sv.name, hit.MemoHits, hit.MemoMisses)
+		}
+	}
+	for _, sv := range servers[1:] {
+		if sv.sha != servers[0].sha {
+			t.Errorf("result_sha: %s %s, %s %s", servers[0].name, servers[0].sha, sv.name, sv.sha)
+		}
+		if !bytes.Equal(sv.object, servers[0].object) {
+			t.Errorf("disk objects of %s and %s differ", servers[0].name, sv.name)
+		}
 	}
 }

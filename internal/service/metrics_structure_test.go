@@ -163,8 +163,6 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		"patterns_tried":                "mapd_patterns_tried_total",
 		"memo.hits":                     "mapd_memo_hits_total",
 		"memo.misses":                   "mapd_memo_misses_total",
-		"memo.table_entries":            "mapd_memo_table_entries",
-		"memo.evictions":                "mapd_memo_evictions_total",
 		"cache.libraries":               "mapd_cache_libraries",
 		"cache.hits":                    "mapd_cache_hits_total",
 		"cache.misses":                  "mapd_cache_misses_total",

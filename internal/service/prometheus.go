@@ -42,8 +42,6 @@ func writeMetrics(b *strings.Builder, st *StatsSnapshot) {
 	metric(b, "mapd_patterns_tried_total", "counter", "Pattern plans attempted by the matcher across all served mappings.", float64(st.PatternsTried))
 	metric(b, "mapd_memo_hits_total", "counter", "Structural match-memo hits attributed to served mappings.", float64(st.Memo.Hits))
 	metric(b, "mapd_memo_misses_total", "counter", "Structural match-memo misses attributed to served mappings.", float64(st.Memo.Misses))
-	metric(b, "mapd_memo_table_entries", "gauge", "Recipes held across all cached libraries' memo tables.", float64(st.Memo.TableEntries))
-	metric(b, "mapd_memo_evictions_total", "counter", "Memo recipes evicted across all cached libraries' tables.", float64(st.Memo.Evictions))
 
 	metric(b, "mapd_cache_hits_total", "counter", "Compiled-library cache hits.", float64(st.Cache.Hits))
 	metric(b, "mapd_cache_misses_total", "counter", "Compiled-library cache misses.", float64(st.Cache.Misses))

@@ -30,7 +30,9 @@ import (
 // semantics invalidates old entries: they are orphaned for the GC,
 // never misread. mapres2: exact matches stopped covering
 // output-driving nodes, which changed some tree-mode netlists.
-const resultKind = "mapres2"
+// mapres3: memo_hits and memo_misses left the canonical payload, and
+// the memo setting left the key.
+const resultKind = "mapres3"
 
 // result_cache tiers reported in responses and wide events.
 const (
@@ -87,10 +89,11 @@ func libraryCacheKey(req *MapRequest) (string, error) {
 // optionParts normalizes every request option that can change the
 // response body into key components. Shared by resultKey and
 // rawRequestKey so the two indexes can never disagree on what counts
-// as "the same request". Memo and the server's parallelism are
-// excluded from the *netlist* by determinism but memo changes the
-// response's counter fields, so it is keyed; verify changes the
-// Verified field (and whether verification ran), so it is keyed too.
+// as "the same request". The memo setting and the server's parallelism
+// are not keyed: the netlist is identical under both by determinism,
+// and the only fields they move, memo_hits and memo_misses, are
+// zeroed in the canonical payload. Verify changes the Verified field
+// (and whether verification ran), so it is keyed.
 func optionParts(req *MapRequest, mode string) []string {
 	class := req.Class
 	if class == "" {
@@ -100,7 +103,6 @@ func optionParts(req *MapRequest, mode string) []string {
 	if delay == "" {
 		delay = "intrinsic"
 	}
-	memo := req.Memo == nil || *req.Memo
 	return []string{
 		mode,
 		class,
@@ -108,7 +110,6 @@ func optionParts(req *MapRequest, mode string) []string {
 		fmt.Sprintf("ar=%t", req.AreaRecovery),
 		fmt.Sprintf("rt=%g", req.RequiredTime),
 		fmt.Sprintf("verify=%t", req.Verify),
-		fmt.Sprintf("memo=%t", memo),
 	}
 }
 
@@ -134,14 +135,17 @@ func rawRequestKey(blifSHA, libKey, mode string, req *MapRequest) store.Key {
 // form: serving metadata — elapsed time, trace id, cache tier, result
 // digest, and the cache/store temperature flags, which depend on what
 // this particular process had resident rather than on the result —
-// zeroed or normalized; everything else (netlist, delay, cells, the
-// engine counters of the run that produced it) verbatim. Two replicas
-// computing the same result therefore publish byte-identical payloads.
+// zeroed or normalized, and so are the memo counts, whose hit/miss
+// split moves with the server's Parallelism, which the key leaves out.
+// Everything else (netlist, delay, cells, the run's pattern and match
+// counts) is kept verbatim. Two replicas computing the same result
+// therefore publish byte-identical payloads.
 // The returned SHA-256 of the payload is the response's result_sha,
 // and equals the artifact store's object SHA for the same payload.
 func encodeResultPayload(resp *MapResponse) ([]byte, string, error) {
 	canon := *resp
 	canon.ElapsedMillis = 0
+	canon.MemoHits, canon.MemoMisses = 0, 0
 	canon.TraceID = ""
 	canon.ResultCache = ""
 	canon.ResultSHA = ""
@@ -168,7 +172,8 @@ func encodeResultPayload(resp *MapResponse) ([]byte, string, error) {
 // CacheHit is true by definition and SGStoreHit (documented as
 // "enumeration was skipped, by this process or an earlier one") is
 // true whenever the artifact exists. Engine counters are left as the
-// recorded run's — they describe how the artifact was produced.
+// recorded run's — they describe how the artifact was produced — less
+// the memo counts, which the canonical form omits.
 func refreshServingMetadata(resp *MapResponse) {
 	resp.CacheHit = true
 	if resp.SGStoreHit != nil {

@@ -116,7 +116,7 @@ type Config struct {
 	// serialized responses keyed by (subject-graph digest, library key,
 	// normalized options), so repeated identical requests skip the
 	// engine entirely. 0 selects the 64 MiB default; negative disables
-	// result caching altogether (memory tier, the mapres2 disk tier,
+	// result caching altogether (memory tier, the mapres3 disk tier,
 	// and request coalescing). The mapper is deterministic, so a cached
 	// response's netlist is byte-identical to a recomputed one.
 	ResultCacheBytes int64
@@ -186,7 +186,7 @@ type Server struct {
 
 	// Whole-result cache (nil when disabled): the in-memory SLRU tier
 	// plus the single-flight group that coalesces identical misses.
-	// The disk tier rides the artifact store (kind mapres2).
+	// The disk tier rides the artifact store (kind mapres3).
 	resultCache *resultCache
 	flights     *flightGroup
 
@@ -277,10 +277,10 @@ type MapRequest struct {
 	// Verify re-simulates the mapped netlist against the input before
 	// responding.
 	Verify bool `json:"verify,omitempty"`
-	// Memo, when set to false, bypasses the library's structural match
-	// memo for this request (the mapped netlist is byte-identical
+	// Memo, when set to false, turns off the structural match memo for
+	// this request's mapping run (the mapped netlist is byte-identical
 	// either way; this is the per-request escape hatch and baseline
-	// knob). Omitted or true uses the shared table.
+	// knob). Omitted or true records and replays within the run.
 	Memo *bool `json:"memo,omitempty"`
 	// Supergates, when set, expands the library with composed
 	// supergates before compiling (dag/tree modes only). The expanded
@@ -351,9 +351,11 @@ type MapResponse struct {
 	SubjectNodes      int     `json:"subject_nodes,omitempty"`
 	PatternsTried     int     `json:"patterns_tried,omitempty"`
 	MatchesEnumerated int     `json:"matches_enumerated,omitempty"`
-	// MemoHits/MemoMisses count structural match-memo consultations
-	// during this request; repeated requests for the same library warm
-	// its shared table, so hits grow with traffic.
+	// MemoHits/MemoMisses count the structural match-memo
+	// consultations of this request's mapping run, which starts with
+	// empty tables. Only the serving that ran the engine reports them:
+	// they are not part of the canonical payload (result_sha), so
+	// cached servings omit them.
 	MemoHits   int `json:"memo_hits,omitempty"`
 	MemoMisses int `json:"memo_misses,omitempty"`
 	// CacheHit reports whether the library was already compiled.

@@ -167,9 +167,8 @@ type metrics struct {
 
 	patternsTried atomic.Uint64
 	// memoHits/memoMisses sum the structural match-memo consultations
-	// attributed to served requests (request-scoped, so they line up
-	// with MapResponse fields; the tables' own cumulative counters come
-	// from the cache).
+	// of the mappings this server computed (the MapResponse fields of
+	// every engine run; cached servings add nothing).
 	memoHits   atomic.Uint64
 	memoMisses atomic.Uint64
 
@@ -330,15 +329,15 @@ type StatsSnapshot struct {
 		QueueCapacity int `json:"queue_capacity"`
 	} `json:"queue"`
 	PatternsTried uint64 `json:"patterns_tried"`
-	// Memo aggregates the structural match-memo state: Hits/Misses are
-	// the consultations attributed to served requests, TableEntries and
-	// Evictions sum the cached compiled libraries' shared tables (the
-	// cache never drops entries, so the sums are monotone).
+	// Memo sums the structural match-memo consultations of the
+	// mappings this server computed. Each Map call records into its own
+	// tables, so there is no server-wide table to report.
 	Memo struct {
-		Hits         uint64 `json:"hits"`
-		Misses       uint64 `json:"misses"`
-		TableEntries int    `json:"table_entries"`
-		Evictions    uint64 `json:"evictions"`
+		Hits   uint64 `json:"hits"`
+		Misses uint64 `json:"misses"`
+		// TableEntries is always zero and never encoded; it exists only
+		// for perfbench, which still reads it.
+		TableEntries int `json:"-"`
 	} `json:"memo"`
 	// Store is the persistent artifact store's view: hit/miss/write
 	// counters, corruption quarantines, disk usage against the GC
@@ -458,8 +457,6 @@ func (s *Server) Stats() StatsSnapshot {
 	st.PatternsTried = m.patternsTried.Load()
 	st.Memo.Hits = m.memoHits.Load()
 	st.Memo.Misses = m.memoMisses.Load()
-	memo := s.cache.MemoStats()
-	st.Memo.TableEntries, st.Memo.Evictions = memo.Entries, memo.Evictions
 	if s.store != nil {
 		ss := s.store.Stats()
 		st.Store = &ss

@@ -209,9 +209,8 @@ func TestConeEncoderReset(t *testing.T) {
 }
 
 // TestConeKeyRandomRebuildStability: rebuilding the same random graph
-// gives byte-identical keys node for node — the property that lets a
-// memo table built by one request serve the next request's identical
-// circuit.
+// gives byte-identical keys node for node: a key depends on the cone's
+// structure alone, not on the graph object or its build history.
 func TestConeKeyRandomRebuildStability(t *testing.T) {
 	build := func(seed int64) *Graph {
 		rng := rand.New(rand.NewSource(seed))

@@ -23,8 +23,8 @@ func renderBLIF(t *testing.T, nw *Network, opt MapOptions) []byte {
 // The memo acceptance bar: for every ISCAS circuit, the mapped netlist
 // with the memo on is byte-identical to the memo-off netlist at every
 // labeling parallelism. One compiled library is reused across the
-// whole suite, so later circuits run against a table warmed by earlier
-// ones — the cross-request sharing mode — and must still be identical.
+// whole suite, as the mapping service reuses it across requests; each
+// run records into its own empty tables.
 func TestMemoOutputByteIdentical(t *testing.T) {
 	suites := []struct {
 		lib      *Library
@@ -45,21 +45,27 @@ func TestMemoOutputByteIdentical(t *testing.T) {
 	}
 	for _, s := range suites {
 		cl := compile(t, s.lib)
+		hits := 0
 		for _, c := range s.circuits {
 			ref := renderBLIF(t, c.Network, MapOptions{
 				Library: cl, Delay: s.delay, NoMemo: true,
 			})
 			for _, par := range []int{1, 4, 8} {
-				got := renderBLIF(t, c.Network, MapOptions{
+				res := mapNet(t, c.Network, MapOptions{
 					Library: cl, Delay: s.delay, Parallelism: par,
 				})
-				if !bytes.Equal(ref, got) {
+				var got bytes.Buffer
+				if err := res.Netlist.WriteBLIF(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ref, got.Bytes()) {
 					t.Errorf("%s x %s: memo-on netlist at parallelism %d differs from memo-off",
 						c.Name, s.lib.Name, par)
 				}
+				hits += res.MemoHits
 			}
 		}
-		if st := cl.dag.Memo().Stats(); st.Hits == 0 {
+		if hits == 0 {
 			t.Errorf("%s: suite produced no memo hits — the equality check never exercised replay", s.lib.Name)
 		}
 	}
@@ -133,33 +139,32 @@ func TestMemoDeepPatternNetlists(t *testing.T) {
 	}
 }
 
-// Memo counters surface in MapResult: misses on a cold table, hits on
-// a warm rerun, a populated table gauge, and an untouched table when
-// the run opts out.
+// Memo counters surface in MapResult and describe this run alone:
+// every run starts with empty tables, so a rerun of the same circuit on
+// the same compiled library reports exactly the cold run's hits,
+// misses and entries, and a memo-off run reports none.
 func TestMemoCountersInMapResult(t *testing.T) {
 	cl := compile(t, Lib441())
 	nw := bench.C432()
 	cold := mapNet(t, nw, MapOptions{Library: cl}) // the memo defaults on
-	if cold.MemoMisses == 0 {
-		t.Error("cold run reported no memo misses")
+	if cold.MemoMisses == 0 || cold.MemoHits == 0 {
+		t.Errorf("cold run reported %d hits, %d misses; want both nonzero", cold.MemoHits, cold.MemoMisses)
 	}
 	if cold.MemoEntries == 0 {
 		t.Error("cold run left an empty table")
 	}
 	warm := mapNet(t, nw, MapOptions{Library: cl})
-	if warm.MemoHits == 0 {
-		t.Error("warm rerun reported no memo hits")
-	}
-	if warm.MemoMisses != 0 {
-		t.Errorf("warm rerun of the identical circuit missed %d times", warm.MemoMisses)
+	if warm.MemoHits != cold.MemoHits || warm.MemoMisses != cold.MemoMisses || warm.MemoEntries != cold.MemoEntries {
+		t.Errorf("rerun reported %d hits, %d misses, %d entries; the cold run %d, %d, %d",
+			warm.MemoHits, warm.MemoMisses, warm.MemoEntries, cold.MemoHits, cold.MemoMisses, cold.MemoEntries)
 	}
 	off := mapNet(t, nw, MapOptions{Library: cl, NoMemo: true})
-	if off.MemoHits != 0 || off.MemoMisses != 0 {
-		t.Errorf("memo-off run consulted the table: %d hits, %d misses", off.MemoHits, off.MemoMisses)
+	if off.MemoHits != 0 || off.MemoMisses != 0 || off.MemoEntries != 0 {
+		t.Errorf("memo-off run consulted a table: %d hits, %d misses, %d entries",
+			off.MemoHits, off.MemoMisses, off.MemoEntries)
 	}
-	fresh := compile(t, Lib441())
-	mapNet(t, nw, MapOptions{Library: fresh})
-	if st := fresh.MemoStats(); st.Entries == 0 || st.Misses == 0 {
-		t.Errorf("library MemoStats empty after a mapped request: %+v", st)
+	tree := mapNet(t, nw, MapOptions{Library: cl, Mode: ModeTree})
+	if tree.MemoMisses == 0 || tree.MemoEntries == 0 {
+		t.Errorf("tree run reported %d misses, %d entries; want both nonzero", tree.MemoMisses, tree.MemoEntries)
 	}
 }
