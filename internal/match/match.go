@@ -121,6 +121,11 @@ type Matcher struct {
 	// MemoHits/MemoMisses.
 	memoHits   int
 	memoMisses int
+	// gate holds each signature bucket's admission counters for the
+	// current call (index path only; allocated when the index is on):
+	// once a bucket closes, its roots walk uncached (see memo.go).
+	// Reset clears it and Clone starts it empty.
+	gate []memoGate
 	// recording state of an in-flight miss: the recipe stream under
 	// construction and whether every binding resolved to a cone index.
 	recStream []int32
@@ -239,6 +244,7 @@ func NewMatcher(patterns []*subject.Pattern, opts ...Option) *Matcher {
 			}
 		}
 		m.bucketTried = make([]uint32, subject.NumSignatures)
+		m.gate = make([]memoGate, subject.NumSignatures)
 	}
 	m.allocScratch()
 	return m
@@ -264,7 +270,7 @@ func (m *Matcher) allocScratch() {
 // Clone returns an independent matcher sharing the immutable pattern
 // data (patterns, plans, tries); use for concurrent enumeration. The
 // clone keeps the memo setting, but its counters start at zero and its
-// memo table starts empty.
+// memo table and admission gates start empty.
 func (m *Matcher) Clone() *Matcher {
 	c := &Matcher{
 		Patterns:  m.Patterns,
@@ -280,6 +286,7 @@ func (m *Matcher) Clone() *Matcher {
 	}
 	if m.index {
 		c.bucketTried = make([]uint32, subject.NumSignatures)
+		c.gate = make([]memoGate, subject.NumSignatures)
 	}
 	if c.memoOn {
 		c.cone = subject.NewConeEncoder()
@@ -325,7 +332,8 @@ func (m *Matcher) MemoEnabled() bool { return m.memoActive() }
 func (m *Matcher) MemoEntries() int { return len(m.memo) }
 
 // MemoHits reports this matcher's memo-table hits since construction,
-// Clone, or Reset.
+// Clone, or Reset. A root whose bucket's gate is closed makes no
+// lookup and counts as neither a hit nor a miss.
 func (m *Matcher) MemoHits() int { return m.memoHits }
 
 // MemoMisses reports this matcher's memo-table misses since
@@ -346,9 +354,9 @@ func (m *Matcher) memoActive() bool {
 // NewMatcher/Clone: PatternsTried restarts at zero and no subject-graph
 // references from earlier enumerations are retained (so pooled matchers
 // don't pin finished requests' graphs in memory) and the memo table is
-// empty. The compiled plans and tries and the memo setting are
-// untouched. Choices set with SetChoices are cleared; re-set them after
-// Reset if needed.
+// empty, every bucket's admission gate open again. The compiled plans
+// and tries and the memo setting are untouched. Choices set with
+// SetChoices are cleared; re-set them after Reset if needed.
 func (m *Matcher) Reset() {
 	m.tried = 0
 	clear(m.bucketTried)
@@ -373,6 +381,7 @@ func (m *Matcher) Reset() {
 	m.memo = nil
 	m.memoHits = 0
 	m.memoMisses = 0
+	clear(m.gate)
 	m.recStream = m.recStream[:0]
 	m.recOK = false
 	m.recording = false
@@ -491,17 +500,23 @@ func memoKeyTag(class Class, index bool) byte {
 // ordinary walk on a miss (once the table holds maxMemoEntries recipes,
 // a miss only walks). With the signature index on, the key reaches
 // only as deep as the deepest pattern in the root's bucket — the walk
-// tries no other — and a root whose bucket is deeper than maxMemoDepth
-// walks uncached while shallower roots keep the memo.
+// tries no other — and a root whose bucket is deeper than maxMemoDepth,
+// or whose bucket's admission gate has closed, walks uncached while
+// other roots keep the memo.
 func (m *Matcher) enumerateMemo(root subject.Node, class Class, out *Match, yield func(*Match) bool) {
 	sig, depth := m.memoKeyDepth(m.g, root)
-	if depth > maxMemoDepth {
+	var gate *memoGate
+	if sig >= 0 {
+		gate = &m.gate[sig]
+	}
+	if depth > maxMemoDepth || gate.closed() {
 		m.enumerateWalk(sig, root, class, out, yield)
 		return
 	}
 	key, nodes := m.cone.Encode(m.g, root, depth, class == Exact, memoKeyTag(class, m.index))
 	if e, ok := m.memo[string(key)]; ok { // alloc-free map probe
 		m.memoHits++
+		gate.hit()
 		m.tried += e.tried
 		if sig >= 0 {
 			// Attribute the skipped plans to the root's signature bucket
@@ -512,6 +527,7 @@ func (m *Matcher) enumerateMemo(root subject.Node, class Class, out *Match, yiel
 		return
 	}
 	m.memoMisses++
+	gate.miss()
 	if len(m.memo) >= maxMemoEntries {
 		m.enumerateWalk(sig, root, class, out, yield)
 		return

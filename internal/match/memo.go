@@ -34,6 +34,21 @@ package match
 // labeling worker records its own. The table holds at most
 // maxMemoEntries recipes; once full it stops recording and keeps
 // serving hits. Nothing is evicted.
+//
+// Admission: a miss costs the cone encode, the recipe record and the
+// insert on top of the walk, and buys nothing unless a later root
+// shares the cone. On structured circuits (multipliers, ALU meshes,
+// C6288) nearly every root hits; on fresh random logic nearly every
+// root misses. So each signature bucket carries a gate for the call:
+// it counts the bucket's lookups, and once its misses reach
+// gateMinMisses while outnumbering its hits more than gateMissesPerHit
+// to one, the bucket closes and its roots take the plain walk, with no
+// encode, probe or record, until Reset. A gated root runs exactly the
+// walk the memo-off path runs, so netlists do not change; it makes no
+// lookup, so it counts as neither a hit nor a miss. The gate is per
+// matcher and per call like the table, so counts stay deterministic
+// at Parallelism 1 and each parallel worker gates its own calls. The
+// signature-index-off validation path has no buckets and is not gated.
 
 // maxMemoEntries caps one matcher's table. At a few hundred bytes per
 // entry this bounds it in the tens of megabytes; the largest stream
@@ -46,6 +61,43 @@ const maxMemoEntries = 1 << 16
 // uncached, since such keys grow exponentially with sharing and hit
 // rates collapse. Roots of shallower buckets keep the memo.
 const maxMemoDepth = 32
+
+// The admission gate's constants, swept over {4, 8, 16, 32, 64} ×
+// {2, 4, 8, 16} on C432, C6288 and six RandomDAG(32, 300–3000, s)
+// under lib2, 44-1 and 44-3 (see CHANGES.md). At 32 and 8 no bucket
+// of C432, C6288, mult28 or alumesh14x14 closes, so they keep every
+// hit; a smaller minimum closes some C432 and C6288 buckets before
+// their hits arrive. A random DAG's 44-3 buckets close after their
+// first 32 misses.
+const (
+	// gateMinMisses is how many misses a bucket pays before its gate
+	// may close; below it a bucket's ratio is too noisy to judge.
+	gateMinMisses = 32
+	// gateMissesPerHit is the miss-to-hit ratio past which the gate
+	// closes.
+	gateMissesPerHit = 8
+)
+
+// memoGate is one signature bucket's memo lookups in the current call.
+// The methods accept a nil gate (a root with no bucket), which never
+// closes.
+type memoGate struct{ hits, misses int32 }
+
+func (g *memoGate) closed() bool {
+	return g != nil && g.misses >= gateMinMisses && gateMissesPerHit*g.hits < g.misses
+}
+
+func (g *memoGate) hit() {
+	if g != nil {
+		g.hits++
+	}
+}
+
+func (g *memoGate) miss() {
+	if g != nil {
+		g.misses++
+	}
+}
 
 // memoEntry is one cone key's recorded enumeration.
 type memoEntry struct {

@@ -1,14 +1,21 @@
 package match
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"dagcover/internal/bench"
+	"dagcover/internal/blif"
 	"dagcover/internal/genlib"
 	"dagcover/internal/libgen"
 	"dagcover/internal/logic"
+	"dagcover/internal/network"
 	"dagcover/internal/subject"
 	"dagcover/internal/supergate"
 )
@@ -31,6 +38,10 @@ func memoMatcher(t *testing.T, pats []*subject.Pattern, opts ...Option) *Matcher
 // memoized matcher yields exactly the memo-less matcher's sequence —
 // same matches, same order — and counts exactly the same pattern
 // plans, on the cold pass (recording) and the warm pass (replaying).
+// The small graphs share one matcher, so their warm passes hit; the
+// last graph is large and random enough that, on a fresh matcher, some
+// bucket's misses outrun its hits and its admission gate closes, so
+// gated roots are checked against the plain walk too.
 func TestMemoReplayEquivalence(t *testing.T) {
 	for _, lib := range []struct {
 		name string
@@ -41,10 +52,8 @@ func TestMemoReplayEquivalence(t *testing.T) {
 	} {
 		t.Run(lib.name, func(t *testing.T) {
 			plain := NewMatcher(lib.pats)
-			memo := memoMatcher(t, lib.pats)
-			rng := rand.New(rand.NewSource(23))
-			for trial := 0; trial < 6; trial++ {
-				g, _ := randomSubject(rng, 4+rng.Intn(4), 30+rng.Intn(50))
+			check := func(memo *Matcher, trial int, g *subject.Graph) {
+				t.Helper()
 				for _, class := range []Class{Exact, Standard, Extended} {
 					p0, m0 := plain.PatternsTried(), memo.PatternsTried()
 					want := matchSet(plain, g, class)
@@ -65,11 +74,36 @@ func TestMemoReplayEquivalence(t *testing.T) {
 					}
 				}
 			}
+			memo := memoMatcher(t, lib.pats)
+			rng := rand.New(rand.NewSource(23))
+			for trial := 0; trial < 6; trial++ {
+				g, _ := randomSubject(rng, 4+rng.Intn(4), 30+rng.Intn(50))
+				check(memo, trial, g)
+			}
 			if memo.MemoHits() == 0 {
 				t.Fatal("warm passes produced no memo hits")
 			}
+
+			big := memoMatcher(t, lib.pats)
+			g, _ := randomSubject(rng, 24, 3000)
+			check(big, 6, g)
+			if closedGates(big) == 0 {
+				t.Fatal("no bucket's admission gate closed on the large graph")
+			}
 		})
 	}
+}
+
+// closedGates counts m's signature buckets whose admission gate has
+// closed in the current call.
+func closedGates(m *Matcher) int {
+	n := 0
+	for i := range m.gate {
+		if m.gate[i].closed() {
+			n++
+		}
+	}
+	return n
 }
 
 type namedPatterns struct {
@@ -560,4 +594,127 @@ func TestMemoPartialEnumerationNotRecorded(t *testing.T) {
 	if got := m.MemoEntries(); got == 0 {
 		t.Fatal("complete enumeration was not recorded")
 	}
+}
+
+var updateMemoCounters = flag.Bool("update-memo-counters", false, "rewrite testdata/memo_counters.txt from this run")
+
+// memoCounts is one pinned input's memo traffic: one memo-on Standard
+// enumeration at every node of a fresh matcher, in node order.
+type memoCounts struct {
+	lookups, hits, entries int
+}
+
+// streamSubject streams a generated family (bench.StreamFamily) into
+// its subject graph, as techmap and stream-scale read it.
+func streamSubject(t *testing.T, family string) *subject.Graph {
+	t.Helper()
+	gen, ok := bench.StreamFamily(family)
+	if !ok {
+		t.Fatalf("unknown stream family %q", family)
+	}
+	var buf bytes.Buffer
+	if err := gen(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := (&blif.Reader{}).StreamSubject(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestMemoCounters is the noise-free gate on the memo's admission:
+// memo-on lookups, hits and entries on fixed inputs are pinned in
+// testdata/memo_counters.txt. On the structured inputs, where the memo
+// pays, hits must never fall; on the random DAG, where it cannot,
+// lookups must never rise. Any other change is logged; rewrite the
+// file with -update-memo-counters to lock it in.
+func TestMemoCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("maps C6288, mult28 and a 2900-gate random DAG")
+	}
+	libs := map[string][]*subject.Pattern{
+		"lib2": compile(t, libgen.Lib2(), true),
+		"44-1": compile(t, libgen.Lib441(), true),
+		"44-3": compile(t, libgen.Lib443(), true),
+	}
+	fromNetwork := func(nw *network.Network) *subject.Graph {
+		g, err := subject.FromNetwork(nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	inputs := []struct {
+		circuit string
+		g       *subject.Graph
+		libs    []string
+		random  bool
+	}{
+		{"C432", fromNetwork(bench.C432()), []string{"lib2", "44-1", "44-3"}, false},
+		{"C6288", fromNetwork(bench.C6288()), []string{"lib2", "44-1", "44-3"}, false},
+		{"RandomDAG(32,2900,11)", fromNetwork(bench.RandomDAG(32, 2900, 11)), []string{"44-3"}, true},
+		{"mult28", streamSubject(t, "mult28"), []string{"44-1", "44-3"}, false},
+	}
+	path := filepath.Join("testdata", "memo_counters.txt")
+	want := readMemoCounters(t, path)
+	var lines []string
+	for _, in := range inputs {
+		for _, lib := range in.libs {
+			key := in.circuit + " " + lib
+			m := memoMatcher(t, libs[lib])
+			for i := 0; i < in.g.NumNodes(); i++ {
+				m.Enumerate(in.g, subject.Node(i), Standard, func(*Match) bool { return true })
+			}
+			got := memoCounts{m.MemoHits() + m.MemoMisses(), m.MemoHits(), m.MemoEntries()}
+			lines = append(lines, fmt.Sprintf("%s %d %d %d", key, got.lookups, got.hits, got.entries))
+			if *updateMemoCounters {
+				continue
+			}
+			w, ok := want[key]
+			switch {
+			case !ok:
+				t.Errorf("%s: no pinned counters in %s", key, path)
+			case in.random && got.lookups > w.lookups:
+				t.Errorf("%s: memo lookups rose %d→%d on a circuit the memo cannot serve", key, w.lookups, got.lookups)
+			case !in.random && got.hits < w.hits:
+				t.Errorf("%s: memo hits fell %d→%d on a circuit the memo serves", key, w.hits, got.hits)
+			case got != w:
+				t.Logf("%s: memo counters moved: lookups %d→%d, hits %d→%d, entries %d→%d; rewrite %s with -update-memo-counters",
+					key, w.lookups, got.lookups, w.hits, got.hits, w.entries, got.entries, path)
+			}
+		}
+	}
+	if *updateMemoCounters {
+		body := "# circuit library lookups hits entries\n" +
+			"# one memo-on Standard enumeration at every subject node of a fresh matcher (TestMemoCounters)\n" +
+			strings.Join(lines, "\n") + "\n"
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func readMemoCounters(t *testing.T, path string) map[string]memoCounts {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		if *updateMemoCounters {
+			return nil
+		}
+		t.Fatal(err)
+	}
+	out := map[string]memoCounts{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var circuit, lib string
+		var c memoCounts
+		if _, err := fmt.Sscan(line, &circuit, &lib, &c.lookups, &c.hits, &c.entries); err != nil {
+			t.Fatalf("%s: %q: %v", path, line, err)
+		}
+		out[circuit+" "+lib] = c
+	}
+	return out
 }

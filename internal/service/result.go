@@ -25,14 +25,16 @@ import (
 // misses single-flight onto one engine run.
 
 // resultKind is the artifact-store object kind and key-format version
-// for cached mapping results. Bumping it (mapres3, ...) rotates every
+// for cached mapping results. Bumping it (mapres4, ...) rotates every
 // key, which is how a change to response serialization or mapping
 // semantics invalidates old entries: they are orphaned for the GC,
 // never misread. mapres2: exact matches stopped covering
 // output-driving nodes, which changed some tree-mode netlists.
 // mapres3: memo_hits and memo_misses left the canonical payload, and
-// the memo setting left the key.
-const resultKind = "mapres3"
+// the memo setting left the key. mapres4: sg_store_hit and
+// sg_artifact_sha left it, so a server with an artifact store and one
+// without publish the same result_sha.
+const resultKind = "mapres4"
 
 // result_cache tiers reported in responses and wide events.
 const (
@@ -134,9 +136,10 @@ func rawRequestKey(blifSHA, libKey, mode string, req *MapRequest) store.Key {
 // encodeResultPayload serializes a response into its canonical cached
 // form: serving metadata — elapsed time, trace id, cache tier, result
 // digest, and the cache/store temperature flags, which depend on what
-// this particular process had resident rather than on the result —
-// zeroed or normalized, and so are the memo counts, whose hit/miss
-// split moves with the server's Parallelism, which the key leaves out.
+// this particular process had resident, or on whether it has a store
+// at all (the supergate artifact fields), rather than on the result —
+// zeroed, and so are the memo counts, whose hit/miss split moves with
+// the server's Parallelism, which the key leaves out.
 // Everything else (netlist, delay, cells, the run's pattern and match
 // counts) is kept verbatim. Two replicas computing the same result
 // therefore publish byte-identical payloads.
@@ -150,14 +153,7 @@ func encodeResultPayload(resp *MapResponse) ([]byte, string, error) {
 	canon.ResultCache = ""
 	canon.ResultSHA = ""
 	canon.CacheHit = false
-	if canon.SGStoreHit != nil {
-		// Presence marks a supergate-with-store run; the value is
-		// temperature. By the time a cached copy is replayed the artifact
-		// is in the store, so normalize to true (refreshServingMetadata
-		// asserts the same on every hit).
-		t := true
-		canon.SGStoreHit = &t
-	}
+	canon.SGStoreHit, canon.SGArtifactSHA = nil, ""
 	payload, err := json.Marshal(&canon)
 	if err != nil {
 		return nil, "", err
@@ -169,16 +165,18 @@ func encodeResultPayload(resp *MapResponse) ([]byte, string, error) {
 // refreshServingMetadata updates the per-serving fields of a response
 // decoded from a cached payload. The recorded run may have compiled
 // the library or enumerated supergates; this serving did neither, so
-// CacheHit is true by definition and SGStoreHit (documented as
-// "enumeration was skipped, by this process or an earlier one") is
-// true whenever the artifact exists. Engine counters are left as the
-// recorded run's — they describe how the artifact was produced — less
-// the memo counts, which the canonical form omits.
-func refreshServingMetadata(resp *MapResponse) {
+// CacheHit is true by definition. sgArtifactSHA is the cache entry's
+// supergate artifact (empty unless a server with a store ran a
+// supergate request): it is re-attached with SGStoreHit true, as
+// documented, "enumeration was skipped, by this process or an earlier
+// one". Engine counters are left as the recorded run's — they describe
+// how the artifact was produced — less the memo counts, which the
+// canonical form omits.
+func refreshServingMetadata(resp *MapResponse, sgArtifactSHA string) {
 	resp.CacheHit = true
-	if resp.SGStoreHit != nil {
+	if sgArtifactSHA != "" {
 		t := true
-		resp.SGStoreHit = &t
+		resp.SGStoreHit, resp.SGArtifactSHA = &t, sgArtifactSHA
 	}
 }
 
@@ -213,8 +211,9 @@ var (
 // first match is the field itself. The spliced serving-only members
 // ride at the object's tail rather than in struct order — member
 // order carries no meaning, and result_sha addresses the canonical
-// form, not the wire form.
-func spliceCachedResponse(payload []byte, elapsedMillis float64, traceID, tier, sha string) ([]byte, bool) {
+// form, not the wire form. A non-empty sgArtifactSHA appends the
+// supergate artifact fields as refreshServingMetadata sets them.
+func spliceCachedResponse(payload []byte, elapsedMillis float64, traceID, tier, sha, sgArtifactSHA string) ([]byte, bool) {
 	if !bytes.HasSuffix(payload, canonTail) {
 		return nil, false
 	}
@@ -231,6 +230,10 @@ func spliceCachedResponse(payload []byte, elapsedMillis float64, traceID, tier, 
 	out = strconv.AppendQuote(out, tier)
 	out = append(out, `,"result_sha":`...)
 	out = strconv.AppendQuote(out, sha)
+	if sgArtifactSHA != "" {
+		out = append(out, `,"sg_store_hit":true,"sg_artifact_sha":`...)
+		out = strconv.AppendQuote(out, sgArtifactSHA)
+	}
 	out = append(out, `,"elapsed_ms":`...)
 	out = strconv.AppendFloat(out, elapsedMillis, 'g', -1, 64)
 	if traceID != "" {
@@ -449,7 +452,7 @@ func (s *Server) publish(out outcome, key, rawKey store.Key, ph *reqPhases) outc
 	}
 	s.metrics.rcMisses.Add(1)
 	out.view = rcView{payload: payload, sha: sha, genMillis: millis(ph.dur[phaseMap]),
-		library: resp.Library, subjectSHA: resp.SubjectSHA}
+		library: resp.Library, subjectSHA: resp.SubjectSHA, sgArtifactSHA: resp.SGArtifactSHA}
 	s.resultCache.put(key, out.view)
 	s.resultCache.link(rawKey, key)
 	s.storeResult(key, out.view, resp.Circuit, ph.mode)
@@ -496,7 +499,7 @@ func cachedResponse(out outcome, ph *reqPhases) (*MapResponse, error) {
 	}
 	resp.ResultCache = out.tier
 	resp.ResultSHA = out.view.sha
-	refreshServingMetadata(resp)
+	refreshServingMetadata(resp, out.view.sgArtifactSHA)
 	ph.library = resp.Library
 	return resp, nil
 }
@@ -508,9 +511,12 @@ func (s *Server) storeResult(key store.Key, v rcView, circuit, mode string) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Put(resultKind, key, v.payload, v.genMillis,
-		map[string]string{"circuit": circuit, "library": v.library,
-			"mode": mode, "subject_sha": v.subjectSHA}); err != nil {
+	meta := map[string]string{"circuit": circuit, "library": v.library,
+		"mode": mode, "subject_sha": v.subjectSHA}
+	if v.sgArtifactSHA != "" {
+		meta["sg_artifact_sha"] = v.sgArtifactSHA
+	}
+	if err := s.store.Put(resultKind, key, v.payload, v.genMillis, meta); err != nil {
 		s.metrics.rcStoreErrors.Add(1)
 	} else {
 		s.metrics.rcStores.Add(1)
@@ -523,5 +529,5 @@ func (s *Server) storeResult(key store.Key, v rcView, circuit, mode string) {
 // header layout still serves correctly.
 func rcViewOfEntry(e store.Entry, digest string) rcView {
 	return rcView{payload: e.Data, sha: e.SHA, genMillis: e.GenMillis,
-		library: e.Meta["library"], subjectSHA: digest}
+		library: e.Meta["library"], subjectSHA: digest, sgArtifactSHA: e.Meta["sg_artifact_sha"]}
 }

@@ -52,13 +52,16 @@ type rcEntry struct {
 // rcView is what a lookup returns: the canonical payload plus the
 // sidecar metadata (library, subject digest, generation cost) that
 // lets the serving path attribute the hit without decoding the
-// payload.
+// payload, and the supergate artifact SHA a server with a store
+// reports beside every serving of the result (empty otherwise; kept
+// out of the payload so result_sha does not depend on the store).
 type rcView struct {
-	payload    []byte
-	sha        string
-	genMillis  float64
-	library    string
-	subjectSHA string
+	payload       []byte
+	sha           string
+	genMillis     float64
+	library       string
+	subjectSHA    string
+	sgArtifactSHA string
 }
 
 func newResultCache(maxBytes int64) *resultCache {

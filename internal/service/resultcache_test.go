@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dagcover/internal/bench"
+	"dagcover/internal/network"
 	"dagcover/internal/store"
 )
 
@@ -146,7 +147,7 @@ func TestSpliceCachedResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spliced, ok := spliceCachedResponse(payload, 1.25, "trace-1", "hit-mem", sha)
+	spliced, ok := spliceCachedResponse(payload, 1.25, "trace-1", "hit-mem", sha, "deadbeef")
 	if !ok {
 		t.Fatal("canonical payload did not splice")
 	}
@@ -164,7 +165,7 @@ func TestSpliceCachedResponse(t *testing.T) {
 	want.TraceID = "trace-1"
 	want.ResultCache = "hit-mem"
 	want.ResultSHA = sha
-	refreshServingMetadata(want)
+	refreshServingMetadata(want, "deadbeef")
 	gw, _ := json.Marshal(&got)
 	ww, _ := json.Marshal(want)
 	if string(gw) != string(ww) {
@@ -181,7 +182,7 @@ func TestSpliceCachedResponse(t *testing.T) {
 		[]byte(`{"circuit":"c","cache_hit":true}`), // no canonical tail
 		[]byte(`{"circuit":"c"}`),                  // neither field
 	} {
-		if _, ok := spliceCachedResponse(bad, 1, "t", "hit-mem", "s"); ok {
+		if _, ok := spliceCachedResponse(bad, 1, "t", "hit-mem", "s", ""); ok {
 			t.Errorf("non-canonical payload %s spliced", bad)
 		}
 	}
@@ -581,3 +582,134 @@ func TestResultKindRotatesStaleResults(t *testing.T) {
 		t.Errorf("disk hit serves area %g, want %g", got.Area, want.Area)
 	}
 }
+
+// hitPathCorpus is the circuit mix loadgen draws from, small
+// comparators through C6288.
+func hitPathCorpus(t *testing.T) []MapRequest {
+	t.Helper()
+	var reqs []MapRequest
+	for _, nw := range []*network.Network{
+		bench.Comparator(16), bench.RippleAdder(16), bench.ParityTree(32), bench.MuxTree(5),
+		bench.ALU(8), bench.ArrayMultiplier(8), bench.C432(), bench.C880(), bench.C2670(), bench.C6288(),
+	} {
+		text := blifOf(t, nw)
+		for _, lib := range []string{"lib2", "44-1", "44-3"} {
+			reqs = append(reqs, MapRequest{BLIF: text, Library: lib})
+		}
+	}
+	return reqs
+}
+
+// TestResultCacheHitPath is the result cache's gate: a hit does no
+// engine work and costs little, whatever the engine costs. For every
+// request of the corpus, on a server with a store:
+//   - the first serving is a miss and runs the engine;
+//   - a verbatim repeat (raw lookaside), a repeat with a comment
+//     prepended (digest-keyed lookup after ingest) and, on a restarted
+//     server, a disk-tier serving each report a hit tier and add no
+//     pattern plans to the server's work counters, and carry no memo
+//     counts.
+//
+// Then it bounds what a hit allocates, on the largest entry, through
+// the handler: a verbatim hit at most hitAllocsRaw allocations, a
+// digest-keyed hit at most hitAllocsRaw more than ingesting its BLIF.
+func TestResultCacheHitPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("maps the loadgen corpus on three libraries")
+	}
+	dir := t.TempDir()
+	s := New(Config{Concurrency: 1, Store: openStore(t, dir)})
+	serve := func(s *Server, name string, req MapRequest, tier string) MapResponse {
+		t.Helper()
+		before := s.Stats().PatternsTried
+		code, resp, body := post(t, s.Handler(), nil, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: map = %d: %s", name, code, body)
+		}
+		if resp.ResultCache != tier {
+			t.Errorf("%s: result_cache %q, want %q", name, resp.ResultCache, tier)
+		}
+		work := s.Stats().PatternsTried - before
+		switch {
+		case tier == resultMiss && work == 0:
+			t.Errorf("%s: a miss added no pattern plans to the work counters", name)
+		case tier != resultMiss && work != 0:
+			t.Errorf("%s: a %s serving added %d pattern plans to the work counters; the engine ran", name, tier, work)
+		case tier != resultMiss && (resp.MemoHits != 0 || resp.MemoMisses != 0):
+			t.Errorf("%s: a %s serving reported %d memo hits, %d misses", name, tier, resp.MemoHits, resp.MemoMisses)
+		}
+		return resp
+	}
+	reqs := hitPathCorpus(t)
+	commented := func(req MapRequest) MapRequest {
+		req.BLIF = "# a repeat with new bytes and the same subject graph\n" + req.BLIF
+		return req
+	}
+	for i, req := range reqs {
+		name := fmt.Sprintf("request %d (%s)", i, req.Library)
+		miss := serve(s, name+" first serving", req, resultMiss)
+		for _, hit := range []MapResponse{
+			serve(s, name+" verbatim repeat", req, resultHitMem),
+			serve(s, name+" commented repeat", commented(req), resultHitMem),
+		} {
+			if hit.ResultSHA != miss.ResultSHA || hit.Netlist != miss.Netlist {
+				t.Errorf("%s: a hit served another result than the miss", name)
+			}
+		}
+	}
+	restarted := New(Config{Concurrency: 1, Store: openStore(t, dir)})
+	for i, req := range reqs {
+		serve(restarted, fmt.Sprintf("request %d (%s) after restart", i, req.Library), req, resultHitDisk)
+	}
+
+	// Allocation bound on the largest entry (C6288 × 44-3), served warm.
+	// Each commented body carries a comment of its own, so every one is
+	// a digest-keyed hit rather than a lookaside hit on an alias.
+	big := reqs[len(reqs)-1]
+	const runs = 10
+	allocsOf := func(bodyOf func(i int) MapRequest) float64 {
+		bodies := make([][]byte, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range bodies {
+			var err error
+			if bodies[i], err = json.Marshal(bodyOf(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, i := s.Handler(), 0
+		return testing.AllocsPerRun(runs, func() {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/map", bytes.NewReader(bodies[i])))
+			i++
+			if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"result_cache":"hit-mem"`) {
+				t.Fatalf("warm serving = %d, not a memory hit: %.200s", w.Code, w.Body.String())
+			}
+		})
+	}
+	raw := allocsOf(func(int) MapRequest { return big })
+	digest := allocsOf(func(i int) MapRequest {
+		req := big
+		req.BLIF = fmt.Sprintf("# repeat %d\n", i) + req.BLIF
+		return req
+	})
+	var ph reqPhases
+	ingestAllocs := testing.AllocsPerRun(3, func() {
+		if _, err := ingest(&big, &ph); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per hit: verbatim %.0f, digest-keyed %.0f (ingest alone %.0f)", raw, digest, ingestAllocs)
+	if raw > hitAllocsRaw {
+		t.Errorf("a verbatim hit allocates %.0f times, want <= %d", raw, hitAllocsRaw)
+	}
+	if digest > ingestAllocs+hitAllocsRaw {
+		t.Errorf("a digest-keyed hit allocates %.0f times, want <= ingest's %.0f + %d", digest, ingestAllocs, hitAllocsRaw)
+	}
+}
+
+// hitAllocsRaw bounds one hit's allocations through the handler beyond
+// ingest: request decode, lookaside or digest probe, splice, response
+// write and the wide event. A C6288 hit measured 61 allocations
+// verbatim and 73 past ingest digest-keyed, with no spread across runs
+// (65 and 81 under -race); a hit that re-ran the engine measured about
+// 920 more.
+const hitAllocsRaw = 150

@@ -116,7 +116,7 @@ type Config struct {
 	// serialized responses keyed by (subject-graph digest, library key,
 	// normalized options), so repeated identical requests skip the
 	// engine entirely. 0 selects the 64 MiB default; negative disables
-	// result caching altogether (memory tier, the mapres3 disk tier,
+	// result caching altogether (memory tier, the mapres4 disk tier,
 	// and request coalescing). The mapper is deterministic, so a cached
 	// response's netlist is byte-identical to a recomputed one.
 	ResultCacheBytes int64
@@ -186,7 +186,7 @@ type Server struct {
 
 	// Whole-result cache (nil when disabled): the in-memory SLRU tier
 	// plus the single-flight group that coalesces identical misses.
-	// The disk tier rides the artifact store (kind mapres3).
+	// The disk tier rides the artifact store (kind mapres4).
 	resultCache *resultCache
 	flights     *flightGroup
 
@@ -370,7 +370,10 @@ type MapResponse struct {
 	// SGArtifactSHA is the SHA-256 of the supergate genlib artifact —
 	// equal across every process that expands the same library under
 	// the same bounds, which is how a fleet (or a CI restart check)
-	// asserts it shares one artifact.
+	// asserts it shares one artifact. Present exactly when SGStoreHit
+	// is. Both depend on the server's store configuration, not on the
+	// result, so the canonical payload (result_sha) leaves them out and
+	// the result cache carries them beside it (see rcView).
 	SGArtifactSHA string `json:"sg_artifact_sha,omitempty"`
 	// SubjectSHA is the canonical content digest of the subject graph
 	// the request mapped (see dagcover.MapResult.SubjectSHA); with the
@@ -558,7 +561,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		defer func() { ph.dur[phaseRespond] = time.Since(t0) }()
 		if out.view.library != "" {
-			if body, ok := spliceCachedResponse(out.view.payload, millis(elapsed), traceID, out.tier, out.view.sha); ok {
+			if body, ok := spliceCachedResponse(out.view.payload, millis(elapsed), traceID, out.tier, out.view.sha, out.view.sgArtifactSHA); ok {
 				s.metrics.recordServed(out.view.library, elapsed, 0, 0, 0)
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusOK)

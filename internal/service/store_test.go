@@ -194,3 +194,62 @@ func TestMapSupergatesStoreCorruptionRegenerates(t *testing.T) {
 		t.Error("recovered netlist differs from original")
 	}
 }
+
+// result_sha is a function of the request, not of the server's store
+// configuration: a supergate request mapped on a storeless server and
+// on a store-backed one publishes one result_sha. Only the store-backed
+// server reports the artifact fields: on the run that expanded the
+// library, and on every cached serving after it, from memory or, after
+// a restart, from disk.
+func TestSupergateResultSHAIndependentOfStore(t *testing.T) {
+	req := MapRequest{
+		BLIF:       blifOf(t, bench.Comparator(6)),
+		Library:    "44-1",
+		Supergates: &SupergateConfig{MaxInputs: 3, MaxDepth: 2, MaxGates: 32},
+	}
+	serve := func(name string, s *Server, tier string) MapResponse {
+		t.Helper()
+		code, resp, body := post(t, s.Handler(), nil, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: map = %d: %s", name, code, body)
+		}
+		if resp.ResultCache != tier {
+			t.Fatalf("%s: result_cache %q, want %q", name, resp.ResultCache, tier)
+		}
+		return resp
+	}
+
+	plain := New(Config{Concurrency: 1})
+	want := serve("storeless miss", plain, resultMiss)
+	for _, r := range []MapResponse{want, serve("storeless hit", plain, resultHitMem)} {
+		if r.SGStoreHit != nil || r.SGArtifactSHA != "" {
+			t.Errorf("storeless server reported store fields: sg_store_hit %v, sg_artifact_sha %q", r.SGStoreHit, r.SGArtifactSHA)
+		}
+	}
+
+	dir := t.TempDir()
+	stored := New(Config{Concurrency: 1, Store: openStore(t, dir)})
+	cold := serve("store miss", stored, resultMiss)
+	if cold.SGStoreHit == nil || *cold.SGStoreHit || cold.SGArtifactSHA == "" {
+		t.Fatalf("store miss: sg_store_hit %v, sg_artifact_sha %q; want false and an artifact", cold.SGStoreHit, cold.SGArtifactSHA)
+	}
+	restarted := New(Config{Concurrency: 1, Store: openStore(t, dir)})
+	for _, r := range []MapResponse{
+		cold,
+		serve("store memory hit", stored, resultHitMem),
+		serve("store disk hit after restart", restarted, resultHitDisk),
+	} {
+		if r.ResultSHA != want.ResultSHA {
+			t.Errorf("%s serving: result_sha %s, the storeless server's %s", r.ResultCache, r.ResultSHA, want.ResultSHA)
+		}
+		if r.Netlist != want.Netlist {
+			t.Errorf("%s serving: netlist differs from the storeless server's", r.ResultCache)
+		}
+		if r.SGArtifactSHA != cold.SGArtifactSHA {
+			t.Errorf("%s serving: sg_artifact_sha %q, the run's %q", r.ResultCache, r.SGArtifactSHA, cold.SGArtifactSHA)
+		}
+		if r.ResultCache != resultMiss && (r.SGStoreHit == nil || !*r.SGStoreHit) {
+			t.Errorf("%s serving: sg_store_hit %v, want true", r.ResultCache, r.SGStoreHit)
+		}
+	}
+}

@@ -24,18 +24,26 @@ func renderBLIF(t *testing.T, nw *Network, opt MapOptions) []byte {
 // with the memo on is byte-identical to the memo-off netlist at every
 // labeling parallelism. One compiled library is reused across the
 // whole suite, as the mapping service reuses it across requests; each
-// run records into its own empty tables.
+// run records into its own empty tables. The random DAG is where the
+// memo's admission gates close: its runs must skip lookups at some
+// roots, in DAG and in tree mode, and still match memo-off byte for
+// byte.
 func TestMemoOutputByteIdentical(t *testing.T) {
+	random := []bench.Circuit{{Name: "RandomDAG(32,2900,11)", Network: bench.RandomDAG(32, 2900, 11)}}
 	suites := []struct {
 		lib      *Library
 		delay    DelayModel
 		circuits []bench.Circuit
+		// gated suites must close a gate, and also run tree mode.
+		gated bool
 	}{
-		{Lib441(), UnitDelay, bench.FullSuite()},
+		{Lib441(), UnitDelay, bench.FullSuite(), false},
 		{Lib443(), UnitDelay, []bench.Circuit{
 			{Name: "C432", Network: bench.C432()},
 			{Name: "C6288", Network: bench.C6288()},
-		}},
+		}, false},
+		{Lib443(), UnitDelay, random, true},
+		{Lib2(), UnitDelay, random, true},
 	}
 	if testing.Short() {
 		suites[0].circuits = []bench.Circuit{
@@ -47,26 +55,63 @@ func TestMemoOutputByteIdentical(t *testing.T) {
 		cl := compile(t, s.lib)
 		hits := 0
 		for _, c := range s.circuits {
-			ref := renderBLIF(t, c.Network, MapOptions{
-				Library: cl, Delay: s.delay, NoMemo: true,
-			})
-			for _, par := range []int{1, 4, 8} {
+			type run struct {
+				mode Mode
+				par  int
+			}
+			runs := []run{{ModeDAG, 1}, {ModeDAG, 4}, {ModeDAG, 8}}
+			if s.gated {
+				runs = append(runs, run{ModeTree, 1})
+			}
+			for _, r := range runs {
+				ref := renderBLIF(t, c.Network, MapOptions{
+					Library: cl, Delay: s.delay, Mode: r.mode, NoMemo: true,
+				})
 				res := mapNet(t, c.Network, MapOptions{
-					Library: cl, Delay: s.delay, Parallelism: par,
+					Library: cl, Delay: s.delay, Mode: r.mode, Parallelism: r.par,
 				})
 				var got bytes.Buffer
 				if err := res.Netlist.WriteBLIF(&got); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(ref, got.Bytes()) {
-					t.Errorf("%s x %s: memo-on netlist at parallelism %d differs from memo-off",
-						c.Name, s.lib.Name, par)
+					t.Errorf("%s x %s: memo-on %v netlist at parallelism %d differs from memo-off",
+						c.Name, s.lib.Name, r.mode, r.par)
+				}
+				roots := res.SubjectNodes - len(c.Network.Inputs())
+				if s.gated && res.MemoHits+res.MemoMisses >= roots {
+					t.Errorf("%s x %s: %v at parallelism %d made %d memo lookups over %d roots; no bucket's gate closed",
+						c.Name, s.lib.Name, r.mode, r.par, res.MemoHits+res.MemoMisses, roots)
 				}
 				hits += res.MemoHits
 			}
 		}
 		if hits == 0 {
 			t.Errorf("%s: suite produced no memo hits — the equality check never exercised replay", s.lib.Name)
+		}
+	}
+}
+
+// Two serial runs of one circuit on one compiled library report the
+// same memo counts: the second borrows the first's pooled matcher, so
+// this fails if Reset left a table entry or a closed admission gate
+// behind. The random DAG closes gates, so the run must make fewer
+// lookups than it has roots.
+func TestMemoCountsDeterministic(t *testing.T) {
+	for _, lib := range []*Library{Lib443(), Lib2()} {
+		cl := compile(t, lib)
+		nw := bench.RandomDAG(32, 2900, 11)
+		first := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Parallelism: 1})
+		roots := first.SubjectNodes - len(nw.Inputs())
+		if lookups := first.MemoHits + first.MemoMisses; lookups == 0 || lookups >= roots {
+			t.Errorf("%s: %d memo lookups over %d roots; want some, and fewer than the roots", lib.Name, lookups, roots)
+		}
+		for i := 0; i < 2; i++ {
+			again := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Parallelism: 1})
+			if again.MemoHits != first.MemoHits || again.MemoMisses != first.MemoMisses || again.MemoEntries != first.MemoEntries {
+				t.Errorf("%s: run %d reported %d hits, %d misses, %d entries; the first run %d, %d, %d", lib.Name, i+2,
+					again.MemoHits, again.MemoMisses, again.MemoEntries, first.MemoHits, first.MemoMisses, first.MemoEntries)
+			}
 		}
 	}
 }
