@@ -9,6 +9,7 @@ import (
 	"dagcover/internal/libgen"
 	"dagcover/internal/match"
 	"dagcover/internal/obs"
+	"dagcover/internal/obs/obstest"
 	"dagcover/internal/subject"
 )
 
@@ -132,7 +133,7 @@ func TestMapTraceSpans(t *testing.T) {
 		if err := tr.WriteChromeTrace(&sb); err != nil {
 			t.Fatal(err)
 		}
-		if err := obs.ValidateChromeTrace([]byte(sb.String())); err != nil {
+		if err := obstest.ValidateChromeTrace([]byte(sb.String())); err != nil {
 			t.Errorf("parallelism=%d: trace fails schema validation: %v", par, err)
 		}
 	}

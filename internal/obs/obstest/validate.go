@@ -1,4 +1,7 @@
-package obs
+// Package obstest holds the format validators that tests of the obs
+// exporters and the /metrics writer share: Chrome trace_event JSON and
+// Prometheus text exposition. Only test files import it.
+package obstest
 
 import (
 	"encoding/json"

@@ -12,6 +12,7 @@ import (
 
 	"dagcover/internal/bench"
 	"dagcover/internal/obs"
+	"dagcover/internal/obs/obstest"
 )
 
 // newDiagServer builds a server with slow-request capture into a temp
@@ -93,7 +94,7 @@ func TestSlowRequestCaptureBundle(t *testing.T) {
 	if len(b.Trace) == 0 {
 		t.Fatal("bundle has no trace spans")
 	}
-	if err := obs.ValidateChromeTrace(b.Trace); err != nil {
+	if err := obstest.ValidateChromeTrace(b.Trace); err != nil {
 		t.Fatalf("bundle trace spans invalid: %v", err)
 	}
 	if captures, dropped, _ := diag.Counters(); captures != 1 || dropped != 0 {
@@ -288,7 +289,7 @@ func TestJobItemsCarryJobTraceID(t *testing.T) {
 		if rec.TraceID != acc.JobID {
 			t.Fatalf("record trace id %q, want job id %q", rec.TraceID, acc.JobID)
 		}
-		if rec.Response == nil || rec.Response.TraceID != acc.JobID {
+		if item := itemResponse(t, rec); item == nil || item.TraceID != acc.JobID {
 			t.Fatal("item response missing the job trace id")
 		}
 	}
@@ -363,7 +364,7 @@ func TestExpositionLints(t *testing.T) {
 	st := s.Stats()
 	var b strings.Builder
 	writeMetrics(&b, &st)
-	if err := obs.ValidateExposition([]byte(b.String())); err != nil {
+	if err := obstest.ValidateExposition([]byte(b.String())); err != nil {
 		t.Fatalf("exposition failed lint: %v", err)
 	}
 	// Both requests breached the 1ns threshold, and no rate limit was

@@ -178,7 +178,7 @@ func TestIngestMatchesASTPath(t *testing.T) {
 					checkAgainstAST(t, "/map "+c.name+" "+tag, code, er.Error, &resp, want[i], verify)
 				}
 				for i, rec := range runJob(t, jobSrv, JobRequest{Items: items, Mode: mode, Verify: verify}) {
-					checkAgainstAST(t, "/jobs "+modeCases[i].name+" "+tag, rec.Status, rec.Error, rec.Response, want[i], verify)
+					checkAgainstAST(t, "/jobs "+modeCases[i].name+" "+tag, rec.Status, rec.Error, itemResponse(t, rec), want[i], verify)
 				}
 				mapSrv.Close()
 				jobSrv.Close()
@@ -271,9 +271,10 @@ func TestPipelineEquivalence(t *testing.T) {
 				}
 				rec := runJob(t, s, JobRequest{Items: []JobItemRequest{{BLIF: req.BLIF}}, Mode: req.Mode,
 					Library: req.Library, Genlib: req.Genlib, Class: req.Class, Delay: req.Delay, Supergates: req.Supergates})[0]
-				checkAgainstAST(t, "/jobs "+where, rec.Status, rec.Error, rec.Response, want, false)
-				if rec.Status == http.StatusOK && (rec.Response.ResultCache != "") != cached {
-					t.Errorf("/jobs %s: result_cache %q, want it present: %v", where, rec.Response.ResultCache, cached)
+				item := itemResponse(t, rec)
+				checkAgainstAST(t, "/jobs "+where, rec.Status, rec.Error, item, want, false)
+				if rec.Status == http.StatusOK && (item.ResultCache != "") != cached {
+					t.Errorf("/jobs %s: result_cache %q, want it present: %v", where, item.ResultCache, cached)
 				}
 			}
 		}
@@ -467,8 +468,8 @@ func FuzzMapRequest(f *testing.F) {
 		if rec.Status != w.Code || rec.Error != er.Error {
 			t.Fatalf("/jobs item %d %q, /map %d %q\ninput: %.400q", rec.Status, rec.Error, w.Code, er.Error, sent.BLIF)
 		}
-		if w.Code == http.StatusOK && (rec.Response.Netlist != resp.Netlist ||
-			rec.Response.SubjectSHA != resp.SubjectSHA || rec.Response.ResultSHA != resp.ResultSHA) {
+		if item := itemResponse(t, rec); w.Code == http.StatusOK && (item.Netlist != resp.Netlist ||
+			item.SubjectSHA != resp.SubjectSHA || item.ResultSHA != resp.ResultSHA) {
 			t.Fatalf("/jobs item response differs from /map's\ninput: %.400q", sent.BLIF)
 		}
 

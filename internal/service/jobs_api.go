@@ -127,13 +127,16 @@ type JobItemRecord struct {
 	// TraceID is the parent job's id (job ids are trace ids), so every
 	// NDJSON record joins the job's access-log lines and wide events.
 	TraceID string `json:"trace_id,omitempty"`
-	// ResponseBytes is the serialized size of Response within this
-	// record (pre-compression), so clients accounting transfer volume
+	// ResponseBytes is the length of Response exactly as this record
+	// embeds it (pre-compression), so clients accounting transfer volume
 	// per item — loadgen's gzip accounting, capacity models — don't
 	// have to re-marshal each response to measure it. 0 when the item
 	// carried no response.
-	ResponseBytes int          `json:"response_bytes,omitempty"`
-	Response      *MapResponse `json:"response,omitempty"`
+	ResponseBytes int `json:"response_bytes,omitempty"`
+	// Response is the item's MapResponse as /map would send it (less
+	// the trailing newline): the cache splice for a cached item, one
+	// encoding of the computed response otherwise.
+	Response json.RawMessage `json:"response,omitempty"`
 }
 
 // handleJobs serves POST /jobs. Every request counts as received, as
@@ -384,10 +387,7 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		ph.trace = dagcover.NewTrace()
 	}
 	res := s.mapRequest(ctx, &mreq, &lib, &ph)
-	resp, err := res.resp, res.err
-	if err == nil && resp == nil {
-		resp, err = cachedResponse(res, &ph)
-	}
+	err := res.err
 	elapsed := ph.elapsed()
 
 	out := jobs.Item{
@@ -396,21 +396,24 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 	}
 	rec := JobItemRecord{Index: idx, Name: item.Name, TraceID: jobID}
 	if err == nil {
-		resp.ElapsedMillis = millis(elapsed)
-		resp.TraceID = jobID
 		out.State, out.Status = jobs.ItemDone, http.StatusOK
-		rec.Status, rec.Response = http.StatusOK, resp
-		if body, err := json.Marshal(resp); err == nil {
-			rec.ResponseBytes = len(body)
-		}
-		// Items feed the work counters (patterns, memo) and the job-item
-		// families, but not the /map request counters — batch work must
-		// not inflate the synchronous serving stats. Result-cache hits
-		// carry the recorded run's counters but did no work here, so
-		// they are excluded too.
-		if res.resp != nil {
+		rec.Status = http.StatusOK
+		if resp := res.resp; resp == nil {
+			// Served from the cache: the same splice as /map.
+			rec.Response = spliceCachedResponse(res.view, millis(elapsed), jobID, res.tier)
+		} else {
+			// Items feed the work counters (patterns, memo) and the
+			// job-item families, but not the /map request counters —
+			// batch work must not inflate the synchronous serving stats.
+			// Cache-served items did no work here.
 			s.metrics.recordWork(resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
+			resp.ElapsedMillis = millis(elapsed)
+			resp.TraceID = jobID
+			// Encoding fails only on a non-finite float; the record then
+			// carries no response and response_bytes reads 0.
+			rec.Response, _ = encodeJSON(resp)
 		}
+		rec.ResponseBytes = len(rec.Response)
 	} else {
 		if ctx.Err() != nil {
 			// The job-level context fired: DELETE (or shutdown), not a
@@ -427,13 +430,22 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 	ph.errMsg = out.Err
 	s.recordFlight(jobID, "job_item", idx, item.Name, out.Status, elapsed, &ph)
 
+	if b, err := encodeJSON(rec); err == nil {
+		out.Result = b
+	}
+	return out
+}
+
+// encodeJSON encodes v as writeJSON does, without HTML escaping, less
+// the trailing newline.
+func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	if encErr := enc.Encode(rec); encErr == nil {
-		out.Result = bytes.TrimRight(buf.Bytes(), "\n")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
 	}
-	return out
+	return bytes.TrimSuffix(buf.Bytes(), []byte{'\n'}), nil
 }
 
 // itemPhaseMillis renders one item's phase breakdown: a request's, less

@@ -38,6 +38,20 @@ func postJob(t *testing.T, h http.Handler, req JobRequest) (int, JobAccepted, st
 	return w.Code, acc, w.Body.String()
 }
 
+// itemResponse decodes a job record's embedded response; nil when the
+// record carries none.
+func itemResponse(t *testing.T, rec JobItemRecord) *MapResponse {
+	t.Helper()
+	if rec.Response == nil {
+		return nil
+	}
+	var resp MapResponse
+	if err := json.Unmarshal(rec.Response, &resp); err != nil {
+		t.Fatalf("record %d: bad response: %v\n%s", rec.Index, err, rec.Response)
+	}
+	return &resp
+}
+
 // jobState polls GET /jobs/{id} once.
 func jobState(t *testing.T, h http.Handler, id string) (JobStatusResponse, int) {
 	t.Helper()
@@ -181,7 +195,7 @@ func TestBatchJobMatchesSyncAndCompilesOnce(t *testing.T) {
 		if rec.Index != i || rec.Name != items[i].Name || rec.Status != http.StatusOK || rec.Response == nil {
 			t.Fatalf("record %d = index %d name %q status %d", i, rec.Index, rec.Name, rec.Status)
 		}
-		got, ref := rec.Response, want[i]
+		got, ref := itemResponse(t, rec), want[i]
 		if got.Netlist != ref.Netlist {
 			t.Errorf("item %s: batch netlist differs from sync /map netlist", items[i].Name)
 		}

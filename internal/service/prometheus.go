@@ -68,7 +68,7 @@ func writeMetrics(b *strings.Builder, st *StatsSnapshot) {
 	}
 
 	if rc := st.ResultCache; rc != nil {
-		family(b, "mapd_result_cache_hits_total", "counter", "Whole-result cache hits, by tier (mem = in-process SLRU, disk = artifact store).")
+		family(b, "mapd_result_cache_hits_total", "counter", "Whole-result cache hits, by tier (mem = in-process LRU, disk = artifact store).")
 		sample(b, "mapd_result_cache_hits_total", labels{{"tier", "mem"}}, float64(rc.MemHits))
 		sample(b, "mapd_result_cache_hits_total", labels{{"tier", "disk"}}, float64(rc.DiskHits))
 		metric(b, "mapd_result_cache_misses_total", "counter", "Whole-result cache misses (engine runs that published a result).", float64(rc.Misses))

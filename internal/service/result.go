@@ -162,77 +162,52 @@ func encodeResultPayload(resp *MapResponse) ([]byte, string, error) {
 	return payload, hex.EncodeToString(sum[:]), nil
 }
 
-// refreshServingMetadata updates the per-serving fields of a response
-// decoded from a cached payload. The recorded run may have compiled
-// the library or enumerated supergates; this serving did neither, so
-// CacheHit is true by definition. sgArtifactSHA is the cache entry's
-// supergate artifact (empty unless a server with a store ran a
-// supergate request): it is re-attached with SGStoreHit true, as
-// documented, "enumeration was skipped, by this process or an earlier
-// one". Engine counters are left as the recorded run's — they describe
-// how the artifact was produced — less the memo counts, which the
-// canonical form omits.
-func refreshServingMetadata(resp *MapResponse, sgArtifactSHA string) {
-	resp.CacheHit = true
-	if sgArtifactSHA != "" {
-		t := true
-		resp.SGStoreHit, resp.SGArtifactSHA = &t, sgArtifactSHA
-	}
-}
-
-// decodeResultPayload is encodeResultPayload's inverse.
-func decodeResultPayload(payload []byte) (*MapResponse, error) {
-	var resp MapResponse
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("decoding cached mapping result: %v", err)
-	}
-	return &resp, nil
-}
-
 // canonTail is the suffix every canonical payload ends with: elapsed_ms
 // is the last non-omitempty MapResponse field and encodeResultPayload
 // zeroes it, and every field after it is omitempty and zeroed.
 // canonCacheHit is the one always-present field a cached serving must
-// flip. Both are shape assumptions about our own encoder, checked at
-// serve time — a payload that does not match (say, written to the
-// store by a build with a different field layout) falls back to the
-// decode path below.
+// flip. Both are shape assumptions about our own encoder. Payloads
+// enter from outside the process only through the disk tier, where
+// lookup checks them (canonicalPayload) before anything serves them.
 var (
 	canonTail     = []byte(`"elapsed_ms":0}`)
 	canonCacheHit = []byte(`,"cache_hit":false`)
 )
 
-// spliceCachedResponse turns a canonical payload into the wire
-// response without decoding it: flip cache_hit and rewrite the tail
-// with the real elapsed time and the serving-only fields. On a large
-// netlist the JSON round trip costs tens of milliseconds; this is one
-// copy. Searching for the raw `,"cache_hit":` bytes is sound because
-// an unescaped quote cannot occur inside a JSON string value, so the
-// first match is the field itself. The spliced serving-only members
-// ride at the object's tail rather than in struct order — member
-// order carries no meaning, and result_sha addresses the canonical
-// form, not the wire form. A non-empty sgArtifactSHA appends the
-// supergate artifact fields as refreshServingMetadata sets them.
-func spliceCachedResponse(payload []byte, elapsedMillis float64, traceID, tier, sha, sgArtifactSHA string) ([]byte, bool) {
-	if !bytes.HasSuffix(payload, canonTail) {
-		return nil, false
-	}
-	i := bytes.Index(payload, canonCacheHit)
-	if i < 0 {
-		return nil, false
-	}
-	body := payload[:len(payload)-len(canonTail)]
-	out := make([]byte, 0, len(body)+len(traceID)+len(sha)+96)
+// canonicalPayload reports whether payload has the shape
+// spliceCachedResponse relies on.
+func canonicalPayload(payload []byte) bool {
+	return bytes.HasSuffix(payload, canonTail) && bytes.Contains(payload, canonCacheHit)
+}
+
+// spliceCachedResponse turns a cached view's canonical payload into
+// the wire response without decoding it: flip cache_hit and rewrite the
+// tail with the real elapsed time and the serving-only fields. On a
+// large netlist the JSON round trip costs tens of milliseconds; this is
+// one copy. Searching for the raw `,"cache_hit":` bytes is sound
+// because an unescaped quote cannot occur inside a JSON string value,
+// so the first match is the field itself. The spliced serving-only
+// members ride at the object's tail rather than in struct order —
+// member order carries no meaning, and result_sha addresses the
+// canonical form, not the wire form. The view's supergate artifact
+// SHA, when there is one, comes back with sg_store_hit true:
+// enumeration was skipped, by this process or an earlier one. Engine
+// counters stay the recorded run's; they describe how the result was
+// produced. The output carries no trailing newline.
+func spliceCachedResponse(v rcView, elapsedMillis float64, traceID, tier string) []byte {
+	i := bytes.Index(v.payload, canonCacheHit)
+	body := v.payload[:len(v.payload)-len(canonTail)]
+	out := make([]byte, 0, len(body)+len(traceID)+len(v.sha)+96)
 	out = append(out, body[:i]...)
 	out = append(out, `,"cache_hit":true`...)
 	out = append(out, body[i+len(canonCacheHit):]...)
 	out = append(out, `"result_cache":`...)
 	out = strconv.AppendQuote(out, tier)
 	out = append(out, `,"result_sha":`...)
-	out = strconv.AppendQuote(out, sha)
-	if sgArtifactSHA != "" {
+	out = strconv.AppendQuote(out, v.sha)
+	if v.sgArtifactSHA != "" {
 		out = append(out, `,"sg_store_hit":true,"sg_artifact_sha":`...)
-		out = strconv.AppendQuote(out, sgArtifactSHA)
+		out = strconv.AppendQuote(out, v.sgArtifactSHA)
 	}
 	out = append(out, `,"elapsed_ms":`...)
 	out = strconv.AppendFloat(out, elapsedMillis, 'g', -1, 64)
@@ -240,8 +215,7 @@ func spliceCachedResponse(payload []byte, elapsedMillis float64, traceID, tier, 
 		out = append(out, `,"trace_id":`...)
 		out = strconv.AppendQuote(out, traceID)
 	}
-	out = append(out, '}', '\n')
-	return out, true
+	return append(out, '}')
 }
 
 // requestTimeout resolves a request's per-run deadline against the
@@ -378,7 +352,10 @@ func (s *Server) mapRequest(ctx context.Context, req *MapRequest, batch *library
 }
 
 // lookup is stage 3: the memory tier, then the disk tier. A disk hit
-// warms the memory tier; both link the raw key to the entry.
+// warms the memory tier; both link the raw key to the entry. A disk
+// object without the canonical shape or without library metadata (say,
+// one written by a build with another field layout) is a miss: the
+// request recomputes and republishes it.
 func (s *Server) lookup(key, rawKey store.Key, digest string, ph *reqPhases) (outcome, bool) {
 	if v, ok := s.resultCache.get(key); ok {
 		s.metrics.rcMemHits.Add(1)
@@ -389,7 +366,7 @@ func (s *Server) lookup(key, rawKey store.Key, digest string, ph *reqPhases) (ou
 		return outcome{}, false
 	}
 	e, ok := s.store.Get(resultKind, key)
-	if !ok {
+	if !ok || !canonicalPayload(e.Data) || e.Meta["library"] == "" {
 		return outcome{}, false
 	}
 	v := rcViewOfEntry(e, digest)
@@ -485,23 +462,6 @@ func (s *Server) classify(err error, status int, timeout time.Duration, item boo
 		return http.StatusBadRequest, err.Error()
 	}
 	return status, err.Error()
-}
-
-// cachedResponse decodes a cache-served outcome into the response the
-// byte-splice would have produced, less the per-serving elapsed time
-// and trace id.
-func cachedResponse(out outcome, ph *reqPhases) (*MapResponse, error) {
-	resp, err := decodeResultPayload(out.view.payload)
-	if err != nil {
-		// Disk payloads are SHA-verified by the store and memory payloads
-		// are our own bytes, so this is a code bug, not data corruption.
-		return nil, err
-	}
-	resp.ResultCache = out.tier
-	resp.ResultSHA = out.view.sha
-	refreshServingMetadata(resp, out.view.sgArtifactSHA)
-	ph.library = resp.Library
-	return resp, nil
 }
 
 // storeResult publishes a freshly computed result to the artifact

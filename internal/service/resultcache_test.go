@@ -17,75 +17,76 @@ import (
 	"dagcover/internal/store"
 )
 
-// Tests for the whole-result cache: the in-memory SLRU, the disk tier
+// Tests for the whole-result cache: the in-memory LRU, the disk tier
 // behind the artifact store, request coalescing, and the invariant the
 // whole design rests on — the mapped netlist is byte-identical whether
 // the cache is off, cold, warm, or another request computed it.
 
-// rcKey builds a distinct cache key for SLRU unit tests.
+// rcKey builds a distinct cache key for LRU unit tests.
 func rcKey(i int) store.Key { return store.KeyOf("test", fmt.Sprintf("k%d", i)) }
 
-func TestResultCacheSLRU(t *testing.T) {
-	c := newResultCache(100) // protected budget: 80
+func TestResultCacheLRU(t *testing.T) {
+	c := newResultCache(100)
 	pay := func(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
-
-	c.put(rcKey(1), rcView{payload: pay(40), sha: "a", genMillis: 1})
-	c.put(rcKey(2), rcView{payload: pay(40), sha: "b", genMillis: 2})
-	if st := c.stats(); st.entries != 2 || st.bytes != 80 || st.protectedEntries != 0 {
-		t.Fatalf("after two inserts: %+v", st)
-	}
-
-	// A probation hit promotes; the payload and metadata round-trip.
-	v, ok := c.get(rcKey(1))
-	if !ok || string(v.payload) != string(pay(40)) || v.sha != "a" || v.genMillis != 1 {
-		t.Fatalf("get(1) = %+v %v", v, ok)
-	}
-	if st := c.stats(); st.protectedEntries != 1 || st.protectedBytes != 40 {
-		t.Fatalf("after promotion: %+v", st)
-	}
-
-	// Inserting past the budget evicts probation's tail (key 2), never
-	// the protected entry.
-	c.put(rcKey(3), rcView{payload: pay(40), sha: "c", genMillis: 3})
-	if _, ok := c.get(rcKey(2)); ok {
-		t.Error("probation tail survived eviction")
-	}
-	if _, ok := c.get(rcKey(1)); !ok {
-		t.Error("protected entry was evicted before probation")
-	}
-	if _, ok := c.get(rcKey(3)); !ok { // promotes 3 as well
-		t.Error("fresh insert missing")
-	}
-
-	// With protected full (1 and 3, 80 bytes) and a new insert arriving,
-	// the budget still holds: protected's tail (key 1, promoted first
-	// but colder than 3's later promotion... order is recency: 3 is
-	// front, 1 is back) gives way.
-	c.put(rcKey(4), rcView{payload: pay(40), sha: "d", genMillis: 4})
-	if st := c.stats(); st.bytes > 100 {
-		t.Fatalf("budget exceeded: %+v", st)
-	}
-	if _, ok := c.get(rcKey(1)); ok {
-		t.Error("protected tail survived over-budget insert")
-	}
-	for _, k := range []int{3, 4} {
-		if _, ok := c.get(rcKey(k)); !ok {
-			t.Errorf("key %d missing after eviction round", k)
+	put := func(k, n int) {
+		t.Helper()
+		c.put(rcKey(k), rcView{payload: pay(n), sha: fmt.Sprint(k), genMillis: float64(k)})
+		if _, b, max := c.stats(); b > max {
+			t.Fatalf("after put(%d, %d bytes): %d bytes held, budget %d", k, n, b, max)
 		}
 	}
+	has := func(k int) bool { _, ok := c.get(rcKey(k)); return ok }
 
-	// Duplicate put refreshes recency without duplicating bytes (the
-	// key is a content address, so same key means same payload).
-	before := c.stats().bytes
-	c.put(rcKey(4), rcView{payload: pay(40), sha: "d", genMillis: 4})
-	if after := c.stats().bytes; after != before {
-		t.Errorf("duplicate put changed bytes %d -> %d", before, after)
+	put(1, 40)
+	put(2, 40)
+	if n, b, _ := c.stats(); n != 2 || b != 80 {
+		t.Fatalf("after two inserts: %d entries, %d bytes", n, b)
+	}
+	// A hit returns the payload and metadata and refreshes recency.
+	v, ok := c.get(rcKey(1))
+	if !ok || string(v.payload) != string(pay(40)) || v.sha != "1" || v.genMillis != 1 {
+		t.Fatalf("get(1) = %+v %v", v, ok)
+	}
+	// Inserting past the budget evicts the least recently used entry:
+	// key 2, since the hit refreshed key 1.
+	put(3, 40)
+	if has(2) {
+		t.Error("least recently used entry survived eviction")
+	}
+	if !has(1) || !has(3) {
+		t.Error("a recently used entry was evicted")
+	}
+	// Recency is now 3, 1 (most recent first): the next insert takes 1.
+	put(4, 40)
+	if has(1) || !has(3) || !has(4) {
+		t.Error("eviction did not take the least recently used entry")
 	}
 
-	// A payload over the whole budget is not cached at all.
-	c.put(rcKey(5), rcView{payload: pay(101), sha: "e", genMillis: 5})
-	if _, ok := c.get(rcKey(5)); ok {
+	// A duplicate put adds no bytes (the key is a content address, so
+	// same key means same payload) and refreshes recency: with 3
+	// refreshed, the next insert takes 4.
+	_, before, _ := c.stats()
+	put(3, 40)
+	if _, after, _ := c.stats(); after != before {
+		t.Errorf("duplicate put changed bytes %d -> %d", before, after)
+	}
+	put(5, 40)
+	if has(4) || !has(3) || !has(5) {
+		t.Error("a duplicate put did not refresh recency")
+	}
+	// An insert evicts as many entries as the budget needs.
+	put(6, 90)
+	if n, b, _ := c.stats(); n != 1 || b != 90 || !has(6) {
+		t.Errorf("after a 90-byte insert: %d entries, %d bytes", n, b)
+	}
+
+	// A payload over the whole budget is not cached and evicts nothing.
+	put(7, 101)
+	if has(7) {
 		t.Error("oversized payload was cached")
+	}
+	if !has(6) {
+		t.Error("an oversized payload evicted an entry")
 	}
 }
 
@@ -95,6 +96,7 @@ func TestResultCacheRawLookaside(t *testing.T) {
 
 	c := newResultCache(100)
 	c.put(rcKey(1), rcView{payload: pay(40), sha: "a", genMillis: 1})
+	c.put(rcKey(2), rcView{payload: pay(40), sha: "b", genMillis: 2})
 	// Linking to an absent entry is a no-op, not a dangling alias.
 	c.link(rawOf(0), rcKey(99))
 	if _, ok := c.getRaw(rawOf(0)); ok {
@@ -104,9 +106,14 @@ func TestResultCacheRawLookaside(t *testing.T) {
 	if v, ok := c.getRaw(rawOf(1)); !ok || v.sha != "a" || v.genMillis != 1 || len(v.payload) != 40 {
 		t.Fatalf("raw lookup = %v %+v", ok, v)
 	}
-	// A raw hit promotes exactly like a canonical hit.
-	if st := c.stats(); st.protectedEntries != 1 {
-		t.Errorf("raw hit did not promote: %+v", st)
+	// A raw hit refreshes recency exactly like a canonical hit: the next
+	// insert evicts key 2, not key 1.
+	c.put(rcKey(3), rcView{payload: pay(40), sha: "c", genMillis: 3})
+	if _, ok := c.get(rcKey(2)); ok {
+		t.Error("raw hit did not refresh recency: key 2 survived")
+	}
+	if _, ok := c.getRaw(rawOf(1)); !ok {
+		t.Error("raw hit did not refresh recency: key 1 was evicted")
 	}
 	// Two raw keys (different BLIF formatting) may alias one entry.
 	c.link(rawOf(2), rcKey(1))
@@ -119,7 +126,7 @@ func TestResultCacheRawLookaside(t *testing.T) {
 	c2.put(rcKey(1), rcView{payload: pay(40), sha: "a", genMillis: 1})
 	c2.link(rawOf(1), rcKey(1))
 	c2.put(rcKey(2), rcView{payload: pay(40), sha: "b", genMillis: 2})
-	c2.put(rcKey(3), rcView{payload: pay(40), sha: "c", genMillis: 3}) // evicts key 1, probation's tail
+	c2.put(rcKey(3), rcView{payload: pay(40), sha: "c", genMillis: 3}) // evicts key 1, the least recently used
 	if _, ok := c2.get(rcKey(1)); ok {
 		t.Fatal("key 1 survived eviction")
 	}
@@ -138,7 +145,7 @@ func TestSpliceCachedResponse(t *testing.T) {
 	tr := true
 	orig := &MapResponse{
 		Circuit: "c", Library: "lib2", Mode: "dag",
-		Netlist: ".model c\n.gate nand2 a=x b=y O=z \" quote\n.end\n",
+		Netlist: ".model c\n.gate nand2 a=x<0> b=y&1 O=z \" quote\n.end\n",
 		Delay:   3.5, Area: 7, Cells: 2, PatternsTried: 11,
 		SGStoreHit: &tr, SGArtifactSHA: "deadbeef", SubjectSHA: "feedface",
 		Verified: true,
@@ -147,43 +154,157 @@ func TestSpliceCachedResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spliced, ok := spliceCachedResponse(payload, 1.25, "trace-1", "hit-mem", sha, "deadbeef")
-	if !ok {
-		t.Fatal("canonical payload did not splice")
+	if !canonicalPayload(payload) {
+		t.Fatalf("encodeResultPayload output is not canonical: %s", payload)
 	}
-	var got MapResponse
-	if err := json.Unmarshal(spliced, &got); err != nil {
-		t.Fatalf("spliced output is not valid JSON: %v\n%s", err, spliced)
+	for _, c := range []struct{ traceID, sgArtifactSHA string }{{"trace-1", "deadbeef"}, {"", ""}} {
+		v := rcView{payload: payload, sha: sha, library: "lib2", sgArtifactSHA: c.sgArtifactSHA}
+		spliced := spliceCachedResponse(v, 1.25, c.traceID, "hit-mem")
+		var got MapResponse
+		if err := json.Unmarshal(spliced, &got); err != nil {
+			t.Fatalf("spliced output is not valid JSON: %v\n%s", err, spliced)
+		}
+		// The reference: decode the payload and set the serving fields
+		// the splice writes.
+		var want MapResponse
+		if err := json.Unmarshal(payload, &want); err != nil {
+			t.Fatal(err)
+		}
+		want.CacheHit = true
+		want.ElapsedMillis, want.TraceID = 1.25, c.traceID
+		want.ResultCache, want.ResultSHA = "hit-mem", sha
+		if c.sgArtifactSHA != "" {
+			want.SGStoreHit, want.SGArtifactSHA = &tr, c.sgArtifactSHA
+		}
+		gw, _ := json.Marshal(&got)
+		ww, _ := json.Marshal(&want)
+		if string(gw) != string(ww) {
+			t.Errorf("splice and decode disagree:\n  splice: %s\n  decode: %s", gw, ww)
+		}
+		if !got.CacheHit || got.Netlist != orig.Netlist {
+			t.Errorf("spliced fields wrong: %+v", got)
+		}
 	}
-	// The spliced response must decode to exactly what the slow path
-	// (decode + refreshServingMetadata + volatile fields) produces.
-	want, err := decodeResultPayload(payload)
+
+	// Payloads without the canonical shape are caught before a splice.
+	for _, bad := range [][]byte{
+		[]byte(`{"circuit":"c","cache_hit":false,"elapsed_ms":1}`), // non-zero tail
+		[]byte(`{"circuit":"c","cache_hit":true,"elapsed_ms":0}`),  // cache_hit already set
+		[]byte(`{"circuit":"c","cache_hit":false}`),                // no canonical tail
+		[]byte(`{"circuit":"c"}`),                                  // neither field
+	} {
+		if canonicalPayload(bad) {
+			t.Errorf("non-canonical payload %s passed the shape check", bad)
+		}
+	}
+}
+
+// TestStoreObjectWithoutCanonicalShapeMisses checks the disk tier's
+// boundary: a store object under the current key whose payload lacks
+// the canonical tail, or that carries no library metadata, is served
+// as a miss with the freshly computed netlist, and the recomputed
+// result replaces it for the next process.
+func TestStoreObjectWithoutCanonicalShapeMisses(t *testing.T) {
+	req := MapRequest{BLIF: blifOf(t, bench.Comparator(8)), Library: "44-1"}
+	code, want, body := post(t, New(Config{Concurrency: 1, ResultCacheBytes: -1}).Handler(), nil, req)
+	if code != http.StatusOK {
+		t.Fatalf("cache-off request = %d: %s", code, body)
+	}
+	libKey, err := libraryCacheKey(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.ElapsedMillis = 1.25
-	want.TraceID = "trace-1"
-	want.ResultCache = "hit-mem"
-	want.ResultSHA = sha
-	refreshServingMetadata(want, "deadbeef")
-	gw, _ := json.Marshal(&got)
-	ww, _ := json.Marshal(want)
-	if string(gw) != string(ww) {
-		t.Errorf("splice and decode paths disagree:\n  splice: %s\n  decode: %s", gw, ww)
+	key := resultKey(want.SubjectSHA, libKey, "dag", &req)
+	stale := want
+	stale.Netlist = "# stale cover\n"
+	canon, _, err := encodeResultPayload(&stale)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !got.CacheHit || got.ResultCache != "hit-mem" || got.Netlist != orig.Netlist {
-		t.Errorf("spliced fields wrong: %+v", got)
-	}
-
-	// A payload that does not match the canonical shape refuses to
-	// splice instead of producing garbage.
-	for _, bad := range [][]byte{
-		[]byte(`{"circuit":"c","elapsed_ms":1}`),   // non-zero tail
-		[]byte(`{"circuit":"c","cache_hit":true}`), // no canonical tail
-		[]byte(`{"circuit":"c"}`),                  // neither field
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		meta    map[string]string
+	}{
+		{"no canonical tail", append(bytes.TrimSuffix(canon, canonTail), `"elapsed_ms":5}`...), map[string]string{"library": want.Library}},
+		{"no library metadata", canon, nil},
 	} {
-		if _, ok := spliceCachedResponse(bad, 1, "t", "hit-mem", "s", ""); ok {
-			t.Errorf("non-canonical payload %s spliced", bad)
+		dir := t.TempDir()
+		if err := openStore(t, dir).Put(resultKind, key, c.payload, 1, c.meta); err != nil {
+			t.Fatal(err)
+		}
+		code, got, body := post(t, New(Config{Concurrency: 1, Store: openStore(t, dir)}).Handler(), nil, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: request = %d: %s", c.name, code, body)
+		}
+		if got.ResultCache != resultMiss || got.Netlist != want.Netlist {
+			t.Errorf("%s: served %q with netlist %.40q, want a miss with the computed netlist", c.name, got.ResultCache, got.Netlist)
+		}
+		code, got, body = post(t, New(Config{Concurrency: 1, Store: openStore(t, dir)}).Handler(), nil, req)
+		if code != http.StatusOK || got.ResultCache != resultHitDisk || got.Netlist != want.Netlist {
+			t.Errorf("%s: after republishing, a restart served %d %q, want 200 %s with the computed netlist: %.200s",
+				c.name, code, got.ResultCache, resultHitDisk, body)
+		}
+	}
+}
+
+// TestJobHitMatchesMapHit checks that a /jobs item served from the
+// cache embeds exactly the /map hit's body for the same request, up to
+// the per-serving elapsed_ms and trace_id at its tail, supergate
+// artifact fields included.
+func TestJobHitMatchesMapHit(t *testing.T) {
+	s := New(Config{Concurrency: 1, Store: openStore(t, t.TempDir())})
+	text := blifOf(t, bench.Comparator(6))
+	sg := &SupergateConfig{MaxInputs: 3, MaxDepth: 2, MaxGates: 32}
+	for _, req := range []MapRequest{
+		{BLIF: text, Library: "44-1"},
+		{BLIF: text, Library: "44-1", Supergates: sg, Verify: true},
+	} {
+		if code, r, body := post(t, s.Handler(), nil, req); code != http.StatusOK || r.ResultCache != resultMiss {
+			t.Fatalf("first request = %d %q: %s", code, r.ResultCache, body)
+		}
+		code, hit, body := post(t, s.Handler(), nil, req)
+		if code != http.StatusOK || hit.ResultCache != resultHitMem {
+			t.Fatalf("repeat = %d %q: %s", code, hit.ResultCache, body)
+		}
+		rec := runJob(t, s, JobRequest{Items: []JobItemRequest{{BLIF: req.BLIF}}, Library: req.Library,
+			Supergates: req.Supergates, Verify: req.Verify})[0]
+		if item := itemResponse(t, rec); rec.Status != http.StatusOK || item.ResultCache != resultHitMem {
+			t.Fatalf("job item = %d: %s", rec.Status, rec.Response)
+		}
+		mapBody, _, ok1 := strings.Cut(body, `,"elapsed_ms":`)
+		jobBody, _, ok2 := strings.Cut(string(rec.Response), `,"elapsed_ms":`)
+		if req.Supergates != nil && !strings.Contains(mapBody, `"sg_artifact_sha":`) {
+			t.Errorf("the supergate hit carries no artifact SHA: %.300s", mapBody)
+		}
+		if !ok1 || !ok2 || mapBody != jobBody {
+			t.Errorf("supergates %v: job item and /map hit differ before elapsed_ms:\n  /map: %.300s\n  /jobs: %.300s",
+				req.Supergates != nil, mapBody, jobBody)
+		}
+	}
+}
+
+// TestJobRecordResponseBytes checks that response_bytes is the length
+// of the response exactly as the record embeds it, on a miss and a hit,
+// for signal names that an HTML-escaping encoder would rewrite.
+func TestJobRecordResponseBytes(t *testing.T) {
+	text := ".model esc\n.inputs a<0> b&1\n.outputs o<0>\n.names a<0> b&1 o<0>\n11 1\n.end\n"
+	s := New(Config{Concurrency: 1})
+	items := []JobItemRequest{{Name: "first", BLIF: text}, {Name: "repeat", BLIF: text}}
+	recs := runJob(t, s, JobRequest{Items: items, Library: "44-1"})
+	for i, tier := range []string{resultMiss, resultHitMem} {
+		rec := recs[i]
+		item := itemResponse(t, rec)
+		if rec.Status != http.StatusOK || item.ResultCache != tier {
+			t.Fatalf("%s: status %d result_cache %q, want 200 %s", rec.Name, rec.Status, item.ResultCache, tier)
+		}
+		// A computed response is embedded unescaped; a cached one carries
+		// the canonical payload's escapes.
+		if !strings.Contains(item.Netlist, "a<0>") || tier == resultMiss && !bytes.Contains(rec.Response, []byte("a<0>")) {
+			t.Fatalf("%s: the embedded response does not carry the signal names: %.300s", rec.Name, rec.Response)
+		}
+		if rec.ResponseBytes != len(rec.Response) {
+			t.Errorf("%s: response_bytes %d, embedded response %d bytes", rec.Name, rec.ResponseBytes, len(rec.Response))
 		}
 	}
 }
@@ -511,14 +632,14 @@ func TestJobItemsUseResultCache(t *testing.T) {
 	// Both copies of the warmed circuit come from the cache, and the
 	// netlists match the sync run exactly; the fresh circuit misses.
 	for _, name := range []string{"warmed", "warmed-again"} {
-		if got := byName[name].Response.ResultCache; got != "hit-mem" {
+		if got := itemResponse(t, byName[name]).ResultCache; got != "hit-mem" {
 			t.Errorf("%s result_cache = %q, want hit-mem", name, got)
 		}
 	}
-	if got := byName["fresh"].Response.ResultCache; got != "miss" {
+	if got := itemResponse(t, byName["fresh"]).ResultCache; got != "miss" {
 		t.Errorf("fresh result_cache = %q, want miss", got)
 	}
-	if byName["warmed"].Response.Netlist != byName["warmed-again"].Response.Netlist {
+	if itemResponse(t, byName["warmed"]).Netlist != itemResponse(t, byName["warmed-again"]).Netlist {
 		t.Error("cached item netlists differ")
 	}
 	snap := s.Stats()
@@ -608,7 +729,9 @@ func hitPathCorpus(t *testing.T) []MapRequest {
 //     prepended (digest-keyed lookup after ingest) and, on a restarted
 //     server, a disk-tier serving each report a hit tier and add no
 //     pattern plans to the server's work counters, and carry no memo
-//     counts.
+//     counts;
+//   - so does each /jobs item that repeats a corpus request, verbatim
+//     or commented, on the same server and on another restarted one.
 //
 // Then it bounds what a hit allocates, on the largest entry, through
 // the handler: a verbatim hit at most hitAllocsRaw allocations, a
@@ -619,6 +742,10 @@ func TestResultCacheHitPath(t *testing.T) {
 	}
 	dir := t.TempDir()
 	s := New(Config{Concurrency: 1, Store: openStore(t, dir)})
+	commented := func(req MapRequest) MapRequest {
+		req.BLIF = "# a repeat with new bytes and the same subject graph\n" + req.BLIF
+		return req
+	}
 	serve := func(s *Server, name string, req MapRequest, tier string) MapResponse {
 		t.Helper()
 		before := s.Stats().PatternsTried
@@ -640,14 +767,46 @@ func TestResultCacheHitPath(t *testing.T) {
 		}
 		return resp
 	}
-	reqs := hitPathCorpus(t)
-	commented := func(req MapRequest) MapRequest {
-		req.BLIF = "# a repeat with new bytes and the same subject graph\n" + req.BLIF
-		return req
+	// serveJob submits one batch per library, each corpus request's BLIF
+	// verbatim and then with a comment prepended, and holds every item to
+	// the same contract as a /map hit, in the tiers given for the two
+	// copies.
+	missSHA := map[string]string{} // by library and BLIF
+	serveJob := func(s *Server, name string, reqs []MapRequest, tiers [2]string) {
+		t.Helper()
+		for _, lib := range []string{"lib2", "44-1", "44-3"} {
+			var items []JobItemRequest
+			var wantSHA []string
+			for _, req := range reqs {
+				if req.Library == lib {
+					items = append(items, JobItemRequest{BLIF: req.BLIF}, JobItemRequest{BLIF: commented(req).BLIF})
+					wantSHA = append(wantSHA, missSHA[lib+req.BLIF], missSHA[lib+req.BLIF])
+				}
+			}
+			before := s.Stats().PatternsTried
+			for i, rec := range runJob(t, s, JobRequest{Items: items, Library: lib}) {
+				item, tier := itemResponse(t, rec), tiers[i%2]
+				switch {
+				case rec.Status != http.StatusOK:
+					t.Fatalf("%s %s item %d: status %d: %s", name, lib, i, rec.Status, rec.Error)
+				case item.ResultCache != tier:
+					t.Errorf("%s %s item %d: result_cache %q, want %q", name, lib, i, item.ResultCache, tier)
+				case item.MemoHits != 0 || item.MemoMisses != 0:
+					t.Errorf("%s %s item %d: a %s serving reported %d memo hits, %d misses", name, lib, i, tier, item.MemoHits, item.MemoMisses)
+				case item.ResultSHA != wantSHA[i]:
+					t.Errorf("%s %s item %d: a hit served another result than the miss", name, lib, i)
+				}
+			}
+			if work := s.Stats().PatternsTried - before; work != 0 {
+				t.Errorf("%s %s: cache-served job items added %d pattern plans to the work counters; the engine ran", name, lib, work)
+			}
+		}
 	}
+	reqs := hitPathCorpus(t)
 	for i, req := range reqs {
 		name := fmt.Sprintf("request %d (%s)", i, req.Library)
 		miss := serve(s, name+" first serving", req, resultMiss)
+		missSHA[req.Library+req.BLIF] = miss.ResultSHA
 		for _, hit := range []MapResponse{
 			serve(s, name+" verbatim repeat", req, resultHitMem),
 			serve(s, name+" commented repeat", commented(req), resultHitMem),
@@ -657,10 +816,15 @@ func TestResultCacheHitPath(t *testing.T) {
 			}
 		}
 	}
+	serveJob(s, "job", reqs, [2]string{resultHitMem, resultHitMem})
 	restarted := New(Config{Concurrency: 1, Store: openStore(t, dir)})
 	for i, req := range reqs {
 		serve(restarted, fmt.Sprintf("request %d (%s) after restart", i, req.Library), req, resultHitDisk)
 	}
+	// A third process serves each circuit's verbatim item from the disk
+	// tier and its commented item from the memory tier that warmed.
+	jobRestarted := New(Config{Concurrency: 1, Store: openStore(t, dir)})
+	serveJob(jobRestarted, "job after restart", reqs, [2]string{resultHitDisk, resultHitMem})
 
 	// Allocation bound on the largest entry (C6288 × 44-3), served warm.
 	// Each commented body carries a comment of its own, so every one is

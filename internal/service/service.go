@@ -184,7 +184,7 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler
 
-	// Whole-result cache (nil when disabled): the in-memory SLRU tier
+	// Whole-result cache (nil when disabled): the in-memory LRU tier
 	// plus the single-flight group that coalesces identical misses.
 	// The disk tier rides the artifact store (kind mapres4).
 	resultCache *resultCache
@@ -382,7 +382,7 @@ type MapResponse struct {
 	// in lut mode.
 	SubjectSHA string `json:"subject_sha,omitempty"`
 	// ResultCache reports how the whole-result cache served this
-	// response: hit-mem (in-process SLRU), hit-disk (artifact store,
+	// response: hit-mem (in-process LRU), hit-disk (artifact store,
 	// e.g. after a restart or from a sibling replica), miss (computed
 	// and published), or coalesced (waited on an identical concurrent
 	// request's run). Absent when result caching is disabled or the
@@ -552,32 +552,21 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	elapsed := ph.elapsed()
-	resp := out.resp
-	if resp == nil {
-		// Served from the cache: byte-splice the canonical payload when
-		// it has the canonical shape and the view carries its metadata;
-		// otherwise decode and re-encode it. A cached serving did no
-		// engine work, so it adds none to the work counters.
+	if out.resp == nil {
+		// Served from the cache: byte-splice the canonical payload. A
+		// cached serving did no engine work, so it adds none to the work
+		// counters.
 		t0 := time.Now()
-		defer func() { ph.dur[phaseRespond] = time.Since(t0) }()
-		if out.view.library != "" {
-			if body, ok := spliceCachedResponse(out.view.payload, millis(elapsed), traceID, out.tier, out.view.sha, out.view.sgArtifactSHA); ok {
-				s.metrics.recordServed(out.view.library, elapsed, 0, 0, 0)
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusOK)
-				_, _ = w.Write(body)
-				return
-			}
-		}
-		var err error
-		if resp, err = cachedResponse(out, &ph); err != nil {
-			fail(http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.metrics.recordServed(resp.Library, elapsed, 0, 0, 0)
-	} else {
-		s.metrics.recordServed(resp.Library, elapsed, resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
+		body := spliceCachedResponse(out.view, millis(elapsed), traceID, out.tier)
+		s.metrics.recordServed(out.view.library, elapsed, 0, 0, 0)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(append(body, '\n'))
+		ph.dur[phaseRespond] = time.Since(t0)
+		return
 	}
+	resp := out.resp
+	s.metrics.recordServed(resp.Library, elapsed, resp.PatternsTried, resp.MemoHits, resp.MemoMisses)
 	resp.ElapsedMillis = millis(elapsed)
 	resp.TraceID = traceID
 	writeJSON(w, http.StatusOK, resp)

@@ -345,7 +345,7 @@ type StatsSnapshot struct {
 	// when the server runs without a store.
 	Store *StoreSnapshot `json:"store,omitempty"`
 	// ResultCache is the whole-result cache: tiered hit/miss/coalesce
-	// counters plus the in-memory SLRU's occupancy. Absent when result
+	// counters plus the in-memory LRU's occupancy. Absent when result
 	// caching is disabled.
 	ResultCache *ResultCacheSnapshot `json:"result_cache,omitempty"`
 	// PhaseMillis breaks served wall time down by request phase,
@@ -400,13 +400,10 @@ type ResultCacheSnapshot struct {
 	Coalesced   uint64 `json:"coalesced"`
 	Stores      uint64 `json:"stores"`
 	StoreErrors uint64 `json:"store_errors"`
-	// In-memory SLRU occupancy; the protected segment holds entries
-	// that have repeated at least once.
-	Entries          int   `json:"entries"`
-	Bytes            int64 `json:"bytes"`
-	MaxBytes         int64 `json:"max_bytes"`
-	ProtectedEntries int   `json:"protected_entries"`
-	ProtectedBytes   int64 `json:"protected_bytes"`
+	// In-memory LRU occupancy against its byte budget.
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	MaxBytes int64 `json:"max_bytes"`
 }
 
 // StoreSnapshot is the /stats view of the artifact store.
@@ -462,20 +459,16 @@ func (s *Server) Stats() StatsSnapshot {
 		st.Store = &ss
 	}
 	if s.resultCache != nil {
-		rc := s.resultCache.stats()
-		st.ResultCache = &ResultCacheSnapshot{
-			MemHits:          m.rcMemHits.Load(),
-			DiskHits:         m.rcDiskHits.Load(),
-			Misses:           m.rcMisses.Load(),
-			Coalesced:        m.rcCoalesced.Load(),
-			Stores:           m.rcStores.Load(),
-			StoreErrors:      m.rcStoreErrors.Load(),
-			Entries:          rc.entries,
-			Bytes:            rc.bytes,
-			MaxBytes:         rc.maxBytes,
-			ProtectedEntries: rc.protectedEntries,
-			ProtectedBytes:   rc.protectedBytes,
+		rc := &ResultCacheSnapshot{
+			MemHits:     m.rcMemHits.Load(),
+			DiskHits:    m.rcDiskHits.Load(),
+			Misses:      m.rcMisses.Load(),
+			Coalesced:   m.rcCoalesced.Load(),
+			Stores:      m.rcStores.Load(),
+			StoreErrors: m.rcStoreErrors.Load(),
 		}
+		rc.Entries, rc.Bytes, rc.MaxBytes = s.resultCache.stats()
+		st.ResultCache = rc
 	}
 
 	st.PhaseMillis = make(map[string]float64, numPhases)

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"dagcover/internal/bench"
-	"dagcover/internal/obs"
+	"dagcover/internal/obs/obstest"
 )
 
 // TestTraceExportValidChromeTrace drives the -trace pipeline the CLIs
@@ -26,7 +26,7 @@ func TestTraceExportValidChromeTrace(t *testing.T) {
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
+	if err := obstest.ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Fatalf("exported trace is not valid trace_event JSON: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
