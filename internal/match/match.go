@@ -558,23 +558,22 @@ func (m *Matcher) memoKeyDepth(g *subject.Graph, root subject.Node) (sig, depth 
 
 // replay resolves a recorded recipe stream against the current cone's
 // nodes and yields the matches in recorded (= fresh enumeration)
-// order.
+// order. A recipe's leaf count is its pattern's pin count.
 func (m *Matcher) replay(stream []int32, nodes []subject.Node, out *Match, yield func(*Match) bool) {
-	for i := 0; i < len(stream); {
-		p := m.Patterns[stream[i]]
-		nCov := int(stream[i+1])
-		i += 2
+	for len(stream) > 0 {
+		p := m.Patterns[stream[0]]
+		leaves := stream[2 : 2+len(p.PinLeaf)]
+		covered := stream[2+len(leaves) : 2+len(leaves)+int(stream[1])]
+		stream = stream[2+len(leaves)+len(covered):]
 		out.Pattern = p
 		out.Leaves = out.Leaves[:0]
-		for k := 0; k < p.Gate.NumInputs(); k++ {
-			out.Leaves = append(out.Leaves, nodes[stream[i+k]])
+		for _, ci := range leaves {
+			out.Leaves = append(out.Leaves, nodes[ci])
 		}
-		i += p.Gate.NumInputs()
 		out.Covered = out.Covered[:0]
-		for k := 0; k < nCov; k++ {
-			out.Covered = append(out.Covered, nodes[stream[i+k]])
+		for _, ci := range covered {
+			out.Covered = append(out.Covered, nodes[ci])
 		}
-		i += nCov
 		if !yield(out) {
 			return
 		}

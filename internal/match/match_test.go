@@ -13,7 +13,7 @@ import (
 	"dagcover/internal/subject"
 )
 
-func compile(t *testing.T, lib *genlib.Library, share bool) []*subject.Pattern {
+func compile(t testing.TB, lib *genlib.Library, share bool) []*subject.Pattern {
 	t.Helper()
 	pats, _, err := subject.CompileLibrary(lib, subject.CompileOptions{Share: share})
 	if err != nil {

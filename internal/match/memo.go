@@ -13,12 +13,14 @@ package match
 //
 // The memo maps cone keys to the full ordered match list recorded as a
 // *recipe stream*: pattern indices plus leaf/covered bindings encoded
-// as cone indices rather than node pointers. A hit replays the stream
-// against the current root's cone nodes and skips the trie walk
-// entirely; a miss runs the ordinary walk and records it. A hit
-// allocates nothing: the key lives in the encoder's buffer, the map
-// probe does not copy it, and the replay fills the matcher's one
-// reused Match.
+// as cone indices (the nodes' BFS indices in the key) rather than node
+// pointers. A hit replays the stream against the current root's cone
+// nodes and skips the trie walk entirely; a miss runs the ordinary
+// walk and records it. A hit costs one BFS over the cone, which
+// numbers and serializes it in the same pass, a map probe and the
+// replay, and allocates nothing: the key lives in the encoder's
+// buffer, the map probe does not copy it, and the replay fills the
+// matcher's one reused Match.
 //
 // Replay fidelity: the recorded stream is the complete yield sequence
 // of a fresh enumeration, in order, and equal keys guarantee (see

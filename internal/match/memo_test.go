@@ -600,13 +600,16 @@ var updateMemoCounters = flag.Bool("update-memo-counters", false, "rewrite testd
 
 // memoCounts is one pinned input's memo traffic: one memo-on Standard
 // enumeration at every node of a fresh matcher, in node order.
+// coneNodes and keyBytes total the cone keys computed on the way (see
+// subject.ConeEncoder.Work).
 type memoCounts struct {
 	lookups, hits, entries int
+	coneNodes, keyBytes    int64
 }
 
 // streamSubject streams a generated family (bench.StreamFamily) into
 // its subject graph, as techmap and stream-scale read it.
-func streamSubject(t *testing.T, family string) *subject.Graph {
+func streamSubject(t testing.TB, family string) *subject.Graph {
 	t.Helper()
 	gen, ok := bench.StreamFamily(family)
 	if !ok {
@@ -623,12 +626,15 @@ func streamSubject(t *testing.T, family string) *subject.Graph {
 	return g
 }
 
-// TestMemoCounters is the noise-free gate on the memo's admission:
-// memo-on lookups, hits and entries on fixed inputs are pinned in
-// testdata/memo_counters.txt. On the structured inputs, where the memo
-// pays, hits must never fall; on the random DAG, where it cannot,
-// lookups must never rise. Any other change is logged; rewrite the
-// file with -update-memo-counters to lock it in.
+// TestMemoCounters is the noise-free gate on the memo's admission and
+// on its key work: memo-on lookups, hits and entries, and the cone
+// nodes visited and key bytes written computing those lookups' keys,
+// on fixed inputs are pinned in testdata/memo_counters.txt. On the
+// structured inputs, where the memo pays, hits must never fall; on the
+// random DAG, where it cannot, lookups must never rise; on every input
+// cone nodes and key bytes must never rise, so keys cannot silently
+// widen. Any other change is logged; rewrite the file with
+// -update-memo-counters to lock it in.
 func TestMemoCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("maps C6288, mult28 and a 2900-gate random DAG")
@@ -657,7 +663,10 @@ func TestMemoCounters(t *testing.T) {
 		{"mult28", streamSubject(t, "mult28"), []string{"44-1", "44-3"}, false},
 	}
 	path := filepath.Join("testdata", "memo_counters.txt")
-	want := readMemoCounters(t, path)
+	var want map[string]memoCounts
+	if !*updateMemoCounters {
+		want = readMemoCounters(t, path)
+	}
 	var lines []string
 	for _, in := range inputs {
 		for _, lib := range in.libs {
@@ -666,8 +675,9 @@ func TestMemoCounters(t *testing.T) {
 			for i := 0; i < in.g.NumNodes(); i++ {
 				m.Enumerate(in.g, subject.Node(i), Standard, func(*Match) bool { return true })
 			}
-			got := memoCounts{m.MemoHits() + m.MemoMisses(), m.MemoHits(), m.MemoEntries()}
-			lines = append(lines, fmt.Sprintf("%s %d %d %d", key, got.lookups, got.hits, got.entries))
+			got := memoCounts{lookups: m.MemoHits() + m.MemoMisses(), hits: m.MemoHits(), entries: m.MemoEntries()}
+			got.coneNodes, got.keyBytes = m.cone.Work()
+			lines = append(lines, fmt.Sprintf("%s %d %d %d %d %d", key, got.lookups, got.hits, got.entries, got.coneNodes, got.keyBytes))
 			if *updateMemoCounters {
 				continue
 			}
@@ -679,14 +689,16 @@ func TestMemoCounters(t *testing.T) {
 				t.Errorf("%s: memo lookups rose %d→%d on a circuit the memo cannot serve", key, w.lookups, got.lookups)
 			case !in.random && got.hits < w.hits:
 				t.Errorf("%s: memo hits fell %d→%d on a circuit the memo serves", key, w.hits, got.hits)
+			case got.coneNodes > w.coneNodes || got.keyBytes > w.keyBytes:
+				t.Errorf("%s: cone-key work rose: cone nodes %d→%d, key bytes %d→%d", key, w.coneNodes, got.coneNodes, w.keyBytes, got.keyBytes)
 			case got != w:
-				t.Logf("%s: memo counters moved: lookups %d→%d, hits %d→%d, entries %d→%d; rewrite %s with -update-memo-counters",
-					key, w.lookups, got.lookups, w.hits, got.hits, w.entries, got.entries, path)
+				t.Logf("%s: memo counters moved: lookups %d→%d, hits %d→%d, entries %d→%d, cone nodes %d→%d, key bytes %d→%d; rewrite %s with -update-memo-counters",
+					key, w.lookups, got.lookups, w.hits, got.hits, w.entries, got.entries, w.coneNodes, got.coneNodes, w.keyBytes, got.keyBytes, path)
 			}
 		}
 	}
 	if *updateMemoCounters {
-		body := "# circuit library lookups hits entries\n" +
+		body := "# circuit library lookups hits entries cone_nodes key_bytes\n" +
 			"# one memo-on Standard enumeration at every subject node of a fresh matcher (TestMemoCounters)\n" +
 			strings.Join(lines, "\n") + "\n"
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
@@ -699,9 +711,6 @@ func readMemoCounters(t *testing.T, path string) map[string]memoCounts {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
-		if *updateMemoCounters {
-			return nil
-		}
 		t.Fatal(err)
 	}
 	out := map[string]memoCounts{}
@@ -711,10 +720,48 @@ func readMemoCounters(t *testing.T, path string) map[string]memoCounts {
 		}
 		var circuit, lib string
 		var c memoCounts
-		if _, err := fmt.Sscan(line, &circuit, &lib, &c.lookups, &c.hits, &c.entries); err != nil {
+		if _, err := fmt.Sscan(line, &circuit, &lib, &c.lookups, &c.hits, &c.entries, &c.coneNodes, &c.keyBytes); err != nil {
 			t.Fatalf("%s: %q: %v", path, line, err)
 		}
 		out[circuit+" "+lib] = c
 	}
 	return out
+}
+
+// BenchmarkConeEncode computes the cone key of every gate of
+// alumesh14x14 at its 44-3 signature bucket's key depth, as the memo
+// does before each lookup (Standard class: no fanout words). Besides
+// the map probe and the replay, the key is all a memo hit costs; it
+// must not allocate.
+func BenchmarkConeEncode(b *testing.B) {
+	g := streamSubject(b, "alumesh14x14")
+	m := NewMatcher(compile(b, libgen.Lib443(), true))
+	var roots []subject.Node
+	var depths []int
+	for i := 0; i < g.NumNodes(); i++ {
+		n := subject.Node(i)
+		if g.KindOf(n) == subject.PI {
+			continue
+		}
+		if _, depth := m.memoKeyDepth(g, n); depth <= maxMemoDepth {
+			roots = append(roots, n)
+			depths = append(depths, depth)
+		}
+	}
+	tag := memoKeyTag(Standard, m.index)
+	e := subject.NewConeEncoder()
+	for i, n := range roots {
+		e.Encode(g, n, depths[i], false, tag)
+	}
+	nodes, keyBytes := e.Work()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		for i, n := range roots {
+			e.Encode(g, n, depths[i], false, tag)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(roots)), "ns/root")
+	b.ReportMetric(float64(nodes)/float64(len(roots)), "nodes/root")
+	b.ReportMetric(float64(keyBytes)/float64(len(roots)), "keybytes/root")
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -25,7 +24,7 @@ import (
 // misses single-flight onto one engine run.
 
 // resultKind is the artifact-store object kind and key-format version
-// for cached mapping results. Bumping it (mapres4, ...) rotates every
+// for cached mapping results. Bumping it (mapres5, ...) rotates every
 // key, which is how a change to response serialization or mapping
 // semantics invalidates old entries: they are orphaned for the GC,
 // never misread. mapres2: exact matches stopped covering
@@ -33,8 +32,9 @@ import (
 // mapres3: memo_hits and memo_misses left the canonical payload, and
 // the memo setting left the key. mapres4: sg_store_hit and
 // sg_artifact_sha left it, so a server with an artifact store and one
-// without publish the same result_sha.
-const resultKind = "mapres4"
+// without publish the same result_sha. mapres5: the payload stopped
+// HTML-escaping '<', '>' and '&', as computed responses never did.
+const resultKind = "mapres5"
 
 // result_cache tiers reported in responses and wide events.
 const (
@@ -142,7 +142,10 @@ func rawRequestKey(blifSHA, libKey, mode string, req *MapRequest) store.Key {
 // the server's Parallelism, which the key leaves out.
 // Everything else (netlist, delay, cells, the run's pattern and match
 // counts) is kept verbatim. Two replicas computing the same result
-// therefore publish byte-identical payloads.
+// therefore publish byte-identical payloads. The encoding is
+// encodeJSON's, the one a computed response goes out in (no HTML
+// escaping, no trailing newline), so a cached serving carries the same
+// netlist bytes as the miss did.
 // The returned SHA-256 of the payload is the response's result_sha,
 // and equals the artifact store's object SHA for the same payload.
 func encodeResultPayload(resp *MapResponse) ([]byte, string, error) {
@@ -154,7 +157,7 @@ func encodeResultPayload(resp *MapResponse) ([]byte, string, error) {
 	canon.ResultSHA = ""
 	canon.CacheHit = false
 	canon.SGStoreHit, canon.SGArtifactSHA = nil, ""
-	payload, err := json.Marshal(&canon)
+	payload, err := encodeJSON(&canon)
 	if err != nil {
 		return nil, "", err
 	}
@@ -354,8 +357,8 @@ func (s *Server) mapRequest(ctx context.Context, req *MapRequest, batch *library
 // lookup is stage 3: the memory tier, then the disk tier. A disk hit
 // warms the memory tier; both link the raw key to the entry. A disk
 // object without the canonical shape or without library metadata (say,
-// one written by a build with another field layout) is a miss: the
-// request recomputes and republishes it.
+// one written by a build with another field layout) is a miss, for the
+// store's counters too: the request recomputes and republishes it.
 func (s *Server) lookup(key, rawKey store.Key, digest string, ph *reqPhases) (outcome, bool) {
 	if v, ok := s.resultCache.get(key); ok {
 		s.metrics.rcMemHits.Add(1)
@@ -365,8 +368,10 @@ func (s *Server) lookup(key, rawKey store.Key, digest string, ph *reqPhases) (ou
 	if s.store == nil {
 		return outcome{}, false
 	}
-	e, ok := s.store.Get(resultKind, key)
-	if !ok || !canonicalPayload(e.Data) || e.Meta["library"] == "" {
+	e, ok := s.store.GetIf(resultKind, key, func(e store.Entry) bool {
+		return canonicalPayload(e.Data) && e.Meta["library"] != ""
+	})
+	if !ok {
 		return outcome{}, false
 	}
 	v := rcViewOfEntry(e, digest)

@@ -202,8 +202,9 @@ func TestSpliceCachedResponse(t *testing.T) {
 // TestStoreObjectWithoutCanonicalShapeMisses checks the disk tier's
 // boundary: a store object under the current key whose payload lacks
 // the canonical tail, or that carries no library metadata, is served
-// as a miss with the freshly computed netlist, and the recomputed
-// result replaces it for the next process.
+// as a miss with the freshly computed netlist, counts as a store miss
+// (no store hit, no generation time saved), and the recomputed result
+// replaces it for the next process.
 func TestStoreObjectWithoutCanonicalShapeMisses(t *testing.T) {
 	req := MapRequest{BLIF: blifOf(t, bench.Comparator(8)), Library: "44-1"}
 	code, want, body := post(t, New(Config{Concurrency: 1, ResultCacheBytes: -1}).Handler(), nil, req)
@@ -233,12 +234,29 @@ func TestStoreObjectWithoutCanonicalShapeMisses(t *testing.T) {
 		if err := openStore(t, dir).Put(resultKind, key, c.payload, 1, c.meta); err != nil {
 			t.Fatal(err)
 		}
-		code, got, body := post(t, New(Config{Concurrency: 1, Store: openStore(t, dir)}).Handler(), nil, req)
+		h := New(Config{Concurrency: 1, Store: openStore(t, dir)}).Handler()
+		code, got, body := post(t, h, nil, req)
 		if code != http.StatusOK {
 			t.Fatalf("%s: request = %d: %s", c.name, code, body)
 		}
 		if got.ResultCache != resultMiss || got.Netlist != want.Netlist {
 			t.Errorf("%s: served %q with netlist %.40q, want a miss with the computed netlist", c.name, got.ResultCache, got.Netlist)
+		}
+		var stats struct {
+			Store struct {
+				Hits   uint64  `json:"hits"`
+				Misses uint64  `json:"misses"`
+				Saved  float64 `json:"generation_seconds_saved"`
+			} `json:"store"`
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
+			t.Fatalf("/stats = %d: %v", w.Code, err)
+		}
+		if st := stats.Store; st.Hits != 0 || st.Saved != 0 || st.Misses == 0 {
+			t.Errorf("%s: a rejected store object counted as store hits %d, generation_seconds_saved %g, misses %d; want 0, 0, > 0",
+				c.name, st.Hits, st.Saved, st.Misses)
 		}
 		code, got, body = post(t, New(Config{Concurrency: 1, Store: openStore(t, dir)}).Handler(), nil, req)
 		if code != http.StatusOK || got.ResultCache != resultHitDisk || got.Netlist != want.Netlist {
@@ -284,13 +302,50 @@ func TestJobHitMatchesMapHit(t *testing.T) {
 	}
 }
 
+// escSignalsBLIF is a 44-1 circuit whose signal names an HTML-escaping
+// JSON encoder would rewrite.
+const escSignalsBLIF = ".model esc\n.inputs a<0> b&1\n.outputs o<0>\n.names a<0> b&1 o<0>\n11 1\n.end\n"
+
+// TestCachedServingsCarryMissBytes checks that the miss, the hit-mem
+// serving and a restarted server's hit-disk serving of one result put
+// byte-identical netlist field bytes on the wire, for signal names an
+// HTML-escaping encoder would rewrite. The raw field bytes are
+// compared, not decoded values.
+func TestCachedServingsCarryMissBytes(t *testing.T) {
+	dir := t.TempDir()
+	req := MapRequest{BLIF: escSignalsBLIF, Library: "44-1"}
+	netlistBytes := func(h http.Handler, tier string) string {
+		t.Helper()
+		code, resp, body := post(t, h, nil, req)
+		if code != http.StatusOK || resp.ResultCache != tier {
+			t.Fatalf("request = %d %q, want 200 %s: %.300s", code, resp.ResultCache, tier, body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(body), &fields); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(fields["netlist"], []byte("a<0>")) {
+			t.Errorf("%s: netlist field does not carry a<0> verbatim: %s", tier, fields["netlist"])
+		}
+		return string(fields["netlist"])
+	}
+	h := New(Config{Concurrency: 1, Store: openStore(t, dir)}).Handler()
+	miss := netlistBytes(h, resultMiss)
+	if mem := netlistBytes(h, resultHitMem); mem != miss {
+		t.Errorf("hit-mem netlist bytes differ from the miss's:\n  miss: %s\n  hit-mem: %s", miss, mem)
+	}
+	restarted := New(Config{Concurrency: 1, Store: openStore(t, dir)}).Handler()
+	if disk := netlistBytes(restarted, resultHitDisk); disk != miss {
+		t.Errorf("hit-disk netlist bytes differ from the miss's:\n  miss: %s\n  hit-disk: %s", miss, disk)
+	}
+}
+
 // TestJobRecordResponseBytes checks that response_bytes is the length
 // of the response exactly as the record embeds it, on a miss and a hit,
 // for signal names that an HTML-escaping encoder would rewrite.
 func TestJobRecordResponseBytes(t *testing.T) {
-	text := ".model esc\n.inputs a<0> b&1\n.outputs o<0>\n.names a<0> b&1 o<0>\n11 1\n.end\n"
 	s := New(Config{Concurrency: 1})
-	items := []JobItemRequest{{Name: "first", BLIF: text}, {Name: "repeat", BLIF: text}}
+	items := []JobItemRequest{{Name: "first", BLIF: escSignalsBLIF}, {Name: "repeat", BLIF: escSignalsBLIF}}
 	recs := runJob(t, s, JobRequest{Items: items, Library: "44-1"})
 	for i, tier := range []string{resultMiss, resultHitMem} {
 		rec := recs[i]
@@ -298,9 +353,8 @@ func TestJobRecordResponseBytes(t *testing.T) {
 		if rec.Status != http.StatusOK || item.ResultCache != tier {
 			t.Fatalf("%s: status %d result_cache %q, want 200 %s", rec.Name, rec.Status, item.ResultCache, tier)
 		}
-		// A computed response is embedded unescaped; a cached one carries
-		// the canonical payload's escapes.
-		if !strings.Contains(item.Netlist, "a<0>") || tier == resultMiss && !bytes.Contains(rec.Response, []byte("a<0>")) {
+		// Computed and cached responses are both embedded unescaped.
+		if !strings.Contains(item.Netlist, "a<0>") || !bytes.Contains(rec.Response, []byte("a<0>")) {
 			t.Fatalf("%s: the embedded response does not carry the signal names: %.300s", rec.Name, rec.Response)
 		}
 		if rec.ResponseBytes != len(rec.Response) {

@@ -116,7 +116,7 @@ type Config struct {
 	// serialized responses keyed by (subject-graph digest, library key,
 	// normalized options), so repeated identical requests skip the
 	// engine entirely. 0 selects the 64 MiB default; negative disables
-	// result caching altogether (memory tier, the mapres4 disk tier,
+	// result caching altogether (memory tier, the mapres5 disk tier,
 	// and request coalescing). The mapper is deterministic, so a cached
 	// response's netlist is byte-identical to a recomputed one.
 	ResultCacheBytes int64
@@ -186,7 +186,7 @@ type Server struct {
 
 	// Whole-result cache (nil when disabled): the in-memory LRU tier
 	// plus the single-flight group that coalesces identical misses.
-	// The disk tier rides the artifact store (kind mapres4).
+	// The disk tier rides the artifact store (kind mapres5).
 	resultCache *resultCache
 	flights     *flightGroup
 

@@ -167,13 +167,21 @@ func (s *Store) lockPath(kind string, key Key) string {
 // Get returns the artifact for kind/key if a verified copy is on
 // disk. A corrupt copy is quarantined and reported as a miss.
 func (s *Store) Get(kind string, key Key) (Entry, bool) {
+	return s.GetIf(kind, key, func(Entry) bool { return true })
+}
+
+// GetIf is Get for callers that check an object's content before using
+// it: a verified copy that accept rejects is returned as absent and
+// counted as a miss, so hits and saved generation time credit only
+// objects that were served.
+func (s *Store) GetIf(kind string, key Key, accept func(Entry) bool) (Entry, bool) {
 	e, ok := s.load(kind, key)
-	if ok {
-		s.recordHit(e)
-	} else {
+	if !ok || !accept(e) {
 		s.misses.Add(1)
+		return Entry{}, false
 	}
-	return e, ok
+	s.recordHit(e)
+	return e, true
 }
 
 func (s *Store) recordHit(e Entry) {

@@ -357,3 +357,26 @@ func TestPutThenGet(t *testing.T) {
 		t.Error("restarted store does not serve the Put object")
 	}
 }
+
+// TestGetIfRejectedCountsMiss: an object the caller's check rejects is
+// returned as absent and counts as a miss, with no hit and no saved
+// generation time; an accepted one counts as a hit.
+func TestGetIfRejectedCountsMiss(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	key := KeyOf("getif", "v1")
+	if err := s.Put("mapres1", key, []byte("payload"), 12.5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetIf("mapres1", key, func(Entry) bool { return false }); ok {
+		t.Fatal("GetIf returned a rejected object")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.SavedSeconds != 0 {
+		t.Errorf("after a rejected object: hits=%d misses=%d saved=%g, want 0/1/0", st.Hits, st.Misses, st.SavedSeconds)
+	}
+	if e, ok := s.GetIf("mapres1", key, func(e Entry) bool { return string(e.Data) == "payload" }); !ok || string(e.Data) != "payload" {
+		t.Fatal("GetIf did not return an accepted object")
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.SavedSeconds != 0.0125 {
+		t.Errorf("after an accepted object: hits=%d misses=%d saved=%g, want 1/1/0.0125", st.Hits, st.Misses, st.SavedSeconds)
+	}
+}

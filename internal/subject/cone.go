@@ -31,17 +31,31 @@ import "encoding/binary"
 // Key layout (appended to the encoder's reused buffer):
 //
 //	prefix: [tag] [depth] [fanouts?1:0]
-//	stream: one record per DFS visit, children in slot order —
-//	  new node:   coneOpNew | kind | (coneOpExpand if interior)
-//	              { uvarint(fanout count) if fanouts && !PI && !root }
-//	              { child records if expanded }
-//	  revisit:    coneOpRef, uvarint(first-visit index)
+//	root:   node record of the root (no fanout word)
+//	body:   for each expanded node in BFS order, for each fanin slot in
+//	        slot order, one op —
+//	  first visit: node record of the fanin, which takes the next BFS index
+//	  revisit:     coneOpRef, uvarint(BFS index)
 //
-// A node is expanded iff its minimum depth from the root (over all
-// paths) is < depth and it is not a PI. Minimum depth — not first-DFS-
-// visit depth — is what makes the key sound for shared nodes reached
-// at several depths: any path of length < depth lets a pattern probe
-// the node's fanins, so the fanins must be part of the key.
+//	node record: coneOpNew | kind | (coneOpExpand if expanded)
+//	             { uvarint(fanout count << 1 | drives output)
+//	               if fanouts && !PI && !root }
+//
+// One BFS from the root, children in fanin-slot order, numbers and
+// serializes the cone in the same pass. A node is expanded iff its
+// minimum depth from the root (over all paths) is < depth and it is
+// not a PI. Minimum depth — not first-DFS-visit depth — is what makes
+// the key sound for shared nodes reached at several depths: any path of
+// length < depth lets a pattern probe the node's fanins, so the fanins
+// must be part of the key. FIFO order is nondecreasing in depth (all
+// edges cost 1), so a node's first visit is at its minimum depth and
+// its record can be written there and then.
+//
+// The key is a canonical serialization of the slot-ordered,
+// min-depth-expanded cone: a decoder replays the BFS, reading each
+// expanded node's fanin ops in turn (a kind fixes its fanin count), and
+// rebuilds the cone, so equal keys mean isomorphic cones and vice
+// versa.
 const (
 	coneOpRef    byte = 0x03 // back-reference to an already-visited node
 	coneOpNew    byte = 0x10 // first visit; low 2 bits carry the Kind
@@ -53,162 +67,152 @@ const (
 // the slices have grown to the graph size. Not safe for concurrent
 // use; give each matcher its own encoder.
 type ConeEncoder struct {
-	// One stamp array serves both passes: each Encode advances epoch by
-	// 2, the BFS stamps visited nodes with epoch (making minDep[id]
-	// valid) and the DFS re-stamps them with epoch+1 (making coneIdx[id]
-	// valid). The DFS only ever visits BFS-visited nodes — it expands a
-	// node exactly when the BFS did — so overwriting the BFS stamp loses
-	// nothing, and one uint32 per node replaces two.
-	minDep  []int32 // minimum path length from the current root
-	coneIdx []int32 // first-visit index in the DFS stream
-	stamp   []uint32
-	epoch   uint32
+	// Each Encode advances epoch by 1 and stamps every node it visits
+	// once, on its first visit; a stamp equal to epoch makes the slot's
+	// index valid. Stamp and index share a slot, so a revisit costs one
+	// cache line.
+	slot  []coneSlot
+	epoch uint32
 
-	queue []Node // BFS worklist (reused)
-	nodes []Node // first-visit order; parallel to stream indices
+	nodes []Node // BFS order, parallel to cone indices; doubles as the worklist
 	key   []byte // reused key buffer
 
-	// per-Encode registers
-	g           *Graph
-	root        Node
-	depth       int32
-	withFanouts bool
+	// Cumulative work since construction or Reset (see Work).
+	workNodes, workKeyBytes int64
+}
+
+// coneSlot is one node's scratch: the epoch of the Encode that last
+// visited it and its BFS index in that cone.
+type coneSlot struct {
+	stamp uint32
+	idx   int32
 }
 
 // NewConeEncoder returns an empty encoder.
-func NewConeEncoder() *ConeEncoder { return &ConeEncoder{root: None} }
+func NewConeEncoder() *ConeEncoder { return &ConeEncoder{} }
 
 // Encode computes the cone key of root for the given depth. The tag
 // byte is prepended verbatim (callers use it to separate key spaces —
 // e.g. match classes — within one table). withFanouts additionally
 // encodes interior fanout counts and output bindings (needed only when
 // the consumer checks them, i.e. exact-class matching). It returns the
-// key and the cone's nodes in first-visit order; both are valid only
-// until the next Encode or Reset call (the key aliases an internal
-// buffer — copy it to retain it).
+// key and the cone's nodes in BFS order; both are valid only until the
+// next Encode or Reset call (the key aliases an internal buffer — copy
+// it to retain it).
 func (e *ConeEncoder) Encode(g *Graph, root Node, depth int, withFanouts bool, tag byte) (key []byte, nodes []Node) {
-	e.epoch += 2
+	e.epoch++
 	if e.epoch == 0 {
 		// Stamp wrap: zero stamps could alias epoch 0, so clear them.
-		clear(e.stamp)
-		e.epoch = 2
+		clear(e.slot)
+		e.epoch = 1
 	}
 	// Size the scratch to the whole graph in one step. Labeling walks
 	// roots in ascending ID order, so growing to the current root
-	// would reallocate the four arrays log(n) times per worker —
-	// hundreds of MB of churn on million-node graphs. One exact-size
-	// allocation per graph instead.
+	// would reallocate the arrays log(n) times per worker — hundreds of
+	// MB of churn on million-node graphs. One exact-size allocation per
+	// graph instead.
 	e.grow(g.NumNodes() - 1)
-	e.g = g
-	e.root = root
-	e.depth = int32(depth)
-	e.withFanouts = withFanouts
-	e.nodes = e.nodes[:0]
-	e.key = append(e.key[:0], tag, byte(depth))
-	if withFanouts {
-		e.key = append(e.key, 1)
-	} else {
-		e.key = append(e.key, 0)
-	}
+	epoch, slot := e.epoch, e.slot
+	kinds, fanin0, fanin1 := g.kind, g.fanin0, g.fanin1
 
-	// Pass 1: BFS computes each reachable node's minimum depth. The
-	// FIFO order is nondecreasing in depth (all edges cost 1), so the
-	// first visit records the minimum.
-	e.stamp[root] = e.epoch
-	e.minDep[root] = 0
-	e.queue = append(e.queue[:0], root)
-	for qi := 0; qi < len(e.queue); qi++ {
-		n := e.queue[qi]
-		d := e.minDep[n]
-		if d >= e.depth || g.KindOf(n) == PI {
-			continue
-		}
-		fis, k := g.Fanins(n)
-		for s := 0; s < k; s++ {
-			fi := fis[s]
-			if e.stamp[fi] != e.epoch {
-				e.stamp[fi] = e.epoch
-				e.minDep[fi] = d + 1
-				e.queue = append(e.queue, fi)
+	var fo byte
+	if withFanouts {
+		fo = 1
+	}
+	key = append(e.key[:0], tag, byte(depth), fo)
+	slot[root] = coneSlot{epoch, 0}
+	nodes = append(e.nodes[:0], root)
+	rk := kinds[root] & 3
+	rec := coneOpNew | byte(rk)
+	if rk != PI && depth > 0 {
+		rec |= coneOpExpand
+	}
+	key = append(key, rec)
+
+	// nodes[lo:hi] is BFS level d: every node whose minimum depth is d.
+	// Nodes at depth or deeper are not expanded, so the walk stops at
+	// that level; the root is never its own fanin, so only the root record
+	// omits the fanout word.
+	for lo, d := 0, 0; d < depth && lo < len(nodes); d++ {
+		hi := len(nodes)
+		childExpands := d+1 < depth
+		for _, n := range nodes[lo:hi] {
+			k := kinds[n] & 3
+			if k == PI {
+				continue
+			}
+			fis := [2]Node{fanin0[n], fanin1[n]}
+			for _, c := range fis[:1+int(k>>1)] { // Inv: 1 fanin, Nand2: 2
+				if sl := slot[c]; sl.stamp == epoch {
+					if sl.idx < 0x80 { // one-byte uvarint
+						key = append(key, coneOpRef, byte(sl.idx))
+					} else {
+						key = binary.AppendUvarint(append(key, coneOpRef), uint64(sl.idx))
+					}
+					continue
+				}
+				slot[c] = coneSlot{epoch, int32(len(nodes))}
+				nodes = append(nodes, c)
+				ck := kinds[c]
+				rec := coneOpNew | byte(ck&3)
+				if ck&3 != PI && childExpands {
+					rec |= coneOpExpand
+				}
+				key = append(key, rec)
+				if withFanouts && ck&3 != PI {
+					// Interior fanout counts and output bindings gate
+					// Exact-class matches; the root is exempt from that
+					// check and so excluded from the key.
+					w := uint64(g.nfo[c]) << 1
+					if ck&drivesOutput != 0 {
+						w |= 1
+					}
+					key = binary.AppendUvarint(key, w)
+				}
 			}
 		}
+		lo = hi
 	}
-
-	// Pass 2: DFS in fanin-slot order serializes the cone.
-	e.emit(root)
-	return e.key, e.nodes
+	e.key, e.nodes = key, nodes
+	e.workNodes += int64(len(nodes))
+	e.workKeyBytes += int64(len(key))
+	return key, nodes
 }
 
-// emit serializes n (and, if expanded, its cone below) into the key.
-func (e *ConeEncoder) emit(n Node) {
-	if e.stamp[n] == e.epoch+1 {
-		e.key = append(e.key, coneOpRef)
-		e.key = binary.AppendUvarint(e.key, uint64(e.coneIdx[n]))
-		return
-	}
-	// minDep[n] was written by this Encode's BFS and stays valid after
-	// the re-stamp; only its stamp is consumed.
-	e.stamp[n] = e.epoch + 1
-	e.coneIdx[n] = int32(len(e.nodes))
-	e.nodes = append(e.nodes, n)
-	kind := e.g.KindOf(n)
-	expand := kind != PI && e.minDep[n] < e.depth
-	tag := coneOpNew | byte(kind)
-	if expand {
-		tag |= coneOpExpand
-	}
-	e.key = append(e.key, tag)
-	if e.withFanouts && kind != PI && n != e.root {
-		// Interior fanout counts and output bindings gate Exact-class
-		// matches; the root is exempt from that check and so excluded
-		// from the key.
-		fo := uint64(e.g.FanoutCount(n)) << 1
-		if e.g.DrivesOutput(n) {
-			fo |= 1
-		}
-		e.key = binary.AppendUvarint(e.key, fo)
-	}
-	if expand {
-		fis, k := e.g.Fanins(n)
-		for s := 0; s < k; s++ {
-			e.emit(fis[s])
-		}
-	}
-}
-
-// ConeIndex returns the first-visit index the last Encode assigned to
-// n, or -1 if n is outside that cone.
+// ConeIndex returns the BFS index the last Encode assigned to n, or -1
+// if n is outside that cone.
 func (e *ConeEncoder) ConeIndex(n Node) int32 {
-	if int(n) >= len(e.stamp) || e.stamp[n] != e.epoch+1 {
+	if int(n) >= len(e.slot) || e.slot[n].stamp != e.epoch {
 		return -1
 	}
-	return e.coneIdx[n]
+	return e.slot[n].idx
+}
+
+// Work reports the cone nodes visited and key bytes written by every
+// Encode since construction or the last Reset. Tests pin them to catch
+// a change that silently widens keys.
+func (e *ConeEncoder) Work() (nodes, keyBytes int64) {
+	return e.workNodes, e.workKeyBytes
 }
 
 // grow sizes the stamped scratch to cover node IDs up to id.
 func (e *ConeEncoder) grow(id int) {
-	if id < len(e.minDep) {
+	if id < len(e.slot) {
 		return
 	}
-	n := id + 1 - len(e.minDep)
-	e.minDep = append(e.minDep, make([]int32, n)...)
-	e.coneIdx = append(e.coneIdx, make([]int32, n)...)
-	e.stamp = append(e.stamp, make([]uint32, n)...)
+	e.slot = append(e.slot, make([]coneSlot, id+1-len(e.slot))...)
 }
 
-// Reset drops the subject-graph reference and truncates the stamped
-// scratch so a zero epoch can never alias a stale stamp — the same
-// contract as match.Matcher.Reset, and for the same reason: pooled
-// encoders must not pin finished requests' graphs in memory.
+// Reset truncates the stamped scratch and zeroes the epoch, so a zero
+// epoch can never alias a stale stamp, and zeroes the work counters —
+// the same contract as match.Matcher.Reset, which calls it when a
+// pooled matcher finishes a Map call. The encoder keeps no reference to
+// any graph.
 func (e *ConeEncoder) Reset() {
-	e.queue = e.queue[:0]
 	e.nodes = e.nodes[:0]
-	clear(e.stamp)
-	e.minDep = e.minDep[:0]
-	e.coneIdx = e.coneIdx[:0]
-	e.stamp = e.stamp[:0]
+	clear(e.slot)
+	e.slot = e.slot[:0]
 	e.epoch = 0
-	e.g = nil
-	e.root = None
 	e.key = e.key[:0]
+	e.workNodes, e.workKeyBytes = 0, 0
 }

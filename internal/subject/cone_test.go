@@ -159,7 +159,7 @@ func TestConeKeyFanouts(t *testing.T) {
 	}
 }
 
-// TestConeIndex: the returned nodes are in first-visit order, ConeIndex
+// TestConeIndex: the returned nodes are in BFS order, ConeIndex
 // inverts that order, and nodes outside the cone report -1.
 func TestConeIndex(t *testing.T) {
 	g := NewGraph("t", true)
@@ -183,8 +183,8 @@ func TestConeIndex(t *testing.T) {
 	}
 }
 
-// TestConeEncoderReset: Reset drops the graph reference and scratch,
-// and the encoder still produces identical keys afterwards.
+// TestConeEncoderReset: Reset drops the scratch and work counters, and
+// the encoder still produces identical keys afterwards.
 func TestConeEncoderReset(t *testing.T) {
 	g := NewGraph("t", true)
 	a, _ := g.AddPI("a")
@@ -196,11 +196,11 @@ func TestConeEncoderReset(t *testing.T) {
 	if got := e.ConeIndex(root); got != -1 {
 		t.Fatalf("ConeIndex after Reset = %d, want -1", got)
 	}
-	if len(e.nodes) != 0 || len(e.queue) != 0 || len(e.minDep) != 0 {
+	if len(e.nodes) != 0 || len(e.slot) != 0 || e.epoch != 0 {
 		t.Fatal("Reset left scratch populated")
 	}
-	if e.g != nil {
-		t.Fatal("Reset left the graph pinned")
+	if n, b := e.Work(); n != 0 || b != 0 {
+		t.Fatalf("Reset left work counters %d nodes, %d key bytes", n, b)
 	}
 	after := encodeCopy(e, g, root, 2, true, 1)
 	if !bytes.Equal(before, after) {
