@@ -756,7 +756,7 @@ func BenchmarkConeEncode(b *testing.B) {
 	nodes, keyBytes := e.Work()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for b.Loop() {
+	for it := 0; it < b.N; it++ {
 		for i, n := range roots {
 			e.Encode(g, n, depths[i], false, tag)
 		}

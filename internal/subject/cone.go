@@ -122,53 +122,25 @@ func (e *ConeEncoder) Encode(g *Graph, root Node, depth int, withFanouts bool, t
 	key = append(e.key[:0], tag, byte(depth), fo)
 	slot[root] = coneSlot{epoch, 0}
 	nodes = append(e.nodes[:0], root)
-	rk := kinds[root] & 3
-	rec := coneOpNew | byte(rk)
-	if rk != PI && depth > 0 {
-		rec |= coneOpExpand
-	}
-	key = append(key, rec)
+	// The root is exempt from the Exact-class fanout check, so its
+	// record carries no fanout word.
+	key = appendRecord(key, g, root, depth > 0, false)
 
 	// nodes[lo:hi] is BFS level d: every node whose minimum depth is d.
 	// Nodes at depth or deeper are not expanded, so the walk stops at
-	// that level; the root is never its own fanin, so only the root record
-	// omits the fanout word.
+	// that level.
 	for lo, d := 0, 0; d < depth && lo < len(nodes); d++ {
 		hi := len(nodes)
-		childExpands := d+1 < depth
 		for _, n := range nodes[lo:hi] {
-			k := kinds[n] & 3
-			if k == PI {
-				continue
-			}
 			fis := [2]Node{fanin0[n], fanin1[n]}
-			for _, c := range fis[:1+int(k>>1)] { // Inv: 1 fanin, Nand2: 2
+			for _, c := range fis[:kinds[n]&3] { // a Kind is its fanin count
 				if sl := slot[c]; sl.stamp == epoch {
-					if sl.idx < 0x80 { // one-byte uvarint
-						key = append(key, coneOpRef, byte(sl.idx))
-					} else {
-						key = binary.AppendUvarint(append(key, coneOpRef), uint64(sl.idx))
-					}
+					key = binary.AppendUvarint(append(key, coneOpRef), uint64(sl.idx))
 					continue
 				}
 				slot[c] = coneSlot{epoch, int32(len(nodes))}
 				nodes = append(nodes, c)
-				ck := kinds[c]
-				rec := coneOpNew | byte(ck&3)
-				if ck&3 != PI && childExpands {
-					rec |= coneOpExpand
-				}
-				key = append(key, rec)
-				if withFanouts && ck&3 != PI {
-					// Interior fanout counts and output bindings gate
-					// Exact-class matches; the root is exempt from that
-					// check and so excluded from the key.
-					w := uint64(g.nfo[c]) << 1
-					if ck&drivesOutput != 0 {
-						w |= 1
-					}
-					key = binary.AppendUvarint(key, w)
-				}
+				key = appendRecord(key, g, c, d+1 < depth, withFanouts)
 			}
 		}
 		lo = hi
@@ -177,6 +149,27 @@ func (e *ConeEncoder) Encode(g *Graph, root Node, depth int, withFanouts bool, t
 	e.workNodes += int64(len(nodes))
 	e.workKeyBytes += int64(len(key))
 	return key, nodes
+}
+
+// appendRecord appends n's node record (see Key layout): coneOpNew
+// and its kind, coneOpExpand if n is not a PI and lies above the key
+// depth, and, if withFanouts and n is not a PI, its fanout word.
+func appendRecord(key []byte, g *Graph, n Node, aboveDepth, withFanouts bool) []byte {
+	k := g.kind[n]
+	if k&3 == PI {
+		return append(key, coneOpNew|byte(PI))
+	}
+	rec := coneOpNew | byte(k&3)
+	if aboveDepth {
+		rec |= coneOpExpand
+	}
+	key = append(key, rec)
+	if withFanouts {
+		// Interior fanout counts and output bindings gate Exact-class
+		// matches: word = fanout count << 1 | drives output.
+		key = binary.AppendUvarint(key, uint64(g.nfo[n])<<1|uint64(k&drivesOutput)>>2)
+	}
+	return key
 }
 
 // ConeIndex returns the BFS index the last Encode assigned to n, or -1

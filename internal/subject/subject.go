@@ -33,7 +33,9 @@ import (
 	"dagcover/internal/network"
 )
 
-// Kind classifies subject-graph nodes.
+// Kind classifies subject-graph nodes. A Kind's value is its fanin
+// count (PI 0, Inv 1, Nand2 2); NumFanins and the cone encoder rely on
+// it.
 type Kind uint8
 
 const (
@@ -182,15 +184,7 @@ func (g *Graph) Fanin(n Node, slot int) Node {
 }
 
 // NumFanins returns 0, 1 or 2 according to the node kind.
-func (g *Graph) NumFanins(n Node) int {
-	switch g.KindOf(n) {
-	case PI:
-		return 0
-	case Inv:
-		return 1
-	}
-	return 2
-}
+func (g *Graph) NumFanins(n Node) int { return int(g.KindOf(n)) }
 
 // Fanins returns the fanins of n and their count.
 func (g *Graph) Fanins(n Node) ([2]Node, int) {
