@@ -107,8 +107,7 @@ func main() {
 		sloP99     = flag.Float64("slo-p99-ms", 0, "fail if sync p99 latency exceeds this (0 = disabled)")
 		sloShed    = flag.Float64("slo-max-shed", -1, "fail if the 429 shed rate exceeds this fraction (negative = disabled)")
 		sloJobs    = flag.Float64("slo-min-jobs-per-sec", 0, "fail if completed-job throughput falls below this (0 = disabled)")
-		sloOK      = flag.Float64("slo-min-ok-rate", 0, "fail if the sync success rate falls below this fraction (0 = disabled)")
-		sloBurn    = flag.Float64("slo-max-burn", -1, "fail if any of the server's /stats burn-rate windows exceeds this after the run (negative = disabled)")
+		sloOK      = flag.Float64("slo-min-ok-rate", 0, "fail if the success rate over attempted mappings (sync requests less sheds, plus job items) falls below this fraction (0 = disabled)")
 		sloHitRate = flag.Float64("slo-hit-rate-min", 0, "fail if the result-cache hit rate over successful sync requests falls below this fraction (0 = disabled)")
 		sloSpeedup = flag.Float64("slo-hit-speedup-min", 0, "fail if miss-path p99 divided by hit-path p99 falls below this factor (0 = disabled)")
 	)
@@ -182,18 +181,8 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// The server's own SLO view: scraped after the run so the burn-rate
-	// windows have seen all of this run's traffic. A failed scrape only
-	// fails the run when a burn gate was actually set.
-	burn := fetchServerBurn(client, *addr)
-	if burn != nil {
-		for _, w := range burn.Windows {
-			log.Printf("loadgen: server burn rate %s: %.3f (%d/%d bad, goal %.4f)", w.Window, w.Rate, w.Bad, w.Total, burn.Goal)
-		}
-	}
-
-	slo := SLO{P50Millis: *sloP50, P99Millis: *sloP99, MaxShedRate: *sloShed, MinJobsPerSec: *sloJobs, MinOKRate: *sloOK, MaxBurnRate: *sloBurn, MinHitRate: *sloHitRate, MinHitSpeedup: *sloSpeedup}
-	report := buildReport(*addr, *seed, *rps, elapsed, &c, slo, burn)
+	slo := SLO{P50Millis: *sloP50, P99Millis: *sloP99, MaxShedRate: *sloShed, MinJobsPerSec: *sloJobs, MinOKRate: *sloOK, MinHitRate: *sloHitRate, MinHitSpeedup: *sloSpeedup}
+	report := buildReport(*addr, *seed, *rps, elapsed, &c, slo)
 
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -222,26 +211,6 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("loadgen: all SLO targets met")
-}
-
-// fetchServerBurn scrapes the slo block from mapd's /stats. Returns
-// nil when the server is unreachable or predates the block.
-func fetchServerBurn(client *http.Client, addr string) *ServerBurn {
-	resp, err := client.Get(addr + "/stats")
-	if err != nil {
-		return nil
-	}
-	body, rerr := readBody(resp)
-	if resp.StatusCode != http.StatusOK || rerr != nil {
-		return nil
-	}
-	var stats struct {
-		SLO ServerBurn `json:"slo"`
-	}
-	if err := json.Unmarshal(body, &stats); err != nil || len(stats.SLO.Windows) == 0 {
-		return nil
-	}
-	return &stats.SLO
 }
 
 // postJSON sends body as JSON, gzip-compressing it above gzipMin bytes

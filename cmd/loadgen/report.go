@@ -22,14 +22,10 @@ type SLO struct {
 	MaxShedRate float64 `json:"max_shed_rate,omitempty"`
 	// MinJobsPerSec bounds completed-job throughput from below.
 	MinJobsPerSec float64 `json:"min_jobs_per_sec,omitempty"`
-	// MinOKRate bounds the fraction of sync requests that mapped
-	// successfully (excluding sheds, which MaxShedRate governs).
+	// MinOKRate bounds the fraction of attempted mappings that
+	// succeeded: sync requests (excluding sheds, which MaxShedRate
+	// governs) and the items of submitted jobs together.
 	MinOKRate float64 `json:"min_ok_rate,omitempty"`
-	// MaxBurnRate bounds the server-reported SLO burn rate: after the
-	// run, every burn-rate window scraped from mapd's /stats must be at
-	// or under it. Negative disables (0 legitimately demands an
-	// untouched error budget).
-	MaxBurnRate float64 `json:"max_burn_rate,omitempty"`
 	// MinHitRate bounds the result-cache hit rate (hit-mem + hit-disk +
 	// coalesced over successful sync requests) from below. 0 disables.
 	MinHitRate float64 `json:"min_hit_rate,omitempty"`
@@ -37,21 +33,6 @@ type SLO struct {
 	// times the hit-path p99 — the cache must actually buy latency, not
 	// just report hits. 0 disables.
 	MinHitSpeedup float64 `json:"min_hit_speedup,omitempty"`
-}
-
-// BurnWindow mirrors one window of the server's /stats slo block.
-type BurnWindow struct {
-	Window      string  `json:"window"`
-	Total       uint64  `json:"total"`
-	Bad         uint64  `json:"bad"`
-	BadFraction float64 `json:"bad_fraction"`
-	Rate        float64 `json:"burn_rate"`
-}
-
-// ServerBurn is the server's own SLO view scraped after the run.
-type ServerBurn struct {
-	Goal    float64      `json:"goal"`
-	Windows []BurnWindow `json:"windows"`
 }
 
 // Report is the JSON document loadgen writes at the end of a run.
@@ -104,11 +85,9 @@ type Report struct {
 	} `json:"jobs"`
 
 	ShedRate float64 `json:"shed_rate"`
-	OKRate   float64 `json:"ok_rate"`
-
-	// ServerSLO is mapd's burn-rate view scraped from /stats after the
-	// run (absent when the scrape failed and no burn gate was set).
-	ServerSLO *ServerBurn `json:"server_slo,omitempty"`
+	// OKRate is (sync OK + job items OK) / (sync sent - sync shed + job
+	// items): every attempted mapping, whichever endpoint carried it.
+	OKRate float64 `json:"ok_rate"`
 
 	SLO      SLO      `json:"slo"`
 	Breaches []string `json:"breaches,omitempty"`
@@ -156,9 +135,8 @@ type counters struct {
 	jobRespBytes                                  int64
 }
 
-// buildReport assembles the run report from the raw counters plus the
-// server's post-run burn-rate view (nil when not scraped).
-func buildReport(target string, seed int64, rps float64, elapsed time.Duration, c *counters, slo SLO, burn *ServerBurn) Report {
+// buildReport assembles the run report from the raw counters.
+func buildReport(target string, seed int64, rps float64, elapsed time.Duration, c *counters, slo SLO) Report {
 	var r Report
 	r.Target = target
 	r.Seed = seed
@@ -203,12 +181,11 @@ func buildReport(target string, seed int64, rps float64, elapsed time.Duration, 
 	if ops > 0 {
 		r.ShedRate = float64(c.syncShed+c.jobsShed) / float64(ops)
 	}
-	attempted := c.syncSent - c.syncShed
+	attempted := c.syncSent - c.syncShed + c.jobItems
 	if attempted > 0 {
-		r.OKRate = float64(c.syncOK) / float64(attempted)
+		r.OKRate = float64(c.syncOK+c.jobItemsOK) / float64(attempted)
 	}
 
-	r.ServerSLO = burn
 	r.SLO = slo
 	r.Breaches = slo.breaches(&r)
 	r.Pass = len(r.Breaches) == 0
@@ -231,7 +208,7 @@ func (s SLO) breaches(r *Report) []string {
 		out = append(out, fmt.Sprintf("job throughput %.3f/s below target %.3f/s", r.Jobs.PerSecond, s.MinJobsPerSec))
 	}
 	if s.MinOKRate > 0 && r.OKRate < s.MinOKRate {
-		out = append(out, fmt.Sprintf("sync ok rate %.4f below target %.4f", r.OKRate, s.MinOKRate))
+		out = append(out, fmt.Sprintf("ok rate %.4f below target %.4f", r.OKRate, s.MinOKRate))
 	}
 	if s.MinHitRate > 0 && r.Sync.OK > 0 && r.Sync.HitRate < s.MinHitRate {
 		out = append(out, fmt.Sprintf("result-cache hit rate %.4f below target %.4f", r.Sync.HitRate, s.MinHitRate))
@@ -246,18 +223,6 @@ func (s SLO) breaches(r *Report) []string {
 		case r.Sync.MissP99Millis/r.Sync.HitP99Millis < s.MinHitSpeedup:
 			out = append(out, fmt.Sprintf("hit-path p99 %.3fms is only %.2fx under miss-path p99 %.3fms, want %.2fx",
 				r.Sync.HitP99Millis, r.Sync.MissP99Millis/r.Sync.HitP99Millis, r.Sync.MissP99Millis, s.MinHitSpeedup))
-		}
-	}
-	if s.MaxBurnRate >= 0 {
-		if r.ServerSLO == nil {
-			out = append(out, "burn-rate gate set but the server's /stats slo block was not scraped")
-		} else {
-			for _, w := range r.ServerSLO.Windows {
-				if w.Rate > s.MaxBurnRate {
-					out = append(out, fmt.Sprintf("server burn rate %.3f over window %s exceeds target %.3f (%d/%d bad)",
-						w.Rate, w.Window, s.MaxBurnRate, w.Bad, w.Total))
-				}
-			}
 		}
 	}
 	return out

@@ -46,8 +46,8 @@ func TestBuildReportAndSLO(t *testing.T) {
 		jobsSubmitted:     4, jobsDone: 3, jobsFailed: 1,
 		jobItems: 16, jobItemsOK: 12, streamRecords: 16,
 	}
-	slo := SLO{P99Millis: 100, MaxShedRate: 0.5, MinJobsPerSec: 0.1, MinOKRate: 0.5, MaxBurnRate: -1}
-	r := buildReport("http://x", 7, 20, 10*time.Second, c, slo, nil)
+	slo := SLO{P99Millis: 100, MaxShedRate: 0.5, MinJobsPerSec: 0.1, MinOKRate: 0.5}
+	r := buildReport("http://x", 7, 20, 10*time.Second, c, slo)
 	if !r.Pass || len(r.Breaches) != 0 {
 		t.Fatalf("healthy run failed SLO: %v", r.Breaches)
 	}
@@ -58,25 +58,22 @@ func TestBuildReportAndSLO(t *testing.T) {
 	if want := 1.0 / 14.0; math.Abs(r.ShedRate-want) > 1e-9 {
 		t.Errorf("shed rate = %v, want %v", r.ShedRate, want)
 	}
-	// ok rate excludes sheds: 8 of 9 attempted.
-	if want := 8.0 / 9.0; math.Abs(r.OKRate-want) > 1e-9 {
+	// ok rate excludes sheds and counts job items: (8 sync + 12 items)
+	// of (9 sync attempted + 16 items).
+	if want := 20.0 / 25.0; math.Abs(r.OKRate-want) > 1e-9 {
 		t.Errorf("ok rate = %v, want %v", r.OKRate, want)
 	}
 
 	// Each target breached alone is reported.
-	tight := SLO{P50Millis: 0.5, P99Millis: 1, MaxShedRate: 0, MinJobsPerSec: 100, MinOKRate: 0.999, MaxBurnRate: 0}
-	hotBurn := &ServerBurn{Goal: 0.99, Windows: []BurnWindow{
-		{Window: "5m", Total: 100, Bad: 2, BadFraction: 0.02, Rate: 2},
-		{Window: "1h", Total: 100, Bad: 0},
-	}}
-	r2 := buildReport("http://x", 7, 20, 10*time.Second, c, tight, hotBurn)
+	tight := SLO{P50Millis: 0.5, P99Millis: 1, MaxShedRate: 0, MinJobsPerSec: 100, MinOKRate: 0.999}
+	r2 := buildReport("http://x", 7, 20, 10*time.Second, c, tight)
 	if r2.Pass {
 		t.Fatal("tight SLO passed")
 	}
-	if len(r2.Breaches) != 6 {
-		t.Fatalf("breaches = %v, want all 6 targets", r2.Breaches)
+	if len(r2.Breaches) != 5 {
+		t.Fatalf("breaches = %v, want all 5 targets", r2.Breaches)
 	}
-	for _, want := range []string{"p50", "p99", "shed rate", "job throughput", "ok rate", "burn rate"} {
+	for _, want := range []string{"p50", "p99", "shed rate", "job throughput", "ok rate"} {
 		found := false
 		for _, b := range r2.Breaches {
 			if strings.Contains(b, want) {
@@ -89,13 +86,13 @@ func TestBuildReportAndSLO(t *testing.T) {
 	}
 
 	// Disabled checks (zero / negative sentinels) never fire.
-	r3 := buildReport("http://x", 7, 20, 10*time.Second, c, SLO{MaxShedRate: -1, MaxBurnRate: -1}, nil)
+	r3 := buildReport("http://x", 7, 20, 10*time.Second, c, SLO{MaxShedRate: -1})
 	if !r3.Pass {
 		t.Fatalf("disabled SLO produced breaches: %v", r3.Breaches)
 	}
 	// A run that shed everything must not judge latency quantiles.
 	allShed := &counters{syncSent: 5, syncShed: 5}
-	r4 := buildReport("http://x", 1, 5, time.Second, allShed, SLO{P99Millis: 1, MaxShedRate: -1, MaxBurnRate: -1}, nil)
+	r4 := buildReport("http://x", 1, 5, time.Second, allShed, SLO{P99Millis: 1, MaxShedRate: -1})
 	for _, b := range r4.Breaches {
 		if strings.Contains(b, "p99") {
 			t.Errorf("latency judged on all-shed run: %v", b)
@@ -115,8 +112,8 @@ func TestResultCacheGates(t *testing.T) {
 		hitLatencyMillis:  []float64{1, 1, 1, 2},
 		missLatencyMillis: []float64{30, 40, 50, 60},
 	}
-	slo := SLO{MaxShedRate: -1, MaxBurnRate: -1, MinHitRate: 0.5, MinHitSpeedup: 10}
-	r := buildReport("http://x", 1, 5, time.Second, c, slo, nil)
+	slo := SLO{MaxShedRate: -1, MinHitRate: 0.5, MinHitSpeedup: 10}
+	r := buildReport("http://x", 1, 5, time.Second, c, slo)
 	if !r.Pass {
 		t.Fatalf("healthy cached run failed: %v", r.Breaches)
 	}
@@ -132,13 +129,13 @@ func TestResultCacheGates(t *testing.T) {
 	}
 
 	// Hit rate below the floor breaches.
-	r2 := buildReport("http://x", 1, 5, time.Second, c, SLO{MaxShedRate: -1, MaxBurnRate: -1, MinHitRate: 0.9}, nil)
+	r2 := buildReport("http://x", 1, 5, time.Second, c, SLO{MaxShedRate: -1, MinHitRate: 0.9})
 	if r2.Pass || !strings.Contains(strings.Join(r2.Breaches, ";"), "hit rate") {
 		t.Fatalf("hit-rate floor not enforced: pass=%v %v", r2.Pass, r2.Breaches)
 	}
 
 	// Speedup below the floor breaches: miss p99 / hit p99 ≈ 59.8/2.
-	r3 := buildReport("http://x", 1, 5, time.Second, c, SLO{MaxShedRate: -1, MaxBurnRate: -1, MinHitSpeedup: 100}, nil)
+	r3 := buildReport("http://x", 1, 5, time.Second, c, SLO{MaxShedRate: -1, MinHitSpeedup: 100})
 	if r3.Pass || !strings.Contains(strings.Join(r3.Breaches, ";"), "hit-path p99") {
 		t.Fatalf("speedup floor not enforced: pass=%v %v", r3.Pass, r3.Breaches)
 	}
@@ -147,7 +144,7 @@ func TestResultCacheGates(t *testing.T) {
 	// loudly, not silently pass on missing samples.
 	noHits := &counters{syncSent: 3, syncOK: 3, syncMiss: 3,
 		syncLatencyMillis: []float64{40, 50, 60}, missLatencyMillis: []float64{40, 50, 60}}
-	r4 := buildReport("http://x", 1, 5, time.Second, noHits, SLO{MaxShedRate: -1, MaxBurnRate: -1, MinHitSpeedup: 10}, nil)
+	r4 := buildReport("http://x", 1, 5, time.Second, noHits, SLO{MaxShedRate: -1, MinHitSpeedup: 10})
 	if r4.Pass {
 		t.Fatal("speedup gate passed with zero hit-path samples")
 	}
@@ -159,44 +156,31 @@ func TestResultCacheGates(t *testing.T) {
 		hitLatencyMillis:  []float64{0, 0},
 		missLatencyMillis: []float64{40, 50},
 	}
-	r5 := buildReport("http://x", 1, 5, time.Second, instant, SLO{MaxShedRate: -1, MaxBurnRate: -1, MinHitSpeedup: 1000}, nil)
+	r5 := buildReport("http://x", 1, 5, time.Second, instant, SLO{MaxShedRate: -1, MinHitSpeedup: 1000})
 	if !r5.Pass {
 		t.Fatalf("immeasurably fast hit path breached speedup gate: %v", r5.Breaches)
 	}
 
 	// Disabled gates (zero values) never fire, even hitless.
-	r6 := buildReport("http://x", 1, 5, time.Second, noHits, SLO{MaxShedRate: -1, MaxBurnRate: -1}, nil)
+	r6 := buildReport("http://x", 1, 5, time.Second, noHits, SLO{MaxShedRate: -1})
 	if !r6.Pass {
 		t.Fatalf("disabled cache gates produced breaches: %v", r6.Breaches)
 	}
 }
 
-func TestBurnRateGate(t *testing.T) {
-	c := &counters{syncSent: 10, syncOK: 10, syncLatencyMillis: []float64{1, 2}}
-	cool := &ServerBurn{Goal: 0.99, Windows: []BurnWindow{
-		{Window: "5m", Total: 100, Bad: 1, BadFraction: 0.01, Rate: 1},
-		{Window: "1h", Total: 400, Bad: 1, BadFraction: 0.0025, Rate: 0.25},
-	}}
-	// At the target is a pass; only strictly over fires.
-	r := buildReport("http://x", 1, 5, time.Second, c, SLO{MaxShedRate: -1, MaxBurnRate: 1}, cool)
-	if !r.Pass {
-		t.Fatalf("burn rate at target failed: %v", r.Breaches)
+func TestOKRateCountsJobItems(t *testing.T) {
+	// Every sync request mapped, but one job item failed (say, a 504 on
+	// its deadline). Counting sync requests alone would read 10/10; the
+	// failed item must pull the rate under a 0.99 floor: 12 of 13.
+	c := &counters{
+		syncSent: 10, syncOK: 10, syncLatencyMillis: []float64{1, 2},
+		jobsSubmitted: 1, jobsFailed: 1, jobItems: 3, jobItemsOK: 2,
 	}
-	if r.ServerSLO == nil || len(r.ServerSLO.Windows) != 2 {
-		t.Fatal("report lost the scraped server SLO block")
+	r := buildReport("http://x", 1, 5, time.Second, c, SLO{MaxShedRate: -1, MinOKRate: 0.99})
+	if want := 12.0 / 13.0; math.Abs(r.OKRate-want) > 1e-9 {
+		t.Errorf("ok rate = %v, want %v", r.OKRate, want)
 	}
-	hot := &ServerBurn{Goal: 0.99, Windows: []BurnWindow{
-		{Window: "5m", Total: 100, Bad: 10, BadFraction: 0.1, Rate: 10},
-		{Window: "1h", Total: 400, Bad: 10, BadFraction: 0.025, Rate: 2.5},
-	}}
-	r2 := buildReport("http://x", 1, 5, time.Second, c, SLO{MaxShedRate: -1, MaxBurnRate: 2}, hot)
-	if r2.Pass || len(r2.Breaches) != 2 {
-		t.Fatalf("hot burn: pass=%v breaches=%v, want 2 window breaches", r2.Pass, r2.Breaches)
-	}
-	// A gate without a scrape is itself a failure — the check must not
-	// silently pass because the server was unreachable.
-	r3 := buildReport("http://x", 1, 5, time.Second, c, SLO{MaxShedRate: -1, MaxBurnRate: 2}, nil)
-	if r3.Pass {
-		t.Fatal("burn gate passed without a server scrape")
+	if r.Pass || !strings.Contains(strings.Join(r.Breaches, ";"), "ok rate") {
+		t.Fatalf("failed job item passed the ok-rate floor: pass=%v %v", r.Pass, r.Breaches)
 	}
 }

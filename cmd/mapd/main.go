@@ -14,14 +14,14 @@
 //	GET    /healthz           liveness probe
 //	GET    /stats             request, job, cache, queue and per-library latency counters
 //	GET    /metrics           the same snapshot as /stats, as Prometheus text
-//	GET    /debug/events      recent requests as wide events, newest first (?result=, ?kind=, ?limit=)
 //
 // With -debug-addr, a second listener serves net/http/pprof under
 // /debug/pprof/ — kept off the public address so profiling endpoints
-// are never exposed to mapping clients. Requests are logged as
-// structured records (log/slog) carrying a per-request trace id that
-// is also returned in the X-Trace-ID header; requests slower than
-// -slow-ms are promoted to warnings with their per-phase breakdown.
+// are never exposed to mapping clients. Every /map request and job
+// item is logged as one structured record (log/slog, JSON on stderr)
+// carrying a trace id that is also returned in the X-Trace-ID header,
+// its outcome, how it was served and its per-phase breakdown; requests
+// slower than -slow-ms are promoted to warnings.
 //
 // A mapping request names a built-in library (lib2, 44-1, 44-3),
 // uploads genlib text inline, or asks for K-LUT mapping:
@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"dagcover"
-	"dagcover/internal/obs"
 	"dagcover/internal/service"
 )
 
@@ -78,12 +77,6 @@ func main() {
 		storeMaxMB  = flag.Int64("store-max-mb", 1024, "artifact store disk budget in MiB; the LRU GC evicts past it")
 		resultCache = flag.Bool("result-cache", true, "cache whole mapping results keyed by subject-graph digest, library and options (with -store-dir they also persist across restarts)")
 		resultMB    = flag.Int64("result-cache-mb", 64, "in-memory result cache budget in MiB")
-
-		diagDir      = flag.String("diag-dir", "", "publish a diagnostics bundle (trace, goroutine dump, wide event, runtime sample) here for every slow or SLO-violating request (empty = disabled)")
-		diagMaxMB    = flag.Int64("diag-max-mb", 64, "diagnostics directory disk budget in MiB; oldest bundles are evicted past it")
-		diagInterval = flag.Duration("diag-min-interval", 10*time.Second, "minimum spacing between diagnostics captures; breaches inside it are counted as dropped (0 = unlimited)")
-		sloP99Millis = flag.Int("slo-p99-ms", 0, "latency SLO target in milliseconds; served requests over it burn error budget and trigger capture (0 = disabled)")
-		sloGoal      = flag.Float64("slo-goal", 0.99, "availability goal behind the burn-rate windows (fraction of good requests)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -101,18 +94,6 @@ func main() {
 			log.Fatalf("mapd: opening artifact store: %v", err)
 		}
 		log.Printf("mapd: artifact store at %s (budget %d MiB)", *storeDir, *storeMaxMB)
-	}
-	var diag *obs.DiagRecorder
-	if *diagDir != "" {
-		var err error
-		diag, err = obs.NewDiagRecorder(*diagDir, obs.DiagOptions{
-			MaxBytes:    *diagMaxMB << 20,
-			MinInterval: *diagInterval,
-		})
-		if err != nil {
-			log.Fatalf("mapd: opening diagnostics dir: %v", err)
-		}
-		log.Printf("mapd: slow-request capture into %s (budget %d MiB, min interval %v)", *diagDir, *diagMaxMB, *diagInterval)
 	}
 	resultBytes := *resultMB << 20
 	if !*resultCache || resultBytes <= 0 {
@@ -132,9 +113,6 @@ func main() {
 		Logger:           logger,
 		SlowRequest:      time.Duration(*slowMillis) * time.Millisecond,
 		Store:            st,
-		Diag:             diag,
-		SLOLatency:       time.Duration(*sloP99Millis) * time.Millisecond,
-		SLOGoal:          *sloGoal,
 		ResultCacheBytes: resultBytes,
 	})
 	defer svc.Close()

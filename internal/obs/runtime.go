@@ -11,9 +11,7 @@ import (
 // scheduler latency) read from runtime/metrics. One read costs a few
 // microseconds, so the service reads a fresh sample for every /stats
 // or /metrics snapshot (the /stats "runtime" block and the mapd_go_*
-// Prometheus families), and every diagnostics bundle embeds one — a
-// slow request's evidence includes what the runtime was doing at
-// capture time.
+// Prometheus families).
 
 // RuntimeSample is one reading of the runtime metrics the mapping
 // service cares about. Quantiles come from the runtime's own

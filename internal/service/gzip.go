@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -63,16 +64,21 @@ func (s *Server) transport(h http.Handler) http.Handler {
 }
 
 // acceptsGzip parses an Accept-Encoding header just far enough to know
-// whether gzip is acceptable (any gzip token not disabled with q=0).
+// whether gzip is acceptable: a gzip token whose q-value, if any, is
+// not zero (RFC 9110 §12.4.2: "0", "0.0" ... "0.000" all mean "not
+// acceptable"; the parameter name is case-insensitive).
 func acceptsGzip(header string) bool {
 	for _, part := range strings.Split(header, ",") {
-		token, params, _ := strings.Cut(strings.TrimSpace(part), ";")
+		token, params, _ := strings.Cut(part, ";")
 		if !strings.EqualFold(strings.TrimSpace(token), "gzip") {
 			continue
 		}
-		q := strings.ReplaceAll(strings.TrimSpace(params), " ", "")
-		if strings.HasPrefix(q, "q=0") && !strings.HasPrefix(q, "q=0.") {
-			return false
+		for _, param := range strings.Split(params, ";") {
+			name, val, _ := strings.Cut(param, "=")
+			if strings.EqualFold(strings.TrimSpace(name), "q") {
+				q, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+				return err != nil || q > 0
+			}
 		}
 		return true
 	}

@@ -41,6 +41,9 @@ func TestAcceptsGzip(t *testing.T) {
 		{"gzip;q=0", false},
 		{"gzip; q=0", false},
 		{"gzip;q=0.5", true},
+		{"gzip;q=0.0", false},
+		{"gzip;q=0.000", false},
+		{"gzip;Q=0", false},
 		{"deflate", false},
 		{"*", false}, // wildcard is not an explicit gzip opt-in here
 	}

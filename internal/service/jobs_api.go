@@ -125,7 +125,7 @@ type JobItemRecord struct {
 	Status int    `json:"status"`
 	Error  string `json:"error,omitempty"`
 	// TraceID is the parent job's id (job ids are trace ids), so every
-	// NDJSON record joins the job's access-log lines and wide events.
+	// NDJSON record joins the job's access-log lines.
 	TraceID string `json:"trace_id,omitempty"`
 	// ResponseBytes is the length of Response exactly as this record
 	// embeds it (pre-compression), so clients accounting transfer volume
@@ -190,7 +190,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		cancel()
 		if errors.Is(err, jobs.ErrStoreFull) {
-			s.recordShedBurn()
 			s.failure(w, http.StatusTooManyRequests,
 				"job store full: %d jobs resident and none finished; retry later", s.cfg.MaxJobs)
 			return
@@ -378,14 +377,10 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 // runJobItem maps one batch item through the request pipeline with the
 // batch's library and classifies the outcome as 200, 400, 499 (job
 // cancelled) or 504 (item deadline). jobID — a trace id — attributes
-// the item's NDJSON record, access-log line, and wide event to its
-// parent job.
+// the item's NDJSON record and access-log line to its parent job.
 func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, item *JobItemRequest, idx int, lib library) jobs.Item {
 	mreq := req.itemRequest(item.BLIF)
 	ph := reqPhases{start: time.Now()}
-	if s.diag != nil {
-		ph.trace = dagcover.NewTrace()
-	}
 	res := s.mapRequest(ctx, &mreq, &lib, &ph)
 	err := res.err
 	elapsed := ph.elapsed()
@@ -428,7 +423,8 @@ func (s *Server) runJobItem(ctx context.Context, jobID string, req *JobRequest, 
 		rec.Status, rec.Error = out.Status, out.Err
 	}
 	ph.errMsg = out.Err
-	s.recordFlight(jobID, "job_item", idx, item.Name, out.Status, elapsed, &ph)
+	s.metrics.phases.add(&ph)
+	s.logEvent(jobID, idx, item.Name, out.Status, elapsed, &ph)
 
 	if b, err := encodeJSON(rec); err == nil {
 		out.Result = b
@@ -451,9 +447,17 @@ func encodeJSON(v any) ([]byte, error) {
 // itemPhaseMillis renders one item's phase breakdown: a request's, less
 // the queue and compile phases, which a batch pays once for all items.
 func itemPhaseMillis(ph *reqPhases) map[string]float64 {
-	m := eventPhaseMillis(ph)
-	delete(m, phaseNames[phaseQueue])
-	delete(m, phaseNames[phaseCompile])
+	m := make(map[string]float64, int(numPhases)+len(engineNames))
+	for p, name := range phaseNames {
+		if phase(p) != phaseQueue && phase(p) != phaseCompile {
+			m[name] = millis(ph.dur[p])
+		}
+	}
+	if ph.core != (dagcover.PhaseBreakdown{}) {
+		for i, ms := range ph.engineMillis() {
+			m[engineNames[i]] = ms
+		}
+	}
 	return m
 }
 

@@ -15,26 +15,19 @@ import (
 	"time"
 
 	"dagcover/internal/bench"
-	"dagcover/internal/obs"
 )
 
 var updateMetricsGolden = flag.Bool("update-metrics-golden", false, "rewrite testdata/metrics_structure.golden")
 
-// driveEveryFamily builds a server with the result cache, an artifact
-// store and a diagnostics recorder, and drives it through one ok /map,
-// one 400, one result-cache hit, one two-item job and one capture, so
-// every metric family has its series.
+// driveEveryFamily builds a server with the result cache and an
+// artifact store, and drives it through one ok /map, one 400, one
+// result-cache hit and one two-item job, so every metric family has
+// its series.
 func driveEveryFamily(t *testing.T) *Server {
 	t.Helper()
-	diag, err := obs.NewDiagRecorder(t.TempDir(), obs.DiagOptions{MinInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := New(Config{
 		Concurrency: 2,
 		Store:       openStore(t, t.TempDir()),
-		Diag:        diag,
-		SlowRequest: time.Nanosecond,
 	})
 	t.Cleanup(s.Close)
 	h := s.Handler()
@@ -57,9 +50,6 @@ func driveEveryFamily(t *testing.T) *Server {
 	}
 	if st, ok := waitJobTerminal(t, h, acc.JobID, 30*time.Second); !ok || st.State != "done" {
 		t.Fatalf("job settled as %+v", st)
-	}
-	if captures, _, _ := diag.Counters(); captures != 1 {
-		t.Fatalf("diag captures = %d, want 1", captures)
 	}
 	return s
 }
@@ -193,9 +183,6 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		"store.hits":                    "mapd_store_hits_total",
 		"store.writes":                  "mapd_store_writes_total",
 		"store.objects":                 "mapd_store_objects",
-		"events.recorded":               "mapd_events_recorded_total",
-		"diag.captures":                 "mapd_diag_captures_total",
-		"diag.dropped":                  "mapd_diag_dropped_total",
 		"libraries.44-1.requests":       `mapd_requests_by_library_total{library="44-1"}`,
 		"libraries.44-1.patterns_tried": `mapd_patterns_tried_by_library_total{library="44-1"}`,
 		"runtime.gomaxprocs":            "mapd_go_gomaxprocs",
@@ -227,8 +214,8 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 }
 
 // TestLookupErrorsAreNotMappingRequests checks that job lookups and
-// /debug/events errors leave the mapping request counters alone: they
-// are neither received nor finished mapping requests.
+// unknown paths leave the mapping request counters alone: they are
+// neither received nor finished mapping requests.
 func TestLookupErrorsAreNotMappingRequests(t *testing.T) {
 	s := New(Config{Concurrency: 1})
 	for _, c := range []struct {
@@ -238,8 +225,8 @@ func TestLookupErrorsAreNotMappingRequests(t *testing.T) {
 		{http.MethodGet, "/jobs/nope", http.StatusNotFound},
 		{http.MethodDelete, "/jobs/nope", http.StatusNotFound},
 		{http.MethodGet, "/jobs/x/bogus", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/debug/events?limit=zero", http.StatusBadRequest},
-		{http.MethodPost, "/debug/events", http.StatusMethodNotAllowed},
+		// The retired wide-event ring's path is an unknown path now.
+		{http.MethodGet, "/debug/" + "events", http.StatusNotFound},
 	} {
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, httptest.NewRequest(c.method, c.path, nil))

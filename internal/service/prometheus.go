@@ -104,8 +104,7 @@ func writeMetrics(b *strings.Builder, st *StatsSnapshot) {
 		sample(b, "mapd_phase_seconds_total", labels{{"phase", name}}, st.PhaseMillis[name]/1e3)
 	}
 
-	// Flight recorder: runtime telemetry, burn rates, event ring, and
-	// (when enabled) slow-request capture counters.
+	// Runtime telemetry.
 	rt := &st.Runtime
 	metric(b, "mapd_go_goroutines", "gauge", "Live goroutines (runtime/metrics).", float64(rt.Goroutines))
 	metric(b, "mapd_go_gomaxprocs", "gauge", "Scheduler processor limit.", float64(rt.GOMAXPROCS))
@@ -121,22 +120,6 @@ func writeMetrics(b *strings.Builder, st *StatsSnapshot) {
 	sample(b, "mapd_go_sched_latency_seconds", labels{{"quantile", "0.5"}}, rt.SchedLatencyP50)
 	sample(b, "mapd_go_sched_latency_seconds", labels{{"quantile", "0.99"}}, rt.SchedLatencyP99)
 	sample(b, "mapd_go_sched_latency_seconds", labels{{"quantile", "1"}}, rt.SchedLatencyMax)
-
-	family(b, "mapd_slo_burn_rate", "gauge", "Error-budget burn rate per rolling window (1 = exactly exhausting the budget).")
-	for _, r := range st.SLO.Windows {
-		sample(b, "mapd_slo_burn_rate", labels{{"window", r.Window}}, r.Rate)
-	}
-	metric(b, "mapd_slo_goal", "gauge", "Availability goal behind the burn rates (fraction of good requests).", st.SLO.Goal)
-
-	metric(b, "mapd_events_recorded_total", "counter", "Wide events recorded into the /debug/events ring.", float64(st.Events.Recorded))
-
-	if d := st.Diag; d != nil {
-		metric(b, "mapd_diag_captures_total", "counter", "Diagnostics bundles published for slow or SLO-violating requests.", float64(d.Captures))
-		metric(b, "mapd_diag_dropped_total", "counter", "Diagnostics captures dropped by the rate limiter or write errors.", float64(d.Dropped))
-		metric(b, "mapd_diag_evictions_total", "counter", "Diagnostics bundles evicted by the size-budgeted GC.", float64(d.Evictions))
-		metric(b, "mapd_diag_bundles", "gauge", "Diagnostics bundles currently on disk.", float64(d.Bundles))
-		metric(b, "mapd_diag_bytes", "gauge", "Bytes of diagnostics bundles currently on disk.", float64(d.Bytes))
-	}
 
 	names := make([]string, 0, len(st.Libraries))
 	for name := range st.Libraries {

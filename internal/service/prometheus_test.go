@@ -210,8 +210,9 @@ func TestStatsQuantilesFromHistogram(t *testing.T) {
 
 // TestTraceIDAndAccessLog checks the per-request trace id appears in
 // the X-Trace-ID header, the response body, and the structured access
-// log — and that a slow-request threshold promotes the record to WARN
-// with the phase breakdown attached.
+// log; that the record says how the request was served (result, result
+// cache tier, subject digest, engine phases) or why it failed; and that
+// a slow-request threshold promotes the record to WARN.
 func TestTraceIDAndAccessLog(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
@@ -242,13 +243,18 @@ func TestTraceIDAndAccessLog(t *testing.T) {
 	}
 
 	var rec struct {
-		Level   string  `json:"level"`
-		Msg     string  `json:"msg"`
-		TraceID string  `json:"trace_id"`
-		Status  int     `json:"status"`
-		Library string  `json:"library"`
-		TotalMS float64 `json:"total_ms"`
-		MapMS   float64 `json:"map_ms"`
+		Level       string  `json:"level"`
+		Msg         string  `json:"msg"`
+		TraceID     string  `json:"trace_id"`
+		Status      int     `json:"status"`
+		Result      string  `json:"result"`
+		Error       *string `json:"error"`
+		Library     string  `json:"library"`
+		ResultCache string  `json:"result_cache"`
+		SubjectSHA  string  `json:"subject_sha"`
+		TotalMS     float64 `json:"total_ms"`
+		MapMS       float64 `json:"map_ms"`
+		LabelMS     float64 `json:"label_ms"`
 	}
 	if err := json.Unmarshal(logBuf.Bytes(), &rec); err != nil {
 		t.Fatalf("access log is not one JSON record: %v\n%s", err, logBuf.String())
@@ -264,6 +270,26 @@ func TestTraceIDAndAccessLog(t *testing.T) {
 	}
 	if rec.TotalMS <= 0 || rec.MapMS <= 0 || rec.MapMS > rec.TotalMS {
 		t.Errorf("log millis total=%v map=%v, want 0 < map <= total", rec.TotalMS, rec.MapMS)
+	}
+	if rec.Result != "ok" || rec.Error != nil || rec.ResultCache != "miss" || rec.SubjectSHA != resp.SubjectSHA {
+		t.Errorf("log result/error/result_cache/subject_sha = %q/%v/%q/%q, want ok/absent/miss/%q",
+			rec.Result, rec.Error, rec.ResultCache, rec.SubjectSHA, resp.SubjectSHA)
+	}
+	if rec.LabelMS <= 0 {
+		t.Errorf("log label_ms = %v on a miss, want > 0", rec.LabelMS)
+	}
+
+	// A rejected request's record names its result and error.
+	logBuf.Reset()
+	if code, _, _ := post(t, s.Handler(), nil, MapRequest{BLIF: "garbage"}); code != http.StatusBadRequest {
+		t.Fatalf("garbage map = %d, want 400", code)
+	}
+	rec.Error = nil
+	if err := json.Unmarshal(logBuf.Bytes(), &rec); err != nil {
+		t.Fatalf("400 access log is not one JSON record: %v\n%s", err, logBuf.String())
+	}
+	if rec.Status != http.StatusBadRequest || rec.Result != "bad_request" || rec.Error == nil || *rec.Error == "" {
+		t.Errorf("400 log status/result/error = %d/%q/%v", rec.Status, rec.Result, rec.Error)
 	}
 
 	// A batch item logs one record carrying its index, name and the

@@ -36,7 +36,7 @@ import (
 // HTML-escaping '<', '>' and '&', as computed responses never did.
 const resultKind = "mapres5"
 
-// result_cache tiers reported in responses and wide events.
+// result_cache tiers reported in responses and access-log records.
 const (
 	resultHitMem    = "hit-mem"
 	resultHitDisk   = "hit-disk"

@@ -27,8 +27,9 @@
 // Endpoints: POST /map; POST /jobs, GET /jobs/{id}, GET
 // /jobs/{id}/result and DELETE /jobs/{id} (batch jobs, see jobs_api.go);
 // GET /healthz; GET /stats and GET /metrics (one snapshot, Server.Stats,
-// encoded as JSON and as Prometheus text); GET /debug/events (the
-// wide-event ring).
+// encoded as JSON and as Prometheus text). Each /map request and job
+// item also writes one access-log record (logEvent) when a Logger is
+// set.
 package service
 
 import (
@@ -47,7 +48,6 @@ import (
 
 	"dagcover"
 	"dagcover/internal/jobs"
-	"dagcover/internal/obs"
 )
 
 // Config tunes a Server. The zero value serves with sensible defaults.
@@ -89,29 +89,12 @@ type Config struct {
 	// byte-identical with or without it.
 	Store *dagcover.ArtifactStore
 	// Logger, when non-nil, receives one structured access-log record
-	// per /map request and batch item (trace id, result, per-phase
-	// millis). nil keeps the server quiet.
+	// per /map request and batch item (see logEvent). nil keeps the
+	// server quiet.
 	Logger *slog.Logger
 	// SlowRequest, when positive, logs requests slower than this at
-	// Warn level with their full phase breakdown (requires Logger) and
-	// triggers a diagnostics capture when Diag is set.
+	// Warn level (requires Logger).
 	SlowRequest time.Duration
-	// Diag, when non-nil, receives a diagnostics bundle (wide event,
-	// per-request trace spans, goroutine dump, runtime sample) for every
-	// request that trips SlowRequest or SLOLatency. nil disables
-	// capture (and per-request span recording).
-	Diag *obs.DiagRecorder
-	// SLOLatency is the latency SLO target: served requests over it
-	// count against the error budget tracked by the burn-rate windows
-	// (and trigger capture when Diag is set). <= 0 means sheds and
-	// timeouts alone burn budget.
-	SLOLatency time.Duration
-	// SLOGoal is the availability goal behind the burn rates (fraction
-	// of good requests; default 0.99).
-	SLOGoal float64
-	// EventBuffer bounds the in-memory wide-event ring served at
-	// /debug/events (default 1024).
-	EventBuffer int
 	// ResultCacheBytes bounds the in-memory mapping result cache: whole
 	// serialized responses keyed by (subject-graph digest, library key,
 	// normalized options), so repeated identical requests skip the
@@ -152,12 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
 	}
-	if c.SLOGoal <= 0 {
-		c.SLOGoal = 0.99
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 1024
-	}
 	if c.ResultCacheBytes == 0 {
 		c.ResultCacheBytes = 64 << 20
 	} else if c.ResultCacheBytes < 0 {
@@ -190,13 +167,6 @@ type Server struct {
 	resultCache *resultCache
 	flights     *flightGroup
 
-	// Flight recorder: the wide-event ring behind /debug/events, the
-	// SLO burn-rate tracker, and the (optional) slow-request
-	// diagnostics recorder.
-	events *obs.EventRing
-	burn   *obs.BurnTracker
-	diag   *obs.DiagRecorder
-
 	// mapStartHook, when a test sets it before serving, runs on a
 	// request's goroutine just before the engine starts.
 	mapStartHook func(*MapRequest)
@@ -213,9 +183,6 @@ func New(cfg Config) *Server {
 		jobs:    jobs.NewStore(cfg.MaxJobs, cfg.JobTTL, nil),
 		store:   cfg.Store,
 		mux:     http.NewServeMux(),
-		events:  obs.NewEventRing(cfg.EventBuffer),
-		burn:    obs.NewBurnTracker(cfg.SLOGoal, burnWindows...),
-		diag:    cfg.Diag,
 	}
 	if cfg.ResultCacheBytes > 0 {
 		s.resultCache = newResultCache(cfg.ResultCacheBytes)
@@ -227,7 +194,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/events", s.handleDebugEvents)
 	s.handler = s.transport(s.mux)
 	return s
 }
@@ -420,8 +386,8 @@ func (s *Server) failure(w http.ResponseWriter, status int, format string, args 
 	writeError(w, status, format, args...)
 }
 
-// writeError writes an error body without counting it: job lookups and
-// /debug/events are not mapping requests.
+// writeError writes an error body without counting it: job lookups are
+// not mapping requests.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -473,18 +439,16 @@ type reqPhases struct {
 	cacheHit bool
 
 	// core is the engine's own phase breakdown (label/cover/emit wall
-	// times from the internal/obs instrumentation); the job API surfaces
-	// it per item, the access log keeps the coarse service phases.
+	// times from the internal/obs instrumentation), zero when the mapper
+	// did not run; job item status and the access log both report it.
 	core dagcover.PhaseBreakdown
 
-	// Flight-recorder attribution: the failure message and per-request
-	// engine counters the wide event carries, and — when diagnostics
-	// capture is enabled — the request's span trace.
+	// Access-log attribution: the failure message and the engine's
+	// per-call counters.
 	errMsg     string
 	memoHits   int
 	memoMisses int
 	sgStoreHit *bool
-	trace      *obs.Trace
 
 	// Result-cache attribution: the subject-graph digest (when one was
 	// computed) and how the whole-result cache served the request
@@ -517,14 +481,10 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Trace-ID", traceID)
 	reqStart := time.Now()
 	var ph reqPhases
-	if s.diag != nil {
-		// Span recording costs little but is only useful when a breach
-		// can publish it, so traces exist exactly when capture does.
-		ph.trace = obs.New()
-	}
 	status := http.StatusOK
 	defer func() {
-		s.recordFlight(traceID, "map", 0, "", status, time.Since(reqStart), &ph)
+		s.metrics.phases.add(&ph)
+		s.logEvent(traceID, -1, "", status, time.Since(reqStart), &ph)
 	}()
 	fail := func(st int, format string, args ...any) {
 		status = st
@@ -570,6 +530,63 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	resp.ElapsedMillis = millis(elapsed)
 	resp.TraceID = traceID
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// engineMillis is the engine's own phase breakdown (internal/obs wall
+// times) in engineNames order, for the access log and job item status.
+func (ph *reqPhases) engineMillis() [len(engineNames)]float64 {
+	c := &ph.core
+	return [...]float64{c.LabelMillis, c.LabelWallMillis, c.AreaMillis, c.CoverMillis, c.EmitMillis}
+}
+
+var engineNames = [...]string{"label", "label_wall", "area", "cover", "emit"}
+
+// logEvent writes the one access-log record of a /map request
+// (itemIndex < 0) or batch item: where its time went and how it was
+// served. An item's record carries its parent job's trace id, so a
+// single grep follows a batch end to end. Records slower than
+// SlowRequest are promoted to Warn.
+func (s *Server) logEvent(traceID string, itemIndex int, itemName string, status int, total time.Duration, ph *reqPhases) {
+	lg := s.cfg.Logger
+	if lg == nil {
+		return
+	}
+	msg := "mapping request"
+	attrs := make([]any, 0, 2*(20+numPhases))
+	attrs = append(attrs, "trace_id", traceID)
+	if itemIndex >= 0 {
+		msg = "job item"
+		attrs = append(attrs, "item_index", itemIndex, "item_name", itemName)
+	}
+	attrs = append(attrs, "status", status, "result", resultLabel(status).String())
+	if ph.errMsg != "" {
+		attrs = append(attrs, "error", ph.errMsg)
+	}
+	attrs = append(attrs, "library", ph.library, "mode", ph.mode, "cache_hit", ph.cacheHit)
+	if ph.resultCache != "" {
+		attrs = append(attrs, "result_cache", ph.resultCache)
+	}
+	if ph.subjectSHA != "" {
+		attrs = append(attrs, "subject_sha", ph.subjectSHA)
+	}
+	attrs = append(attrs, "memo_hits", ph.memoHits, "memo_misses", ph.memoMisses)
+	if ph.sgStoreHit != nil {
+		attrs = append(attrs, "sg_store_hit", *ph.sgStoreHit)
+	}
+	attrs = append(attrs, "total_ms", millis(total))
+	for p, name := range phaseNames {
+		attrs = append(attrs, name+"_ms", millis(ph.dur[p]))
+	}
+	if ph.core != (dagcover.PhaseBreakdown{}) {
+		for i, ms := range ph.engineMillis() {
+			attrs = append(attrs, engineNames[i]+"_ms", ms)
+		}
+	}
+	if s.cfg.SlowRequest > 0 && total >= s.cfg.SlowRequest {
+		lg.Warn("slow "+msg, attrs...)
+		return
+	}
+	lg.Info(msg, attrs...)
 }
 
 // statusClientClosedRequest mirrors nginx's non-standard 499: the
@@ -655,7 +672,6 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, g *dagcover.Subje
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	opt.Trace = ph.trace
 	if s.mapStartHook != nil {
 		s.mapStartHook(req)
 	}

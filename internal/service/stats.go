@@ -358,38 +358,12 @@ type StatsSnapshot struct {
 	// Runtime is the Go-runtime telemetry (heap, GC pauses, goroutines,
 	// scheduler latency), read when the snapshot was taken.
 	Runtime obs.RuntimeSample `json:"runtime"`
-	// SLO is the availability goal and the current multi-window burn
-	// rates over latency violations and sheds.
-	SLO struct {
-		Goal            float64        `json:"goal"`
-		LatencyTargetMS float64        `json:"latency_target_ms,omitempty"`
-		Windows         []obs.BurnRate `json:"windows"`
-	} `json:"slo"`
-	// Events describes the wide-event ring behind /debug/events.
-	Events struct {
-		Recorded uint64 `json:"recorded"`
-		Capacity int    `json:"capacity"`
-	} `json:"events"`
-	// Diag is the slow-request capture state. Absent when capture is
-	// disabled (no -diag-dir).
-	Diag *DiagSnapshot `json:"diag,omitempty"`
 }
 
 // requestsByResult binds each result to its Requests field.
 func (st *StatsSnapshot) requestsByResult() [numResults]*uint64 {
 	r := &st.Requests
 	return [numResults]*uint64{&r.OK, &r.BadRequest, &r.TooLarge, &r.Overloaded, &r.Timeout, &r.Canceled, &r.Internal}
-}
-
-// DiagSnapshot is the /stats view of the diagnostics recorder.
-type DiagSnapshot struct {
-	Dir       string `json:"dir"`
-	Captures  uint64 `json:"captures"`
-	Dropped   uint64 `json:"dropped"`
-	Evictions uint64 `json:"evictions"`
-	Bundles   int    `json:"bundles"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
 }
 
 // ResultCacheSnapshot is the /stats view of the whole-result cache.
@@ -490,17 +464,6 @@ func (s *Server) Stats() StatsSnapshot {
 
 	st.Build = buildInfo()
 	st.Runtime = obs.ReadRuntimeSample()
-	st.SLO.Goal = s.burn.Goal()
-	st.SLO.LatencyTargetMS = millis(s.cfg.SLOLatency)
-	st.SLO.Windows = s.burn.Rates(time.Now())
-	st.Events.Recorded = s.events.Total()
-	st.Events.Capacity = s.events.Cap()
-	if s.diag != nil {
-		d := &DiagSnapshot{Dir: s.diag.Dir(), MaxBytes: s.diag.MaxBytes()}
-		d.Captures, d.Dropped, d.Evictions = s.diag.Counters()
-		d.Bundles, d.Bytes = s.diag.Usage()
-		st.Diag = d
-	}
 	return st
 }
 
