@@ -404,9 +404,13 @@ func runJob(client *http.Client, addr, lib string, picks []workItem, gzipMin int
 			mu.Unlock()
 			return
 		}
+		// completed counts every settled item; failed and cancelled
+		// are its unsuccessful subsets.
 		var status struct {
 			State     string `json:"state"`
 			Completed int    `json:"completed"`
+			Failed    int    `json:"failed"`
+			Cancelled int    `json:"cancelled"`
 		}
 		if err := json.Unmarshal(sb, &status); err != nil {
 			mu.Lock()
@@ -415,7 +419,7 @@ func runJob(client *http.Client, addr, lib string, picks []workItem, gzipMin int
 			return
 		}
 		if status.State == "done" || status.State == "failed" || status.State == "cancelled" {
-			state, itemsOK = status.State, status.Completed
+			state, itemsOK = status.State, status.Completed-status.Failed-status.Cancelled
 			break
 		}
 		time.Sleep(25 * time.Millisecond)
