@@ -602,6 +602,30 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyMapped times the equivalence check of a 3000-gate
+// random DAG mapped onto 44-3 (random regime: 32 inputs, 64 rounds)
+// beside the mapping it checks, so one run shows whether verification
+// still costs more than the mapping. Run with -benchmem.
+func BenchmarkVerifyMapped(b *testing.B) {
+	nw := bench.RandomDAG(32, 3000, 7)
+	opt := MapOptions{Library: compile(b, Lib443())}
+	res := mapNet(b, nw, opt)
+	b.Run("map", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mapNet(b, nw, opt)
+		}
+	})
+	b.Run("verify", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := Verify(nw, res.Netlist); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkLUTTradeoff sweeps the depth slack in the priority-cut
 // area mode (study E4: the area/depth trade-off of the conclusion's
 // reference [3]).

@@ -353,11 +353,11 @@ type MapResult struct {
 }
 
 // CompiledLibrary is a gate library compiled into pattern graphs:
-// every gate is decomposed twice, into shared DAG patterns for DAG
-// covering and tree patterns for tree covering. Compilation is
-// relatively expensive, so compile once and pass the result to any
-// number of Map calls. The compiled plans and root-signature index are
-// immutable and shared; each run borrows private matcher scratch and
+// every gate is decomposed into shared DAG patterns for DAG covering,
+// and into tree patterns for tree covering on the first tree-mode Map.
+// Compilation is relatively expensive, so compile once and pass the
+// result to any number of Map calls. The compiled plans and
+// root-signature index are immutable and shared; each run borrows private matcher scratch and
 // an empty structural-match memo from a pool, so no run sees another's
 // recordings. A CompiledLibrary is safe for concurrent use, and it is
 // the unit the mapping service caches, one per distinct library
@@ -365,15 +365,17 @@ type MapResult struct {
 type CompiledLibrary struct {
 	lib *Library
 	// dag and tree own the compiled plans; runs use pooled clones of
-	// them, never these two directly.
+	// them, never these two directly. tree is built by treeOnce.
 	dag, tree *match.Matcher
+	treeOnce  sync.Once
+	treeErr   error
 	skipped   []string
 	pool      sync.Pool // of *matchers
 }
 
 // matchers is one run's pair of matcher clones: shared plans, private
 // scratch and memo tables, all cleared by Reset when the run returns
-// them to the pool.
+// them to the pool. tree stays nil until a tree-mode run needs it.
 type matchers struct{ dag, tree *match.Matcher }
 
 // CompileLibrary compiles lib once for concurrent reuse.
@@ -382,18 +384,25 @@ func CompileLibrary(lib *Library) (*CompiledLibrary, error) {
 	if err != nil {
 		return nil, err
 	}
-	trees, _, err := subject.CompileLibrary(lib, subject.CompileOptions{Share: false})
-	if err != nil {
-		return nil, err
-	}
 	cl := &CompiledLibrary{
 		lib:     lib,
 		dag:     match.NewMatcher(shared),
-		tree:    match.NewMatcher(trees),
 		skipped: skipped,
 	}
-	cl.pool.New = func() any { return &matchers{dag: cl.dag.Clone(), tree: cl.tree.Clone()} }
+	cl.pool.New = func() any { return &matchers{dag: cl.dag.Clone()} }
 	return cl, nil
+}
+
+// treeMatcher compiles the unshared tree patterns on first use; dag
+// mode never needs them.
+func (cl *CompiledLibrary) treeMatcher() (*match.Matcher, error) {
+	cl.treeOnce.Do(func() {
+		var trees []*subject.Pattern
+		if trees, _, cl.treeErr = subject.CompileLibrary(cl.lib, subject.CompileOptions{Share: false}); cl.treeErr == nil {
+			cl.tree = match.NewMatcher(trees)
+		}
+	})
+	return cl.tree, cl.treeErr
 }
 
 // Library returns the compiled library.
@@ -502,12 +511,21 @@ func (cl *CompiledLibrary) mapGates(ctx context.Context, g *SubjectGraph, choice
 		// next borrower gets a matcher indistinguishable from a fresh
 		// clone without recompiling anything.
 		m.dag.Reset()
-		m.tree.Reset()
+		if m.tree != nil {
+			m.tree.Reset()
+		}
 		cl.pool.Put(m)
 	}()
 	out := &MapResult{}
 	matcher := m.dag
 	if opt.Mode == ModeTree || opt.Mode == ModeTreeArea {
+		if m.tree == nil {
+			tree, err := cl.treeMatcher()
+			if err != nil {
+				return nil, err
+			}
+			m.tree = tree.Clone()
+		}
 		matcher = m.tree
 		objective := treemap.MinDelay
 		if opt.Mode == ModeTreeArea {

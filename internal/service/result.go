@@ -422,11 +422,14 @@ func (s *Server) compute(ctx context.Context, req *MapRequest, g *dagcover.Subje
 
 // publish is stage 5: a computed result enters the memory tier and the
 // artifact store, and its canonical form becomes the outcome's view,
-// which a flight leader hands to its followers.
+// which a flight leader hands to its followers. Encoding the payload
+// and the store's write and fsync are charged to the respond phase.
 func (s *Server) publish(out outcome, key, rawKey store.Key, ph *reqPhases) outcome {
 	if out.err != nil {
 		return out
 	}
+	t0 := time.Now()
+	defer func() { ph.dur[phaseRespond] += time.Since(t0) }()
 	resp := out.resp
 	payload, sha, err := encodeResultPayload(resp)
 	if err != nil {

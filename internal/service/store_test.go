@@ -1,6 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -251,5 +254,41 @@ func TestSupergateResultSHAIndependentOfStore(t *testing.T) {
 		if r.ResultCache != resultMiss && (r.SGStoreHit == nil || !*r.SGStoreHit) {
 			t.Errorf("%s serving: sg_store_hit %v, want true", r.ResultCache, r.SGStoreHit)
 		}
+	}
+}
+
+// TestStoreWriteChargedToRespond: a store-backed miss writes and fsyncs
+// its result object inside the request. That time is respond time, so
+// the access log's respond_ms covers the store's own store.put span.
+func TestStoreWriteChargedToRespond(t *testing.T) {
+	tr := dagcover.NewTrace()
+	st, err := dagcover.OpenArtifactStore(t.TempDir(), dagcover.ArtifactStoreOptions{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logBuf bytes.Buffer
+	s := New(Config{Concurrency: 2, Store: st, Logger: slog.New(slog.NewJSONHandler(&logBuf, nil))})
+	code, _, body := post(t, s.Handler(), nil, MapRequest{BLIF: blifOf(t, bench.RippleAdder(4)), Library: "44-3"})
+	if code != http.StatusOK {
+		t.Fatalf("map = %d: %s", code, body)
+	}
+	var rec struct {
+		ResultCache string  `json:"result_cache"`
+		RespondMS   float64 `json:"respond_ms"`
+	}
+	if err := json.Unmarshal(logBuf.Bytes(), &rec); err != nil {
+		t.Fatalf("access log is not one JSON record: %v\n%s", err, logBuf.String())
+	}
+	var putMS float64
+	for _, e := range tr.Events() {
+		if e.Name == "store.put" {
+			putMS += millis(e.Dur)
+		}
+	}
+	if rec.ResultCache != resultMiss || putMS == 0 {
+		t.Fatalf("result_cache %q with %v ms of store.put spans, want a miss that wrote its object", rec.ResultCache, putMS)
+	}
+	if rec.RespondMS < putMS {
+		t.Errorf("respond_ms %v < store.put %v ms: the disk-tier write is outside every phase", rec.RespondMS, putMS)
 	}
 }

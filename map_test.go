@@ -1,13 +1,17 @@
 package dagcover
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"dagcover/internal/bench"
+	"dagcover/internal/match"
 	"dagcover/internal/subject"
+	"dagcover/internal/treemap"
 )
 
 var allModes = []Mode{ModeDAG, ModeChoices, ModeTree, ModeTreeArea, ModeLUT, ModeLUTArea}
@@ -86,6 +90,56 @@ func TestMapModes(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		}
+	}
+}
+
+// TestTreePatternsCompiledOnFirstTreeMap: dag mode never builds the
+// unshared tree patterns; concurrent first tree-mode runs build them
+// once and map byte-identically to a matcher compiled up front.
+func TestTreePatternsCompiledOnFirstTreeMap(t *testing.T) {
+	nw := bench.RippleAdder(8)
+	g, err := BuildSubject(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := compile(t, Lib443())
+	mapNet(t, nw, MapOptions{Library: cl})
+	if cl.tree != nil {
+		t.Fatal("a dag-mode run compiled the tree patterns")
+	}
+	trees, _, err := subject.CompileLibrary(Lib443(), subject.CompileOptions{Share: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := treemap.Map(g, match.NewMatcher(trees), treemap.Options{Objective: treemap.MinDelay, Delay: IntrinsicDelay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := eager.Netlist.WriteBLIF(&want); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]bytes.Buffer, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(b *bytes.Buffer) {
+			defer wg.Done()
+			res, err := Map(context.Background(), Input{Network: nw}, MapOptions{Mode: ModeTree, Library: cl})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := res.Netlist.WriteBLIF(b); err != nil {
+				t.Error(err)
+			}
+		}(&got[i])
+	}
+	wg.Wait()
+	for i := range got {
+		if !bytes.Equal(got[i].Bytes(), want.Bytes()) {
+			t.Errorf("run %d: lazily compiled tree patterns map differently from eager ones", i)
 		}
 	}
 }
