@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -336,57 +335,11 @@ func BenchmarkAblationAreaRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelLabeling times the full DAG-covering labeling of
-// the suite's multiplier under 44-3 across worker counts. Per-count
-// results are bit-identical; only the wall clock moves (single-CPU
-// hosts will show no speedup — the wavefront only buys time when the
-// scheduler has cores to spread the waves over).
-func BenchmarkParallelLabeling(b *testing.B) {
-	shared, _, err := subject.CompileLibrary(libgen.Lib443(), subject.CompileOptions{Share: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := match.NewMatcher(shared)
-	g, err := subject.FromNetwork(bench.C6288())
-	if err != nil {
-		b.Fatal(err)
-	}
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
-	}
-	var refDelay float64
-	var refCells int
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			var delay float64
-			var cells int
-			for i := 0; i < b.N; i++ {
-				res, err := core.Map(g, m, core.Options{
-					Class: match.Standard, Delay: genlib.UnitDelay{}, Parallelism: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				delay, cells = res.Delay, res.Netlist.NumCells()
-			}
-			if refCells == 0 {
-				refDelay, refCells = delay, cells
-			} else if delay != refDelay || cells != refCells {
-				b.Fatalf("workers=%d diverged: delay %v cells %d vs %v/%d",
-					workers, delay, cells, refDelay, refCells)
-			}
-			b.ReportMetric(delay, "delay")
-			b.ReportMetric(float64(cells), "cells")
-		})
-	}
-}
-
 // BenchmarkMemoLabeling isolates the structural match memo on the
 // multiplier under 44-3 (the acceptance case): the same labeling run
 // with the memo off and on. Every iteration resets the matcher, so the
 // memo-on run records and hits within one C6288 mapping, the per-call
-// scope Map gives it — the labelWallNs metric is the phase the memo
+// scope Map gives it — the labelNs metric is the phase the memo
 // targets. Results must be bit-identical in both modes.
 func BenchmarkMemoLabeling(b *testing.B) {
 	shared, _, err := subject.CompileLibrary(libgen.Lib443(), subject.CompileOptions{Share: true})
@@ -408,7 +361,7 @@ func BenchmarkMemoLabeling(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var delay float64
 			var cells int
-			var labelWall time.Duration
+			var label time.Duration
 			for i := 0; i < b.N; i++ {
 				m.Reset()
 				res, err := core.Map(g, m, core.Options{
@@ -418,7 +371,7 @@ func BenchmarkMemoLabeling(b *testing.B) {
 					b.Fatal(err)
 				}
 				delay, cells = res.Delay, res.Netlist.NumCells()
-				labelWall = res.Stats.Phases.LabelWall
+				label = res.Stats.Phases.Label
 			}
 			if refCells == 0 {
 				refDelay, refCells = delay, cells
@@ -426,7 +379,7 @@ func BenchmarkMemoLabeling(b *testing.B) {
 				b.Fatalf("memo=%s diverged: delay %v cells %d vs %v/%d",
 					mode.name, delay, cells, refDelay, refCells)
 			}
-			b.ReportMetric(float64(labelWall.Nanoseconds()), "labelWallNs")
+			b.ReportMetric(float64(label.Nanoseconds()), "labelNs")
 			b.ReportMetric(delay, "delay")
 		})
 	}

@@ -27,10 +27,9 @@ import (
 // matches the committed pointer baselines so the two are directly
 // diffable.
 type FamilyRun struct {
-	Family      string `json:"family"`
-	Impl        string `json:"impl"`
-	Library     string `json:"library"`
-	Parallelism int    `json:"parallelism"`
+	Family  string `json:"family"`
+	Impl    string `json:"impl"`
+	Library string `json:"library"`
 	// BlifBytes is the generated benchmark's size; IngestMBps is
 	// BlifBytes over the ingest wall clock.
 	BlifBytes    int64   `json:"blif_bytes"`
@@ -126,7 +125,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // file, ingests and maps it once, and returns the measurement. Big
 // families run for tens of seconds; a single timed run is
 // representative at that scale.
-func measureFamily(name string, parallel int, baselineDir string) (*FamilyRun, error) {
+func measureFamily(name, baselineDir string) (*FamilyRun, error) {
 	stream, ok := bench.StreamFamily(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown streaming family %q (want mult<N> or alumesh<WxH>)", name)
@@ -169,7 +168,7 @@ func measureFamily(name string, parallel int, baselineDir string) (*FamilyRun, e
 
 	t1 := time.Now()
 	res, err := dagcover.Map(context.Background(), dagcover.Input{Subject: g},
-		dagcover.MapOptions{Library: cl, Delay: lc.delay, Parallelism: parallel})
+		dagcover.MapOptions{Library: cl, Delay: lc.delay})
 	if err != nil {
 		sampler.stop()
 		return nil, fmt.Errorf("map %s: %w", name, err)
@@ -186,7 +185,6 @@ func measureFamily(name string, parallel int, baselineDir string) (*FamilyRun, e
 		Family:        name,
 		Impl:          "soa",
 		Library:       lc.name,
-		Parallelism:   parallel,
 		BlifBytes:     cw.n,
 		SubjectGates:  res.SubjectNodes,
 		IngestNanos:   ingest.Nanoseconds(),

@@ -12,14 +12,12 @@
 //	benchmap                    # paper suite x {lib2, 44-1, 44-3}
 //	benchmap -quick             # C432 + C6288 only (the CI smoke)
 //	benchmap -full              # extended 10-circuit suite
-//	benchmap -parallel 8        # label with 8 workers
 //	benchmap -out bench.json    # report path ("" = stdout only)
 //	benchmap -golden cmd/benchmap/testdata/golden_iscas.json
 //	                            # verify mapped-netlist hashes over the
 //	                            # full ISCAS suite x 3 libraries x
-//	                            # parallelism {1,4,8} x memo {off,on};
-//	                            # any diff exits nonzero
-//	benchmap -family mult256,alumesh80x80 -parallel 8
+//	                            # memo {off,on}; any diff exits nonzero
+//	benchmap -family mult256,alumesh80x80
 //	                            # stream, ingest and map the big
 //	                            # synthetic families; records ingest
 //	                            # MB/s, allocations and peak heap, and
@@ -47,10 +45,9 @@ import (
 
 // Run is one (circuit, library, memo mode) mapping measurement.
 type Run struct {
-	Circuit     string `json:"circuit"`
-	Library     string `json:"library"`
-	Parallelism int    `json:"parallelism"`
-	Memo        bool   `json:"memo"`
+	Circuit string `json:"circuit"`
+	Library string `json:"library"`
+	Memo    bool   `json:"memo"`
 	// LabelWallNanos is the labeling phase's wall clock — the phase the
 	// memo accelerates. CoverNanos is match re-selection, EmitNanos
 	// netlist emission and re-timing, RenderNanos WriteBLIF of the
@@ -73,9 +70,8 @@ type Run struct {
 
 // Report is the BENCH_dagcover.json document.
 type Report struct {
-	Suite       string `json:"suite"`
-	Parallelism int    `json:"parallelism"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
+	Suite      string `json:"suite"`
+	GoMaxProcs int    `json:"gomaxprocs"`
 	// Identical reports the byte-equality check: every memo-on netlist
 	// matched its memo-off twin. benchmap exits nonzero when false, so
 	// a committed report always says true.
@@ -91,7 +87,6 @@ func main() {
 		out       = flag.String("out", "BENCH_dagcover.json", "report path (empty = stdout summary only)")
 		quick     = flag.Bool("quick", false, "run only C432 and C6288 (CI smoke)")
 		full      = flag.Bool("full", false, "use the extended 10-circuit suite")
-		parallel  = flag.Int("parallel", 1, "labeling workers per mapping run")
 		iters     = flag.Int("iters", 3, "mapping runs per configuration; the fastest is reported (every run starts with empty memo tables)")
 		golden    = flag.String("golden", "", "golden hash file; verify the full ISCAS suite against it and exit")
 		family    = flag.String("family", "", "comma-separated streaming families to measure (mult<N>, alumesh<WxH>)")
@@ -116,11 +111,11 @@ func main() {
 	}
 	var rep *Report
 	if *famOnly {
-		rep = &Report{Suite: "none", Parallelism: *parallel, GoMaxProcs: runtime.GOMAXPROCS(0), Identical: true}
+		rep = &Report{Suite: "none", GoMaxProcs: runtime.GOMAXPROCS(0), Identical: true}
 	} else {
 		suiteName, circuits := pickSuite(*quick, *full)
 		var err error
-		rep, err = measure(suiteName, circuits, *parallel, *iters)
+		rep, err = measure(suiteName, circuits, *iters)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchmap:", err)
 			os.Exit(1)
@@ -133,7 +128,7 @@ func main() {
 			if name == "" {
 				continue
 			}
-			fr, err := measureFamily(name, *parallel, *baselines)
+			fr, err := measureFamily(name, *baselines)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchmap:", err)
 				os.Exit(1)
@@ -201,12 +196,11 @@ func libs() []struct {
 	}
 }
 
-func measure(suiteName string, circuits []bench.Circuit, parallel, iters int) (*Report, error) {
+func measure(suiteName string, circuits []bench.Circuit, iters int) (*Report, error) {
 	rep := &Report{
-		Suite:       suiteName,
-		Parallelism: parallel,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Identical:   true,
+		Suite:      suiteName,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Identical:  true,
 	}
 	for _, lc := range libs() {
 		cl, err := dagcover.CompileLibrary(lc.lib)
@@ -217,11 +211,11 @@ func measure(suiteName string, circuits []bench.Circuit, parallel, iters int) (*
 			// Memo off first: the baseline walk. Then memo on against the
 			// same library; every run records into its own empty tables,
 			// as a served request does.
-			offRun, offBLIF, err := mapBest(cl, c, lc.name, lc.delay, parallel, false, iters)
+			offRun, offBLIF, err := mapBest(cl, c, lc.name, lc.delay, false, iters)
 			if err != nil {
 				return nil, err
 			}
-			onRun, onBLIF, err := mapBest(cl, c, lc.name, lc.delay, parallel, true, iters)
+			onRun, onBLIF, err := mapBest(cl, c, lc.name, lc.delay, true, iters)
 			if err != nil {
 				return nil, err
 			}
@@ -241,11 +235,11 @@ func measure(suiteName string, circuits []bench.Circuit, parallel, iters int) (*
 // runs at millisecond scale are noise-dominated). Every iteration's
 // BLIF must be byte-identical — the measurement loop doubles as a
 // determinism check within each mode.
-func mapBest(cl *dagcover.CompiledLibrary, c bench.Circuit, libName string, delay dagcover.DelayModel, parallel int, memo bool, iters int) (*Run, []byte, error) {
+func mapBest(cl *dagcover.CompiledLibrary, c bench.Circuit, libName string, delay dagcover.DelayModel, memo bool, iters int) (*Run, []byte, error) {
 	var best *Run
 	var blif []byte
 	for i := 0; i < iters; i++ {
-		run, b, err := mapOnce(cl, c, libName, delay, parallel, memo)
+		run, b, err := mapOnce(cl, c, libName, delay, memo)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -263,8 +257,8 @@ func mapBest(cl *dagcover.CompiledLibrary, c bench.Circuit, libName string, dela
 }
 
 // mapOnce runs one measured mapping and renders the netlist to BLIF.
-func mapOnce(cl *dagcover.CompiledLibrary, c bench.Circuit, libName string, delay dagcover.DelayModel, parallel int, memo bool) (*Run, []byte, error) {
-	opt := dagcover.MapOptions{Library: cl, Delay: delay, Parallelism: parallel, NoMemo: !memo}
+func mapOnce(cl *dagcover.CompiledLibrary, c bench.Circuit, libName string, delay dagcover.DelayModel, memo bool) (*Run, []byte, error) {
+	opt := dagcover.MapOptions{Library: cl, Delay: delay, NoMemo: !memo}
 	start := time.Now()
 	res, err := dagcover.Map(context.Background(), dagcover.Input{Network: c.Network}, opt)
 	if err != nil {
@@ -280,9 +274,8 @@ func mapOnce(cl *dagcover.CompiledLibrary, c bench.Circuit, libName string, dela
 	run := &Run{
 		Circuit:        c.Name,
 		Library:        libName,
-		Parallelism:    parallel,
 		Memo:           memo,
-		LabelWallNanos: int64(res.Phases.LabelWallMillis * 1e6),
+		LabelWallNanos: int64(res.Phases.LabelMillis * 1e6),
 		CoverNanos:     int64(res.Phases.CoverMillis * 1e6),
 		EmitNanos:      int64(res.Phases.EmitMillis * 1e6),
 		RenderNanos:    render.Nanoseconds(),

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"dagcover"
@@ -31,15 +30,11 @@ func main() {
 		doVerify  = flag.Bool("verify", false, "verify every mapping by simulation")
 		ablations = flag.Bool("ablations", false, "also run the ablation studies")
 		format    = flag.String("format", "text", "table output format: text, csv or json")
-		parallel  = flag.Int("parallel", 0, "also time DAG covering with this many labeling workers (0 = all CPUs, 1 = skip the parallel run)")
 		memo      = flag.Bool("memo", true, "memoize match enumeration by canonical cone key (results are identical either way)")
 		supers    = flag.Bool("supergates", false, "run only the supergate richness study (E12): 44-1 vs 44-1+supergates vs 44-3")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of every mapping run to this file")
 	)
 	flag.Parse()
-	if *parallel <= 0 {
-		*parallel = runtime.NumCPU()
-	}
 	if *supers {
 		suite := bench.Suite()
 		if *full {
@@ -51,7 +46,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*table, *full, *doVerify, *ablations, *format, *parallel, *memo, *tracePath); err != nil {
+	if err := run(*table, *full, *doVerify, *ablations, *format, *memo, *tracePath); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -81,7 +76,7 @@ func printSupergateRichness(suite []bench.Circuit) error {
 	return nil
 }
 
-func run(table string, full, doVerify, ablations bool, format string, parallel int, memo bool, tracePath string) error {
+func run(table string, full, doVerify, ablations bool, format string, memo bool, tracePath string) error {
 	if format != "text" && format != "csv" && format != "json" {
 		return fmt.Errorf("unknown format %q", format)
 	}
@@ -98,7 +93,7 @@ func run(table string, full, doVerify, ablations bool, format string, parallel i
 			}
 		}()
 	}
-	opt := experiments.Options{Verify: doVerify, Circuits: suite, Parallelism: parallel, Memo: memo, Trace: tr}
+	opt := experiments.Options{Verify: doVerify, Circuits: suite, Memo: memo, Trace: tr}
 
 	specs := map[string]experiments.TableSpec{
 		"1": experiments.Table1(),

@@ -64,7 +64,6 @@ func main() {
 		queue       = flag.Int("queue", 0, "max requests waiting for a run slot (0 = 4x concurrency, -1 = none); excess gets 429")
 		timeout     = flag.Duration("timeout", 60*time.Second, "default per-request mapping deadline")
 		maxTimeout  = flag.Duration("maxtimeout", 5*time.Minute, "cap on client-requested deadlines")
-		parallel    = flag.Int("parallel", 1, "labeling workers per request (1 = serial; concurrency across requests usually saturates the pool)")
 		maxBytes    = flag.Int64("maxbytes", 32<<20, "max request body size in bytes")
 		cacheSize   = flag.Int("cache", 128, "max compiled libraries kept in memory")
 		jobsMax     = flag.Int("jobs-max", 512, "max resident async jobs; at capacity the oldest finished job is evicted, and 429 when all are active")
@@ -104,7 +103,6 @@ func main() {
 		QueueDepth:       *queue,
 		DefaultTimeout:   *timeout,
 		MaxTimeout:       *maxTimeout,
-		Parallelism:      *parallel,
 		MaxRequestBytes:  *maxBytes,
 		CacheEntries:     *cacheSize,
 		MaxJobs:          *jobsMax,

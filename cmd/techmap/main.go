@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"dagcover"
 )
@@ -44,7 +43,6 @@ type config struct {
 	critPath  bool
 	slack     bool
 	verbose   bool
-	parallel  int
 	memo      bool
 	tracePath string
 	statsJSON string
@@ -69,7 +67,6 @@ func main() {
 	flag.BoolVar(&cfg.critPath, "critical", false, "print the critical path")
 	flag.BoolVar(&cfg.slack, "slack", false, "print the worst timing paths and a slack histogram")
 	flag.BoolVar(&cfg.verbose, "v", false, "print matcher statistics (patterns tried, matches enumerated)")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "labeling workers for DAG covering: 0 = all CPUs, 1 = serial (results are identical either way)")
 	flag.BoolVar(&cfg.memo, "memo", true, "memoize match enumeration by canonical cone key (results are identical either way; -memo=false is the escape hatch)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write a Chrome trace_event JSON of the mapping pipeline to this file (chrome://tracing, Perfetto)")
 	flag.StringVar(&cfg.statsJSON, "stats-json", "", "write the mapping report as JSON to this file (- for stdout)")
@@ -87,9 +84,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.path = flag.Arg(0)
-	if cfg.parallel <= 0 {
-		cfg.parallel = runtime.NumCPU()
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -118,11 +112,10 @@ func run(ctx context.Context, cfg *config) error {
 	libDesc := lib.Name
 	if cfg.supergates {
 		opt := dagcover.SupergateOptions{
-			MaxInputs:   cfg.sgInputs,
-			MaxDepth:    cfg.sgDepth,
-			MaxGates:    cfg.sgMax,
-			Parallelism: cfg.parallel,
-			Trace:       tr,
+			MaxInputs: cfg.sgInputs,
+			MaxDepth:  cfg.sgDepth,
+			MaxGates:  cfg.sgMax,
+			Trace:     tr,
 		}
 		var expanded *dagcover.Library
 		var stats dagcover.SupergateStats
@@ -190,7 +183,6 @@ func run(ctx context.Context, cfg *config) error {
 		Class:        class,
 		Delay:        dm,
 		AreaRecovery: cfg.recover,
-		Parallelism:  cfg.parallel,
 		Trace:        tr,
 		NoMemo:       !cfg.memo,
 	})

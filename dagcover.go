@@ -280,14 +280,14 @@ type MapOptions struct {
 	// optimum (0 or below-optimal values mean delay-optimal); the
 	// area/delay trade-off of the paper's conclusion.
 	RequiredTime float64
-	// Parallelism is the number of labeling workers for DAG covering.
-	// 0 or 1 runs the serial labeler; n > 1 labels fanin-ready waves
-	// of the subject graph concurrently on n goroutines. The mapped
-	// result is bit-identical for every value, so any setting is safe;
-	// runtime.NumCPU() is the natural choice on multicore hosts.
+	// Parallelism is not read: labeling is one serial pass. To use
+	// several cores, run several Map calls at once; they may share a
+	// CompiledLibrary and an Input.Subject.
+	//
+	// Deprecated: ignored; labeling is serial.
 	Parallelism int
 	// Trace, when non-nil, records the mapping phases (labeling, area
-	// estimation, covering, emission, per-wave chunks) as spans.
+	// estimation, covering, emission) as spans.
 	// Tracing never changes the mapped result.
 	Trace *Trace
 	// NoMemo turns off this run's structural match memo (canonical
@@ -320,10 +320,9 @@ type MapResult struct {
 	PatternsTried int
 	// MemoHits/MemoMisses count structural-memo consultations during
 	// the run (both zero when the memo is off). A hit skips the
-	// backtracking walk for the whole node. Every run starts with empty
-	// tables, so at Parallelism 1 both are a function of the circuit,
-	// library and options; parallel labeling workers record into their
-	// own tables, so the split moves with Parallelism.
+	// backtracking walk for the whole node. Every run starts with an
+	// empty table, so both are a function of the circuit, library and
+	// options.
 	MemoHits   int
 	MemoMisses int
 	// MemoEntries is how many recipes the run's memo tables held when
@@ -440,8 +439,8 @@ func (cl *CompiledLibrary) MapSubjectCompiled(ctx context.Context, g *SubjectGra
 }
 
 // Map technology-maps the input with the algorithm opt.Mode selects.
-// ctx cancels an in-flight run: labeling and construction poll it at
-// wave/node boundaries and Map returns an error wrapping ctx.Err()
+// ctx cancels an in-flight run: labeling and construction poll it
+// every few dozen nodes and Map returns an error wrapping ctx.Err()
 // (check with errors.Is against context.Canceled /
 // context.DeadlineExceeded). An uncancelled run's result does not
 // depend on the context.
@@ -557,7 +556,6 @@ func (cl *CompiledLibrary) mapGates(ctx context.Context, g *SubjectGraph, choice
 			AreaRecovery: opt.AreaRecovery,
 			RequiredTime: opt.RequiredTime,
 			Choices:      choices,
-			Parallelism:  opt.Parallelism,
 			Ctx:          ctx,
 			Trace:        opt.Trace,
 		})
@@ -568,8 +566,6 @@ func (cl *CompiledLibrary) mapGates(ctx context.Context, g *SubjectGraph, choice
 		out.DuplicatedNodes = res.Stats.DuplicatedNodes
 		out.MatchesEnumerated = res.Stats.MatchesEnumerated
 		out.PatternsTried = res.Stats.PatternsTried
-		// Parallel labeling runs on worker clones, so the counters come
-		// from the engine's stats rather than this matcher.
 		out.MemoHits, out.MemoMisses = res.Stats.MemoHits, res.Stats.MemoMisses
 		out.MemoEntries = res.Stats.MemoEntries
 		out.Phases = phaseBreakdown(res.Stats.Phases)
@@ -610,7 +606,7 @@ type SupergateStats = supergate.Stats
 // synthetic gate per surviving equivalence class, with composed
 // pin-to-output delays and summed areas. The result flows through
 // CompileLibrary unchanged. Generation is deterministic
-// at any Parallelism.
+// at any worker count.
 func ExpandSupergates(lib *Library, opt SupergateOptions) (*Library, SupergateStats, error) {
 	res, err := supergate.Generate(lib, opt)
 	if err != nil {

@@ -222,6 +222,46 @@ func TestFacadeSubjectReuse(t *testing.T) {
 	}
 }
 
+// TestMapSharedSubjectConcurrently maps one subject graph from two
+// goroutines at once, the way to use several cores since labeling is
+// one serial pass: both runs must return the same netlist bytes and
+// subject digest. Run with -race: the graph's lazily cached digest is
+// filled by whichever run finishes first.
+func TestMapSharedSubjectConcurrently(t *testing.T) {
+	g, err := BuildSubject(bench.C432())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := compile(t, Lib441())
+	opt := MapOptions{Library: cl, Delay: UnitDelay}
+	results := make([]*MapResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Map(context.Background(), Input{Subject: g}, opt)
+		}(i)
+	}
+	wg.Wait()
+	var blifs [2]bytes.Buffer
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if err := res.Netlist.WriteBLIF(&blifs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blifs[0].Bytes(), blifs[1].Bytes()) {
+		t.Error("concurrent runs on one subject graph returned different netlists")
+	}
+	if results[0].SubjectSHA != results[1].SubjectSHA || results[0].SubjectSHA != g.Digest() {
+		t.Errorf("subject digests %s, %s; graph %s", results[0].SubjectSHA, results[1].SubjectSHA, g.Digest())
+	}
+}
+
 func TestFacadeMappedBLIFRoundTrip(t *testing.T) {
 	nw := bench.RippleAdder(4)
 	lib := Lib2()

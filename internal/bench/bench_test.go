@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dagcover/internal/network"
@@ -315,8 +316,18 @@ func TestRandomDAGDeterministic(t *testing.T) {
 	}
 }
 
+// sortedNodeNames returns all node names of nw, sorted.
+func sortedNodeNames(nw *network.Network) []string {
+	names := make([]string, 0, nw.NumNodes())
+	for _, n := range nw.Nodes() {
+		names = append(names, n.Name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func sameNames(a, b *network.Network) bool {
-	an, bn := a.SortedNodeNames(), b.SortedNodeNames()
+	an, bn := sortedNodeNames(a), sortedNodeNames(b)
 	if len(an) != len(bn) {
 		return false
 	}

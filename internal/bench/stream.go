@@ -223,8 +223,8 @@ const aluTileBits = 4
 //
 // Outputs are the east vectors of the last column and the south
 // vectors of the last row. The mesh is shallow per tile but long in
-// both axes, so it exercises wavefront scheduling very differently
-// from the deep multiplier array.
+// both axes, so its shape differs sharply from the deep multiplier
+// array's.
 func StreamALUMesh(w io.Writer, wd, ht int) error {
 	if wd < 1 || ht < 1 {
 		return fmt.Errorf("bench: alumesh dimensions must be positive, got %dx%d", wd, ht)

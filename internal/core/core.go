@@ -80,20 +80,13 @@ type Options struct {
 	// the same choices (match.Matcher.SetChoices) so structural
 	// descent can cross into alternative cones.
 	Choices *subject.Choices
-	// Parallelism is the number of labeling workers. Values <= 1 run
-	// the original serial loop; n > 1 labels each fanin-ready wave of
-	// the topological order concurrently on n goroutines, each with
-	// its own matcher clone. The result is byte-for-byte identical to
-	// the serial mapping for every worker count.
-	Parallelism int
 	// Ctx, when non-nil, lets callers cancel a mapping run: labeling
-	// and construction poll ctx.Err() at wave boundaries and every
-	// cancelCheckStride nodes, and Map returns an error wrapping
-	// ctx.Err() without completing. A nil Ctx never cancels. The
-	// mapped result of an uncancelled run is identical with or
-	// without a context.
+	// and construction poll ctx.Err() every cancelCheckStride nodes,
+	// and Map returns an error wrapping ctx.Err() without completing.
+	// A nil Ctx never cancels. The mapped result of an uncancelled run
+	// is identical with or without a context.
 	Ctx context.Context
-	// Trace, when non-nil, records phase spans (labeling waves, the
+	// Trace, when non-nil, records phase spans (labeling, the
 	// area-estimate pass, cover and emit) and the matcher's
 	// per-signature-bucket probe counts into the given tracer. A nil
 	// Trace costs one pointer check per phase; the mapped result is
@@ -103,9 +96,8 @@ type Options struct {
 
 // Label is the dynamic-programming state of one subject node: the best
 // arrival time and the match realizing it, stored flat. Leaves and
-// Covered point into a per-worker arena chunk, so labeling a graph
-// costs a handful of large allocations instead of three small ones per
-// node.
+// Covered point into an arena chunk, so labeling a graph costs a
+// handful of large allocations instead of three small ones per node.
 type Label struct {
 	// Arrival is the best arrival time achievable at the node.
 	Arrival float64
@@ -119,8 +111,8 @@ type Label struct {
 }
 
 // Counters is the deterministic work-count portion of Stats: the same
-// subject, library and options yield byte-identical Counters for every
-// Parallelism value, so tests compare them with ==.
+// subject, library and options yield byte-identical Counters, so tests
+// compare them with ==.
 type Counters struct {
 	NodesLabeled      int
 	MatchesEnumerated int
@@ -134,39 +126,23 @@ type Counters struct {
 	// themselves — the duplication of §3.5.
 	DuplicatedNodes int
 	// MemoHits/MemoMisses count match-memo consultations (zero when
-	// the memo is off). Their SUM is deterministic — one consultation
-	// per memoizable enumeration — but the hit/miss split depends on
-	// the labeling parallelism, since every worker records into its own
-	// table, and on what the matcher recorded before this run if it was
-	// not Reset; cross-run Counters equality checks must zero these two
-	// fields (the other counters keep the byte-identical guarantee
-	// above; memoization replays the exact enumeration it recorded).
+	// the memo is off). On a fresh or Reset matcher both are a function
+	// of the circuit, library and options. A matcher reused without
+	// Reset carries its table into the run, which moves the hit/miss
+	// split but not the sum (one consultation per memoizable
+	// enumeration); cross-run equality checks on such a matcher must
+	// zero these two fields. The other counters keep the byte-identical
+	// guarantee above: memoization replays the exact enumeration it
+	// recorded.
 	MemoHits   int
 	MemoMisses int
 }
 
-// merge folds worker-local counters into c.
-func (c *Counters) merge(o Counters) {
-	c.NodesLabeled += o.NodesLabeled
-	c.MatchesEnumerated += o.MatchesEnumerated
-	c.PatternsTried += o.PatternsTried
-	c.CellsEmitted += o.CellsEmitted
-	c.DuplicatedNodes += o.DuplicatedNodes
-	c.MemoHits += o.MemoHits
-	c.MemoMisses += o.MemoMisses
-}
-
-// Phases is the per-phase time breakdown of a mapping run. Durations
-// are CPU-attributed: under parallel labeling, Label sums the chunk
-// times of every worker and so can exceed LabelWall, the wall-clock
-// span of the labeling phase. Unlike Counters, durations vary run to
-// run; only their structure (non-negative, Label >= 0 monotone under
-// merge) is deterministic.
+// Phases is the per-phase wall-clock breakdown of a mapping run.
+// Unlike Counters, durations vary run to run.
 type Phases struct {
-	// Label is labeling CPU time summed across workers.
+	// Label is the labeling pass.
 	Label time.Duration
-	// LabelWall is the wall-clock duration of the labeling phase.
-	LabelWall time.Duration
 	// Area is the area-estimate DP pass (area recovery only).
 	Area time.Duration
 	// Cover is match re-selection and required-time propagation.
@@ -176,39 +152,20 @@ type Phases struct {
 	Emit time.Duration
 }
 
-// merge folds worker-local phase times into p.
-func (p *Phases) merge(o Phases) {
-	p.Label += o.Label
-	p.LabelWall += o.LabelWall
-	p.Area += o.Area
-	p.Cover += o.Cover
-	p.Emit += o.Emit
-}
-
-// Total returns the summed CPU time across phases (LabelWall excluded
-// — it overlaps Label).
+// Total returns the summed time across phases.
 func (p Phases) Total() time.Duration {
 	return p.Label + p.Area + p.Cover + p.Emit
 }
 
-// Stats reports work done by the mapper. Under parallel labeling each
-// worker accumulates a private Stats that is merged at wave
-// boundaries; the Counters totals are identical to a serial run, the
-// Phases durations are measured and differ run to run.
+// Stats reports work done by the mapper: deterministic Counters and
+// measured Phases.
 type Stats struct {
 	Counters
 	Phases Phases
-	// MemoEntries is how many recipes the run's memo tables hold when
-	// it finishes: the matcher's own plus, under parallel labeling,
-	// every worker's. A size, not an additive counter, so merge leaves
-	// it alone and Map sets it once at the end.
+	// MemoEntries is how many recipes the matcher's memo table holds
+	// when the run finishes. A size, not an additive counter; Map sets
+	// it once at the end.
 	MemoEntries int
-}
-
-// merge folds worker-local stats into s.
-func (s *Stats) merge(o Stats) {
-	s.Counters.merge(o.Counters)
-	s.Phases.merge(o.Phases)
 }
 
 // Result is a completed mapping.
@@ -225,9 +182,8 @@ type Result struct {
 // nodeArena bump-allocates the Leaves/Covered slices stored in Labels.
 // Saved slices are full-capacity subslices of large shared chunks, so
 // per-node match storage costs one allocation per arenaChunk nodes of
-// leaf data instead of two per node. Each labeling worker owns one
-// arena; the chunks outlive the workers through the Labels that point
-// into them.
+// leaf data instead of two per node. The chunks outlive the labeling
+// pass through the Labels that point into them.
 type nodeArena struct {
 	buf []subject.Node // len = used, cap = chunk size
 }
@@ -302,35 +258,25 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 		sigBase = m.SigBucketsTried()
 	}
 
-	// Phase 1: labeling in topological order — serial, or wavefront-
-	// parallel when opt.Parallelism > 1 (see parallel.go). Both paths
-	// produce identical labels and stats. Wave scheduling needs the
-	// choice classes to merge levels: a matcher descending choices the
-	// options don't declare could read labels of a later wave, so that
-	// combination falls back to the serial loop.
+	// Phase 1: labeling in topological order.
 	labelStart := time.Now()
 	labelSpan := opt.Trace.Start("core.label")
-	if opt.Parallelism > 1 && (opt.Choices != nil || m.Choices() == nil) {
-		if err := labelParallel(g, m, opt, res, classMax); err != nil {
-			return nil, err
-		}
-	} else if err := labelSerial(g, m, opt, res, classMax); err != nil {
+	if err := labelSerial(g, m, opt, res, classMax); err != nil {
 		return nil, err
 	}
-	res.Stats.Phases.LabelWall = time.Since(labelStart)
+	res.Stats.Phases.Label = time.Since(labelStart)
 	labelSpan.
 		Arg("nodes_labeled", res.Stats.NodesLabeled).
 		Arg("matches_enumerated", res.Stats.MatchesEnumerated).
 		Arg("patterns_tried", res.Stats.PatternsTried).
-		Arg("parallelism", opt.Parallelism).
 		End()
 	if g.NumNodes() >= gcAfterLabelNodes {
-		// On million-node graphs the labeling workers leave behind tens
-		// of MB of dense per-node scratch each. Construction is about to
-		// allocate the output netlist on top of that garbage; collecting
-		// here keeps the two allocation humps from stacking into the
-		// peak-heap high-water mark. Below the threshold the pause would
-		// cost more than the heap it returns.
+		// On million-node graphs labeling leaves behind tens of MB of
+		// dense per-node scratch. Construction is about to allocate the
+		// output netlist on top of that garbage; collecting here keeps
+		// the two allocation humps from stacking into the peak-heap
+		// high-water mark. Below the threshold the pause would cost more
+		// than the heap it returns.
 		runtime.GC()
 	}
 
@@ -347,13 +293,13 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 		// render the netlist; collect so the humps don't stack.
 		runtime.GC()
 	}
-	res.Stats.MemoEntries += m.MemoEntries()
+	res.Stats.MemoEntries = m.MemoEntries()
 	return res, nil
 }
 
 // emitSigBuckets records the matcher's per-root-signature probe
-// counts accumulated during this run (cur minus the base snapshot,
-// plus any extra already-diffed worker counts) as one instant event.
+// counts accumulated during this run (cur minus the base snapshot) as
+// one instant event.
 func emitSigBuckets(tr *obs.Trace, cur, base []uint32) {
 	var args []obs.Arg
 	var total uint64
@@ -379,8 +325,6 @@ func emitSigBuckets(tr *obs.Trace, cur, base []uint32) {
 
 // labelSerial runs the labeling DP in plain topological order.
 func labelSerial(g *subject.Graph, m *match.Matcher, opt Options, res *Result, classMax []int) error {
-	start := time.Now()
-	defer func() { res.Stats.Phases.Label += time.Since(start) }()
 	var scratch matchScratch
 	var arena nodeArena
 	nn := g.NumNodes()
@@ -416,8 +360,7 @@ func labelSerial(g *subject.Graph, m *match.Matcher, opt Options, res *Result, c
 }
 
 // mergeClassLabels gives every choice-class member the best member's
-// label. Member order decides float ties, so serial and parallel runs
-// merge identically.
+// label. Member order decides float ties.
 func mergeClassLabels(labels []Label, members []subject.Node) {
 	if members == nil {
 		return
@@ -444,11 +387,11 @@ func matchArrival(mt *match.Match, dm genlib.DelayModel, labels []Label) float64
 	return worst
 }
 
-// matchScratch stages the in-flight best match of one bestMatch caller
-// (one per labeling worker). The winner is held here — pattern,
-// arrival, and leaf/cover bindings in reusable slices — so an
-// enumeration that improves its best k times costs zero allocations;
-// the caller copies the winner into its arena exactly once.
+// matchScratch stages the in-flight best match of one bestMatch
+// caller. The winner is held here — pattern, arrival, and leaf/cover
+// bindings in reusable slices — so an enumeration that improves its
+// best k times costs zero allocations; the caller copies the winner
+// into its arena exactly once.
 type matchScratch struct {
 	pat     *subject.Pattern
 	arr     float64

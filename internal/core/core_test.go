@@ -38,6 +38,25 @@ func mapNetwork(t *testing.T, nw *network.Network, lib *genlib.Library, opt Opti
 	return res
 }
 
+// mapWithChoices maps nw's choice-encoded subject graph (both
+// decompositions of every node), declaring the choices to the matcher
+// and to Map.
+func mapWithChoices(t *testing.T, nw *network.Network, lib *genlib.Library, opt Options) *Result {
+	t.Helper()
+	g, choices, err := subject.FromNetworkWithChoices(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := matcherFor(t, lib, true)
+	m.SetChoices(choices)
+	opt.Choices = choices
+	res, err := Map(g, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func mustNetwork(t *testing.T, build func(nw *network.Network) error) *network.Network {
 	t.Helper()
 	nw := network.New("t")
@@ -235,17 +254,27 @@ func TestMappedEquivalenceAcrossClassesAndLibraries(t *testing.T) {
 		nw := randomNetwork(t, rng, 5, 20)
 		for _, l := range libs {
 			for _, class := range []match.Class{match.Exact, match.Standard, match.Extended} {
-				res := mapNetwork(t, nw, l.lib, Options{Class: class, Delay: l.dm})
-				if err := verify.Mapped(nw, res.Netlist, verify.Options{}); err != nil {
-					t.Fatalf("trial %d lib %s class %v: %v", trial, l.lib.Name, class, err)
-				}
-				tm, err := res.Netlist.Delay(l.dm, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(tm.Delay-res.Delay) > 1e-9 {
-					t.Fatalf("trial %d lib %s class %v: label delay %v != netlist delay %v",
-						trial, l.lib.Name, class, res.Delay, tm.Delay)
+				for _, choices := range []bool{false, true} {
+					if choices && class == match.Exact {
+						continue // choices need the shared (non-exact) pattern set
+					}
+					var res *Result
+					if choices {
+						res = mapWithChoices(t, nw, l.lib, Options{Class: class, Delay: l.dm})
+					} else {
+						res = mapNetwork(t, nw, l.lib, Options{Class: class, Delay: l.dm})
+					}
+					if err := verify.Mapped(nw, res.Netlist, verify.Options{}); err != nil {
+						t.Fatalf("trial %d lib %s class %v choices %v: %v", trial, l.lib.Name, class, choices, err)
+					}
+					tm, err := res.Netlist.Delay(l.dm, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(tm.Delay-res.Delay) > 1e-9 {
+						t.Fatalf("trial %d lib %s class %v choices %v: label delay %v != netlist delay %v",
+							trial, l.lib.Name, class, choices, res.Delay, tm.Delay)
+					}
 				}
 			}
 		}

@@ -36,12 +36,7 @@ type Row struct {
 	TreeDelay, DAGDelay float64
 	TreeArea, DAGArea   float64
 	TreeCPU, DAGCPU     time.Duration
-	// DAGCPUPar is the wall-clock of the same DAG covering run with
-	// wavefront-parallel labeling (0 when Options.Parallelism <= 1).
-	// The parallel run is checked to reproduce the serial mapping
-	// exactly before its time is reported.
-	DAGCPUPar  time.Duration
-	Duplicated int
+	Duplicated          int
 	// Phases breaks the row's work down by pipeline phase.
 	Phases RowPhases
 }
@@ -51,7 +46,7 @@ type Row struct {
 type RowPhases struct {
 	// TreeCover is the tree-covering DP (plus emission) time.
 	TreeCover time.Duration
-	// Label, Cover and Emit split the serial DAG run.
+	// Label, Cover and Emit split the DAG run.
 	Label, Cover, Emit time.Duration
 	// Verify is the simulation-verification time (0 without -verify).
 	Verify time.Duration
@@ -91,10 +86,6 @@ type Options struct {
 	Class match.Class
 	// Circuits overrides the benchmark set (default bench.Suite()).
 	Circuits []bench.Circuit
-	// Parallelism, when above 1, additionally times DAG covering with
-	// that many wavefront-labeling workers (Row.DAGCPUPar) and checks
-	// the parallel run reproduces the serial mapping bit-for-bit.
-	Parallelism int
 	// Memo turns on the matchers' structural match memo (canonical
 	// cone keys → replayable recipes), emptied before each circuit.
 	// Mapped results are identical either way; the memo only changes
@@ -160,24 +151,6 @@ func Run(spec TableSpec, opt Options) ([]Row, error) {
 		row.Phases.Cover = dres.Stats.Phases.Cover
 		row.Phases.Emit = dres.Stats.Phases.Emit
 
-		if opt.Parallelism > 1 {
-			start = time.Now()
-			pres, err := core.Map(g, dagM, core.Options{
-				Class: opt.Class, Delay: spec.Delay, Parallelism: opt.Parallelism,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s: parallel DAG: %v", c.Name, err)
-			}
-			row.DAGCPUPar = time.Since(start)
-			if pres.Delay != dres.Delay ||
-				pres.Netlist.NumCells() != dres.Netlist.NumCells() ||
-				pres.Netlist.Area() != dres.Netlist.Area() {
-				return nil, fmt.Errorf("%s: parallel DAG diverged: delay %v vs %v, cells %d vs %d",
-					c.Name, pres.Delay, dres.Delay,
-					pres.Netlist.NumCells(), dres.Netlist.NumCells())
-			}
-		}
-
 		if opt.Verify {
 			vSpan := opt.Trace.Start("experiments.verify")
 			vStart := time.Now()
@@ -196,15 +169,11 @@ func Run(spec TableSpec, opt Options) ([]Row, error) {
 }
 
 // Format renders rows like the paper's tables, with the DAG run's
-// label/cover phase split appended. When any row carries a parallel
-// labeling time, a "par cpu" column is appended; when any row was
-// verified, a "verify" column is.
+// label/cover phase split appended. When any row was verified, a
+// "verify" column is appended.
 func Format(spec TableSpec, rows []Row) string {
-	par, verified := false, false
+	verified := false
 	for _, r := range rows {
-		if r.DAGCPUPar > 0 {
-			par = true
-		}
 		if r.Phases.Verify > 0 {
 			verified = true
 		}
@@ -219,9 +188,6 @@ func Format(spec TableSpec, rows []Row) string {
 	if verified {
 		fmt.Fprintf(&b, " %8s", "verify")
 	}
-	if par {
-		fmt.Fprintf(&b, " | %9s", "par cpu")
-	}
 	b.WriteByte('\n')
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-8s %8d | %9.2f %9.2f | %10.0f %10.0f | %9s %9s | %5d | %6.1fms %6.1fms",
@@ -230,9 +196,6 @@ func Format(spec TableSpec, rows []Row) string {
 			ms(r.Phases.Label), ms(r.Phases.Cover))
 		if verified {
 			fmt.Fprintf(&b, " %6.1fms", ms(r.Phases.Verify))
-		}
-		if par {
-			fmt.Fprintf(&b, " | %9s", r.DAGCPUPar.Round(time.Millisecond))
 		}
 		b.WriteByte('\n')
 	}
@@ -259,7 +222,6 @@ func FormatJSON(spec TableSpec, rows []Row) (string, error) {
 		DAGArea       float64    `json:"dag_area"`
 		TreeCPUMillis float64    `json:"tree_cpu_ms"`
 		DAGCPUMillis  float64    `json:"dag_cpu_ms"`
-		DAGCPUParMs   float64    `json:"dag_cpu_par_ms,omitempty"`
 		Duplicated    int        `json:"duplicated"`
 		Phases        phasesJSON `json:"phases"`
 	}
@@ -279,7 +241,6 @@ func FormatJSON(spec TableSpec, rows []Row) (string, error) {
 			DAGArea:       r.DAGArea,
 			TreeCPUMillis: ms(r.TreeCPU),
 			DAGCPUMillis:  ms(r.DAGCPU),
-			DAGCPUParMs:   ms(r.DAGCPUPar),
 			Duplicated:    r.Duplicated,
 			Phases: phasesJSON{
 				TreeCoverMillis: ms(r.Phases.TreeCover),
@@ -922,14 +883,13 @@ func SupergateRichness(circuits []bench.Circuit, opt supergate.Options) ([]Super
 // for spreadsheet import.
 func FormatCSV(spec TableSpec, rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "table,circuit,subject_nodes,tree_delay,dag_delay,tree_area,dag_area,tree_cpu_ms,dag_cpu_ms,dag_cpu_par_ms,duplicated,label_ms,cover_ms,emit_ms,verify_ms\n")
+	fmt.Fprintf(&b, "table,circuit,subject_nodes,tree_delay,dag_delay,tree_area,dag_area,tree_cpu_ms,dag_cpu_ms,duplicated,label_ms,cover_ms,emit_ms,verify_ms\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%g,%g,%g,%g,%.3f,%.3f,%.3f,%d,%.3f,%.3f,%.3f,%.3f\n",
+		fmt.Fprintf(&b, "%s,%s,%d,%g,%g,%g,%g,%.3f,%.3f,%d,%.3f,%.3f,%.3f,%.3f\n",
 			spec.ID, r.Circuit, r.SubjectNodes, r.TreeDelay, r.DAGDelay,
 			r.TreeArea, r.DAGArea,
 			float64(r.TreeCPU.Microseconds())/1000,
 			float64(r.DAGCPU.Microseconds())/1000,
-			float64(r.DAGCPUPar.Microseconds())/1000,
 			r.Duplicated,
 			float64(r.Phases.Label.Microseconds())/1000,
 			float64(r.Phases.Cover.Microseconds())/1000,

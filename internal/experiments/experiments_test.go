@@ -72,30 +72,6 @@ func TestTable1IntrinsicModel(t *testing.T) {
 	}
 }
 
-func TestRunParallelColumn(t *testing.T) {
-	rows, err := Run(Table2(), Options{Circuits: smallSuite()[:2], Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.DAGCPUPar <= 0 {
-			t.Errorf("%s: parallel DAG CPU not recorded", r.Circuit)
-		}
-	}
-	out := Format(Table2(), rows)
-	if !strings.Contains(out, "par cpu") {
-		t.Errorf("format output missing parallel column:\n%s", out)
-	}
-	// Serial-only rows must not grow the extra column.
-	serialRows, err := Run(Table2(), Options{Circuits: smallSuite()[:1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := Format(Table2(), serialRows); strings.Contains(out, "par cpu") {
-		t.Errorf("serial run should not show the parallel column:\n%s", out)
-	}
-}
-
 func TestFormat(t *testing.T) {
 	rows, err := Run(Table2(), Options{Circuits: smallSuite()[:1]})
 	if err != nil {

@@ -417,16 +417,6 @@ func (UnitDelay) PinDelay(*Gate, int) float64 { return 1 }
 // Name implements DelayModel.
 func (UnitDelay) Name() string { return "unit" }
 
-// SortedGateNames returns all gate names in sorted order.
-func (l *Library) SortedGateNames() []string {
-	names := make([]string, len(l.Gates))
-	for i, g := range l.Gates {
-		names[i] = g.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
 // FunctionKey returns a canonical rendering of the gate function with
 // pins renamed positionally (p0, p1, ...). Gates with equal keys are
 // drop-in replacements for one another (same function, same pin

@@ -2,7 +2,6 @@ package genlib
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"dagcover/internal/logic"
@@ -209,16 +208,5 @@ func TestStats(t *testing.T) {
 	}
 	if s.MinArea != 0.0 || s.MaxArea != 3.0 {
 		t.Errorf("area stats = %+v", s)
-	}
-}
-
-func TestSortedGateNames(t *testing.T) {
-	lib := parseSample(t)
-	names := lib.SortedGateNames()
-	if len(names) != 5 {
-		t.Fatalf("names = %v", names)
-	}
-	if !strings.HasPrefix(names[0], "aoi21") {
-		t.Errorf("names not sorted: %v", names)
 	}
 }

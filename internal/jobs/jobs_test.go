@@ -146,9 +146,13 @@ func TestCancelLifecycle(t *testing.T) {
 	j.BeginItem(0)
 	j.FinishItem(0, Item{State: ItemDone, Status: 200})
 
-	fired, ok := s.Cancel("c")
-	if !fired || !ok {
-		t.Fatalf("Cancel = (%v,%v), want (true,true)", fired, ok)
+	// The DELETE handler's path: look the job up, then request cancel.
+	got, ok := s.Get("c")
+	if !ok || got != j {
+		t.Fatalf("Get(c) = (%p,%v), want the added job", got, ok)
+	}
+	if !got.RequestCancel() {
+		t.Fatal("RequestCancel on a running job did not fire")
 	}
 	if ctx.Err() == nil {
 		t.Fatal("job context did not fire")
@@ -172,8 +176,8 @@ func TestCancelLifecycle(t *testing.T) {
 		t.Errorf("done=%d cancelled=%d, want 3/2", snap.Done, snap.Cancelled)
 	}
 	// Cancelling a finished job reports fired=false.
-	if fired, ok := s.Cancel("c"); fired || !ok {
-		t.Errorf("second Cancel = (%v,%v), want (false,true)", fired, ok)
+	if got, ok := s.Get("c"); !ok || got.RequestCancel() {
+		t.Errorf("second cancel of the finished job: found=%v, want found and not fired", ok)
 	}
 }
 

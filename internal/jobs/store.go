@@ -23,7 +23,7 @@ var ErrDuplicateID = errors.New("jobs: duplicate job id")
 // capacity the finished job with the lowest generation is evicted
 // (deterministic, oldest-admitted-first — never dependent on map
 // iteration order), and a sweep drops finished jobs older than the
-// retention TTL. Sweeps run inline on Add/Get/Cancel, so no background
+// retention TTL. Sweeps run inline on Add/Get, so no background
 // goroutine is needed and a test with an injected clock sees eviction
 // happen at exactly the operation that crosses the TTL.
 type Store struct {
@@ -94,19 +94,8 @@ func (s *Store) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cancel requests cancellation of the job with the given id. The
-// second result reports whether the job exists; the first whether the
-// cancel actually fired (false for already-finished jobs).
-func (s *Store) Cancel(id string) (fired, ok bool) {
-	j, ok := s.Get(id)
-	if !ok {
-		return false, false
-	}
-	return j.RequestCancel(), true
-}
-
 // Sweep evicts finished jobs older than the TTL and returns how many
-// were dropped. Add/Get/Cancel sweep implicitly; Sweep exists for
+// were dropped. Add/Get sweep implicitly; Sweep exists for
 // operators and tests.
 func (s *Store) Sweep() int {
 	now := s.now()

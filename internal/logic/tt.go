@@ -79,15 +79,6 @@ func varPattern(i, base int) uint64 {
 	return masks[i]
 }
 
-// MustTT is NewTT that panics on error.
-func MustTT(e *Expr, vars []string) *TT {
-	t, err := NewTT(e, vars)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Rows returns the number of rows (2^len(Vars)).
 func (t *TT) Rows() int { return 1 << len(t.Vars) }
 

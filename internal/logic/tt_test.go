@@ -5,8 +5,17 @@ import (
 	"testing"
 )
 
+// mustTT is NewTT that panics on error.
+func mustTT(e *Expr, vars []string) *TT {
+	t, err := NewTT(e, vars)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func TestTTBasics(t *testing.T) {
-	tt := MustTT(MustParse("a*b"), []string{"a", "b"})
+	tt := mustTT(MustParse("a*b"), []string{"a", "b"})
 	// Rows: 00 01 10 11 over (b,a)? Row bit i = Vars[i]; row 3 = a=1,b=1.
 	want := []bool{false, false, false, true}
 	for r, w := range want {
@@ -24,7 +33,7 @@ func TestTTBasics(t *testing.T) {
 
 func TestTTVariableOrder(t *testing.T) {
 	// In "a" over order [b, a], row bit 1 is a.
-	tt := MustTT(MustParse("a"), []string{"b", "a"})
+	tt := mustTT(MustParse("a"), []string{"b", "a"})
 	for r := 0; r < 4; r++ {
 		want := r&2 != 0
 		if tt.Bit(r) != want {
@@ -57,7 +66,7 @@ func TestTTManyVariables(t *testing.T) {
 		vars[i] = varName(i)
 		kids[i] = Variable(vars[i])
 	}
-	tt := MustTT(And(kids...), vars)
+	tt := mustTT(And(kids...), vars)
 	if tt.OnSetSize() != 1 {
 		t.Fatalf("AND8 on-set = %d, want 1", tt.OnSetSize())
 	}
@@ -71,7 +80,7 @@ func TestTTManyVariables(t *testing.T) {
 		vars = append(vars, varName(i))
 		kids = append(kids, Variable(varName(i)))
 	}
-	tt = MustTT(Xor(kids...), vars)
+	tt = mustTT(Xor(kids...), vars)
 	if got, want := tt.OnSetSize(), 512; got != want {
 		t.Fatalf("XOR10 on-set = %d, want %d", got, want)
 	}
@@ -88,7 +97,7 @@ func TestTTMatchesEval(t *testing.T) {
 		for i := range vars {
 			vars[i] = varName(i)
 		}
-		tt := MustTT(e, vars)
+		tt := mustTT(e, vars)
 		for r := 0; r < tt.Rows(); r++ {
 			assign := map[string]bool{}
 			for i, v := range vars {

@@ -299,16 +299,6 @@ func (n *Netlist) blifSize() int {
 	return size
 }
 
-// Summary is a one-line report of the netlist.
-func (n *Netlist) Summary(dm genlib.DelayModel) string {
-	t, err := n.Delay(dm, nil)
-	if err != nil {
-		return fmt.Sprintf("%s: %v", n.Name, err)
-	}
-	return fmt.Sprintf("%s: cells=%d area=%.0f delay=%.2f (%s)",
-		n.Name, n.NumCells(), n.Area(), t.Delay, dm.Name())
-}
-
 // Net identifies one net of a Builder: a dense index, assigned in
 // creation order, that callers holding per-node arrays can store and
 // pass back instead of the net's name.

@@ -164,9 +164,6 @@ type Matcher struct {
 // every member of the class is tried. Pass nil to disable.
 func (m *Matcher) SetChoices(c *subject.Choices) { m.choices = c }
 
-// Choices returns the classes set by SetChoices (nil when disabled).
-func (m *Matcher) Choices() *subject.Choices { return m.choices }
-
 // alts returns the candidate subject nodes for a structural descent
 // into sn: its choice-class members, or nil.
 func (m *Matcher) alts(sn subject.Node) []subject.Node {

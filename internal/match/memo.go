@@ -32,8 +32,7 @@ package match
 //
 // Scope: the table is a private, unlocked field of one Matcher. Clone
 // starts the copy with an empty table and Reset empties it, so a
-// pooled matcher's table lives for one Map call and every parallel
-// labeling worker records its own. The table holds at most
+// pooled matcher's table lives for one Map call. The table holds at most
 // maxMemoEntries recipes; once full it stops recording and keeps
 // serving hits. Nothing is evicted.
 //
@@ -48,9 +47,8 @@ package match
 // encode, probe or record, until Reset. A gated root runs exactly the
 // walk the memo-off path runs, so netlists do not change; it makes no
 // lookup, so it counts as neither a hit nor a miss. The gate is per
-// matcher and per call like the table, so counts stay deterministic
-// at Parallelism 1 and each parallel worker gates its own calls. The
-// signature-index-off validation path has no buckets and is not gated.
+// matcher and per call like the table, so counts stay deterministic.
+// The signature-index-off validation path has no buckets and is not gated.
 
 // maxMemoEntries caps one matcher's table. At a few hundred bytes per
 // entry this bounds it in the tens of megabytes; the largest stream

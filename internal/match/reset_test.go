@@ -79,7 +79,7 @@ func TestResetClearsChoices(t *testing.T) {
 	m := NewMatcher(compile(t, libgen.Lib2(), true))
 	m.SetChoices(&subject.Choices{})
 	m.Reset()
-	if m.Choices() != nil {
+	if m.choices != nil {
 		t.Fatal("Reset did not clear choices")
 	}
 }

@@ -11,7 +11,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dagcover/internal/logic"
@@ -483,15 +482,4 @@ func (nw *Network) Clone() *Network {
 		c.latchOf[out] = cl
 	}
 	return c
-}
-
-// SortedNodeNames returns all node names sorted; useful for
-// deterministic output in tools and tests.
-func (nw *Network) SortedNodeNames() []string {
-	names := make([]string, 0, len(nw.nodes))
-	for name := range nw.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the mapper: a phase/span
 // tracer the pipeline stages thread through themselves so a mapping
-// run can be attributed phase by phase — where the labeling waves
-// went, how long supergate enumeration rounds took, which signature
+// run can be attributed phase by phase — how long labeling took, how
+// long supergate enumeration rounds took, which signature
 // buckets the matcher probed — and exported as Chrome trace_event
 // JSON for chrome://tracing / Perfetto.
 //
@@ -9,8 +9,8 @@
 // every method on a nil *Trace or nil *Span is a no-op, so
 // instrumented code passes its (possibly nil) trace down unguarded
 // and a disabled run pays only a nil check per span site. Span sites
-// therefore sit at phase granularity (a labeling wave, an enumeration
-// round, a request stage), never per node.
+// therefore sit at phase granularity (the labeling pass, an
+// enumeration round, a request stage), never per node.
 //
 // Usage:
 //
@@ -30,8 +30,8 @@ import (
 )
 
 // Trace accumulates completed spans and instant events for one run.
-// A Trace is safe for concurrent use: parallel labeling workers End
-// spans from their own goroutines. The zero value is not usable; call
+// A Trace is safe for concurrent use: Map calls running at once may
+// share one and End spans from their own goroutines. The zero value is not usable; call
 // New. A nil *Trace is the disabled tracer: every method no-ops.
 type Trace struct {
 	mu     sync.Mutex

@@ -62,8 +62,8 @@ func TestNilTraceNoOps(t *testing.T) {
 }
 
 // TestConcurrentSpans exercises the tracer under the access pattern of
-// parallel labeling: many goroutines starting and ending spans at
-// once. Run with -race.
+// concurrent Map calls sharing one trace: many goroutines starting and
+// ending spans at once. Run with -race.
 func TestConcurrentSpans(t *testing.T) {
 	tr := New()
 	var wg sync.WaitGroup
@@ -73,7 +73,7 @@ func TestConcurrentSpans(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < spansPer; i++ {
-				tr.Start("core.label.chunk").Arg("wave", i).End()
+				tr.Start("core.label").Arg("run", i).End()
 			}
 		}(w)
 	}

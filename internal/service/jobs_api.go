@@ -21,8 +21,8 @@ import (
 // the library exactly once. GET /jobs/{id} polls structured progress,
 // GET /jobs/{id}/result streams one NDJSON record per item as it
 // lands, DELETE /jobs/{id} cancels via the same context plumbing the
-// synchronous path uses — the in-flight item stops within a wave and
-// settles as 499.
+// synchronous path uses — the in-flight item stops within a few dozen
+// nodes and settles as 499.
 
 // JobRequest is the POST /jobs body: the batch items plus shared
 // mapping parameters with the same semantics as MapRequest. A bare

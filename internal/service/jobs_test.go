@@ -159,6 +159,9 @@ func TestBatchJobMatchesSyncAndCompilesOnce(t *testing.T) {
 				t.Errorf("item %d phase breakdown missing %q: %v", i, phase, is.PhaseMillis)
 			}
 		}
+		if _, present := is.PhaseMillis["label_wall"]; present {
+			t.Errorf("item %d phase breakdown repeats the label time as label_wall: %v", i, is.PhaseMillis)
+		}
 	}
 
 	if hits, misses, compiles := s.Cache().Counters(); compiles != 1 || misses != 1 {
@@ -344,8 +347,8 @@ func TestJobCancellation(t *testing.T) {
 		if !ok || st.State != "cancelled" {
 			t.Fatalf("state after DELETE = %q, want cancelled", st.State)
 		}
-		// "Promptly": the in-flight mapping polls its context per wave,
-		// so settling must not take anywhere near the full mapping time.
+		// "Promptly": the in-flight mapping polls its context every few
+		// dozen nodes, so settling must not take anywhere near the full mapping time.
 		if took := time.Since(cancelAt); took > 5*time.Second {
 			t.Errorf("cancellation took %v", took)
 		}

@@ -117,9 +117,9 @@ func TestConcurrentRequestsMemoDeterministic(t *testing.T) {
 }
 
 // result_sha is a pure function of the request. Server A maps another
-// circuit first, B maps only the request, and C maps it with four
-// labeling workers; all three must publish the same canonical payload,
-// in the response's result_sha and in the disk object. The serving
+// circuit first and B maps only the request; both must publish the
+// same canonical payload, in the response's result_sha and in the disk
+// object. The serving
 // that ran the engine reports its memo counts; a cached serving of the
 // same result omits them.
 func TestResultSHAIndependentOfServerHistory(t *testing.T) {
@@ -132,18 +132,16 @@ func TestResultSHAIndependentOfServerHistory(t *testing.T) {
 	servers := []struct {
 		name   string
 		warm   bool
-		par    int
 		sha    string
 		object []byte
 	}{
 		{name: "A (warmed by another circuit)", warm: true},
 		{name: "B (fresh)"},
-		{name: "C (fresh, parallelism 4)", par: 4},
 	}
 	for i := range servers {
 		sv := &servers[i]
 		st := openStore(t, t.TempDir())
-		s := New(Config{Concurrency: 1, Parallelism: sv.par, Store: st})
+		s := New(Config{Concurrency: 1, Store: st})
 		if sv.warm {
 			if code, _, body := post(t, s.Handler(), nil, warmup); code != http.StatusOK {
 				t.Fatalf("%s: warm-up map = %d: %s", sv.name, code, body)

@@ -278,6 +278,13 @@ func TestTraceIDAndAccessLog(t *testing.T) {
 	if rec.LabelMS <= 0 {
 		t.Errorf("log label_ms = %v on a miss, want > 0", rec.LabelMS)
 	}
+	var fields map[string]any
+	if err := json.Unmarshal(logBuf.Bytes(), &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["label_wall_ms"]; ok {
+		t.Errorf("log repeats the label time as label_wall_ms: %s", logBuf.String())
+	}
 
 	// A rejected request's record names its result and error.
 	logBuf.Reset()

@@ -91,10 +91,9 @@ func libraryCacheKey(req *MapRequest) (string, error) {
 // optionParts normalizes every request option that can change the
 // response body into key components. Shared by resultKey and
 // rawRequestKey so the two indexes can never disagree on what counts
-// as "the same request". The memo setting and the server's parallelism
-// are not keyed: the netlist is identical under both by determinism,
-// and the only fields they move, memo_hits and memo_misses, are
-// zeroed in the canonical payload. Verify changes the Verified field
+// as "the same request". The memo setting is not keyed: the netlist is
+// identical with the memo on or off, and the only fields it moves,
+// memo_hits and memo_misses, are zeroed in the canonical payload. Verify changes the Verified field
 // (and whether verification ran), so it is keyed.
 func optionParts(req *MapRequest, mode string) []string {
 	class := req.Class
@@ -138,8 +137,8 @@ func rawRequestKey(blifSHA, libKey, mode string, req *MapRequest) store.Key {
 // digest, and the cache/store temperature flags, which depend on what
 // this particular process had resident, or on whether it has a store
 // at all (the supergate artifact fields), rather than on the result —
-// zeroed, and so are the memo counts, whose hit/miss split moves with
-// the server's Parallelism, which the key leaves out.
+// zeroed, and so are the memo counts, which depend on the memo
+// setting, which the key leaves out.
 // Everything else (netlist, delay, cells, the run's pattern and match
 // counts) is kept verbatim. Two replicas computing the same result
 // therefore publish byte-identical payloads. The encoding is

@@ -14,7 +14,7 @@
 //     client connection and a per-request deadline, which bounds its
 //     wait for a run slot and which the core labeling/construction
 //     loops poll — a disconnect or timeout stops the mapping within a
-//     wave, not after it.
+//     few dozen nodes, not after it.
 //
 // Every /map request and every /jobs item maps through one pipeline
 // (mapRequest): raw lookaside; ingest and digest; the memory, then the
@@ -65,11 +65,6 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// MaxRequestBytes bounds the request body (default 32 MiB).
 	MaxRequestBytes int64
-	// Parallelism is the per-request labeling worker count passed to
-	// DAG covering (default 1: concurrency across requests already
-	// saturates the pool; raise it for latency-sensitive, low-traffic
-	// deployments).
-	Parallelism int
 	// CacheEntries bounds the compiled-library cache (default 128).
 	CacheEntries int
 	// MaxJobs bounds the async job store (default 512). At capacity the
@@ -122,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 32 << 20
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 512
@@ -536,10 +528,10 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // times) in engineNames order, for the access log and job item status.
 func (ph *reqPhases) engineMillis() [len(engineNames)]float64 {
 	c := &ph.core
-	return [...]float64{c.LabelMillis, c.LabelWallMillis, c.AreaMillis, c.CoverMillis, c.EmitMillis}
+	return [...]float64{c.LabelMillis, c.AreaMillis, c.CoverMillis, c.EmitMillis}
 }
 
-var engineNames = [...]string{"label", "label_wall", "area", "cover", "emit"}
+var engineNames = [...]string{"label", "area", "cover", "emit"}
 
 // logEvent writes the one access-log record of a /map request
 // (itemIndex < 0) or batch item: where its time went and how it was
@@ -638,7 +630,6 @@ func (s *Server) mapOptions(req *MapRequest, lib library) (dagcover.MapOptions, 
 		Library:      lib.cl,
 		AreaRecovery: req.AreaRecovery,
 		RequiredTime: req.RequiredTime,
-		Parallelism:  s.cfg.Parallelism,
 		NoMemo:       req.Memo != nil && !*req.Memo,
 	}
 	if req.Mode == "lut" {

@@ -230,7 +230,7 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 // also proves the compiled-library sharing and matcher pooling are
 // data-race free.
 func TestConcurrentMixedRequests(t *testing.T) {
-	s := New(Config{Concurrency: 4, QueueDepth: 32, Parallelism: 2})
+	s := New(Config{Concurrency: 4, QueueDepth: 32})
 	h := s.Handler()
 
 	var uploaded bytes.Buffer

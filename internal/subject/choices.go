@@ -82,17 +82,6 @@ func (c *Choices) Members(n Node) []Node {
 	return c.classes[id]
 }
 
-// NumClasses returns the number of non-empty classes.
-func (c *Choices) NumClasses() int {
-	n := 0
-	for _, cl := range c.classes {
-		if len(cl) > 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // FromNetworkWithChoices decomposes every network node twice —
 // chain and balanced — into one shared, structurally hashed graph and
 // records the alternatives as choice classes. Downstream logic is
@@ -166,5 +155,43 @@ func FromNetworkWithChoices(nw *network.Network) (*Graph, *Choices, error) {
 		}
 		g.MarkOutput(l.Input.Name, sn)
 	}
+	choices.dropConsumedEarly(g)
 	return g, choices, nil
+}
+
+// dropConsumedEarly removes every class that some node consumes before
+// the class's last member exists: a fanin edge u -> f with f in a
+// class whose largest member is u or later. Structural hashing makes
+// this possible when a later decomposition joins a class whose members
+// already have consumers. Mappers label and build a class once its
+// last member is done, so such a consumer would read an unmerged label
+// and demand a node built after it. Dropping a class only gives up an
+// alternative; it cannot create a new violation, so one pass suffices.
+func (c *Choices) dropConsumedEarly(g *Graph) {
+	if len(c.classes) == 0 {
+		return
+	}
+	last := make([]Node, len(c.classes))
+	for id, cl := range c.classes {
+		for _, m := range cl {
+			if m > last[id] {
+				last[id] = m
+			}
+		}
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		fis, k := g.Fanins(Node(u))
+		for i := 0; i < k; i++ {
+			f := fis[i]
+			if int(f) >= len(c.classOf) {
+				continue
+			}
+			if id := c.classOf[f]; id >= 0 && int(last[id]) >= u {
+				for _, m := range c.classes[id] {
+					c.classOf[m] = -1
+				}
+				c.classes[id] = nil
+			}
+		}
+	}
 }

@@ -22,10 +22,12 @@ const digestFormat = "subjv1"
 //
 // The hash streams straight off the struct-of-arrays representation
 // through a fixed stack buffer — one pass, no per-node allocation —
-// and is cached on the graph until nodes or outputs are added.
+// and is cached on the graph until nodes or outputs are added. Digest
+// is safe to call from several goroutines at once on a graph that is
+// no longer being built.
 func (g *Graph) Digest() string {
-	if g.digest != "" && g.digestNodes == len(g.kind) && g.digestOuts == len(g.Outputs) {
-		return g.digest
+	if d := g.digest.Load(); d != nil && d.nodes == len(g.kind) && d.outs == len(g.Outputs) {
+		return d.sum
 	}
 	h := sha256.New()
 
@@ -80,8 +82,15 @@ func (g *Graph) Digest() string {
 	flush()
 
 	var sum [sha256.Size]byte
-	g.digest = hex.EncodeToString(h.Sum(sum[:0]))
-	g.digestNodes = len(g.kind)
-	g.digestOuts = len(g.Outputs)
-	return g.digest
+	d := &digestSnapshot{sum: hex.EncodeToString(h.Sum(sum[:0])), nodes: len(g.kind), outs: len(g.Outputs)}
+	g.digest.Store(d)
+	return d.sum
+}
+
+// digestSnapshot is one computed digest and the node and output counts
+// of the graph it covers.
+type digestSnapshot struct {
+	sum   string
+	nodes int
+	outs  int
 }

@@ -24,8 +24,12 @@ func TestDigestDeterministic(t *testing.T) {
 	if d1 != d2 {
 		t.Errorf("identical constructions digest differently: %s vs %s", d1, d2)
 	}
+	snap := g1.digest.Load()
 	if g1.Digest() != d1 {
 		t.Error("cached digest differs from first computation")
+	}
+	if g1.digest.Load() != snap {
+		t.Error("a second Digest call on an unchanged graph recomputed the digest")
 	}
 }
 

@@ -28,6 +28,7 @@ package subject
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"dagcover/internal/logic"
 	"dagcover/internal/network"
@@ -110,9 +111,9 @@ type Graph struct {
 
 	// Cached canonical digest (see Digest); trusted only while the
 	// node and output counts still match the graph that computed it.
-	digest      string
-	digestNodes int
-	digestOuts  int
+	// Swapped whole through an atomic pointer, so Map calls running at
+	// once on one graph may read and fill it.
+	digest atomic.Pointer[digestSnapshot]
 }
 
 // SetChainDecomposition switches n-ary AND/OR/XOR decomposition from

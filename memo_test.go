@@ -21,8 +21,8 @@ func renderBLIF(t *testing.T, nw *Network, opt MapOptions) []byte {
 }
 
 // The memo acceptance bar: for every ISCAS circuit, the mapped netlist
-// with the memo on is byte-identical to the memo-off netlist at every
-// labeling parallelism. One compiled library is reused across the
+// with the memo on is byte-identical to the memo-off netlist. One
+// compiled library is reused across the
 // whole suite, as the mapping service reuses it across requests; each
 // run records into its own empty tables. The random DAG is where the
 // memo's admission gates close: its runs must skip lookups at some
@@ -55,33 +55,29 @@ func TestMemoOutputByteIdentical(t *testing.T) {
 		cl := compile(t, s.lib)
 		hits := 0
 		for _, c := range s.circuits {
-			type run struct {
-				mode Mode
-				par  int
-			}
-			runs := []run{{ModeDAG, 1}, {ModeDAG, 4}, {ModeDAG, 8}}
+			modes := []Mode{ModeDAG}
 			if s.gated {
-				runs = append(runs, run{ModeTree, 1})
+				modes = append(modes, ModeTree)
 			}
-			for _, r := range runs {
+			for _, mode := range modes {
 				ref := renderBLIF(t, c.Network, MapOptions{
-					Library: cl, Delay: s.delay, Mode: r.mode, NoMemo: true,
+					Library: cl, Delay: s.delay, Mode: mode, NoMemo: true,
 				})
 				res := mapNet(t, c.Network, MapOptions{
-					Library: cl, Delay: s.delay, Mode: r.mode, Parallelism: r.par,
+					Library: cl, Delay: s.delay, Mode: mode,
 				})
 				var got bytes.Buffer
 				if err := res.Netlist.WriteBLIF(&got); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(ref, got.Bytes()) {
-					t.Errorf("%s x %s: memo-on %v netlist at parallelism %d differs from memo-off",
-						c.Name, s.lib.Name, r.mode, r.par)
+					t.Errorf("%s x %s: memo-on %v netlist differs from memo-off",
+						c.Name, s.lib.Name, mode)
 				}
 				roots := res.SubjectNodes - len(c.Network.Inputs())
 				if s.gated && res.MemoHits+res.MemoMisses >= roots {
-					t.Errorf("%s x %s: %v at parallelism %d made %d memo lookups over %d roots; no bucket's gate closed",
-						c.Name, s.lib.Name, r.mode, r.par, res.MemoHits+res.MemoMisses, roots)
+					t.Errorf("%s x %s: %v made %d memo lookups over %d roots; no bucket's gate closed",
+						c.Name, s.lib.Name, mode, res.MemoHits+res.MemoMisses, roots)
 				}
 				hits += res.MemoHits
 			}
@@ -92,7 +88,7 @@ func TestMemoOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// Two serial runs of one circuit on one compiled library report the
+// Two runs of one circuit on one compiled library report the
 // same memo counts: the second borrows the first's pooled matcher, so
 // this fails if Reset left a table entry or a closed admission gate
 // behind. The random DAG closes gates, so the run must make fewer
@@ -101,13 +97,13 @@ func TestMemoCountsDeterministic(t *testing.T) {
 	for _, lib := range []*Library{Lib443(), Lib2()} {
 		cl := compile(t, lib)
 		nw := bench.RandomDAG(32, 2900, 11)
-		first := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Parallelism: 1})
+		first := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay})
 		roots := first.SubjectNodes - len(nw.Inputs())
 		if lookups := first.MemoHits + first.MemoMisses; lookups == 0 || lookups >= roots {
 			t.Errorf("%s: %d memo lookups over %d roots; want some, and fewer than the roots", lib.Name, lookups, roots)
 		}
 		for i := 0; i < 2; i++ {
-			again := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Parallelism: 1})
+			again := mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay})
 			if again.MemoHits != first.MemoHits || again.MemoMisses != first.MemoMisses || again.MemoEntries != first.MemoEntries {
 				t.Errorf("%s: run %d reported %d hits, %d misses, %d entries; the first run %d, %d, %d", lib.Name, i+2,
 					again.MemoHits, again.MemoMisses, again.MemoEntries, first.MemoHits, first.MemoMisses, first.MemoEntries)
@@ -168,18 +164,16 @@ func TestMemoDeepPatternNetlists(t *testing.T) {
 		if c.Name == "deepchain" && !bytes.Contains(ref, []byte("deepchain")) {
 			t.Fatalf("the deep gate does not cover its own chain:\n%s", ref)
 		}
-		for _, par := range []int{1, 4} {
-			res := mapNet(t, c.Network, MapOptions{Library: cl, Delay: UnitDelay, Parallelism: par})
-			var got bytes.Buffer
-			if err := res.Netlist.WriteBLIF(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ref, got.Bytes()) {
-				t.Errorf("%s: memo-on netlist at parallelism %d differs from memo-off", c.Name, par)
-			}
-			if c.Name == "C6288" && res.MemoHits == 0 {
-				t.Errorf("%s: no memo hits; the deep pattern turned the memo off library-wide", c.Name)
-			}
+		res := mapNet(t, c.Network, MapOptions{Library: cl, Delay: UnitDelay})
+		var got bytes.Buffer
+		if err := res.Netlist.WriteBLIF(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ref, got.Bytes()) {
+			t.Errorf("%s: memo-on netlist differs from memo-off", c.Name)
+		}
+		if c.Name == "C6288" && res.MemoHits == 0 {
+			t.Errorf("%s: no memo hits; the deep pattern turned the memo off library-wide", c.Name)
 		}
 	}
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // PhaseBreakdown is a mapping run broken down by pipeline phase, in
-// milliseconds. For parallel labeling, LabelMillis sums the workers'
-// per-chunk time (so it can exceed LabelWallMillis, and the ratio is
-// the effective labeling speedup); serial runs have the two equal.
+// milliseconds.
 type PhaseBreakdown struct {
-	LabelMillis     float64 `json:"label_ms"`
+	LabelMillis float64 `json:"label_ms"`
+	// LabelWallMillis repeats LabelMillis.
+	//
+	// Deprecated: labeling is serial; use LabelMillis.
 	LabelWallMillis float64 `json:"label_wall_ms"`
 	AreaMillis      float64 `json:"area_ms"`
 	CoverMillis     float64 `json:"cover_ms"`
@@ -30,11 +31,11 @@ func phaseMillis(d time.Duration) float64 {
 func phaseBreakdown(p core.Phases) PhaseBreakdown {
 	return PhaseBreakdown{
 		LabelMillis:     phaseMillis(p.Label),
-		LabelWallMillis: phaseMillis(p.LabelWall),
+		LabelWallMillis: phaseMillis(p.Label),
 		AreaMillis:      phaseMillis(p.Area),
 		CoverMillis:     phaseMillis(p.Cover),
 		EmitMillis:      phaseMillis(p.Emit),
-		TotalMillis:     phaseMillis(p.LabelWall + p.Area + p.Cover + p.Emit),
+		TotalMillis:     phaseMillis(p.Total()),
 	}
 }
 
@@ -137,9 +138,8 @@ func (r *MapReport) WriteText(w io.Writer, verbose bool) {
 		} else {
 			fmt.Fprintf(w, "  memo:               off\n")
 		}
-		fmt.Fprintf(w, "  phases:        label %.2fms (wall %.2fms), area %.2fms, cover %.2fms, emit %.2fms\n",
-			r.Phases.LabelMillis, r.Phases.LabelWallMillis,
-			r.Phases.AreaMillis, r.Phases.CoverMillis, r.Phases.EmitMillis)
+		fmt.Fprintf(w, "  phases:        label %.2fms, area %.2fms, cover %.2fms, emit %.2fms\n",
+			r.Phases.LabelMillis, r.Phases.AreaMillis, r.Phases.CoverMillis, r.Phases.EmitMillis)
 	}
 	fmt.Fprintf(w, "  cpu:           %.1fms\n", r.CPUMillis)
 	if r.Verified != nil {

@@ -19,7 +19,7 @@ func TestTraceExportValidChromeTrace(t *testing.T) {
 	nw := bench.RippleAdder(16)
 	cl := compile(t, Lib443())
 	tr := NewTrace()
-	mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Trace: tr, Parallelism: 4})
+	mapNet(t, nw, MapOptions{Library: cl, Delay: UnitDelay, Trace: tr})
 	mapNet(t, nw, MapOptions{Mode: ModeTree, Library: cl, Delay: UnitDelay, Trace: tr})
 	mapNet(t, nw, MapOptions{Mode: ModeLUT, K: 4, Trace: tr})
 	var buf bytes.Buffer
