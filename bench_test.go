@@ -1,10 +1,11 @@
-// Benchmark harness: one benchmark per table and figure of the paper,
-// plus the ablations of DESIGN.md. Custom metrics report the mapped
-// delay/area/cells alongside the wall-clock cost, so a -bench run
-// regenerates both the quality and the CPU columns of the tables.
+// Benchmark harness: the figures, the engine's layers (matching, memo,
+// subject build, ingest, emit, verify) and the studies that map
+// through the facade. Custom metrics report the mapped delay/area/cells
+// alongside the wall-clock cost. The table and ablation benchmarks
+// live with the experiments they regenerate (internal/experiments).
 //
 //	go test -bench=. -benchmem
-//	go test -bench=BenchmarkTable3 -benchtime=1x
+//	go test -bench=BenchmarkFigure2 -benchtime=1x
 package dagcover
 
 import (
@@ -18,7 +19,6 @@ import (
 	"dagcover/internal/blif"
 	"dagcover/internal/core"
 	"dagcover/internal/cutmap"
-	"dagcover/internal/experiments"
 	"dagcover/internal/flowmap"
 	"dagcover/internal/genlib"
 	"dagcover/internal/libgen"
@@ -26,92 +26,7 @@ import (
 	"dagcover/internal/mapping"
 	"dagcover/internal/match"
 	"dagcover/internal/subject"
-	"dagcover/internal/treemap"
 )
-
-// tableCase precompiles everything so each benchmark iteration times
-// exactly one mapping run (the CPU column of the paper's tables).
-type tableCase struct {
-	name  string
-	graph *subject.Graph
-	dagM  *match.Matcher
-	treeM *match.Matcher
-	delay genlib.DelayModel
-}
-
-func tableCases(b *testing.B, spec experiments.TableSpec) []tableCase {
-	b.Helper()
-	shared, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	trees, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: false})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var out []tableCase
-	for _, c := range bench.Suite() {
-		g, err := subject.FromNetwork(c.Network)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = append(out, tableCase{
-			name:  c.Name,
-			graph: g,
-			dagM:  match.NewMatcher(shared),
-			treeM: match.NewMatcher(trees),
-			delay: spec.Delay,
-		})
-	}
-	return out
-}
-
-func benchTable(b *testing.B, spec experiments.TableSpec) {
-	for _, tc := range tableCases(b, spec) {
-		b.Run(tc.name+"/tree", func(b *testing.B) {
-			var delay, area float64
-			var cells int
-			for i := 0; i < b.N; i++ {
-				res, err := treemap.Map(tc.graph, tc.treeM, treemap.Options{Delay: tc.delay})
-				if err != nil {
-					b.Fatal(err)
-				}
-				delay, area, cells = res.Delay, res.Netlist.Area(), res.Netlist.NumCells()
-			}
-			b.ReportMetric(delay, "delay")
-			b.ReportMetric(area, "area")
-			b.ReportMetric(float64(cells), "cells")
-		})
-		b.Run(tc.name+"/dag", func(b *testing.B) {
-			var delay, area float64
-			var cells, dup int
-			for i := 0; i < b.N; i++ {
-				res, err := core.Map(tc.graph, tc.dagM, core.Options{Class: match.Standard, Delay: tc.delay})
-				if err != nil {
-					b.Fatal(err)
-				}
-				delay, area = res.Delay, res.Netlist.Area()
-				cells, dup = res.Netlist.NumCells(), res.Stats.DuplicatedNodes
-			}
-			b.ReportMetric(delay, "delay")
-			b.ReportMetric(area, "area")
-			b.ReportMetric(float64(cells), "cells")
-			b.ReportMetric(float64(dup), "dup")
-		})
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1: tree vs DAG covering under the
-// lib2-like library with intrinsic pin delays.
-func BenchmarkTable1(b *testing.B) { benchTable(b, experiments.Table1()) }
-
-// BenchmarkTable2 regenerates Table 2: the 7-gate 44-1 library with
-// unit delay.
-func BenchmarkTable2(b *testing.B) { benchTable(b, experiments.Table2()) }
-
-// BenchmarkTable3 regenerates Table 3: the rich 44-3 library with
-// unit delay (the paper's headline result).
-func BenchmarkTable3(b *testing.B) { benchTable(b, experiments.Table3()) }
 
 // BenchmarkFigure1Matching times match enumeration on the Figure 1
 // structure in both classes (the cost of relaxing one-to-one).
@@ -240,97 +155,6 @@ func BenchmarkSequential(b *testing.B) {
 			}
 			b.ReportMetric(before, "period0")
 			b.ReportMetric(after, "period")
-		})
-	}
-}
-
-// BenchmarkAblationMatchClass compares standard vs extended matching
-// cost on the suite under 44-1 (footnote 3: quality is equal; this
-// measures the price of the larger search space).
-func BenchmarkAblationMatchClass(b *testing.B) {
-	spec := experiments.Table2()
-	shared, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := match.NewMatcher(shared)
-	g, err := subject.FromNetwork(bench.C2670())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, class := range []match.Class{match.Standard, match.Extended} {
-		b.Run(class.String(), func(b *testing.B) {
-			var delay float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Map(g, m, core.Options{Class: class, Delay: spec.Delay})
-				if err != nil {
-					b.Fatal(err)
-				}
-				delay = res.Delay
-			}
-			b.ReportMetric(delay, "delay")
-		})
-	}
-}
-
-// BenchmarkAblationLibraryRichness sweeps the maximum AOI group size
-// (ablation A2) on an 8x8 multiplier.
-func BenchmarkAblationLibraryRichness(b *testing.B) {
-	g, err := subject.FromNetwork(bench.ArrayMultiplier(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for gs := 1; gs <= 4; gs++ {
-		lib := libgen.Rich(fmt.Sprintf("rich-%d", gs), libgen.RichOptions{MaxGroupSize: gs})
-		shared, _, err := subject.CompileLibrary(lib, subject.CompileOptions{Share: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := match.NewMatcher(shared)
-		b.Run(fmt.Sprintf("groupsize%d", gs), func(b *testing.B) {
-			var delay float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Map(g, m, core.Options{Class: match.Standard, Delay: genlib.UnitDelay{}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				delay = res.Delay
-			}
-			b.ReportMetric(delay, "delay")
-			b.ReportMetric(float64(len(lib.Gates)), "gates")
-		})
-	}
-}
-
-// BenchmarkAblationAreaRecovery measures the cost and benefit of the
-// slack-driven area recovery pass (ablation A3).
-func BenchmarkAblationAreaRecovery(b *testing.B) {
-	shared, _, err := subject.CompileLibrary(libgen.Lib2(), subject.CompileOptions{Share: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := match.NewMatcher(shared)
-	g, err := subject.FromNetwork(bench.C5315())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name     string
-		recovery bool
-	}{{"plain", false}, {"recovery", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var area float64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Map(g, m, core.Options{
-					Class: match.Standard, Delay: genlib.IntrinsicDelay{},
-					AreaRecovery: mode.recovery,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				area = res.Netlist.Area()
-			}
-			b.ReportMetric(area, "area")
 		})
 	}
 }

@@ -1,20 +1,17 @@
 package main
 
-// Million-gate family measurement: generate a streaming benchmark
-// family (mult<N>, alumesh<WxH>) to disk, ingest it through the
-// streaming BLIF reader, map it, and record the scale columns —
-// ingest throughput, allocations, peak heap — alongside the usual
-// delay/cells. Results land in the report's "families" section and
-// are compared against the committed pointer-representation baselines
-// in testdata/baseline_pointer_<family>.json.
+// Million-gate family guard: generate a streaming benchmark family
+// (mult<N>, alumesh<WxH>) to disk, ingest it through the streaming
+// BLIF reader and map it, recording the size and memory columns —
+// BLIF bytes, subject gates, ingest allocations and peak heap —
+// beside the mapped delay and cells. -maxheap turns the peak into a
+// gate.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -23,48 +20,26 @@ import (
 	"dagcover/internal/bench"
 )
 
-// FamilyRun is one streamed-family measurement. The JSON schema
-// matches the committed pointer baselines so the two are directly
-// diffable.
+// FamilyRun is one streamed-family run.
 type FamilyRun struct {
-	Family  string `json:"family"`
-	Impl    string `json:"impl"`
-	Library string `json:"library"`
-	// BlifBytes is the generated benchmark's size; IngestMBps is
-	// BlifBytes over the ingest wall clock.
-	BlifBytes    int64   `json:"blif_bytes"`
-	SubjectGates int     `json:"subject_gates"`
-	IngestNanos  int64   `json:"ingest_ns"`
-	IngestMBps   float64 `json:"ingest_mbps"`
+	Family       string
+	Library      string
+	BlifBytes    int64
+	SubjectGates int
 	// IngestAllocs counts heap allocations (runtime mallocs) during
 	// ingest: about one per declared signal (its name), a small
 	// fraction of one per subject node.
-	IngestAllocs uint64 `json:"ingest_allocs"`
-	MapNanos     int64  `json:"map_ns"`
-	// EmitNanos is the mapping run's emission phase (part of MapNanos);
-	// RenderNanos is WriteBLIF of the mapped netlist, timed after the
-	// heap sampler stops and outside TotalNanos (ingest plus map), so
-	// both stay comparable with the pointer baselines.
-	EmitNanos   int64 `json:"emit_ns"`
-	RenderNanos int64 `json:"render_ns"`
-	TotalNanos  int64 `json:"total_ns"`
+	IngestAllocs uint64
 	// PeakHeapBytes is the maximum live heap observed by a 20ms
 	// ReadMemStats sampler across ingest and mapping.
-	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
-	Delay         float64 `json:"delay"`
-	Cells         int     `json:"cells"`
-	// Comparison columns, filled when a committed pointer baseline for
-	// the family exists.
-	BaselineTotalNanos     int64   `json:"baseline_total_ns,omitempty"`
-	BaselinePeakHeapBytes  uint64  `json:"baseline_peak_heap_bytes,omitempty"`
-	SpeedupVsPointer       float64 `json:"speedup_vs_pointer,omitempty"`
-	HeapReductionVsPointer float64 `json:"heap_reduction_vs_pointer,omitempty"`
+	PeakHeapBytes uint64
+	Delay         float64
+	Cells         int
 }
 
 // heapSampler polls runtime.ReadMemStats on a fixed cadence and keeps
 // the high-water HeapAlloc mark.
 type heapSampler struct {
-	mu   sync.Mutex
 	peak uint64
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -89,23 +64,22 @@ func startHeapSampler(interval time.Duration) *heapSampler {
 	return s
 }
 
+// sample raises peak to the live heap. One goroutine at a time calls
+// it: the poller, then stop once the poller has exited.
 func (s *heapSampler) sample() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s.mu.Lock()
 	if ms.HeapAlloc > s.peak {
 		s.peak = ms.HeapAlloc
 	}
-	s.mu.Unlock()
 }
 
-// stop takes one final sample and returns the high-water mark.
+// stop ends the poller, takes one final sample and returns the
+// high-water mark.
 func (s *heapSampler) stop() uint64 {
 	close(s.done)
 	s.wg.Wait()
 	s.sample()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.peak
 }
 
@@ -122,10 +96,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // measureFamily generates the named streaming family to a temporary
-// file, ingests and maps it once, and returns the measurement. Big
-// families run for tens of seconds; a single timed run is
-// representative at that scale.
-func measureFamily(name, baselineDir string) (*FamilyRun, error) {
+// file, then ingests and maps it once.
+func measureFamily(name string) (*FamilyRun, error) {
 	stream, ok := bench.StreamFamily(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown streaming family %q (want mult<N> or alumesh<WxH>)", name)
@@ -145,98 +117,43 @@ func measureFamily(name, baselineDir string) (*FamilyRun, error) {
 		return nil, err
 	}
 
-	lc := libs()[0] // lib2 with intrinsic delay, like the baselines
+	lc := libs()[0] // lib2 with intrinsic delay
 	cl, err := dagcover.CompileLibrary(lc.lib)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: %w", lc.name, err)
 	}
 
 	runtime.GC()
-	var before runtime.MemStats
+	var before, afterIngest runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sampler := startHeapSampler(20 * time.Millisecond)
-
-	t0 := time.Now()
 	g, err := dagcover.ReadSubjectBLIFFile(path)
 	if err != nil {
 		sampler.stop()
 		return nil, fmt.Errorf("ingest %s: %w", name, err)
 	}
-	ingest := time.Since(t0)
-	var afterIngest runtime.MemStats
 	runtime.ReadMemStats(&afterIngest)
-
-	t1 := time.Now()
 	res, err := dagcover.Map(context.Background(), dagcover.Input{Subject: g},
 		dagcover.MapOptions{Library: cl, Delay: lc.delay})
+	peak := sampler.stop()
 	if err != nil {
-		sampler.stop()
 		return nil, fmt.Errorf("map %s: %w", name, err)
 	}
-	mapped := time.Since(t1)
-	peak := sampler.stop()
-	t2 := time.Now()
-	if err := res.Netlist.WriteBLIF(io.Discard); err != nil {
-		return nil, fmt.Errorf("render %s: %w", name, err)
-	}
-	render := time.Since(t2)
-
-	run := &FamilyRun{
+	return &FamilyRun{
 		Family:        name,
-		Impl:          "soa",
 		Library:       lc.name,
 		BlifBytes:     cw.n,
 		SubjectGates:  res.SubjectNodes,
-		IngestNanos:   ingest.Nanoseconds(),
 		IngestAllocs:  afterIngest.Mallocs - before.Mallocs,
-		MapNanos:      mapped.Nanoseconds(),
-		EmitNanos:     int64(res.Phases.EmitMillis * 1e6),
-		RenderNanos:   render.Nanoseconds(),
-		TotalNanos:    ingest.Nanoseconds() + mapped.Nanoseconds(),
 		PeakHeapBytes: peak,
 		Delay:         res.Delay,
 		Cells:         res.Cells,
-	}
-	if s := ingest.Seconds(); s > 0 {
-		run.IngestMBps = float64(cw.n) / 1e6 / s
-	}
-	attachBaseline(run, baselineDir)
-	return run, nil
+	}, nil
 }
 
-// attachBaseline fills the comparison columns from the committed
-// pointer-representation baseline, when one exists for the family.
-func attachBaseline(run *FamilyRun, dir string) {
-	if dir == "" {
-		return
-	}
-	doc, err := os.ReadFile(filepath.Join(dir, "baseline_pointer_"+run.Family+".json"))
-	if err != nil {
-		return
-	}
-	var base FamilyRun
-	if err := json.Unmarshal(doc, &base); err != nil {
-		return
-	}
-	run.BaselineTotalNanos = base.TotalNanos
-	run.BaselinePeakHeapBytes = base.PeakHeapBytes
-	if run.TotalNanos > 0 {
-		run.SpeedupVsPointer = float64(base.TotalNanos) / float64(run.TotalNanos)
-	}
-	if run.PeakHeapBytes > 0 {
-		run.HeapReductionVsPointer = float64(base.PeakHeapBytes) / float64(run.PeakHeapBytes)
-	}
-}
-
-// printFamily renders one family measurement line.
-func printFamily(fr *FamilyRun) {
-	fmt.Printf("%-14s | %7.1f MB blif | %8d gates | ingest %6.2fs (%5.1f MB/s, %d allocs) | map %7.2fs (emit %5.2fs) | render %5.2fs | peak heap %6.1f MB",
-		fr.Family, float64(fr.BlifBytes)/1e6, fr.SubjectGates,
-		float64(fr.IngestNanos)/1e9, fr.IngestMBps, fr.IngestAllocs,
-		float64(fr.MapNanos)/1e9, float64(fr.EmitNanos)/1e9, float64(fr.RenderNanos)/1e9,
-		float64(fr.PeakHeapBytes)/1e6)
-	if fr.SpeedupVsPointer > 0 {
-		fmt.Printf(" | vs pointer: %.2fx faster, %.2fx less heap", fr.SpeedupVsPointer, fr.HeapReductionVsPointer)
-	}
-	fmt.Println()
+// print renders one family line.
+func (fr *FamilyRun) print() {
+	fmt.Printf("%-14s | %s | %7.1f MB blif | %8d gates | %d ingest allocs | peak heap %6.1f MB | delay %.2f, %d cells\n",
+		fr.Family, fr.Library, float64(fr.BlifBytes)/1e6, fr.SubjectGates, fr.IngestAllocs,
+		float64(fr.PeakHeapBytes)/1e6, fr.Delay, fr.Cells)
 }

@@ -20,7 +20,6 @@ import (
 	"dagcover"
 	"dagcover/internal/bench"
 	"dagcover/internal/experiments"
-	"dagcover/internal/supergate"
 )
 
 func main() {
@@ -54,7 +53,7 @@ func main() {
 
 // printSupergateRichness renders study E12.
 func printSupergateRichness(suite []bench.Circuit) error {
-	opt := supergate.Options{MaxInputs: 5, MaxLeaves: 6, MaxDepth: 3, MaxGates: 512}
+	opt := dagcover.SupergateOptions{MaxInputs: 5, MaxLeaves: 6, MaxDepth: 3, MaxGates: 512}
 	fmt.Printf("Study E12: supergate richness trend, unit delay (bounds: %d inputs, depth %d, %d gates)\n",
 		opt.MaxInputs, opt.MaxDepth, opt.MaxGates)
 	pts, stats, err := experiments.SupergateRichness(suite, opt)

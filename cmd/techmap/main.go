@@ -65,7 +65,7 @@ func main() {
 	flag.BoolVar(&cfg.doVerify, "verify", false, "verify the mapping against the input by simulation")
 	flag.BoolVar(&cfg.recover, "arearecovery", false, "relax off-critical nodes to smaller gates")
 	flag.BoolVar(&cfg.critPath, "critical", false, "print the critical path")
-	flag.BoolVar(&cfg.slack, "slack", false, "print the worst timing paths and a slack histogram")
+	flag.BoolVar(&cfg.slack, "slack", false, "print the three worst timing paths")
 	flag.BoolVar(&cfg.verbose, "v", false, "print matcher statistics (patterns tried, matches enumerated)")
 	flag.BoolVar(&cfg.memo, "memo", true, "memoize match enumeration by canonical cone key (results are identical either way; -memo=false is the escape hatch)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write a Chrome trace_event JSON of the mapping pipeline to this file (chrome://tracing, Perfetto)")

@@ -790,7 +790,7 @@ func MapSequential(ctx context.Context, nw *Network, opt MapOptions) (*SeqResult
 	if err != nil {
 		return nil, err
 	}
-	seq, err := reattachLatches(mappedNet, nw)
+	seq, err := network.ReattachLatches(mappedNet, nw)
 	if err != nil {
 		return nil, err
 	}
@@ -824,54 +824,4 @@ func MapSequential(ctx context.Context, nw *Network, opt MapOptions) (*SeqResult
 		PeriodAfter:  after,
 		Comb:         comb,
 	}, nil
-}
-
-// reattachLatches rebuilds the mapped combinational network with the
-// original circuit's latches reconnected: the mapped network exposes
-// each latch input as an output port and each latch output as a free
-// input.
-func reattachLatches(mapped, orig *Network) (*Network, error) {
-	latchOut := map[string]bool{}
-	for _, l := range orig.Latches() {
-		latchOut[l.Output.Name] = true
-	}
-	out := network.New(mapped.Name + "_seq")
-	for _, pi := range mapped.Inputs() {
-		if latchOut[pi.Name] {
-			if _, err := out.AddLatchOutput(pi.Name); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if _, err := out.AddInput(pi.Name); err != nil {
-			return nil, err
-		}
-	}
-	topo, err := mapped.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range topo {
-		if n.Func == nil {
-			continue
-		}
-		names := make([]string, len(n.Fanins))
-		for i, fi := range n.Fanins {
-			names[i] = fi.Name
-		}
-		if _, err := out.AddNode(n.Name, names, n.Func.Clone()); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range orig.Latches() {
-		if _, err := out.ConnectLatch(l.Input.Name, l.Output.Name, l.Init); err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range orig.Outputs() {
-		if err := out.MarkOutput(o.Name); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

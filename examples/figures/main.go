@@ -11,15 +11,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"dagcover"
 	"dagcover/internal/genlib"
 	"dagcover/internal/logic"
 	"dagcover/internal/match"
 	"dagcover/internal/subject"
-
-	"dagcover/internal/core"
 )
 
 func gate(lib *genlib.Library, name string, area float64, expr string) {
@@ -71,11 +71,10 @@ func figure2() {
 	gate(lib, "nand2", 2, "!(a*b)")
 	gate(lib, "ao21n", 3, "a*b+!c") // covers NAND2(NAND2(a,b), c) in one level
 
-	pats, _, err := subject.CompileLibrary(lib, subject.CompileOptions{Share: true})
+	cl, err := dagcover.CompileLibrary(lib)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := match.NewMatcher(pats)
 
 	// Subject: the middle NAND feeds two output cones.
 	g := subject.NewGraph("fig2", true)
@@ -87,21 +86,22 @@ func figure2() {
 	g.MarkOutput("o1", g.Nand(mid, c))
 	g.MarkOutput("o2", g.Nand(mid, d))
 
-	tree, err := core.Map(g, m, core.Options{Class: match.Exact, Delay: genlib.UnitDelay{}})
+	in := dagcover.Input{Subject: g}
+	tree, err := dagcover.Map(context.Background(), in, dagcover.MapOptions{Mode: dagcover.ModeTree, Library: cl, Delay: dagcover.UnitDelay})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dag, err := core.Map(g, m, core.Options{Class: match.Standard, Delay: genlib.UnitDelay{}})
+	dag, err := dagcover.Map(context.Background(), in, dagcover.MapOptions{Library: cl, Delay: dagcover.UnitDelay})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  tree covering: delay=%v cells=%d (the multi-fanout point survives)\n",
-		tree.Delay, tree.Netlist.NumCells())
+		tree.Delay, tree.Cells)
 	for _, cell := range tree.Netlist.Cells {
 		fmt.Printf("    %-7s %v -> %s\n", cell.Gate.Name, cell.Inputs, cell.Output)
 	}
 	fmt.Printf("  DAG covering:  delay=%v cells=%d, %d subject node duplicated\n",
-		dag.Delay, dag.Netlist.NumCells(), dag.Stats.DuplicatedNodes)
+		dag.Delay, dag.Cells, dag.DuplicatedNodes)
 	for _, cell := range dag.Netlist.Cells {
 		fmt.Printf("    %-7s %v -> %s\n", cell.Gate.Name, cell.Inputs, cell.Output)
 	}

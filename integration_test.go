@@ -5,37 +5,8 @@ import (
 	"testing"
 
 	"dagcover/internal/bench"
-	"dagcover/internal/experiments"
 	"dagcover/internal/verify"
 )
-
-// TestIntegrationFullSuite runs the complete pipeline — generate,
-// decompose, map both ways under all three libraries, and verify
-// functional equivalence — over the extended 10-circuit suite.
-// Skipped under -short.
-func TestIntegrationFullSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite integration test skipped in -short mode")
-	}
-	suite := bench.FullSuite()
-	for _, spec := range []experiments.TableSpec{
-		experiments.Table1(),
-		experiments.Table2(),
-		experiments.Table3(),
-	} {
-		rows, err := experiments.Run(spec, experiments.Options{Verify: true, Circuits: suite})
-		if err != nil {
-			t.Fatalf("table %s: %v", spec.ID, err)
-		}
-		for _, r := range rows {
-			if r.DAGDelay > r.TreeDelay+1e-9 {
-				t.Errorf("table %s %s: DAG (%v) worse than tree (%v)",
-					spec.ID, r.Circuit, r.DAGDelay, r.TreeDelay)
-			}
-		}
-		t.Logf("table %s:\n%s", spec.ID, experiments.Format(spec, rows))
-	}
-}
 
 // TestIntegrationLUTMappers cross-checks FlowMap and the priority-cut
 // mapper on the full suite and verifies every LUT netlist.

@@ -13,7 +13,7 @@ import (
 // TestFoldCoverMatchesExprPath is the differential test of the
 // streaming .names path: folding a cover in the cube domain and
 // decomposing it with subject.BuildSOP must issue the same Nand/Not
-// calls as the reference path coverToExpr -> substituteVar -> foldExpr
+// calls as the reference path coverToExpr -> logic.Substitute -> logic.Fold
 // -> Build. Both run on twin graphs that start identical; after every
 // declaration the result node IDs, node counts and strash hits must
 // agree. Each declaration becomes a signal later ones may read, so
@@ -93,12 +93,12 @@ func compareFoldTrial(t *testing.T, rng *rand.Rand, chain bool, seen map[string]
 		env := map[string]subject.Node{}
 		for _, in := range fanins {
 			if s := sigs[in]; s.konst() {
-				fn = substituteVar(fn, in, logic.Constant(s.val()))
+				fn = logic.Substitute(fn, in, logic.Constant(s.val()))
 			} else {
 				env[in] = s.node
 			}
 		}
-		fn = foldExpr(fn)
+		fn = logic.Fold(fn)
 		desc := fmt.Sprintf("chain=%v fanins=%v rows=%q", chain, fanins, rows)
 		if fn.Op == logic.OpConst {
 			seen["folds to constant"]++

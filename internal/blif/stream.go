@@ -405,14 +405,14 @@ func (s *streamer) buildGate(nd *nodeDecl) error {
 	}
 	rank := s.rankOf(s.fanins, nd.ln.num)
 	// Mirror subject.FromNetwork: substitute constant fanins in fanin
-	// order, then simplify through the folding constructors.
+	// order, then fold constants (logic.Fold).
 	fn := nd.fn
 	for _, in := range nd.inputs {
 		if sig := s.sigs[in]; sig.konst() {
-			fn = substituteVar(fn, in, logic.Constant(sig.val()))
+			fn = logic.Substitute(fn, in, logic.Constant(sig.val()))
 		}
 	}
-	fn = foldExpr(fn)
+	fn = logic.Fold(fn)
 	if fn.Op == logic.OpConst {
 		sig := constSignal(fn.Const)
 		sig.rank = rank
@@ -662,48 +662,4 @@ func topoOrdered(r io.Reader) ([]byte, bool) {
 		out = append(out, ".end\n"...)
 	}
 	return out, true
-}
-
-// substituteVar replaces variable v with expression rep in e,
-// mirroring the constant propagation of subject.FromNetwork.
-func substituteVar(e *logic.Expr, v string, rep *logic.Expr) *logic.Expr {
-	if e.Op == logic.OpVar {
-		if e.Var == v {
-			return rep.Clone()
-		}
-		return e
-	}
-	c := &logic.Expr{Op: e.Op, Var: e.Var, Const: e.Const}
-	c.Kids = make([]*logic.Expr, len(e.Kids))
-	for i, k := range e.Kids {
-		c.Kids[i] = substituteVar(k, v, rep)
-	}
-	return c
-}
-
-// foldExpr rebuilds e through the folding constructors, propagating
-// constants — the same normalization subject.FromNetwork applies
-// before decomposition, so streamed and AST-built graphs decompose
-// identical expressions.
-func foldExpr(e *logic.Expr) *logic.Expr {
-	switch e.Op {
-	case logic.OpConst, logic.OpVar:
-		return e
-	case logic.OpNot:
-		return logic.Not(foldExpr(e.Kids[0]))
-	case logic.OpAnd, logic.OpOr, logic.OpXor:
-		kids := make([]*logic.Expr, len(e.Kids))
-		for i, k := range e.Kids {
-			kids[i] = foldExpr(k)
-		}
-		switch e.Op {
-		case logic.OpAnd:
-			return logic.And(kids...)
-		case logic.OpOr:
-			return logic.Or(kids...)
-		default:
-			return logic.Xor(kids...)
-		}
-	}
-	return e
 }

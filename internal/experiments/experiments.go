@@ -1,32 +1,25 @@
 // Package experiments regenerates the paper's evaluation: Tables 1-3
 // (tree vs DAG covering under lib2, 44-1 and 44-3), the Figure 1/2
 // demonstrations, and the ablations listed in DESIGN.md. It is shared
-// by cmd/experiments and the repository's benchmark harness.
+// by cmd/experiments and the repository's benchmark harness. Every
+// mapping runs through dagcover.Map; the one exception is study A4
+// (decomp.go), which needs chain-compiled patterns.
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
+	"dagcover"
 	"dagcover/internal/bench"
-	"dagcover/internal/core"
-	"dagcover/internal/cutmap"
-	"dagcover/internal/flowmap"
 	"dagcover/internal/genlib"
 	"dagcover/internal/libgen"
 	"dagcover/internal/mapping"
-	"dagcover/internal/match"
 	"dagcover/internal/network"
-	"dagcover/internal/obs"
-	"dagcover/internal/resynth"
-	"dagcover/internal/retime"
-	"dagcover/internal/seqmap"
 	"dagcover/internal/subject"
-	"dagcover/internal/supergate"
-	"dagcover/internal/treemap"
-	"dagcover/internal/verify"
 )
 
 // Row is one line of a tree-vs-DAG table.
@@ -55,26 +48,26 @@ type RowPhases struct {
 // TableSpec describes one of the paper's tables.
 type TableSpec struct {
 	ID      string
-	Library *genlib.Library
-	Delay   genlib.DelayModel
+	Library *dagcover.Library
+	Delay   dagcover.DelayModel
 }
 
 // Table1 is tree vs DAG under the lib2-like library with intrinsic
 // delays (paper Table 1).
 func Table1() TableSpec {
-	return TableSpec{ID: "1", Library: libgen.Lib2(), Delay: genlib.IntrinsicDelay{}}
+	return TableSpec{ID: "1", Library: dagcover.Lib2(), Delay: dagcover.IntrinsicDelay}
 }
 
 // Table2 is tree vs DAG under the 7-gate 44-1 library with unit delay
 // (paper Table 2).
 func Table2() TableSpec {
-	return TableSpec{ID: "2", Library: libgen.Lib441(), Delay: genlib.UnitDelay{}}
+	return TableSpec{ID: "2", Library: dagcover.Lib441(), Delay: dagcover.UnitDelay}
 }
 
 // Table3 is tree vs DAG under the rich 44-3 library with unit delay
 // (paper Table 3).
 func Table3() TableSpec {
-	return TableSpec{ID: "3", Library: libgen.Lib443(), Delay: genlib.UnitDelay{}}
+	return TableSpec{ID: "3", Library: dagcover.Lib443(), Delay: dagcover.UnitDelay}
 }
 
 // Options tunes a run.
@@ -83,81 +76,75 @@ type Options struct {
 	Verify bool
 	// Class is the DAG-covering match class (default standard,
 	// footnote 3).
-	Class match.Class
+	Class dagcover.MatchClass
 	// Circuits overrides the benchmark set (default bench.Suite()).
 	Circuits []bench.Circuit
-	// Memo turns on the matchers' structural match memo (canonical
-	// cone keys → replayable recipes), emptied before each circuit.
-	// Mapped results are identical either way; the memo only changes
-	// run time.
+	// Memo turns on each mapping run's structural match memo
+	// (MapOptions.NoMemo is its negation). Mapped results are
+	// identical either way; the memo only changes run time.
 	Memo bool
 	// Trace, when non-nil, records every mapping run's phase spans.
-	Trace *obs.Trace
+	Trace *dagcover.Trace
 }
+
+// mapSubject maps a prebuilt subject graph through the facade.
+func mapSubject(g *dagcover.SubjectGraph, opt dagcover.MapOptions) (*dagcover.MapResult, error) {
+	return dagcover.Map(context.Background(), dagcover.Input{Subject: g}, opt)
+}
+
+// millis converts a PhaseBreakdown field back to a duration.
+func millis(ms float64) time.Duration { return time.Duration(ms * 1e6) }
 
 // Run executes a table.
 func Run(spec TableSpec, opt Options) ([]Row, error) {
-	if opt.Class == match.Exact {
-		opt.Class = match.Standard
-	}
 	circuits := opt.Circuits
 	if circuits == nil {
 		circuits = bench.Suite()
 	}
-	shared, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
+	cl, err := dagcover.CompileLibrary(spec.Library)
 	if err != nil {
 		return nil, err
 	}
-	trees, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: false})
-	if err != nil {
-		return nil, err
-	}
-	dagM := match.NewMatcher(shared)
-	treeM := match.NewMatcher(trees)
-	dagM.SetMemoEnabled(opt.Memo)
-	treeM.SetMemoEnabled(opt.Memo)
+	dagOpt := dagcover.MapOptions{Library: cl, Class: opt.Class, Delay: spec.Delay, NoMemo: !opt.Memo, Trace: opt.Trace}
+	treeOpt := dagOpt
+	treeOpt.Mode = dagcover.ModeTree
 
 	var rows []Row
 	for _, c := range circuits {
-		g, err := subject.FromNetwork(c.Network)
+		g, err := dagcover.BuildSubject(c.Network)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", c.Name, err)
 		}
 		row := Row{Circuit: c.Name, SubjectNodes: g.NumNodes()}
-		// Each circuit starts with empty memo tables, as a Map call does.
-		dagM.Reset()
-		treeM.Reset()
 
-		start := time.Now()
-		tres, err := treemap.Map(g, treeM, treemap.Options{Delay: spec.Delay, Trace: opt.Trace})
+		tres, err := mapSubject(g, treeOpt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: tree: %v", c.Name, err)
 		}
-		row.TreeCPU = time.Since(start)
+		row.TreeCPU = tres.CPU
 		row.TreeDelay = tres.Delay
-		row.TreeArea = tres.Netlist.Area()
-		row.Phases.TreeCover = tres.Cover + tres.Emit
+		row.TreeArea = tres.Area
+		row.Phases.TreeCover = millis(tres.Phases.CoverMillis + tres.Phases.EmitMillis)
 
-		start = time.Now()
-		dres, err := core.Map(g, dagM, core.Options{Class: opt.Class, Delay: spec.Delay, Trace: opt.Trace})
+		dres, err := mapSubject(g, dagOpt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: DAG: %v", c.Name, err)
 		}
-		row.DAGCPU = time.Since(start)
+		row.DAGCPU = dres.CPU
 		row.DAGDelay = dres.Delay
-		row.DAGArea = dres.Netlist.Area()
-		row.Duplicated = dres.Stats.DuplicatedNodes
-		row.Phases.Label = dres.Stats.Phases.Label
-		row.Phases.Cover = dres.Stats.Phases.Cover
-		row.Phases.Emit = dres.Stats.Phases.Emit
+		row.DAGArea = dres.Area
+		row.Duplicated = dres.DuplicatedNodes
+		row.Phases.Label = millis(dres.Phases.LabelMillis)
+		row.Phases.Cover = millis(dres.Phases.CoverMillis)
+		row.Phases.Emit = millis(dres.Phases.EmitMillis)
 
 		if opt.Verify {
 			vSpan := opt.Trace.Start("experiments.verify")
 			vStart := time.Now()
-			if err := verify.Mapped(c.Network, tres.Netlist, verify.Options{}); err != nil {
+			if err := dagcover.Verify(c.Network, tres.Netlist); err != nil {
 				return nil, fmt.Errorf("%s: tree mapping wrong: %v", c.Name, err)
 			}
-			if err := verify.Mapped(c.Network, dres.Netlist, verify.Options{}); err != nil {
+			if err := dagcover.Verify(c.Network, dres.Netlist); err != nil {
 				return nil, fmt.Errorf("%s: DAG mapping wrong: %v", c.Name, err)
 			}
 			row.Phases.Verify = time.Since(vStart)
@@ -271,25 +258,21 @@ type RichnessPoint struct {
 // curve).
 func RichnessSweep(circuit bench.Circuit) ([]RichnessPoint, error) {
 	var out []RichnessPoint
-	g, err := subject.FromNetwork(circuit.Network)
+	g, err := dagcover.BuildSubject(circuit.Network)
 	if err != nil {
 		return nil, err
 	}
 	for gs := 1; gs <= 4; gs++ {
 		lib := libgen.Rich(fmt.Sprintf("rich-%d", gs), libgen.RichOptions{MaxGroupSize: gs})
-		shared, _, err := subject.CompileLibrary(lib, subject.CompileOptions{Share: true})
+		cl, err := dagcover.CompileLibrary(lib)
 		if err != nil {
 			return nil, err
 		}
-		trees, _, err := subject.CompileLibrary(lib, subject.CompileOptions{Share: false})
+		tres, err := mapSubject(g, dagcover.MapOptions{Mode: dagcover.ModeTree, Library: cl, Delay: dagcover.UnitDelay})
 		if err != nil {
 			return nil, err
 		}
-		tres, err := treemap.Map(g, match.NewMatcher(trees), treemap.Options{Delay: genlib.UnitDelay{}})
-		if err != nil {
-			return nil, err
-		}
-		dres, err := core.Map(g, match.NewMatcher(shared), core.Options{Class: match.Standard, Delay: genlib.UnitDelay{}})
+		dres, err := mapSubject(g, dagcover.MapOptions{Library: cl, Delay: dagcover.UnitDelay})
 		if err != nil {
 			return nil, err
 		}
@@ -315,31 +298,28 @@ type MatchClassPoint struct {
 // MatchClassAblation compares standard vs extended matches (the paper
 // reports no major quality difference — footnote 3).
 func MatchClassAblation(spec TableSpec, circuits []bench.Circuit) ([]MatchClassPoint, error) {
-	shared, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
+	cl, err := dagcover.CompileLibrary(spec.Library)
 	if err != nil {
 		return nil, err
 	}
-	m := match.NewMatcher(shared)
 	var out []MatchClassPoint
 	for _, c := range circuits {
-		g, err := subject.FromNetwork(c.Network)
+		g, err := dagcover.BuildSubject(c.Network)
 		if err != nil {
 			return nil, err
 		}
 		p := MatchClassPoint{Circuit: c.Name}
-		start := time.Now()
-		std, err := core.Map(g, m, core.Options{Class: match.Standard, Delay: spec.Delay})
+		std, err := mapSubject(g, dagcover.MapOptions{Library: cl, Class: dagcover.MatchStandard, Delay: spec.Delay})
 		if err != nil {
 			return nil, err
 		}
-		p.StandardCPU = time.Since(start)
+		p.StandardCPU = std.CPU
 		p.StandardDelay = std.Delay
-		start = time.Now()
-		ext, err := core.Map(g, m, core.Options{Class: match.Extended, Delay: spec.Delay})
+		ext, err := mapSubject(g, dagcover.MapOptions{Library: cl, Class: dagcover.MatchExtended, Delay: spec.Delay})
 		if err != nil {
 			return nil, err
 		}
-		p.ExtendedCPU = time.Since(start)
+		p.ExtendedCPU = ext.CPU
 		p.ExtendedDelay = ext.Delay
 		out = append(out, p)
 	}
@@ -356,22 +336,21 @@ type AreaRecoveryPoint struct {
 
 // AreaRecoveryAblation measures the slack-driven area recovery.
 func AreaRecoveryAblation(spec TableSpec, circuits []bench.Circuit) ([]AreaRecoveryPoint, error) {
-	shared, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
+	cl, err := dagcover.CompileLibrary(spec.Library)
 	if err != nil {
 		return nil, err
 	}
-	m := match.NewMatcher(shared)
 	var out []AreaRecoveryPoint
 	for _, c := range circuits {
-		g, err := subject.FromNetwork(c.Network)
+		g, err := dagcover.BuildSubject(c.Network)
 		if err != nil {
 			return nil, err
 		}
-		plain, err := core.Map(g, m, core.Options{Class: match.Standard, Delay: spec.Delay})
+		plain, err := mapSubject(g, dagcover.MapOptions{Library: cl, Delay: spec.Delay})
 		if err != nil {
 			return nil, err
 		}
-		rec, err := core.Map(g, m, core.Options{Class: match.Standard, Delay: spec.Delay, AreaRecovery: true})
+		rec, err := mapSubject(g, dagcover.MapOptions{Library: cl, Delay: spec.Delay, AreaRecovery: true})
 		if err != nil {
 			return nil, err
 		}
@@ -381,8 +360,8 @@ func AreaRecoveryAblation(spec TableSpec, circuits []bench.Circuit) ([]AreaRecov
 		out = append(out, AreaRecoveryPoint{
 			Circuit:       c.Name,
 			Delay:         plain.Delay,
-			PlainArea:     plain.Netlist.Area(),
-			RecoveredArea: rec.Netlist.Area(),
+			PlainArea:     plain.Area,
+			RecoveredArea: rec.Area,
 		})
 	}
 	return out, nil
@@ -411,26 +390,24 @@ type BufferingPoint struct {
 // {4, 8, 16, 32} is chosen per circuit (buffering below the load
 // crossover hurts: every buffer costs its own intrinsic delay).
 func BufferingStudy(spec TableSpec, circuits []bench.Circuit, maxFanout int) ([]BufferingPoint, error) {
-	buffer := spec.Library.Buffer()
-	if buffer == nil {
+	if spec.Library.Buffer() == nil {
 		return nil, fmt.Errorf("experiments: library %q has no buffer gate", spec.Library.Name)
 	}
-	shared, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
+	cl, err := dagcover.CompileLibrary(spec.Library)
 	if err != nil {
 		return nil, err
 	}
-	m := match.NewMatcher(shared)
 	var out []BufferingPoint
 	for _, c := range circuits {
-		g, err := subject.FromNetwork(c.Network)
+		g, err := dagcover.BuildSubject(c.Network)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Map(g, m, core.Options{Class: match.Standard, Delay: spec.Delay})
+		res, err := mapSubject(g, dagcover.MapOptions{Library: cl, Delay: spec.Delay})
 		if err != nil {
 			return nil, err
 		}
-		before, err := res.Netlist.DelayLoaded(mapping.LoadOptions{})
+		before, err := dagcover.LoadTiming(res.Netlist, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -441,71 +418,25 @@ func BufferingStudy(spec TableSpec, circuits []bench.Circuit, maxFanout int) ([]
 		best := BufferingPoint{
 			Circuit:      c.Name,
 			Intrinsic:    res.Delay,
-			LoadedBefore: before.Delay,
-			LoadedAfter:  before.Delay, // no buffering is a valid choice
+			LoadedBefore: before,
+			LoadedAfter:  before, // no buffering is a valid choice
 		}
 		for _, bound := range bounds {
-			buffered, err := res.Netlist.InsertBuffers(buffer, bound)
+			buffered, err := dagcover.InsertBuffers(res.Netlist, spec.Library, bound)
 			if err != nil {
 				return nil, err
 			}
-			after, err := buffered.DelayLoaded(mapping.LoadOptions{})
+			after, err := dagcover.LoadTiming(buffered, 0)
 			if err != nil {
 				return nil, err
 			}
-			if after.Delay < best.LoadedAfter {
-				best.LoadedAfter = after.Delay
-				best.Buffers = buffered.NumCells() - res.Netlist.NumCells()
+			if after < best.LoadedAfter {
+				best.LoadedAfter = after
+				best.Buffers = buffered.NumCells() - res.Cells
 				best.MaxFanout = bound
 			}
 		}
 		out = append(out, best)
-	}
-	return out, nil
-}
-
-// DecompPoint is one row of the decomposition-sensitivity study (A4):
-// the paper's §4 caveat that optimality is relative to the chosen
-// subject graph (the motivation for Lehman et al.'s mapping graphs).
-type DecompPoint struct {
-	Circuit       string
-	BalancedDelay float64
-	ChainDelay    float64
-	BalancedNodes int
-	ChainNodes    int
-}
-
-// DecompositionStudy maps each circuit with DAG covering on a
-// balanced and on a chain-decomposed subject graph; patterns are
-// compiled in the matching style so wide gates stay matchable.
-func DecompositionStudy(spec TableSpec, circuits []bench.Circuit) ([]DecompPoint, error) {
-	matchers := map[bool]*match.Matcher{}
-	for _, chain := range []bool{false, true} {
-		pats, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true, Chain: chain})
-		if err != nil {
-			return nil, err
-		}
-		matchers[chain] = match.NewMatcher(pats)
-	}
-	var out []DecompPoint
-	for _, c := range circuits {
-		p := DecompPoint{Circuit: c.Name}
-		for _, chain := range []bool{false, true} {
-			g, err := subject.FromNetworkChained(c.Network, chain)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.Map(g, matchers[chain], core.Options{Class: match.Standard, Delay: spec.Delay})
-			if err != nil {
-				return nil, err
-			}
-			if chain {
-				p.ChainDelay, p.ChainNodes = res.Delay, g.NumNodes()
-			} else {
-				p.BalancedDelay, p.BalancedNodes = res.Delay, g.NumNodes()
-			}
-		}
-		out = append(out, p)
 	}
 	return out, nil
 }
@@ -521,13 +452,13 @@ type TradeoffPoint struct {
 // LUTTradeoff maps one circuit with priority cuts at K inputs,
 // sweeping the depth slack and reporting the LUT count curve.
 func LUTTradeoff(circuit bench.Circuit, k int, maxSlack int) ([]TradeoffPoint, error) {
-	g, err := subject.FromNetwork(circuit.Network)
+	g, err := dagcover.BuildSubject(circuit.Network)
 	if err != nil {
 		return nil, err
 	}
 	var out []TradeoffPoint
 	for slack := 0; slack <= maxSlack; slack++ {
-		res, err := cutmap.Map(g, cutmap.Options{K: k, Mode: cutmap.ModeArea, Slack: slack})
+		res, err := mapSubject(g, dagcover.MapOptions{Mode: dagcover.ModeLUTArea, K: k, Slack: slack})
 		if err != nil {
 			return nil, err
 		}
@@ -562,33 +493,29 @@ func SizingStudy(circuits []bench.Circuit) ([]SizingPoint, error) {
 	sizedLib := libgen.Sized(base, []float64{1, 2, 4})
 	groups := genlib.VariantGroups(sizedLib)
 
-	basePats, _, err := subject.CompileLibrary(base, subject.CompileOptions{Share: true})
+	baseCL, err := dagcover.CompileLibrary(base)
 	if err != nil {
 		return nil, err
 	}
-	sizedPats, _, err := subject.CompileLibrary(sizedLib, subject.CompileOptions{Share: true})
+	sizedCL, err := dagcover.CompileLibrary(sizedLib)
 	if err != nil {
 		return nil, err
 	}
-	baseM := match.NewMatcher(basePats)
-	sizedM := match.NewMatcher(sizedPats)
 
 	var out []SizingPoint
 	for _, c := range circuits {
-		g, err := subject.FromNetwork(c.Network)
+		g, err := dagcover.BuildSubject(c.Network)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Map(g, baseM, core.Options{Class: match.Standard, Delay: genlib.IntrinsicDelay{}})
+		res, err := mapSubject(g, dagcover.MapOptions{Library: baseCL, Delay: dagcover.IntrinsicDelay})
 		if err != nil {
 			return nil, err
 		}
-		p := SizingPoint{Circuit: c.Name, Intrinsic: res.Delay, BaseMatches: res.Stats.MatchesEnumerated}
-		before, err := res.Netlist.DelayLoaded(mapping.LoadOptions{})
-		if err != nil {
+		p := SizingPoint{Circuit: c.Name, Intrinsic: res.Delay, BaseMatches: res.MatchesEnumerated}
+		if p.LoadedBefore, err = dagcover.LoadTiming(res.Netlist, 0); err != nil {
 			return nil, err
 		}
-		p.LoadedBefore = before.Delay
 		// Rebase cells onto their x1 variants so the sizing pass can
 		// move within the sized library's groups.
 		rebased := res.Netlist.Clone()
@@ -601,20 +528,18 @@ func SizingStudy(circuits []bench.Circuit) ([]SizingPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		after, err := sizedNl.DelayLoaded(mapping.LoadOptions{})
-		if err != nil {
+		if p.LoadedAfter, err = dagcover.LoadTiming(sizedNl, 0); err != nil {
 			return nil, err
 		}
-		p.LoadedAfter = after.Delay
 		p.Swaps = swaps
 		// Direct mapping with the expanded library: same intrinsic
 		// quality (block delays are size-independent), triple the
 		// matching work.
-		sres, err := core.Map(g, sizedM, core.Options{Class: match.Standard, Delay: genlib.IntrinsicDelay{}})
+		sres, err := mapSubject(g, dagcover.MapOptions{Library: sizedCL, Delay: dagcover.IntrinsicDelay})
 		if err != nil {
 			return nil, err
 		}
-		p.SizedMatches = sres.Stats.MatchesEnumerated
+		p.SizedMatches = sres.MatchesEnumerated
 		out = append(out, p)
 	}
 	return out, nil
@@ -647,7 +572,7 @@ func ArchitectureStudy(spec TableSpec) ([]ArchPoint, error) {
 	}
 	var out []ArchPoint
 	for i, r := range rows {
-		g, err := subject.FromNetwork(circuits[i].Network)
+		g, err := dagcover.BuildSubject(circuits[i].Network)
 		if err != nil {
 			return nil, err
 		}
@@ -672,26 +597,26 @@ type BalancePoint struct {
 // BalanceStudy maps each circuit with DAG covering on the raw and on
 // the balanced subject graph.
 func BalanceStudy(spec TableSpec, circuits []bench.Circuit) ([]BalancePoint, error) {
-	shared, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
+	cl, err := dagcover.CompileLibrary(spec.Library)
 	if err != nil {
 		return nil, err
 	}
-	m := match.NewMatcher(shared)
+	opt := dagcover.MapOptions{Library: cl, Delay: spec.Delay}
 	var out []BalancePoint
 	for _, c := range circuits {
-		g, err := subject.FromNetwork(c.Network)
+		g, err := dagcover.BuildSubject(c.Network)
 		if err != nil {
 			return nil, err
 		}
-		bg, err := resynth.Balance(g)
+		bg, err := dagcover.BalanceSubject(g)
 		if err != nil {
 			return nil, err
 		}
-		plain, err := core.Map(g, m, core.Options{Class: match.Standard, Delay: spec.Delay})
+		plain, err := mapSubject(g, opt)
 		if err != nil {
 			return nil, err
 		}
-		bal, err := core.Map(bg, m, core.Options{Class: match.Standard, Delay: spec.Delay})
+		bal, err := mapSubject(bg, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -720,11 +645,11 @@ type ChoicePoint struct {
 // ChoiceStudy maps each circuit three ways: balanced-only subject
 // graph, chain-only, and the choice-encoded union of both.
 func ChoiceStudy(spec TableSpec, circuits []bench.Circuit) ([]ChoicePoint, error) {
-	pats, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
+	cl, err := dagcover.CompileLibrary(spec.Library)
 	if err != nil {
 		return nil, err
 	}
-	base := match.NewMatcher(pats)
+	opt := dagcover.MapOptions{Library: cl, Delay: spec.Delay}
 	var out []ChoicePoint
 	for _, c := range circuits {
 		p := ChoicePoint{Circuit: c.Name}
@@ -733,7 +658,7 @@ func ChoiceStudy(spec TableSpec, circuits []bench.Circuit) ([]ChoicePoint, error
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.Map(g, base, core.Options{Class: match.Standard, Delay: spec.Delay})
+			res, err := mapSubject(g, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -743,18 +668,14 @@ func ChoiceStudy(spec TableSpec, circuits []bench.Circuit) ([]ChoicePoint, error
 				p.BalancedDelay = res.Delay
 			}
 		}
-		g, choices, err := subject.FromNetworkWithChoices(c.Network)
-		if err != nil {
-			return nil, err
-		}
-		cm := base.Clone()
-		cm.SetChoices(choices)
-		res, err := core.Map(g, cm, core.Options{Class: match.Standard, Delay: spec.Delay})
+		copt := opt
+		copt.Mode = dagcover.ModeChoices
+		res, err := dagcover.Map(context.Background(), dagcover.Input{Network: c.Network}, copt)
 		if err != nil {
 			return nil, err
 		}
 		p.ChoiceDelay = res.Delay
-		p.ChoiceNodes = g.NumNodes()
+		p.ChoiceNodes = res.SubjectNodes
 		out = append(out, p)
 	}
 	return out, nil
@@ -776,27 +697,25 @@ type SupergatePoint struct {
 func SupergateStudy(circuits []bench.Circuit) ([]SupergatePoint, error) {
 	base := libgen.Lib2()
 	super := libgen.Supergates(base, 5, 0.85)
-	basePats, _, err := subject.CompileLibrary(base, subject.CompileOptions{Share: true})
+	baseCL, err := dagcover.CompileLibrary(base)
 	if err != nil {
 		return nil, err
 	}
-	superPats, _, err := subject.CompileLibrary(super, subject.CompileOptions{Share: true})
+	superCL, err := dagcover.CompileLibrary(super)
 	if err != nil {
 		return nil, err
 	}
-	baseM := match.NewMatcher(basePats)
-	superM := match.NewMatcher(superPats)
 	var out []SupergatePoint
 	for _, c := range circuits {
-		g, err := subject.FromNetwork(c.Network)
+		g, err := dagcover.BuildSubject(c.Network)
 		if err != nil {
 			return nil, err
 		}
-		b, err := core.Map(g, baseM, core.Options{Class: match.Standard})
+		b, err := mapSubject(g, dagcover.MapOptions{Library: baseCL})
 		if err != nil {
 			return nil, err
 		}
-		s, err := core.Map(g, superM, core.Options{Class: match.Standard})
+		s, err := mapSubject(g, dagcover.MapOptions{Library: superCL})
 		if err != nil {
 			return nil, err
 		}
@@ -833,50 +752,48 @@ type SupergateRichnessPoint struct {
 // source network before its numbers are reported. The returned
 // supergate stats describe the one generation run shared by all
 // circuits.
-func SupergateRichness(circuits []bench.Circuit, opt supergate.Options) ([]SupergateRichnessPoint, supergate.Stats, error) {
-	res, err := supergate.Generate(libgen.Lib441(), opt)
+func SupergateRichness(circuits []bench.Circuit, opt dagcover.SupergateOptions) ([]SupergateRichnessPoint, dagcover.SupergateStats, error) {
+	expanded, stats, err := dagcover.ExpandSupergates(dagcover.Lib441(), opt)
 	if err != nil {
-		return nil, supergate.Stats{}, err
+		return nil, stats, err
 	}
-	matchers := make([]*match.Matcher, 3)
-	for i, lib := range []*genlib.Library{libgen.Lib441(), res.Library, libgen.Lib443()} {
-		pats, _, err := subject.CompileLibrary(lib, subject.CompileOptions{Share: true})
-		if err != nil {
-			return nil, res.Stats, err
+	libs := make([]*dagcover.CompiledLibrary, 3)
+	for i, lib := range []*dagcover.Library{dagcover.Lib441(), expanded, dagcover.Lib443()} {
+		if libs[i], err = dagcover.CompileLibrary(lib); err != nil {
+			return nil, stats, err
 		}
-		matchers[i] = match.NewMatcher(pats)
 	}
 	var out []SupergateRichnessPoint
 	for _, c := range circuits {
-		g, err := subject.FromNetwork(c.Network)
+		g, err := dagcover.BuildSubject(c.Network)
 		if err != nil {
-			return nil, res.Stats, err
+			return nil, stats, err
 		}
-		var r [3]*core.Result
-		for i, m := range matchers {
-			r[i], err = core.Map(g, m, core.Options{Class: match.Standard, Delay: genlib.UnitDelay{}})
+		var r [3]*dagcover.MapResult
+		for i, cl := range libs {
+			r[i], err = mapSubject(g, dagcover.MapOptions{Library: cl, Delay: dagcover.UnitDelay})
 			if err != nil {
-				return nil, res.Stats, err
+				return nil, stats, err
 			}
 		}
-		if err := verify.Mapped(c.Network, r[1].Netlist, verify.Options{}); err != nil {
-			return nil, res.Stats, fmt.Errorf("%s: supergate mapping failed equivalence check: %v", c.Name, err)
+		if err := dagcover.Verify(c.Network, r[1].Netlist); err != nil {
+			return nil, stats, fmt.Errorf("%s: supergate mapping failed equivalence check: %v", c.Name, err)
 		}
 		p := SupergateRichnessPoint{
 			Circuit:    c.Name,
 			Delay441:   r[0].Delay,
 			DelaySuper: r[1].Delay,
 			Delay443:   r[2].Delay,
-			Area441:    r[0].Netlist.Area(),
-			AreaSuper:  r[1].Netlist.Area(),
-			Area443:    r[2].Netlist.Area(),
+			Area441:    r[0].Area,
+			AreaSuper:  r[1].Area,
+			Area443:    r[2].Area,
 		}
 		if gap := p.Delay441 - p.Delay443; gap > 0 {
 			p.GapClosed = 100 * (p.Delay441 - p.DelaySuper) / gap
 		}
 		out = append(out, p)
 	}
-	return out, res.Stats, nil
+	return out, stats, nil
 }
 
 // FormatCSV renders rows as comma-separated values with a header,
@@ -910,31 +827,28 @@ type TradeoffLibPoint struct {
 // LibraryTradeoff maps one circuit with DAG covering and area
 // recovery under increasingly relaxed delay targets.
 func LibraryTradeoff(spec TableSpec, circuit bench.Circuit, slacksPercent []int) ([]TradeoffLibPoint, error) {
-	shared, _, err := subject.CompileLibrary(spec.Library, subject.CompileOptions{Share: true})
+	cl, err := dagcover.CompileLibrary(spec.Library)
 	if err != nil {
 		return nil, err
 	}
-	m := match.NewMatcher(shared)
-	g, err := subject.FromNetwork(circuit.Network)
+	g, err := dagcover.BuildSubject(circuit.Network)
 	if err != nil {
 		return nil, err
 	}
-	opt0, err := core.Map(g, m, core.Options{Class: match.Standard, Delay: spec.Delay})
+	opt := dagcover.MapOptions{Library: cl, Delay: spec.Delay}
+	opt0, err := mapSubject(g, opt)
 	if err != nil {
 		return nil, err
 	}
+	opt.AreaRecovery = true
 	var out []TradeoffLibPoint
 	for _, s := range slacksPercent {
-		res, err := core.Map(g, m, core.Options{
-			Class:        match.Standard,
-			Delay:        spec.Delay,
-			AreaRecovery: true,
-			RequiredTime: opt0.Delay * (1 + float64(s)/100),
-		})
+		opt.RequiredTime = opt0.Delay * (1 + float64(s)/100)
+		res, err := mapSubject(g, opt)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, TradeoffLibPoint{SlackPercent: s, Delay: res.Delay, Area: res.Netlist.Area()})
+		out = append(out, TradeoffLibPoint{SlackPercent: s, Delay: res.Delay, Area: res.Area})
 	}
 	return out, nil
 }
@@ -962,7 +876,7 @@ func SequentialStudy(k int) ([]SeqMapPoint, error) {
 	}
 	var out []SeqMapPoint
 	for _, c := range circuits {
-		res, err := seqmap.Map(c.Network, seqmap.Options{K: k})
+		res, err := dagcover.MapSequentialLUT(c.Network, k)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", c.Name, err)
 		}
@@ -981,57 +895,14 @@ func SequentialStudy(k int) ([]SeqMapPoint, error) {
 
 // threeStepLUTPeriod maps the combinational portion with FlowMap and
 // retimes the result (the practical flow).
-func threeStepLUTPeriod(nw *network.Network, k int) (float64, error) {
-	g, err := subject.FromNetwork(nw)
+func threeStepLUTPeriod(nw *dagcover.Network, k int) (float64, error) {
+	fm, err := dagcover.Map(context.Background(), dagcover.Input{Network: nw}, dagcover.MapOptions{Mode: dagcover.ModeLUT, K: k})
 	if err != nil {
 		return 0, err
 	}
-	fm, err := flowmap.Map(g, k)
+	seq, err := network.ReattachLatches(fm.Network, nw)
 	if err != nil {
 		return 0, err
 	}
-	seq := network.New(nw.Name + "_3step")
-	latchOut := map[string]bool{}
-	for _, l := range nw.Latches() {
-		latchOut[l.Output.Name] = true
-	}
-	for _, in := range fm.Network.Inputs() {
-		if latchOut[in.Name] {
-			if _, err := seq.AddLatchOutput(in.Name); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if _, err := seq.AddInput(in.Name); err != nil {
-			return 0, err
-		}
-	}
-	topo, err := fm.Network.TopoSort()
-	if err != nil {
-		return 0, err
-	}
-	for _, n := range topo {
-		if n.Func == nil {
-			continue
-		}
-		var names []string
-		for _, fi := range n.Fanins {
-			names = append(names, fi.Name)
-		}
-		if _, err := seq.AddNode(n.Name, names, n.Func.Clone()); err != nil {
-			return 0, err
-		}
-	}
-	for _, l := range nw.Latches() {
-		if _, err := seq.ConnectLatch(l.Input.Name, l.Output.Name, l.Init); err != nil {
-			return 0, err
-		}
-	}
-	for _, o := range nw.Outputs() {
-		if err := seq.MarkOutput(o.Name); err != nil {
-			return 0, err
-		}
-	}
-	p, _, err := retime.MinPeriod(seq, retime.UnitDelays)
-	return p, err
+	return dagcover.MinPeriod(seq, nil)
 }

@@ -458,7 +458,7 @@ func composeGates(outer, inner *genlib.Gate, pi int, discount float64) *genlib.G
 		pins = append(pins, np)
 	}
 	innerExpr := inner.Expr.Rename(innerRen)
-	expr := substituteVar(outer.Expr.Rename(outerRen), outer.Pins[pi].Name, innerExpr)
+	expr := logic.Substitute(outer.Expr.Rename(outerRen), outer.Pins[pi].Name, innerExpr)
 	g.Expr = expr
 	// Keep only pins the composed function actually uses (the outer
 	// rename leaves the substituted pin name untouched in outerRen, so
@@ -485,20 +485,4 @@ func composeGates(outer, inner *genlib.Gate, pi int, discount float64) *genlib.G
 	}
 	g.Pins = kept
 	return g
-}
-
-// substituteVar replaces variable v with rep in e.
-func substituteVar(e *logic.Expr, v string, rep *logic.Expr) *logic.Expr {
-	if e.Op == logic.OpVar {
-		if e.Var == v {
-			return rep.Clone()
-		}
-		return e
-	}
-	c := &logic.Expr{Op: e.Op, Var: e.Var, Const: e.Const}
-	c.Kids = make([]*logic.Expr, len(e.Kids))
-	for i, k := range e.Kids {
-		c.Kids[i] = substituteVar(k, v, rep)
-	}
-	return c
 }

@@ -139,6 +139,50 @@ func nary(op Op, kids []*Expr) *Expr {
 	return &Expr{Op: op, Kids: flat}
 }
 
+// Substitute replaces variable v with expression rep in e. Subtrees
+// without v are shared with e, not copied.
+func Substitute(e *Expr, v string, rep *Expr) *Expr {
+	if e.Op == OpVar {
+		if e.Var == v {
+			return rep.Clone()
+		}
+		return e
+	}
+	c := &Expr{Op: e.Op, Var: e.Var, Const: e.Const}
+	c.Kids = make([]*Expr, len(e.Kids))
+	for i, k := range e.Kids {
+		c.Kids[i] = Substitute(k, v, rep)
+	}
+	return c
+}
+
+// Fold rebuilds e through the folding constructors, propagating
+// constants: the normalization every subject-graph builder applies
+// after substituting constant fanins, so streamed and AST-built graphs
+// decompose identical expressions.
+func Fold(e *Expr) *Expr {
+	switch e.Op {
+	case OpConst, OpVar:
+		return e
+	case OpNot:
+		return Not(Fold(e.Kids[0]))
+	case OpAnd, OpOr, OpXor:
+		kids := make([]*Expr, len(e.Kids))
+		for i, k := range e.Kids {
+			kids[i] = Fold(k)
+		}
+		switch e.Op {
+		case OpAnd:
+			return And(kids...)
+		case OpOr:
+			return Or(kids...)
+		default:
+			return Xor(kids...)
+		}
+	}
+	return e
+}
+
 // Clone returns a deep copy of e.
 func (e *Expr) Clone() *Expr {
 	if e == nil {

@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // MaxTTVars is the largest support size for which truth tables can be
 // built (2^16 bits = 1024 words).
@@ -81,18 +78,6 @@ func varPattern(i, base int) uint64 {
 
 // Rows returns the number of rows (2^len(Vars)).
 func (t *TT) Rows() int { return 1 << len(t.Vars) }
-
-// Bit reports the function value on row r.
-func (t *TT) Bit(r int) bool { return t.Bits[r/64]>>(uint(r)%64)&1 == 1 }
-
-// OnSetSize returns the number of rows on which the function is true.
-func (t *TT) OnSetSize() int {
-	n := 0
-	for _, w := range t.Bits {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // Equal reports whether t and o have identical variable order and
 // identical function values.

@@ -1,9 +1,22 @@
 package logic
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
+
+// bit reports the function value on row r.
+func bit(t *TT, r int) bool { return t.Bits[r/64]>>(uint(r)%64)&1 == 1 }
+
+// onSetSize returns the number of rows on which the function is true.
+func onSetSize(t *TT) int {
+	n := 0
+	for _, w := range t.Bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // mustTT is NewTT that panics on error.
 func mustTT(e *Expr, vars []string) *TT {
@@ -19,12 +32,12 @@ func TestTTBasics(t *testing.T) {
 	// Rows: 00 01 10 11 over (b,a)? Row bit i = Vars[i]; row 3 = a=1,b=1.
 	want := []bool{false, false, false, true}
 	for r, w := range want {
-		if tt.Bit(r) != w {
-			t.Errorf("a*b row %d = %v, want %v", r, tt.Bit(r), w)
+		if bit(tt, r) != w {
+			t.Errorf("a*b row %d = %v, want %v", r, bit(tt, r), w)
 		}
 	}
-	if tt.OnSetSize() != 1 {
-		t.Errorf("OnSetSize = %d, want 1", tt.OnSetSize())
+	if onSetSize(tt) != 1 {
+		t.Errorf("OnSetSize = %d, want 1", onSetSize(tt))
 	}
 	if tt.Rows() != 4 {
 		t.Errorf("Rows = %d, want 4", tt.Rows())
@@ -36,8 +49,8 @@ func TestTTVariableOrder(t *testing.T) {
 	tt := mustTT(MustParse("a"), []string{"b", "a"})
 	for r := 0; r < 4; r++ {
 		want := r&2 != 0
-		if tt.Bit(r) != want {
-			t.Errorf("row %d = %v, want %v", r, tt.Bit(r), want)
+		if bit(tt, r) != want {
+			t.Errorf("row %d = %v, want %v", r, bit(tt, r), want)
 		}
 	}
 }
@@ -67,10 +80,10 @@ func TestTTManyVariables(t *testing.T) {
 		kids[i] = Variable(vars[i])
 	}
 	tt := mustTT(And(kids...), vars)
-	if tt.OnSetSize() != 1 {
-		t.Fatalf("AND8 on-set = %d, want 1", tt.OnSetSize())
+	if onSetSize(tt) != 1 {
+		t.Fatalf("AND8 on-set = %d, want 1", onSetSize(tt))
 	}
-	if !tt.Bit(255) {
+	if !bit(tt, 255) {
 		t.Fatalf("AND8 row 255 should be 1")
 	}
 	// 10-variable parity: half the rows on.
@@ -81,7 +94,7 @@ func TestTTManyVariables(t *testing.T) {
 		kids = append(kids, Variable(varName(i)))
 	}
 	tt = mustTT(Xor(kids...), vars)
-	if got, want := tt.OnSetSize(), 512; got != want {
+	if got, want := onSetSize(tt), 512; got != want {
 		t.Fatalf("XOR10 on-set = %d, want %d", got, want)
 	}
 }
@@ -103,7 +116,7 @@ func TestTTMatchesEval(t *testing.T) {
 			for i, v := range vars {
 				assign[v] = r>>uint(i)&1 == 1
 			}
-			if tt.Bit(r) != e.Eval(assign) {
+			if bit(tt, r) != e.Eval(assign) {
 				t.Fatalf("trial %d: row %d disagrees for %v", trial, r, e)
 			}
 		}

@@ -178,24 +178,3 @@ func (n *Netlist) InsertBuffers(buffer *genlib.Gate, maxFanout int) (*Netlist, e
 	}
 	return b.Netlist()
 }
-
-// MaxNetFanout returns the largest sink count over all nets (output
-// ports count as sinks).
-func (n *Netlist) MaxNetFanout() int {
-	count := map[string]int{}
-	for _, c := range n.Cells {
-		for _, in := range c.Inputs {
-			count[in]++
-		}
-	}
-	for _, p := range n.Outputs {
-		count[p.Net]++
-	}
-	max := 0
-	for _, v := range count {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}

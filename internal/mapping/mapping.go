@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 
 	"dagcover/internal/genlib"
@@ -51,15 +50,6 @@ func (n *Netlist) Area() float64 {
 		a += c.Gate.Area
 	}
 	return a
-}
-
-// GateCounts returns instances per gate name.
-func (n *Netlist) GateCounts() map[string]int {
-	m := map[string]int{}
-	for _, c := range n.Cells {
-		m[c.Gate.Name]++
-	}
-	return m
 }
 
 // Check validates structural sanity: unique drivers, defined inputs,
@@ -697,21 +687,4 @@ func (nn *numberedNames) fill(k int) {
 		}
 	}
 	nn.s = string(nn.buf)
-}
-
-// SortedNets returns every net name, sorted (diagnostics).
-func (n *Netlist) SortedNets() []string {
-	set := map[string]bool{}
-	for _, in := range n.Inputs {
-		set[in] = true
-	}
-	for _, c := range n.Cells {
-		set[c.Output] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

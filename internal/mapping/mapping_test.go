@@ -13,6 +13,15 @@ import (
 
 // buildAndOr builds f = !( (a NAND b) ) i.e. and2 via nand2+inv, plus
 // an aoi21 computing g = !(a*b+c).
+// gateCounts returns instances per gate name.
+func gateCounts(n *Netlist) map[string]int {
+	m := map[string]int{}
+	for _, c := range n.Cells {
+		m[c.Gate.Name]++
+	}
+	return m
+}
+
 func buildSample(t *testing.T) *Netlist {
 	t.Helper()
 	lib := libgen.Lib2()
@@ -44,7 +53,7 @@ func TestBuilderAndChecks(t *testing.T) {
 	if nl.Area() != wantArea {
 		t.Errorf("area = %v, want %v", nl.Area(), wantArea)
 	}
-	counts := nl.GateCounts()
+	counts := gateCounts(nl)
 	if counts["nand2"] != 1 || counts["inv"] != 1 || counts["aoi21"] != 1 {
 		t.Errorf("counts = %v", counts)
 	}

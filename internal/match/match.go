@@ -321,9 +321,6 @@ func (m *Matcher) SetMemoEnabled(on bool) {
 	}
 }
 
-// MemoEnabled reports whether enumerations will consult the memo.
-func (m *Matcher) MemoEnabled() bool { return m.memoActive() }
-
 // MemoEntries reports how many recipes the matcher's table holds:
 // those recorded since construction, Clone, or Reset.
 func (m *Matcher) MemoEntries() int { return len(m.memo) }

@@ -24,11 +24,11 @@ import (
 func memoMatcher(t *testing.T, pats []*subject.Pattern, opts ...Option) *Matcher {
 	t.Helper()
 	m := NewMatcher(pats, opts...)
-	if m.MemoEnabled() || m.MemoEntries() != 0 {
+	if m.memoActive() || m.MemoEntries() != 0 {
 		t.Fatal("NewMatcher built a memo-on matcher")
 	}
 	m.SetMemoEnabled(true)
-	if !m.MemoEnabled() {
+	if !m.memoActive() {
 		t.Fatal("SetMemoEnabled(true) did not enable the memo")
 	}
 	return m
@@ -433,7 +433,7 @@ func TestMemoCloneOwnsTable(t *testing.T) {
 	}
 
 	clone := parent.Clone()
-	if !clone.MemoEnabled() {
+	if !clone.memoActive() {
 		t.Fatal("clone lost the memo setting")
 	}
 	if clone.MemoEntries() != 0 {
@@ -513,7 +513,7 @@ func TestMemoResetClearsTable(t *testing.T) {
 		t.Fatal("nothing recorded before Reset")
 	}
 	m.Reset()
-	if !m.MemoEnabled() {
+	if !m.memoActive() {
 		t.Fatal("Reset disabled the memo")
 	}
 	if m.MemoHits() != 0 || m.MemoMisses() != 0 {
@@ -542,7 +542,7 @@ func TestMemoDisable(t *testing.T) {
 	hits, misses := m.MemoHits(), m.MemoMisses()
 
 	m.SetMemoEnabled(false)
-	if m.MemoEnabled() {
+	if m.memoActive() {
 		t.Fatal("memo still enabled")
 	}
 	got := matchSet(m, g, Standard)
@@ -556,7 +556,7 @@ func TestMemoDisable(t *testing.T) {
 		t.Error("disabled memo changed the table")
 	}
 	m.SetMemoEnabled(true)
-	if !m.MemoEnabled() {
+	if !m.memoActive() {
 		t.Fatal("re-enable failed")
 	}
 }

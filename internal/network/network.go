@@ -31,10 +31,6 @@ type Node struct {
 // NumFanins returns the in-degree of n.
 func (n *Node) NumFanins() int { return len(n.Fanins) }
 
-// NumFanouts returns the out-degree of n (primary-output uses are not
-// counted; use Network.IsOutput for those).
-func (n *Node) NumFanouts() int { return len(n.Fanouts) }
-
 // Latch is an edge-triggered storage element: at each clock edge the
 // value of Input is transferred to Output. Init is the initial value.
 type Latch struct {
@@ -192,9 +188,6 @@ func (nw *Network) Latches() []*Latch { return nw.latches }
 
 // LatchFor returns the latch whose output is n, or nil.
 func (nw *Network) LatchFor(n *Node) *Latch { return nw.latchOf[n] }
-
-// IsOutput reports whether n is a primary output.
-func (nw *Network) IsOutput(n *Node) bool { return nw.outSet[n] }
 
 // Nodes returns all nodes in creation order.
 func (nw *Network) Nodes() []*Node { return nw.order }
@@ -432,6 +425,56 @@ func (nw *Network) Stats() (Stats, error) {
 func (s Stats) String() string {
 	return fmt.Sprintf("pi=%d po=%d gates=%d latches=%d depth=%d maxfanin=%d maxfanout=%d",
 		s.Inputs, s.Outputs, s.Gates, s.Latches, s.Depth, s.MaxFanin, s.MaxFanout)
+}
+
+// ReattachLatches rebuilds a mapped combinational network with the
+// original circuit's latches reconnected: the mapped network exposes
+// each latch input as an output port and each latch output as a free
+// input, as a subject graph built from orig does.
+func ReattachLatches(mapped, orig *Network) (*Network, error) {
+	latchOut := map[string]bool{}
+	for _, l := range orig.Latches() {
+		latchOut[l.Output.Name] = true
+	}
+	out := New(mapped.Name + "_seq")
+	for _, pi := range mapped.Inputs() {
+		if latchOut[pi.Name] {
+			if _, err := out.AddLatchOutput(pi.Name); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if _, err := out.AddInput(pi.Name); err != nil {
+			return nil, err
+		}
+	}
+	topo, err := mapped.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range topo {
+		if n.Func == nil {
+			continue
+		}
+		names := make([]string, len(n.Fanins))
+		for i, fi := range n.Fanins {
+			names[i] = fi.Name
+		}
+		if _, err := out.AddNode(n.Name, names, n.Func.Clone()); err != nil {
+			return nil, err
+		}
+	}
+	for _, l := range orig.Latches() {
+		if _, err := out.ConnectLatch(l.Input.Name, l.Output.Name, l.Init); err != nil {
+			return nil, err
+		}
+	}
+	for _, o := range orig.Outputs() {
+		if err := out.MarkOutput(o.Name); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Clone returns a deep copy of the network (sharing no nodes).

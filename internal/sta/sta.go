@@ -6,7 +6,6 @@
 package sta
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -141,44 +140,4 @@ func WorstPaths(nl *mapping.Netlist, dm genlib.DelayModel, opt Options, k int) (
 		paths = paths[:k]
 	}
 	return paths, nil
-}
-
-// Histogram buckets output-port slacks for a quick textual overview.
-func Histogram(rep *Report, nl *mapping.Netlist, buckets int) string {
-	if buckets < 1 {
-		buckets = 5
-	}
-	var slacks []float64
-	for _, p := range nl.Outputs {
-		slacks = append(slacks, rep.Slack[p.Net])
-	}
-	if len(slacks) == 0 {
-		return "no outputs\n"
-	}
-	min, max := slacks[0], slacks[0]
-	for _, s := range slacks {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
-	width := (max - min) / float64(buckets)
-	if width <= 0 {
-		return fmt.Sprintf("all %d outputs at slack %.3f\n", len(slacks), min)
-	}
-	counts := make([]int, buckets)
-	for _, s := range slacks {
-		b := int((s - min) / width)
-		if b >= buckets {
-			b = buckets - 1
-		}
-		counts[b]++
-	}
-	out := ""
-	for b := 0; b < buckets; b++ {
-		out += fmt.Sprintf("[%8.3f, %8.3f): %d\n", min+float64(b)*width, min+float64(b+1)*width, counts[b])
-	}
-	return out
 }

@@ -1,9 +1,7 @@
 package sta
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"dagcover/internal/bench"
@@ -116,29 +114,5 @@ func TestWorstPaths(t *testing.T) {
 		if !found {
 			t.Errorf("path cells %d and %d not connected", i, i+1)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	nl := mapped(t)
-	rep, err := Analyze(nl, genlib.IntrinsicDelay{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := Histogram(rep, nl, 4)
-	if !strings.Contains(h, ")") || len(strings.Split(strings.TrimSpace(h), "\n")) == 0 {
-		t.Errorf("histogram malformed:\n%s", h)
-	}
-	// Total counted outputs equals the number of ports.
-	total := 0
-	for _, line := range strings.Split(strings.TrimSpace(h), "\n") {
-		var lo, hi float64
-		var n int
-		if _, err := fmt.Sscanf(line, "[%f, %f): %d", &lo, &hi, &n); err == nil {
-			total += n
-		}
-	}
-	if total != len(nl.Outputs) {
-		t.Errorf("histogram counted %d outputs, want %d\n%s", total, len(nl.Outputs), h)
 	}
 }

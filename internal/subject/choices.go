@@ -110,10 +110,10 @@ func FromNetworkWithChoices(nw *network.Network) (*Graph, *Choices, error) {
 		fn := n.Func
 		for _, fi := range n.Fanins {
 			if c, isConst := constOf[fi]; isConst {
-				fn = substitute(fn, fi.Name, c)
+				fn = logic.Substitute(fn, fi.Name, c)
 			}
 		}
-		fn = simplify(fn)
+		fn = logic.Fold(fn)
 		if fn.Op == logic.OpConst {
 			constOf[n] = fn
 			continue

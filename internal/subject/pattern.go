@@ -115,12 +115,3 @@ func CompileLibrary(lib *genlib.Library, opt CompileOptions) (patterns []*Patter
 	}
 	return patterns, skipped, nil
 }
-
-// TotalPatternNodes sums pattern sizes (the p of the O(s*p) bound).
-func TotalPatternNodes(pats []*Pattern) int {
-	t := 0
-	for _, p := range pats {
-		t += p.Size
-	}
-	return t
-}

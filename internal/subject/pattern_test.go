@@ -76,11 +76,9 @@ func TestCompileLibrary443(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := TotalPatternNodes(pats)
-	if total <= 0 {
-		t.Fatal("no pattern nodes")
+	if len(pats) == 0 {
+		t.Fatal("no patterns")
 	}
-	t.Logf("44-3: %d patterns, %d total pattern nodes (p)", len(pats), total)
 	// The 16-input AOI must decompose within depth ~6.
 	for _, p := range pats {
 		if p.Gate.Name == "aoi4444" {

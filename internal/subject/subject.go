@@ -644,10 +644,10 @@ func FromNetworkChained(nw *network.Network, chain bool) (*Graph, error) {
 		fn := n.Func
 		for _, fi := range n.Fanins {
 			if c, isConst := constOf[fi]; isConst {
-				fn = substitute(fn, fi.Name, c)
+				fn = logic.Substitute(fn, fi.Name, c)
 			}
 		}
-		fn = simplify(fn)
+		fn = logic.Fold(fn)
 		if fn.Op == logic.OpConst {
 			constOf[n] = fn
 			continue
@@ -679,47 +679,6 @@ func FromNetworkChained(nw *network.Network, chain bool) (*Graph, error) {
 		g.MarkOutput(l.Input.Name, sn)
 	}
 	return g, nil
-}
-
-// substitute replaces variable v with expression rep in e.
-func substitute(e *logic.Expr, v string, rep *logic.Expr) *logic.Expr {
-	if e.Op == logic.OpVar {
-		if e.Var == v {
-			return rep.Clone()
-		}
-		return e
-	}
-	c := &logic.Expr{Op: e.Op, Var: e.Var, Const: e.Const}
-	c.Kids = make([]*logic.Expr, len(e.Kids))
-	for i, k := range e.Kids {
-		c.Kids[i] = substitute(k, v, rep)
-	}
-	return c
-}
-
-// simplify rebuilds e through the folding constructors, propagating
-// constants.
-func simplify(e *logic.Expr) *logic.Expr {
-	switch e.Op {
-	case logic.OpConst, logic.OpVar:
-		return e
-	case logic.OpNot:
-		return logic.Not(simplify(e.Kids[0]))
-	case logic.OpAnd, logic.OpOr, logic.OpXor:
-		kids := make([]*logic.Expr, len(e.Kids))
-		for i, k := range e.Kids {
-			kids[i] = simplify(k)
-		}
-		switch e.Op {
-		case logic.OpAnd:
-			return logic.And(kids...)
-		case logic.OpOr:
-			return logic.Or(kids...)
-		default:
-			return logic.Xor(kids...)
-		}
-	}
-	return e
 }
 
 // Eval evaluates every node of the graph on 64 packed input vectors
