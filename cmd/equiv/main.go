@@ -52,7 +52,7 @@ func run(goldenPath, candPath, libName string) error {
 		cand, err = dagcover.ParseBLIF(cf)
 	} else {
 		var lib *dagcover.Library
-		lib, err = loadLibrary(libName)
+		lib, err = dagcover.OpenLibrary(libName)
 		if err != nil {
 			return err
 		}
@@ -62,21 +62,4 @@ func run(goldenPath, candPath, libName string) error {
 		return fmt.Errorf("%s: %v", candPath, err)
 	}
 	return dagcover.VerifyNetworks(golden, cand)
-}
-
-func loadLibrary(name string) (*dagcover.Library, error) {
-	switch name {
-	case "lib2":
-		return dagcover.Lib2(), nil
-	case "44-1":
-		return dagcover.Lib441(), nil
-	case "44-3":
-		return dagcover.Lib443(), nil
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, fmt.Errorf("library %q is not built in and could not be opened: %v", name, err)
-	}
-	defer f.Close()
-	return dagcover.LoadLibrary(name, f)
 }

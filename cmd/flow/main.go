@@ -45,7 +45,7 @@ func main() {
 }
 
 func run(path, libName, delayName string, useChoices, useBalance, useSizing bool, maxFanout int, output string) error {
-	lib, err := loadLibrary(libName)
+	lib, err := dagcover.OpenLibrary(libName)
 	if err != nil {
 		return err
 	}
@@ -187,21 +187,4 @@ func run(path, libName, delayName string, useChoices, useBalance, useSizing bool
 		fmt.Printf("[8] wrote %s\n", output)
 	}
 	return nil
-}
-
-func loadLibrary(name string) (*dagcover.Library, error) {
-	switch name {
-	case "lib2":
-		return dagcover.Lib2(), nil
-	case "44-1":
-		return dagcover.Lib441(), nil
-	case "44-3":
-		return dagcover.Lib443(), nil
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, fmt.Errorf("library %q is not built in and could not be opened: %v", name, err)
-	}
-	defer f.Close()
-	return dagcover.LoadLibrary(name, f)
 }

@@ -37,17 +37,12 @@ func main() {
 			XorFamily:    *xor,
 		})
 	} else {
-		switch *libName {
-		case "lib2":
-			lib = dagcover.Lib2()
-		case "44-1":
-			lib = dagcover.Lib441()
-		case "44-3":
-			lib = dagcover.Lib443()
-		default:
+		build, ok := dagcover.BuiltinLibrary(*libName)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "libgen: unknown library %q\n", *libName)
 			os.Exit(1)
 		}
+		lib = build()
 	}
 
 	out := os.Stdout

@@ -201,8 +201,8 @@ func main() {
 		report.Sync.Supergate, report.Sync.SGHits,
 		report.Sync.P50Millis, report.Sync.P99Millis,
 		report.Jobs.Done, report.Jobs.PerSecond, report.ShedRate)
-	log.Printf("loadgen: result cache: %.4f hit rate (%d mem / %d disk / %d coalesced vs %d miss); hit-path p50 %.2fms p99 %.2fms, miss-path p50 %.2fms p99 %.2fms",
-		report.Sync.HitRate, report.Sync.ResultHitMem, report.Sync.ResultHitDisk, report.Sync.ResultCoalesced, report.Sync.ResultMiss,
+	log.Printf("loadgen: result cache: %.4f hit rate (%d mem / %d disk vs %d miss); hit-path p50 %.2fms p99 %.2fms, miss-path p50 %.2fms p99 %.2fms",
+		report.Sync.HitRate, report.Sync.ResultHitMem, report.Sync.ResultHitDisk, report.Sync.ResultMiss,
 		report.Sync.HitP50Millis, report.Sync.HitP99Millis, report.Sync.MissP50Millis, report.Sync.MissP99Millis)
 	if !report.Pass {
 		for _, b := range report.Breaches {
@@ -318,12 +318,6 @@ func runSync(client *http.Client, addr string, op syncOp, gzipMin int, mu *sync.
 		case "hit-disk":
 			c.syncHitDisk++
 			c.hitLatencyMillis = append(c.hitLatencyMillis, ms)
-		case "coalesced":
-			// No duplicate work happened (it counts toward the hit
-			// rate), but the request still waited out a full engine run,
-			// so its latency belongs with the miss path.
-			c.syncCoalesced++
-			c.missLatencyMillis = append(c.missLatencyMillis, ms)
 		default:
 			// "miss", or absent (result caching off / older server):
 			// either way the engine (or nothing cached) served it.

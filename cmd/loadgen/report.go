@@ -26,8 +26,8 @@ type SLO struct {
 	// succeeded: sync requests (excluding sheds, which MaxShedRate
 	// governs) and the items of submitted jobs together.
 	MinOKRate float64 `json:"min_ok_rate,omitempty"`
-	// MinHitRate bounds the result-cache hit rate (hit-mem + hit-disk +
-	// coalesced over successful sync requests) from below. 0 disables.
+	// MinHitRate bounds the result-cache hit rate (hit-mem + hit-disk
+	// over successful sync requests) from below. 0 disables.
 	MinHitRate float64 `json:"min_hit_rate,omitempty"`
 	// MinHitSpeedup demands the miss-path p99 be at least this many
 	// times the hit-path p99 — the cache must actually buy latency, not
@@ -56,17 +56,16 @@ type Report struct {
 		// Result-cache classification of successful requests, from each
 		// response's result_cache field. The latency quantiles split by
 		// serving path: hit quantiles cover responses replayed from cache
-		// memory or disk, miss quantiles cover responses that waited on
-		// an engine run — misses and coalesced followers alike.
-		ResultHitMem    int     `json:"result_hit_mem"`
-		ResultHitDisk   int     `json:"result_hit_disk"`
-		ResultCoalesced int     `json:"result_coalesced"`
-		ResultMiss      int     `json:"result_miss"`
-		HitRate         float64 `json:"hit_rate"`
-		HitP50Millis    float64 `json:"hit_p50_ms"`
-		HitP99Millis    float64 `json:"hit_p99_ms"`
-		MissP50Millis   float64 `json:"miss_p50_ms"`
-		MissP99Millis   float64 `json:"miss_p99_ms"`
+		// memory or disk, miss quantiles cover responses that ran the
+		// engine.
+		ResultHitMem  int     `json:"result_hit_mem"`
+		ResultHitDisk int     `json:"result_hit_disk"`
+		ResultMiss    int     `json:"result_miss"`
+		HitRate       float64 `json:"hit_rate"`
+		HitP50Millis  float64 `json:"hit_p50_ms"`
+		HitP99Millis  float64 `json:"hit_p99_ms"`
+		MissP50Millis float64 `json:"miss_p50_ms"`
+		MissP99Millis float64 `json:"miss_p99_ms"`
 	} `json:"sync"`
 
 	Jobs struct {
@@ -126,9 +125,9 @@ type counters struct {
 
 	// Result-cache classification: per-tier counts plus the latency
 	// samples split by serving path (hit = replayed from cache, miss =
-	// waited on an engine run, which includes coalesced followers).
-	syncHitMem, syncHitDisk, syncCoalesced, syncMiss int
-	hitLatencyMillis, missLatencyMillis              []float64
+	// ran the engine).
+	syncHitMem, syncHitDisk, syncMiss   int
+	hitLatencyMillis, missLatencyMillis []float64
 
 	jobsSubmitted, jobsDone, jobsFailed, jobsShed int
 	jobItems, jobItemsOK, streamRecords           int
@@ -155,10 +154,9 @@ func buildReport(target string, seed int64, rps float64, elapsed time.Duration, 
 	r.Sync.MaxMillis = quantile(c.syncLatencyMillis, 1)
 	r.Sync.ResultHitMem = c.syncHitMem
 	r.Sync.ResultHitDisk = c.syncHitDisk
-	r.Sync.ResultCoalesced = c.syncCoalesced
 	r.Sync.ResultMiss = c.syncMiss
 	if c.syncOK > 0 {
-		r.Sync.HitRate = float64(c.syncHitMem+c.syncHitDisk+c.syncCoalesced) / float64(c.syncOK)
+		r.Sync.HitRate = float64(c.syncHitMem+c.syncHitDisk) / float64(c.syncOK)
 	}
 	r.Sync.HitP50Millis = quantile(c.hitLatencyMillis, 0.50)
 	r.Sync.HitP99Millis = quantile(c.hitLatencyMillis, 0.99)
@@ -215,7 +213,7 @@ func (s SLO) breaches(r *Report) []string {
 	}
 	if s.MinHitSpeedup > 0 {
 		switch {
-		case r.Sync.ResultMiss+r.Sync.ResultCoalesced == 0 || r.Sync.ResultHitMem+r.Sync.ResultHitDisk == 0:
+		case r.Sync.ResultMiss == 0 || r.Sync.ResultHitMem+r.Sync.ResultHitDisk == 0:
 			out = append(out, "hit-speedup gate set but the run lacks both hit-path and miss-path samples")
 		case r.Sync.HitP99Millis <= 0:
 			// A hit path too fast to measure trivially satisfies any

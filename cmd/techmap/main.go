@@ -105,7 +105,7 @@ func run(ctx context.Context, cfg *config) error {
 	if cfg.tracePath != "" {
 		tr = dagcover.NewTrace()
 	}
-	lib, err := loadLibrary(cfg.libName)
+	lib, err := dagcover.OpenLibrary(cfg.libName)
 	if err != nil {
 		return err
 	}
@@ -266,21 +266,4 @@ func writeStatsJSON(path string, report *dagcover.MapReport) error {
 	}
 	fmt.Printf("  stats:         %s\n", path)
 	return nil
-}
-
-func loadLibrary(name string) (*dagcover.Library, error) {
-	switch name {
-	case "lib2":
-		return dagcover.Lib2(), nil
-	case "44-1":
-		return dagcover.Lib441(), nil
-	case "44-3":
-		return dagcover.Lib443(), nil
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, fmt.Errorf("library %q is not built in and could not be opened: %v", name, err)
-	}
-	defer f.Close()
-	return dagcover.LoadLibrary(name, f)
 }

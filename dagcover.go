@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 
@@ -105,6 +106,33 @@ var (
 func Lib2() *Library   { return libgen.Lib2() }
 func Lib441() *Library { return libgen.Lib441() }
 func Lib443() *Library { return libgen.Lib443() }
+
+// builtinLibraries is the one table of built-in libraries by name.
+var builtinLibraries = map[string]func() *Library{"lib2": Lib2, "44-1": Lib441, "44-3": Lib443}
+
+// BuiltinLibrary looks up a built-in library by name (lib2, 44-1 or
+// 44-3). It returns the library's constructor, each call of which
+// builds a fresh copy, so checking a name builds nothing; ok is false
+// when no built-in has that name.
+func BuiltinLibrary(name string) (build func() *Library, ok bool) {
+	build, ok = builtinLibraries[name]
+	return build, ok
+}
+
+// OpenLibrary returns the built-in library called name, or else parses
+// the genlib file at path name. It is how the command-line tools read
+// their -lib flag.
+func OpenLibrary(name string) (*Library, error) {
+	if build, ok := BuiltinLibrary(name); ok {
+		return build(), nil
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, fmt.Errorf("library %q is not built in and could not be opened: %v", name, err)
+	}
+	defer f.Close()
+	return LoadLibrary(name, f)
+}
 
 // LoadLibrary parses a genlib library.
 func LoadLibrary(name string, r io.Reader) (*Library, error) { return genlib.Parse(name, r) }
@@ -613,17 +641,6 @@ func ExpandSupergates(lib *Library, opt SupergateOptions) (*Library, SupergateSt
 		return nil, SupergateStats{}, err
 	}
 	return res.Library, res.Stats, nil
-}
-
-// CompileLibraryWithSupergates expands lib with supergates and
-// compiles the enriched library for concurrent reuse:
-// ExpandSupergates followed by CompileLibrary.
-func CompileLibraryWithSupergates(lib *Library, opt SupergateOptions) (*CompiledLibrary, error) {
-	expanded, _, err := ExpandSupergates(lib, opt)
-	if err != nil {
-		return nil, err
-	}
-	return CompileLibrary(expanded)
 }
 
 // ArtifactStore is a persistent content-addressed artifact store: a

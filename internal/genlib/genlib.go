@@ -72,19 +72,10 @@ type Gate struct {
 	Output string
 	Expr   *logic.Expr
 	Pins   []Pin
-	pinIdx map[string]int
 }
 
 // NumInputs returns the number of input pins.
 func (g *Gate) NumInputs() int { return len(g.Pins) }
-
-// PinIndex returns the index of the named pin, or -1.
-func (g *Gate) PinIndex(name string) int {
-	if i, ok := g.pinIdx[name]; ok {
-		return i
-	}
-	return -1
-}
 
 // Formals returns the ordered input pin names.
 func (g *Gate) Formals() []string {
@@ -93,18 +84,6 @@ func (g *Gate) Formals() []string {
 		out[i] = p.Name
 	}
 	return out
-}
-
-// MaxIntrinsic returns the largest intrinsic delay over all pins (the
-// gate delay under the unit-ish worst-pin view); 0 for constant gates.
-func (g *Gate) MaxIntrinsic() float64 {
-	max := 0.0
-	for _, p := range g.Pins {
-		if d := p.Intrinsic(); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Library is an ordered collection of gates.
@@ -130,15 +109,15 @@ func (l *Library) Add(g *Gate) error {
 	if g.Expr == nil {
 		return fmt.Errorf("genlib: gate %q has no function", g.Name)
 	}
-	g.pinIdx = map[string]int{}
-	for i, p := range g.Pins {
-		if _, dup := g.pinIdx[p.Name]; dup {
+	pins := make(map[string]bool, len(g.Pins))
+	for _, p := range g.Pins {
+		if pins[p.Name] {
 			return fmt.Errorf("genlib: gate %q has duplicate pin %q", g.Name, p.Name)
 		}
-		g.pinIdx[p.Name] = i
+		pins[p.Name] = true
 	}
 	for _, v := range g.Expr.Vars() {
-		if _, ok := g.pinIdx[v]; !ok {
+		if !pins[v] {
 			return fmt.Errorf("genlib: gate %q uses input %q with no PIN record", g.Name, v)
 		}
 	}
@@ -158,10 +137,6 @@ func (l *Library) GateFunc(name string) (*logic.Expr, []string, bool) {
 	}
 	return g.Expr, g.Formals(), true
 }
-
-// Inverter returns the minimum-area inverter gate, or nil if the
-// library has none.
-func (l *Library) Inverter() *Gate { return l.cheapest("!a") }
 
 // Nand2 returns the minimum-area 2-input NAND gate, or nil.
 func (l *Library) Nand2() *Gate { return l.cheapest("!(a*b)") }

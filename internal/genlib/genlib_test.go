@@ -7,6 +7,31 @@ import (
 	"dagcover/internal/logic"
 )
 
+// pinIndex returns the index of g's named pin, or -1.
+func pinIndex(g *Gate, name string) int {
+	for i, p := range g.Pins {
+		if p.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// maxIntrinsic returns the largest intrinsic delay over g's pins (the
+// gate delay under the worst-pin view); 0 for constant gates.
+func maxIntrinsic(g *Gate) float64 {
+	max := 0.0
+	for _, p := range g.Pins {
+		if d := p.Intrinsic(); d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// inverter returns l's minimum-area inverter gate, or nil.
+func inverter(l *Library) *Gate { return l.cheapest("!a") }
+
 const sampleLib = `
 # a tiny library
 GATE inv1 1.0 O=!a;
@@ -50,14 +75,14 @@ func TestParseLibrary(t *testing.T) {
 	if nand.NumInputs() != 2 {
 		t.Fatalf("PIN * expansion failed: %d pins", nand.NumInputs())
 	}
-	if nand.PinIndex("b") != 1 || nand.PinIndex("zz") != -1 {
-		t.Errorf("PinIndex wrong")
+	if pinIndex(nand, "b") != 1 || pinIndex(nand, "zz") != -1 {
+		t.Errorf("pinIndex wrong")
 	}
 	aoi := lib.Gate("aoi21")
-	if got := aoi.Pins[aoi.PinIndex("c")].Intrinsic(); got != 0.7 {
+	if got := aoi.Pins[pinIndex(aoi, "c")].Intrinsic(); got != 0.7 {
 		t.Errorf("aoi21 c intrinsic = %v", got)
 	}
-	if got := aoi.MaxIntrinsic(); got != 0.9 {
+	if got := maxIntrinsic(aoi); got != 0.9 {
 		t.Errorf("aoi21 max intrinsic = %v", got)
 	}
 	zero := lib.Gate("zero")
@@ -124,8 +149,8 @@ func TestGateFuncResolver(t *testing.T) {
 
 func TestSpecialGateLookup(t *testing.T) {
 	lib := parseSample(t)
-	if g := lib.Inverter(); g == nil || g.Name != "inv1" {
-		t.Errorf("Inverter = %v", g)
+	if g := inverter(lib); g == nil || g.Name != "inv1" {
+		t.Errorf("inverter = %v", g)
 	}
 	if g := lib.Nand2(); g == nil || g.Name != "nand2" {
 		t.Errorf("Nand2 = %v", g)
@@ -143,7 +168,7 @@ GATE invB 0.5 O=!x;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := lib2.Inverter(); g.Name != "invB" {
+	if g := inverter(lib2); g.Name != "invB" {
 		t.Errorf("cheapest inverter = %v", g.Name)
 	}
 }

@@ -49,7 +49,7 @@ func TestParseMutationRobustness(t *testing.T) {
 						t.Fatalf("accepted library has inconsistent gate %q", g.Name)
 					}
 					for _, v := range g.Expr.Vars() {
-						if g.PinIndex(v) < 0 {
+						if pinIndex(g, v) < 0 {
 							t.Fatalf("accepted gate %q misses pin %q", g.Name, v)
 						}
 					}

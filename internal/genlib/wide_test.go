@@ -54,12 +54,12 @@ func TestWideGateConstruction(t *testing.T) {
 			if want := fmt.Sprintf("p%02d", i); name != want {
 				t.Errorf("formal %d = %q, want %q (pin order not preserved)", i, name, want)
 			}
-			if got := g.PinIndex(name); got != i {
-				t.Errorf("PinIndex(%q) = %d, want %d", name, got, i)
+			if got := pinIndex(g, name); got != i {
+				t.Errorf("pinIndex(%q) = %d, want %d", name, got, i)
 			}
 		}
 		// Pin-delay ordering: pin i's intrinsic is 1.0 + i/10, strictly
-		// increasing, and MaxIntrinsic sees the last pin.
+		// increasing, and maxIntrinsic sees the last pin.
 		dm := IntrinsicDelay{}
 		for i := 0; i < n; i++ {
 			want := 1.0 + float64(i)/10
@@ -70,8 +70,8 @@ func TestWideGateConstruction(t *testing.T) {
 				t.Errorf("pin delays not increasing at %d", i)
 			}
 		}
-		if got, want := g.MaxIntrinsic(), 1.0+float64(n-1)/10; got != want {
-			t.Errorf("MaxIntrinsic = %v, want %v", got, want)
+		if got, want := maxIntrinsic(g), 1.0+float64(n-1)/10; got != want {
+			t.Errorf("maxIntrinsic = %v, want %v", got, want)
 		}
 	}
 }

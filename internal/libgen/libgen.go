@@ -399,7 +399,7 @@ func Supergates(base *genlib.Library, maxInputs int, discount float64) *genlib.L
 		if g.NumInputs() == 0 {
 			continue
 		}
-		// Copy the base gate (fresh pinIdx via Add).
+		// Copy the base gate, so the expansion shares no gate with base.
 		cp := &genlib.Gate{Name: g.Name, Area: g.Area, Output: g.Output,
 			Expr: g.Expr.Clone(), Pins: append([]genlib.Pin(nil), g.Pins...)}
 		addGate(cp)

@@ -9,12 +9,38 @@ import (
 	"dagcover/internal/logic"
 )
 
+// hasInverter reports whether lib has a one-input gate computing the
+// complement of its input.
+func hasInverter(lib *genlib.Library) bool {
+	for _, g := range lib.Gates {
+		if g.NumInputs() != 1 {
+			continue
+		}
+		eq, err := logic.Equivalent(g.Expr.Rename(map[string]string{g.Pins[0].Name: "a"}), logic.MustParse("!a"))
+		if err == nil && eq {
+			return true
+		}
+	}
+	return false
+}
+
+// maxIntrinsic returns the largest intrinsic delay over g's pins.
+func maxIntrinsic(g *genlib.Gate) float64 {
+	max := 0.0
+	for _, p := range g.Pins {
+		if d := p.Intrinsic(); d > max {
+			max = d
+		}
+	}
+	return max
+}
+
 func TestLib2Contents(t *testing.T) {
 	lib := Lib2()
 	if len(lib.Gates) != 26 {
 		t.Errorf("lib2 gates = %d, want 26", len(lib.Gates))
 	}
-	if lib.Inverter() == nil || lib.Nand2() == nil || lib.Buffer() == nil {
+	if !hasInverter(lib) || lib.Nand2() == nil || lib.Buffer() == nil {
 		t.Fatal("lib2 missing inv/nand2/buf")
 	}
 	// Every gate function must mention every pin.
@@ -22,7 +48,7 @@ func TestLib2Contents(t *testing.T) {
 		if len(g.Expr.Vars()) != g.NumInputs() {
 			t.Errorf("gate %q: %d vars vs %d pins", g.Name, len(g.Expr.Vars()), g.NumInputs())
 		}
-		if g.MaxIntrinsic() <= 0 {
+		if maxIntrinsic(g) <= 0 {
 			t.Errorf("gate %q has no delay", g.Name)
 		}
 		if g.Area <= 0 {
@@ -34,9 +60,9 @@ func TestLib2Contents(t *testing.T) {
 	aoi := lib.Gate("aoi21")
 	nand := lib.Gate("nand2")
 	inv := lib.Gate("inv")
-	if aoi.MaxIntrinsic() >= nand.MaxIntrinsic()+inv.MaxIntrinsic() {
+	if maxIntrinsic(aoi) >= maxIntrinsic(nand)+maxIntrinsic(inv) {
 		t.Errorf("aoi21 (%v) not faster than nand2+inv (%v)",
-			aoi.MaxIntrinsic(), nand.MaxIntrinsic()+inv.MaxIntrinsic())
+			maxIntrinsic(aoi), maxIntrinsic(nand)+maxIntrinsic(inv))
 	}
 }
 

@@ -83,7 +83,7 @@ func randomBuild(rng *rand.Rand, fault string) (*Builder, *Netlist) {
 		case r == 0 && i < len(ports):
 			out = ports[i]
 		case r == 1:
-			out = b.NameNet(fmt.Sprintf("n%d", rng.Intn(4)))
+			out = nameNet(b, fmt.Sprintf("n%d", rng.Intn(4)))
 		default:
 			out = fresh()
 		}

@@ -43,7 +43,7 @@ func fanoutSample(t *testing.T, sinks int) *Netlist {
 	}
 	b.AddCell(lib.Gate("inv"), []string{"a"}, "hot")
 	for i := 0; i < sinks; i++ {
-		b.AddCell(lib.Gate("nand2"), []string{"hot", "c"}, b.NameNet("o"+itoa(i)))
+		b.AddCell(lib.Gate("nand2"), []string{"hot", "c"}, nameNet(b, "o"+itoa(i)))
 		b.MarkOutput("po"+itoa(i), "o"+itoa(i))
 	}
 	nl, err := b.Netlist()

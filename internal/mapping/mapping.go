@@ -299,12 +299,12 @@ type Net int32
 // Nets are dense IDs. Each ID has exactly one name and each name at
 // most one ID, so a netlist built by ID is the same netlist a caller
 // would get naming every net itself. The string methods (AddInput,
-// FreshNet, NameNet, AddCell, MarkOutput) are thin wrappers that
-// resolve names to IDs.
+// FreshNet, AddCell, MarkOutput) are thin wrappers that resolve names
+// to IDs.
 //
 // Per-net state lives in slices indexed by ID. The ids map holds only
-// names the caller chose (inputs, reserved ports, NameNet claims, nets
-// referenced by name); generated "w<k>" names never enter it — the
+// names the caller chose (inputs, reserved ports, nets referenced by
+// name); generated "w<k>" names never enter it — the
 // monotone counter covers them, and isGenerated tells whether a name
 // collides with an already-issued one. A million-cell netlist thus
 // costs the builder a few hundred map entries instead of millions.
@@ -492,16 +492,6 @@ func (b *Builder) NewNet() Net {
 // FreshNet returns a new unique net name.
 func (b *Builder) FreshNet() string { return b.names[b.NewNet()] }
 
-// NameNet returns name if it is still free (and claims it), otherwise
-// a fresh net.
-func (b *Builder) NameNet(name string) string {
-	if name != "" && !b.taken(name) {
-		b.claimed[b.net(name)] = true
-		return name
-	}
-	return b.FreshNet()
-}
-
 // AddCellNets appends a gate instance reading the input nets in pin
 // order and driving output, and checks it against the nets driven so
 // far. The inputs slice is copied; the caller may reuse it.
@@ -547,8 +537,8 @@ func (b *Builder) pins(n int) []string {
 }
 
 // AddCell appends a gate instance driving the given output net. The
-// output net must have been obtained from FreshNet/NameNet or be
-// otherwise unused.
+// output net must have been obtained from FreshNet or be otherwise
+// unused.
 func (b *Builder) AddCell(g *genlib.Gate, inputs []string, output string) *Cell {
 	b.inputs = b.inputs[:0]
 	for _, in := range inputs {

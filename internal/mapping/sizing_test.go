@@ -72,7 +72,7 @@ func buildSizedSample(t *testing.T, sinks int) *Netlist {
 	}
 	b.AddCell(sized.Gate("inv_x1"), []string{"a"}, "hot")
 	for i := 0; i < sinks; i++ {
-		net := b.NameNet("o" + itoa(i))
+		net := nameNet(b, "o"+itoa(i))
 		b.AddCell(sized.Gate("nand2_x1"), []string{"hot", "c"}, net)
 		b.MarkOutput("po"+itoa(i), net)
 	}

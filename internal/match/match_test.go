@@ -91,7 +91,15 @@ func TestAOIMatchStructure(t *testing.T) {
 	}
 	// Pins a,b -> {x,y}; pin c -> z.
 	gate := aoi.Pattern.Gate
-	pinOf := func(name string) subject.Node { return aoi.Leaves[gate.PinIndex(name)] }
+	pinOf := func(name string) subject.Node {
+		for i, p := range gate.Pins {
+			if p.Name == name {
+				return aoi.Leaves[i]
+			}
+		}
+		t.Fatalf("aoi21 has no pin %q", name)
+		return 0
+	}
 	if pinOf("c") != z {
 		t.Errorf("pin c bound to %v, want z", pinOf("c"))
 	}

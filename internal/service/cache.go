@@ -7,13 +7,13 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"dagcover"
 )
 
-// Cache is the compiled-library cache: one dagcover.CompiledLibrary
-// per distinct library content, compiled at most once no matter how
-// many requests race on the same key. Keys are content-addressed —
+// Cache is the compiled-library cache: one resolved library (the
+// dagcover.CompiledLibrary, and for a supergate expansion through the
+// artifact store the artifact's identity) per distinct library
+// content, compiled at most once no matter how many requests race on
+// the same key. Keys are content-addressed —
 // "builtin:<name>" for the built-in libraries, "sha256:<hex>" for
 // uploaded genlib text — so two uploads of byte-identical genlib share
 // one compilation and a changed upload can never alias a stale entry.
@@ -35,10 +35,10 @@ type Cache struct {
 
 type cacheEntry struct {
 	once sync.Once
-	cl   *dagcover.CompiledLibrary
+	lib  library
 	err  error
-	// done publishes cl to readers that did not run once.Do (the
-	// atomic store/load pair orders the cl write before any Entries
+	// done publishes lib to readers that did not run once.Do (the
+	// atomic store/load pair orders the lib write before any Entries
 	// read).
 	done atomic.Bool
 }
@@ -63,12 +63,14 @@ func HashGenlib(text string) string {
 // BuiltinKey returns the cache key for a built-in library name.
 func BuiltinKey(name string) string { return "builtin:" + name }
 
-// Get returns the compiled library for key, invoking compile at most
-// once per key across all concurrent callers. hit reports whether the
-// entry already existed when this caller looked it up (waiting on a
-// compile another request started still counts as a hit: no work was
-// duplicated).
-func (c *Cache) Get(key string, compile func() (*dagcover.CompiledLibrary, error)) (cl *dagcover.CompiledLibrary, hit bool, err error) {
+// Get returns the library for key, invoking compile at most once per
+// key across all concurrent callers. The returned library's hit field
+// reports whether the entry already existed when this caller looked it
+// up (waiting on a compile another request started still counts as a
+// hit: no work was duplicated). Everything else about it is what
+// compile returned, so an uncached compile (cache full) still carries
+// its own artifact identity.
+func (c *Cache) Get(key string, compile func() (library, error)) (library, error) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
 	c.mu.RUnlock()
@@ -81,15 +83,18 @@ func (c *Cache) Get(key string, compile func() (*dagcover.CompiledLibrary, error
 				// Cache full: compile uncached rather than grow.
 				c.misses.Add(1)
 				c.compiles.Add(1)
-				cl, err = compile()
-				return cl, false, err
+				lib, err := compile()
+				if err != nil {
+					return library{}, fmt.Errorf("library compile: %w", err)
+				}
+				return lib, nil
 			}
 			e = &cacheEntry{}
 			c.entries[key] = e
 		}
 		c.mu.Unlock()
 	}
-	hit = ok
+	hit := ok
 	if hit {
 		c.hits.Add(1)
 	} else {
@@ -97,7 +102,7 @@ func (c *Cache) Get(key string, compile func() (*dagcover.CompiledLibrary, error
 	}
 	e.once.Do(func() {
 		c.compiles.Add(1)
-		e.cl, e.err = compile()
+		e.lib, e.err = compile()
 		if e.err == nil {
 			e.done.Store(true)
 		}
@@ -112,9 +117,11 @@ func (c *Cache) Get(key string, compile func() (*dagcover.CompiledLibrary, error
 		}
 	})
 	if e.err != nil {
-		return nil, hit, fmt.Errorf("library compile: %w", e.err)
+		return library{}, fmt.Errorf("library compile: %w", e.err)
 	}
-	return e.cl, hit, nil
+	lib := e.lib
+	lib.hit = hit
+	return lib, nil
 }
 
 // EntryInfo is the /stats view of one cached compiled library: how
@@ -146,11 +153,12 @@ func (c *Cache) Entries() []EntryInfo {
 		if !p.e.done.Load() {
 			continue
 		}
+		cl := p.e.lib.cl
 		out = append(out, EntryInfo{
 			Key:      p.key,
-			Library:  p.e.cl.Library().Name,
-			Gates:    p.e.cl.NumGates(),
-			Patterns: p.e.cl.NumPatterns(),
+			Library:  cl.Library().Name,
+			Gates:    cl.NumGates(),
+			Patterns: cl.NumPatterns(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

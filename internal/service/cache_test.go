@@ -9,12 +9,18 @@ import (
 	"dagcover"
 )
 
+// compile441 is a Cache.Get compile function for the built-in 44-1.
+func compile441() (library, error) {
+	cl, err := dagcover.CompileLibrary(dagcover.Lib441())
+	return library{cl: cl}, err
+}
+
 func TestCacheCompilesOncePerKey(t *testing.T) {
 	c := NewCache(0)
 	var calls atomic.Int32
-	compile := func() (*dagcover.CompiledLibrary, error) {
+	compile := func() (library, error) {
 		calls.Add(1)
-		return dagcover.CompileLibrary(dagcover.Lib441())
+		return compile441()
 	}
 	const workers = 16
 	var wg sync.WaitGroup
@@ -23,11 +29,11 @@ func TestCacheCompilesOncePerKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl, _, err := c.Get("builtin:44-1", compile)
+			lib, err := c.Get("builtin:44-1", compile)
 			if err != nil {
 				t.Error(err)
 			}
-			cls[i] = cl
+			cls[i] = lib.cl
 		}(i)
 	}
 	wg.Wait()
@@ -48,38 +54,38 @@ func TestCacheCompilesOncePerKey(t *testing.T) {
 func TestCacheDropsFailedCompiles(t *testing.T) {
 	c := NewCache(0)
 	boom := errors.New("boom")
-	_, _, err := c.Get("k", func() (*dagcover.CompiledLibrary, error) { return nil, boom })
+	_, err := c.Get("k", func() (library, error) { return library{}, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("failed compile was cached (len %d)", c.Len())
 	}
-	cl, hit, err := c.Get("k", func() (*dagcover.CompiledLibrary, error) {
-		return dagcover.CompileLibrary(dagcover.Lib441())
-	})
-	if err != nil || cl == nil || hit {
-		t.Fatalf("retry after failure: cl=%v hit=%v err=%v", cl, hit, err)
+	lib, err := c.Get("k", compile441)
+	if err != nil || lib.cl == nil || lib.hit {
+		t.Fatalf("retry after failure: cl=%v hit=%v err=%v", lib.cl, lib.hit, err)
 	}
 }
 
 func TestCacheBounded(t *testing.T) {
 	c := NewCache(1)
-	mk := func() (*dagcover.CompiledLibrary, error) {
-		return dagcover.CompileLibrary(dagcover.Lib441())
-	}
-	if _, _, err := c.Get("a", mk); err != nil {
+	if _, err := c.Get("a", compile441); err != nil {
 		t.Fatal(err)
 	}
 	// Over the bound: served, but not retained.
-	if _, _, err := c.Get("b", mk); err != nil {
+	if _, err := c.Get("b", compile441); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("cache grew past its bound: len %d", c.Len())
 	}
-	_, hit, err := c.Get("a", mk)
-	if err != nil || !hit {
-		t.Fatalf("bounded cache lost its retained entry: hit=%v err=%v", hit, err)
+	// An uncached compile fails with the same text as a cached one.
+	boom := errors.New("boom")
+	if _, err := c.Get("c", func() (library, error) { return library{}, boom }); !errors.Is(err, boom) || err.Error() != "library compile: boom" {
+		t.Fatalf("uncached compile error = %v, want library compile: boom", err)
+	}
+	lib, err := c.Get("a", compile441)
+	if err != nil || !lib.hit {
+		t.Fatalf("bounded cache lost its retained entry: hit=%v err=%v", lib.hit, err)
 	}
 }

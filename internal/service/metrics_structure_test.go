@@ -174,7 +174,6 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		"result_cache.mem_hits":         `mapd_result_cache_hits_total{tier="mem"}`,
 		"result_cache.disk_hits":        `mapd_result_cache_hits_total{tier="disk"}`,
 		"result_cache.misses":           "mapd_result_cache_misses_total",
-		"result_cache.coalesced":        "mapd_result_cache_coalesced_total",
 		"result_cache.stores":           "mapd_result_cache_stores_total",
 		"result_cache.store_errors":     "mapd_result_cache_store_errors_total",
 		"result_cache.entries":          "mapd_result_cache_entries",

@@ -72,7 +72,6 @@ func writeMetrics(b *strings.Builder, st *StatsSnapshot) {
 		sample(b, "mapd_result_cache_hits_total", labels{{"tier", "mem"}}, float64(rc.MemHits))
 		sample(b, "mapd_result_cache_hits_total", labels{{"tier", "disk"}}, float64(rc.DiskHits))
 		metric(b, "mapd_result_cache_misses_total", "counter", "Whole-result cache misses (engine runs that published a result).", float64(rc.Misses))
-		metric(b, "mapd_result_cache_coalesced_total", "counter", "Requests served by waiting on an identical concurrent request's run.", float64(rc.Coalesced))
 		metric(b, "mapd_result_cache_stores_total", "counter", "Mapping results published to the artifact store.", float64(rc.Stores))
 		metric(b, "mapd_result_cache_store_errors_total", "counter", "Result publications that failed (the response was still served).", float64(rc.StoreErrors))
 		metric(b, "mapd_result_cache_entries", "gauge", "Results held by the in-memory cache.", float64(rc.Entries))

@@ -19,9 +19,10 @@ import (
 // is deterministic — the same (subject graph, compiled library,
 // options) triple always emits a byte-identical netlist — so a mapping
 // *response* is a pure function of content-addressable inputs and can
-// be cached whole: ingest and digest come before admission, memory and
-// disk hits are served without a run slot, and concurrent identical
-// misses single-flight onto one engine run.
+// be cached whole: ingest and digest come before admission, and memory
+// and disk hits are served without a run slot. Every miss computes and
+// publishes on its own: N concurrent identical misses cost up to N
+// engine runs, bounded by admission, and publish the same bytes.
 
 // resultKind is the artifact-store object kind and key-format version
 // for cached mapping results. Bumping it (mapres5, ...) rotates every
@@ -38,10 +39,9 @@ const resultKind = "mapres5"
 
 // result_cache tiers reported in responses and access-log records.
 const (
-	resultHitMem    = "hit-mem"
-	resultHitDisk   = "hit-disk"
-	resultMiss      = "miss"
-	resultCoalesced = "coalesced"
+	resultHitMem  = "hit-mem"
+	resultHitDisk = "hit-disk"
+	resultMiss    = "miss"
 )
 
 // cachesResult is the one predicate for the pipeline's cache stages:
@@ -59,13 +59,6 @@ func (s *Server) cachesResult(req *MapRequest) bool {
 	return false
 }
 
-// builtinLibraries are the libraries a request may name.
-var builtinLibraries = map[string]func() *dagcover.Library{
-	"lib2": dagcover.Lib2,
-	"44-1": dagcover.Lib441,
-	"44-3": dagcover.Lib443,
-}
-
 // libraryCacheKey computes the compiled-library cache key for a
 // request without compiling anything: content hash for uploads,
 // name-derived key for built-ins, plus the normalized supergate-bounds
@@ -77,7 +70,7 @@ func libraryCacheKey(req *MapRequest) (string, error) {
 		key = HashGenlib(req.Genlib)
 	} else {
 		name := req.libraryName()
-		if builtinLibraries[name] == nil {
+		if _, ok := dagcover.BuiltinLibrary(name); !ok {
 			return "", fmt.Errorf("unknown library %q (built-ins: lib2, 44-1, 44-3; or upload genlib text)", name)
 		}
 		key = BuiltinKey(name)
@@ -255,20 +248,17 @@ func failed(status int, err error) outcome { return outcome{status: status, err:
 //     bytes, before any parsing;
 //  2. ingest, then the subject-graph digest;
 //  3. the memory tier, then the disk tier;
-//  4. compute: a coalescing flight, admission, library resolution and
-//     mapWith;
-//  5. publish to both tiers and the flight's followers.
+//  4. compute: admission, library resolution and mapWith;
+//  5. publish to both tiers.
 //
-// The cache stages (1, 3, 5, the digest and the flight) take part only
-// when cachesResult says so; otherwise they pass through. The library
-// key is checked first on every path that uses a library (all but
-// lut), so every path reports faults in one order: library key, BLIF,
-// then library compile and options. A batch item passes its batch's
-// library: it already holds the batch's admission slot, so it skips
-// admission and never joins a flight, since waiting on a /map leader
-// that needs the slot the batch holds could deadlock the pool. ctx is
-// the client's (or the job's) context; the request's timeout is applied
-// here.
+// The cache stages (1, 3, 5 and the digest) take part only when
+// cachesResult says so; otherwise they pass through. The library key is
+// checked first on every path that uses a library (all but lut), so
+// every path reports faults in one order: library key, BLIF, then
+// library compile and options. A batch item passes its batch's library:
+// it already holds the batch's admission slot, so it skips admission.
+// ctx is the client's (or the job's) context; the request's timeout is
+// applied here.
 func (s *Server) mapRequest(ctx context.Context, req *MapRequest, batch *library, ph *reqPhases) outcome {
 	mode := req.modeName()
 	ph.mode = mode
@@ -304,53 +294,14 @@ func (s *Server) mapRequest(ctx context.Context, req *MapRequest, batch *library
 		}
 	}
 	// Compute runs under the request's deadline, which also bounds the
-	// wait for a run slot or a leader. Hits never arm its timer.
+	// wait for a run slot. Hits never arm its timer.
 	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(req))
 	defer cancel()
+	out := s.compute(ctx, req, g, batch, ph)
 	if !cached {
-		return s.compute(ctx, req, g, batch, ph)
+		return out
 	}
-	if batch != nil {
-		return s.publish(s.compute(ctx, req, g, batch, ph), key, rawKey, ph)
-	}
-	for {
-		c, leader := s.flights.join(key)
-		if leader {
-			out := s.publish(s.compute(ctx, req, g, nil, ph), key, rawKey, ph)
-			c.view, c.status, c.err = out.view, out.status, out.err
-			s.flights.leaderDone(key, c)
-			return out
-		}
-		// Follower: wait on the leader's run without holding an
-		// admission slot; the wait is queue time.
-		wait0 := time.Now()
-		select {
-		case <-c.done:
-			ph.dur[phaseQueue] += time.Since(wait0)
-		case <-ctx.Done():
-			ph.dur[phaseQueue] += time.Since(wait0)
-			return failed(0, ctx.Err())
-		}
-		switch {
-		case c.err == nil:
-			s.metrics.rcCoalesced.Add(1)
-			s.resultCache.link(rawKey, key)
-			return servedFrom(c.view, resultCoalesced, ph)
-		case errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded):
-			// The leader died of its own cancellation or deadline; our
-			// budget is intact. Re-check the cache (the leader may have
-			// published before dying) and elect a new leader.
-			if v, ok := s.resultCache.get(key); ok {
-				s.metrics.rcMemHits.Add(1)
-				return servedFrom(v, resultHitMem, ph)
-			}
-		default:
-			// A non-context failure (a shed included) is deterministic
-			// for identical input: adopt the leader's outcome instead of
-			// re-running the engine.
-			return failed(c.status, c.err)
-		}
-	}
+	return s.publish(out, key, rawKey, ph)
 }
 
 // lookup is stage 3: the memory tier, then the disk tier. A disk hit
@@ -394,7 +345,7 @@ func servedFrom(v rcView, tier string, ph *reqPhases) outcome {
 // errQueued marks a context error that ended a wait for a run slot.
 var errQueued = errors.New("while queued")
 
-// compute is stage 4 past the flight: admission (under the request's
+// compute is stage 4: admission (under the request's
 // deadline), library resolution and the engine run. A batch item
 // brings its batch's library and slot. The slot is released once the
 // response is rendered; publishing and encoding need none.
@@ -420,8 +371,10 @@ func (s *Server) compute(ctx context.Context, req *MapRequest, g *dagcover.Subje
 }
 
 // publish is stage 5: a computed result enters the memory tier and the
-// artifact store, and its canonical form becomes the outcome's view,
-// which a flight leader hands to its followers. Encoding the payload
+// artifact store, and its canonical form becomes the outcome's view.
+// Concurrent identical publishes are safe: put refreshes an existing
+// key, link ignores duplicates, and the store writes a temp file and
+// renames it. Encoding the payload
 // and the store's write and fsync are charged to the respond phase.
 func (s *Server) publish(out outcome, key, rawKey store.Key, ph *reqPhases) outcome {
 	if out.err != nil {

@@ -131,7 +131,7 @@ func (c *resultCache) put(key store.Key, v rcView) {
 
 // stats is a point-in-time gauge view: entries, payload bytes and the
 // budget (the hit/miss split lives in the server metrics, which also
-// see disk hits and coalesced requests).
+// see disk hits).
 func (c *resultCache) stats() (entries int, bytes, maxBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

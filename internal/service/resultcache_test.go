@@ -19,9 +19,10 @@ import (
 )
 
 // Tests for the whole-result cache: the in-memory LRU, the disk tier
-// behind the artifact store, request coalescing, and the invariant the
-// whole design rests on — the mapped netlist is byte-identical whether
-// the cache is off, cold, warm, or another request computed it.
+// behind the artifact store, concurrent identical misses, and the
+// invariant the whole design rests on — the mapped netlist is
+// byte-identical whether the cache is off, cold, warm, or another
+// request computed it.
 
 // rcKey builds a distinct cache key for LRU unit tests.
 func rcKey(i int) store.Key { return store.KeyOf("test", fmt.Sprintf("k%d", i)) }
@@ -514,124 +515,158 @@ func TestMapResultCacheTiers(t *testing.T) {
 	}
 }
 
-func TestMapCoalescingSingleFlight(t *testing.T) {
-	// A deliberately slow request (structural memo off) so every
-	// concurrent copy arrives while the leader is still mapping.
+// herdBody encodes a request slow enough (structural memo off) that
+// concurrent copies overlap their engine runs, with the given timeout
+// (0: the server's default), which is not part of the result key.
+func herdBody(t *testing.T, timeoutMillis int) []byte {
+	t.Helper()
 	memo := false
-	req := MapRequest{BLIF: blifOf(t, bench.ArrayMultiplier(24)), Library: "lib2", Memo: &memo}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(MapRequest{BLIF: blifOf(t, bench.ArrayMultiplier(16)), Library: "lib2",
+		Memo: &memo, TimeoutMillis: timeoutMillis})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return body
+}
 
-	s := New(Config{Concurrency: 2})
-	const n = 8
-	codes := make([]int, n)
-	resps := make([]MapResponse, n)
+// herdResult is one herd member's status, decoded response and raw
+// netlist field bytes.
+type herdResult struct {
+	code    int
+	resp    MapResponse
+	netlist string
+}
+
+// mapHerd posts body once per context, all at once, and returns the
+// results in order. A nil context is the request's own.
+func mapHerd(h http.Handler, body []byte, ctxs []context.Context) []herdResult {
+	out := make([]herdResult, len(ctxs))
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, ctx := range ctxs {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, ctx context.Context) {
 			defer wg.Done()
 			<-start
-			codes[i], resps[i] = rawMap(s.Handler(), nil, body)
-		}(i)
+			r := httptest.NewRequest(http.MethodPost, "/map", bytes.NewReader(body))
+			if ctx != nil {
+				r = r.WithContext(ctx)
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+			var fields map[string]json.RawMessage
+			_ = json.Unmarshal(w.Body.Bytes(), &fields)
+			out[i].code, out[i].netlist = w.Code, string(fields["netlist"])
+			_ = json.Unmarshal(w.Body.Bytes(), &out[i].resp)
+		}(i, ctx)
 	}
 	close(start)
 	wg.Wait()
+	return out
+}
 
-	var missIdx = -1
-	for i := 0; i < n; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("request %d = %d", i, codes[i])
-		}
-		if resps[i].Netlist != resps[0].Netlist || resps[i].ResultSHA != resps[0].ResultSHA {
-			t.Fatalf("request %d response differs from request 0", i)
-		}
-		if resps[i].ResultCache == "miss" {
-			if missIdx >= 0 {
-				t.Fatalf("two miss-labeled responses: %d and %d", missIdx, i)
+// TestConcurrentIdenticalMissesAgree sends a herd of identical misses
+// at a server with two run slots, with and without an artifact store.
+// Nothing coalesces them: each request either runs the engine and
+// publishes (a miss) or finds an earlier publication in memory. Every
+// one returns the same netlist bytes and result_sha, and the disk object
+// the herd left behind serves a restarted server byte-identically.
+func TestConcurrentIdenticalMissesAgree(t *testing.T) {
+	body := herdBody(t, 0)
+	const n = 8
+	for _, withStore := range []bool{false, true} {
+		t.Run(fmt.Sprintf("store=%t", withStore), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Concurrency: 2}
+			if withStore {
+				cfg.Store = openStore(t, dir)
 			}
-			missIdx = i
-		}
-	}
-	if missIdx < 0 {
-		t.Fatal("no response was labeled miss")
-	}
-
-	// The counters prove a single engine run: one miss, every other
-	// request either coalesced onto it or (arriving after it finished)
-	// hit the freshly populated memory tier — and the process-wide
-	// matcher work equals exactly one run's.
-	snap := s.Stats()
-	rc := snap.ResultCache
-	if rc == nil {
-		t.Fatal("no result_cache stats")
-	}
-	if rc.Misses != 1 {
-		t.Fatalf("misses = %d, want exactly 1 engine run", rc.Misses)
-	}
-	if rc.Coalesced+rc.MemHits != n-1 {
-		t.Errorf("coalesced %d + mem hits %d != %d", rc.Coalesced, rc.MemHits, n-1)
-	}
-	if snap.PatternsTried != uint64(resps[missIdx].PatternsTried) {
-		t.Errorf("process tried %d patterns, single run tried %d — extra engine work happened",
-			snap.PatternsTried, resps[missIdx].PatternsTried)
+			s := New(cfg)
+			res := mapHerd(s.Handler(), body, make([]context.Context, n))
+			for i, r := range res {
+				if r.code != http.StatusOK {
+					t.Fatalf("request %d = %d", i, r.code)
+				}
+				if r.netlist == "" || r.netlist != res[0].netlist || r.resp.ResultSHA != res[0].resp.ResultSHA {
+					t.Fatalf("request %d response differs from request 0", i)
+				}
+				if r.resp.ResultCache != resultMiss && r.resp.ResultCache != resultHitMem {
+					t.Errorf("request %d result_cache = %q, want miss or hit-mem", i, r.resp.ResultCache)
+				}
+			}
+			snap := s.Stats()
+			rc := snap.ResultCache
+			t.Logf("%d misses, %d mem hits", rc.Misses, rc.MemHits)
+			if rc.Misses < 1 || rc.Misses+rc.MemHits != n || rc.DiskHits != 0 {
+				t.Fatalf("misses %d + mem hits %d (disk hits %d), want %d with at least one miss",
+					rc.Misses, rc.MemHits, rc.DiskHits, n)
+			}
+			// Every miss was a full engine run of the same work.
+			var perRun uint64
+			for _, r := range res {
+				if r.resp.ResultCache == resultMiss {
+					perRun = uint64(r.resp.PatternsTried)
+				}
+			}
+			if snap.PatternsTried != rc.Misses*perRun {
+				t.Errorf("process tried %d patterns, want %d misses x %d", snap.PatternsTried, rc.Misses, perRun)
+			}
+			if !withStore {
+				return
+			}
+			restarted := New(Config{Concurrency: 2, Store: openStore(t, dir)})
+			r := mapHerd(restarted.Handler(), body, make([]context.Context, 1))[0]
+			if r.code != http.StatusOK || r.resp.ResultCache != resultHitDisk {
+				t.Fatalf("restarted request = %d %q, want 200 hit-disk", r.code, r.resp.ResultCache)
+			}
+			if r.netlist != res[0].netlist || r.resp.ResultSHA != res[0].resp.ResultSHA {
+				t.Error("hit-disk response differs from the herd's")
+			}
+		})
 	}
 }
 
-func TestCoalescingLeaderCancelDoesNotPoisonFollowers(t *testing.T) {
-	memo := false
-	req := MapRequest{BLIF: blifOf(t, bench.ArrayMultiplier(32)), Library: "lib2", Memo: &memo}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCanceledMissLeavesHerdIntact cancels one request of a herd of
+// identical misses while it holds a run slot: it settles as 499, and
+// every other request still returns 200 with the same bytes, since none
+// of them depends on another's run. The canceled request differs only
+// in its timeout, which is not part of the result key.
+func TestCanceledMissLeavesHerdIntact(t *testing.T) {
+	const victimTimeout = 60000
+	body, victimBody := herdBody(t, 0), herdBody(t, victimTimeout)
 	s := New(Config{Concurrency: 2})
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.mapStartHook = func(req *MapRequest) {
+		if req.TimeoutMillis == victimTimeout {
+			close(entered)
+			<-release
+		}
+	}
 
-	// Leader starts under a cancellable context...
-	leaderCtx, cancel := context.WithCancel(context.Background())
-	leaderCode := make(chan int, 1)
+	// The victim takes a run slot and stops just before the engine...
+	ctx, cancel := context.WithCancel(context.Background())
+	victim := make(chan int, 1)
 	go func() {
-		code, _ := rawMap(s.Handler(), leaderCtx, body)
-		leaderCode <- code
+		code, _ := rawMap(s.Handler(), ctx, victimBody)
+		victim <- code
 	}()
-	// ...and once it holds the admission slot, followers pile on.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Queue.Running == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never started running")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	const n = 4
-	codes := make([]int, n)
-	resps := make([]MapResponse, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i], resps[i] = rawMap(s.Handler(), nil, body)
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let followers reach the flight
+	<-entered
+	// ...the herd arrives beside it, and the victim is canceled.
+	done := make(chan []herdResult, 1)
+	go func() { done <- mapHerd(s.Handler(), body, make([]context.Context, 4)) }()
 	cancel()
+	close(release)
 
-	wg.Wait()
-	// The canceled leader settles as 499 (or 200 when the run beat the
-	// cancel); its failure must not propagate to the followers, whose
-	// own contexts are intact — one re-elects and finishes the mapping.
-	if code := <-leaderCode; code != statusClientClosedRequest && code != http.StatusOK {
-		t.Errorf("leader status = %d, want 499 or 200", code)
+	if code := <-victim; code != statusClientClosedRequest {
+		t.Errorf("canceled request status = %d, want 499", code)
 	}
-	for i := 0; i < n; i++ {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("follower %d = %d, poisoned by leader cancel", i, codes[i])
+	res := <-done
+	for i, r := range res {
+		if r.code != http.StatusOK {
+			t.Fatalf("herd request %d = %d after another request was canceled", i, r.code)
 		}
-		if resps[i].Netlist == "" || resps[i].Netlist != resps[0].Netlist || resps[i].ResultSHA != resps[0].ResultSHA {
-			t.Fatalf("follower %d response differs", i)
+		if r.netlist == "" || r.netlist != res[0].netlist || r.resp.ResultSHA != res[0].resp.ResultSHA {
+			t.Fatalf("herd request %d response differs from request 0", i)
 		}
 	}
 }

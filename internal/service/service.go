@@ -18,11 +18,11 @@
 //
 // Every /map request and every /jobs item maps through one pipeline
 // (mapRequest): raw lookaside; ingest and digest; the memory, then the
-// disk tier of the whole-result cache; compute (a coalescing flight,
-// admission, library resolution, mapWith); publish. The cache stages
-// take part only when result caching is on and the mode is dag or tree
-// (cachesResult); otherwise they pass through. A job item holds its
-// batch's run slot and library, so it skips the flight and admission.
+// disk tier of the whole-result cache; compute (admission, library
+// resolution, mapWith); publish. The cache stages take part only when
+// result caching is on and the mode is dag or tree (cachesResult);
+// otherwise they pass through. A job item holds its batch's run slot
+// and library, so it skips admission.
 //
 // Endpoints: POST /map; POST /jobs, GET /jobs/{id}, GET
 // /jobs/{id}/result and DELETE /jobs/{id} (batch jobs, see jobs_api.go);
@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"dagcover"
@@ -94,9 +93,11 @@ type Config struct {
 	// serialized responses keyed by (subject-graph digest, library key,
 	// normalized options), so repeated identical requests skip the
 	// engine entirely. 0 selects the 64 MiB default; negative disables
-	// result caching altogether (memory tier, the mapres5 disk tier,
-	// and request coalescing). The mapper is deterministic, so a cached
-	// response's netlist is byte-identical to a recomputed one.
+	// result caching altogether (memory tier and the mapres5 disk
+	// tier). The mapper is deterministic, so a cached response's
+	// netlist is byte-identical to a recomputed one, and concurrent
+	// identical misses each run the engine (bounded by Concurrency)
+	// and publish the same bytes.
 	ResultCacheBytes int64
 }
 
@@ -144,20 +145,12 @@ type Server struct {
 	metrics *metrics
 	jobs    *jobs.Store
 	store   *dagcover.ArtifactStore
-	// sgInfo remembers, per compiled-cache key, how the supergate
-	// expansion behind that entry was satisfied (store hit or fresh
-	// generation, artifact SHA), so every response against the entry
-	// can report the artifact identity — not just the request that
-	// compiled it.
-	sgInfo  sync.Map // cache key -> dagcover.SupergateStoreInfo
 	mux     *http.ServeMux
 	handler http.Handler
 
-	// Whole-result cache (nil when disabled): the in-memory LRU tier
-	// plus the single-flight group that coalesces identical misses.
+	// Whole-result cache (nil when disabled): the in-memory LRU tier.
 	// The disk tier rides the artifact store (kind mapres5).
 	resultCache *resultCache
-	flights     *flightGroup
 
 	// mapStartHook, when a test sets it before serving, runs on a
 	// request's goroutine just before the engine starts.
@@ -178,7 +171,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.ResultCacheBytes > 0 {
 		s.resultCache = newResultCache(cfg.ResultCacheBytes)
-		s.flights = newFlightGroup()
 	}
 	s.mux.HandleFunc("/map", s.handleMap)
 	s.mux.HandleFunc("/jobs", s.handleJobs)
@@ -341,15 +333,14 @@ type MapResponse struct {
 	SubjectSHA string `json:"subject_sha,omitempty"`
 	// ResultCache reports how the whole-result cache served this
 	// response: hit-mem (in-process LRU), hit-disk (artifact store,
-	// e.g. after a restart or from a sibling replica), miss (computed
-	// and published), or coalesced (waited on an identical concurrent
-	// request's run). Absent when result caching is disabled or the
-	// mode is not cacheable (lut).
+	// e.g. after a restart or from a sibling replica), or miss
+	// (computed and published). Absent when result caching is disabled
+	// or the mode is not cacheable (lut).
 	ResultCache string `json:"result_cache,omitempty"`
 	// ResultSHA is the SHA-256 of the canonical serialized result (the
 	// response with volatile per-request fields zeroed). Identical
-	// requests get identical ResultSHA whether served cold, warm, or
-	// coalesced — the cheap way to assert byte-level determinism.
+	// requests get identical ResultSHA whether served cold or warm —
+	// the cheap way to assert byte-level determinism.
 	ResultSHA string `json:"result_sha,omitempty"`
 	Verified  bool   `json:"verified,omitempty"`
 	// ElapsedMillis is the serving time excluding queueing.
@@ -444,7 +435,7 @@ type reqPhases struct {
 
 	// Result-cache attribution: the subject-graph digest (when one was
 	// computed) and how the whole-result cache served the request
-	// (hit-mem/hit-disk/miss/coalesced; empty off the cached path).
+	// (hit-mem/hit-disk/miss; empty off the cached path).
 	subjectSHA  string
 	resultCache string
 }
@@ -461,8 +452,8 @@ func newTraceID() string {
 }
 
 // elapsed is a response's elapsed_ms: serving time from the end of
-// body decode, less the time spent waiting for a run slot or on a
-// coalesced leader. It also feeds the per-library latency histograms.
+// body decode, less the time spent waiting for a run slot. It also
+// feeds the per-library latency histograms.
 func (ph *reqPhases) elapsed() time.Duration { return time.Since(ph.start) - ph.dur[phaseQueue] }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -743,6 +734,9 @@ func (s *Server) mapWith(ctx context.Context, req *MapRequest, g *dagcover.Subje
 // (nil in lut mode), its name in responses and per-library stats,
 // whether the compiled cache already held it, and — for supergate
 // requests on a server with an artifact store — the artifact identity.
+// The compiled cache holds the whole value, so every later request
+// against an entry (a cache hit that never touches the store) reports
+// the identity of the artifact the entry was compiled from.
 type library struct {
 	cl   *dagcover.CompiledLibrary
 	name string
@@ -768,44 +762,37 @@ func (s *Server) resolveLibrary(req *MapRequest) (library, error) {
 	if err != nil {
 		return library{}, err
 	}
-	cl, hit, err := s.cache.Get(cacheKey, func() (*dagcover.CompiledLibrary, error) {
+	return s.cache.Get(cacheKey, func() (out library, err error) {
 		var lib *dagcover.Library
 		if req.Genlib == "" {
-			lib = builtinLibraries[req.libraryName()]()
+			build, _ := dagcover.BuiltinLibrary(req.libraryName())
+			lib = build()
 		} else {
 			// Name uploads by content-hash prefix so per-library stats
 			// distinguish different uploads without trusting client names.
 			name := "upload-" + strings.TrimPrefix(HashGenlib(req.Genlib), "sha256:")[:8]
-			var err error
 			if lib, err = dagcover.LoadLibrary(name, strings.NewReader(req.Genlib)); err != nil {
-				return nil, err
+				return library{}, err
 			}
 		}
-		if req.Supergates == nil {
-			return dagcover.CompileLibrary(lib)
+		if req.Supergates != nil {
+			sg := req.Supergates.normalize()
+			opt := dagcover.SupergateOptions{MaxInputs: sg.MaxInputs, MaxDepth: sg.MaxDepth, MaxGates: sg.MaxGates}
+			if s.store == nil {
+				lib, _, err = dagcover.ExpandSupergates(lib, opt)
+			} else {
+				var info dagcover.SupergateStoreInfo
+				lib, _, info, err = dagcover.ExpandSupergatesStored(s.store, lib, opt)
+				out.sg = &info
+			}
+			if err != nil {
+				return library{}, err
+			}
 		}
-		sg := req.Supergates.normalize()
-		opt := dagcover.SupergateOptions{MaxInputs: sg.MaxInputs, MaxDepth: sg.MaxDepth, MaxGates: sg.MaxGates}
-		if s.store == nil {
-			return dagcover.CompileLibraryWithSupergates(lib, opt)
+		if out.cl, err = dagcover.CompileLibrary(lib); err != nil {
+			return library{}, err
 		}
-		expanded, _, info, err := dagcover.ExpandSupergatesStored(s.store, lib, opt)
-		if err != nil {
-			return nil, err
-		}
-		// Remembered per cache key so every later request against this
-		// compiled entry (an in-memory cache hit that never touches the
-		// store) still reports the artifact identity.
-		s.sgInfo.Store(cacheKey, info)
-		return dagcover.CompileLibrary(expanded)
+		out.name = out.cl.Library().Name
+		return out, nil
 	})
-	if err != nil {
-		return library{}, err
-	}
-	out := library{cl: cl, name: cl.Library().Name, hit: hit}
-	if v, ok := s.sgInfo.Load(cacheKey); ok {
-		i := v.(dagcover.SupergateStoreInfo)
-		out.sg = &i
-	}
-	return out, nil
 }

@@ -175,11 +175,10 @@ type metrics struct {
 	phases phaseTimes
 
 	// Whole-result cache counters: hits per tier, misses (engine runs
-	// that published a result), coalesced waits, and disk publications.
+	// that published a result), and disk publications.
 	rcMemHits     atomic.Uint64
 	rcDiskHits    atomic.Uint64
 	rcMisses      atomic.Uint64
-	rcCoalesced   atomic.Uint64
 	rcStores      atomic.Uint64
 	rcStoreErrors atomic.Uint64
 
@@ -344,7 +343,7 @@ type StatsSnapshot struct {
 	// budget, and the generation seconds the store has saved. Absent
 	// when the server runs without a store.
 	Store *StoreSnapshot `json:"store,omitempty"`
-	// ResultCache is the whole-result cache: tiered hit/miss/coalesce
+	// ResultCache is the whole-result cache: tiered hit/miss
 	// counters plus the in-memory LRU's occupancy. Absent when result
 	// caching is disabled.
 	ResultCache *ResultCacheSnapshot `json:"result_cache,omitempty"`
@@ -371,9 +370,11 @@ type ResultCacheSnapshot struct {
 	MemHits     uint64 `json:"mem_hits"`
 	DiskHits    uint64 `json:"disk_hits"`
 	Misses      uint64 `json:"misses"`
-	Coalesced   uint64 `json:"coalesced"`
 	Stores      uint64 `json:"stores"`
 	StoreErrors uint64 `json:"store_errors"`
+	// Coalesced is always zero and never encoded (identical misses are
+	// not coalesced); it exists only for perfbench, which still reads it.
+	Coalesced uint64 `json:"-"`
 	// In-memory LRU occupancy against its byte budget.
 	Entries  int   `json:"entries"`
 	Bytes    int64 `json:"bytes"`
@@ -437,7 +438,6 @@ func (s *Server) Stats() StatsSnapshot {
 			MemHits:     m.rcMemHits.Load(),
 			DiskHits:    m.rcDiskHits.Load(),
 			Misses:      m.rcMisses.Load(),
-			Coalesced:   m.rcCoalesced.Load(),
 			Stores:      m.rcStores.Load(),
 			StoreErrors: m.rcStoreErrors.Load(),
 		}

@@ -292,3 +292,57 @@ func TestStoreWriteChargedToRespond(t *testing.T) {
 		t.Errorf("respond_ms %v < store.put %v ms: the disk-tier write is outside every phase", rec.RespondMS, putMS)
 	}
 }
+
+// TestSupergateArtifactTravelsWithCompiledEntry alternates two
+// uploaded supergate libraries on a store-backed server whose compiled
+// cache holds one entry, so the first library stays cached and the
+// second is compiled uncached on every request. The result cache is
+// off, so every request resolves its library. Each response reports its
+// own library's artifact, and a repeat maps to the same netlist bytes.
+func TestSupergateArtifactTravelsWithCompiledEntry(t *testing.T) {
+	genlibs := make([]string, 2)
+	for i := range genlibs {
+		lib := dagcover.Lib441()
+		lib.Gates[0].Area += float64(i) // a second, distinct library
+		var buf bytes.Buffer
+		if err := dagcover.WriteLibrary(&buf, lib); err != nil {
+			t.Fatal(err)
+		}
+		genlibs[i] = buf.String()
+	}
+	sg := &SupergateConfig{MaxInputs: 3, MaxDepth: 2, MaxGates: 32}
+	blif := blifOf(t, bench.Comparator(6))
+	reqs := []MapRequest{
+		{BLIF: blif, Genlib: genlibs[0], Supergates: sg},
+		{BLIF: blif, Genlib: genlibs[1], Supergates: sg},
+	}
+	s := New(Config{Concurrency: 1, CacheEntries: 1, ResultCacheBytes: -1, Store: openStore(t, t.TempDir())})
+	first := make([]MapResponse, len(reqs))
+	for round := 0; round < 2; round++ {
+		for i, req := range reqs {
+			code, resp, body := post(t, s.Handler(), nil, req)
+			if code != http.StatusOK {
+				t.Fatalf("round %d library %d: map = %d: %s", round, i, code, body)
+			}
+			if resp.SGArtifactSHA == "" {
+				t.Fatalf("round %d library %d: no sg_artifact_sha", round, i)
+			}
+			if wantHit := round > 0 && i == 0; resp.CacheHit != wantHit {
+				t.Errorf("round %d library %d: cache_hit %v, want %v", round, i, resp.CacheHit, wantHit)
+			}
+			if round == 0 {
+				first[i] = resp
+				continue
+			}
+			if resp.SGArtifactSHA != first[i].SGArtifactSHA {
+				t.Errorf("round %d library %d: sg_artifact_sha %s, first request's %s", round, i, resp.SGArtifactSHA, first[i].SGArtifactSHA)
+			}
+			if resp.Netlist != first[i].Netlist {
+				t.Errorf("round %d library %d: netlist differs from the first request's", round, i)
+			}
+		}
+	}
+	if first[0].SGArtifactSHA == first[1].SGArtifactSHA {
+		t.Errorf("both libraries report artifact %s", first[0].SGArtifactSHA)
+	}
+}
