@@ -1,10 +1,11 @@
 package main
 
-// Golden-netlist verification: map every ISCAS circuit against every
-// library in each configuration a golden file lists, hash each mapped
-// netlist's BLIF, and compare against the committed hashes. Any
-// difference exits nonzero: refactors, the memo and every mode's
-// selection must all be bit-exact no-ops on the output.
+// Golden-netlist verification: map every ISCAS circuit onto every
+// target a golden file names (a library, or K-input LUTs) in each
+// configuration it lists, hash each mapped netlist's BLIF, and compare
+// against the committed hashes. Any difference exits nonzero:
+// refactors, the memo and every mode's selection must all be
+// bit-exact no-ops on the output.
 
 import (
 	"bytes"
@@ -42,9 +43,16 @@ var goldenRows = []goldenRow{
 		o.AreaRecovery, o.RequiredTime = true, 1.2*optimum
 	}},
 	{"extended", memoOn, func(o *dagcover.MapOptions, _ float64) { o.Class = dagcover.MatchExtended }},
+	{"choices", memoOffOn, func(o *dagcover.MapOptions, _ float64) { o.Mode = dagcover.ModeChoices }},
+	// The LUT rows map onto the "k<K>" targets and take no library.
+	{"lut", memoOn, func(o *dagcover.MapOptions, _ float64) { o.Mode = dagcover.ModeLUT }},
+	{"lut-area", memoOn, func(o *dagcover.MapOptions, _ float64) { o.Mode = dagcover.ModeLUTArea }},
 }
 
-// readGolden parses a golden file: circuit → library → row → sha256.
+// lutSizes are the K of the library-free LUT targets "k4" and "k6".
+var lutSizes = []int{4, 6}
+
+// readGolden parses a golden file: circuit → target → row → sha256.
 // golden_iscas.json predates the row level and maps circuit →
 // library → sha256 of the dag row; it is read as that one row.
 func readGolden(path string) (map[string]map[string]map[string]string, error) {
@@ -71,7 +79,8 @@ func readGolden(path string) (map[string]map[string]map[string]string, error) {
 }
 
 // runGolden verifies the full ISCAS suite against the golden hash
-// file. It returns the number of mismatches.
+// file. Every target the file names must be there for every circuit.
+// It returns the number of mismatches.
 func runGolden(path string) (int, error) {
 	golden, err := readGolden(path)
 	if err != nil {
@@ -81,66 +90,121 @@ func runGolden(path string) (int, error) {
 	for _, r := range goldenRows {
 		known[r.name] = true
 	}
+	targets := map[string]bool{}
+	for _, c := range bench.FullSuite() {
+		for target := range golden[c.Name] {
+			targets[target] = true
+		}
+	}
 	mismatches, checked := 0, 0
+	// verify maps c in every row want lists on top of base.
+	verify := func(c bench.Circuit, target string, base dagcover.MapOptions, optimum float64) error {
+		want := golden[c.Name][target]
+		for row := range want {
+			if !known[row] {
+				return fmt.Errorf("%s x %s: unknown golden row %q in %s", c.Name, target, row, path)
+			}
+		}
+		n := 0
+		for _, row := range goldenRows {
+			sum, ok := want[row.name]
+			if !ok {
+				continue
+			}
+			opt := base
+			row.opt(&opt, optimum)
+			for _, memo := range row.memos {
+				opt.NoMemo = !memo
+				_, got, err := mapHash(c, opt)
+				if err != nil {
+					return fmt.Errorf("%s x %s %s (memo=%v): %w", c.Name, target, row.name, memo, err)
+				}
+				checked++
+				n++
+				if got != sum {
+					mismatches++
+					fmt.Printf("MISMATCH %s x %s %s (memo=%v): got %s want %s\n",
+						c.Name, target, row.name, memo, got, sum)
+				}
+			}
+		}
+		fmt.Printf("%-6s x %-4s | %d configurations verified\n", c.Name, target, n)
+		return nil
+	}
+	// present reports whether the file names target, and fails when
+	// it does so for some circuits only.
+	present := func(target string) (bool, error) {
+		if !targets[target] {
+			return false, nil
+		}
+		delete(targets, target)
+		for _, c := range bench.FullSuite() {
+			if len(golden[c.Name][target]) == 0 {
+				return false, fmt.Errorf("no golden hash for %s x %s in %s", c.Name, target, path)
+			}
+		}
+		return true, nil
+	}
 	for _, lc := range libs() {
+		if ok, err := present(lc.name); !ok {
+			if err != nil {
+				return 0, err
+			}
+			continue
+		}
 		cl, err := dagcover.CompileLibrary(lc.lib)
 		if err != nil {
 			return 0, fmt.Errorf("compile %s: %w", lc.name, err)
 		}
 		for _, c := range bench.FullSuite() {
-			want := golden[c.Name][lc.name]
-			if len(want) == 0 {
-				return 0, fmt.Errorf("no golden hash for %s x %s in %s", c.Name, lc.name, path)
-			}
-			for row := range want {
-				if !known[row] {
-					return 0, fmt.Errorf("%s x %s: unknown golden row %q in %s", c.Name, lc.name, row, path)
-				}
-			}
 			base := dagcover.MapOptions{Library: cl, Delay: lc.delay}
 			optimum, _, err := mapHash(c, base)
 			if err != nil {
 				return 0, err
 			}
-			n := 0
-			for _, row := range goldenRows {
-				sum, ok := want[row.name]
-				if !ok {
-					continue
-				}
-				opt := base
-				row.opt(&opt, optimum)
-				for _, memo := range row.memos {
-					opt.NoMemo = !memo
-					_, got, err := mapHash(c, opt)
-					if err != nil {
-						return 0, fmt.Errorf("%s x %s %s (memo=%v): %w", c.Name, lc.name, row.name, memo, err)
-					}
-					checked++
-					n++
-					if got != sum {
-						mismatches++
-						fmt.Printf("MISMATCH %s x %s %s (memo=%v): got %s want %s\n",
-							c.Name, lc.name, row.name, memo, got, sum)
-					}
-				}
+			if err := verify(c, lc.name, base, optimum); err != nil {
+				return 0, err
 			}
-			fmt.Printf("%-6s x %-4s | %d configurations verified\n", c.Name, lc.name, n)
 		}
+	}
+	for _, k := range lutSizes {
+		target := fmt.Sprintf("k%d", k)
+		if ok, err := present(target); !ok {
+			if err != nil {
+				return 0, err
+			}
+			continue
+		}
+		for _, c := range bench.FullSuite() {
+			if err := verify(c, target, dagcover.MapOptions{K: k}, 0); err != nil {
+				return 0, err
+			}
+		}
+	}
+	for target := range targets {
+		return 0, fmt.Errorf("unknown golden target %q in %s", target, path)
+	}
+	if checked == 0 {
+		return 0, fmt.Errorf("no golden hashes in %s", path)
 	}
 	fmt.Printf("golden: %d configurations checked, %d mismatches\n", checked, mismatches)
 	return mismatches, nil
 }
 
 // mapHash maps the circuit and returns the delay and the sha256 of the
-// netlist's BLIF.
+// netlist's BLIF (of the LUT network's, in the LUT modes).
 func mapHash(c bench.Circuit, opt dagcover.MapOptions) (float64, string, error) {
 	res, err := dagcover.Map(context.Background(), dagcover.Input{Network: c.Network}, opt)
 	if err != nil {
 		return 0, "", err
 	}
 	var blif bytes.Buffer
-	if err := res.Netlist.WriteBLIF(&blif); err != nil {
+	if res.Netlist != nil {
+		err = res.Netlist.WriteBLIF(&blif)
+	} else {
+		err = dagcover.WriteBLIF(&blif, res.Network)
+	}
+	if err != nil {
 		return 0, "", fmt.Errorf("render BLIF: %w", err)
 	}
 	sum := sha256.Sum256(blif.Bytes())

@@ -6,12 +6,15 @@
 //
 //	benchmap -golden cmd/benchmap/testdata/golden_iscas.json
 //	benchmap -golden cmd/benchmap/testdata/golden_modes.json
-//	                            # map the full ISCAS suite x {lib2,
-//	                            # 44-1, 44-3} in every configuration
-//	                            # the file lists (memo off and on where
-//	                            # the memo reaches different code), hash
-//	                            # each netlist's BLIF and exit nonzero on
-//	                            # any difference
+//	benchmap -golden cmd/benchmap/testdata/golden_choices.json
+//	benchmap -golden cmd/benchmap/testdata/golden_lut.json
+//	                            # map the full ISCAS suite onto each
+//	                            # target the file names ({lib2, 44-1,
+//	                            # 44-3} or LUTs k4, k6) in every
+//	                            # configuration it lists (memo off and
+//	                            # on where the memo reaches different
+//	                            # code), hash each netlist's BLIF and
+//	                            # exit nonzero on any difference
 //	benchmap -family mult256,alumesh80x80
 //	                            # stream, ingest and map the big
 //	                            # synthetic families; print BLIF bytes,
