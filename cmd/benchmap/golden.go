@@ -49,8 +49,8 @@ var goldenRows = []goldenRow{
 	{"lut-area", memoOn, func(o *dagcover.MapOptions, _ float64) { o.Mode = dagcover.ModeLUTArea }},
 }
 
-// lutSizes are the K of the library-free LUT targets "k4" and "k6".
-var lutSizes = []int{4, 6}
+// lutTargets are the library-free targets of the LUT rows.
+var lutTargets = []libConfig{{name: "k4", k: 4}, {name: "k6", k: 6}}
 
 // readGolden parses a golden file: circuit → target → row → sha256.
 // golden_iscas.json predates the row level and maps circuit →
@@ -90,98 +90,67 @@ func runGolden(path string) (int, error) {
 	for _, r := range goldenRows {
 		known[r.name] = true
 	}
-	targets := map[string]bool{}
-	for _, c := range bench.FullSuite() {
-		for target := range golden[c.Name] {
-			targets[target] = true
+	named := map[string]bool{}
+	for _, bytarget := range golden {
+		for target := range bytarget {
+			named[target] = true
 		}
 	}
 	mismatches, checked := 0, 0
-	// verify maps c in every row want lists on top of base.
-	verify := func(c bench.Circuit, target string, base dagcover.MapOptions, optimum float64) error {
-		want := golden[c.Name][target]
-		for row := range want {
-			if !known[row] {
-				return fmt.Errorf("%s x %s: unknown golden row %q in %s", c.Name, target, row, path)
-			}
-		}
-		n := 0
-		for _, row := range goldenRows {
-			sum, ok := want[row.name]
-			if !ok {
-				continue
-			}
-			opt := base
-			row.opt(&opt, optimum)
-			for _, memo := range row.memos {
-				opt.NoMemo = !memo
-				_, got, err := mapHash(c, opt)
-				if err != nil {
-					return fmt.Errorf("%s x %s %s (memo=%v): %w", c.Name, target, row.name, memo, err)
-				}
-				checked++
-				n++
-				if got != sum {
-					mismatches++
-					fmt.Printf("MISMATCH %s x %s %s (memo=%v): got %s want %s\n",
-						c.Name, target, row.name, memo, got, sum)
-				}
-			}
-		}
-		fmt.Printf("%-6s x %-4s | %d configurations verified\n", c.Name, target, n)
-		return nil
-	}
-	// present reports whether the file names target, and fails when
-	// it does so for some circuits only.
-	present := func(target string) (bool, error) {
-		if !targets[target] {
-			return false, nil
-		}
-		delete(targets, target)
-		for _, c := range bench.FullSuite() {
-			if len(golden[c.Name][target]) == 0 {
-				return false, fmt.Errorf("no golden hash for %s x %s in %s", c.Name, target, path)
-			}
-		}
-		return true, nil
-	}
-	for _, lc := range libs() {
-		if ok, err := present(lc.name); !ok {
-			if err != nil {
-				return 0, err
-			}
+	for _, tc := range append(libs(), lutTargets...) {
+		if !named[tc.name] {
 			continue
 		}
-		cl, err := dagcover.CompileLibrary(lc.lib)
-		if err != nil {
-			return 0, fmt.Errorf("compile %s: %w", lc.name, err)
+		delete(named, tc.name)
+		base := dagcover.MapOptions{Delay: tc.delay, K: tc.k}
+		if tc.lib != nil {
+			if base.Library, err = dagcover.CompileLibrary(tc.lib); err != nil {
+				return 0, fmt.Errorf("compile %s: %w", tc.name, err)
+			}
 		}
 		for _, c := range bench.FullSuite() {
-			base := dagcover.MapOptions{Library: cl, Delay: lc.delay}
-			optimum, _, err := mapHash(c, base)
-			if err != nil {
-				return 0, err
+			want := golden[c.Name][tc.name]
+			if len(want) == 0 {
+				return 0, fmt.Errorf("no golden hash for %s x %s in %s", c.Name, tc.name, path)
 			}
-			if err := verify(c, lc.name, base, optimum); err != nil {
-				return 0, err
+			for row := range want {
+				if !known[row] {
+					return 0, fmt.Errorf("%s x %s: unknown golden row %q in %s", c.Name, tc.name, row, path)
+				}
 			}
+			optimum := 0.0
+			if base.Library != nil {
+				if optimum, _, err = mapHash(c, base); err != nil {
+					return 0, err
+				}
+			}
+			n := 0
+			for _, row := range goldenRows {
+				sum, ok := want[row.name]
+				if !ok {
+					continue
+				}
+				opt := base
+				row.opt(&opt, optimum)
+				for _, memo := range row.memos {
+					opt.NoMemo = !memo
+					_, got, err := mapHash(c, opt)
+					if err != nil {
+						return 0, fmt.Errorf("%s x %s %s (memo=%v): %w", c.Name, tc.name, row.name, memo, err)
+					}
+					checked++
+					n++
+					if got != sum {
+						mismatches++
+						fmt.Printf("MISMATCH %s x %s %s (memo=%v): got %s want %s\n",
+							c.Name, tc.name, row.name, memo, got, sum)
+					}
+				}
+			}
+			fmt.Printf("%-6s x %-4s | %d configurations verified\n", c.Name, tc.name, n)
 		}
 	}
-	for _, k := range lutSizes {
-		target := fmt.Sprintf("k%d", k)
-		if ok, err := present(target); !ok {
-			if err != nil {
-				return 0, err
-			}
-			continue
-		}
-		for _, c := range bench.FullSuite() {
-			if err := verify(c, target, dagcover.MapOptions{K: k}, 0); err != nil {
-				return 0, err
-			}
-		}
-	}
-	for target := range targets {
+	for target := range named {
 		return 0, fmt.Errorf("unknown golden target %q in %s", target, path)
 	}
 	if checked == 0 {

@@ -76,11 +76,13 @@ func main() {
 	}
 }
 
-// libConfig is one library of the paper's tables with its delay model.
+// libConfig is one library of the paper's tables with its delay model,
+// or, with lib nil, the K-input LUTs of a golden target.
 type libConfig struct {
 	name  string
 	lib   *dagcover.Library
 	delay dagcover.DelayModel
+	k     int
 }
 
 // libs returns the three libraries of the paper's tables, in table
@@ -88,8 +90,8 @@ type libConfig struct {
 // 44-x libraries use unit delay like Tables 2-3.
 func libs() []libConfig {
 	return []libConfig{
-		{"lib2", dagcover.Lib2(), dagcover.IntrinsicDelay},
-		{"44-1", dagcover.Lib441(), dagcover.UnitDelay},
-		{"44-3", dagcover.Lib443(), dagcover.UnitDelay},
+		{"lib2", dagcover.Lib2(), dagcover.IntrinsicDelay, 0},
+		{"44-1", dagcover.Lib441(), dagcover.UnitDelay, 0},
+		{"44-3", dagcover.Lib443(), dagcover.UnitDelay, 0},
 	}
 }

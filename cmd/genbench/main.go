@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"dagcover"
@@ -74,7 +75,7 @@ func main() {
 		for n := range generators {
 			names = append(names, n)
 		}
-		sortStrings(names)
+		slices.Sort(names)
 		fmt.Println(strings.Join(names, "\n"))
 		fmt.Println("mult<N>       (streamed; N up to 4096, e.g. mult512)")
 		fmt.Println("alumesh<WxH>  (streamed; W,H up to 1024, e.g. alumesh64x64)")
@@ -147,12 +148,4 @@ func writeCircuit(nw *network.Network, path string) error {
 	}
 	defer f.Close()
 	return dagcover.WriteBLIF(f, nw)
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

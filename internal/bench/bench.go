@@ -16,6 +16,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"dagcover/internal/logic"
 	"dagcover/internal/network"
@@ -449,7 +450,7 @@ func HammingEncoder(d int) *network.Network {
 				terms = append(terms, name)
 			}
 		}
-		sortStrings(terms)
+		slices.Sort(terms)
 		expr := terms[0]
 		for _, t := range terms[1:] {
 			expr += "^" + t
@@ -591,14 +592,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // xorshift is a tiny deterministic PRNG so generated circuits never

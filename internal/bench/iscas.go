@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"dagcover/internal/network"
 )
@@ -233,7 +234,7 @@ func sortedValues(m map[string]string) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	out := make([]string, len(keys))
 	for i, k := range keys {
 		out[i] = m[k]

@@ -610,16 +610,18 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 	// recovery every choice IS the label, so chosen aliases res.Labels
 	// rather than copying it — the copy would be a second 64B-per-node
 	// array held straight through emission, a real slice of the peak on
-	// million-node graphs. The emit loop filters by demand (finite
-	// required time), so the undemanded labels visible through the
+	// million-node graphs. Emission realizes only the demanded nodes
+	// listed in cells, so the undemanded labels visible through the
 	// alias are never emitted.
 	chosen := res.Labels
 	if opt.AreaRecovery {
 		chosen = make([]Label, nn)
 	}
-	// Demanded non-PI nodes and their leaves: the cells and input pins
-	// emission will add.
-	cells, pins := 0, 0
+	// Demanded non-PI nodes, in emission order, and their leaves: the
+	// cells and input pins emission will add. The loop visits nodes in
+	// reverse emission order, so it fills cells from the back.
+	cells, pins := make([]subject.Node, nn), 0
+	next := nn
 	for oi := nn - 1; oi >= 0; oi-- {
 		if oi%cancelCheckStride == 0 {
 			if err := opt.Ctx.Err(); err != nil {
@@ -660,7 +662,8 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 			}
 			chosen[id] = mt
 		}
-		cells++
+		next--
+		cells[next] = id
 		pins += len(mt.Leaves)
 		for pin, leaf := range mt.Leaves {
 			r := required[id] - opt.Delay.PinDelay(mt.Pat.Gate, pin)
@@ -672,12 +675,36 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 	res.Stats.Phases.Cover += time.Since(coverStart)
 	coverSpan.Arg("area_recovery", opt.AreaRecovery).End()
 
-	// Emit cells bottom-up (ascending ID keeps the builder happy) and
-	// count duplicated nodes: cell roots that some other emitted match
-	// covers internally. The builder works in net IDs: netOf maps each
-	// built subject node to its net, so no net is named or hashed here.
 	emitStart := time.Now()
 	emitSpan := opt.Trace.Start("core.emit")
+	nl, delay, dup, err := Emit(g, cells[next:], pins, chosen, opt.Delay, opt.Arrivals)
+	if err != nil {
+		return err
+	}
+	res.Netlist, res.Delay = nl, delay
+	res.Stats.CellsEmitted = nn - next
+	res.Stats.DuplicatedNodes = dup
+	res.Stats.Phases.Emit += time.Since(emitStart)
+	emitSpan.
+		Arg("cells", res.Stats.CellsEmitted).
+		Arg("duplicated", res.Stats.DuplicatedNodes).
+		End()
+	return nil
+}
+
+// Emit builds the netlist of a cover. cells lists the nodes to realize
+// in emission order, each by its chosen[n] match, whose leaves must be
+// primary inputs or earlier cells; pins is the summed leaf count of
+// those matches. The first output port on a node names its net; other
+// nets get the builder's generated "w<k>" names, which skip port
+// names. Emit returns the netlist, its delay under dm and arrivals
+// (the worst output arrival) and the number of duplicated nodes:
+// subject nodes covered internally by two or more emitted matches
+// (§3.5).
+func Emit(g *subject.Graph, cells []subject.Node, pins int, chosen []Label, dm genlib.DelayModel, arrivals map[string]float64) (*mapping.Netlist, float64, int, error) {
+	// The builder works in net IDs: netOf maps each built subject node
+	// to its net, so no net is named or hashed here.
+	nn := g.NumNodes()
 	b := mapping.NewBuilder(g.Name)
 	netOf := make([]mapping.Net, nn)
 	for i := range netOf {
@@ -686,88 +713,70 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 	// arrival re-times the cover as it is emitted, node by node. A
 	// cell's arrival is its worst pin, starting from 0 — the same float
 	// operations in the same order as Netlist.Delay over the finished
-	// netlist, so Result.Delay is bit-identical to it.
+	// netlist, so the returned delay is bit-identical to it.
 	arrival := make([]float64, nn)
 	for _, pi := range g.PIs {
 		name := g.NameOf(pi)
 		net, err := b.AddInputNet(name)
 		if err != nil {
-			return err
+			return nil, 0, 0, err
 		}
 		netOf[pi] = net
-		arrival[pi] = opt.Arrivals[name]
+		arrival[pi] = arrivals[name]
 	}
-	// Reserve port names after the inputs: a port that sits directly
-	// on a PI shares the PI's net and needs no reservation of its own.
-	// Outputs keep their port name when they own it: the first port on
-	// a node names its net. Keyed by node rather than a dense nn-sized
-	// array — ports are few.
+	// Reserve every port name after the inputs, so no generated net
+	// takes one. A port on a PI sits on the PI's net; the first port on
+	// any other node names that node's net. Keyed by node rather than a
+	// dense nn-sized array — ports are few.
 	preferred := make(map[subject.Node]mapping.Net, len(g.Outputs))
 	for _, o := range g.Outputs {
-		if g.KindOf(o.Node) == subject.PI {
-			continue
-		}
 		net := b.Reserve(o.Name)
-		if _, ok := preferred[o.Node]; !ok {
+		if _, ok := preferred[o.Node]; !ok && g.KindOf(o.Node) != subject.PI {
 			preferred[o.Node] = net
 		}
 	}
-	b.Grow(cells, pins)
+	b.Grow(len(cells), pins)
 	coverUses := make([]int32, nn)
 	var inputs []mapping.Net
-	for oi := 0; oi < nn; oi++ {
-		id := int32(oi)
-		if order != nil {
-			id = order[oi]
-		}
-		// Demand filter: with chosen aliasing res.Labels, undemanded
-		// nodes still carry their labels and must be skipped here.
-		if math.IsInf(required[id], 1) {
-			continue
-		}
+	for _, id := range cells {
 		mt := chosen[id]
-		if mt.Pat == nil {
-			continue
-		}
 		gate := mt.Pat.Gate
 		inputs = inputs[:0]
 		worst := 0.0
 		for pin, leaf := range mt.Leaves {
 			if netOf[leaf] == noNet {
-				return fmt.Errorf("core: internal error: leaf %v demanded but not built", leaf)
+				return nil, 0, 0, fmt.Errorf("core: internal error: leaf %v demanded but not built", leaf)
 			}
 			inputs = append(inputs, netOf[leaf])
-			if v := arrival[leaf] + opt.Delay.PinDelay(gate, pin); v > worst {
+			if v := arrival[leaf] + dm.PinDelay(gate, pin); v > worst {
 				worst = v
 			}
 		}
-		net, ok := preferred[subject.Node(id)]
+		net, ok := preferred[id]
 		if !ok {
 			net = b.NewNet()
 		}
 		b.AddCellNets(gate, inputs, net)
 		netOf[id] = net
 		arrival[id] = worst
-		res.Stats.CellsEmitted++
 		for _, c := range mt.Covered {
 			coverUses[c]++
 		}
 	}
-	// A subject node realized inside two or more emitted matches has
-	// been duplicated (§3.5).
+	dup := 0
 	for _, uses := range coverUses {
 		if uses >= 2 {
-			res.Stats.DuplicatedNodes++
+			dup++
 		}
 	}
-	// The reported delay is the worst output arrival. It equals the
-	// optimal label delay except under a relaxed RequiredTime, where it
-	// may sit anywhere between the optimum and the target.
+	// The delay is the worst output arrival. For core's cover it equals
+	// the optimal label delay except under a relaxed RequiredTime, where
+	// it may sit anywhere between the optimum and the target.
 	delay, first := 0.0, true
 	for _, o := range g.Outputs {
 		net := netOf[o.Node]
 		if net == noNet {
-			return fmt.Errorf("core: internal error: output %q not built", o.Name)
+			return nil, 0, 0, fmt.Errorf("core: internal error: output %q not built", o.Name)
 		}
 		b.MarkOutputNet(o.Name, net)
 		if a := arrival[o.Node]; first || a > delay {
@@ -776,14 +785,7 @@ func construct(g *subject.Graph, m *match.Matcher, opt Options, res *Result, cla
 	}
 	nl, err := b.Netlist()
 	if err != nil {
-		return err
+		return nil, 0, 0, err
 	}
-	res.Netlist = nl
-	res.Delay = delay
-	res.Stats.Phases.Emit += time.Since(emitStart)
-	emitSpan.
-		Arg("cells", res.Stats.CellsEmitted).
-		Arg("duplicated", res.Stats.DuplicatedNodes).
-		End()
-	return nil
+	return nl, delay, dup, nil
 }

@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 
-	"dagcover/internal/logic"
 	"dagcover/internal/network"
 	"dagcover/internal/obs"
 	"dagcover/internal/subject"
@@ -240,7 +239,7 @@ func Map(g *subject.Graph, opt Options) (*Result, error) {
 	coverSpan.Arg("mode", opt.Mode.String()).End()
 
 	emitSpan := opt.Trace.Start("cutmap.emit")
-	nw, luts, depth, err := buildLUTs(g, chosen, labels)
+	nw, luts, depth, err := g.LUTNetwork(g.Name+"_cutluts", chosen)
 	if err != nil {
 		return nil, err
 	}
@@ -368,99 +367,4 @@ func isSubsetOrEqual(a, b []subject.Node) bool {
 		}
 	}
 	return i == len(a)
-}
-
-// buildLUTs constructs the LUT network from the chosen cuts.
-func buildLUTs(g *subject.Graph, chosen [][]subject.Node, labels []int) (*network.Network, int, int, error) {
-	nw := network.New(g.Name + "_cutluts")
-	used := map[string]bool{}
-	for _, pi := range g.PIs {
-		if _, err := nw.AddInput(g.NameOf(pi)); err != nil {
-			return nil, 0, 0, err
-		}
-		used[g.NameOf(pi)] = true
-	}
-	portOf := map[subject.Node]string{}
-	for _, o := range g.Outputs {
-		if _, taken := portOf[o.Node]; !taken && !used[o.Name] {
-			portOf[o.Node] = o.Name
-			used[o.Name] = true
-		}
-	}
-	ctr := 0
-	fresh := func() string {
-		for {
-			name := fmt.Sprintf("lut%d", ctr)
-			ctr++
-			if !used[name] {
-				used[name] = true
-				return name
-			}
-		}
-	}
-	names := map[subject.Node]string{}
-	depthOf := map[subject.Node]int{}
-	luts := 0
-	var emit func(n subject.Node) (string, error)
-	emit = func(n subject.Node) (string, error) {
-		if name, ok := names[n]; ok {
-			return name, nil
-		}
-		if g.KindOf(n) == subject.PI {
-			names[n] = g.NameOf(n)
-			return names[n], nil
-		}
-		leaves := chosen[n]
-		if leaves == nil {
-			return "", fmt.Errorf("cutmap: node %v demanded without a chosen cut", n)
-		}
-		boundary := map[subject.Node]string{}
-		var fanins []string
-		d := 0
-		for _, l := range leaves {
-			ln, err := emit(l)
-			if err != nil {
-				return "", err
-			}
-			boundary[l] = ln
-			fanins = append(fanins, ln)
-			if depthOf[l] > d {
-				d = depthOf[l]
-			}
-		}
-		fn, err := subject.Expr(g, n, boundary)
-		if err != nil {
-			return "", err
-		}
-		name := portOf[n]
-		if name == "" {
-			name = fresh()
-		}
-		if _, err := nw.AddNode(name, fanins, fn); err != nil {
-			return "", err
-		}
-		names[n] = name
-		depthOf[n] = d + 1
-		luts++
-		return name, nil
-	}
-	depth := 0
-	for _, o := range g.Outputs {
-		net, err := emit(o.Node)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if depthOf[o.Node] > depth {
-			depth = depthOf[o.Node]
-		}
-		if net != o.Name && nw.Node(o.Name) == nil {
-			if _, err := nw.AddNode(o.Name, []string{net}, logic.Variable(net)); err != nil {
-				return nil, 0, 0, err
-			}
-		}
-		if err := nw.MarkOutput(o.Name); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	return nw, luts, depth, nil
 }

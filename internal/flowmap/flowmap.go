@@ -19,8 +19,8 @@ package flowmap
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"dagcover/internal/logic"
 	"dagcover/internal/maxflow"
 	"dagcover/internal/network"
 	"dagcover/internal/obs"
@@ -96,7 +96,7 @@ func MapTraced(ctx context.Context, g *subject.Graph, k int, tr *obs.Trace) (*Re
 
 	res := &Result{Labels: labels}
 	conSpan := tr.Start("flowmap.construct")
-	nw, luts, err := construct(g, cuts)
+	nw, luts, _, err := g.LUTNetwork(g.Name+"_luts", cuts)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func (l *labeler) labelNode(t subject.Node) (int, []subject.Node) {
 			}
 		}
 		if len(pis) <= k {
-			sortByID(pis)
+			slices.Sort(pis)
 			return 1, pis
 		}
 		return 1, fanins
@@ -236,7 +236,7 @@ func (l *labeler) labelNode(t subject.Node) (int, []subject.Node) {
 		// Defensive: fall back to the trivial cut.
 		return p + 1, fanins
 	}
-	sortByID(cut)
+	slices.Sort(cut)
 	return p, cut
 }
 
@@ -244,107 +244,6 @@ func mustEdge(fg *maxflow.Graph, u, v, cap int) {
 	if err := fg.AddEdge(u, v, cap); err != nil {
 		panic(fmt.Sprintf("flowmap: %v", err))
 	}
-}
-
-func sortByID(nodes []subject.Node) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && nodes[j] < nodes[j-1]; j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
-}
-
-// construct builds the LUT network from the stored cuts, walking back
-// from the outputs (§2: intermediate nodes are duplicated in an
-// optimal way automatically).
-func construct(g *subject.Graph, cuts [][]subject.Node) (*network.Network, int, error) {
-	nw := network.New(g.Name + "_luts")
-	for _, pi := range g.PIs {
-		if _, err := nw.AddInput(g.NameOf(pi)); err != nil {
-			return nil, 0, err
-		}
-	}
-	used := map[string]bool{}
-	for _, pi := range g.PIs {
-		used[g.NameOf(pi)] = true
-	}
-	portOf := map[subject.Node]string{}
-	for _, o := range g.Outputs {
-		if _, taken := portOf[o.Node]; !taken && !used[o.Name] {
-			portOf[o.Node] = o.Name
-			used[o.Name] = true
-		}
-	}
-	names := map[subject.Node]string{}
-	ctr := 0
-	fresh := func() string {
-		for {
-			name := fmt.Sprintf("lut%d", ctr)
-			ctr++
-			if !used[name] {
-				used[name] = true
-				return name
-			}
-		}
-	}
-	luts := 0
-	var emit func(n subject.Node) (string, error)
-	emit = func(n subject.Node) (string, error) {
-		if name, ok := names[n]; ok {
-			return name, nil
-		}
-		if g.KindOf(n) == subject.PI {
-			names[n] = g.NameOf(n)
-			return names[n], nil
-		}
-		cut := cuts[n]
-		boundary := map[subject.Node]string{}
-		var fanins []string
-		for _, c := range cut {
-			cn, err := emit(c)
-			if err != nil {
-				return "", err
-			}
-			boundary[c] = cn
-			fanins = append(fanins, cn)
-		}
-		fn, err := subject.Expr(g, n, boundary)
-		if err != nil {
-			return "", err
-		}
-		name := portOf[n]
-		if name == "" {
-			name = fresh()
-		}
-		if _, err := nw.AddNode(name, fanins, fn); err != nil {
-			return "", err
-		}
-		names[n] = name
-		luts++
-		return name, nil
-	}
-	for _, o := range g.Outputs {
-		net, err := emit(o.Node)
-		if err != nil {
-			return nil, 0, err
-		}
-		if net == o.Name {
-			if err := nw.MarkOutput(o.Name); err != nil {
-				return nil, 0, err
-			}
-			continue
-		}
-		// Alias port (PO on a PI or a shared node).
-		if nw.Node(o.Name) == nil {
-			if _, err := nw.AddNode(o.Name, []string{net}, logic.Variable(net)); err != nil {
-				return nil, 0, err
-			}
-		}
-		if err := nw.MarkOutput(o.Name); err != nil {
-			return nil, 0, err
-		}
-	}
-	return nw, luts, nil
 }
 
 // Check validates a result against its subject graph: every LUT must

@@ -1,6 +1,9 @@
 package logic
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MaxTTVars is the largest support size for which truth tables can be
 // built (2^16 bits = 1024 words).
@@ -113,7 +116,7 @@ func Equivalent(a, b *Expr) (bool, error) {
 		order = append(order, v)
 	}
 	// Keep deterministic behaviour for error messages.
-	sortStrings(order)
+	slices.Sort(order)
 	ta, err := NewTT(a, order)
 	if err != nil {
 		return false, err
@@ -123,12 +126,4 @@ func Equivalent(a, b *Expr) (bool, error) {
 		return false, err
 	}
 	return ta.Equal(tb), nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -37,45 +37,21 @@ func (n *Netlist) NetLoads(opt LoadOptions) map[string]float64 {
 // model: pin-to-output delay = block + fanoutCoeff * load(outputNet),
 // taking the worse of the rise and fall pairs.
 func (n *Netlist) DelayLoaded(opt LoadOptions) (*Timing, error) {
+	return n.timing(n.loadedDelay(opt), opt.Arrivals)
+}
+
+// loadedDelay is DelayLoaded's pin delay under the netlist's loads.
+func (n *Netlist) loadedDelay(opt LoadOptions) PinDelay {
 	loads := n.NetLoads(opt)
-	t := &Timing{Arrival: make(map[string]float64, len(n.Cells)+len(n.Inputs))}
-	for _, in := range n.Inputs {
-		t.Arrival[in] = opt.Arrivals[in]
-	}
-	for _, c := range n.Cells {
+	return func(c *Cell, pin int) float64 {
 		load := loads[c.Output]
-		worst := 0.0
-		for pin, in := range c.Inputs {
-			a, ok := t.Arrival[in]
-			if !ok {
-				return nil, fmt.Errorf("mapping: cell %q input %q has no arrival", c.Name, in)
-			}
-			p := c.Gate.Pins[pin]
-			rise := p.RiseBlock + p.RiseFanout*load
-			fall := p.FallBlock + p.FallFanout*load
-			d := rise
-			if fall > d {
-				d = fall
-			}
-			if v := a + d; v > worst {
-				worst = v
-			}
+		p := c.Gate.Pins[pin]
+		d := p.RiseBlock + p.RiseFanout*load
+		if fall := p.FallBlock + p.FallFanout*load; fall > d {
+			d = fall
 		}
-		t.Arrival[c.Output] = worst
+		return d
 	}
-	first := true
-	for _, p := range n.Outputs {
-		a, ok := t.Arrival[p.Net]
-		if !ok {
-			return nil, fmt.Errorf("mapping: output %q has no arrival", p.Name)
-		}
-		if first || a > t.Delay {
-			t.Delay = a
-			t.CriticalPort = p.Name
-			first = false
-		}
-	}
-	return t, nil
 }
 
 // InsertBuffers rewrites the netlist so that no net drives more than

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 
@@ -95,9 +96,24 @@ type Timing struct {
 	CriticalPort string
 }
 
+// PinDelay gives the delay from input pin pin of cell c to its output.
+type PinDelay func(c *Cell, pin int) float64
+
+// FixedDelay is dm's load-independent pin delay.
+func FixedDelay(dm genlib.DelayModel) PinDelay {
+	return func(c *Cell, pin int) float64 { return dm.PinDelay(c.Gate, pin) }
+}
+
 // Delay runs static timing under dm. arrivals optionally provides
 // primary-input arrival times (missing inputs arrive at 0).
 func (n *Netlist) Delay(dm genlib.DelayModel, arrivals map[string]float64) (*Timing, error) {
+	return n.timing(FixedDelay(dm), arrivals)
+}
+
+// timing propagates arrival times through the cells in order: a
+// cell's output arrives at its worst input arrival plus pin delay,
+// starting from 0.
+func (n *Netlist) timing(d PinDelay, arrivals map[string]float64) (*Timing, error) {
 	t := &Timing{Arrival: make(map[string]float64, len(n.Cells)+len(n.Inputs))}
 	for _, in := range n.Inputs {
 		t.Arrival[in] = arrivals[in]
@@ -109,7 +125,7 @@ func (n *Netlist) Delay(dm genlib.DelayModel, arrivals map[string]float64) (*Tim
 			if !ok {
 				return nil, fmt.Errorf("mapping: cell %q input %q has no arrival", c.Name, in)
 			}
-			if v := a + dm.PinDelay(c.Gate, pin); v > worst {
+			if v := a + d(c, pin); v > worst {
 				worst = v
 			}
 		}
@@ -137,38 +153,50 @@ func (n *Netlist) CriticalPath(dm genlib.DelayModel, arrivals map[string]float64
 	if err != nil {
 		return nil, err
 	}
-	driver := map[string]*Cell{}
-	for _, c := range n.Cells {
-		driver[c.Output] = c
-	}
+	return n.criticalPath(t, FixedDelay(dm)), nil
+}
+
+// criticalPath is the worst path into t's critical output port.
+func (n *Netlist) criticalPath(t *Timing, d PinDelay) []*Cell {
 	var net string
 	for _, p := range n.Outputs {
 		if p.Name == t.CriticalPort {
 			net = p.Net
 		}
 	}
-	var path []*Cell
-	for {
-		c, ok := driver[net]
-		if !ok {
-			break // reached a primary input
-		}
-		path = append(path, c)
-		// Follow the worst input.
-		worstNet, worst := "", -1.0
-		for pin, in := range c.Inputs {
-			v := t.Arrival[in] + dm.PinDelay(c.Gate, pin)
-			if v > worst {
-				worst, worstNet = v, in
+	return n.WorstPaths([]string{net}, t.Arrival, d)[0]
+}
+
+// WorstPaths returns, for each of nets, the cells on a worst path into
+// it, from inputs to the net. From the net's driver the path follows,
+// cell by cell, the input with the largest arrival plus pin delay (the
+// first such input on ties) until it reaches a net no cell drives.
+func (n *Netlist) WorstPaths(nets []string, arrival map[string]float64, d PinDelay) [][]*Cell {
+	driver := make(map[string]*Cell, len(n.Cells))
+	for _, c := range n.Cells {
+		driver[c.Output] = c
+	}
+	paths := make([][]*Cell, len(nets))
+	for i, net := range nets {
+		var path []*Cell
+		for {
+			c, ok := driver[net]
+			if !ok {
+				break // reached a primary input
 			}
+			path = append(path, c)
+			worstNet, worst := "", math.Inf(-1)
+			for pin, in := range c.Inputs {
+				if v := arrival[in] + d(c, pin); v > worst {
+					worst, worstNet = v, in
+				}
+			}
+			net = worstNet
 		}
-		net = worstNet
+		slices.Reverse(path)
+		paths[i] = path
 	}
-	// Reverse to input->output order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, nil
+	return paths
 }
 
 // ToNetwork converts the netlist to a Boolean network for simulation

@@ -1,10 +1,6 @@
 package mapping
 
-import (
-	"fmt"
-
-	"dagcover/internal/genlib"
-)
+import "dagcover/internal/genlib"
 
 // Clone returns a deep copy of the netlist (cells are copied; gates
 // are shared immutable library objects).
@@ -45,10 +41,7 @@ func (n *Netlist) SizeCells(groups map[string][]*genlib.Gate, opt LoadOptions, m
 		if err != nil {
 			return nil, 0, err
 		}
-		path, err := out.criticalPathLoaded(base, opt)
-		if err != nil {
-			return nil, 0, err
-		}
+		path := out.criticalPath(base, out.loadedDelay(opt))
 		bestGain := 1e-9
 		var bestCell *Cell
 		var bestGate *genlib.Gate
@@ -79,48 +72,4 @@ func (n *Netlist) SizeCells(groups map[string][]*genlib.Gate, opt LoadOptions, m
 		swaps++
 	}
 	return out, swaps, nil
-}
-
-// criticalPathLoaded walks the worst loaded-arrival path back from
-// the critical output.
-func (n *Netlist) criticalPathLoaded(t *Timing, opt LoadOptions) ([]*Cell, error) {
-	loads := n.NetLoads(opt)
-	driver := map[string]*Cell{}
-	for _, c := range n.Cells {
-		driver[c.Output] = c
-	}
-	var net string
-	for _, p := range n.Outputs {
-		if p.Name == t.CriticalPort {
-			net = p.Net
-		}
-	}
-	if net == "" {
-		return nil, fmt.Errorf("mapping: critical port %q not found", t.CriticalPort)
-	}
-	var path []*Cell
-	for {
-		c, ok := driver[net]
-		if !ok {
-			break
-		}
-		path = append(path, c)
-		load := loads[c.Output]
-		worstNet, worst := "", -1.0
-		for pin, in := range c.Inputs {
-			p := c.Gate.Pins[pin]
-			d := p.RiseBlock + p.RiseFanout*load
-			if f := p.FallBlock + p.FallFanout*load; f > d {
-				d = f
-			}
-			if v := t.Arrival[in] + d; v > worst {
-				worst, worstNet = v, in
-			}
-		}
-		net = worstNet
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, nil
 }

@@ -190,13 +190,12 @@ func TestIngestMatchesASTPath(t *testing.T) {
 // pipelineFault is one single-fault request of the pipeline table:
 // how it spoils a valid request, and the 400 text /map answers with in
 // a gate-library mode. Library faults fail a whole batch, whose records
-// carry the text behind "library compile: ". LUT mode ignores the
-// library and its options, so those requests still map there.
+// carry the same text. LUT mode ignores the library and its options, so
+// those requests still map there.
 type pipelineFault struct {
 	name     string
 	spoil    func(*MapRequest)
 	err      string
-	library  bool // a library fault
 	lutMaps  bool // lut ignores it
 	lutOnly  bool // a fault only in lut mode
 	modeless bool // the fault is the mode itself
@@ -205,9 +204,9 @@ type pipelineFault struct {
 var pipelineFaults = []pipelineFault{
 	{name: "valid", spoil: func(*MapRequest) {}, lutMaps: true},
 	{name: "unknown-library", spoil: func(r *MapRequest) { r.Library = "bogus" },
-		err: `unknown library "bogus" (built-ins: lib2, 44-1, 44-3; or upload genlib text)`, library: true, lutMaps: true},
+		err: `unknown library "bogus" (built-ins: lib2, 44-1, 44-3; or upload genlib text)`, lutMaps: true},
 	{name: "bad-genlib", spoil: func(r *MapRequest) { r.Genlib = "GATE broken" },
-		err: "library compile: genlib: truncated GATE record", library: true, lutMaps: true},
+		err: "library compile: genlib: truncated GATE record", lutMaps: true},
 	{name: "bad-class", spoil: func(r *MapRequest) { r.Class = "bogus" },
 		err: `unknown match class "bogus"`, lutMaps: true},
 	{name: "bad-delay", spoil: func(r *MapRequest) { r.Delay = "bogus" },
@@ -266,9 +265,6 @@ func TestPipelineEquivalence(t *testing.T) {
 					t.Errorf("/map %s: result_cache %q, want it present: %v", where, resp.ResultCache, cached)
 				}
 
-				if f.library && want.err != "" {
-					want.err = "library compile: " + want.err
-				}
 				rec := runJob(t, s, JobRequest{Items: []JobItemRequest{{BLIF: req.BLIF}}, Mode: req.Mode,
 					Library: req.Library, Genlib: req.Genlib, Class: req.Class, Delay: req.Delay, Supergates: req.Supergates})[0]
 				item := itemResponse(t, rec)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -354,7 +353,7 @@ func (s *Server) runJob(ctx context.Context, job *jobs.Job, req *JobRequest, ite
 	lib, err := s.resolveLibrary(&base)
 	s.metrics.phases[phaseCompile].Add(int64(time.Since(t0)))
 	if err != nil {
-		job.FailAll(http.StatusBadRequest, fmt.Sprintf("library compile: %v", err), time.Now())
+		job.FailAll(http.StatusBadRequest, err.Error(), time.Now())
 		s.finishJob(job)
 		return
 	}

@@ -25,7 +25,7 @@ import (
 // engine runs, bounded by admission, and publish the same bytes.
 
 // resultKind is the artifact-store object kind and key-format version
-// for cached mapping results. Bumping it (mapres5, ...) rotates every
+// for cached mapping results. Bumping it (mapres6, ...) rotates every
 // key, which is how a change to response serialization or mapping
 // semantics invalidates old entries: they are orphaned for the GC,
 // never misread. mapres2: exact matches stopped covering
@@ -35,7 +35,10 @@ import (
 // sg_artifact_sha left it, so a server with an artifact store and one
 // without publish the same result_sha. mapres5: the payload stopped
 // HTML-escaping '<', '>' and '&', as computed responses never did.
-const resultKind = "mapres5"
+// mapres6: a generated net or LUT no longer takes a port's name (a
+// "w<k>" port on a primary input, a "lut<k>" second port on a node),
+// which changed those netlists.
+const resultKind = "mapres6"
 
 // result_cache tiers reported in responses and access-log records.
 const (

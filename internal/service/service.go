@@ -93,7 +93,7 @@ type Config struct {
 	// serialized responses keyed by (subject-graph digest, library key,
 	// normalized options), so repeated identical requests skip the
 	// engine entirely. 0 selects the 64 MiB default; negative disables
-	// result caching altogether (memory tier and the mapres5 disk
+	// result caching altogether (memory tier and the mapres6 disk
 	// tier). The mapper is deterministic, so a cached response's
 	// netlist is byte-identical to a recomputed one, and concurrent
 	// identical misses each run the engine (bounded by Concurrency)
@@ -149,7 +149,7 @@ type Server struct {
 	handler http.Handler
 
 	// Whole-result cache (nil when disabled): the in-memory LRU tier.
-	// The disk tier rides the artifact store (kind mapres5).
+	// The disk tier rides the artifact store (kind mapres6).
 	resultCache *resultCache
 
 	// mapStartHook, when a test sets it before serving, runs on a

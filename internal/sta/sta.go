@@ -107,33 +107,14 @@ func WorstPaths(nl *mapping.Netlist, dm genlib.DelayModel, opt Options, k int) (
 	if err != nil {
 		return nil, err
 	}
-	driver := map[string]*mapping.Cell{}
-	for _, c := range nl.Cells {
-		driver[c.Output] = c
+	nets := make([]string, len(nl.Outputs))
+	for i, p := range nl.Outputs {
+		nets[i] = p.Net
 	}
-	var paths []Path
-	for _, p := range nl.Outputs {
-		path := Path{Port: p.Name, Slack: rep.Slack[p.Net]}
-		net := p.Net
-		for {
-			c, ok := driver[net]
-			if !ok {
-				break
-			}
-			path.Cells = append(path.Cells, c)
-			worstNet, worst := "", math.Inf(-1)
-			for pin, in := range c.Inputs {
-				if v := rep.Arrival[in] + dm.PinDelay(c.Gate, pin); v > worst {
-					worst, worstNet = v, in
-				}
-			}
-			net = worstNet
-		}
-		// Reverse to source->sink order.
-		for i, j := 0, len(path.Cells)-1; i < j; i, j = i+1, j-1 {
-			path.Cells[i], path.Cells[j] = path.Cells[j], path.Cells[i]
-		}
-		paths = append(paths, path)
+	cells := nl.WorstPaths(nets, rep.Arrival, mapping.FixedDelay(dm))
+	paths := make([]Path, len(nl.Outputs))
+	for i, p := range nl.Outputs {
+		paths[i] = Path{Port: p.Name, Slack: rep.Slack[p.Net], Cells: cells[i]}
 	}
 	sort.SliceStable(paths, func(i, j int) bool { return paths[i].Slack < paths[j].Slack })
 	if k > 0 && len(paths) > k {

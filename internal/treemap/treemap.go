@@ -10,6 +10,8 @@
 // model (Rudell) and minimum area (Keutzer). The delay objective must
 // agree exactly with the generic covering engine run in exact-match
 // mode (internal/core with match.Exact); the test suite asserts this.
+// The chosen cover is emitted through core.Emit, the DAG covering
+// engine's own netlist construction.
 package treemap
 
 import (
@@ -18,6 +20,7 @@ import (
 	"math"
 	"time"
 
+	"dagcover/internal/core"
 	"dagcover/internal/genlib"
 	"dagcover/internal/mapping"
 	"dagcover/internal/match"
@@ -28,9 +31,6 @@ import (
 // cancelCheckStride is how many DP nodes are processed between
 // ctx.Err() polls; see internal/core for the rationale.
 const cancelCheckStride = 64
-
-// noNet marks a subject node whose net has not been built.
-const noNet mapping.Net = -1
 
 // Objective selects the DP cost.
 type Objective int
@@ -79,13 +79,6 @@ type Result struct {
 	Cover, Emit time.Duration
 }
 
-// chosenMatch is the DP winner at one node: the pattern and its leaf
-// bindings in pin order.
-type chosenMatch struct {
-	pat    *subject.Pattern
-	leaves []subject.Node
-}
-
 // Map covers the subject graph tree by tree. The matcher should hold
 // tree-shaped patterns (subject.CompileOptions{Share: false}); shared
 // DAG patterns are legal but can never produce exact matches beyond
@@ -126,7 +119,7 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	dpSpan := opt.Trace.Start("treemap.dp")
 	arr := make([]float64, nn)
 	areaCost := make([]float64, nn)
-	chosen := make([]chosenMatch, nn)
+	chosen := make([]core.Label, nn) // the DP winners; Arrival and Covered unused
 	var scratch []subject.Node
 	for i := 0; i < nn; i++ {
 		if i%cancelCheckStride == 0 {
@@ -169,10 +162,10 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 				"treemap: no exact match at node %v of %q; the library must at least contain a 2-input NAND and an inverter",
 				n, g.Name)
 		}
-		chosen[i] = chosenMatch{pat: bestPat, leaves: append([]subject.Node(nil), scratch...)}
+		chosen[i] = core.Label{Pat: bestPat, Leaves: append([]subject.Node(nil), scratch...)}
 		worst := math.Inf(-1)
 		area := bestPat.Gate.Area
-		for pin, leaf := range chosen[i].leaves {
+		for pin, leaf := range chosen[i].Leaves {
 			if v := arr[leaf] + opt.Delay.PinDelay(bestPat.Gate, pin); v > worst {
 				worst = v
 			}
@@ -189,73 +182,29 @@ func Map(g *subject.Graph, m *match.Matcher, opt Options) (*Result, error) {
 	coverTime := time.Since(dpStart)
 
 	// Glue: demand-driven emission from the outputs. Each demanded
-	// node is emitted exactly once — no duplication in tree mapping.
+	// node is emitted exactly once — no duplication in tree mapping —
+	// in DFS post-order, so every cell follows its leaves' drivers.
 	emitStart := time.Now()
 	emitSpan := opt.Trace.Start("treemap.emit")
-	b := mapping.NewBuilder(g.Name)
-	netOf := make([]mapping.Net, nn)
-	for i := range netOf {
-		netOf[i] = noNet
-	}
-	// at re-times the cover as it is emitted, with the float operations
-	// of Netlist.Delay, so Delay is bit-identical to it.
-	at := make([]float64, nn)
-	for _, pi := range g.PIs {
-		name := g.NameOf(pi)
-		net, err := b.AddInputNet(name)
-		if err != nil {
-			return nil, err
+	var cells []subject.Node
+	pins := 0
+	demanded := make([]bool, nn)
+	var visit func(n subject.Node)
+	visit = func(n subject.Node) {
+		if demanded[n] || g.KindOf(n) == subject.PI {
+			return
 		}
-		netOf[pi] = net
-		at[pi] = opt.Arrivals[name]
+		demanded[n] = true
+		for _, leaf := range chosen[n].Leaves {
+			visit(leaf)
+		}
+		cells = append(cells, n)
+		pins += len(chosen[n].Leaves)
 	}
-	preferred := make(map[subject.Node]mapping.Net, len(g.Outputs))
 	for _, o := range g.Outputs {
-		if g.KindOf(o.Node) == subject.PI {
-			continue
-		}
-		net := b.Reserve(o.Name)
-		if _, ok := preferred[o.Node]; !ok {
-			preferred[o.Node] = net
-		}
+		visit(o.Node)
 	}
-	var emit func(n subject.Node) error
-	emit = func(n subject.Node) error {
-		if netOf[n] != noNet {
-			return nil
-		}
-		mt := chosen[n]
-		inputs := make([]mapping.Net, len(mt.leaves))
-		worst := 0.0
-		for pin, leaf := range mt.leaves {
-			if err := emit(leaf); err != nil {
-				return err
-			}
-			inputs[pin] = netOf[leaf]
-			if v := at[leaf] + opt.Delay.PinDelay(mt.pat.Gate, pin); v > worst {
-				worst = v
-			}
-		}
-		net, ok := preferred[n]
-		if !ok {
-			net = b.NewNet()
-		}
-		b.AddCellNets(mt.pat.Gate, inputs, net)
-		netOf[n] = net
-		at[n] = worst
-		return nil
-	}
-	delay, first := 0.0, true
-	for _, o := range g.Outputs {
-		if err := emit(o.Node); err != nil {
-			return nil, err
-		}
-		b.MarkOutputNet(o.Name, netOf[o.Node])
-		if a := at[o.Node]; first || a > delay {
-			delay, first = a, false
-		}
-	}
-	nl, err := b.Netlist()
+	nl, delay, _, err := core.Emit(g, cells, pins, chosen, opt.Delay, opt.Arrivals)
 	if err != nil {
 		return nil, err
 	}

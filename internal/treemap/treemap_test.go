@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dagcover/internal/bench"
 	"dagcover/internal/core"
 	"dagcover/internal/genlib"
 	"dagcover/internal/libgen"
@@ -207,5 +208,53 @@ func TestErrorCases(t *testing.T) {
 	g := subject.NewGraph("empty", true)
 	if _, err := Map(g, m, Options{}); err == nil {
 		t.Error("no-output graph accepted")
+	}
+}
+
+// TestRetimingMatchesNetlistDelay pins the re-timing done during
+// emission: Result.Delay must equal a from-scratch Netlist.Delay of
+// the emitted netlist bit for bit, on C432 and C6288 x the paper's
+// three libraries, both objectives, with and without fractional PI
+// arrival times.
+func TestRetimingMatchesNetlistDelay(t *testing.T) {
+	libs := []struct {
+		name  string
+		lib   func() *genlib.Library
+		delay genlib.DelayModel
+	}{
+		{"lib2", libgen.Lib2, genlib.IntrinsicDelay{}},
+		{"44-1", libgen.Lib441, genlib.UnitDelay{}},
+		{"44-3", libgen.Lib443, genlib.UnitDelay{}},
+	}
+	circuits := []bench.Circuit{{Name: "C432", Network: bench.C432()}, {Name: "C6288", Network: bench.C6288()}}
+	for _, lc := range libs {
+		m := treeMatcher(t, lc.lib())
+		for _, c := range circuits {
+			g, err := subject.FromNetwork(c.Network)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(len(c.Name))))
+			arrivals := map[string]float64{}
+			for _, pi := range g.PIs {
+				arrivals[g.NameOf(pi)] = rng.Float64() * 3
+			}
+			for _, obj := range []Objective{MinDelay, MinArea} {
+				for _, arr := range []map[string]float64{nil, arrivals} {
+					res, err := Map(g, m, Options{Objective: obj, Delay: lc.delay, Arrivals: arr})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sta, err := res.Netlist.Delay(lc.delay, arr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(res.Delay) != math.Float64bits(sta.Delay) {
+						t.Errorf("%s x %s %v (arrivals %v): Delay %v, Netlist.Delay %v",
+							c.Name, lc.name, obj, arr != nil, res.Delay, sta.Delay)
+					}
+				}
+			}
+		}
 	}
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"dagcover/internal/bench"
+	"dagcover/internal/logic"
 	"dagcover/internal/match"
 	"dagcover/internal/subject"
 	"dagcover/internal/treemap"
@@ -90,6 +93,77 @@ func TestMapModes(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		}
+	}
+}
+
+// TestPortNamingEveryMode holds every emitting mode to one set of
+// naming rules: a port on a primary input sits on the input's net, the
+// first port on a node names that node's net or LUT, and a second port
+// there shares it. Port names shaped like the generated names ("w<k>"
+// nets, "U<k>" cells, "lut<k>" LUTs) must not be taken by a generated
+// one: w0 sits on input a, and lut0 is t's second port.
+func TestPortNamingEveryMode(t *testing.T) {
+	nw, err := ParseBLIF(strings.NewReader(`.model ports
+.inputs a b c d e f
+.outputs w0 t lut0 U0
+.names a w0
+1 1
+.names a b c d e f t
+111111 1
+.names t lut0
+1 1
+.names a b c d e f U0
+1----- 1
+-1---- 1
+--1--- 1
+---1-- 1
+----11 1
+.end
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "[w0<-a t<-t lut0<-t U0<-U0]" // port<-net, in order
+	cl := compile(t, Lib2())
+	for _, mode := range allModes {
+		res, err := Map(context.Background(), Input{Network: nw}, modeOptions(mode, cl))
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		var got []string
+		var blif bytes.Buffer
+		if res.Netlist != nil {
+			err = Verify(nw, res.Netlist)
+			for _, p := range res.Netlist.Outputs {
+				got = append(got, p.Name+"<-"+p.Net)
+			}
+			if werr := res.Netlist.WriteBLIF(&blif); werr != nil {
+				t.Fatal(werr)
+			}
+		} else {
+			err = VerifyNetworks(nw, res.Network)
+			// A port's net is its LUT, or the input or LUT an
+			// identity node copies.
+			for _, o := range res.Network.Outputs() {
+				net := o.Name
+				if len(o.Fanins) == 1 && o.Func.Op == logic.OpVar {
+					net = o.Fanins[0].Name
+				}
+				got = append(got, o.Name+"<-"+net)
+			}
+			if werr := WriteBLIF(&blif, res.Network); werr != nil {
+				t.Fatal(werr)
+			}
+		}
+		if err != nil {
+			t.Errorf("%v: %v", mode, err)
+		}
+		if fmt.Sprint(got) != want {
+			t.Errorf("%v: ports %v, want %v", mode, got, want)
+		}
+		if !strings.Contains(blif.String(), "\n.outputs w0 t lut0 U0\n") {
+			t.Errorf("%v: .outputs line missing from\n%s", mode, blif.String())
 		}
 	}
 }
