@@ -1,5 +1,7 @@
 package subject
 
+import "dagcover/internal/logic"
+
 // Key-layout opcodes, for the external cone-key tests' reference
 // encoder and decoder.
 const (
@@ -7,3 +9,9 @@ const (
 	ConeOpNew    = coneOpNew
 	ConeOpExpand = coneOpExpand
 )
+
+// Expr is the one-shot form of ExprBuilder.Expr.
+func Expr(g *Graph, n Node, boundary map[Node]string) (*logic.Expr, error) {
+	var b ExprBuilder
+	return b.Expr(g, n, boundary)
+}

@@ -817,12 +817,6 @@ func (b *ExprBuilder) rec(g *Graph, x Node, boundary map[Node]string) (*logic.Ex
 	return e, nil
 }
 
-// Expr is the one-shot convenience form of ExprBuilder.Expr.
-func Expr(g *Graph, n Node, boundary map[Node]string) (*logic.Expr, error) {
-	var b ExprBuilder
-	return b.Expr(g, n, boundary)
-}
-
 // strashTable is an open-addressed hash table from packed structural
 // keys to nodes. Keys are never 0 (see the key constructors), so 0
 // marks an empty slot; there are no deletions.
