@@ -25,6 +25,7 @@ import (
 	"dagcover/internal/logic"
 	"dagcover/internal/mapping"
 	"dagcover/internal/match"
+	"dagcover/internal/network"
 	"dagcover/internal/subject"
 )
 
@@ -290,6 +291,36 @@ func BenchmarkSubjectBuild(b *testing.B) {
 		nodes = g.NumNodes()
 	}
 	b.ReportMetric(float64(nodes), "nodes")
+}
+
+// BenchmarkWriteBLIF times blif.Write on a gate network,
+// RandomDAG(32, 3000, 7), and on a LUT network, C6288 mapped lut-area
+// at k 6 (the render in a LUT-mode /map response). SetBytes turns the
+// result into render MB/s; -benchmem gives bytes and allocs per render.
+func BenchmarkWriteBLIF(b *testing.B) {
+	lut, err := Map(context.Background(), Input{Network: bench.C6288()}, MapOptions{Mode: ModeLUTArea, K: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		nw   *network.Network
+	}{
+		{"RandomDAG32x3000", bench.RandomDAG(32, 3000, 7)},
+		{"C6288-lut-area-k6", lut.Network},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := blif.Write(&buf, in.nw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(buf.Len()))
+		})
+	}
 }
 
 // BenchmarkIngestStream times the streaming BLIF-to-subject path on a

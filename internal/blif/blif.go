@@ -9,9 +9,9 @@
 package blif
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -520,74 +520,97 @@ func coverToExpr(inputs []string, rows []string) (*logic.Expr, error) {
 }
 
 // Write renders the network as BLIF using .names for every internal
-// node. Node functions are emitted as sum-of-products covers.
+// node. Node functions are emitted as sum-of-products covers. All
+// text goes through one reused buffer, written out in chunks.
 func Write(w io.Writer, nw *network.Network) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, ".model %s\n", nw.Name)
-	fmt.Fprintf(bw, ".inputs")
+	cw := &coverWriter{nw: nw, fresh: map[string]bool{}}
+	b := append(cw.buf, ".model "...)
+	b = append(b, nw.Name...)
+	b = append(b, "\n.inputs"...)
 	for _, in := range nw.Inputs() {
-		fmt.Fprintf(bw, " %s", in.Name)
+		b = append(append(b, ' '), in.Name...)
 	}
-	fmt.Fprintln(bw)
-	fmt.Fprintf(bw, ".outputs")
+	b = append(b, "\n.outputs"...)
 	for _, o := range nw.Outputs() {
-		fmt.Fprintf(bw, " %s", o.Name)
+		b = append(append(b, ' '), o.Name...)
 	}
-	fmt.Fprintln(bw)
+	b = append(b, '\n')
 	for _, l := range nw.Latches() {
-		init := 0
+		b = append(append(b, ".latch "...), l.Input.Name...)
+		b = append(append(b, ' '), l.Output.Name...)
 		if l.Init {
-			init = 1
+			b = append(b, " 1\n"...)
+		} else {
+			b = append(b, " 0\n"...)
 		}
-		fmt.Fprintf(bw, ".latch %s %s %d\n", l.Input.Name, l.Output.Name, init)
 	}
+	cw.buf = b
 	topo, err := nw.TopoSort()
 	if err != nil {
 		return fmt.Errorf("blif: %v", err)
 	}
-	cw := &coverWriter{w: bw, nw: nw, fresh: map[string]bool{}}
+	var fanins []string
 	for _, n := range topo {
 		if n.Func == nil {
 			continue
 		}
-		names := make([]string, len(n.Fanins))
-		for i, fi := range n.Fanins {
-			names[i] = fi.Name
+		fanins = fanins[:0]
+		for _, fi := range n.Fanins {
+			fanins = append(fanins, fi.Name)
 		}
 		cw.base, cw.seq = n.Name, 0
-		if err := cw.names(n.Name, n.Func, names); err != nil {
+		if err := cw.names(n.Name, n.Func, fanins); err != nil {
 			return err
 		}
+		if len(cw.buf) >= writeChunk {
+			if _, err := w.Write(cw.buf); err != nil {
+				return err
+			}
+			cw.buf = cw.buf[:0]
+		}
 	}
-	fmt.Fprintln(bw, ".end")
-	return bw.Flush()
+	cw.buf = append(cw.buf, ".end\n"...)
+	_, err = w.Write(cw.buf)
+	return err
 }
+
+// writeChunk is the buffered text at which Write hands it to the writer.
+const writeChunk = 32 << 10
 
 // coverWriter renders node functions as .names covers. A function
 // that neither phase can expand within the cube limit (a wide XOR, say)
 // is split into fresh intermediate nodes, written ahead of the node
 // that reads them; a function that expands is always one cover.
 type coverWriter struct {
-	w     io.Writer
 	nw    *network.Network
+	buf   []byte          // rendered text not yet written
 	fresh map[string]bool // intermediate names handed out so far
 	base  string          // the network node being written
 	seq   int             // its last intermediate suffix
+	dnf   dnfMemo         // cube expansion scratch, reused by every node
 }
 
 func (cw *coverWriter) names(name string, fn *logic.Expr, fanins []string) error {
-	cubes, onPhase, ok := exprCover(fn, fanins)
-	if !ok {
+	cubes, onPhase, err := cw.dnf.exprCover(fn, fanins)
+	if err != nil {
+		return fmt.Errorf("blif: node %q: %v", cw.base, err)
+	}
+	if !cubes.ok {
 		return cw.split(name, fn, fanins)
 	}
-	fmt.Fprintf(cw.w, ".names %s %s\n", strings.Join(fanins, " "), name)
-	outCol := "1"
+	b := append(cw.buf, ".names "...)
+	for i, f := range fanins {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, f...)
+	}
+	b = append(append(append(b, ' '), name...), '\n')
+	outCol := byte('1')
 	if !onPhase {
-		outCol = "0"
+		outCol = '0'
 	}
-	for _, c := range cubes {
-		fmt.Fprintf(cw.w, "%s %s\n", c, outCol)
-	}
+	cw.buf = cw.dnf.appendRows(b, outCol)
 	return nil
 }
 
@@ -666,147 +689,273 @@ func usedFanins(e *logic.Expr, fanins []string) []string {
 	return out
 }
 
-// exprCover returns a single-phase cube cover of fn over the ordered
-// fanin list, or ok=false when neither phase expands within the cube
-// limit.
-func exprCover(fn *logic.Expr, inputs []string) (cubes []string, onPhase, ok bool) {
-	idx := map[string]int{}
-	for i, in := range inputs {
-		idx[in] = i
-	}
-	dnf, ok := toDNF(fn, 4096)
-	if !ok {
-		// Fall back to the complement: useful for wide XOR-like
-		// functions whose off-set is smaller.
-		dnf, ok = toDNF(logic.Not(fn), 4096)
-		if !ok {
-			return nil, false, false
-		}
-		return cubeStrings(dnf, idx, len(inputs)), false, true
-	}
-	return cubeStrings(dnf, idx, len(inputs)), true, true
+// cubeLimit is the most cubes one cover, or any list on the way to it,
+// may hold.
+const cubeLimit = 4096
+
+// dnfMemo expands node functions into cube lists over one node's
+// fanins. A cube is 2w words, w = max(1, ⌈fanins/64⌉), so one layout
+// serves every width: w care words, then w value words, with fanin j
+// at bit j%64 of word j/64 of each half. A care bit marks a literal;
+// its value bit (set only under a care bit) is the literal's phase.
+// Every list of one expansion lives in one arena, and the memo maps
+// (expression, phase) to its list. The arena, the memo and the sort
+// order are reset, not reallocated, for each expansion, so one
+// dnfMemo serves every node a Write renders.
+type dnfMemo struct {
+	inputs  []string // the fanins: column j of a row is inputs[j]
+	words   int      // w, the words in each half of a cube
+	arena   []uint64
+	memo    map[dnfKey]dnfList
+	pending []dnfList // operand lists of the ORs being expanded
+	order   []int     // arena offsets of the cover's cubes, in row order
+	budget  int       // cube pairs the expansion may still examine
+	missing string    // a variable the expansion found outside inputs
 }
-
-// cube maps variable name -> required phase.
-type cube map[string]bool
-
-func cubeStrings(cs []cube, idx map[string]int, width int) []string {
-	if len(cs) == 0 {
-		// Empty DNF = constant 0: represent as an off-phase row "all
-		// don't-care -> 0"? BLIF encodes constants with no rows; the
-		// caller handles constants before this point in practice.
-		return nil
-	}
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		row := make([]byte, width)
-		for j := range row {
-			row[j] = '-'
-		}
-		for v, ph := range c {
-			if ph {
-				row[idx[v]] = '1'
-			} else {
-				row[idx[v]] = '0'
-			}
-		}
-		out[i] = string(row)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// toDNF expands fn into a set of cubes, giving up (ok=false) past the
-// limit. The expansion works on a negation-normal form computed on the
-// fly. Results are memoized by (node pointer, phase): XOR expansion
-// builds a DAG whose operands are shared between both phases, and a
-// plain tree walk over it is exponential even when the cube limit
-// fails it early.
-func toDNF(fn *logic.Expr, limit int) ([]cube, bool) {
-	m := &dnfMemo{memo: map[dnfKey]dnfVal{}, budget: dnfWorkBudget}
-	return m.dnf(fn, false, limit)
-}
-
-// dnfWorkBudget caps the total number of cube pairs one toDNF call may
-// examine. The cube limit alone bounds only the surviving cubes: a
-// product of two near-limit sets whose pairs are mostly contradictory
-// (parity-like functions) examines limit² pairs while its output stays
-// small, which is seconds of map churn per node. The budget turns that
-// into a fast, deterministic failure.
-const dnfWorkBudget = 1 << 21
 
 type dnfKey struct {
 	e   *logic.Expr
 	neg bool
 }
 
-type dnfVal struct {
-	cubes []cube
-	ok    bool
+// dnfList is the n cubes at arena[off:], or a failed expansion
+// (ok=false). Lists are never modified once made, so lists may share
+// cubes and the memo may hand one list out many times.
+type dnfList struct {
+	off, n int
+	ok     bool
 }
 
-type dnfMemo struct {
-	memo   map[dnfKey]dnfVal
-	budget int
-}
-
-func (m *dnfMemo) dnf(e *logic.Expr, neg bool, limit int) ([]cube, bool) {
-	key := dnfKey{e, neg}
-	if v, hit := m.memo[key]; hit {
-		return v.cubes, v.ok
+// exprCover returns a single-phase cover of fn over the ordered fanin
+// list as bitmask cubes in row order (the same path at any fanin
+// count), with ok=false when neither phase expands within the cube
+// limit and the work budget. It fails when fn reads a variable that
+// is not a fanin.
+func (m *dnfMemo) exprCover(fn *logic.Expr, inputs []string) (cubes dnfList, onPhase bool, err error) {
+	m.inputs, m.words = inputs, max(1, (len(inputs)+63)/64)
+	cubes, onPhase = m.toDNF(fn, cubeLimit), true
+	if !cubes.ok && m.missing == "" {
+		// Fall back to the complement: useful for wide XOR-like
+		// functions whose off-set is smaller.
+		cubes, onPhase = m.toDNF(logic.Not(fn), cubeLimit), false
 	}
-	cubes, ok := m.expand(e, neg, limit)
-	m.memo[key] = dnfVal{cubes, ok}
-	return cubes, ok
+	if m.missing != "" {
+		return dnfList{}, false, fmt.Errorf("function reads %q, which is not one of its fanins", m.missing)
+	}
+	if cubes.ok {
+		m.sortRows(cubes)
+	}
+	return cubes, onPhase, nil
 }
 
-func (m *dnfMemo) expand(e *logic.Expr, neg bool, limit int) ([]cube, bool) {
+// sortRows fills m.order with the list's cubes in the order of their
+// rendered rows: by the first column where two cubes differ, with
+// '-' < '0' < '1'. Equal cubes render equally, so any order among them
+// gives the same text.
+func (m *dnfMemo) sortRows(l dnfList) {
+	w, stride := m.words, 2*m.words
+	m.order = m.order[:0]
+	for i := 0; i < l.n; i++ {
+		m.order = append(m.order, l.off+i*stride)
+	}
+	a := m.arena
+	slices.SortFunc(m.order, func(x, y int) int {
+		for i := 0; i < w; i++ {
+			cx, cy, vx, vy := a[x+i], a[y+i], a[x+w+i], a[y+w+i]
+			if d := (cx ^ cy) | (vx ^ vy); d != 0 {
+				bit := d & -d
+				return colRank(cx&bit, vx&bit) - colRank(cy&bit, vy&bit)
+			}
+		}
+		return 0
+	})
+}
+
+// colRank orders a column's characters: '-' (no care bit), '0', '1'.
+func colRank(care, val uint64) int {
+	switch {
+	case care == 0:
+		return 0
+	case val == 0:
+		return 1
+	}
+	return 2
+}
+
+// appendRows renders the cover sortRows ordered, one
+// "<columns> <outCol>" row per cube.
+func (m *dnfMemo) appendRows(b []byte, outCol byte) []byte {
+	w := m.words
+	for _, off := range m.order {
+		care, val := m.arena[off:off+w], m.arena[off+w:off+2*w]
+		for j := range m.inputs {
+			bit := uint64(1) << (j & 63)
+			switch {
+			case care[j>>6]&bit == 0:
+				b = append(b, '-')
+			case val[j>>6]&bit != 0:
+				b = append(b, '1')
+			default:
+				b = append(b, '0')
+			}
+		}
+		b = append(b, ' ', outCol, '\n')
+	}
+	return b
+}
+
+// toDNF expands fn into a list of cubes, giving up (ok=false) past the
+// limit or the work budget. The expansion works on a negation-normal
+// form computed on the fly. AND, OR and XOR results are memoized by
+// (node pointer, phase): XOR expansion builds a DAG whose operands are
+// shared between both phases, and a plain tree walk over it is
+// exponential even when the cube limit fails it early. Each call, so
+// each phase, starts from an empty arena and memo and a full budget;
+// any failure ends the call.
+func (m *dnfMemo) toDNF(fn *logic.Expr, limit int) dnfList {
+	if m.memo == nil || len(m.memo) > 256 {
+		// Clearing a map costs its capacity: drop one that grew large.
+		m.memo = map[dnfKey]dnfList{}
+	} else {
+		clear(m.memo)
+	}
+	m.arena, m.pending = m.arena[:0], m.pending[:0]
+	m.budget, m.missing = dnfWorkBudget, ""
+	return m.dnf(fn, false, limit)
+}
+
+// dnfWorkBudget caps the total number of cube pairs one toDNF call may
+// examine. It is charged with a product's full pair count before the
+// product runs. The cube limit alone bounds only the surviving cubes:
+// a product of two near-limit lists whose pairs are mostly
+// contradictory (parity-like functions) examines limit² pairs while
+// its output stays small, which is seconds of work per node. The
+// budget turns that into a fast, deterministic failure.
+const dnfWorkBudget = 1 << 21
+
+func (m *dnfMemo) dnf(e *logic.Expr, neg bool, limit int) dnfList {
 	switch e.Op {
 	case logic.OpConst:
-		v := e.Const != neg
-		if v {
-			return []cube{{}}, true // tautology cube
+		if e.Const != neg {
+			return m.tautology()
 		}
-		return nil, true
+		return dnfList{off: len(m.arena), ok: true}
 	case logic.OpVar:
-		return []cube{{e.Var: !neg}}, true
+		return m.literal(e.Var, !neg)
 	case logic.OpNot:
 		return m.dnf(e.Kids[0], !neg, limit)
+	}
+	key := dnfKey{e, neg}
+	if l, hit := m.memo[key]; hit {
+		return l
+	}
+	l := m.expand(e, neg, limit)
+	m.memo[key] = l
+	return l
+}
+
+func (m *dnfMemo) expand(e *logic.Expr, neg bool, limit int) dnfList {
+	switch e.Op {
 	case logic.OpAnd, logic.OpOr:
-		isAnd := (e.Op == logic.OpAnd) != neg // De Morgan under negation
-		var acc []cube
-		if isAnd {
-			acc = []cube{{}}
-			for _, k := range e.Kids {
-				kd, ok := m.dnf(k, neg, limit)
-				if !ok {
-					return nil, false
-				}
-				acc, ok = m.cubeProduct(acc, kd, limit)
-				if !ok {
-					return nil, false
-				}
-			}
-			return acc, true
+		if (e.Op == logic.OpAnd) != neg { // De Morgan under negation
+			return m.and(e.Kids, neg, limit)
 		}
-		for _, k := range e.Kids {
-			kd, ok := m.dnf(k, neg, limit)
-			if !ok {
-				return nil, false
-			}
-			acc = append(acc, kd...)
-			if len(acc) > limit {
-				return nil, false
-			}
-		}
-		return acc, true
+		return m.or(e.Kids, neg, limit)
 	case logic.OpXor:
 		// XOR(a, rest...) = a*!XOR(rest) + !a*XOR(rest); under
 		// negation flip once at the top.
-		expanded := expandXor(e.Kids, neg)
-		return m.dnf(expanded, false, limit)
+		return m.dnf(expandXor(e.Kids, neg), false, limit)
 	}
-	return nil, false
+	return dnfList{}
+}
+
+// tautology returns a list of one cube with no literals.
+func (m *dnfMemo) tautology() dnfList {
+	return dnfList{off: m.grow(), n: 1, ok: true}
+}
+
+// literal returns the one-cube list of variable v in the given phase;
+// v's column is its last position among the fanins.
+func (m *dnfMemo) literal(v string, phase bool) dnfList {
+	col := len(m.inputs) - 1
+	for col >= 0 && m.inputs[col] != v {
+		col--
+	}
+	if col < 0 {
+		m.missing = v
+		return dnfList{}
+	}
+	off, bit := m.grow(), uint64(1)<<(col&63)
+	m.arena[off+col>>6] = bit
+	if phase {
+		m.arena[off+m.words+col>>6] = bit
+	}
+	return dnfList{off: off, n: 1, ok: true}
+}
+
+// grow appends one all-zero cube to the arena and returns its offset.
+func (m *dnfMemo) grow() int {
+	off := len(m.arena)
+	for i := 0; i < 2*m.words; i++ {
+		m.arena = append(m.arena, 0)
+	}
+	return off
+}
+
+// and multiplies the operands' lists left to right. The first product
+// is with the tautology cube, which leaves the operand's list as it is;
+// its pairs are charged all the same.
+func (m *dnfMemo) and(kids []*logic.Expr, neg bool, limit int) dnfList {
+	if len(kids) == 0 {
+		return m.tautology()
+	}
+	var acc dnfList
+	for i, k := range kids {
+		kd := m.dnf(k, neg, limit)
+		if !kd.ok {
+			return kd
+		}
+		if i == 0 {
+			if m.budget -= kd.n; m.budget < 0 {
+				return dnfList{}
+			}
+			acc = kd
+			continue
+		}
+		if acc = m.product(acc, kd, limit); !acc.ok {
+			return acc
+		}
+	}
+	return acc
+}
+
+// or concatenates the operands' lists, giving up once they hold more
+// than limit cubes. A list with one non-empty operand is that operand.
+func (m *dnfMemo) or(kids []*logic.Expr, neg bool, limit int) dnfList {
+	base, total := len(m.pending), 0
+	defer func() { m.pending = m.pending[:base] }()
+	for _, k := range kids {
+		kd := m.dnf(k, neg, limit)
+		if !kd.ok {
+			return kd
+		}
+		if total += kd.n; total > limit {
+			return dnfList{}
+		}
+		if kd.n > 0 {
+			m.pending = append(m.pending, kd)
+		}
+	}
+	parts := m.pending[base:]
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	stride := 2 * m.words
+	out := dnfList{off: len(m.arena), n: total, ok: true}
+	for _, p := range parts {
+		m.arena = append(m.arena, m.arena[p.off:p.off+p.n*stride]...)
+	}
+	return out
 }
 
 // expandXor rewrites an XOR (or XNOR when neg) into AND/OR/NOT form.
@@ -821,45 +970,42 @@ func expandXor(kids []*logic.Expr, neg bool) *logic.Expr {
 	return cur
 }
 
-// cubeProduct multiplies two cube sets, dropping contradictory
-// products. It gives up (ok=false) as soon as the result exceeds
-// limit — the product of two in-limit sets can be limit² cubes, far
-// too many to materialize before checking — or when the pair count
-// would blow the call-wide work budget.
-func (m *dnfMemo) cubeProduct(a, b []cube, limit int) (out []cube, ok bool) {
-	m.budget -= len(a) * len(b)
+// product multiplies two cube lists, dropping contradictory pairs: a
+// pair is contradictory when some word has a care bit in both cubes
+// whose value bits differ. It charges the budget with every pair
+// before it looks at one, and gives up (ok=false) when that overdraws
+// the budget or as soon as the result would exceed limit — the
+// product of two in-limit lists can be limit² cubes, far too many to
+// materialize before checking.
+func (m *dnfMemo) product(a, b dnfList, limit int) dnfList {
+	m.budget -= a.n * b.n
 	if m.budget < 0 {
-		return nil, false
+		return dnfList{}
 	}
-	for _, ca := range a {
-		for _, cb := range b {
-			// Lookup-only compatibility check first: most pairs of a
-			// large product are contradictory, and allocating a merged
-			// map per pair before checking is the dominant cost.
-			compatible := true
-			for v, ph := range ca {
-				if oph, exists := cb[v]; exists && oph != ph {
-					compatible = false
-					break
+	w, stride := m.words, 2*m.words
+	as := m.arena[a.off : a.off+a.n*stride]
+	bs := m.arena[b.off : b.off+b.n*stride]
+	out := dnfList{off: len(m.arena), ok: true}
+	for i := 0; i < len(as); i += stride {
+		ca := as[i : i+stride]
+	pairs:
+		for j := 0; j < len(bs); j += stride {
+			cb := bs[j : j+stride]
+			for x := 0; x < w; x++ {
+				if ca[x]&cb[x]&(ca[w+x]^cb[w+x]) != 0 {
+					continue pairs
 				}
 			}
-			if !compatible {
-				continue
+			if out.n >= limit {
+				return dnfList{}
 			}
-			if len(out) >= limit {
-				return nil, false
+			for x := range ca {
+				m.arena = append(m.arena, ca[x]|cb[x])
 			}
-			prod := make(cube, len(ca)+len(cb))
-			for v, ph := range ca {
-				prod[v] = ph
-			}
-			for v, ph := range cb {
-				prod[v] = ph
-			}
-			out = append(out, prod)
+			out.n++
 		}
 	}
-	return out, true
+	return out
 }
 
 // ParseString parses BLIF text without a gate resolver.

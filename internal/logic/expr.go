@@ -9,7 +9,7 @@ package logic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -200,23 +200,20 @@ func (e *Expr) Clone() *Expr {
 
 // Vars returns the distinct variable names appearing in e, sorted.
 func (e *Expr) Vars() []string {
-	set := map[string]bool{}
-	e.collectVars(set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	out := e.appendVars([]string{})
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func (e *Expr) collectVars(set map[string]bool) {
+// appendVars appends every variable occurrence in e to out.
+func (e *Expr) appendVars(out []string) []string {
 	if e.Op == OpVar {
-		set[e.Var] = true
+		out = append(out, e.Var)
 	}
 	for _, k := range e.Kids {
-		k.collectVars(set)
+		out = k.appendVars(out)
 	}
+	return out
 }
 
 // Size returns the number of nodes in the expression tree.

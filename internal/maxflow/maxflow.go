@@ -15,12 +15,17 @@ type edge struct {
 	rev int // index of the reverse edge in adj[to]
 }
 
-// Graph is a flow network over nodes 0..n-1.
+// Graph is a flow network over nodes 0..n-1. Its adjacency lists and
+// the scratch of Dinic's phases and of SourceSide keep their capacity
+// across Reset and AddNode, so a loop that rebuilds one graph per
+// query allocates only while the graphs still grow.
 type Graph struct {
 	adj [][]edge
 	// scratch for Dinic
 	level []int
 	iter  []int
+	queue []int
+	side  []bool
 }
 
 // New creates a flow network with n nodes.
@@ -33,8 +38,14 @@ func (g *Graph) NumNodes() int { return len(g.adj) }
 
 // AddNode appends a node and returns its index.
 func (g *Graph) AddNode() int {
-	g.adj = append(g.adj, nil)
-	return len(g.adj) - 1
+	n := len(g.adj)
+	if n < cap(g.adj) {
+		g.adj = g.adj[:n+1]
+		g.adj[n] = g.adj[n][:0]
+	} else {
+		g.adj = append(g.adj, nil)
+	}
+	return n
 }
 
 // AddEdge adds a directed edge u->v with the given capacity.
@@ -62,7 +73,8 @@ func (g *Graph) MaxFlow(s, t int, limit int) int {
 		if !g.bfs(s, t) {
 			break
 		}
-		g.iter = make([]int, len(g.adj))
+		g.iter = resize(g.iter, len(g.adj))
+		clear(g.iter)
 		for {
 			f := g.dfs(s, t, Inf)
 			if f == 0 {
@@ -78,15 +90,14 @@ func (g *Graph) MaxFlow(s, t int, limit int) int {
 }
 
 func (g *Graph) bfs(s, t int) bool {
-	g.level = make([]int, len(g.adj))
+	g.level = resize(g.level, len(g.adj))
 	for i := range g.level {
 		g.level[i] = -1
 	}
-	queue := []int{s}
+	queue := append(g.queue[:0], s)
 	g.level[s] = 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, e := range g.adj[u] {
 			if e.cap > 0 && g.level[e.to] < 0 {
 				g.level[e.to] = g.level[u] + 1
@@ -94,6 +105,7 @@ func (g *Graph) bfs(s, t int) bool {
 			}
 		}
 	}
+	g.queue = queue
 	return g.level[t] >= 0
 }
 
@@ -121,10 +133,13 @@ func (g *Graph) dfs(u, t, f int) int {
 
 // SourceSide returns the set of nodes reachable from s in the residual
 // graph after MaxFlow; the saturated edges leaving this set form a
-// minimum cut.
+// minimum cut. The slice is the graph's scratch: it is valid until the
+// next SourceSide call.
 func (g *Graph) SourceSide(s int) []bool {
-	seen := make([]bool, len(g.adj))
-	stack := []int{s}
+	g.side = resize(g.side, len(g.adj))
+	seen := g.side
+	clear(seen)
+	stack := append(g.queue[:0], s)
 	seen[s] = true
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
@@ -136,19 +151,25 @@ func (g *Graph) SourceSide(s int) []bool {
 			}
 		}
 	}
+	g.queue = stack
 	return seen
+}
+
+// resize returns s with length n, reallocated only when it is too
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Reset reuses the graph's storage for a fresh network with n nodes:
 // adjacency lists are truncated in place, so steady-state labeling
 // loops allocate almost nothing.
 func (g *Graph) Reset(n int) {
-	if cap(g.adj) < n {
-		g.adj = make([][]edge, n)
-		return
-	}
-	g.adj = g.adj[:n]
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
+	g.adj = g.adj[:0]
+	for i := 0; i < n; i++ {
+		g.AddNode()
 	}
 }

@@ -11,6 +11,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dagcover/internal/logic"
@@ -84,20 +85,18 @@ func (nw *Network) AddNode(name string, fanins []string, fn *logic.Expr) (*Node,
 		return nil, fmt.Errorf("network: node %q has no function", name)
 	}
 	faninNodes := make([]*Node, len(fanins))
-	seen := map[string]bool{}
 	for i, f := range fanins {
 		fi, ok := nw.nodes[f]
 		if !ok {
 			return nil, fmt.Errorf("network: node %q references unknown fanin %q", name, f)
 		}
-		if seen[f] {
+		if slices.Contains(faninNodes[:i], fi) {
 			return nil, fmt.Errorf("network: node %q lists fanin %q twice", name, f)
 		}
-		seen[f] = true
 		faninNodes[i] = fi
 	}
 	for _, v := range fn.Vars() {
-		if !seen[v] {
+		if !slices.Contains(fanins, v) {
 			return nil, fmt.Errorf("network: node %q function uses %q which is not a fanin", name, v)
 		}
 	}
@@ -314,12 +313,8 @@ func (nw *Network) Check() error {
 			}
 		}
 		if n.Func != nil {
-			names := map[string]bool{}
-			for _, fi := range n.Fanins {
-				names[fi.Name] = true
-			}
 			for _, v := range n.Func.Vars() {
-				if !names[v] {
+				if !slices.ContainsFunc(n.Fanins, func(fi *Node) bool { return fi.Name == v }) {
 					return fmt.Errorf("network: node %q function uses non-fanin %q", n.Name, v)
 				}
 			}

@@ -71,6 +71,45 @@ func TestAddErrors(t *testing.T) {
 	}
 }
 
+// TestAddNodeErrorTexts pins AddNode's fanin error texts and the order
+// of its checks: fanins left to right (unknown before repeated), then
+// the function's variables in sorted order.
+func TestAddNodeErrorTexts(t *testing.T) {
+	nw := New("err")
+	for _, in := range []string{"a", "b"} {
+		if _, err := nw.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		fanins []string
+		fn     string
+		want   string
+	}{
+		{[]string{"a", "a", "zz"}, "a", `network: node "n" lists fanin "a" twice`},
+		{[]string{"zz", "a", "a"}, "a", `network: node "n" references unknown fanin "zz"`},
+		{[]string{"b", "a", "b"}, "c*d", `network: node "n" lists fanin "b" twice`},
+		{[]string{"b"}, "d*c*b", `network: node "n" function uses "c" which is not a fanin`},
+	} {
+		_, err := nw.AddNode("n", tc.fanins, logic.MustParse(tc.fn))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("AddNode(%v, %s) = %v, want %q", tc.fanins, tc.fn, err, tc.want)
+		}
+	}
+	n, err := nw.AddNode("n", []string{"a"}, logic.MustParse("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.MarkOutput("n"); err != nil {
+		t.Fatal(err)
+	}
+	n.Func = logic.MustParse("a*c*b")
+	want := `network: node "n" function uses non-fanin "b"`
+	if err := nw.Check(); err == nil || err.Error() != want {
+		t.Errorf("Check = %v, want %q", err, want)
+	}
+}
+
 func TestTopoSortProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
